@@ -13,7 +13,7 @@
 //
 //   oracle   each client sequentially, flag-off defaults, no simulated
 //            latency: the byte-identity reference.
-//   private  concurrent, reuse_decoded_pages: today's run-private cache.
+//   private  concurrent, one run-scoped SharedScanCache per client.
 //            Overlapping clients decode every shared page version once
 //            PER CLIENT — up to 4x duplicated fetch + decode work.
 //   shared   concurrent, one sql::SharedScanCache attached to all four
@@ -186,13 +186,18 @@ int Run() {
 
   // Both concurrent configs run batch execution: page-at-a-time
   // evaluation keeps per-iteration CPU small relative to archive I/O,
-  // which is the regime the shared cache targets (and exercises the
-  // batch iterator against both cache implementations).
+  // which is the regime the shared cache targets.
   RqlOptions private_opts;
   private_opts.cold_cache_per_run = false;
-  private_opts.reuse_decoded_pages = true;
   private_opts.batch_execution = true;
   std::vector<Client> priv = MakeClients(history, private_opts);
+  std::vector<std::unique_ptr<sql::SharedScanCache>> private_caches;
+  for (Client& c : priv) {
+    private_caches.push_back(std::make_unique<sql::SharedScanCache>(
+        sql::SharedScanCache::Options{.max_bytes = 0}));
+    c.engine->mutable_options()->shared_scan_cache =
+        private_caches.back().get();
+  }
   store->ClearSnapshotCache();
   const double wall_private = RunConcurrent(&priv);
 

@@ -1,9 +1,9 @@
 // Reproduces Figure 6 — ratio C (RQL latency over all-cold latency) as the
 // snapshot interval length grows, for update workloads UW30/UW15 and Qs
 // steps 1 and 10, using AggregateDataInVariable(Qs_N, Qq_io, AVG) over old
-// snapshots — and extends it with the COW page-sharing flag ablation:
-// reuse_decoded_pages and skip_unchanged_iterations over a sparse-update
-// history, where most consecutive snapshots map identical page versions
+// snapshots — and extends it with the COW page-sharing ablation: a
+// run-scoped decoded-page cache (SharedScanCache) and
+// skip_unchanged_iterations over a sparse-update history, where most consecutive snapshots map identical page versions
 // for the table Qq reads.
 //
 // Expected shape (paper): C starts near 1 for one-snapshot intervals,
@@ -18,6 +18,7 @@
 // together must cut the end-to-end latency at least 2x.
 
 #include "bench_common.h"
+#include "sql/shared_scan_cache.h"
 #include "storage/env.h"
 
 namespace rql::bench {
@@ -102,12 +103,12 @@ SparseHistory BuildSparseHistory() {
 
 struct AblationCell {
   const char* name;
-  bool reuse, skip;
+  bool cache, skip;
 };
 
 constexpr AblationCell kCells[] = {
     {"off", false, false},
-    {"reuse_decoded_pages", true, false},
+    {"run_scoped_scan_cache", true, false},
     {"skip_unchanged_iterations", false, true},
     {"both", true, true},
 };
@@ -123,7 +124,9 @@ struct AblationResult {
 AblationResult RunCell(SparseHistory* h, const AblationCell& cell) {
   RqlEngine* engine = h->engine.get();
   RqlOptions* opts = engine->mutable_options();
-  opts->reuse_decoded_pages = cell.reuse;
+  // Created per run: the cache serves only this run's snapshots.
+  sql::SharedScanCache run_cache({.max_bytes = 0});
+  opts->shared_scan_cache = cell.cache ? &run_cache : nullptr;
   opts->skip_unchanged_iterations = cell.skip;
   // Comparable across cells: every run starts with a cold snapshot cache.
   h->data->store()->ClearSnapshotCache();
@@ -150,7 +153,7 @@ AblationResult RunCell(SparseHistory* h, const AblationCell& cell) {
     r.rows.push_back(sql::EncodeRow(row));
   }
 
-  opts->reuse_decoded_pages = false;
+  opts->shared_scan_cache = nullptr;
   opts->skip_unchanged_iterations = false;
   return r;
 }
@@ -213,8 +216,8 @@ int Run() {
   double both_ms = 0;
   for (const AblationCell& cell : kCells) {
     AblationResult r = RunCell(&sparse, cell);
-    if (!cell.reuse && !cell.skip) off = r;
-    if (cell.reuse && cell.skip) both_ms = r.total_ms;
+    if (!cell.cache && !cell.skip) off = r;
+    if (cell.cache && cell.skip) both_ms = r.total_ms;
     bool rows_match = r.rows == off.rows;
     std::printf("%-28s %10.2f %9lld %9lld %9lld\n", cell.name, r.total_ms,
                 static_cast<long long>(r.iterations_skipped),
@@ -236,7 +239,7 @@ int Run() {
       checks_ok = false;
     }
     // The mechanisms must actually engage on the high-sharing set.
-    if (cell.reuse && r.shared_page_hits <= 0) {
+    if (cell.cache && r.shared_page_hits <= 0) {
       std::printf("CHECK FAILED: %s saw no shared-page cache hits\n",
                   cell.name);
       checks_ok = false;

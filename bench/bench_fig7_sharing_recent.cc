@@ -10,7 +10,8 @@
 //
 // Machine-readable output goes to BENCH_sharing_recent.json (CI
 // artifact). Self-check: on the most recent interval of each workload the
-// page-sharing flags (reuse_decoded_pages + skip_unchanged_iterations)
+// page-sharing options (a run-scoped SharedScanCache +
+// skip_unchanged_iterations)
 // must reproduce the flags-off result table byte-for-byte — the recent
 // end of the history is where snapshots share pages with the current
 // database, so versioned and unversioned reads mix in one run.
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "sql/shared_scan_cache.h"
 
 namespace rql::bench {
 namespace {
@@ -93,7 +95,8 @@ bool Series(const char* name, tpch::History* history, int overwrite_cycle,
       kIntervalLen, 1);
   BENCH_CHECK(engine->AggregateDataInVariable(qs, kQqIo, "Base", "avg"));
   std::vector<std::string> base = DumpTable(history, "Base");
-  engine->mutable_options()->reuse_decoded_pages = true;
+  sql::SharedScanCache run_cache({.max_bytes = 0});  // this run's only
+  engine->mutable_options()->shared_scan_cache = &run_cache;
   engine->mutable_options()->skip_unchanged_iterations = true;
   // Counters come from the metrics registry the engine publishes into at
   // run end (delta around the run == the run's RqlRunStats).
@@ -102,7 +105,7 @@ bool Series(const char* name, tpch::History* history, int overwrite_cycle,
   BENCH_CHECK(engine->AggregateDataInVariable(qs, kQqIo, "Flagged", "avg"));
   retro::MetricsRegistry::Snapshot delta =
       metrics->TakeSnapshot().DeltaFrom(before);
-  engine->mutable_options()->reuse_decoded_pages = false;
+  engine->mutable_options()->shared_scan_cache = nullptr;
   engine->mutable_options()->skip_unchanged_iterations = false;
   const int64_t iterations_skipped = delta.counter("rql.iterations_skipped");
   const int64_t shared_page_hits = delta.counter("rql.shared_page_hits");

@@ -20,6 +20,7 @@
 // scan-aggregate at least 1.5x.
 
 #include "bench_common.h"
+#include "sql/shared_scan_cache.h"
 
 namespace rql::bench {
 namespace {
@@ -66,12 +67,15 @@ AblationResult RunScanAgg(tpch::History* history, int count, bool batch) {
   // Decoded pages are cached in both configs, so the comparison isolates
   // the execution spine (per-row interpretation vs. vectorized folds)
   // rather than fetch/decode costs.
-  opts->reuse_decoded_pages = true;
+  sql::SharedScanCache run_cache({.max_bytes = 0});
+  opts->shared_scan_cache = &run_cache;
   opts->batch_execution = batch;
   std::string qs = history->QsInterval(1, count);
   // Warm-up evens out OS caches and the allocator; the measured run still
-  // starts with a cold snapshot cache (cold_cache_per_run default).
+  // starts with a cold snapshot cache (cold_cache_per_run default) and an
+  // empty decoded-page cache.
   BENCH_CHECK(engine->CollateData(qs, kQqScanAgg, "ScanAgg"));
+  run_cache.Clear();
   BENCH_CHECK(engine->CollateData(qs, kQqScanAgg, "ScanAgg"));
 
   AblationResult r;

@@ -75,10 +75,9 @@ class PrefetchScheduler : public PrefetchTracker {
     /// a prefetch sweep can claim.
     int budget_pages = 64;
     /// Optional probe: true when this page version's decoded form is
-    /// already resident in a store-scoped scan cache, so fetching its raw
-    /// bytes would be wasted bandwidth. Must be thread-safe (wired to
-    /// SharedScanCache::Contains; run-private ScanCaches are
-    /// single-threaded and deliberately not probed).
+    /// already resident in the run's decoded-page cache, so fetching its
+    /// raw bytes would be wasted bandwidth. Must be thread-safe (wired to
+    /// SharedScanCache::Contains).
     std::function<bool(uint64_t)> is_decoded;
   };
 

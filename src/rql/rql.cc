@@ -928,26 +928,232 @@ void RqlEngine::PublishRunMetrics() {
 
 namespace {
 
-/// Bit encoding of the opt-in flags for the kRunBegin trace event.
+/// Bit encoding of the opt-in flags for the kRunBegin trace event (bit 8
+/// is retired; see trace.h).
 int64_t OptionFlagBits(const RqlOptions& o) {
   return (o.incremental_spt ? 1 : 0) | (o.reuse_qq_plan ? 2 : 0) |
-         (o.batch_pagelog_reads ? 4 : 0) | (o.reuse_decoded_pages ? 8 : 0) |
+         (o.batch_pagelog_reads ? 4 : 0) |
          (o.skip_unchanged_iterations ? 16 : 0) |
          (o.batch_execution ? 32 : 0) | (o.memoize_iterations ? 64 : 0) |
          (o.shared_scan_cache != nullptr ? 128 : 0) |
          (o.async_prefetch ? 256 : 0);
 }
 
+/// Rejects invalid option combinations before a run touches anything;
+/// `parallel` says whether the run would take the parallel path. Every
+/// opt-in mechanism that would falsify the all-cold baseline of
+/// cold_cache_per_iteration is listed here once, with the reason.
+Status ValidateRunOptions(const RqlOptions& o, bool parallel) {
+  const bool cold = o.cold_cache_per_iteration;
+  struct Rule {
+    bool violated;
+    const char* message;
+  };
+  const Rule rules[] = {
+      // Workers share the snapshot cache; a per-iteration clear would race
+      // with concurrent readers and silently measure a partially warm cache.
+      {cold && parallel,
+       "cold_cache_per_iteration is incompatible with parallel Qq "
+       "evaluation (parallel_workers > 1)"},
+      {cold && o.skip_unchanged_iterations,
+       "cold_cache_per_iteration is incompatible with "
+       "skip_unchanged_iterations (a skipped iteration reads nothing, so "
+       "the all-cold baseline would not be measured)"},
+      {cold && o.batch_execution,
+       "cold_cache_per_iteration is incompatible with batch_execution "
+       "(the all-cold baseline measures the row-at-a-time pipeline)"},
+      {o.memoize_iterations && o.memo == nullptr,
+       "memoize_iterations requires RqlOptions::memo to point at a "
+       "retro::MemoTable"},
+      {cold && o.memoize_iterations,
+       "cold_cache_per_iteration is incompatible with "
+       "memoize_iterations (a memo-replayed iteration reads nothing, "
+       "so the all-cold baseline would not be measured)"},
+      {cold && o.shared_scan_cache != nullptr,
+       "cold_cache_per_iteration is incompatible with shared_scan_cache "
+       "(a store-scoped cache serves pages other runs decoded, so the "
+       "all-cold baseline would not be measured)"},
+      {cold && o.async_prefetch,
+       "cold_cache_per_iteration is incompatible with async_prefetch "
+       "(a background fetch landing after the clear would warm the "
+       "all-cold baseline)"},
+  };
+  for (const Rule& rule : rules) {
+    if (rule.violated) return Status::InvalidArgument(rule.message);
+  }
+  return Status::OK();
+}
+
+/// Copies one Qq execution's batch and scan-cache counters into `iter`.
+/// They are per-execution, so the attribution is exact even when the
+/// cache is shared by parallel workers and concurrent runs.
+void HarvestExecStats(const sql::ExecStats& exec, RqlIterationStats* iter) {
+  iter->batches_scanned = exec.batches_scanned;
+  iter->batch_rows = exec.batch_rows;
+  iter->batch_fallback_rows = exec.batch_fallback_rows;
+  iter->shared_page_hits = exec.scan_cache.hits;
+  iter->scan_cache_misses = exec.scan_cache.misses;
+  iter->coalesced_decodes = exec.scan_cache.coalesced;
+}
+
 }  // namespace
 
+/// The setup and teardown of one run, shared by the sequential, parallel
+/// and UDF-form drivers. Construction restarts the run's stats and trace.
+/// Begin() arms the run once it has passed validation: the kRunBegin
+/// event, the cold start, the store's read retries and diff-depth feed,
+/// the scan cache, batch execution, the snapshot-set session and batched
+/// archive reads (not for parallel runs) and the prefetch pipeline (only
+/// for the sequential loop).
+/// Destruction disarms whatever Begin() armed, on every exit path.
+/// Finish() ends the run's observable life: kRunEnd and the metrics
+/// publish.
+class RqlEngine::RunScope {
+ public:
+  enum class Kind { kSequential, kParallel, kUdf };
+
+  explicit RunScope(RqlEngine* engine) : engine_(engine) {
+    const RqlOptions& o = engine_->options_;
+    engine_->stats_ = RqlRunStats{};
+    engine_->trace_on_ = o.trace;
+    // Restarted even when tracing is off (at capacity 0, so Emit no-ops):
+    // last_run_trace() then always describes the *last* run, never a stale
+    // earlier one.
+    engine_->trace_.Restart(o.trace ? o.trace_capacity : 0, NowMicros());
+    engine_->trace_.SetContext(o.session_id, o.run_id);
+  }
+  RunScope(const RunScope&) = delete;
+  RunScope& operator=(const RunScope&) = delete;
+
+  ~RunScope() {
+    if (!begun_) return;
+    // The pipeline's workers stop before any store setting changes under
+    // them.
+    prefetch_.reset();
+    retro::SnapshotStore* store = engine_->data_db_->store();
+    if (kind_ != Kind::kParallel) {
+      store->set_batch_archive_reads(saved_batch_reads_);
+      if (session_) store->EndSnapshotSet();
+    }
+    store->set_archive_read_retries(0);
+    store->set_diff_depth_histogram(nullptr);
+    if (cache_attached_) engine_->data_db_->set_scan_cache(nullptr);
+    if (batch_execution_) engine_->data_db_->set_batch_execution(false);
+  }
+
+  /// Arms the run. `snapshots` is the size of the Qs set; the UDF form
+  /// passes 0, since its driving scan feeds iterations one call at a time.
+  void Begin(Kind kind, size_t snapshots) {
+    const RqlOptions& o = engine_->options_;
+    sql::Database* data = engine_->data_db_;
+    retro::SnapshotStore* store = data->store();
+    kind_ = kind;
+    begun_ = true;
+    if (engine_->trace_on_) {
+      engine_->trace_.Emit(RqlTraceEventType::kRunBegin, retro::kNoSnapshot,
+                           NowMicros(),
+                           {static_cast<int64_t>(snapshots),
+                            kind == Kind::kParallel ? o.parallel_workers : 1,
+                            OptionFlagBits(o)});
+    }
+    if (o.cold_cache_per_run) {
+      // Cleared before any worker thread is spawned: thread creation gives
+      // the happens-before fence that makes the cold start visible to (and
+      // not raced by) the parallel phase.
+      store->ClearSnapshotCache();
+    }
+    store->set_archive_read_retries(o.archive_read_retries);
+    // Armed for every run: in kDiff mode each archive read reports the
+    // diff-chain depth it walked (always 0 in kFull mode — one bucket).
+    store->set_diff_depth_histogram(
+        engine_->metrics()->GetHistogram("rql.pagelog.diff_depth"));
+    if (o.shared_scan_cache != nullptr) {
+      // The cache belongs to the caller and may be serving other runs, so
+      // it is attached and detached, never cleared. Overlapping runs also
+      // share SPT builds; that store-wide switch stays on after the run,
+      // since concurrent runs rely on it.
+      data->set_scan_cache(o.shared_scan_cache);
+      store->set_share_spt_builds(true);
+      cache_attached_ = true;
+    }
+    if (o.batch_execution) {
+      data->set_batch_execution(
+          true, engine_->metrics()->GetHistogram("rql.batch_size"));
+      batch_execution_ = true;
+    }
+    if (kind == Kind::kParallel) return;
+    // Iteration skipping rides the same snapshot-set session as the
+    // incremental SPT: the session cursor is what surfaces the per-step
+    // Maplog delta. Memoized runs join it too, so a memo probe's snapshot
+    // open plus the execute-on-miss open of the same id cost one SPT
+    // derivation, not two cold builds.
+    session_ = o.incremental_spt || o.skip_unchanged_iterations ||
+               o.memoize_iterations;
+    if (session_) store->BeginSnapshotSet();
+    saved_batch_reads_ = store->batch_archive_reads();
+    if (o.batch_pagelog_reads) store->set_batch_archive_reads(true);
+    // async_prefetch is inert in the UDF form: its driving scan feeds
+    // iterations one call at a time, so there is no lookahead to schedule.
+    if (kind == Kind::kSequential && o.async_prefetch) {
+      retro::PrefetchScheduler::Options popts;
+      popts.budget_pages = o.prefetch_budget_pages;
+      if (sql::SharedScanCache* cache = o.shared_scan_cache) {
+        popts.is_decoded = [cache](uint64_t version) {
+          return cache->Contains(version);
+        };
+      }
+      prefetch_ = std::make_unique<retro::PrefetchScheduler>(store, popts);
+    }
+  }
+
+  /// The background archive-read pipeline (async_prefetch), or null.
+  retro::PrefetchScheduler* prefetch() const { return prefetch_.get(); }
+
+  /// UDF form: remembers the first failed iteration, after which the run
+  /// executes no further iteration and FinishUdfRuns discards it.
+  void Fail(const Status& s) {
+    if (failure_.ok()) failure_ = s;
+  }
+  const Status& failure() const { return failure_; }
+
+  /// Ends the run with outcome `s`: stops the prefetch pipeline, emits
+  /// kRunEnd and publishes the run's metrics. Call once.
+  void Finish(const Status& s) {
+    RqlRunStats& stats = engine_->stats_;
+    if (prefetch_ != nullptr) {
+      prefetch_->Shutdown();
+      // Waste is only known once no further iteration can consume a
+      // fetched page: charge the remainder to the final iteration.
+      int64_t wasted = prefetch_->TakeWasted();
+      if (wasted > 0 && !stats.iterations.empty()) {
+        stats.iterations.back().prefetch_wasted += wasted;
+      }
+      prefetch_.reset();
+    }
+    if (engine_->trace_on_) {
+      engine_->trace_.Emit(RqlTraceEventType::kRunEnd, retro::kNoSnapshot,
+                           NowMicros(),
+                           {static_cast<int64_t>(stats.iterations.size()),
+                            stats.iterations_skipped, stats.TotalUs(),
+                            s.ok() ? 1 : 0});
+    }
+    engine_->PublishRunMetrics();
+  }
+
+ private:
+  RqlEngine* engine_;
+  Kind kind_ = Kind::kSequential;
+  bool begun_ = false;
+  bool cache_attached_ = false;
+  bool batch_execution_ = false;
+  bool session_ = false;
+  bool saved_batch_reads_ = false;
+  std::unique_ptr<retro::PrefetchScheduler> prefetch_;
+  Status failure_;
+};
+
 Status RqlEngine::RunMechanism(const std::string& qs, MechanismState* state) {
-  stats_ = RqlRunStats{};
-  trace_on_ = options_.trace;
-  // Restarted even when tracing is off (at capacity 0, so Emit no-ops):
-  // last_run_trace() then always describes the *last* run, never a stale
-  // earlier one.
-  trace_.Restart(trace_on_ ? options_.trace_capacity : 0, NowMicros());
-  trace_.SetContext(options_.session_id, options_.run_id);
+  RunScope run(this);
   // A run cancelled before it starts must leave the metadata database
   // untouched (no dropped result table).
   if (CancelRequested()) return Status::Aborted("run cancelled");
@@ -969,133 +1175,19 @@ Status RqlEngine::RunMechanism(const std::string& qs, MechanismState* state) {
     }
     snap_ids.push_back(static_cast<retro::SnapshotId>(row[0].AsInt()));
   }
-  bool parallel = options_.parallel_workers > 1 && state->SupportsParallel() &&
-                  snap_ids.size() > 1;
-  if (parallel && options_.cold_cache_per_iteration) {
-    // Workers share the snapshot cache; a per-iteration clear would race
-    // with concurrent readers and silently measure a partially warm cache.
-    return Status::InvalidArgument(
-        "cold_cache_per_iteration is incompatible with parallel Qq "
-        "evaluation (parallel_workers > 1)");
-  }
-  if (options_.skip_unchanged_iterations &&
-      options_.cold_cache_per_iteration) {
-    // A replayed iteration performs no reads at all, so the all-cold
-    // baseline the flag defines would silently not be measured.
-    return Status::InvalidArgument(
-        "cold_cache_per_iteration is incompatible with "
-        "skip_unchanged_iterations (a skipped iteration reads nothing, so "
-        "the all-cold baseline would not be measured)");
-  }
-  if (options_.batch_execution && options_.cold_cache_per_iteration) {
-    // The all-cold baseline times the paper-faithful row pipeline; a
-    // vectorized scan would silently change what it measures.
-    return Status::InvalidArgument(
-        "cold_cache_per_iteration is incompatible with batch_execution "
-        "(the all-cold baseline measures the row-at-a-time pipeline)");
-  }
-  if (options_.memoize_iterations) {
-    if (options_.memo == nullptr) {
-      return Status::InvalidArgument(
-          "memoize_iterations requires RqlOptions::memo to point at a "
-          "retro::MemoTable");
-    }
-    if (options_.cold_cache_per_iteration) {
-      // Same incompatibility as skip_unchanged_iterations: a memo-replayed
-      // iteration performs no reads, so the all-cold baseline the flag
-      // defines would silently not be measured.
-      return Status::InvalidArgument(
-          "cold_cache_per_iteration is incompatible with "
-          "memoize_iterations (a memo-replayed iteration reads nothing, "
-          "so the all-cold baseline would not be measured)");
-    }
-  }
-  if (options_.shared_scan_cache != nullptr &&
-      options_.cold_cache_per_iteration) {
-    // Pages decoded by any run sharing the store would serve this run's
-    // scans, so the all-cold baseline would silently not be measured.
-    return Status::InvalidArgument(
-        "cold_cache_per_iteration is incompatible with shared_scan_cache "
-        "(a store-scoped cache serves pages other runs decoded, so the "
-        "all-cold baseline would not be measured)");
-  }
-  if (options_.async_prefetch && options_.cold_cache_per_iteration) {
-    // A background fetch landing after the per-iteration clear would
-    // silently warm the all-cold baseline the flag defines.
-    return Status::InvalidArgument(
-        "cold_cache_per_iteration is incompatible with async_prefetch "
-        "(a background fetch landing after the clear would warm the "
-        "all-cold baseline)");
-  }
-  if (trace_on_) {
-    trace_.Emit(RqlTraceEventType::kRunBegin, retro::kNoSnapshot, NowMicros(),
-                {static_cast<int64_t>(snap_ids.size()),
-                 parallel ? options_.parallel_workers : 1,
-                 OptionFlagBits(options_)});
-  }
+  const bool parallel = options_.parallel_workers > 1 &&
+                        state->SupportsParallel() && snap_ids.size() > 1;
+  RQL_RETURN_IF_ERROR(ValidateRunOptions(options_, parallel));
   RQL_RETURN_IF_ERROR(PrepareResultTable(state->table()));
-  if (options_.cold_cache_per_run) {
-    // Cleared before any worker thread is spawned: thread creation gives
-    // the happens-before fence that makes the cold start visible to (and
-    // not raced by) the parallel phase.
-    data_db_->store()->ClearSnapshotCache();
-  }
-  retro::SnapshotStore* store = data_db_->store();
-  store->set_archive_read_retries(options_.archive_read_retries);
-  // Armed for every run: in kDiff mode each archive read reports the
-  // diff-chain depth it walked (always 0 in kFull mode — one bucket).
-  store->set_diff_depth_histogram(
-      metrics()->GetHistogram("rql.pagelog.diff_depth"));
-  sql::ScanCache* run_cache = nullptr;
-  if (options_.shared_scan_cache != nullptr) {
-    // Store-scoped: survives the run (other runs are using it), so no
-    // Clear on either side. Overlapping runs also share SPT builds.
-    run_cache = options_.shared_scan_cache;
-    store->set_share_spt_builds(true);
-  } else if (options_.reuse_decoded_pages) {
-    scan_cache_.Clear();
-    scan_cache_.TakeHits();
-    scan_cache_.TakeMisses();
-    run_cache = &scan_cache_;
-  }
-  if (run_cache != nullptr) data_db_->set_scan_cache(run_cache);
-  if (options_.batch_execution) {
-    data_db_->set_batch_execution(
-        true, metrics()->GetHistogram("rql.batch_size"));
-  }
+  run.Begin(parallel ? RunScope::Kind::kParallel : RunScope::Kind::kSequential,
+            snap_ids.size());
   Status s = Status::OK();
   if (parallel) {
     s = RunMechanismParallel(snap_ids, state);
   } else {
-    // Iteration skipping rides the same snapshot-set session as the
-    // incremental SPT: the session cursor is what surfaces the per-step
-    // Maplog delta. Memoized runs join it too, so a memo probe's snapshot
-    // open plus the execute-on-miss open of the same id cost one SPT
-    // derivation, not two cold builds.
-    bool session = options_.incremental_spt ||
-                   options_.skip_unchanged_iterations ||
-                   options_.memoize_iterations;
-    if (session) store->BeginSnapshotSet();
-    bool saved_batch = store->batch_archive_reads();
-    if (options_.batch_pagelog_reads) store->set_batch_archive_reads(true);
-    if (options_.async_prefetch) {
-      retro::PrefetchScheduler::Options popts;
-      popts.budget_pages = options_.prefetch_budget_pages;
-      if (options_.shared_scan_cache != nullptr) {
-        // Only the store-scoped cache is a thread-safe probe; the
-        // run-private ScanCache is single-threaded by contract, so with
-        // reuse_decoded_pages alone the planner simply fetches raw pages
-        // the decoded cache may already cover (wasted bandwidth, never
-        // wrong results).
-        sql::SharedScanCache* shared = options_.shared_scan_cache;
-        popts.is_decoded = [shared](uint64_t version) {
-          return shared->Contains(version);
-        };
-      }
-      prefetch_ = std::make_unique<retro::PrefetchScheduler>(store, popts);
-    }
-    for (size_t i = 0; i < snap_ids.size(); ++i) {
-      if (prefetch_ != nullptr && i + 1 < snap_ids.size()) {
+    retro::PrefetchScheduler* prefetch = run.prefetch();
+    for (size_t i = 0; s.ok() && i < snap_ids.size(); ++i) {
+      if (prefetch != nullptr && i + 1 < snap_ids.size()) {
         // Look ahead while iteration i executes. A step the memo will
         // serve reads nothing, so it schedules nothing; the skip probe
         // needs the cursor position iteration i+1 itself establishes, so
@@ -1106,48 +1198,17 @@ Status RqlEngine::RunMechanism(const std::string& qs, MechanismState* state) {
           next_memoized = fp.ok() &&
                           options_.memo->Probe(*fp, snap_ids[i + 1]) != nullptr;
         }
-        if (!next_memoized) prefetch_->Schedule(snap_ids[i + 1]);
+        if (!next_memoized) prefetch->Schedule(snap_ids[i + 1]);
       }
-      s = RunIteration(snap_ids[i], state);
-      if (!s.ok()) break;
+      s = RunIteration(snap_ids[i], state, prefetch);
     }
-    if (prefetch_ != nullptr) {
-      prefetch_->Shutdown();
-      // Waste is only known once no further iteration can consume a
-      // fetched page: charge the remainder to the final iteration.
-      int64_t wasted = prefetch_->TakeWasted();
-      if (wasted > 0 && !stats_.iterations.empty()) {
-        stats_.iterations.back().prefetch_wasted += wasted;
-      }
-      prefetch_.reset();
-    }
-    store->set_batch_archive_reads(saved_batch);
-    if (session) store->EndSnapshotSet();
   }
-  store->set_archive_read_retries(0);
-  store->set_diff_depth_histogram(nullptr);
-  if (run_cache != nullptr) {
-    data_db_->set_scan_cache(nullptr);
-    // Only the run-private cache is dropped here (releasing the pinned
-    // frames its entries hold); a shared cache keeps serving other runs.
-    if (run_cache == &scan_cache_) scan_cache_.Clear();
-  }
-  if (options_.batch_execution) data_db_->set_batch_execution(false);
   if (s.ok()) s = state->Finish();
-  if (trace_on_) {
-    trace_.Emit(RqlTraceEventType::kRunEnd, retro::kNoSnapshot, NowMicros(),
-                {static_cast<int64_t>(stats_.iterations.size()),
-                 stats_.iterations_skipped, stats_.TotalUs(),
-                 s.ok() ? 1 : 0});
-  }
-  PublishRunMetrics();
-  if (!s.ok()) {
-    // A failed iteration (or Finish) aborts the run with a clean error:
-    // drop the partial result table and its transient index.
-    state->DiscardOnFailure();
-    return s;
-  }
-  return Status::OK();
+  run.Finish(s);
+  // A failed iteration (or Finish) aborts the run with a clean error:
+  // drop the partial result table and its transient index.
+  if (!s.ok()) state->DiscardOnFailure();
+  return s;
 }
 
 namespace {
@@ -1203,26 +1264,17 @@ std::shared_ptr<const retro::MemoEntry> MakeMemoEntry(
   return entry;
 }
 
-/// The per-snapshot output of one parallel Qq evaluation.
+/// The per-snapshot output of one parallel Qq evaluation: the rows the
+/// sequential replay folds, the iteration stats the worker filled in, and
+/// — on a memo miss — the page versions its Qq read, for the post-join
+/// memo publish.
 struct QqResult {
   Status status;
   std::vector<std::string> columns;
   std::vector<Row> rows;
-  int64_t wall_us = 0;
-  // Batch-execution counters of this worker's Qq (batch_execution only).
-  int64_t batches_scanned = 0;
-  int64_t batch_rows = 0;
-  int64_t batch_fallback_rows = 0;
-  // Scan-cache traffic of this worker's Qq, harvested from its private
-  // ExecStats — exact per-iteration attribution even though the cache
-  // (and its global counters) is shared by every worker and run.
-  sql::ScanCacheCounters scan_cache;
-  // Memoization outputs (memoize_iterations only): a validated hit serves
-  // `rows` from the memo (`validated_pages` tokens checked); a miss
-  // carries the recorded read set for the post-join publish.
-  bool memo_hit = false;
-  int64_t validated_pages = 0;
-  std::vector<retro::MemoPageVersion> read_set;
+  RqlIterationStats iter;
+  int64_t validated_pages = 0;  // memo hit: read-set tokens checked
+  std::unordered_map<storage::PageId, uint64_t> versions;
 };
 
 }  // namespace
@@ -1236,7 +1288,7 @@ Status RqlEngine::RunMechanismParallel(
   storage::PageId catalog_root = data_db_->catalog()->root();
 
   // Memoization composes with parallel evaluation: workers probe the
-  // (thread-safe) memo and record versions into view-local maps; publishes
+  // (thread-safe) memo and record versions into per-result maps; publishes
   // happen in the sequential replay loop, in Qs order.
   const bool memoize = options_.memoize_iterations;
   retro::MemoTable* memo = options_.memo;
@@ -1273,6 +1325,8 @@ Status RqlEngine::RunMechanismParallel(
         trace_.Emit(RqlTraceEventType::kIterationBegin, snaps[i], start,
                     {static_cast<int64_t>(i)}, worker);
       }
+      RqlIterationStats& iter = out.iter;
+      iter.snapshot = snaps[i];
       out.status = [&]() -> Status {
         RQL_ASSIGN_OR_RETURN(std::unique_ptr<retro::SnapshotView> view,
                              store->OpenSnapshot(snaps[i]));
@@ -1284,17 +1338,17 @@ Status RqlEngine::RunMechanismParallel(
             if (rows.ok()) {
               out.columns = entry->columns;
               out.rows = std::move(rows).value();
-              out.memo_hit = true;
               out.validated_pages =
                   static_cast<int64_t>(entry->read_set.size());
+              iter.memo_hits = 1;
               return Status::OK();
             }
           }
+          iter.memo_misses = 1;
+          // Armed before the catalog load: schema pages the query depends
+          // on belong in the recorded read set too.
+          view->set_version_recorder(&out.versions);
         }
-        // Armed before the catalog load: schema pages the query depends on
-        // belong in the recorded read set too.
-        std::unordered_map<storage::PageId, uint64_t> versions;
-        if (memoize) view->set_version_recorder(&versions);
         // The paper's full textual rewrite: AS OF injection plus literal
         // current_snapshot() substitution (no shared engine state).
         std::string rewritten = ReplaceCurrentSnapshot(
@@ -1314,10 +1368,8 @@ Status RqlEngine::RunMechanismParallel(
         ctx.catalog = &catalog;
         ctx.functions = functions;
         ctx.stats = &exec_stats;
-        // Workers share the run's thread-safe decoded-page cache (the
-        // engine's, or the store-scoped shared cache RunMechanism
-        // attached), so a page version shared across their snapshots
-        // decodes once.
+        // Workers share the scan cache the run attached, so a page version
+        // shared across their snapshots decodes once.
         ctx.scan_cache = data_db_->scan_cache();
         ctx.batch_execution = options_.batch_execution;
         ctx.batch_size_hist = batch_hist;
@@ -1328,31 +1380,17 @@ Status RqlEngine::RunMechanismParallel(
           out.rows.push_back(row);
           return Status::OK();
         });
-        out.batches_scanned = exec_stats.batches_scanned;
-        out.batch_rows = exec_stats.batch_rows;
-        out.batch_fallback_rows = exec_stats.batch_fallback_rows;
-        out.scan_cache = exec_stats.scan_cache;
-        if (memoize) {
-          view->set_version_recorder(nullptr);
-          out.read_set.reserve(versions.size());
-          for (const auto& [page, token] : versions) {
-            out.read_set.push_back(retro::MemoPageVersion{page, token});
-          }
-          std::sort(out.read_set.begin(), out.read_set.end(),
-                    [](const retro::MemoPageVersion& a,
-                       const retro::MemoPageVersion& b) {
-                      return a.page < b.page;
-                    });
-        }
+        HarvestExecStats(exec_stats, &iter);
+        if (memoize) view->set_version_recorder(nullptr);
         return run;
       }();
       int64_t end = NowMicros();
-      out.wall_us = end - start;
+      iter.query_eval_us = end - start;
       if (trace_on_) {
         // Parallel attribution: args[2] is the worker's Qq wall time (I/O
         // and SPT stalls fold into the run totals, not per iteration).
         trace_.Emit(RqlTraceEventType::kIterationEnd, snaps[i], end,
-                    {0, 0, out.wall_us, 0, 0,
+                    {0, 0, iter.query_eval_us, 0, 0,
                      static_cast<int64_t>(out.rows.size())},
                     worker);
       }
@@ -1367,8 +1405,6 @@ Status RqlEngine::RunMechanismParallel(
   }
   for (std::thread& t : threads) t.join();
   stats_.parallel_wall_us = NowMicros() - phase_start;
-  // Every worker parses and plans its textually rewritten Qq from scratch.
-  stats_.qq_parse_count += static_cast<int64_t>(snaps.size());
 
   const retro::CostModel& cm = store->cost_model();
   stats_.parallel_io_us = store->stats()->IoUs(cm);
@@ -1377,13 +1413,13 @@ Status RqlEngine::RunMechanismParallel(
   stats_.coalesced_loads = store->stats()->coalesced_loads;
   stats_.archive_read_retries += store->stats()->archive_read_retries;
   // Scan-cache attribution comes from per-worker ExecStats, never from
-  // the cache's global counters: workers (and, with a shared cache,
-  // concurrent runs) interleave on those, so harvesting them here would
-  // credit this run with traffic it did not perform.
+  // the cache's own counters: workers (and concurrent runs) interleave on
+  // those, so harvesting them here would credit this run with traffic it
+  // did not perform.
   for (const QqResult& r : results) {
-    stats_.shared_page_hits += r.scan_cache.hits;
-    stats_.scan_cache_misses += r.scan_cache.misses;
-    stats_.coalesced_decodes += r.scan_cache.coalesced;
+    stats_.shared_page_hits += r.iter.shared_page_hits;
+    stats_.scan_cache_misses += r.iter.scan_cache_misses;
+    stats_.coalesced_decodes += r.iter.coalesced_decodes;
   }
   if (trace_on_) {
     int64_t now = NowMicros();
@@ -1399,66 +1435,33 @@ Status RqlEngine::RunMechanismParallel(
 
   // Sequential replay in Qs order: semantics identical to the serial run.
   for (size_t i = 0; i < snaps.size(); ++i) {
-    RQL_RETURN_IF_ERROR(results[i].status);
-    RqlIterationStats iter;
-    iter.snapshot = snaps[i];
-    iter.query_eval_us = results[i].wall_us;
-    iter.qq_rows = static_cast<int64_t>(results[i].rows.size());
-    iter.batches_scanned = results[i].batches_scanned;
-    iter.batch_rows = results[i].batch_rows;
-    iter.batch_fallback_rows = results[i].batch_fallback_rows;
-    iter.shared_page_hits = results[i].scan_cache.hits;
-    iter.scan_cache_misses = results[i].scan_cache.misses;
-    iter.coalesced_decodes = results[i].scan_cache.coalesced;
-    iter.memo_hits = results[i].memo_hit ? 1 : 0;
-    iter.memo_misses = (memoize && !results[i].memo_hit) ? 1 : 0;
-    int64_t udf_us = 0;
-    RQL_RETURN_IF_ERROR(meta_db_->Exec("BEGIN"));
-    Status s = Status::OK();
-    {
-      ScopedTimer timer(&udf_us);
-      for (const Row& row : results[i].rows) {
-        s = state->OnRow(snaps[i], results[i].columns, row);
-        if (!s.ok()) break;
+    QqResult& r = results[i];
+    RQL_RETURN_IF_ERROR(r.status);
+    // An executed iteration parsed and planned its textually rewritten Qq
+    // from scratch; a memo hit parsed nothing.
+    if (r.iter.memo_hits == 0) ++stats_.qq_parse_count;
+    RQL_RETURN_IF_ERROR(FoldRows(state, snaps[i], r.columns, r.rows, &r.iter));
+    if (r.iter.memo_hits != 0) {
+      if (trace_on_) {
+        trace_.Emit(RqlTraceEventType::kMemoHit, snaps[i], NowMicros(),
+                    {static_cast<int64_t>(i), r.validated_pages,
+                     r.iter.qq_rows, r.iter.udf_us});
       }
-      if (s.ok()) s = state->OnIterationEnd(snaps[i]);
+    } else if (memoize) {
+      RQL_ASSIGN_OR_RETURN(
+          retro::MemoPublishResult pub,
+          memo->Publish(MakeMemoEntry(memo_fp, snaps[i], r.versions,
+                                      r.columns, r.rows)));
+      r.iter.memo_bytes = static_cast<int64_t>(pub.bytes_appended);
+      r.iter.memo_evictions = pub.evictions;
     }
-    if (!s.ok()) {
-      (void)meta_db_->Exec("ROLLBACK");
-      return s;
-    }
-    RQL_RETURN_IF_ERROR(meta_db_->Exec("COMMIT"));
-    iter.udf_us = udf_us;
-    state->CollectCounters(&iter);
-    if (memoize) {
-      if (results[i].memo_hit) {
-        if (trace_on_) {
-          trace_.Emit(RqlTraceEventType::kMemoHit, snaps[i], NowMicros(),
-                      {static_cast<int64_t>(i), results[i].validated_pages,
-                       iter.qq_rows, udf_us});
-        }
-      } else {
-        std::unordered_map<storage::PageId, uint64_t> versions;
-        versions.reserve(results[i].read_set.size());
-        for (const retro::MemoPageVersion& pv : results[i].read_set) {
-          versions.emplace(pv.page, pv.version);
-        }
-        RQL_ASSIGN_OR_RETURN(
-            retro::MemoPublishResult pub,
-            memo->Publish(MakeMemoEntry(memo_fp, snaps[i], versions,
-                                        results[i].columns,
-                                        results[i].rows)));
-        iter.memo_bytes = static_cast<int64_t>(pub.bytes_appended);
-        iter.memo_evictions = pub.evictions;
-      }
-    }
-    stats_.iterations.push_back(iter);
+    stats_.iterations.push_back(r.iter);
   }
   return Status::OK();
 }
 
-Status RqlEngine::RunIteration(retro::SnapshotId snap,
-                               MechanismState* state) {
+Status RqlEngine::RunIteration(retro::SnapshotId snap, MechanismState* state,
+                               retro::PrefetchScheduler* prefetch) {
   // Iteration boundaries are the cancellation safety points: nothing is
   // half-done here, so aborting leaves the store, caches and the (about to
   // be discarded) result table in a reusable state. Covers both the
@@ -1466,13 +1469,21 @@ Status RqlEngine::RunIteration(retro::SnapshotId snap,
   // one iteration per SnapIds row.
   if (CancelRequested()) return Status::Aborted("run cancelled");
   retro::SnapshotStore* store = data_db_->store();
-  if (options_.cold_cache_per_iteration) {
-    // Decoded pages pin buffer frames; release them before dropping the
-    // snapshot page cache so the iteration truly starts cold.
-    scan_cache_.Clear();
-    store->ClearSnapshotCache();
-  }
+  // No decoded-page cache can be attached under the all-cold baseline
+  // (ValidateRunOptions), so dropping the snapshot page cache suffices.
+  if (options_.cold_cache_per_iteration) store->ClearSnapshotCache();
   store->ResetStats();
+  // A replayed step reads nothing: its prefetch job is cancelled (a parked
+  // error dies with it — the synchronous path would not have issued these
+  // reads either) and what the job already did is charged to the replayed
+  // iteration.
+  auto charge_cancelled = [this](const retro::PrefetchScheduler::JobReport&
+                                     rep) {
+    if (rep.scheduled && !stats_.iterations.empty()) {
+      stats_.iterations.back().prefetch_issued += rep.issued;
+      stats_.iterations.back().prefetch_cancelled += rep.cancelled;
+    }
+  };
 
   // Skip probe: advance the snapshot-set cursor — which also primes the
   // incremental SPT for the OpenSnapshot below; re-seeking the same
@@ -1501,17 +1512,17 @@ Status RqlEngine::RunIteration(retro::SnapshotId snap,
           unchanged = state->read_set_.count(delta[i]) == 0;
         }
         if (unchanged) {
-          // A replayed step reads nothing: cancel its prefetch job (the
-          // parked error, if any, dies with it — the synchronous path
-          // would not have issued these reads either) and attribute what
-          // the job already did to the replayed iteration.
           retro::PrefetchScheduler::JobReport rep;
-          if (prefetch_ != nullptr) rep = prefetch_->Cancel(snap);
-          RQL_RETURN_IF_ERROR(ReplayIteration(snap, state, delta_pages));
-          if (rep.scheduled && !stats_.iterations.empty()) {
-            stats_.iterations.back().prefetch_issued += rep.issued;
-            stats_.iterations.back().prefetch_cancelled += rep.cancelled;
-          }
+          if (prefetch != nullptr) rep = prefetch->Cancel(snap);
+          RqlIterationStats iter;
+          iter.snapshot = snap;
+          iter.skipped = true;
+          iter.delta_pages_scanned = delta_pages;
+          RQL_RETURN_IF_ERROR(ReplayIteration(state, iter,
+                                              state->replay_cols_,
+                                              state->replay_rows_,
+                                              delta_pages));
+          charge_cancelled(rep);
           return Status::OK();
         }
       }
@@ -1537,13 +1548,7 @@ Status RqlEngine::RunIteration(retro::SnapshotId snap,
         // Usually no job exists (the run loop schedules nothing for a
         // memo-probed step), but an entry published by a concurrent
         // engine after that probe leaves one to cancel here.
-        if (prefetch_ != nullptr) {
-          retro::PrefetchScheduler::JobReport rep = prefetch_->Cancel(snap);
-          if (rep.scheduled && !stats_.iterations.empty()) {
-            stats_.iterations.back().prefetch_issued += rep.issued;
-            stats_.iterations.back().prefetch_cancelled += rep.cancelled;
-          }
-        }
+        if (prefetch != nullptr) charge_cancelled(prefetch->Cancel(snap));
         return Status::OK();
       }
     }
@@ -1564,8 +1569,8 @@ Status RqlEngine::RunIteration(retro::SnapshotId snap,
   // slot priority) and surface any parked background I/O error exactly
   // where the synchronous batched pass would have failed.
   retro::PrefetchScheduler::JobReport prefetch_report;
-  if (prefetch_ != nullptr) {
-    prefetch_report = prefetch_->Collect(snap);
+  if (prefetch != nullptr) {
+    prefetch_report = prefetch->Collect(snap);
     RQL_RETURN_IF_ERROR(prefetch_report.error);
     iter.prefetch_issued = prefetch_report.issued;
     iter.prefetch_cancelled = prefetch_report.cancelled;
@@ -1669,23 +1674,13 @@ Status RqlEngine::RunIteration(retro::SnapshotId snap,
   iter.batched_pagelog_reads = rs.batched_pagelog_reads;
   iter.coalesced_loads = rs.coalesced_loads;
   iter.qq_rows = qq_rows;
-  iter.batches_scanned = data_db_->last_stats().exec.batches_scanned;
-  iter.batch_rows = data_db_->last_stats().exec.batch_rows;
-  iter.batch_fallback_rows =
-      data_db_->last_stats().exec.batch_fallback_rows;
-  // Per-execution counters, not the cache's globals: exact for this
-  // iteration even when the cache is store-scoped and other runs are
-  // hitting it concurrently (all zero when no cache is attached).
-  const sql::ScanCacheCounters& sc = data_db_->last_stats().exec.scan_cache;
-  iter.shared_page_hits = sc.hits;
-  iter.scan_cache_misses = sc.misses;
-  iter.coalesced_decodes = sc.coalesced;
+  HarvestExecStats(data_db_->last_stats().exec, &iter);
   stats_.shared_page_hits += iter.shared_page_hits;
   stats_.scan_cache_misses += iter.scan_cache_misses;
   stats_.coalesced_decodes += iter.coalesced_decodes;
   // Harvested after the query so every demand read of this iteration has
   // had its chance to consume a prefetched page.
-  if (prefetch_ != nullptr) iter.prefetch_hits = prefetch_->TakeHits();
+  if (prefetch != nullptr) iter.prefetch_hits = prefetch->TakeHits();
   if (trace_on_) {
     int64_t now = NowMicros();
     trace_.Emit(RqlTraceEventType::kSptBuild, snap, now,
@@ -1728,22 +1723,19 @@ Status RqlEngine::RunIteration(retro::SnapshotId snap,
   return Status::OK();
 }
 
-Status RqlEngine::ReplayIteration(retro::SnapshotId snap,
-                                  MechanismState* state,
-                                  int64_t delta_pages) {
-  retro::SnapshotStore* store = data_db_->store();
-  RqlIterationStats iter;
-  iter.snapshot = snap;
-  iter.skipped = true;
-  iter.delta_pages_scanned = delta_pages;
-  iter.qq_rows = static_cast<int64_t>(state->replay_rows_.size());
-  int64_t udf_us = 0;
+Status RqlEngine::FoldRows(MechanismState* state, retro::SnapshotId snap,
+                           const std::vector<std::string>& cols,
+                           const std::vector<Row>& rows,
+                           RqlIterationStats* iter) {
+  iter->qq_rows = static_cast<int64_t>(rows.size());
   RQL_RETURN_IF_ERROR(meta_db_->Exec("BEGIN"));
   Status s = Status::OK();
   {
-    ScopedTimer timer(&udf_us);
-    for (const Row& row : state->replay_rows_) {
-      s = state->OnRow(snap, state->replay_cols_, row);
+    // Non-idempotent folds stay correct on replayed rows because the
+    // mechanism re-runs exactly as it would have over the live Qq cursor.
+    ScopedTimer timer(&iter->udf_us);
+    for (const Row& row : rows) {
+      s = state->OnRow(snap, cols, row);
       if (!s.ok()) break;
     }
     if (s.ok()) s = state->OnIterationEnd(snap);
@@ -1753,22 +1745,34 @@ Status RqlEngine::ReplayIteration(retro::SnapshotId snap,
     return s;
   }
   RQL_RETURN_IF_ERROR(meta_db_->Exec("COMMIT"));
-  // The only store work this iteration did was the skip probe's Maplog
-  // advance (charged after ResetStats in RunIteration).
+  state->CollectCounters(iter);
+  return Status::OK();
+}
+
+Status RqlEngine::ReplayIteration(MechanismState* state,
+                                  RqlIterationStats iter,
+                                  const std::vector<std::string>& cols,
+                                  const std::vector<Row>& rows,
+                                  int64_t probe_arg) {
+  RQL_RETURN_IF_ERROR(FoldRows(state, iter.snapshot, cols, rows, &iter));
+  // The only store work the iteration did was its probe: the skip probe's
+  // Maplog advance and, for a memo hit, the probe view's SPT derivation
+  // and validation lookups (all charged after ResetStats in RunIteration).
+  retro::SnapshotStore* store = data_db_->store();
   const retro::CostModel& cm = store->cost_model();
   const retro::IterationStats& rs = *store->stats();
   iter.io_us = rs.IoUs(cm);
   iter.spt_build_us = rs.SptUs(cm);
-  iter.udf_us = udf_us;
   iter.maplog_pages = rs.spt.maplog_pages_read;
   iter.spt_delta_entries = rs.spt_delta_entries;
-  state->CollectCounters(&iter);
   if (trace_on_) {
-    trace_.Emit(RqlTraceEventType::kIterationSkip, snap, NowMicros(),
-                {static_cast<int64_t>(stats_.iterations.size()), delta_pages,
-                 iter.qq_rows, udf_us});
+    trace_.Emit(iter.skipped ? RqlTraceEventType::kIterationSkip
+                             : RqlTraceEventType::kMemoHit,
+                iter.snapshot, NowMicros(),
+                {static_cast<int64_t>(stats_.iterations.size()), probe_arg,
+                 iter.qq_rows, iter.udf_us});
   }
-  ++stats_.iterations_skipped;
+  if (iter.skipped) ++stats_.iterations_skipped;
   stats_.iterations.push_back(iter);
   return Status::OK();
 }
@@ -1777,10 +1781,9 @@ Result<bool> RqlEngine::TryMemoReplay(
     retro::SnapshotId snap, MechanismState* state,
     const std::shared_ptr<const retro::MemoEntry>& entry,
     int64_t delta_pages) {
-  retro::SnapshotStore* store = data_db_->store();
   // Validation failures are conservative misses, never errors: the
   // execute path runs next and surfaces any real problem itself.
-  auto view_or = store->OpenSnapshot(snap);
+  auto view_or = data_db_->store()->OpenSnapshot(snap);
   if (!view_or.ok()) return false;
   std::unique_ptr<retro::SnapshotView> view = std::move(view_or).value();
   if (!ValidateMemoEntry(view.get(), *entry)) return false;
@@ -1792,35 +1795,9 @@ Result<bool> RqlEngine::TryMemoReplay(
   iter.snapshot = snap;
   iter.memo_hits = 1;
   iter.delta_pages_scanned = delta_pages;
-  iter.qq_rows = static_cast<int64_t>(rows.size());
-  int64_t udf_us = 0;
-  RQL_RETURN_IF_ERROR(meta_db_->Exec("BEGIN"));
-  Status s = Status::OK();
-  {
-    // Non-idempotent folds stay correct because the mechanism re-runs
-    // exactly as it would have over the live Qq cursor.
-    ScopedTimer timer(&udf_us);
-    for (const Row& row : rows) {
-      s = state->OnRow(snap, entry->columns, row);
-      if (!s.ok()) break;
-    }
-    if (s.ok()) s = state->OnIterationEnd(snap);
-  }
-  if (!s.ok()) {
-    (void)meta_db_->Exec("ROLLBACK");
-    return s;
-  }
-  RQL_RETURN_IF_ERROR(meta_db_->Exec("COMMIT"));
-  // Store work this iteration: the skip probe's Maplog advance plus the
-  // probe view's SPT derivation and validation lookups (all landed after
-  // ResetStats in RunIteration, so they are attributed here).
-  const retro::CostModel& cm = store->cost_model();
-  const retro::IterationStats& rs = *store->stats();
-  iter.io_us = rs.IoUs(cm);
-  iter.spt_build_us = rs.SptUs(cm);
-  iter.udf_us = udf_us;
-  iter.maplog_pages = rs.spt.maplog_pages_read;
-  iter.spt_delta_entries = rs.spt_delta_entries;
+  RQL_RETURN_IF_ERROR(
+      ReplayIteration(state, iter, entry->columns, rows,
+                      static_cast<int64_t>(entry->read_set.size())));
   if (options_.skip_unchanged_iterations) {
     // Seed the intra-run skipper from the memo entry: provably unchanged
     // successors replay these buffers without re-probing the memo.
@@ -1832,14 +1809,6 @@ Result<bool> RqlEngine::TryMemoReplay(
     state->replay_rows_ = std::move(rows);
     state->skip_eligible_ = true;
   }
-  state->CollectCounters(&iter);
-  if (trace_on_) {
-    trace_.Emit(RqlTraceEventType::kMemoHit, snap, NowMicros(),
-                {static_cast<int64_t>(stats_.iterations.size()),
-                 static_cast<int64_t>(entry->read_set.size()), iter.qq_rows,
-                 udf_us});
-  }
-  stats_.iterations.push_back(iter);
   return true;
 }
 
@@ -1933,99 +1902,28 @@ Result<std::vector<ColFuncPair>> RqlEngine::ParseColFuncPairs(
 }
 
 Status RqlEngine::RegisterUdfs() {
-  auto begin_run = [this](const std::string& table,
-                          auto make_state) -> Result<MechanismState*> {
-    if (!udf_run_started_) {
-      if (options_.skip_unchanged_iterations &&
-          options_.cold_cache_per_iteration) {
-        // Same incompatibility RunMechanism rejects: a replayed iteration
-        // reads nothing, falsifying the all-cold baseline.
-        return Status::InvalidArgument(
-            "cold_cache_per_iteration is incompatible with "
-            "skip_unchanged_iterations (a skipped iteration reads "
-            "nothing, so the all-cold baseline would not be measured)");
-      }
-      if (options_.batch_execution && options_.cold_cache_per_iteration) {
-        return Status::InvalidArgument(
-            "cold_cache_per_iteration is incompatible with "
-            "batch_execution (the all-cold baseline measures the "
-            "row-at-a-time pipeline)");
-      }
-      if (options_.memoize_iterations) {
-        if (options_.memo == nullptr) {
-          return Status::InvalidArgument(
-              "memoize_iterations requires RqlOptions::memo to point at "
-              "a retro::MemoTable");
-        }
-        if (options_.cold_cache_per_iteration) {
-          return Status::InvalidArgument(
-              "cold_cache_per_iteration is incompatible with "
-              "memoize_iterations (a memo-replayed iteration reads "
-              "nothing, so the all-cold baseline would not be measured)");
-        }
-      }
-      if (options_.shared_scan_cache != nullptr &&
-          options_.cold_cache_per_iteration) {
-        return Status::InvalidArgument(
-            "cold_cache_per_iteration is incompatible with "
-            "shared_scan_cache (a store-scoped cache serves pages other "
-            "runs decoded, so the all-cold baseline would not be "
-            "measured)");
-      }
-      if (options_.async_prefetch && options_.cold_cache_per_iteration) {
-        return Status::InvalidArgument(
-            "cold_cache_per_iteration is incompatible with "
-            "async_prefetch (a background fetch landing after the clear "
-            "would warm the all-cold baseline)");
-      }
-      stats_ = RqlRunStats{};
-      trace_on_ = options_.trace;
-      int64_t now = NowMicros();
-      trace_.Restart(trace_on_ ? options_.trace_capacity : 0, now);
-      trace_.SetContext(options_.session_id, options_.run_id);
-      if (trace_on_) {
-        // The snapshot count is unknown up front: the driving Qs scan
-        // feeds iterations one UDF call at a time.
-        trace_.Emit(RqlTraceEventType::kRunBegin, retro::kNoSnapshot, now,
-                    {0, 1, OptionFlagBits(options_)});
-      }
-      if (options_.cold_cache_per_run) {
-        data_db_->store()->ClearSnapshotCache();
-      }
-      // UDF-driven runs iterate sequentially inside one Qs scan, so the
-      // same amortization session applies; FinishUdfRuns closes it.
-      if (options_.incremental_spt || options_.skip_unchanged_iterations ||
-          options_.memoize_iterations) {
-        data_db_->store()->BeginSnapshotSet();
-      }
-      if (options_.batch_pagelog_reads) {
-        data_db_->store()->set_batch_archive_reads(true);
-      }
-      if (options_.shared_scan_cache != nullptr) {
-        data_db_->set_scan_cache(options_.shared_scan_cache);
-        data_db_->store()->set_share_spt_builds(true);
-      } else if (options_.reuse_decoded_pages) {
-        scan_cache_.Clear();
-        scan_cache_.TakeHits();
-        data_db_->set_scan_cache(&scan_cache_);
-      }
-      if (options_.batch_execution) {
-        data_db_->set_batch_execution(
-            true, metrics()->GetHistogram("rql.batch_size"));
-      }
-      data_db_->store()->set_archive_read_retries(
-          options_.archive_read_retries);
-      data_db_->store()->set_diff_depth_histogram(
-          metrics()->GetHistogram("rql.pagelog.diff_depth"));
-      // async_prefetch is accepted but inert here: the Qs scan feeds
-      // iterations one UDF call at a time, so there is no lookahead to
-      // schedule against.
-      udf_run_started_ = true;
+  // Each UDF call is one iteration of a run driven by the SELECT over
+  // SnapIds: the first call validates the options and opens the run's
+  // scope, FinishUdfRuns closes it. A failed iteration is latched on the
+  // scope, and the run executes no further iteration.
+  auto iterate = [this](retro::SnapshotId snap, const std::string& table,
+                        auto make_state) -> Result<MechanismState*> {
+    if (udf_run_ == nullptr) {
+      RQL_RETURN_IF_ERROR(ValidateRunOptions(options_, /*parallel=*/false));
+      udf_run_ = std::make_unique<RunScope>(this);
+      udf_run_->Begin(RunScope::Kind::kUdf, 0);
     }
+    RQL_RETURN_IF_ERROR(udf_run_->failure());
     auto it = udf_states_.find(table);
+    Status s = Status::OK();
     if (it == udf_states_.end()) {
-      RQL_RETURN_IF_ERROR(PrepareResultTable(table));
-      it = udf_states_.emplace(table, make_state()).first;
+      s = PrepareResultTable(table);
+      if (s.ok()) it = udf_states_.emplace(table, make_state()).first;
+    }
+    if (s.ok()) s = RunIteration(snap, it->second.get(), nullptr);
+    if (!s.ok()) {
+      udf_run_->Fail(s);
+      return s;
     }
     return it->second.get();
   };
@@ -2039,24 +1937,21 @@ Status RqlEngine::RegisterUdfs() {
 
   meta_db_->RegisterFunction(
       "CollateData", 3, 3,
-      [this, begin_run, snap_of](const std::vector<Value>& args)
+      [this, iterate, snap_of](const std::vector<Value>& args)
           -> Result<Value> {
         RQL_ASSIGN_OR_RETURN(retro::SnapshotId snap, snap_of(args[0]));
         const std::string& qq = args[1].text();
         const std::string& table = args[2].text();
-        RQL_ASSIGN_OR_RETURN(
-            MechanismState* state,
-            begin_run(table, [&] {
-              return std::unique_ptr<MechanismState>(
-                  new CollateState(this, qq, table));
-            }));
-        RQL_RETURN_IF_ERROR(RunIteration(snap, state));
+        RQL_RETURN_IF_ERROR(iterate(snap, table, [&] {
+                              return std::unique_ptr<MechanismState>(
+                                  new CollateState(this, qq, table));
+                            }).status());
         return Value::Integer(stats_.iterations.back().qq_rows);
       });
 
   meta_db_->RegisterFunction(
       "AggregateDataInVariable", 4, 4,
-      [this, begin_run, snap_of](const std::vector<Value>& args)
+      [this, iterate, snap_of](const std::vector<Value>& args)
           -> Result<Value> {
         RQL_ASSIGN_OR_RETURN(retro::SnapshotId snap, snap_of(args[0]));
         const std::string& qq = args[1].text();
@@ -2065,47 +1960,40 @@ Status RqlEngine::RegisterUdfs() {
                              RqlAggFuncFromName(args[3].text()));
         RQL_ASSIGN_OR_RETURN(
             MechanismState* state,
-            begin_run(table, [&] {
+            iterate(snap, table, [&] {
               return std::unique_ptr<MechanismState>(
                   new AggVariableState(this, qq, table, func));
             }));
-        RQL_RETURN_IF_ERROR(RunIteration(snap, state));
         return static_cast<AggVariableState*>(state)->Current();
       });
 
   meta_db_->RegisterFunction(
       "AggregateDataInTable", 4, 4,
-      [this, begin_run, snap_of](const std::vector<Value>& args)
+      [this, iterate, snap_of](const std::vector<Value>& args)
           -> Result<Value> {
         RQL_ASSIGN_OR_RETURN(retro::SnapshotId snap, snap_of(args[0]));
         const std::string& qq = args[1].text();
         const std::string& table = args[2].text();
         RQL_ASSIGN_OR_RETURN(std::vector<ColFuncPair> pairs,
                              ParseColFuncPairs(args[3].text()));
-        RQL_ASSIGN_OR_RETURN(
-            MechanismState* state,
-            begin_run(table, [&] {
-              return std::unique_ptr<MechanismState>(
-                  new AggTableState(this, qq, table, pairs));
-            }));
-        RQL_RETURN_IF_ERROR(RunIteration(snap, state));
+        RQL_RETURN_IF_ERROR(iterate(snap, table, [&] {
+                              return std::unique_ptr<MechanismState>(
+                                  new AggTableState(this, qq, table, pairs));
+                            }).status());
         return Value::Integer(stats_.iterations.back().qq_rows);
       });
 
   meta_db_->RegisterFunction(
       "CollateDataIntoIntervals", 3, 3,
-      [this, begin_run, snap_of](const std::vector<Value>& args)
+      [this, iterate, snap_of](const std::vector<Value>& args)
           -> Result<Value> {
         RQL_ASSIGN_OR_RETURN(retro::SnapshotId snap, snap_of(args[0]));
         const std::string& qq = args[1].text();
         const std::string& table = args[2].text();
-        RQL_ASSIGN_OR_RETURN(
-            MechanismState* state,
-            begin_run(table, [&] {
-              return std::unique_ptr<MechanismState>(
-                  new IntervalState(this, qq, table));
-            }));
-        RQL_RETURN_IF_ERROR(RunIteration(snap, state));
+        RQL_RETURN_IF_ERROR(iterate(snap, table, [&] {
+                              return std::unique_ptr<MechanismState>(
+                                  new IntervalState(this, qq, table));
+                            }).status());
         return Value::Integer(stats_.iterations.back().qq_rows);
       });
 
@@ -2113,34 +2001,19 @@ Status RqlEngine::RegisterUdfs() {
 }
 
 Status RqlEngine::FinishUdfRuns() {
-  if (udf_run_started_) {
-    if (options_.incremental_spt || options_.skip_unchanged_iterations ||
-        options_.memoize_iterations) {
-      data_db_->store()->EndSnapshotSet();
-    }
-    data_db_->store()->set_batch_archive_reads(false);
-    data_db_->store()->set_archive_read_retries(0);
-    data_db_->store()->set_diff_depth_histogram(nullptr);
-    if (data_db_->scan_cache() != nullptr) {
-      data_db_->set_scan_cache(nullptr);
-      // Run-private cache only; a shared cache keeps serving other runs.
-      if (options_.shared_scan_cache == nullptr) scan_cache_.Clear();
-    }
-    if (options_.batch_execution) data_db_->set_batch_execution(false);
-    if (trace_on_) {
-      trace_.Emit(RqlTraceEventType::kRunEnd, retro::kNoSnapshot,
-                  NowMicros(),
-                  {static_cast<int64_t>(stats_.iterations.size()),
-                   stats_.iterations_skipped, stats_.TotalUs(), 1});
-    }
-    PublishRunMetrics();
-  }
+  Status s = udf_run_ != nullptr ? udf_run_->failure() : Status::OK();
   for (auto& [table, state] : udf_states_) {
-    RQL_RETURN_IF_ERROR(state->Finish());
+    if (s.ok()) s = state->Finish();
   }
+  // A failed run is discarded, exactly like the programmatic form: every
+  // result table it created is dropped.
+  if (!s.ok()) {
+    for (auto& [table, state] : udf_states_) state->DiscardOnFailure();
+  }
+  if (udf_run_ != nullptr) udf_run_->Finish(s);
+  udf_run_.reset();
   udf_states_.clear();
-  udf_run_started_ = false;
-  return Status::OK();
+  return s;
 }
 
 }  // namespace rql

@@ -14,7 +14,6 @@
 #include "rql/memo_table.h"
 #include "rql/trace.h"
 #include "sql/database.h"
-#include "sql/scan_cache.h"
 
 namespace rql {
 
@@ -54,20 +53,20 @@ struct RqlIterationStats {
   /// in-flight fetch of the same page (always 0 in sequential runs).
   int64_t coalesced_loads = 0;
   // COW page-sharing exploitation counters (zero at paper-faithful
-  // defaults; see RqlOptions::reuse_decoded_pages /
-  /// skip_unchanged_iterations).
-  /// Scan-path pages served from the run's decoded-page cache: the page
-  /// version (Pagelog offset) was already fetched and tuple-decoded for an
-  /// earlier snapshot of this run — or, with a store-scoped
-  /// SharedScanCache attached, for any run sharing the store.
+  // defaults; see RqlOptions::shared_scan_cache /
+  // skip_unchanged_iterations).
+  /// Scan-path pages served from the attached decoded-page cache: the
+  /// page version (Pagelog offset) was already fetched and tuple-decoded
+  /// for an earlier snapshot of this run, or for any other run sharing
+  /// the cache.
   int64_t shared_page_hits = 0;
   /// Scan-path pages the cache could not serve (versioned pages that had
   /// to be fetched and decoded). hits / (hits + misses) is the decode
   /// reuse ratio of the iteration.
   int64_t scan_cache_misses = 0;
-  /// Subset of shared_page_hits served by blocking on another run's
-  /// in-flight decode of the same page version (SharedScanCache
-  /// single-flight). Always 0 with the run-private cache.
+  /// Subset of shared_page_hits served by blocking on another run's (or
+  /// parallel worker's) in-flight decode of the same page version
+  /// (SharedScanCache single-flight).
   int64_t coalesced_decodes = 0;
   /// Size of the Maplog delta (pages whose mapping may differ from the
   /// previous snapshot in the set) examined by the skip decision.
@@ -157,16 +156,15 @@ struct RqlRunStats {
   /// Iterations answered by replaying the previous result instead of
   /// executing Qq (RqlOptions::skip_unchanged_iterations).
   int64_t iterations_skipped = 0;
-  /// Run total of decoded-page cache hits
-  /// (RqlOptions::reuse_decoded_pages or shared_scan_cache). Hits are
-  /// attributed from per-execution counters (ExecStats::scan_cache), so
-  /// the total is exact for this run even when the cache is shared by
-  /// concurrent runs or parallel workers.
+  /// Run total of decoded-page cache hits (RqlOptions::shared_scan_cache).
+  /// Hits are attributed from per-execution counters
+  /// (ExecStats::scan_cache), so the total is exact for this run even when
+  /// the cache is shared by concurrent runs or parallel workers.
   int64_t shared_page_hits = 0;
   /// Run total of scan-cache misses (versioned pages decoded).
   int64_t scan_cache_misses = 0;
   /// Run total of hits served by waiting on another run's in-flight
-  /// decode (SharedScanCache single-flight; 0 with the private cache).
+  /// decode (SharedScanCache single-flight).
   int64_t coalesced_decodes = 0;
 
   int64_t TotalUs() const {
@@ -267,15 +265,6 @@ struct RqlOptions {
 
   // --- COW page-sharing exploitation (default off: the paper-faithful
   // --- baseline re-fetches and re-decodes every snapshot from scratch) ----
-  /// Key table pages by their physical version (the Pagelog offset the SPT
-  /// resolves them to) and serve scans from a run-scoped decoded-page
-  /// cache: a page version shared by N snapshots of the set is fetched and
-  /// tuple-decoded once per run instead of N times. Counted in
-  /// RqlIterationStats::shared_page_hits. Composes with parallel runs (the
-  /// cache is thread-safe and shared by the workers) and with
-  /// cold_cache_per_iteration (the decoded cache is dropped each iteration
-  /// along with the snapshot page cache).
-  bool reuse_decoded_pages = false;
   /// Skip whole iterations whose snapshot provably reads the same data as
   /// the previous one: the Maplog delta between consecutive snapshots in
   /// the set (SptCursor::last_delta) is intersected with the page read-set
@@ -294,7 +283,7 @@ struct RqlOptions {
   /// spine (plans the batch path cannot serve — joins, index access —
   /// silently keep the row path). Results are byte-identical to the row
   /// path. Pays off most on CPU-bound scans and composes with
-  /// reuse_decoded_pages, whose cached decoded pages the batches borrow
+  /// shared_scan_cache, whose cached decoded pages the batches borrow
   /// zero-copy. Counted in RqlIterationStats::batches_scanned /
   /// batch_rows / batch_fallback_rows and the "rql.batch_size" histogram.
   /// Rejected with InvalidArgument in combination with
@@ -328,18 +317,22 @@ struct RqlOptions {
   /// first-publish-wins). Must live and die with the data database's
   /// files (see MemoTable::Open).
   retro::MemoTable* memo = nullptr;
-  /// Store-scoped decoded-page cache shared by every run (and engine)
-  /// attached to the same SnapshotStore: page versions are keyed by their
-  /// Pagelog offset — immutable and globally unique within a store — so
-  /// N overlapping runs fetch and tuple-decode each unique version once,
-  /// with concurrent racers coalescing onto a single in-flight decode
-  /// (single-flight, the BufferPool coalesced-load discipline one layer
-  /// up). Owned by the caller; must outlive every engine using it and be
-  /// used with one store only. Takes precedence over the run-private
-  /// cache of reuse_decoded_pages (which it subsumes); results are
-  /// byte-identical to running with no cache. Enables cross-run SPT-build
-  /// sharing on the store (SnapshotStore::set_share_spt_builds). Counted
-  /// in RqlIterationStats::shared_page_hits / scan_cache_misses /
+  /// Decoded-page cache the run's scans go through: table pages are keyed
+  /// by their physical version (the Pagelog offset the SPT resolves them
+  /// to) — immutable and globally unique within a store — so a version
+  /// shared by N snapshots of the set is fetched and tuple-decoded once
+  /// instead of N times. Shared by every run (and engine) attached to the
+  /// same SnapshotStore, N overlapping runs decode each unique version
+  /// once, with concurrent racers (and parallel workers) coalescing onto a
+  /// single in-flight decode (single-flight, the BufferPool coalesced-load
+  /// discipline one layer up); an unbounded instance (max_bytes = 0)
+  /// created per run, or Clear()ed between runs, is a run-scoped cache.
+  /// Owned by the caller; must outlive every engine using it and be used
+  /// with one store only. Results are byte-identical to running with no
+  /// cache. Enables SPT-build sharing on the store
+  /// (SnapshotStore::set_share_spt_builds), which stays on after the run
+  /// because concurrent runs rely on it. Counted in
+  /// RqlIterationStats::shared_page_hits / scan_cache_misses /
   /// coalesced_decodes, surfaced as rql.scan_cache.* metrics, and traced
   /// in kScanCache events. Invalidated conservatively by
   /// TruncateHistory (entries a live run still holds stay alive through
@@ -485,7 +478,10 @@ class RqlEngine {
   /// Call FinishUdfRuns() after the driving SELECT completes.
   Status RegisterUdfs();
 
-  /// Finalizes and clears all in-progress UDF-form runs.
+  /// Finalizes and clears all in-progress UDF-form runs. When one of
+  /// their iterations failed, the runs are discarded instead (result
+  /// tables this run created are dropped) and the first failure is
+  /// returned.
   Status FinishUdfRuns();
 
   /// Rewrites Qq for snapshot `snap` by injecting "AS OF <snap>" after the
@@ -527,6 +523,9 @@ class RqlEngine {
   class AggTableState;
   class IntervalState;
 
+  /// The setup and teardown every run performs (rql.cc).
+  class RunScope;
+
   /// Runs a full mechanism: evaluates Qs on the metadata database, then
   /// iterates the state over every snapshot id.
   Status RunMechanism(const std::string& qs, MechanismState* state);
@@ -540,14 +539,27 @@ class RqlEngine {
   /// rows to the state, and record the iteration cost breakdown. With
   /// skip_unchanged_iterations, first probes the Maplog delta against the
   /// previous executed iteration's read set and replays instead of
-  /// executing when it proves the result unchanged.
-  Status RunIteration(retro::SnapshotId snap, MechanismState* state);
+  /// executing when it proves the result unchanged. `prefetch` is the
+  /// run's background pipeline (async_prefetch), or null.
+  Status RunIteration(retro::SnapshotId snap, MechanismState* state,
+                      retro::PrefetchScheduler* prefetch);
 
-  /// Re-feeds the previous executed iteration's buffered Qq result rows
-  /// through the state for snapshot `snap` (the skip path). `delta_pages`
-  /// is the size of the Maplog delta the skip decision examined.
-  Status ReplayIteration(retro::SnapshotId snap, MechanismState* state,
-                         int64_t delta_pages);
+  /// The mechanism fold of one iteration over buffered Qq rows: inside
+  /// one metadata transaction, OnRow for every row and then
+  /// OnIterationEnd, committed on success and rolled back on failure.
+  /// Records the row count in iter->qq_rows, adds the fold time to
+  /// iter->udf_us and collects the result-table counters.
+  Status FoldRows(MechanismState* state, retro::SnapshotId snap,
+                  const std::vector<std::string>& cols,
+                  const std::vector<sql::Row>& rows, RqlIterationStats* iter);
+
+  /// Records an iteration answered without executing Qq (`iter` is
+  /// flagged skipped or memo_hits): folds the buffered rows, charges it
+  /// the store work of its probe, and traces it with `probe_arg` (the
+  /// Maplog delta size for a skip, the validated pages for a memo hit).
+  Status ReplayIteration(MechanismState* state, RqlIterationStats iter,
+                         const std::vector<std::string>& cols,
+                         const std::vector<sql::Row>& rows, int64_t probe_arg);
 
   /// Memoized-iteration fast path: validates `entry`'s page-version read
   /// set against snapshot `snap`'s current resolution and, when every
@@ -581,18 +593,11 @@ class RqlEngine {
   /// latches the flag for the current run so emission sites stay cheap.
   RqlTrace trace_;
   bool trace_on_ = false;
-  /// Run-scoped decoded-page cache (reuse_decoded_pages); attached to the
-  /// data database (and to parallel worker contexts) for the duration of a
-  /// run and cleared when the run ends.
-  sql::ScanCache scan_cache_;
-  /// Background archive-read pipeline (async_prefetch); created at the
-  /// head of a sequential run, shut down and destroyed before the run
-  /// returns (workers never outlive the run's store/Env use).
-  std::unique_ptr<retro::PrefetchScheduler> prefetch_;
-  // UDF-form state, keyed by result table name.
+  // UDF-form run: its scope is opened by the first UDF call and closed by
+  // FinishUdfRuns; states are keyed by result table name.
+  std::unique_ptr<RunScope> udf_run_;
   std::unordered_map<std::string, std::unique_ptr<MechanismState>>
       udf_states_;
-  bool udf_run_started_ = false;
 };
 
 }  // namespace rql

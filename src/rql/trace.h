@@ -14,7 +14,9 @@ namespace rql {
 ///
 ///   kRunBegin        {snapshot_count, workers, flags_bits, 0, 0, 0}
 ///                    flags_bits: 1=incremental_spt 2=reuse_qq_plan
-///                    4=batch_pagelog_reads 8=reuse_decoded_pages
+///                    4=batch_pagelog_reads 8=retired (was
+///                    reuse_decoded_pages; never set, kept unassigned so
+///                    older traces still decode)
 ///                    16=skip_unchanged_iterations 32=batch_execution
 ///                    64=memoize_iterations 128=shared_scan_cache
 ///                    256=async_prefetch
@@ -30,7 +32,7 @@ namespace rql {
 ///   kScanCache       {shared_page_hits, misses, coalesced_decodes, 0, 0, 0}
 ///                    — coalesced_decodes is the subset of hits served by
 ///                    waiting on another run's in-flight decode
-///                    (shared_scan_cache single-flight; 0 otherwise)
+///                    (shared_scan_cache single-flight)
 ///   kIterationSkip   {index_in_run, delta_pages_scanned, replayed_rows,
 ///                     udf_us, 0, 0}  — replay of a provably unchanged
 ///                    iteration (skip_unchanged_iterations)

@@ -61,6 +61,9 @@ Status RunScheduler::Wait(Ticket* ticket) {
 
 void RunScheduler::Complete(const std::shared_ptr<Ticket>& ticket,
                             Status status) {
+  // Counted before `done` is signalled: a Wait()er that then reads
+  // completed() must see its own run.
+  completed_.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(ticket->mu);
     ticket->done = true;
@@ -71,7 +74,6 @@ void RunScheduler::Complete(const std::shared_ptr<Ticket>& ticket,
   // Before the inflight decrement: CancelSession must not return while a
   // completion callback still references the submitter's connection.
   if (ticket->on_complete) ticket->on_complete(*ticket);
-  completed_.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = inflight_.find(ticket->session_id);
@@ -124,12 +126,18 @@ void RunScheduler::DispatchLoop() {
 
     lock.unlock();
     Status status = pending.fn(ticket.get());
-    Complete(ticket, std::move(status));
     lock.lock();
-
+    // Released before Complete signals the waiter, so a Wait()er that then
+    // reads active() or submits again sees the run's slot and workers free.
     workers_avail_ += reserved;
     --active_count_;
     running_.erase(sid);
+    lock.unlock();
+    Complete(ticket, std::move(status));
+    lock.lock();
+
+    // The session stays busy until its completion callback has run, so a
+    // session's completions are delivered in submission order.
     auto it = sessions_.find(sid);
     if (it != sessions_.end()) {
       it->second.busy = false;

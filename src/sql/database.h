@@ -140,13 +140,13 @@ class Database {
   /// The snapshot declared by the most recent COMMIT WITH SNAPSHOT.
   retro::SnapshotId last_declared_snapshot() const { return last_declared_; }
 
-  /// Attaches (or with nullptr detaches) a run-scoped decoded-page cache:
-  /// AS OF SELECTs pass it to the executor, which reuses decoded page
-  /// versions across the snapshots of an RQL run. Current-state queries
-  /// are unaffected (their pages carry no stable version). The caller owns
-  /// the cache and its lifetime.
-  void set_scan_cache(ScanCache* cache) { scan_cache_ = cache; }
-  ScanCache* scan_cache() const { return scan_cache_; }
+  /// Attaches (or with nullptr detaches) a decoded-page cache: AS OF
+  /// SELECTs pass it to the executor, which reuses decoded page versions
+  /// across snapshots (and, for a store-scoped cache, across runs).
+  /// Current-state queries are unaffected (their pages carry no stable
+  /// version). The caller owns the cache and its lifetime.
+  void set_scan_cache(SharedScanCache* cache) { scan_cache_ = cache; }
+  SharedScanCache* scan_cache() const { return scan_cache_; }
 
   /// Run-scoped batch-execution toggle (RqlOptions::batch_execution):
   /// SELECT execution serves eligible sequential scans page-at-a-time
@@ -224,7 +224,7 @@ class Database {
   // Plan cache of the PreparedStatement currently executing (if any);
   // consumed by ExecSelect for the top-level statement.
   PlanCache* active_plan_cache_ = nullptr;
-  ScanCache* scan_cache_ = nullptr;
+  SharedScanCache* scan_cache_ = nullptr;
   bool batch_execution_ = false;
   retro::MetricsRegistry::Histogram* batch_size_hist_ = nullptr;
   DbExecStats last_stats_;

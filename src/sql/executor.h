@@ -16,7 +16,7 @@
 #include "sql/expr.h"
 #include "sql/functions.h"
 #include "sql/row_batch.h"
-#include "sql/scan_cache.h"
+#include "sql/shared_scan_cache.h"
 
 namespace rql::sql {
 
@@ -79,11 +79,11 @@ struct ExecContext {
   /// informational for operators that care which AS OF binding is active.
   retro::SnapshotId as_of = retro::kNoSnapshot;
   PlanCache* plan_cache = nullptr;  // optional
-  /// Optional run-scoped decoded-page cache. Sequential scans and
-  /// transient-index builds consult it for pages the reader versions
-  /// (archived snapshot pages); readers without stable page versions —
-  /// the current state — leave it untouched.
-  ScanCache* scan_cache = nullptr;
+  /// Optional decoded-page cache. Sequential scans and transient-index
+  /// builds consult it for pages the reader versions (archived snapshot
+  /// pages); readers without stable page versions — the current state —
+  /// leave it untouched.
+  SharedScanCache* scan_cache = nullptr;
   /// Batch-at-a-time execution (RqlOptions::batch_execution): eligible
   /// sequential scans run page-sized RowBatches through vectorized
   /// filters and aggregate folds instead of the row-at-a-time spine.

@@ -11,6 +11,7 @@ using storage::kInvalidPageId;
 using storage::kPageSize;
 using storage::Page;
 using storage::PageId;
+using DecodedPage = SharedScanCache::DecodedPage;
 
 // Page header layout.
 constexpr uint32_t kNextOff = 0;
@@ -70,7 +71,7 @@ void CompactPage(Page* page) {
 // Decodes every live record of `page` into `out` (slots, raw bytes,
 // decoded rows; string_views point into the buffer backing `page`).
 // Does not touch out->pin; the caller anchors the buffer's lifetime.
-Status DecodePageRecords(const Page& page, ScanCache::DecodedPage* out) {
+Status DecodePageRecords(const Page& page, DecodedPage* out) {
   out->next = page.ReadU32(kNextOff);
   uint16_t slot_count = page.ReadU16(kSlotCountOff);
   for (int s = 0; s < slot_count; ++s) {
@@ -91,7 +92,7 @@ Status DecodePageRecords(const Page& page, ScanCache::DecodedPage* out) {
 // and batches hold the entry through an aliasing shared_ptr.
 struct OwnedDecodedPage {
   Page frame;
-  ScanCache::DecodedPage decoded;
+  DecodedPage decoded;
 };
 
 int LiveCount(const Page& page) {
@@ -286,7 +287,8 @@ Status HeapTable::Drop() {
 }
 
 HeapTable::Iterator::Iterator(storage::PageReader* reader, PageId root,
-                              ScanCache* cache, ScanCacheCounters* counters)
+                              SharedScanCache* cache,
+                              ScanCacheCounters* counters)
     : reader_(reader), cache_(cache), counters_(counters) {
   LoadPage(root);
   if (status_.ok()) AdvanceToLiveSlot();
@@ -296,9 +298,9 @@ namespace {
 
 // Decodes the pinned page version into a cache entry; nullptr when any
 // record fails to decode (the row scan's plain path surfaces the error).
-std::shared_ptr<const ScanCache::DecodedPage> DecodePinnedPage(
+std::shared_ptr<const DecodedPage> DecodePinnedPage(
     const Page& page, storage::PinnedPage pin) {
-  auto decoded = std::make_shared<ScanCache::DecodedPage>();
+  auto decoded = std::make_shared<DecodedPage>();
   if (!DecodePageRecords(page, decoded.get()).ok()) return nullptr;
   decoded->pin = std::move(pin);
   return decoded;
@@ -317,17 +319,15 @@ void HeapTable::Iterator::LoadPage(PageId id) {
   }
   uint64_t version = 0;
   if (cache_ != nullptr && reader_->PageVersion(id, &version)) {
-    ScanCache::AcquireResult acq = cache_->Acquire(version);
+    SharedScanCache::AcquireResult acq = cache_->Acquire(version);
     if (acq.page != nullptr) {
       cached_ = std::move(acq.page);
-      cache_->AddHit();
       if (counters_ != nullptr) {
         ++counters_->hits;
         if (acq.coalesced) ++counters_->coalesced;
       }
       return;
     }
-    cache_->AddMiss();
     if (counters_ != nullptr) ++counters_->misses;
     if (acq.claimed) {
       // This caller owns the decode: every exit below must either publish
@@ -395,13 +395,13 @@ void HeapTable::Iterator::Next() {
 }
 
 HeapTable::Iterator HeapTable::Scan(storage::PageReader* reader, PageId root,
-                                    ScanCache* cache,
+                                    SharedScanCache* cache,
                                     ScanCacheCounters* counters) {
   return Iterator(reader, root, cache, counters);
 }
 
 HeapTable::BatchIterator::BatchIterator(storage::PageReader* reader,
-                                        PageId root, ScanCache* cache,
+                                        PageId root, SharedScanCache* cache,
                                         ScanCacheCounters* counters)
     : reader_(reader), cache_(cache), counters_(counters) {
   LoadBatch(root);
@@ -409,19 +409,17 @@ HeapTable::BatchIterator::BatchIterator(storage::PageReader* reader,
 
 void HeapTable::BatchIterator::LoadBatch(PageId id) {
   while (id != kInvalidPageId) {
-    std::shared_ptr<const ScanCache::DecodedPage> entry;
+    std::shared_ptr<const DecodedPage> entry;
     uint64_t version = 0;
     if (cache_ != nullptr && reader_->PageVersion(id, &version)) {
-      ScanCache::AcquireResult acq = cache_->Acquire(version);
+      SharedScanCache::AcquireResult acq = cache_->Acquire(version);
       if (acq.page != nullptr) {
         entry = std::move(acq.page);
-        cache_->AddHit();
         if (counters_ != nullptr) {
           ++counters_->hits;
           if (acq.coalesced) ++counters_->coalesced;
         }
       } else {
-        cache_->AddMiss();
         if (counters_ != nullptr) ++counters_->misses;
         if (acq.claimed) {
           // Claim held: publish or abandon on every exit (see LoadPage).
@@ -434,7 +432,7 @@ void HeapTable::BatchIterator::LoadBatch(PageId id) {
           }
           if (*pinned) {
             const Page& frame = **pinned;
-            auto decoded = std::make_shared<ScanCache::DecodedPage>();
+            auto decoded = std::make_shared<DecodedPage>();
             status_ = DecodePageRecords(frame, decoded.get());
             if (!status_.ok()) {
               cache_->AbandonDecode(version);
@@ -462,7 +460,7 @@ void HeapTable::BatchIterator::LoadBatch(PageId id) {
         valid_ = false;
         return;
       }
-      entry = std::shared_ptr<const ScanCache::DecodedPage>(
+      entry = std::shared_ptr<const DecodedPage>(
           owned, &owned->decoded);
     }
     PageId next = entry->next;
@@ -487,7 +485,8 @@ void HeapTable::BatchIterator::Next() {
 }
 
 HeapTable::BatchIterator HeapTable::ScanBatches(storage::PageReader* reader,
-                                                PageId root, ScanCache* cache,
+                                                PageId root,
+                                                SharedScanCache* cache,
                                                 ScanCacheCounters* counters) {
   return BatchIterator(reader, root, cache, counters);
 }

@@ -8,7 +8,7 @@
 
 #include "common/status.h"
 #include "sql/row_batch.h"
-#include "sql/scan_cache.h"
+#include "sql/shared_scan_cache.h"
 #include "storage/page_store.h"
 
 namespace rql::sql {
@@ -60,7 +60,7 @@ class HeapTable {
 
   /// Forward scan over any reader (the current state or a snapshot view).
   ///
-  /// With a ScanCache attached, pages the reader can assign a stable
+  /// With a SharedScanCache attached, pages the reader can assign a stable
   /// version to (archived snapshot pages, keyed by Pagelog offset) are
   /// decoded once per cache lifetime: the scan serves records — and
   /// pre-decoded rows, see cached_row() — from the cached entry, and the
@@ -91,18 +91,18 @@ class HeapTable {
    private:
     friend class HeapTable;
     Iterator(storage::PageReader* reader, storage::PageId root,
-             ScanCache* cache, ScanCacheCounters* counters);
+             SharedScanCache* cache, ScanCacheCounters* counters);
 
     void LoadPage(storage::PageId id);
     void AdvanceToLiveSlot();
 
     storage::PageReader* reader_;
-    ScanCache* cache_ = nullptr;
+    SharedScanCache* cache_ = nullptr;
     ScanCacheCounters* counters_ = nullptr;  // per-execution attribution
     // Cached mode: the current page's decoded entry; slot_ indexes its
     // records. Plain mode (cached_ == nullptr): page_ holds the page and
     // slot_ is the physical slot number.
-    std::shared_ptr<const ScanCache::DecodedPage> cached_;
+    std::shared_ptr<const SharedScanCache::DecodedPage> cached_;
     storage::Page page_;
     storage::PageId page_id_ = storage::kInvalidPageId;
     int slot_ = -1;  // current slot, advanced by AdvanceToLiveSlot
@@ -118,12 +118,12 @@ class HeapTable {
   /// race-free per-execution attribution (the cache's own counters are
   /// global across every run sharing it).
   static Iterator Scan(storage::PageReader* reader, storage::PageId root,
-                       ScanCache* cache = nullptr,
+                       SharedScanCache* cache = nullptr,
                        ScanCacheCounters* counters = nullptr);
 
   /// Page-at-a-time scan: each position is a RowBatch holding every live
   /// record of one heap page, fully decoded. Pages the reader can version
-  /// go through the same ScanCache protocol as Iterator (lookup / decode
+  /// go through the same cache protocol as Iterator (acquire / decode
   /// once / publish), so hit accounting and read-set recording are
   /// identical to the row scan; unversioned pages are decoded into a
   /// batch-private buffer the RowBatch keeps alive. Pages with no live
@@ -144,12 +144,12 @@ class HeapTable {
    private:
     friend class HeapTable;
     BatchIterator(storage::PageReader* reader, storage::PageId root,
-                  ScanCache* cache, ScanCacheCounters* counters);
+                  SharedScanCache* cache, ScanCacheCounters* counters);
 
     void LoadBatch(storage::PageId id);
 
     storage::PageReader* reader_;
-    ScanCache* cache_ = nullptr;
+    SharedScanCache* cache_ = nullptr;
     ScanCacheCounters* counters_ = nullptr;  // per-execution attribution
     RowBatch batch_;
     storage::PageId next_ = storage::kInvalidPageId;
@@ -162,7 +162,7 @@ class HeapTable {
   /// per-execution attribution into `counters`, as in Scan).
   static BatchIterator ScanBatches(storage::PageReader* reader,
                                    storage::PageId root,
-                                   ScanCache* cache = nullptr,
+                                   SharedScanCache* cache = nullptr,
                                    ScanCacheCounters* counters = nullptr);
 
   /// Reads one record by rid through `reader`.

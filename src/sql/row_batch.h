@@ -5,16 +5,16 @@
 #include <memory>
 #include <vector>
 
-#include "sql/scan_cache.h"
+#include "sql/shared_scan_cache.h"
 #include "sql/value.h"
 
 namespace rql::sql {
 
 /// One heap page's worth of decoded rows, handed to the executor as a
 /// unit. The batch does not own the row storage: `rows` points into a
-/// ScanCache::DecodedPage and `page` keeps that entry (and, through its
-/// PinnedPage, the raw record bytes any text values were decoded from)
-/// alive for as long as the batch is held. Batches built from shared
+/// SharedScanCache::DecodedPage and `page` keeps that entry (and, through
+/// its PinnedPage, the raw record bytes any text values were decoded
+/// from) alive for as long as the batch is held. Batches built from shared
 /// cache entries therefore borrow the decoded values zero-copy — the
 /// per-row Row materialization the scalar scan pays on every snapshot
 /// is skipped entirely.
@@ -24,10 +24,10 @@ namespace rql::sql {
 /// order. A freshly produced batch has an empty selection; consumers
 /// initialize it to the identity and narrow it with each predicate.
 struct RowBatch {
-  /// Lifetime anchor for `rows`. Either a ScanCache entry (shared,
+  /// Lifetime anchor for `rows`. Either a scan-cache entry (shared,
   /// version-keyed) or a batch-private decoded page for unversioned
   /// pages; the executor never needs to distinguish the two.
-  std::shared_ptr<const ScanCache::DecodedPage> page;
+  std::shared_ptr<const SharedScanCache::DecodedPage> page;
   const Row* rows = nullptr;
   uint32_t size = 0;
   std::vector<uint32_t> selection;

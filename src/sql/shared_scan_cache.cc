@@ -112,7 +112,7 @@ void SharedScanCache::EvictIfNeeded(Shard* shard) {
   }
 }
 
-std::shared_ptr<const ScanCache::DecodedPage> SharedScanCache::Lookup(
+std::shared_ptr<const SharedScanCache::DecodedPage> SharedScanCache::Lookup(
     uint64_t version) {
   Shard* shard = ShardFor(version);
   std::lock_guard<std::mutex> lock(shard->mu);
@@ -129,7 +129,7 @@ bool SharedScanCache::Contains(uint64_t version) const {
   return shard.entries.find(version) != shard.entries.end();
 }
 
-ScanCache::AcquireResult SharedScanCache::Acquire(uint64_t version) {
+SharedScanCache::AcquireResult SharedScanCache::Acquire(uint64_t version) {
   Shard* shard = ShardFor(version);
   std::shared_ptr<InFlight> fl;
   {
@@ -171,7 +171,7 @@ ScanCache::AcquireResult SharedScanCache::Acquire(uint64_t version) {
   return {nullptr, false, false};
 }
 
-std::shared_ptr<const ScanCache::DecodedPage> SharedScanCache::Insert(
+std::shared_ptr<const SharedScanCache::DecodedPage> SharedScanCache::Insert(
     uint64_t version, std::shared_ptr<const DecodedPage> page) {
   Shard* shard = ShardFor(version);
   std::shared_ptr<InFlight> fl;
@@ -190,8 +190,8 @@ std::shared_ptr<const ScanCache::DecodedPage> SharedScanCache::Insert(
     }
     auto it = shard->entries.find(version);
     if (it != shard->entries.end()) {
-      // Already published (an unclaimed racing insert, e.g. through the
-      // base-protocol path): first publish wins.
+      // Already published (an Insert made without an Acquire claim raced
+      // another publish): first publish wins.
       Touch(shard, &it->second, version);
       page = it->second.page;
       publish = false;

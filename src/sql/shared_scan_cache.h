@@ -8,27 +8,58 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "common/cleanup.h"
-#include "sql/scan_cache.h"
+#include "sql/value.h"
+#include "storage/buffer_pool.h"
+#include "storage/page.h"
 
 namespace rql::sql {
 
-/// A store-scoped decoded-page cache shared by concurrent RQL runs.
+/// Per-execution scan-cache counters, accumulated by HeapTable iterators
+/// into the executor's ExecStats. Unlike the cache-wide Stats, these are
+/// exact per execution even when several runs or parallel workers share
+/// one cache instance, so the RQL engine attributes hits and misses to the
+/// iteration that actually performed them.
+struct ScanCacheCounters {
+  int64_t hits = 0;
+  int64_t misses = 0;
+  /// Hits served by blocking on another thread's in-flight decode of the
+  /// same version (single-flight coalescing).
+  int64_t coalesced = 0;
+
+  void Reset() { *this = ScanCacheCounters{}; }
+  void Add(const ScanCacheCounters& o) {
+    hits += o.hits;
+    misses += o.misses;
+    coalesced += o.coalesced;
+  }
+};
+
+/// The decoded-page cache of the scan path, shared by concurrent RQL runs.
 ///
 /// The key is the page *version*: the Pagelog offset the snapshot page
 /// table resolves a (page, snapshot) pair to. Within one Pagelog
 /// generation an offset names immutable archived bytes, globally unique
 /// across every snapshot and every run over the store — which is what
-/// makes cross-run sharing sound: two runs that resolve the same version
-/// are by construction reading the same page pre-state, so one fetch +
-/// slot-walk + tuple-decode serves both. (`TruncateHistory` rewrites the
-/// Pagelog and rebases offsets, starting a new generation; see
-/// OnTruncateHistory below.)
+/// makes sharing sound: two snapshots (or two runs) that resolve the same
+/// version are by construction reading the same page pre-state, so one
+/// fetch + slot-walk + tuple-decode serves both. (`TruncateHistory`
+/// rewrites the Pagelog and rebases offsets, starting a new generation;
+/// see OnTruncateHistory below.)
 ///
-/// Store scope needs three things run scope never did:
+/// Entries hold a PinnedPage, so the raw record bytes (string_views into
+/// the pinned frame) stay valid even if the underlying BufferPool frame is
+/// evicted; the pool merely drops its own reference.
+///
+/// Scoping is the owner's choice. One instance per store serves every run
+/// over it (the daemon's configuration); an unbounded instance
+/// (`max_bytes = 0`) created per run, or Clear()ed between runs, serves
+/// only that run's snapshots. Either way results are byte-identical to
+/// scanning with no cache. The store-scoped use needs three things:
 ///
 ///  * A byte budget with segmented-LRU eviction. New entries land in a
 ///    probationary segment and are promoted to a protected segment on
@@ -50,8 +81,28 @@ namespace rql::sql {
 /// Sharded like BufferPool so concurrent runs on different versions do
 /// not contend; LRU order is approximate across the cache, exact within
 /// a shard.
-class SharedScanCache : public ScanCache {
+class SharedScanCache {
  public:
+  /// One decoded page version. Immutable once published.
+  struct DecodedPage {
+    storage::PinnedPage pin;  // keeps `records` bytes alive
+    storage::PageId next = storage::kInvalidPageId;  // chain successor
+    std::vector<uint16_t> slots;            // slot number per live record
+    std::vector<std::string_view> records;  // raw bytes, into the pin
+    std::vector<Row> rows;                  // decoded form of `records`
+  };
+
+  /// Result of Acquire(): either a published entry (`page` non-null), a
+  /// decode claim (`claimed` — the caller MUST follow up with Insert or
+  /// AbandonDecode for the same version), or neither (an in-flight decode
+  /// the caller waited on was abandoned; fall through to a plain,
+  /// uncached read).
+  struct AcquireResult {
+    std::shared_ptr<const DecodedPage> page;
+    bool claimed = false;
+    bool coalesced = false;  // hit was served by waiting on a decode
+  };
+
   struct Options {
     /// Budget across all shards; 0 = unbounded (never evicts).
     uint64_t max_bytes = 256ull << 20;
@@ -75,9 +126,13 @@ class SharedScanCache : public ScanCache {
 
   SharedScanCache() : SharedScanCache(Options()) {}
   explicit SharedScanCache(Options options);
-  ~SharedScanCache() override;
+  ~SharedScanCache();
+  SharedScanCache(const SharedScanCache&) = delete;
+  SharedScanCache& operator=(const SharedScanCache&) = delete;
 
-  std::shared_ptr<const DecodedPage> Lookup(uint64_t version) override;
+  /// The cached entry for `version`, or nullptr (never waits on, and
+  /// never claims, an in-flight decode).
+  std::shared_ptr<const DecodedPage> Lookup(uint64_t version);
 
   /// True when `version` is resident right now. A pure probe — no stats,
   /// no LRU touch, no waiting on in-flight decodes — for a background
@@ -89,21 +144,24 @@ class SharedScanCache : public ScanCache {
   /// claims the decode for this caller; a version another thread is
   /// already decoding blocks until that decode publishes (coalesced hit)
   /// or abandons (fall through to an uncached read).
-  AcquireResult Acquire(uint64_t version) override;
+  AcquireResult Acquire(uint64_t version);
 
-  /// Publishes and releases the claim on `version`, waking every waiter
-  /// with the entry. Evicts least-recently-used probationary entries if
-  /// the shard runs over budget.
+  /// Publishes `page` under `version` and releases the claim on it, waking
+  /// every waiter with the entry; returns the entry that ends up cached
+  /// (the already-present one if another thread published first). Evicts
+  /// least-recently-used probationary entries if the shard runs over
+  /// budget.
   std::shared_ptr<const DecodedPage> Insert(
-      uint64_t version, std::shared_ptr<const DecodedPage> page) override;
+      uint64_t version, std::shared_ptr<const DecodedPage> page);
 
   /// Releases the claim on `version` without publishing (the fetch or
   /// decode failed); waiters are woken empty-handed and fall back to
   /// plain uncached reads.
-  void AbandonDecode(uint64_t version) override;
+  void AbandonDecode(uint64_t version);
 
-  void Clear() override;
-  uint64_t size() const override;
+  /// Drops every entry (and, once no reader holds them, their pins).
+  void Clear();
+  uint64_t size() const;
 
   /// TruncateHistory invalidation hook (conservative, like
   /// MemoTable::InvalidateBelow): offsets at or above the rewrite are
@@ -204,7 +262,7 @@ class SharedScanCache : public ScanCache {
 
   std::atomic<uint64_t> bytes_{0};
   std::atomic<int64_t> shared_hits_{0};
-  std::atomic<int64_t> misses_{0};  // shadows (private) base counter
+  std::atomic<int64_t> misses_{0};
   std::atomic<int64_t> coalesced_{0};
   std::atomic<int64_t> inserts_{0};
   std::atomic<int64_t> abandons_{0};

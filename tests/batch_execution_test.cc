@@ -13,7 +13,7 @@
 #include "rql/aggregates.h"
 #include "rql/rql.h"
 #include "sql/heap_table.h"
-#include "sql/scan_cache.h"
+#include "sql/shared_scan_cache.h"
 #include "storage/env.h"
 
 namespace rql {
@@ -37,7 +37,7 @@ struct Fixture {
 /// (items 50000..) every 2*`live_period`-th, and a `churn` side table
 /// changes every snapshot. Post-load mutations are in-place UPDATEs and
 /// DELETEs only, so unchanged pages keep their shared versions — the
-/// shape where reuse_decoded_pages and skip_unchanged_iterations bite,
+/// shape where a decoded-page cache and skip_unchanged_iterations bite,
 /// and where a batch borrows cached decoded pages zero-copy.
 Fixture MakeSparseFixture(uint64_t seed, int snapshots, int items,
                           int live_period) {
@@ -183,20 +183,21 @@ TEST_P(BatchExecutionTest, BatchPathByteIdenticalAcrossFlagMatrix) {
   };
 
   // The property test's flag matrix, plus the flags-off config, crossed
-  // with {row, batch} and {1, 4} workers below.
+  // with {row, batch} and {1, 4} workers below. `cache` runs against a
+  // run-scoped decoded-page cache, cleared before every run.
   struct Config {
     const char* name;
-    bool reuse, skip, amort, cold_iter;
+    bool cache, skip, amort;
   };
   const Config kConfigs[] = {
-      {"off", false, false, false, false},
-      {"reuse", true, false, false, false},
-      {"skip", false, true, false, false},
-      {"both", true, true, false, false},
-      {"both_amortized", true, true, true, false},
-      {"reuse_cold_iter", true, false, false, true},
-      {"amortized_only", false, false, true, false},
+      {"off", false, false, false},
+      {"cache", true, false, false},
+      {"skip", false, true, false},
+      {"both", true, true, false},
+      {"both_amortized", true, true, true},
+      {"amortized_only", false, false, true},
   };
+  sql::SharedScanCache run_cache({.max_bytes = 0});
 
   for (const Mech& m : mechs) {
     *f.engine->mutable_options() = RqlOptions{};
@@ -210,12 +211,12 @@ TEST_P(BatchExecutionTest, BatchPathByteIdenticalAcrossFlagMatrix) {
       for (int workers : {1, 4}) {
         for (bool batch : {false, true}) {
           RqlOptions opts;
-          opts.reuse_decoded_pages = c.reuse;
+          run_cache.Clear();
+          opts.shared_scan_cache = c.cache ? &run_cache : nullptr;
           opts.skip_unchanged_iterations = c.skip;
           opts.incremental_spt = c.amort;
           opts.reuse_qq_plan = c.amort;
           opts.batch_pagelog_reads = c.amort;
-          opts.cold_cache_per_iteration = c.cold_iter;
           opts.parallel_workers = workers;
           opts.batch_execution = batch;
           *f.engine->mutable_options() = opts;
@@ -226,22 +227,6 @@ TEST_P(BatchExecutionTest, BatchPathByteIdenticalAcrossFlagMatrix) {
                               "/workers=" + std::to_string(workers) +
                               (batch ? "/batch" : "/row");
           Status s = m.run(table);
-          if (batch && c.cold_iter) {
-            // Satellite check: batch_execution + cold_cache_per_iteration
-            // is rejected up front (the skip_unchanged precedent).
-            EXPECT_TRUE(s.IsInvalidArgument()) << label << ": "
-                                               << s.ToString();
-            EXPECT_EQ(f.meta->catalog()->data().FindTable(table), nullptr)
-                << label;
-            continue;
-          }
-          if (c.cold_iter && workers > 1 && !s.ok()) {
-            // Parallelizable mechanisms reject cold_iter + workers; the
-            // order-dependent ones run sequentially and accept it.
-            EXPECT_TRUE(s.IsInvalidArgument()) << label << ": "
-                                               << s.ToString();
-            continue;
-          }
           ASSERT_TRUE(s.ok()) << label << ": " << s.ToString();
           EXPECT_EQ(dump(table), baseline) << label;
 
@@ -311,7 +296,7 @@ class BatchIteratorTest : public ::testing::Test {
   /// Collects all (id, v) pairs a batch scan yields, asserting batches
   /// are never empty and selection vectors start as identity.
   std::vector<std::pair<int64_t, int64_t>> CollectBatches(
-      storage::PageReader* reader, sql::ScanCache* cache,
+      storage::PageReader* reader, sql::SharedScanCache* cache,
       const std::function<void(int)>& per_batch = nullptr) {
     std::vector<std::pair<int64_t, int64_t>> out;
     int batch_index = 0;
@@ -373,8 +358,8 @@ TEST_F(BatchIteratorTest, SkipsFullyDeletedPages) {
 }
 
 TEST_F(BatchIteratorTest, BatchSurvivesMidScanCacheEviction) {
-  // Snapshot pages are versioned, so the scan pins entries in the shared
-  // ScanCache. Clearing the cache mid-scan must not invalidate the batch
+  // Snapshot pages are versioned, so the scan pins entries in the
+  // SharedScanCache. Clearing the cache mid-scan must not invalidate the batch
   // in hand: it owns the decoded page via shared_ptr, so its (zero-copy)
   // values stay readable and iteration continues over the remaining pages.
   ASSERT_TRUE(data_->Exec("BEGIN").ok());
@@ -390,7 +375,7 @@ TEST_F(BatchIteratorTest, BatchSurvivesMidScanCacheEviction) {
   ASSERT_TRUE(view.ok());
   auto baseline = CollectRows(view->get());
 
-  sql::ScanCache cache;
+  sql::SharedScanCache cache;
   auto evicting = CollectBatches(view->get(), &cache,
                                  [&](int batch_index) {
                                    if (batch_index == 0) cache.Clear();

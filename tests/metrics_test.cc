@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "rql/rql.h"
+#include "sql/shared_scan_cache.h"
 
 namespace rql {
 namespace {
@@ -289,7 +290,8 @@ TEST_F(EngineMetricsTest, FlagsOnDeltaStillMatchesLegacyStats) {
   opts->incremental_spt = true;
   opts->reuse_qq_plan = true;
   opts->batch_pagelog_reads = true;
-  opts->reuse_decoded_pages = true;
+  sql::SharedScanCache run_cache({.max_bytes = 0});  // this run's only
+  opts->shared_scan_cache = &run_cache;
   opts->skip_unchanged_iterations = true;
   opts->batch_execution = true;
   ExpectDeltaMatchesStats([this] {

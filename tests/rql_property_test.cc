@@ -506,12 +506,11 @@ TEST_P(RqlPropertyTest, TransientPagelogFaultsWithRetriesAreTransparent) {
 }
 
 TEST_P(RqlPropertyTest, PageSharingFlagsPreserveAllMechanismOutputs) {
-  // reuse_decoded_pages and skip_unchanged_iterations are pure
-  // optimizations: on a sparse-update history every mechanism's result
-  // table must be byte-identical with any combination of the flags —
+  // A run-scoped decoded-page cache and skip_unchanged_iterations are
+  // pure optimizations: on a sparse-update history every mechanism's
+  // result table must be byte-identical with any combination of the two —
   // alone, together, stacked on the iteration-setup amortization flags,
-  // under a per-iteration cold cache, and (for parallelizable mechanisms)
-  // under parallel workers. AggregateDataInVariable uses the
+  // and (for parallelizable mechanisms) under parallel workers. AggregateDataInVariable uses the
   // non-idempotent `sum` fold so a replayed iteration that contributed
   // twice (or not at all) would be caught.
   Fixture f = MakeSparseFixture(GetParam() * 1000 + 173, 24, 8, 4);
@@ -594,19 +593,21 @@ TEST_P(RqlPropertyTest, PageSharingFlagsPreserveAllMechanismOutputs) {
        }},
   };
 
+  // `cache` runs against a run-scoped decoded-page cache, cleared before
+  // every run.
   struct Config {
     const char* name;
-    bool reuse, skip, amort, cold_iter;
+    bool cache, skip, amort;
     int workers;
   };
   const Config kConfigs[] = {
-      {"reuse", true, false, false, false, 1},
-      {"skip", false, true, false, false, 1},
-      {"both", true, true, false, false, 1},
-      {"both_amortized", true, true, true, false, 1},
-      {"reuse_cold_iter", true, false, false, true, 1},
-      {"both_parallel", true, true, false, false, 4},
+      {"cache", true, false, false, 1},
+      {"skip", false, true, false, 1},
+      {"both", true, true, false, 1},
+      {"both_amortized", true, true, true, 1},
+      {"both_parallel", true, true, false, 4},
   };
+  sql::SharedScanCache run_cache({.max_bytes = 0});
 
   for (const Mech& m : mechs) {
     *f.engine->mutable_options() = RqlOptions{};
@@ -624,12 +625,12 @@ TEST_P(RqlPropertyTest, PageSharingFlagsPreserveAllMechanismOutputs) {
 
     for (const Config& c : kConfigs) {
       RqlOptions opts;
-      opts.reuse_decoded_pages = c.reuse;
+      run_cache.Clear();
+      opts.shared_scan_cache = c.cache ? &run_cache : nullptr;
       opts.skip_unchanged_iterations = c.skip;
       opts.incremental_spt = c.amort;
       opts.reuse_qq_plan = c.amort;
       opts.batch_pagelog_reads = c.amort;
-      opts.cold_cache_per_iteration = c.cold_iter;
       opts.parallel_workers = c.workers;
       // Options are replaced wholesale above, so the registry has to be
       // re-installed for every configuration.
@@ -645,8 +646,8 @@ TEST_P(RqlPropertyTest, PageSharingFlagsPreserveAllMechanismOutputs) {
       const RqlRunStats& stats = f.engine->last_run_stats();
       // Live changes every 4th snapshot only: the three quiet iterations
       // of each period must skip, and versions shared across the set must
-      // hit the decoded-page cache (unless it is dropped per iteration).
-      if (c.reuse && !c.cold_iter) {
+      // hit the decoded-page cache.
+      if (c.cache) {
         EXPECT_GT(stats.shared_page_hits, 0) << table;
       }
       if (c.skip && !stats.parallel) {
@@ -683,8 +684,9 @@ TEST_P(RqlPropertyTest, SkipDisabledWhenQqUsesCurrentSnapshot) {
   ASSERT_TRUE(f.engine->CollateData(qs, qq, "Baseline").ok());
   std::vector<std::string> baseline = dump("Baseline");
 
+  sql::SharedScanCache run_cache({.max_bytes = 0});
   f.engine->mutable_options()->skip_unchanged_iterations = true;
-  f.engine->mutable_options()->reuse_decoded_pages = true;
+  f.engine->mutable_options()->shared_scan_cache = &run_cache;
   f.data->store()->ClearSnapshotCache();
   ASSERT_TRUE(f.engine->CollateData(qs, qq, "Flagged").ok());
   EXPECT_EQ(dump("Flagged"), baseline);
@@ -693,8 +695,8 @@ TEST_P(RqlPropertyTest, SkipDisabledWhenQqUsesCurrentSnapshot) {
 
 TEST_P(RqlPropertyTest, MemoizationPreservesAllMechanismOutputs) {
   // memoize_iterations is a pure optimization: for every mechanism, under
-  // every flag combination it composes with (decoded-page reuse, iteration
-  // skipping, batch execution, parallel workers), both the cold run that
+  // every flag combination it composes with (a run-scoped decoded-page
+  // cache, iteration skipping, batch execution, parallel workers), both the cold run that
   // fills the persistent memo and the warm run that replays from it must
   // be byte-identical to the flags-off baseline — and the warm run must
   // actually hit. AggregateDataInVariable uses the non-idempotent `sum`
@@ -764,12 +766,12 @@ TEST_P(RqlPropertyTest, MemoizationPreservesAllMechanismOutputs) {
 
   struct Config {
     const char* name;
-    bool reuse, skip, batch;
+    bool cache, skip, batch;
     int workers;
   };
   const Config kConfigs[] = {
       {"memo", false, false, false, 1},
-      {"memo_reuse", true, false, false, 1},
+      {"memo_cache", true, false, false, 1},
       {"memo_skip", false, true, false, 1},
       {"memo_batch", false, false, true, 1},
       {"memo_parallel", false, false, false, 4},
@@ -796,7 +798,9 @@ TEST_P(RqlPropertyTest, MemoizationPreservesAllMechanismOutputs) {
       RqlOptions opts;
       opts.memoize_iterations = true;
       opts.memo = memo->get();
-      opts.reuse_decoded_pages = c.reuse;
+      // Run-scoped: cleared before the warm run below.
+      sql::SharedScanCache run_cache({.max_bytes = 0});
+      opts.shared_scan_cache = c.cache ? &run_cache : nullptr;
       opts.skip_unchanged_iterations = c.skip;
       opts.batch_execution = c.batch;
       opts.parallel_workers = c.workers;
@@ -814,7 +818,12 @@ TEST_P(RqlPropertyTest, MemoizationPreservesAllMechanismOutputs) {
       EXPECT_EQ(cold.hits, 0) << table;
       EXPECT_GT(cold.misses, 0) << table;
       EXPECT_GT(cold.bytes, 0) << table;
+      // Only executed iterations parse Qq (no reuse_qq_plan here), and
+      // every executed iteration is a memo miss.
+      EXPECT_EQ(f.engine->last_run_stats().qq_parse_count, cold.misses)
+          << table;
 
+      run_cache.Clear();
       f.data->store()->ClearSnapshotCache();
       before = registry.TakeSnapshot();
       ASSERT_TRUE(m.run(table + "_warm").ok()) << table;
@@ -824,6 +833,8 @@ TEST_P(RqlPropertyTest, MemoizationPreservesAllMechanismOutputs) {
       const RqlRunStats& stats = f.engine->last_run_stats();
       auto warm = memo_sums(stats);
       EXPECT_GT(warm.hits, 0) << table;
+      // A memo-served iteration parses nothing, sequential or parallel.
+      EXPECT_EQ(stats.qq_parse_count, warm.misses) << table;
       if (!c.skip && !stats.parallel) {
         // Without the intra-run skipper in front, every iteration of the
         // warm run must replay straight from the memo.

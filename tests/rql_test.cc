@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
+
+#include "sql/shared_scan_cache.h"
 
 namespace rql {
 namespace {
@@ -624,6 +627,99 @@ TEST_F(RqlLoggedInTest, UdfFormEmitsTrace) {
   EXPECT_EQ(events.front().type, RqlTraceEventType::kRunBegin);
   EXPECT_EQ(events.back().type, RqlTraceEventType::kRunEnd);
   EXPECT_EQ(events.back().args[0], 3);  // three UDF-driven iterations
+}
+
+TEST_F(RqlLoggedInTest, UdfFormFailedRunIsDiscarded) {
+  // One UK user is logged in at snapshots 1 and 2 and two at snapshot 3,
+  // so AggregateDataInVariable's single-row contract breaks on the third
+  // iteration. Like the programmatic form, the failed run is discarded:
+  // no partial aggregate, no result table, and a failed kRunEnd.
+  engine_->mutable_options()->trace = true;
+  ASSERT_TRUE(engine_->RegisterUdfs().ok());
+  Status s = meta_->Exec(
+      "SELECT AggregateDataInVariable(snap_id, "
+      "'SELECT 1 FROM LoggedIn WHERE l_country = ''UK''', 'Result', "
+      "'sum') FROM SnapIds");
+  EXPECT_FALSE(s.ok());
+  EXPECT_FALSE(engine_->FinishUdfRuns().ok());
+  EXPECT_EQ(meta_->catalog()->data().FindTable("Result"), nullptr);
+  std::vector<RqlTraceEvent> events = engine_->last_run_trace().Events();
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(events.back().type, RqlTraceEventType::kRunEnd);
+  EXPECT_EQ(events.back().args[3], 0);  // ok
+}
+
+TEST_F(RqlLoggedInTest, RunsRestoreEngineAndStoreState) {
+  // However a run ends, it disarms everything it armed on the data
+  // database and the store.
+  sql::SharedScanCache run_cache({.max_bytes = 0});
+  std::atomic<bool> cancel{false};
+  RqlOptions* opts = engine_->mutable_options();
+  opts->shared_scan_cache = &run_cache;
+  opts->batch_execution = true;
+  opts->incremental_spt = true;
+  opts->batch_pagelog_reads = true;
+  opts->cancel = &cancel;
+  // Qq-side hooks: fail_on(snap, n) fails Qq on snapshot n, cancel_on
+  // raises the cancel flag there (the next iteration head aborts).
+  data_->RegisterFunction(
+      "fail_on", 2, 2, [](const std::vector<Value>& a) -> Result<Value> {
+        if (a[0].AsInt() == a[1].AsInt()) {
+          return Status::IoError("injected Qq failure");
+        }
+        return a[0];
+      });
+  data_->RegisterFunction(
+      "cancel_on", 2, 2,
+      [&cancel](const std::vector<Value>& a) -> Result<Value> {
+        if (a[0].AsInt() == a[1].AsInt()) cancel.store(true);
+        return a[0];
+      });
+  retro::SnapshotStore* store = data_->store();
+  auto expect_restored = [&](const char* outcome) {
+    EXPECT_EQ(data_->scan_cache(), nullptr) << outcome;
+    EXPECT_FALSE(data_->batch_execution()) << outcome;
+    EXPECT_FALSE(store->snapshot_set_active()) << outcome;
+    EXPECT_FALSE(store->batch_archive_reads()) << outcome;
+  };
+  const std::string qs = "SELECT snap_id FROM SnapIds";
+
+  ASSERT_TRUE(
+      engine_->CollateData(qs, "SELECT l_userid FROM LoggedIn", "Ok").ok());
+  expect_restored("success");
+
+  EXPECT_FALSE(engine_
+                   ->CollateData(qs,
+                                 "SELECT fail_on(current_snapshot(), 3) "
+                                 "FROM LoggedIn",
+                                 "Failed")
+                   .ok());
+  expect_restored("Qq failure");
+
+  Status cancelled = engine_->CollateData(
+      qs, "SELECT cancel_on(current_snapshot(), 2) FROM LoggedIn",
+      "Cancelled");
+  EXPECT_EQ(cancelled.code(), StatusCode::kAborted) << cancelled.ToString();
+  expect_restored("cancel");
+  cancel.store(false);
+
+  ASSERT_TRUE(engine_->RegisterUdfs().ok());
+  ASSERT_TRUE(meta_
+                  ->Exec("SELECT CollateData(snap_id, "
+                         "'SELECT l_userid FROM LoggedIn', 'UdfOk') "
+                         "FROM SnapIds")
+                  .ok());
+  ASSERT_TRUE(engine_->FinishUdfRuns().ok());
+  expect_restored("UDF form");
+
+  EXPECT_FALSE(meta_
+                   ->Exec("SELECT CollateData(snap_id, "
+                          "'SELECT fail_on(current_snapshot(), 3) "
+                          "FROM LoggedIn', 'UdfFailed') FROM SnapIds")
+                   .ok());
+  EXPECT_FALSE(engine_->FinishUdfRuns().ok());
+  expect_restored("failed UDF form");
+  EXPECT_EQ(meta_->catalog()->data().FindTable("UdfFailed"), nullptr);
 }
 
 // --- current_snapshot() literal awareness ----------------------------------

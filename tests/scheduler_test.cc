@@ -60,6 +60,26 @@ TEST(SchedulerTest, RunsCompleteAndAssignIncreasingRunIds) {
   scheduler.Shutdown();
 }
 
+TEST(SchedulerTest, WaitReturnsOnlyAfterTheRunIsAccounted) {
+  // Once Wait() returns, the scheduler has counted the run as completed
+  // and no longer active. The completion callback sleeps (a slow client
+  // push) to hold open the window in which a waiter could otherwise
+  // observe the run done but not yet accounted.
+  RunScheduler scheduler({});
+  for (int round = 1; round <= 200; ++round) {
+    auto ticket = scheduler.Submit(
+        /*session_id=*/1, /*workers=*/1, [](Ticket*) { return Status::OK(); },
+        [](const Ticket&) {
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        });
+    ASSERT_TRUE(ticket.ok());
+    ASSERT_TRUE(scheduler.Wait(ticket->get()).ok());
+    ASSERT_EQ(scheduler.completed(), round);
+    ASSERT_EQ(scheduler.active(), 0);
+  }
+  scheduler.Shutdown();
+}
+
 TEST(SchedulerTest, OneRunPerSessionEvenWithFreeDispatchers) {
   RunScheduler::Options options;
   options.dispatch_threads = 4;

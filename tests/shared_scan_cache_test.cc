@@ -23,25 +23,24 @@ namespace rql {
 namespace {
 
 using sql::Row;
-using sql::ScanCache;
 using sql::SharedScanCache;
 using sql::Value;
 
 /// A decoded page whose EstimateBytes charge is kPageSize + overhead,
 /// tagged with `tag` so tests can tell entries apart.
-std::shared_ptr<const ScanCache::DecodedPage> MakePage(int64_t tag) {
-  auto page = std::make_shared<ScanCache::DecodedPage>();
+std::shared_ptr<const SharedScanCache::DecodedPage> MakePage(int64_t tag) {
+  auto page = std::make_shared<SharedScanCache::DecodedPage>();
   page->rows.push_back(Row{Value::Integer(tag)});
   return page;
 }
 
-int64_t PageTag(const ScanCache::DecodedPage& page) {
+int64_t PageTag(const SharedScanCache::DecodedPage& page) {
   return page.rows.at(0).at(0).AsInt();
 }
 
 TEST(SharedScanCacheTest, SingleFlightProtocolSingleThread) {
   SharedScanCache cache;
-  ScanCache::AcquireResult r = cache.Acquire(7);
+  SharedScanCache::AcquireResult r = cache.Acquire(7);
   EXPECT_EQ(r.page, nullptr);
   EXPECT_TRUE(r.claimed);
 
@@ -109,7 +108,7 @@ TEST(SharedScanCacheTest, CoalescedWaiterIsServedThePublishedPage) {
   ASSERT_TRUE(cache.Acquire(5).claimed);
 
   std::atomic<bool> waiter_started{false};
-  ScanCache::AcquireResult waited;
+  SharedScanCache::AcquireResult waited;
   std::thread waiter([&] {
     waiter_started.store(true);
     waited = cache.Acquire(5);
@@ -131,7 +130,7 @@ TEST(SharedScanCacheTest, AbandonedDecodeWakesWaitersEmptyHanded) {
   SharedScanCache cache;
   ASSERT_TRUE(cache.Acquire(9).claimed);
 
-  ScanCache::AcquireResult waited;
+  SharedScanCache::AcquireResult waited;
   std::thread waiter([&] { waited = cache.Acquire(9); });
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   cache.AbandonDecode(9);
@@ -157,7 +156,7 @@ TEST(SharedScanCacheTest, ClearDuringInflightDecodeSuppressesPublish) {
 
   // A late arrival must neither wait on the stale claim nor re-claim the
   // suspect version: plain uncached read.
-  ScanCache::AcquireResult late = cache.Acquire(3);
+  SharedScanCache::AcquireResult late = cache.Acquire(3);
   EXPECT_EQ(late.page, nullptr);
   EXPECT_FALSE(late.claimed);
 
@@ -229,7 +228,7 @@ TEST(SharedScanCacheTest, RandomizedConcurrentProtocolMix) {
             (void)cache.Lookup(version);
             break;
           default: {
-            ScanCache::AcquireResult r = cache.Acquire(version);
+            SharedScanCache::AcquireResult r = cache.Acquire(version);
             if (r.page != nullptr) {
               EXPECT_EQ(PageTag(*r.page), static_cast<int64_t>(version));
             } else if (r.claimed) {

@@ -304,7 +304,6 @@ int Run(const ReportOptions& opt) {
   opts->incremental_spt = true;
   opts->reuse_qq_plan = true;
   opts->batch_pagelog_reads = true;
-  opts->reuse_decoded_pages = true;
   opts->skip_unchanged_iterations = true;
   opts->shared_scan_cache = &shared_cache;
   // Background archive prefetch: sequential runs overlap each iteration's
