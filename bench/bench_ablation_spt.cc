@@ -23,10 +23,10 @@ Sample MeasureSpt(tpch::History* history, retro::SnapshotId snap,
     store->ResetStats();
     auto view = store->OpenSnapshot(snap);
     if (!view.ok()) Fail(view.status(), "OpenSnapshot");
-    const retro::SptBuildStats& spt = store->stats()->spt;
-    sample.entries += static_cast<double>(spt.entries_scanned);
-    sample.pages += static_cast<double>(spt.maplog_pages_read);
-    sample.ms += store->stats()->SptUs(store->cost_model()) / 1000.0;
+    const retro::IterationStats stats = store->stats();
+    sample.entries += static_cast<double>(stats.spt.entries_scanned);
+    sample.pages += static_cast<double>(stats.spt.maplog_pages_read);
+    sample.ms += stats.SptUs(store->cost_model()) / 1000.0;
   }
   store->maplog()->set_use_skippy(true);
   sample.entries /= repeats;

@@ -2,9 +2,10 @@
 // snapshot interval length grows, for update workloads UW30/UW15 and Qs
 // steps 1 and 10, using AggregateDataInVariable(Qs_N, Qq_io, AVG) over old
 // snapshots — and extends it with the COW page-sharing ablation: a
-// run-scoped decoded-page cache (SharedScanCache) and
-// skip_unchanged_iterations over a sparse-update history, where most consecutive snapshots map identical page versions
-// for the table Qq reads.
+// run-scoped decoded-page cache (SharedScanCache) and a run-scoped memo
+// (memoize_iterations with no MemoTable, replaying through its delta fast
+// path) over a sparse-update history, where most consecutive snapshots map
+// identical page versions for the table Qq reads.
 //
 // Expected shape (paper): C starts near 1 for one-snapshot intervals,
 // drops as the interval grows, and converges to a constant once the cold
@@ -13,9 +14,9 @@
 //
 // Machine-readable output goes to BENCH_sharing.json (CI artifact). The
 // bench self-checks the ablation: every flag combination must reproduce
-// the flags-off result table byte-for-byte, skipping and the decoded-page
-// cache must actually engage on the high-sharing set, and both flags
-// together must cut the end-to-end latency at least 2x.
+// the flags-off result table byte-for-byte, the memo's fast path and the
+// decoded-page cache must actually engage on the high-sharing set, and
+// both flags together must cut the end-to-end latency at least 2x.
 
 #include "bench_common.h"
 #include "sql/shared_scan_cache.h"
@@ -103,13 +104,13 @@ SparseHistory BuildSparseHistory() {
 
 struct AblationCell {
   const char* name;
-  bool cache, skip;
+  bool cache, memo;
 };
 
 constexpr AblationCell kCells[] = {
     {"off", false, false},
     {"run_scoped_scan_cache", true, false},
-    {"skip_unchanged_iterations", false, true},
+    {"run_scoped_memo", false, true},
     {"both", true, true},
 };
 
@@ -127,7 +128,7 @@ AblationResult RunCell(SparseHistory* h, const AblationCell& cell) {
   // Created per run: the cache serves only this run's snapshots.
   sql::SharedScanCache run_cache({.max_bytes = 0});
   opts->shared_scan_cache = cell.cache ? &run_cache : nullptr;
-  opts->skip_unchanged_iterations = cell.skip;
+  opts->memoize_iterations = cell.memo;
   // Comparable across cells: every run starts with a cold snapshot cache.
   h->data->store()->ClearSnapshotCache();
 
@@ -154,7 +155,7 @@ AblationResult RunCell(SparseHistory* h, const AblationCell& cell) {
   }
 
   opts->shared_scan_cache = nullptr;
-  opts->skip_unchanged_iterations = false;
+  opts->memoize_iterations = false;
   return r;
 }
 
@@ -216,8 +217,8 @@ int Run() {
   double both_ms = 0;
   for (const AblationCell& cell : kCells) {
     AblationResult r = RunCell(&sparse, cell);
-    if (!cell.cache && !cell.skip) off = r;
-    if (cell.cache && cell.skip) both_ms = r.total_ms;
+    if (!cell.cache && !cell.memo) off = r;
+    if (cell.cache && cell.memo) both_ms = r.total_ms;
     bool rows_match = r.rows == off.rows;
     std::printf("%-28s %10.2f %9lld %9lld %9lld\n", cell.name, r.total_ms,
                 static_cast<long long>(r.iterations_skipped),
@@ -244,12 +245,12 @@ int Run() {
                   cell.name);
       checks_ok = false;
     }
-    if (cell.skip && r.iterations_skipped <= 0) {
+    if (cell.memo && r.iterations_skipped <= 0) {
       std::printf("CHECK FAILED: %s skipped no iterations\n", cell.name);
       checks_ok = false;
     }
-    if (!cell.skip && r.iterations_skipped != 0) {
-      std::printf("CHECK FAILED: %s skipped %lld iterations with the flag "
+    if (!cell.memo && r.iterations_skipped != 0) {
+      std::printf("CHECK FAILED: %s skipped %lld iterations with the memo "
                   "off\n", cell.name,
                   static_cast<long long>(r.iterations_skipped));
       checks_ok = false;

@@ -10,11 +10,11 @@
 //
 // Machine-readable output goes to BENCH_sharing_recent.json (CI
 // artifact). Self-check: on the most recent interval of each workload the
-// page-sharing options (a run-scoped SharedScanCache +
-// skip_unchanged_iterations)
-// must reproduce the flags-off result table byte-for-byte — the recent
-// end of the history is where snapshots share pages with the current
-// database, so versioned and unversioned reads mix in one run.
+// page-sharing options (a run-scoped SharedScanCache + a run-scoped memo,
+// memoize_iterations with no MemoTable) must reproduce the flags-off
+// result table byte-for-byte — the recent end of the history is where
+// snapshots share pages with the current database, so versioned and
+// unversioned reads mix in one run.
 
 #include <vector>
 
@@ -97,7 +97,7 @@ bool Series(const char* name, tpch::History* history, int overwrite_cycle,
   std::vector<std::string> base = DumpTable(history, "Base");
   sql::SharedScanCache run_cache({.max_bytes = 0});  // this run's only
   engine->mutable_options()->shared_scan_cache = &run_cache;
-  engine->mutable_options()->skip_unchanged_iterations = true;
+  engine->mutable_options()->memoize_iterations = true;
   // Counters come from the metrics registry the engine publishes into at
   // run end (delta around the run == the run's RqlRunStats).
   retro::MetricsRegistry* metrics = engine->metrics();
@@ -106,7 +106,7 @@ bool Series(const char* name, tpch::History* history, int overwrite_cycle,
   retro::MetricsRegistry::Snapshot delta =
       metrics->TakeSnapshot().DeltaFrom(before);
   engine->mutable_options()->shared_scan_cache = nullptr;
-  engine->mutable_options()->skip_unchanged_iterations = false;
+  engine->mutable_options()->memoize_iterations = false;
   const int64_t iterations_skipped = delta.counter("rql.iterations_skipped");
   const int64_t shared_page_hits = delta.counter("rql.shared_page_hits");
   bool rows_match = DumpTable(history, "Flagged") == base;

@@ -177,7 +177,7 @@ void PrefetchScheduler::RunJob(Job* job) {
       // Same bounded-retry policy as the demand path, but the retries are
       // not folded into the store's iteration stats: background attempts
       // must not distort the foreground run's attribution.
-      int attempts = store_->archive_read_retries_;
+      int attempts = store_->archive_read_retries();
       while (!r.ok() && attempts-- > 0) {
         outcome = storage::BufferPool::GetOutcome{};
         r = store_->snapshot_cache_.Get(

@@ -276,12 +276,10 @@ Status SnapshotStore::TruncateHistory(SnapshotId keep_from) {
   // it could observe recycled offsets, and abandons its stale plan.
   truncate_epoch_.fetch_add(1, std::memory_order_acq_rel);
   snapshot_cache_.Clear();
-  // Compaction rewrote the log; any open snapshot-set cursor holds stale
-  // chain state and must re-anchor on its next seek, and cached shared
-  // SPTs hold pre-compaction Pagelog offsets (recycled keys) and must go.
-  // No build is in flight here: builds run under the shared half of mu_,
-  // which we hold exclusively.
-  set_cursor_.reset();
+  // Cached shared SPTs hold pre-compaction Pagelog offsets (recycled
+  // keys) and must go; snapshot-set cursors notice the epoch bump and
+  // rebase on their next seek. No build is in flight here: builds run
+  // under the shared half of mu_, which we hold exclusively.
   {
     std::lock_guard<std::mutex> share_lock(spt_share_mu_);
     spt_shared_.clear();
@@ -289,55 +287,11 @@ Status SnapshotStore::TruncateHistory(SnapshotId keep_from) {
   return Status::OK();
 }
 
-void SnapshotStore::BeginSnapshotSet() {
-  std::lock_guard<std::shared_mutex> lock(mu_);
-  if (snapshot_set_active_) return;
-  snapshot_set_active_ = true;
-  set_cursor_.reset();
-}
-
-void SnapshotStore::EndSnapshotSet() {
-  std::lock_guard<std::shared_mutex> lock(mu_);
-  snapshot_set_active_ = false;
-  set_cursor_.reset();
-}
-
-Result<bool> SnapshotStore::AdvanceSnapshotSet(
-    SnapshotId snap, std::vector<storage::PageId>* delta) {
-  std::lock_guard<std::shared_mutex> lock(mu_);
-  delta->clear();
-  if (!snapshot_set_active_) {
-    return Status::InvalidArgument(
-        "AdvanceSnapshotSet requires an active snapshot-set session");
-  }
-  if (set_cursor_ == nullptr) set_cursor_ = std::make_unique<SptCursor>();
-  SptBuildStats build;
-  int64_t delta_entries = 0;
-  RQL_RETURN_IF_ERROR(
-      set_cursor_->Seek(*maplog_, snap, &build, &delta_entries));
-  AddSptBuildStats(build);
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    stats_.spt_delta_entries += delta_entries;
-  }
-  if (!set_cursor_->last_delta_valid()) return false;
-  *delta = set_cursor_->last_delta();
-  return true;
-}
-
 Result<std::unique_ptr<SnapshotView>> SnapshotStore::OpenSnapshot(
     SnapshotId snap) {
   int64_t lock_start_us = NowMicros();
   std::shared_lock<std::shared_mutex> lock(mu_);
   int64_t waited_us = NowMicros() - lock_start_us;
-  if (snapshot_set_active_) {
-    // Snapshot-set sessions advance a shared cursor, which the reader lock
-    // cannot protect; upgrade to the writer half. Sequential RQL runs are
-    // the only users of snapshot sets, so this costs parallelism nothing.
-    lock.unlock();
-    std::lock_guard<std::shared_mutex> exclusive(mu_);
-    return OpenSnapshotExclusive(snap);
-  }
   if (snap == kNoSnapshot || snap > latest_snap_) {
     return Status::NotFound("unknown snapshot id " + std::to_string(snap));
   }
@@ -352,8 +306,53 @@ Result<std::unique_ptr<SnapshotView>> SnapshotStore::OpenSnapshot(
     AddSptBuildStats(build);
     RQL_RETURN_IF_ERROR(s);
   }
-  if (batch_archive_reads_) {
+  if (batch_archive_reads()) {
     RQL_RETURN_IF_ERROR(PrefetchArchived(*view));
+  }
+  return view;
+}
+
+Status SnapshotSet::SeekLocked(SnapshotId snap, SptBuildStats* build,
+                               int64_t* delta_entries) {
+  const uint64_t epoch = store_->truncate_epoch();
+  if (epoch != epoch_) {
+    // Compaction rewrote the log: the cursor's chains hold stale offsets
+    // and log positions, so start over from a cold build.
+    cursor_ = SptCursor();
+    epoch_ = epoch;
+  }
+  return cursor_.Seek(*store_->maplog_, snap, build, delta_entries);
+}
+
+Result<bool> SnapshotSet::Advance(SnapshotId snap,
+                                  std::vector<storage::PageId>* delta) {
+  delta->clear();
+  std::shared_lock<std::shared_mutex> lock(store_->mu_);
+  SptBuildStats build;
+  int64_t delta_entries = 0;
+  RQL_RETURN_IF_ERROR(SeekLocked(snap, &build, &delta_entries));
+  store_->AddSptBuildStats(build, delta_entries);
+  if (!cursor_.last_delta_valid()) return false;
+  *delta = cursor_.last_delta();
+  return true;
+}
+
+Result<std::unique_ptr<SnapshotView>> SnapshotSet::Open(SnapshotId snap) {
+  int64_t lock_start_us = NowMicros();
+  std::shared_lock<std::shared_mutex> lock(store_->mu_);
+  store_->AddLockWaitUs(NowMicros() - lock_start_us);
+  SptBuildStats build;
+  int64_t delta_entries = 0;
+  RQL_RETURN_IF_ERROR(SeekLocked(snap, &build, &delta_entries));
+  auto view = std::unique_ptr<SnapshotView>(new SnapshotView(store_, snap));
+  int64_t copy_start_us = NowMicros();
+  view->spt_ = cursor_.table();
+  build.cpu_us += NowMicros() - copy_start_us;
+  view->resume_index_ = store_->maplog_->entry_count();
+  store_->AddSptBuildStats(build, delta_entries);
+  view->set_version_recorder(version_recorder_);
+  if (store_->batch_archive_reads()) {
+    RQL_RETURN_IF_ERROR(store_->PrefetchArchived(*view));
   }
   return view;
 }
@@ -416,37 +415,6 @@ Status SnapshotStore::FillSptShared(SnapshotId snap, SnapshotView* view) {
   copy.cpu_us = NowMicros() - copy_start_us;
   AddSptBuildStats(copy);
   return Status::OK();
-}
-
-Result<std::unique_ptr<SnapshotView>> SnapshotStore::OpenSnapshotExclusive(
-    SnapshotId snap) {
-  if (snap == kNoSnapshot || snap > latest_snap_) {
-    return Status::NotFound("unknown snapshot id " + std::to_string(snap));
-  }
-  auto view = std::unique_ptr<SnapshotView>(new SnapshotView(this, snap));
-  SptBuildStats build;
-  if (snapshot_set_active_) {
-    if (set_cursor_ == nullptr) set_cursor_ = std::make_unique<SptCursor>();
-    int64_t delta_entries = 0;
-    RQL_RETURN_IF_ERROR(
-        set_cursor_->Seek(*maplog_, snap, &build, &delta_entries));
-    int64_t copy_start_us = NowMicros();
-    view->spt_ = set_cursor_->table();
-    build.cpu_us += NowMicros() - copy_start_us;
-    view->resume_index_ = maplog_->entry_count();
-    {
-      std::lock_guard<std::mutex> stats_lock(stats_mu_);
-      stats_.spt_delta_entries += delta_entries;
-    }
-  } else {
-    RQL_RETURN_IF_ERROR(
-        maplog_->BuildSpt(snap, &view->spt_, &view->resume_index_, &build));
-  }
-  AddSptBuildStats(build);
-  if (batch_archive_reads_) {
-    RQL_RETURN_IF_ERROR(PrefetchArchived(*view));
-  }
-  return view;
 }
 
 storage::BufferPool::Loader SnapshotStore::MakeArchiveLoader(
@@ -532,7 +500,7 @@ Status SnapshotStore::PrefetchArchived(const SnapshotView& view) {
                                  &outcome);
     };
     Result<storage::PinnedPage> page = fetch();
-    for (int r = 0; !page.ok() && r < archive_read_retries_; ++r) {
+    for (int r = 0; !page.ok() && r < archive_read_retries(); ++r) {
       ++retries;
       page = fetch();
     }
@@ -577,7 +545,7 @@ Result<storage::PinnedPage> SnapshotStore::ReadArchivedPinned(
   // waiters receive the owner's error and retry with their own fresh load.
   Result<storage::PinnedPage> result = fetch();
   int64_t retries = 0;
-  for (int r = 0; !result.ok() && r < archive_read_retries_; ++r) {
+  for (int r = 0; !result.ok() && r < archive_read_retries(); ++r) {
     ++retries;
     result = fetch();
   }
@@ -605,8 +573,10 @@ Result<storage::PinnedPage> SnapshotStore::ReadArchivedPinned(
   return result;
 }
 
-void SnapshotStore::AddSptBuildStats(const SptBuildStats& s) {
+void SnapshotStore::AddSptBuildStats(const SptBuildStats& s,
+                                     int64_t delta_entries) {
   std::lock_guard<std::mutex> stats_lock(stats_mu_);
+  stats_.spt_delta_entries += delta_entries;
   stats_.spt.entries_scanned += s.entries_scanned;
   stats_.spt.maplog_pages_read += s.maplog_pages_read;
   stats_.spt.cpu_us += s.cpu_us;
@@ -618,20 +588,11 @@ void SnapshotStore::AddLockWaitUs(int64_t us) {
   stats_.lock_wait_us += us;
 }
 
-void SnapshotView::RecordVersion(storage::PageId id, uint64_t token) {
-  if (version_recorder_ != nullptr) {
-    (*version_recorder_)[id] = token;
-    return;
-  }
-  store_->RecordPageVersion(id, token);
-}
-
 bool SnapshotView::PageVersion(storage::PageId id, uint64_t* version) {
   // A scan-cache hit answers the read from this version lookup alone,
-  // never reaching ReadPage/ReadPagePinned — so the read must be recorded
-  // here for the iteration-skip read set to stay a superset of the pages
-  // the query depends on.
-  store_->RecordPageRead(id);
+  // never reaching ReadPage/ReadPagePinned — so the read is recorded here
+  // too, keeping the memo's read set a superset of the pages the query
+  // depends on.
   // Only SPT-mapped pages have a stable identity: their content lives in
   // an immutable archive record at a fixed offset. A page shared with the
   // current database may change under a concurrently committing update, so
@@ -648,7 +609,6 @@ bool SnapshotView::PageVersion(storage::PageId id, uint64_t* version) {
 
 Result<storage::PinnedPage> SnapshotView::ReadPagePinned(
     storage::PageId id) {
-  store_->RecordPageRead(id);
   auto it = spt_.find(id);
   if (it == spt_.end()) {
     RecordVersion(id, kUnversionedPageToken);
@@ -659,7 +619,6 @@ Result<storage::PinnedPage> SnapshotView::ReadPagePinned(
 }
 
 Status SnapshotView::ReadPage(storage::PageId id, storage::Page* page) {
-  store_->RecordPageRead(id);
   // Fast path: the page is archived and already mapped by this view's SPT.
   // The SPT is view-local, archive records are immutable and the snapshot
   // cache synchronizes internally, so no store lock is needed; concurrent

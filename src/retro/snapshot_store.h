@@ -9,7 +9,6 @@
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/cleanup.h"
@@ -162,13 +161,13 @@ class SnapshotView : public storage::PageReader {
   /// Number of pages this snapshot does not share with the current state.
   uint64_t spt_size() const { return spt_.size(); }
 
-  /// Arms (or with nullptr disarms) a view-local (page -> version token)
-  /// recorder: every read through this view records the Pagelog offset it
-  /// resolved to, or kUnversionedPageToken for pages shared with the
-  /// current database. Parallel RQL workers own their views, so each arms
-  /// its own map here; the sequential loop uses the store-level
-  /// SnapshotStore::set_version_recorder instead. The caller owns the map
-  /// and must keep it alive while armed.
+  /// Arms (or with nullptr disarms) a (page -> version token) recorder:
+  /// every read through this view records the Pagelog offset it resolved
+  /// to, or kUnversionedPageToken for pages shared with the current
+  /// database — the versioned read set the RQL memo validates entries
+  /// against. Views belong to one reader, so each run (parallel workers
+  /// directly, sequential runs through their SnapshotSet) records into its
+  /// own map. The caller owns the map and must keep it alive while armed.
   void set_version_recorder(
       std::unordered_map<storage::PageId, uint64_t>* recorder) {
     version_recorder_ = recorder;
@@ -176,18 +175,73 @@ class SnapshotView : public storage::PageReader {
 
  private:
   friend class SnapshotStore;
+  friend class SnapshotSet;
   SnapshotView(SnapshotStore* store, SnapshotId snap)
       : store_(store), snap_(snap) {}
 
-  /// Feeds (id, token) to the view-local recorder if armed, else to the
-  /// store-level one. Last write wins: a page first seen as db-shared and
-  /// then refreshed to an archived mapping keeps the final (stable) token.
-  void RecordVersion(storage::PageId id, uint64_t token);
+  /// Feeds (id, token) to the recorder, if armed. Last write wins: a page
+  /// first seen as db-shared and then refreshed to an archived mapping
+  /// keeps the final (stable) token.
+  void RecordVersion(storage::PageId id, uint64_t token) {
+    if (version_recorder_ != nullptr) (*version_recorder_)[id] = token;
+  }
 
   SnapshotStore* store_;
   SnapshotId snap_;
   SnapshotPageTable spt_;
   uint64_t resume_index_ = 0;
+  std::unordered_map<storage::PageId, uint64_t>* version_recorder_ = nullptr;
+};
+
+/// One RQL run's private snapshot-set cursor (iteration-setup
+/// amortization), from SnapshotStore::BeginSnapshotSet. Opens with
+/// ascending ids derive each SPT incrementally from the previous one via
+/// SptCursor, scanning only the inter-mark Maplog delta instead of the
+/// whole suffix. A non-ascending id falls back to one cold build and
+/// re-anchors the cursor, and so does the first call after a
+/// TruncateHistory (the handle remembers the truncate_epoch() it last saw),
+/// so any visit order stays correct. The handle belongs to one run on one
+/// thread; any number of handles may be live on a store, and every call
+/// takes only the store's reader lock.
+class SnapshotSet {
+ public:
+  /// Moves the cursor to `snap` ahead of the query that will open it (the
+  /// replay probe). Returns true and fills `delta` with the pages whose
+  /// mapping may differ from the cursor's previous position (a
+  /// conservative superset — see SptCursor::last_delta) when the move was
+  /// an incremental advance; returns false after a cold rebase (first
+  /// snapshot of the set, a backward seek, a truncation), when no
+  /// predecessor exists to diff against. The later Open of the same id
+  /// re-seeks at zero incremental cost.
+  Result<bool> Advance(SnapshotId snap, std::vector<storage::PageId>* delta);
+
+  /// Opens an as-of view of `snap` whose SPT is the cursor's table there.
+  Result<std::unique_ptr<SnapshotView>> Open(SnapshotId snap);
+
+  /// The snapshot the cursor last moved to (kNoSnapshot before the first
+  /// call): the origin of the next Advance's delta.
+  SnapshotId position() const { return cursor_.position(); }
+
+  /// Arms (or with nullptr disarms) the version recorder every view this
+  /// set opens from now on carries (SnapshotView::set_version_recorder).
+  void set_version_recorder(
+      std::unordered_map<storage::PageId, uint64_t>* recorder) {
+    version_recorder_ = recorder;
+  }
+
+ private:
+  friend class SnapshotStore;
+  SnapshotSet(SnapshotStore* store, uint64_t epoch)
+      : store_(store), epoch_(epoch) {}
+
+  /// Seeks the cursor to `snap`, rebasing first if the history was
+  /// truncated since the last seek. Requires the store's reader lock.
+  Status SeekLocked(SnapshotId snap, SptBuildStats* build,
+                    int64_t* delta_entries);
+
+  SnapshotStore* store_;
+  SptCursor cursor_;
+  uint64_t epoch_;
   std::unordered_map<storage::PageId, uint64_t>* version_recorder_ = nullptr;
 };
 
@@ -271,48 +325,11 @@ class SnapshotStore : public storage::PageWriter {
   /// Builds SPT(snap) and returns a consistent as-of view.
   Result<std::unique_ptr<SnapshotView>> OpenSnapshot(SnapshotId snap);
 
-  // --- snapshot-set sessions ----------------------------------------------
-  /// Begins an RQL snapshot-set session (iteration-setup amortization):
-  /// until EndSnapshotSet, OpenSnapshot calls with ascending ids derive
-  /// each SPT incrementally from the previous one via Maplog::SptCursor,
-  /// scanning only the inter-mark log delta instead of the whole suffix.
-  /// A non-ascending id falls back to one cold build and re-anchors the
-  /// cursor, so any visit order stays correct. Nested Begin calls are
-  /// no-ops; TruncateHistory resets the cursor.
-  void BeginSnapshotSet();
-  void EndSnapshotSet();
-  bool snapshot_set_active() const { return snapshot_set_active_; }
-
-  /// Moves the active snapshot-set cursor to `snap` ahead of the query
-  /// that will open it (the skip-decision probe). Returns true and fills
-  /// `delta` with the pages whose mapping may differ from the cursor's
-  /// previous position (a conservative superset — see
-  /// SptCursor::last_delta) when the move was an incremental advance;
-  /// returns false after a cold rebase (first snapshot of the set, a
-  /// backward seek), when no predecessor exists to diff against. The
-  /// later OpenSnapshot for the same id re-seeks at zero incremental
-  /// cost. Requires an active session.
-  Result<bool> AdvanceSnapshotSet(SnapshotId snap,
-                                  std::vector<storage::PageId>* delta);
-
-  /// Arms (or with nullptr disarms) a recorder that collects the PageId of
-  /// every page read through any SnapshotView — the read-set the iteration
-  /// skipper intersects with Maplog deltas. The caller owns the set and
-  /// must keep it alive while armed; recording is only meaningful for
-  /// single-threaded runs (the sequential RQL loop).
-  void set_read_recorder(std::unordered_set<storage::PageId>* recorder) {
-    read_recorder_.store(recorder, std::memory_order_relaxed);
-  }
-
-  /// Arms (or with nullptr disarms) a recorder mapping every page read
-  /// through any SnapshotView to the version token it resolved to (the
-  /// Pagelog offset, or kUnversionedPageToken for db-shared pages) — the
-  /// versioned read-set the cross-run memo validates entries against. Like
-  /// set_read_recorder, only meaningful for single-threaded runs; parallel
-  /// workers arm SnapshotView::set_version_recorder on their own views.
-  void set_version_recorder(
-      std::unordered_map<storage::PageId, uint64_t>* recorder) {
-    version_recorder_.store(recorder, std::memory_order_relaxed);
+  /// Begins an RQL snapshot set: a cursor the caller owns (see
+  /// SnapshotSet). It must not outlive the store.
+  std::unique_ptr<SnapshotSet> BeginSnapshotSet() {
+    return std::unique_ptr<SnapshotSet>(
+        new SnapshotSet(this, truncate_epoch()));
   }
 
   /// When enabled, OpenSnapshot prefetches the view's SPT-resident pages
@@ -320,18 +337,26 @@ class SnapshotStore : public storage::PageWriter {
   /// charged at CostModel::pagelog_seq_read_us per fetched page
   /// (IterationStats::batched_pagelog_reads). Query-time reads then hit
   /// the cache; results are unchanged.
-  void set_batch_archive_reads(bool on) { batch_archive_reads_ = on; }
-  bool batch_archive_reads() const { return batch_archive_reads_; }
+  void set_batch_archive_reads(bool on) {
+    batch_archive_reads_.store(on, std::memory_order_relaxed);
+  }
+  bool batch_archive_reads() const {
+    return batch_archive_reads_.load(std::memory_order_relaxed);
+  }
 
   /// Bounded retry budget for transient Pagelog read failures (flaky
   /// media): a failed archive read is re-issued up to `n` times before the
   /// error propagates. Each retry is counted in
   /// IterationStats::archive_read_retries. Default 0: fail fast.
-  void set_archive_read_retries(int n) { archive_read_retries_ = n; }
-  int archive_read_retries() const { return archive_read_retries_; }
+  void set_archive_read_retries(int n) {
+    archive_read_retries_.store(n, std::memory_order_relaxed);
+  }
+  int archive_read_retries() const {
+    return archive_read_retries_.load(std::memory_order_relaxed);
+  }
 
-  /// When enabled, concurrent OpenSnapshot calls (outside snapshot-set
-  /// sessions) on the same snapshot id share one SPT build: the first
+  /// When enabled, concurrent OpenSnapshot calls (SnapshotSet::Open derives
+  /// its own tables) on the same snapshot id share one SPT build: the first
   /// caller scans the Maplog, the others block on that build and copy its
   /// result (IterationStats::shared_spt_builds), and later opens of the
   /// same id reuse the cached table. A cached table built earlier is
@@ -418,10 +443,17 @@ class SnapshotStore : public storage::PageWriter {
   }
 
   // --- instrumentation ----------------------------------------------------
-  /// Counters are internally synchronized, but reading them mid-run yields
-  /// a torn snapshot; read after workers join (as the RQL runner does).
-  IterationStats* stats() { return &stats_; }
-  void ResetStats() { stats_.Reset(); }
+  /// A copy of the counters, taken under their lock. The counters are
+  /// store-wide: overlapping runs on one store each see the other's reads
+  /// attributed to themselves.
+  IterationStats stats() const {
+    std::lock_guard<std::mutex> stats_lock(stats_mu_);
+    return stats_;
+  }
+  void ResetStats() {
+    std::lock_guard<std::mutex> stats_lock(stats_mu_);
+    stats_.Reset();
+  }
   const CostModel& cost_model() const { return options_.cost_model; }
 
   /// Drops all cached snapshot pages (cold-cache experiment setup). The
@@ -474,6 +506,7 @@ class SnapshotStore : public storage::PageWriter {
 
  private:
   friend class SnapshotView;
+  friend class SnapshotSet;
   // The background prefetch pipeline plans against the Maplog under the
   // shared half of mu_ and issues loads through the snapshot cache with
   // the prefetch-flagged loader; it lives in this layer, so narrow access
@@ -499,22 +532,6 @@ class SnapshotStore : public storage::PageWriter {
   /// ReadArchived is this plus a copy-out.
   Result<storage::PinnedPage> ReadArchivedPinned(uint64_t pagelog_offset);
 
-  /// Feeds `id` to the armed read recorder, if any (see
-  /// set_read_recorder). Relaxed: the recorder is only armed in
-  /// single-threaded runs.
-  void RecordPageRead(storage::PageId id) {
-    auto* recorder = read_recorder_.load(std::memory_order_relaxed);
-    if (recorder != nullptr) recorder->insert(id);
-  }
-
-  /// Feeds (id, token) to the armed store-level version recorder, if any
-  /// (see set_version_recorder). Relaxed: armed only in single-threaded
-  /// runs.
-  void RecordPageVersion(storage::PageId id, uint64_t token) {
-    auto* recorder = version_recorder_.load(std::memory_order_relaxed);
-    if (recorder != nullptr) (*recorder)[id] = token;
-  }
-
   /// The snapshot-cache loader for archive offset keys: a Pagelog read
   /// (counting records into `*fetches`) plus the optional simulated
   /// latency sleep. With `prefetch` the simulated-bandwidth slot wait
@@ -531,13 +548,6 @@ class SnapshotStore : public storage::PageWriter {
   /// Requires mu_ held exclusively.
   Result<SnapshotId> DeclareSnapshotLocked();
 
-  /// OpenSnapshot's exclusive path: snapshot-set sessions advance a shared
-  /// cursor, so they cannot run under the reader lock. Requires mu_ held
-  /// exclusively; re-checks snapshot_set_active_ and falls back to a cold
-  /// build if the session ended while the lock was upgraded.
-  Result<std::unique_ptr<SnapshotView>> OpenSnapshotExclusive(
-      SnapshotId snap);
-
   /// OpenSnapshot's shared-build path (set_share_spt_builds): single-
   /// flights BuildSpt per snapshot id across concurrent callers and
   /// caches the result. Requires mu_ held shared (BuildSpt only reads the
@@ -545,7 +555,7 @@ class SnapshotStore : public storage::PageWriter {
   Status FillSptShared(SnapshotId snap, SnapshotView* view);
 
   /// Fold per-call counters into stats_ under stats_mu_.
-  void AddSptBuildStats(const SptBuildStats& s);
+  void AddSptBuildStats(const SptBuildStats& s, int64_t delta_entries = 0);
   void AddLockWaitUs(int64_t us);
 
   SnapshotId ModEpoch(storage::PageId id) const {
@@ -580,11 +590,8 @@ class SnapshotStore : public storage::PageWriter {
   // commit is atomic and rollback simply drops the batch.
   bool in_txn_ = false;
 
-  // Snapshot-set session state (BeginSnapshotSet/EndSnapshotSet).
-  bool snapshot_set_active_ = false;
-  std::unique_ptr<SptCursor> set_cursor_;
-  bool batch_archive_reads_ = false;
-  int archive_read_retries_ = 0;
+  std::atomic<bool> batch_archive_reads_{false};
+  std::atomic<int> archive_read_retries_{0};
   // Cross-run SPT sharing (set_share_spt_builds). An entry is created by
   // the first opener of a snapshot and completed under its own mutex;
   // `spt_share_mu_` only guards the map. Builds run under the shared half
@@ -613,9 +620,6 @@ class SnapshotStore : public storage::PageWriter {
   std::atomic<uint64_t> truncate_epoch_{0};
   std::atomic<PrefetchTracker*> prefetch_tracker_{nullptr};
   std::atomic<MetricsRegistry::Histogram*> diff_depth_hist_{nullptr};
-  std::atomic<std::unordered_set<storage::PageId>*> read_recorder_{nullptr};
-  std::atomic<std::unordered_map<storage::PageId, uint64_t>*>
-      version_recorder_{nullptr};
 
   IterationStats stats_;
 };

@@ -139,6 +139,24 @@ uint64_t MemoTable::ReadSetDigest(std::vector<MemoPageVersion> read_set) {
   return sql::Fnv1a64(bytes);
 }
 
+MemoTable::Key MemoTable::KeyOf(const MemoEntry& entry) {
+  Key key{entry.fingerprint, ReadSetDigest(entry.read_set)};
+  // A db-shared token only says "unchanged since *this* snapshot": two
+  // snapshots can record identical all-db-shared read sets over different
+  // content (an update between them captured the page). Such an entry
+  // must never alias another snapshot, so its key names its own.
+  for (const MemoPageVersion& pv : entry.read_set) {
+    if (pv.version == kMemoDbSharedVersion) {
+      std::string bytes;
+      PutU64(&bytes, key.digest);
+      PutU32(&bytes, entry.snapshot);
+      key.digest = sql::Fnv1a64(bytes);
+      break;
+    }
+  }
+  return key;
+}
+
 uint64_t MemoTable::EntryBytes(const MemoEntry& entry) {
   uint64_t bytes = 8 + 4 + 4 + 12ull * entry.read_set.size() + 4 + 8;
   for (const std::string& col : entry.columns) bytes += 4 + col.size();
@@ -296,13 +314,13 @@ void MemoTable::ApplyRecord(uint32_t type, const std::string& payload) {
 bool MemoTable::InsertLocked(std::shared_ptr<const MemoEntry> entry,
                              int64_t* evicted) {
   *evicted = 0;
-  Key key{entry->fingerprint, ReadSetDigest(entry->read_set)};
+  Key key = KeyOf(*entry);
   SnapshotId snapshot = entry->snapshot;
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     // First publish wins: the stored entry (same key = same fingerprint
-    // and same read-set versions, hence same replay) stays; only the
-    // probe index learns the new snapshot.
+    // and same archived read-set versions, hence same replay) stays; only
+    // the probe index learns the new snapshot.
     RegisterSnapshotLocked(key, snapshot);
     TouchLocked(&it->second);
     return false;
@@ -405,14 +423,12 @@ Result<MemoPublishResult> MemoTable::Publish(
     std::shared_ptr<const MemoEntry> entry) {
   std::lock_guard<std::mutex> lock(mu_);
   MemoPublishResult result;
-  uint64_t fingerprint = entry->fingerprint;
-  SnapshotId snapshot = entry->snapshot;
-  uint64_t digest = ReadSetDigest(entry->read_set);
-  std::string payload = entries_.count(Key{fingerprint, digest}) == 0
-                            ? EncodeEntryPayload(*entry)
-                            : EncodeAliasPayload(fingerprint, digest,
-                                                 snapshot);
-  bool is_entry = entries_.count(Key{fingerprint, digest}) == 0;
+  const Key key = KeyOf(*entry);
+  const bool is_entry = entries_.count(key) == 0;
+  std::string payload =
+      is_entry ? EncodeEntryPayload(*entry)
+               : EncodeAliasPayload(key.fingerprint, key.digest,
+                                    entry->snapshot);
   result.inserted = InsertLocked(std::move(entry), &result.evictions);
   RQL_RETURN_IF_ERROR(AppendRecordLocked(
       is_entry ? kEntryRecord : kAliasRecord, payload,

@@ -28,6 +28,7 @@ constexpr uint64_t kMemoDbSharedVersion = kUnversionedPageToken;
 struct MemoPageVersion {
   storage::PageId page = 0;
   uint64_t version = 0;
+  bool operator==(const MemoPageVersion&) const = default;
 };
 
 /// One memoized Qq iteration: everything needed to replay the iteration
@@ -71,11 +72,11 @@ struct MemoPublishResult {
 };
 
 /// A persistent, bounded, version-keyed memo of per-iteration RQL Qq
-/// results (the cross-run extension of the engine's intra-run skip
-/// machinery). Key = (query/mechanism fingerprint, digest of the sorted
-/// page-version read set); probing is by (fingerprint, snapshot id), which
-/// resolves through an index to the entry last published or aliased for
-/// that snapshot.
+/// results (RqlOptions::memoize_iterations' shared memo). Key =
+/// (query/mechanism fingerprint, digest of the sorted page-version read
+/// set, plus the snapshot when a page is db-shared); probing is by
+/// (fingerprint, snapshot id), which resolves through an index to the
+/// entry last published or aliased for that snapshot.
 ///
 /// Persistence is a WAL-style append-only log through storage::Env: each
 /// record is [magic, type, payload length, FNV-1a checksum, payload], and
@@ -163,6 +164,11 @@ class MemoTable {
 
   MemoTable(storage::Env* env, std::string name, MemoTableOptions options)
       : env_(env), name_(std::move(name)), options_(options) {}
+
+  /// The entry's table key: (fingerprint, read-set digest), with the
+  /// digest also naming the entry's snapshot when the read set holds a
+  /// db-shared token.
+  static Key KeyOf(const MemoEntry& entry);
 
   Status Recover();
   Status CompactLocked();

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cctype>
 #include <thread>
-#include <unordered_set>
 
 #include "common/clock.h"
 #include "retro/prefetch_scheduler.h"
@@ -147,25 +146,35 @@ class RqlEngine::MechanismState {
   std::unique_ptr<sql::PreparedStatement> plan_;
   bool plan_failed_ = false;
 
-  /// Skip context for the skip_unchanged_iterations path. `read_set_` is
-  /// the set of pages the last *executed* iteration's Qq consulted (every
-  /// SnapshotView read records here while the recorder is armed) and
-  /// `replay_cols_`/`replay_rows_` its buffered result. An iteration whose
-  /// Maplog delta misses the read set replays the buffer instead of
-  /// executing Qq; chained skips keep checking consecutive deltas against
-  /// the same read set (induction: the pages Qq depends on are untouched
-  /// at every step, and execution is deterministic). `skip_eligible_` is
-  /// false until an iteration executes successfully with the recorder
-  /// armed, and is invalidated whenever the set cursor rebases (no
-  /// predecessor delta).
-  bool skip_eligible_ = false;
-  std::unordered_set<storage::PageId> read_set_;
-  std::vector<std::string> replay_cols_;
-  std::vector<Row> replay_rows_;
+  /// The delta fast path's predecessor (memoize_iterations): the memo
+  /// entry of the iteration this run last executed or memo-replayed —
+  /// its page-version read set and columns — with its decoded rows. An
+  /// iteration whose Maplog delta misses the read set replays the rows;
+  /// chained replays keep checking consecutive deltas against the same
+  /// read set (induction: the pages Qq depends on are untouched at every
+  /// step, and execution is deterministic). Empty until an iteration
+  /// executes or memo-replays, and cleared whenever the snapshot set
+  /// rebases (no predecessor delta).
+  struct Predecessor {
+    std::shared_ptr<const retro::MemoEntry> entry;
+    std::vector<Row> rows;
+  };
+  Predecessor prev_;
+  /// The snapshot of this state's last iteration. A delta is this state's
+  /// own step only if the run's cursor still sits there: UDF-form states
+  /// of one run share its snapshot set.
+  retro::SnapshotId last_snap_ = retro::kNoSnapshot;
+
   /// Whether Qq textually uses current_snapshot() — its result then varies
-  /// per snapshot even on identical data, so skipping is never sound.
-  /// Probed lazily on first skip opportunity: -1 unknown, 0 no, 1 yes.
-  int qq_uses_current_snapshot_ = -1;
+  /// per snapshot even on identical data, so the delta fast path is never
+  /// sound. Probed once per state.
+  bool UsesCurrentSnapshot() {
+    if (qq_uses_current_snapshot_ < 0) {
+      qq_uses_current_snapshot_ =
+          ReplaceCurrentSnapshot(qq_, 1) != qq_ ? 1 : 0;
+    }
+    return qq_uses_current_snapshot_ == 1;
+  }
 
   /// Stable mechanism name salted into the cross-run memo fingerprint:
   /// the same Qq driven by two different mechanisms must produce two
@@ -205,6 +214,7 @@ class RqlEngine::MechanismState {
   int64_t updates_ = 0;
   uint64_t memo_fp_ = 0;
   bool memo_fp_ready_ = false;
+  int qq_uses_current_snapshot_ = -1;  // -1 unknown, 0 no, 1 yes
 };
 
 /// Collate Data: append every Qq row to T.
@@ -750,8 +760,8 @@ std::string RqlEngine::ReplaceCurrentSnapshot(const std::string& qq,
   // Matches inside '...' string literals and "..." quoted identifiers
   // must pass through untouched: a Qq like `WHERE tag =
   // 'current_snapshot()'` is comparing against a plain string, and
-  // rewriting it would corrupt the literal (and wrongly disable
-  // skip_unchanged_iterations via the textual-use probe). The doubled
+  // rewriting it would corrupt the literal (and wrongly disable the
+  // memo's delta fast path via the textual-use probe). The doubled
   // quote escape ('' / "") closes and reopens a run, which the per-
   // character toggle handles.
   char quote = 0;
@@ -928,13 +938,12 @@ void RqlEngine::PublishRunMetrics() {
 
 namespace {
 
-/// Bit encoding of the opt-in flags for the kRunBegin trace event (bit 8
-/// is retired; see trace.h).
+/// Bit encoding of the opt-in flags for the kRunBegin trace event (bits 8
+/// and 16 are retired; see trace.h).
 int64_t OptionFlagBits(const RqlOptions& o) {
   return (o.incremental_spt ? 1 : 0) | (o.reuse_qq_plan ? 2 : 0) |
-         (o.batch_pagelog_reads ? 4 : 0) |
-         (o.skip_unchanged_iterations ? 16 : 0) |
-         (o.batch_execution ? 32 : 0) | (o.memoize_iterations ? 64 : 0) |
+         (o.batch_pagelog_reads ? 4 : 0) | (o.batch_execution ? 32 : 0) |
+         (o.memoize_iterations ? 64 : 0) |
          (o.shared_scan_cache != nullptr ? 128 : 0) |
          (o.async_prefetch ? 256 : 0);
 }
@@ -955,20 +964,13 @@ Status ValidateRunOptions(const RqlOptions& o, bool parallel) {
       {cold && parallel,
        "cold_cache_per_iteration is incompatible with parallel Qq "
        "evaluation (parallel_workers > 1)"},
-      {cold && o.skip_unchanged_iterations,
-       "cold_cache_per_iteration is incompatible with "
-       "skip_unchanged_iterations (a skipped iteration reads nothing, so "
-       "the all-cold baseline would not be measured)"},
       {cold && o.batch_execution,
        "cold_cache_per_iteration is incompatible with batch_execution "
        "(the all-cold baseline measures the row-at-a-time pipeline)"},
-      {o.memoize_iterations && o.memo == nullptr,
-       "memoize_iterations requires RqlOptions::memo to point at a "
-       "retro::MemoTable"},
       {cold && o.memoize_iterations,
        "cold_cache_per_iteration is incompatible with "
-       "memoize_iterations (a memo-replayed iteration reads nothing, "
-       "so the all-cold baseline would not be measured)"},
+       "memoize_iterations (a replayed iteration reads nothing, so the "
+       "all-cold baseline would not be measured)"},
       {cold && o.shared_scan_cache != nullptr,
        "cold_cache_per_iteration is incompatible with shared_scan_cache "
        "(a store-scoped cache serves pages other runs decoded, so the "
@@ -1002,7 +1004,7 @@ void HarvestExecStats(const sql::ExecStats& exec, RqlIterationStats* iter) {
 /// and UDF-form drivers. Construction restarts the run's stats and trace.
 /// Begin() arms the run once it has passed validation: the kRunBegin
 /// event, the cold start, the store's read retries and diff-depth feed,
-/// the scan cache, batch execution, the snapshot-set session and batched
+/// the scan cache, batch execution, the run's snapshot set and batched
 /// archive reads (not for parallel runs) and the prefetch pipeline (only
 /// for the sequential loop).
 /// Destruction disarms whatever Begin() armed, on every exit path.
@@ -1033,8 +1035,8 @@ class RqlEngine::RunScope {
     retro::SnapshotStore* store = engine_->data_db_->store();
     if (kind_ != Kind::kParallel) {
       store->set_batch_archive_reads(saved_batch_reads_);
-      if (session_) store->EndSnapshotSet();
     }
+    if (set_ != nullptr) engine_->data_db_->set_snapshot_set(nullptr);
     store->set_archive_read_retries(0);
     store->set_diff_depth_histogram(nullptr);
     if (cache_attached_) engine_->data_db_->set_scan_cache(nullptr);
@@ -1082,14 +1084,15 @@ class RqlEngine::RunScope {
       batch_execution_ = true;
     }
     if (kind == Kind::kParallel) return;
-    // Iteration skipping rides the same snapshot-set session as the
-    // incremental SPT: the session cursor is what surfaces the per-step
-    // Maplog delta. Memoized runs join it too, so a memo probe's snapshot
-    // open plus the execute-on-miss open of the same id cost one SPT
-    // derivation, not two cold builds.
-    session_ = o.incremental_spt || o.skip_unchanged_iterations ||
-               o.memoize_iterations;
-    if (session_) store->BeginSnapshotSet();
+    // Memoized runs need the set's cursor for the per-step Maplog delta of
+    // the fast path; it also makes a memo probe's snapshot open plus the
+    // execute-on-miss open of the same id cost one SPT derivation, not two
+    // cold builds. Attached to the data handle, so Qq's AS OF opens go
+    // through it too.
+    if (o.incremental_spt || o.memoize_iterations) {
+      set_ = store->BeginSnapshotSet();
+      data->set_snapshot_set(set_.get());
+    }
     saved_batch_reads_ = store->batch_archive_reads();
     if (o.batch_pagelog_reads) store->set_batch_archive_reads(true);
     // async_prefetch is inert in the UDF form: its driving scan feeds
@@ -1108,6 +1111,8 @@ class RqlEngine::RunScope {
 
   /// The background archive-read pipeline (async_prefetch), or null.
   retro::PrefetchScheduler* prefetch() const { return prefetch_.get(); }
+  /// The run's snapshot set (incremental_spt, memoize_iterations), or null.
+  retro::SnapshotSet* snapshot_set() const { return set_.get(); }
 
   /// UDF form: remembers the first failed iteration, after which the run
   /// executes no further iteration and FinishUdfRuns discards it.
@@ -1146,8 +1151,8 @@ class RqlEngine::RunScope {
   bool begun_ = false;
   bool cache_attached_ = false;
   bool batch_execution_ = false;
-  bool session_ = false;
   bool saved_batch_reads_ = false;
+  std::unique_ptr<retro::SnapshotSet> set_;
   std::unique_ptr<retro::PrefetchScheduler> prefetch_;
   Status failure_;
 };
@@ -1188,19 +1193,19 @@ Status RqlEngine::RunMechanism(const std::string& qs, MechanismState* state) {
     retro::PrefetchScheduler* prefetch = run.prefetch();
     for (size_t i = 0; s.ok() && i < snap_ids.size(); ++i) {
       if (prefetch != nullptr && i + 1 < snap_ids.size()) {
-        // Look ahead while iteration i executes. A step the memo will
-        // serve reads nothing, so it schedules nothing; the skip probe
-        // needs the cursor position iteration i+1 itself establishes, so
-        // its replay cancels the job at iteration head instead.
+        // Look ahead while iteration i executes. A step the shared memo
+        // will serve reads nothing, so it schedules nothing; the delta
+        // fast path needs the cursor position iteration i+1 itself
+        // establishes, so its replay cancels the job at iteration head.
         bool next_memoized = false;
-        if (options_.memoize_iterations) {
+        if (options_.memoize_iterations && options_.memo != nullptr) {
           Result<uint64_t> fp = state->MemoFingerprint();
           next_memoized = fp.ok() &&
                           options_.memo->Probe(*fp, snap_ids[i + 1]) != nullptr;
         }
         if (!next_memoized) prefetch->Schedule(snap_ids[i + 1]);
       }
-      s = RunIteration(snap_ids[i], state, prefetch);
+      s = RunIteration(snap_ids[i], state, &run);
     }
   }
   if (s.ok()) s = state->Finish();
@@ -1226,6 +1231,22 @@ bool ValidateMemoEntry(retro::SnapshotView* view,
                          ? v
                          : retro::kMemoDbSharedVersion;
     if (token != pv.version) return false;
+  }
+  return true;
+}
+
+/// True when no page of `delta` is in `entry`'s read set (sorted by page):
+/// the pages Qq read map to the same versions at the new snapshot.
+bool DeltaMissesReadSet(const std::vector<storage::PageId>& delta,
+                        const retro::MemoEntry& entry) {
+  const std::vector<retro::MemoPageVersion>& reads = entry.read_set;
+  for (storage::PageId page : delta) {
+    auto it = std::lower_bound(
+        reads.begin(), reads.end(), page,
+        [](const retro::MemoPageVersion& pv, storage::PageId p) {
+          return pv.page < p;
+        });
+    if (it != reads.end() && it->page == page) return false;
   }
   return true;
 }
@@ -1287,13 +1308,14 @@ Status RqlEngine::RunMechanismParallel(
   const sql::FunctionRegistry* functions = data_db_->functions();
   storage::PageId catalog_root = data_db_->catalog()->root();
 
-  // Memoization composes with parallel evaluation: workers probe the
+  // A shared memo composes with parallel evaluation: workers probe the
   // (thread-safe) memo and record versions into per-result maps; publishes
-  // happen in the sequential replay loop, in Qs order.
+  // happen in the sequential replay loop, in Qs order. The delta fast path
+  // needs the sequential cursor, so a run-scoped memo replays nothing here.
   const bool memoize = options_.memoize_iterations;
-  retro::MemoTable* memo = options_.memo;
+  retro::MemoTable* memo = memoize ? options_.memo : nullptr;
   uint64_t memo_fp = 0;
-  if (memoize) {
+  if (memo != nullptr) {
     RQL_ASSIGN_OR_RETURN(memo_fp, state->MemoFingerprint());
   }
 
@@ -1330,7 +1352,7 @@ Status RqlEngine::RunMechanismParallel(
       out.status = [&]() -> Status {
         RQL_ASSIGN_OR_RETURN(std::unique_ptr<retro::SnapshotView> view,
                              store->OpenSnapshot(snaps[i]));
-        if (memoize) {
+        if (memo != nullptr) {
           std::shared_ptr<const retro::MemoEntry> entry =
               memo->Probe(memo_fp, snaps[i]);
           if (entry != nullptr && ValidateMemoEntry(view.get(), *entry)) {
@@ -1344,11 +1366,11 @@ Status RqlEngine::RunMechanismParallel(
               return Status::OK();
             }
           }
-          iter.memo_misses = 1;
           // Armed before the catalog load: schema pages the query depends
           // on belong in the recorded read set too.
           view->set_version_recorder(&out.versions);
         }
+        if (memoize) iter.memo_misses = 1;
         // The paper's full textual rewrite: AS OF injection plus literal
         // current_snapshot() substitution (no shared engine state).
         std::string rewritten = ReplaceCurrentSnapshot(
@@ -1381,7 +1403,6 @@ Status RqlEngine::RunMechanismParallel(
           return Status::OK();
         });
         HarvestExecStats(exec_stats, &iter);
-        if (memoize) view->set_version_recorder(nullptr);
         return run;
       }();
       int64_t end = NowMicros();
@@ -1407,11 +1428,12 @@ Status RqlEngine::RunMechanismParallel(
   stats_.parallel_wall_us = NowMicros() - phase_start;
 
   const retro::CostModel& cm = store->cost_model();
-  stats_.parallel_io_us = store->stats()->IoUs(cm);
-  stats_.parallel_spt_us = store->stats()->SptUs(cm);
-  stats_.parallel_lock_wait_us = store->stats()->lock_wait_us;
-  stats_.coalesced_loads = store->stats()->coalesced_loads;
-  stats_.archive_read_retries += store->stats()->archive_read_retries;
+  const retro::IterationStats rs = store->stats();
+  stats_.parallel_io_us = rs.IoUs(cm);
+  stats_.parallel_spt_us = rs.SptUs(cm);
+  stats_.parallel_lock_wait_us = rs.lock_wait_us;
+  stats_.coalesced_loads = rs.coalesced_loads;
+  stats_.archive_read_retries += rs.archive_read_retries;
   // Scan-cache attribution comes from per-worker ExecStats, never from
   // the cache's own counters: workers (and concurrent runs) interleave on
   // those, so harvesting them here would credit this run with traffic it
@@ -1447,7 +1469,7 @@ Status RqlEngine::RunMechanismParallel(
                     {static_cast<int64_t>(i), r.validated_pages,
                      r.iter.qq_rows, r.iter.udf_us});
       }
-    } else if (memoize) {
+    } else if (memo != nullptr) {
       RQL_ASSIGN_OR_RETURN(
           retro::MemoPublishResult pub,
           memo->Publish(MakeMemoEntry(memo_fp, snaps[i], r.versions,
@@ -1461,7 +1483,7 @@ Status RqlEngine::RunMechanismParallel(
 }
 
 Status RqlEngine::RunIteration(retro::SnapshotId snap, MechanismState* state,
-                               retro::PrefetchScheduler* prefetch) {
+                               RunScope* run) {
   // Iteration boundaries are the cancellation safety points: nothing is
   // half-done here, so aborting leaves the store, caches and the (about to
   // be discarded) result table in a reusable state. Covers both the
@@ -1473,84 +1495,28 @@ Status RqlEngine::RunIteration(retro::SnapshotId snap, MechanismState* state,
   // (ValidateRunOptions), so dropping the snapshot page cache suffices.
   if (options_.cold_cache_per_iteration) store->ClearSnapshotCache();
   store->ResetStats();
-  // A replayed step reads nothing: its prefetch job is cancelled (a parked
-  // error dies with it — the synchronous path would not have issued these
-  // reads either) and what the job already did is charged to the replayed
-  // iteration.
-  auto charge_cancelled = [this](const retro::PrefetchScheduler::JobReport&
-                                     rep) {
-    if (rep.scheduled && !stats_.iterations.empty()) {
-      stats_.iterations.back().prefetch_issued += rep.issued;
-      stats_.iterations.back().prefetch_cancelled += rep.cancelled;
-    }
-  };
+  retro::PrefetchScheduler* prefetch = run->prefetch();
 
-  // Skip probe: advance the snapshot-set cursor — which also primes the
-  // incremental SPT for the OpenSnapshot below; re-seeking the same
-  // snapshot drains no further delta — and test the Maplog delta against
-  // the last executed iteration's read set. Probe costs land after
-  // ResetStats, so they are attributed to this iteration.
-  const bool record = options_.skip_unchanged_iterations;
-  int64_t delta_pages = 0;
-  if (record) {
-    std::vector<storage::PageId> delta;
-    RQL_ASSIGN_OR_RETURN(bool have_delta,
-                         store->AdvanceSnapshotSet(snap, &delta));
-    if (!have_delta) {
-      // Cursor rebased (first snapshot of the set, a backward seek, or a
-      // truncated history prefix): no predecessor to skip against.
-      state->skip_eligible_ = false;
-    } else {
-      delta_pages = static_cast<int64_t>(delta.size());
-      if (state->skip_eligible_) {
-        if (state->qq_uses_current_snapshot_ < 0) {
-          state->qq_uses_current_snapshot_ =
-              ReplaceCurrentSnapshot(state->qq(), 1) != state->qq() ? 1 : 0;
-        }
-        bool unchanged = state->qq_uses_current_snapshot_ == 0;
-        for (size_t i = 0; unchanged && i < delta.size(); ++i) {
-          unchanged = state->read_set_.count(delta[i]) == 0;
-        }
-        if (unchanged) {
-          retro::PrefetchScheduler::JobReport rep;
-          if (prefetch != nullptr) rep = prefetch->Cancel(snap);
-          RqlIterationStats iter;
-          iter.snapshot = snap;
-          iter.skipped = true;
-          iter.delta_pages_scanned = delta_pages;
-          RQL_RETURN_IF_ERROR(ReplayIteration(state, iter,
-                                              state->replay_cols_,
-                                              state->replay_rows_,
-                                              delta_pages));
-          charge_cancelled(rep);
-          return Status::OK();
-        }
-      }
-    }
-    // This iteration executes; its read set replaces the previous one
-    // only if it completes successfully.
-    state->skip_eligible_ = false;
-  }
-  // Memo probe: a persistent entry for (fingerprint, snapshot) whose
-  // page-version read set still validates replays without executing Qq.
-  // Runs after the skip probe so the cheaper intra-run replay wins when
-  // both would hit; a memo hit seeds the skipper's read set, so the two
-  // chain across the rest of the run.
+  // Replay probe: its costs land after ResetStats, so they are attributed
+  // to this iteration. A replayed step reads nothing: its prefetch job is
+  // cancelled (a parked error dies with it — the synchronous path would
+  // not have issued these reads either) and what the job already did is
+  // charged to the replayed iteration.
   const bool memoize = options_.memoize_iterations;
+  retro::SnapshotSet* set = run->snapshot_set();
+  int64_t delta_pages = 0;
   if (memoize) {
-    RQL_ASSIGN_OR_RETURN(uint64_t fp, state->MemoFingerprint());
-    std::shared_ptr<const retro::MemoEntry> entry =
-        options_.memo->Probe(fp, snap);
-    if (entry != nullptr) {
-      RQL_ASSIGN_OR_RETURN(bool served,
-                           TryMemoReplay(snap, state, entry, delta_pages));
-      if (served) {
-        // Usually no job exists (the run loop schedules nothing for a
-        // memo-probed step), but an entry published by a concurrent
-        // engine after that probe leaves one to cancel here.
-        if (prefetch != nullptr) charge_cancelled(prefetch->Cancel(snap));
-        return Status::OK();
+    RQL_ASSIGN_OR_RETURN(bool replayed,
+                         ReplayIteration(snap, state, set, &delta_pages));
+    if (replayed) {
+      if (prefetch != nullptr) {
+        retro::PrefetchScheduler::JobReport rep = prefetch->Cancel(snap);
+        if (rep.scheduled) {
+          stats_.iterations.back().prefetch_issued += rep.issued;
+          stats_.iterations.back().prefetch_cancelled += rep.cancelled;
+        }
       }
+      return Status::OK();
     }
   }
   if (trace_on_) {
@@ -1582,24 +1548,19 @@ Status RqlEngine::RunIteration(retro::SnapshotId snap, MechanismState* state,
 
   data_db_->set_current_snapshot(snap);
   RQL_RETURN_IF_ERROR(meta_db_->Exec("BEGIN"));
-  // While armed, every page the snapshot view serves lands in `reads`;
-  // the Qq result is buffered alongside so an unchanged successor can
-  // replay it. Disarmed right after Qq finishes (no early returns in
-  // between — both execution paths capture their status in `s`).
-  std::unordered_set<storage::PageId> reads;
+  // While armed, every view the run's snapshot set opens records, per page
+  // read, the Pagelog offset it resolved to (or the db-shared sentinel) —
+  // the memo entry's read set — and the Qq result is buffered alongside.
+  // Disarmed right after Qq finishes (no early returns in between — both
+  // execution paths capture their status in `s`).
+  std::unordered_map<storage::PageId, uint64_t> versions;
   std::vector<std::string> buf_cols;
   std::vector<Row> buf_rows;
-  const bool buffer = record || memoize;
-  if (record) store->set_read_recorder(&reads);
-  // The version recorder captures, for every page the snapshot view
-  // serves, the Pagelog offset it resolved to (or the db-shared sentinel)
-  // — the memo entry's validation key.
-  std::unordered_map<storage::PageId, uint64_t> versions;
-  if (memoize) store->set_version_recorder(&versions);
+  if (memoize) set->set_version_recorder(&versions);
   int64_t start = NowMicros();
   auto row_cb = [&](const std::vector<std::string>& cols,
                     const Row& row) -> Status {
-    if (buffer) {
+    if (memoize) {
       if (buf_cols.empty()) buf_cols = cols;
       buf_rows.push_back(row);
     }
@@ -1640,10 +1601,9 @@ Status RqlEngine::RunIteration(retro::SnapshotId snap, MechanismState* state,
     std::string rewritten = InjectAsOf(state->qq(), snap);
     s = data_db_->Exec(rewritten, row_cb);
   }
-  if (record) store->set_read_recorder(nullptr);
-  if (memoize) store->set_version_recorder(nullptr);
+  if (memoize) set->set_version_recorder(nullptr);
   int64_t index_create_us = data_db_->last_stats().exec.index_build_us;
-  int64_t spt_cpu_us = store->stats()->spt.cpu_us;
+  const retro::IterationStats rs = store->stats();
   if (s.ok()) {
     ScopedTimer timer(&udf_us);
     s = state->OnIterationEnd(snap);
@@ -1657,7 +1617,6 @@ Status RqlEngine::RunIteration(retro::SnapshotId snap, MechanismState* state,
   RQL_RETURN_IF_ERROR(meta_db_->Exec("COMMIT"));
 
   const retro::CostModel& cm = store->cost_model();
-  const retro::IterationStats& rs = *store->stats();
   stats_.archive_read_retries += rs.archive_read_retries;
   iter.io_us = rs.IoUs(cm);
   iter.spt_build_us = rs.SptUs(cm);
@@ -1665,7 +1624,7 @@ Status RqlEngine::RunIteration(retro::SnapshotId snap, MechanismState* state,
   iter.udf_us = udf_us;
   iter.query_eval_us =
       std::max<int64_t>(0, exec_total - udf_us - index_create_us -
-                               spt_cpu_us);
+                               rs.spt.cpu_us);
   iter.pagelog_pages = rs.pagelog_page_reads;
   iter.db_pages = rs.db_page_reads;
   iter.cache_hits = rs.snapshot_cache_hits;
@@ -1684,7 +1643,7 @@ Status RqlEngine::RunIteration(retro::SnapshotId snap, MechanismState* state,
   if (trace_on_) {
     int64_t now = NowMicros();
     trace_.Emit(RqlTraceEventType::kSptBuild, snap, now,
-                {iter.maplog_pages, iter.spt_delta_entries, spt_cpu_us,
+                {iter.maplog_pages, iter.spt_delta_entries, rs.spt.cpu_us,
                  options_.incremental_spt ? 1 : 0});
     trace_.Emit(RqlTraceEventType::kArchiveFetch, snap, now,
                 {iter.pagelog_pages, iter.batched_pagelog_reads,
@@ -1704,19 +1663,21 @@ Status RqlEngine::RunIteration(retro::SnapshotId snap, MechanismState* state,
                  iter.index_create_us, iter.udf_us, iter.qq_rows});
   }
   if (memoize) {
+    // The executed iteration becomes the fast path's predecessor, and —
+    // with a shared memo — a published entry. Only a published entry
+    // needs encoded rows: the predecessor replays its decoded ones.
     RQL_ASSIGN_OR_RETURN(uint64_t fp, state->MemoFingerprint());
-    RQL_ASSIGN_OR_RETURN(
-        retro::MemoPublishResult pub,
-        options_.memo->Publish(
-            MakeMemoEntry(fp, snap, versions, buf_cols, buf_rows)));
-    iter.memo_bytes = static_cast<int64_t>(pub.bytes_appended);
-    iter.memo_evictions = pub.evictions;
-  }
-  if (record) {
-    state->read_set_ = std::move(reads);
-    state->replay_cols_ = std::move(buf_cols);
-    state->replay_rows_ = std::move(buf_rows);
-    state->skip_eligible_ = true;
+    const std::vector<Row> no_rows;
+    std::shared_ptr<const retro::MemoEntry> entry = MakeMemoEntry(
+        fp, snap, versions, buf_cols,
+        options_.memo != nullptr ? buf_rows : no_rows);
+    if (options_.memo != nullptr) {
+      RQL_ASSIGN_OR_RETURN(retro::MemoPublishResult pub,
+                           options_.memo->Publish(entry));
+      iter.memo_bytes = static_cast<int64_t>(pub.bytes_appended);
+      iter.memo_evictions = pub.evictions;
+    }
+    state->prev_ = {std::move(entry), std::move(buf_rows)};
   }
   state->CollectCounters(&iter);
   stats_.iterations.push_back(iter);
@@ -1749,18 +1710,73 @@ Status RqlEngine::FoldRows(MechanismState* state, retro::SnapshotId snap,
   return Status::OK();
 }
 
-Status RqlEngine::ReplayIteration(MechanismState* state,
-                                  RqlIterationStats iter,
-                                  const std::vector<std::string>& cols,
-                                  const std::vector<Row>& rows,
-                                  int64_t probe_arg) {
-  RQL_RETURN_IF_ERROR(FoldRows(state, iter.snapshot, cols, rows, &iter));
-  // The only store work the iteration did was its probe: the skip probe's
-  // Maplog advance and, for a memo hit, the probe view's SPT derivation
-  // and validation lookups (all charged after ResetStats in RunIteration).
+Result<bool> RqlEngine::ReplayIteration(retro::SnapshotId snap,
+                                        MechanismState* state,
+                                        retro::SnapshotSet* set,
+                                        int64_t* delta_pages) {
+  // Advancing the cursor also primes the SPT for the snapshot's open
+  // below (or Qq's, on a miss): re-seeking the same id drains no delta.
+  std::vector<storage::PageId> delta;
+  const retro::SnapshotId from = set->position();
+  RQL_ASSIGN_OR_RETURN(bool have_delta, set->Advance(snap, &delta));
+  *delta_pages = static_cast<int64_t>(delta.size());
+  MechanismState::Predecessor& prev = state->prev_;
+  // A rebase (first snapshot of the set, a backward seek, a truncation)
+  // leaves no predecessor to diff against, and neither does a step that
+  // began where another state left the cursor.
+  if (!have_delta || from != state->last_snap_) prev = {};
+  state->last_snap_ = snap;
+  RqlIterationStats iter;
+  iter.snapshot = snap;
+  iter.delta_pages_scanned = *delta_pages;
+  int64_t probe_arg = *delta_pages;
+  if (prev.entry != nullptr && !state->UsesCurrentSnapshot() &&
+      DeltaMissesReadSet(delta, *prev.entry)) {
+    iter.skipped = true;
+  } else {
+    if (options_.memo == nullptr) return false;
+    RQL_ASSIGN_OR_RETURN(uint64_t fp, state->MemoFingerprint());
+    std::shared_ptr<const retro::MemoEntry> entry =
+        options_.memo->Probe(fp, snap);
+    if (entry == nullptr) return false;
+    // Validation failures are conservative misses, never errors: the
+    // execute path runs next and surfaces any real problem itself.
+    auto view = set->Open(snap);
+    if (!view.ok() || !ValidateMemoEntry(view->get(), *entry)) return false;
+    auto rows = DecodeMemoRows(*entry);
+    if (!rows.ok()) return false;
+    // The hit seeds the fast path: provably unchanged successors replay
+    // it without re-probing the memo.
+    prev = {entry, std::move(rows).value()};
+    iter.memo_hits = 1;
+    probe_arg = static_cast<int64_t>(entry->read_set.size());
+  }
+  RQL_RETURN_IF_ERROR(
+      FoldRows(state, snap, prev.entry->columns, prev.rows, &iter));
+  if (iter.skipped && options_.memo != nullptr) {
+    // A shared memo learns the fast-path replay too, as if `snap` had
+    // executed: the delta missed the predecessor's read set, so it
+    // resolves identically at `snap`. Later runs over any subset of these
+    // snapshots then hit. An archived read set publishes only an alias
+    // record, and a probe validates either form. A snapshot already
+    // registered under this read set (a warm run) publishes nothing.
+    RQL_ASSIGN_OR_RETURN(uint64_t fp, state->MemoFingerprint());
+    std::shared_ptr<const retro::MemoEntry> at =
+        options_.memo->Probe(fp, snap);
+    if (at == nullptr || at->read_set != prev.entry->read_set) {
+      auto entry = std::make_shared<retro::MemoEntry>(*prev.entry);
+      entry->snapshot = snap;
+      RQL_ASSIGN_OR_RETURN(retro::MemoPublishResult pub,
+                           options_.memo->Publish(std::move(entry)));
+      iter.memo_bytes = static_cast<int64_t>(pub.bytes_appended);
+      iter.memo_evictions = pub.evictions;
+    }
+  }
+  // The only store work the iteration did was its probe: the cursor
+  // advance and, for a memo hit, the validation view's SPT derivation.
   retro::SnapshotStore* store = data_db_->store();
   const retro::CostModel& cm = store->cost_model();
-  const retro::IterationStats& rs = *store->stats();
+  const retro::IterationStats rs = store->stats();
   iter.io_us = rs.IoUs(cm);
   iter.spt_build_us = rs.SptUs(cm);
   iter.maplog_pages = rs.spt.maplog_pages_read;
@@ -1768,47 +1784,12 @@ Status RqlEngine::ReplayIteration(MechanismState* state,
   if (trace_on_) {
     trace_.Emit(iter.skipped ? RqlTraceEventType::kIterationSkip
                              : RqlTraceEventType::kMemoHit,
-                iter.snapshot, NowMicros(),
+                snap, NowMicros(),
                 {static_cast<int64_t>(stats_.iterations.size()), probe_arg,
                  iter.qq_rows, iter.udf_us});
   }
   if (iter.skipped) ++stats_.iterations_skipped;
   stats_.iterations.push_back(iter);
-  return Status::OK();
-}
-
-Result<bool> RqlEngine::TryMemoReplay(
-    retro::SnapshotId snap, MechanismState* state,
-    const std::shared_ptr<const retro::MemoEntry>& entry,
-    int64_t delta_pages) {
-  // Validation failures are conservative misses, never errors: the
-  // execute path runs next and surfaces any real problem itself.
-  auto view_or = data_db_->store()->OpenSnapshot(snap);
-  if (!view_or.ok()) return false;
-  std::unique_ptr<retro::SnapshotView> view = std::move(view_or).value();
-  if (!ValidateMemoEntry(view.get(), *entry)) return false;
-  auto rows_or = DecodeMemoRows(*entry);
-  if (!rows_or.ok()) return false;
-  std::vector<Row> rows = std::move(rows_or).value();
-
-  RqlIterationStats iter;
-  iter.snapshot = snap;
-  iter.memo_hits = 1;
-  iter.delta_pages_scanned = delta_pages;
-  RQL_RETURN_IF_ERROR(
-      ReplayIteration(state, iter, entry->columns, rows,
-                      static_cast<int64_t>(entry->read_set.size())));
-  if (options_.skip_unchanged_iterations) {
-    // Seed the intra-run skipper from the memo entry: provably unchanged
-    // successors replay these buffers without re-probing the memo.
-    state->read_set_.clear();
-    for (const retro::MemoPageVersion& pv : entry->read_set) {
-      state->read_set_.insert(pv.page);
-    }
-    state->replay_cols_ = entry->columns;
-    state->replay_rows_ = std::move(rows);
-    state->skip_eligible_ = true;
-  }
   return true;
 }
 
@@ -1920,7 +1901,7 @@ Status RqlEngine::RegisterUdfs() {
       s = PrepareResultTable(table);
       if (s.ok()) it = udf_states_.emplace(table, make_state()).first;
     }
-    if (s.ok()) s = RunIteration(snap, it->second.get(), nullptr);
+    if (s.ok()) s = RunIteration(snap, it->second.get(), udf_run_.get());
     if (!s.ok()) {
       udf_run_->Fail(s);
       return s;

@@ -53,8 +53,7 @@ struct RqlIterationStats {
   /// in-flight fetch of the same page (always 0 in sequential runs).
   int64_t coalesced_loads = 0;
   // COW page-sharing exploitation counters (zero at paper-faithful
-  // defaults; see RqlOptions::shared_scan_cache /
-  // skip_unchanged_iterations).
+  // defaults; see RqlOptions::shared_scan_cache / memoize_iterations).
   /// Scan-path pages served from the attached decoded-page cache: the
   /// page version (Pagelog offset) was already fetched and tuple-decoded
   /// for an earlier snapshot of this run, or for any other run sharing
@@ -69,10 +68,11 @@ struct RqlIterationStats {
   /// (SharedScanCache single-flight).
   int64_t coalesced_decodes = 0;
   /// Size of the Maplog delta (pages whose mapping may differ from the
-  /// previous snapshot in the set) examined by the skip decision.
+  /// previous snapshot in the set) examined by the memo's delta fast path.
   int64_t delta_pages_scanned = 0;
-  /// True when Qq was not executed: the delta missed the previous
-  /// iteration's read set, so its result was replayed instead.
+  /// True when Qq was not executed because the delta missed the read set
+  /// of the predecessor (the iteration the run last executed or
+  /// memo-replayed), whose rows were replayed instead.
   bool skipped = false;
   // Batch-execution counters (RqlOptions::batch_execution; zero at
   // paper-faithful defaults, zero for skipped/replayed iterations, and
@@ -89,11 +89,11 @@ struct RqlIterationStats {
   /// 1 when this iteration was answered by replaying a persistent memo
   /// entry whose page-version read set validated against the snapshot.
   int64_t memo_hits = 0;
-  /// 1 when the memo was consulted and could not serve the iteration (no
-  /// entry for the key, or a recorded page version no longer matched).
+  /// 1 when a memoized run executed Qq for this iteration: neither the
+  /// delta fast path nor a validated memo entry could serve it.
   int64_t memo_misses = 0;
-  /// Memo-log bytes appended by this iteration's publish (0 on hits and
-  /// on skip-replayed iterations, which publish nothing).
+  /// Memo-log bytes appended by this iteration's publish (0 on hits, on
+  /// fast-path replays and in run-scoped runs, which publish nothing).
   int64_t memo_bytes = 0;
   /// Entries the publish evicted to keep the memo under its byte bound.
   int64_t memo_evictions = 0;
@@ -112,8 +112,8 @@ struct RqlIterationStats {
   /// further iteration can consume the page).
   int64_t prefetch_wasted = 0;
   /// Planned pages dropped before issue: the job was cancelled (its
-  /// iteration replayed from the skip or memo path, or the run ended) or
-  /// abandoned after a background I/O error or history truncation.
+  /// iteration was replayed, or the run ended) or abandoned after a
+  /// background I/O error or history truncation.
   int64_t prefetch_cancelled = 0;
 
   int64_t TotalUs() const {
@@ -153,8 +153,9 @@ struct RqlRunStats {
   /// Transient Pagelog read failures absorbed by the bounded-retry policy
   /// (RqlOptions::archive_read_retries) during this run.
   int64_t archive_read_retries = 0;
-  /// Iterations answered by replaying the previous result instead of
-  /// executing Qq (RqlOptions::skip_unchanged_iterations).
+  /// Iterations answered by the memo's delta fast path, replaying the
+  /// predecessor's result instead of executing Qq
+  /// (RqlOptions::memoize_iterations).
   int64_t iterations_skipped = 0;
   /// Run total of decoded-page cache hits (RqlOptions::shared_scan_cache).
   /// Hits are attributed from per-execution counters
@@ -246,10 +247,10 @@ struct RqlOptions {
   // --- iteration-setup amortization (all default off: the paper-faithful
   // --- baseline pays each iteration's setup from scratch) -----------------
   /// Derive SPT(s_{i+1}) from SPT(s_i) when sequential runs visit
-  /// snapshots in ascending id order (SnapshotStore snapshot-set
-  /// sessions), scanning only the Maplog delta between the declaration
-  /// marks. Counted in RqlIterationStats::spt_delta_entries. Ignored by
-  /// parallel runs (workers open snapshots out of order).
+  /// snapshots in ascending id order (a run-private retro::SnapshotSet),
+  /// scanning only the Maplog delta between the declaration marks.
+  /// Counted in RqlIterationStats::spt_delta_entries. Ignored by parallel
+  /// runs (workers open snapshots out of order).
   bool incremental_spt = false;
   /// Lex/parse/plan Qq once per run and re-point the prepared plan at each
   /// snapshot via the bindable AS OF parameter, instead of the per-
@@ -265,18 +266,6 @@ struct RqlOptions {
 
   // --- COW page-sharing exploitation (default off: the paper-faithful
   // --- baseline re-fetches and re-decodes every snapshot from scratch) ----
-  /// Skip whole iterations whose snapshot provably reads the same data as
-  /// the previous one: the Maplog delta between consecutive snapshots in
-  /// the set (SptCursor::last_delta) is intersected with the page read-set
-  /// of the last executed iteration, and on an empty intersection the
-  /// previous Qq result is replayed through the mechanism without
-  /// executing Qq. Counted in RqlIterationStats::skipped /
-  /// RqlRunStats::iterations_skipped. Sequential runs only (parallel
-  /// workers visit snapshots out of order and ignore the flag); requires
-  /// Qq not to use current_snapshot() (detected, skip disabled); rejected
-  /// with InvalidArgument in combination with cold_cache_per_iteration,
-  /// whose all-cold baseline a skipped iteration would falsify.
-  bool skip_unchanged_iterations = false;
   /// Execute Qq batch-at-a-time: eligible sequential scans decode each
   /// pinned page into a RowBatch once and push it through vectorized
   /// predicate evaluation and aggregate folds instead of the row-at-a-time
@@ -289,33 +278,36 @@ struct RqlOptions {
   /// Rejected with InvalidArgument in combination with
   /// cold_cache_per_iteration: that all-cold baseline measures the
   /// paper-faithful row pipeline, and a vectorized scan would silently
-  /// change what the baseline times (the skip_unchanged_iterations
-  /// precedent).
+  /// change what the baseline times (the memoize_iterations precedent).
   bool batch_execution = false;
-  /// Memoize per-iteration Qq results *across runs* (and across engines
-  /// sharing one table) in the persistent retro::MemoTable pointed to by
-  /// `memo`: every executed iteration publishes (canonicalized
-  /// query/mechanism fingerprint, page-version read set, buffered result
-  /// rows), and a later iteration over the same snapshot replays the entry
-  /// through the mechanism — after validating every recorded page version
-  /// against the snapshot's current resolution, so rewritten pages or a
-  /// compacted archive conservatively miss — instead of executing Qq.
-  /// Results are byte-identical to execution (the mechanism fold re-runs
-  /// on the replayed rows, exactly like skip_unchanged_iterations).
-  /// Composes with all other opt-in flags, sequential and parallel runs,
-  /// and the UDF form; unlike the intra-run skipper it is sound for Qq
-  /// using current_snapshot() (entries are keyed per snapshot). Counted in
-  /// RqlIterationStats::memo_hits / memo_misses / memo_bytes /
-  /// memo_evictions and traced as kMemoHit. Requires `memo` non-null;
-  /// rejected with InvalidArgument in combination with
-  /// cold_cache_per_iteration (a memo-replayed iteration reads nothing, so
-  /// the all-cold baseline would not be measured — the
-  /// skip_unchanged_iterations precedent).
+  /// Replay iterations whose result is provably known instead of
+  /// executing Qq. Every executed iteration records the page versions its
+  /// Qq read and buffers its rows as a retro::MemoEntry. Sequential and
+  /// UDF-form iterations then try, in order: (a) the delta fast path —
+  /// when Qq does not use current_snapshot() and the Maplog delta from the
+  /// previous snapshot in the set (SptCursor::last_delta) misses the
+  /// predecessor entry's read set, the predecessor's rows are replayed
+  /// (counted in RqlIterationStats::skipped / RqlRunStats::
+  /// iterations_skipped; with a non-null `memo` the replay is published
+  /// for the snapshot too); (b) with a non-null `memo`, an entry for
+  /// (canonicalized query/mechanism fingerprint, snapshot) whose every
+  /// recorded page version still matches the snapshot's resolution is
+  /// replayed (memo_hits); (c) otherwise Qq executes (memo_misses) and,
+  /// with a non-null `memo`, its entry is published for later runs and
+  /// other engines (memo_bytes / memo_evictions). With `memo` null the
+  /// memo is run-scoped: only the delta fast path replays, and nothing
+  /// outlives the run. Parallel runs use only (b) and (c), and only with
+  /// a non-null `memo`. On a memoized run, iterations = memo_misses +
+  /// memo_hits + iterations_skipped. Results are byte-identical to
+  /// execution (the mechanism fold re-runs on the replayed rows). Traced
+  /// as kIterationSkip / kMemoHit. Rejected with InvalidArgument in
+  /// combination with cold_cache_per_iteration (a replayed iteration
+  /// reads nothing, so the all-cold baseline would not be measured).
   bool memoize_iterations = false;
-  /// The memo table memoize_iterations consults and publishes into. Owned
-  /// by the caller; shareable by any number of engines (publishes are
-  /// first-publish-wins). Must live and die with the data database's
-  /// files (see MemoTable::Open).
+  /// The memo table memoize_iterations consults and publishes into, or
+  /// null for a run-scoped memo. Owned by the caller; shareable by any
+  /// number of engines (publishes are first-publish-wins). Must live and
+  /// die with the data database's files (see MemoTable::Open).
   retro::MemoTable* memo = nullptr;
   /// Decoded-page cache the run's scans go through: table pages are keyed
   /// by their physical version (the Pagelog offset the SPT resolves them
@@ -338,14 +330,14 @@ struct RqlOptions {
   /// TruncateHistory (entries a live run still holds stay alive through
   /// their shared_ptr). Rejected with InvalidArgument in combination with
   /// cold_cache_per_iteration: a cross-run cache would falsify the
-  /// all-cold baseline (the skip_unchanged_iterations precedent).
+  /// all-cold baseline (the memoize_iterations precedent).
   sql::SharedScanCache* shared_scan_cache = nullptr;
   /// Overlap each iteration's archive I/O with the previous iteration's
   /// query execution: while Qq runs on snapshot s_i, a background
   /// retro::PrefetchScheduler — driven by the snapshot-set cursor's Maplog
   /// delta and the SPT mapping for s_{i+1} — fetches the pages the next
   /// iteration will touch and that are not already resident (BufferPool
-  /// probe, SharedScanCache probe; a step the skipper or memo will replay
+  /// probe, SharedScanCache probe; a step the shared memo will serve
   /// schedules nothing). Demand reads coalesce with in-flight prefetches
   /// through the BufferPool single-flight and take priority for simulated
   /// archive bandwidth; background I/O errors surface on the consuming
@@ -356,7 +348,7 @@ struct RqlOptions {
   /// RqlIterationStats::prefetch_* and traced as kPrefetch. Rejected with
   /// InvalidArgument in combination with cold_cache_per_iteration: a
   /// background fetch landing after the per-iteration clear would
-  /// silently warm the all-cold baseline (the skip_unchanged_iterations
+  /// silently warm the all-cold baseline (the memoize_iterations
   /// precedent).
   bool async_prefetch = false;
   /// Max pages the pipeline fetches ahead per iteration; 0 = unbounded.
@@ -535,14 +527,12 @@ class RqlEngine {
   Status RunMechanismParallel(const std::vector<retro::SnapshotId>& snaps,
                               MechanismState* state);
 
-  /// One "loop body" invocation: rewrite Qq, run it on the snapshot, feed
-  /// rows to the state, and record the iteration cost breakdown. With
-  /// skip_unchanged_iterations, first probes the Maplog delta against the
-  /// previous executed iteration's read set and replays instead of
-  /// executing when it proves the result unchanged. `prefetch` is the
-  /// run's background pipeline (async_prefetch), or null.
+  /// One "loop body" invocation of the sequential or UDF-form run `run`:
+  /// with memoize_iterations, first tries ReplayIteration; otherwise
+  /// rewrites Qq, runs it on the snapshot, feeds rows to the state, and
+  /// records the iteration cost breakdown.
   Status RunIteration(retro::SnapshotId snap, MechanismState* state,
-                      retro::PrefetchScheduler* prefetch);
+                      RunScope* run);
 
   /// The mechanism fold of one iteration over buffered Qq rows: inside
   /// one metadata transaction, OnRow for every row and then
@@ -553,22 +543,16 @@ class RqlEngine {
                   const std::vector<std::string>& cols,
                   const std::vector<sql::Row>& rows, RqlIterationStats* iter);
 
-  /// Records an iteration answered without executing Qq (`iter` is
-  /// flagged skipped or memo_hits): folds the buffered rows, charges it
-  /// the store work of its probe, and traces it with `probe_arg` (the
-  /// Maplog delta size for a skip, the validated pages for a memo hit).
-  Status ReplayIteration(MechanismState* state, RqlIterationStats iter,
-                         const std::vector<std::string>& cols,
-                         const std::vector<sql::Row>& rows, int64_t probe_arg);
-
-  /// Memoized-iteration fast path: validates `entry`'s page-version read
-  /// set against snapshot `snap`'s current resolution and, when every
-  /// token matches, replays the entry's rows through the state, recording
-  /// a memo_hits iteration. Returns false (and records nothing) when the
-  /// entry does not validate — the caller then executes Qq normally.
-  Result<bool> TryMemoReplay(retro::SnapshotId snap, MechanismState* state,
-                             const std::shared_ptr<const retro::MemoEntry>& entry,
-                             int64_t delta_pages);
+  /// The replay half of a memoized iteration over `set`'s next snapshot
+  /// `snap`: the delta fast path against the state's predecessor, then
+  /// the shared memo (see RqlOptions::memoize_iterations). On success
+  /// folds the replayed rows, records the iteration (skipped or
+  /// memo_hits), publishes a fast-path replay into a non-null memo, and
+  /// returns true; returns false, recording nothing, when
+  /// Qq must execute. `delta_pages` receives the Maplog delta's size.
+  Result<bool> ReplayIteration(retro::SnapshotId snap, MechanismState* state,
+                               retro::SnapshotSet* set,
+                               int64_t* delta_pages);
 
   Status PrepareResultTable(const std::string& table);
 

@@ -17,7 +17,9 @@ namespace rql {
 ///                    4=batch_pagelog_reads 8=retired (was
 ///                    reuse_decoded_pages; never set, kept unassigned so
 ///                    older traces still decode)
-///                    16=skip_unchanged_iterations 32=batch_execution
+///                    16=retired (was skip_unchanged_iterations, folded
+///                    into memoize_iterations; kept unassigned)
+///                    32=batch_execution
 ///                    64=memoize_iterations 128=shared_scan_cache
 ///                    256=async_prefetch
 ///   kRunEnd          {iterations, iterations_skipped, total_us, ok, 0, 0}
@@ -35,7 +37,7 @@ namespace rql {
 ///                    (shared_scan_cache single-flight)
 ///   kIterationSkip   {index_in_run, delta_pages_scanned, replayed_rows,
 ///                     udf_us, 0, 0}  — replay of a provably unchanged
-///                    iteration (skip_unchanged_iterations)
+///                    iteration (memoize_iterations' delta fast path)
 ///   kWorkerStall     {lock_wait_us, coalesced_loads, workers, 0, 0, 0}
 ///                    — emitted once per parallel run after the join
 ///   kMemoHit         {index_in_run, validated_pages, replayed_rows,

@@ -61,7 +61,7 @@ struct ServerOptions {
   int64_t idle_timeout_us = 0;
   /// Base RqlOptions for session engines. The server injects
   /// shared_scan_cache, metrics, session_id and the per-run cancel/run_id
-  /// wiring itself; everything else (skip_unchanged_iterations,
+  /// wiring itself; everything else (memoize_iterations,
   /// batch_execution, incremental_spt, ...) is taken as configured here.
   RqlOptions engine;
   /// Receives the server gauges (server.active_sessions,

@@ -237,17 +237,7 @@ Status Database::ExecStatement(Statement* stmt, const QueryCallback& cb) {
     ctx.stats = &last_stats_.exec;
     std::unique_ptr<retro::SnapshotView> view;
     CatalogData as_of_catalog;
-    RQL_ASSIGN_OR_RETURN(ctx.as_of, ResolveAsOf(*s->select));
-    if (ctx.as_of == retro::kNoSnapshot) {
-      ctx.reader = store_;
-      ctx.catalog = &catalog_->data();
-    } else {
-      RQL_ASSIGN_OR_RETURN(view, store_->OpenSnapshot(ctx.as_of));
-      ctx.reader = view.get();
-      RQL_ASSIGN_OR_RETURN(as_of_catalog,
-                           CatalogData::Load(view.get(), catalog_->root()));
-      ctx.catalog = &as_of_catalog;
-    }
+    RQL_RETURN_IF_ERROR(BindReader(*s->select, &ctx, &view, &as_of_catalog));
     RQL_ASSIGN_OR_RETURN(std::unique_ptr<SelectExecutor> exec,
                          SelectExecutor::Prepare(s->select.get(), ctx));
     if (cb == nullptr) return Status::OK();
@@ -258,6 +248,27 @@ Status Database::ExecStatement(Statement* stmt, const QueryCallback& cb) {
     return Status::OK();
   }
   return Status::Internal("unhandled statement kind");
+}
+
+Status Database::BindReader(const SelectStmt& stmt, ExecContext* ctx,
+                            std::unique_ptr<retro::SnapshotView>* view,
+                            CatalogData* as_of_catalog) {
+  RQL_ASSIGN_OR_RETURN(ctx->as_of, ResolveAsOf(stmt));
+  if (ctx->as_of == retro::kNoSnapshot) {
+    ctx->reader = store_;
+    ctx->catalog = &catalog_->data();
+    return Status::OK();
+  }
+  if (snapshot_set_ != nullptr) {
+    RQL_ASSIGN_OR_RETURN(*view, snapshot_set_->Open(ctx->as_of));
+  } else {
+    RQL_ASSIGN_OR_RETURN(*view, store_->OpenSnapshot(ctx->as_of));
+  }
+  ctx->reader = view->get();
+  RQL_ASSIGN_OR_RETURN(*as_of_catalog,
+                       CatalogData::Load(view->get(), catalog_->root()));
+  ctx->catalog = as_of_catalog;
+  return Status::OK();
 }
 
 Status Database::ExecSelect(const SelectStmt& stmt, const QueryCallback& cb) {
@@ -273,17 +284,7 @@ Status Database::ExecSelect(const SelectStmt& stmt, const QueryCallback& cb) {
 
   std::unique_ptr<retro::SnapshotView> view;
   CatalogData as_of_catalog;
-  RQL_ASSIGN_OR_RETURN(ctx.as_of, ResolveAsOf(stmt));
-  if (ctx.as_of == retro::kNoSnapshot) {
-    ctx.reader = store_;
-    ctx.catalog = &catalog_->data();
-  } else {
-    RQL_ASSIGN_OR_RETURN(view, store_->OpenSnapshot(ctx.as_of));
-    ctx.reader = view.get();
-    RQL_ASSIGN_OR_RETURN(as_of_catalog,
-                         CatalogData::Load(view.get(), catalog_->root()));
-    ctx.catalog = &as_of_catalog;
-  }
+  RQL_RETURN_IF_ERROR(BindReader(stmt, &ctx, &view, &as_of_catalog));
 
   RQL_ASSIGN_OR_RETURN(std::unique_ptr<SelectExecutor> exec,
                        SelectExecutor::Prepare(&stmt, ctx));
@@ -311,17 +312,8 @@ Status Database::ExecCreateTable(CreateTableStmt* stmt) {
   ctx.stats = &last_stats_.exec;
   std::unique_ptr<retro::SnapshotView> view;
   CatalogData as_of_catalog;
-  RQL_ASSIGN_OR_RETURN(ctx.as_of, ResolveAsOf(*stmt->as_select));
-  if (ctx.as_of == retro::kNoSnapshot) {
-    ctx.reader = store_;
-    ctx.catalog = &catalog_->data();
-  } else {
-    RQL_ASSIGN_OR_RETURN(view, store_->OpenSnapshot(ctx.as_of));
-    ctx.reader = view.get();
-    RQL_ASSIGN_OR_RETURN(as_of_catalog,
-                         CatalogData::Load(view.get(), catalog_->root()));
-    ctx.catalog = &as_of_catalog;
-  }
+  RQL_RETURN_IF_ERROR(
+      BindReader(*stmt->as_select, &ctx, &view, &as_of_catalog));
   RQL_ASSIGN_OR_RETURN(std::unique_ptr<SelectExecutor> exec,
                        SelectExecutor::Prepare(stmt->as_select.get(), ctx));
   columns = exec->columns();
@@ -435,20 +427,12 @@ Status Database::ExecInsert(InsertStmt* stmt) {
 
   if (stmt->select != nullptr) {
     ExecContext ctx;
-    ctx.reader = store_;
-    ctx.catalog = &catalog_->data();
     ctx.functions = &functions_;
     ctx.stats = &last_stats_.exec;
     std::unique_ptr<retro::SnapshotView> view;
     CatalogData as_of_catalog;
-    RQL_ASSIGN_OR_RETURN(ctx.as_of, ResolveAsOf(*stmt->select));
-    if (ctx.as_of != retro::kNoSnapshot) {
-      RQL_ASSIGN_OR_RETURN(view, store_->OpenSnapshot(ctx.as_of));
-      ctx.reader = view.get();
-      RQL_ASSIGN_OR_RETURN(as_of_catalog,
-                           CatalogData::Load(view.get(), catalog_->root()));
-      ctx.catalog = &as_of_catalog;
-    }
+    RQL_RETURN_IF_ERROR(
+        BindReader(*stmt->select, &ctx, &view, &as_of_catalog));
     RQL_ASSIGN_OR_RETURN(std::unique_ptr<SelectExecutor> exec,
                          SelectExecutor::Prepare(stmt->select.get(), ctx));
     return exec->Run(insert_positional);

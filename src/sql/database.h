@@ -148,6 +148,13 @@ class Database {
   void set_scan_cache(SharedScanCache* cache) { scan_cache_ = cache; }
   SharedScanCache* scan_cache() const { return scan_cache_; }
 
+  /// Attaches (or with nullptr detaches) a snapshot set: AS OF statements
+  /// open their snapshot through it (SnapshotSet::Open) instead of a cold
+  /// SnapshotStore::OpenSnapshot, so an RQL run's cursor and version
+  /// recorder see its Qq reads. The caller owns the set and its lifetime.
+  void set_snapshot_set(retro::SnapshotSet* set) { snapshot_set_ = set; }
+  retro::SnapshotSet* snapshot_set() const { return snapshot_set_; }
+
   /// Run-scoped batch-execution toggle (RqlOptions::batch_execution):
   /// SELECT execution serves eligible sequential scans page-at-a-time
   /// through RowBatches instead of row by row. Results are byte-identical
@@ -196,6 +203,14 @@ class Database {
   /// once `store_` points at the (owned or borrowed) store.
   Status Init();
 
+  /// Points `ctx` at what `stmt` reads: the snapshot its AS OF names
+  /// (opened through the attached snapshot set, if any) with that
+  /// snapshot's catalog, or the current state. `view` and `as_of_catalog`
+  /// hold what `ctx` borrows.
+  Status BindReader(const SelectStmt& stmt, ExecContext* ctx,
+                    std::unique_ptr<retro::SnapshotView>* view,
+                    CatalogData* as_of_catalog);
+
   Status ExecStatement(Statement* stmt, const QueryCallback& cb);
   Status ExecSelect(const SelectStmt& stmt, const QueryCallback& cb);
   Status ExecCreateTable(CreateTableStmt* stmt);
@@ -225,6 +240,7 @@ class Database {
   // consumed by ExecSelect for the top-level statement.
   PlanCache* active_plan_cache_ = nullptr;
   SharedScanCache* scan_cache_ = nullptr;
+  retro::SnapshotSet* snapshot_set_ = nullptr;
   bool batch_execution_ = false;
   retro::MetricsRegistry::Histogram* batch_size_hist_ = nullptr;
   DbExecStats last_stats_;

@@ -37,7 +37,7 @@ struct Fixture {
 /// (items 50000..) every 2*`live_period`-th, and a `churn` side table
 /// changes every snapshot. Post-load mutations are in-place UPDATEs and
 /// DELETEs only, so unchanged pages keep their shared versions — the
-/// shape where a decoded-page cache and skip_unchanged_iterations bite,
+/// shape where a decoded-page cache and the memo's delta fast path bite,
 /// and where a batch borrows cached decoded pages zero-copy.
 Fixture MakeSparseFixture(uint64_t seed, int snapshots, int items,
                           int live_period) {
@@ -184,15 +184,16 @@ TEST_P(BatchExecutionTest, BatchPathByteIdenticalAcrossFlagMatrix) {
 
   // The property test's flag matrix, plus the flags-off config, crossed
   // with {row, batch} and {1, 4} workers below. `cache` runs against a
-  // run-scoped decoded-page cache, cleared before every run.
+  // run-scoped decoded-page cache, cleared before every run; `memo`
+  // against a run-scoped memo (memoize_iterations with no MemoTable).
   struct Config {
     const char* name;
-    bool cache, skip, amort;
+    bool cache, memo, amort;
   };
   const Config kConfigs[] = {
       {"off", false, false, false},
       {"cache", true, false, false},
-      {"skip", false, true, false},
+      {"memo", false, true, false},
       {"both", true, true, false},
       {"both_amortized", true, true, true},
       {"amortized_only", false, false, true},
@@ -213,7 +214,7 @@ TEST_P(BatchExecutionTest, BatchPathByteIdenticalAcrossFlagMatrix) {
           RqlOptions opts;
           run_cache.Clear();
           opts.shared_scan_cache = c.cache ? &run_cache : nullptr;
-          opts.skip_unchanged_iterations = c.skip;
+          opts.memoize_iterations = c.memo;
           opts.incremental_spt = c.amort;
           opts.reuse_qq_plan = c.amort;
           opts.batch_pagelog_reads = c.amort;
@@ -231,10 +232,21 @@ TEST_P(BatchExecutionTest, BatchPathByteIdenticalAcrossFlagMatrix) {
           EXPECT_EQ(dump(table), baseline) << label;
 
           int64_t batches = 0, batch_rows = 0;
+          int64_t memo_misses = 0, memo_bytes = 0;
           const RqlRunStats& stats = f.engine->last_run_stats();
           for (const RqlIterationStats& it : stats.iterations) {
             batches += it.batches_scanned;
             batch_rows += it.batch_rows;
+            memo_misses += it.memo_misses;
+            memo_bytes += it.memo_bytes;
+          }
+          if (c.memo) {
+            // Run-scoped: every iteration executed or took the delta fast
+            // path, and nothing was published.
+            EXPECT_EQ(memo_misses + stats.iterations_skipped,
+                      static_cast<int64_t>(stats.iterations.size()))
+                << label;
+            EXPECT_EQ(memo_bytes, 0) << label;
           }
           if (batch) {
             // Every Qq above is a plain single-table scan, so at least

@@ -166,7 +166,7 @@ TEST(ConcurrencyTest, RandomSnapshotReadsMatchSequentialOracle) {
 
   // Cold start: force every archived read to hit the Pagelog at least once.
   store->ClearSnapshotCache();
-  store->stats()->Reset();
+  store->ResetStats();
 
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;

@@ -490,6 +490,12 @@ int64_t SumMisses(const RqlRunStats& stats) {
   return misses;
 }
 
+/// Hits plus delta fast-path replays: every iteration that did not
+/// execute Qq. On a memoized run, replays + misses = iterations.
+int64_t SumReplays(const RqlRunStats& stats) {
+  return SumHits(stats) + stats.iterations_skipped;
+}
+
 TEST(MemoStalenessTest, WarmRunReplaysEveryIteration) {
   EngineFixture f = MakeEngineFixture(10, 5);
   ASSERT_TRUE(RunPlain(&f, kQsAll, "Base").ok());
@@ -498,15 +504,48 @@ TEST(MemoStalenessTest, WarmRunReplaysEveryIteration) {
   EXPECT_EQ(SumHits(f.engine->last_run_stats()), 0);
   EXPECT_EQ(SumMisses(f.engine->last_run_stats()), 0);
 
+  // A cold run has nothing to hit; the static tail replays through the
+  // delta fast path.
   ASSERT_TRUE(RunMemoized(&f, kQsAll, "Cold").ok());
   EXPECT_EQ(Dump(&f, "Cold"), baseline);
   EXPECT_EQ(SumHits(f.engine->last_run_stats()), 0);
-  EXPECT_EQ(SumMisses(f.engine->last_run_stats()), 10);
+  EXPECT_GT(f.engine->last_run_stats().iterations_skipped, 0);
+  EXPECT_EQ(SumMisses(f.engine->last_run_stats()) +
+                f.engine->last_run_stats().iterations_skipped,
+            10);
 
   ASSERT_TRUE(RunMemoized(&f, kQsAll, "Warm").ok());
   EXPECT_EQ(Dump(&f, "Warm"), baseline);
-  EXPECT_EQ(SumHits(f.engine->last_run_stats()), 10);
+  EXPECT_EQ(SumReplays(f.engine->last_run_stats()), 10);
   EXPECT_EQ(SumMisses(f.engine->last_run_stats()), 0);
+}
+
+TEST(MemoStalenessTest, ColdRunPublishesFastPathReplays) {
+  // The cold run replays its static tail through the delta fast path; the
+  // shared memo must still learn every snapshot it visited. A descending
+  // run rebases the snapshot set at every step, so it has no fast path:
+  // each iteration must hit the memo.
+  EngineFixture f = MakeEngineFixture(10, 5);
+  ASSERT_TRUE(RunPlain(&f, std::string(kQsAll) + " ORDER BY snap_id DESC",
+                       "Base")
+                  .ok());
+  const std::vector<std::string> baseline = Dump(&f, "Base");
+
+  ASSERT_TRUE(RunMemoized(&f, kQsAll, "Cold").ok());
+  EXPECT_GT(f.engine->last_run_stats().iterations_skipped, 0);
+  const uint64_t fp = Fp(kQq, "CollateData");
+  for (retro::SnapshotId snap : f.snaps) {
+    EXPECT_NE(f.memo->Probe(fp, snap), nullptr) << snap;
+  }
+
+  ASSERT_TRUE(RunMemoized(&f, std::string(kQsAll) + " ORDER BY snap_id DESC",
+                          "Desc")
+                  .ok());
+  EXPECT_EQ(Dump(&f, "Desc"), baseline);
+  const RqlRunStats& stats = f.engine->last_run_stats();
+  EXPECT_EQ(stats.iterations_skipped, 0);
+  EXPECT_EQ(SumHits(stats), 10);
+  EXPECT_EQ(SumMisses(stats), 0);
 }
 
 TEST(MemoStalenessTest, IngestOutsideReadSetKeepsHits) {
@@ -526,7 +565,7 @@ TEST(MemoStalenessTest, IngestOutsideReadSetKeepsHits) {
                           std::to_string(f.snaps.back());
   ASSERT_TRUE(RunMemoized(&f, qs_prefix, "Warm").ok());
   EXPECT_EQ(Dump(&f, "Warm"), baseline);
-  EXPECT_EQ(SumHits(f.engine->last_run_stats()), 10);
+  EXPECT_EQ(SumReplays(f.engine->last_run_stats()), 10);
   EXPECT_EQ(SumMisses(f.engine->last_run_stats()), 0);
 }
 
@@ -554,13 +593,13 @@ TEST(MemoStalenessTest, IngestInsideReadSetInvalidatesAffectedSnapshots) {
   const RqlRunStats& stats = f.engine->last_run_stats();
   EXPECT_GT(SumMisses(stats), 0);  // the flipped tokens were caught
   EXPECT_GT(SumHits(stats), 0);    // the archived prefix still replays
-  EXPECT_EQ(SumHits(stats) + SumMisses(stats), 10);
+  EXPECT_EQ(SumReplays(stats) + SumMisses(stats), 10);
 
   // The misses republished against the new resolutions: a further run
   // replays everything again.
   ASSERT_TRUE(RunMemoized(&f, qs_prefix, "Warm2").ok());
   EXPECT_EQ(Dump(&f, "Warm2"), baseline);
-  EXPECT_EQ(SumHits(f.engine->last_run_stats()), 10);
+  EXPECT_EQ(SumReplays(f.engine->last_run_stats()), 10);
 }
 
 TEST(MemoStalenessTest, TruncateHistoryInvalidatesDroppedSnapshots) {
@@ -596,7 +635,7 @@ TEST(MemoStalenessTest, TruncateHistoryInvalidatesDroppedSnapshots) {
   EXPECT_EQ(Dump(&f, "WarmAfter"), baseline);
   const RqlRunStats& stats = f.engine->last_run_stats();
   EXPECT_EQ(static_cast<int>(stats.iterations.size()), 5);
-  EXPECT_EQ(SumHits(stats) + SumMisses(stats), 5);
+  EXPECT_EQ(SumReplays(stats) + SumMisses(stats), 5);
 
   // And the invalidation persisted: a reopened memo still refuses the
   // dropped snapshots.
@@ -605,6 +644,125 @@ TEST(MemoStalenessTest, TruncateHistoryInvalidatesDroppedSnapshots) {
   for (retro::SnapshotId snap : f.snaps) {
     if (snap < keep) {
       EXPECT_EQ(f.memo->Probe(fp, snap), nullptr) << snap;
+    }
+  }
+}
+
+TEST(MemoStalenessTest, DbSharedReadSetsNeverAliasAcrossSnapshots) {
+  // The newest snapshot reads `live` entirely from db-shared pages. An
+  // update then captures item 0's page and a new snapshot reads it
+  // db-shared again: the same all-db-shared read set over different
+  // content. Aliasing the new snapshot to the old entry would replay
+  // item 0's old score.
+  EngineFixture f = MakeEngineFixture(10, 5);
+  const std::string newest = std::to_string(f.snaps.back());
+  ASSERT_TRUE(RunMemoized(&f, std::string(kQsAll) + " WHERE snap_id = " +
+                                  newest,
+                          "Old")
+                  .ok());
+  ASSERT_TRUE(f.data->Exec("BEGIN").ok());
+  ASSERT_TRUE(
+      f.data->Exec("UPDATE live SET score = score + 100 WHERE item = 0")
+          .ok());
+  auto next = f.engine->CommitWithSnapshot("rewrite");
+  ASSERT_TRUE(next.ok());
+  const std::string qs_next =
+      std::string(kQsAll) + " WHERE snap_id = " + std::to_string(*next);
+  for (const char* table : {"New1", "New2"}) {
+    ASSERT_TRUE(RunMemoized(&f, qs_next, table).ok());
+    auto score = f.meta->QueryScalar(std::string("SELECT score FROM ") +
+                                     table + " WHERE item = 0");
+    ASSERT_TRUE(score.ok()) << score.status().ToString();
+    EXPECT_EQ(score->integer(), 100) << table;
+  }
+  // The second run replayed the new snapshot's own entry.
+  EXPECT_EQ(SumHits(f.engine->last_run_stats()), 1);
+}
+
+TEST(MemoConcurrencyTest, TwoEnginesRunScopedMemoMatchSequentialOracle) {
+  // Two engines on one store, each on its own thread, run rounds of
+  // run-scoped memoized runs (memo == nullptr: every round executes and
+  // records afresh). Each run owns its snapshot set and version recorder,
+  // so neither engine's reads leak into the other's read set or delta.
+  EngineFixture f = MakeEngineFixture(12, 6);
+  ASSERT_TRUE(RunPlain(&f, kQsAll, "Oracle").ok());
+  const std::vector<std::string> oracle = Dump(&f, "Oracle");
+  ASSERT_TRUE(f.engine->AggregateDataInTable(kQsAll, kQq, "OracleAgg",
+                                             "(score,max)")
+                  .ok());
+  const std::vector<std::string> oracle_agg = Dump(&f, "OracleAgg");
+
+  constexpr int kEngines = 2;
+  constexpr int kRounds = 4;
+  struct Client {
+    std::unique_ptr<sql::Database> data;
+    std::unique_ptr<sql::Database> meta;
+    std::unique_ptr<RqlEngine> engine;
+    std::vector<std::vector<std::string>> collate, agg;
+    Status status;
+  };
+  std::vector<Client> clients(kEngines);
+  for (int c = 0; c < kEngines; ++c) {
+    Client& cl = clients[c];
+    auto data = sql::Database::Attach(f.data->store());
+    auto meta = sql::Database::Open(f.env.get(), "cmeta" + std::to_string(c));
+    ASSERT_TRUE(data.ok() && meta.ok());
+    cl.data = std::move(*data);
+    cl.meta = std::move(*meta);
+    RqlOptions opts;
+    opts.memoize_iterations = true;
+    opts.incremental_spt = c == 0;
+    cl.engine = std::make_unique<RqlEngine>(cl.data.get(), cl.meta.get(),
+                                            opts);
+    ASSERT_TRUE(cl.engine->EnsureSnapIds().ok());
+    for (retro::SnapshotId snap : f.snaps) {
+      ASSERT_TRUE(cl.meta
+                      ->Exec("INSERT INTO SnapIds VALUES (" +
+                             std::to_string(snap) + ", 't', '')")
+                      .ok());
+    }
+  }
+  auto dump = [](sql::Database* meta, const std::string& table) {
+    std::vector<std::string> out;
+    auto rows = meta->Query("SELECT * FROM " + table);
+    if (rows.ok()) {
+      for (const sql::Row& row : rows->rows) {
+        out.push_back(sql::EncodeRow(row));
+      }
+    }
+    return out;
+  };
+  std::vector<std::thread> threads;
+  for (Client& cl : clients) {
+    threads.emplace_back([&cl, &dump] {
+      for (int r = 0; r < kRounds && cl.status.ok(); ++r) {
+        cl.status = cl.engine->CollateData(kQsAll, kQq, "C");
+        if (!cl.status.ok()) break;
+        const RqlRunStats& stats = cl.engine->last_run_stats();
+        int64_t misses = 0, hits = 0;
+        for (const RqlIterationStats& it : stats.iterations) {
+          misses += it.memo_misses;
+          hits += it.memo_hits;
+        }
+        if (hits != 0 || misses + stats.iterations_skipped !=
+                             static_cast<int64_t>(stats.iterations.size())) {
+          cl.status = Status::Internal("memo counter identity broken");
+          break;
+        }
+        cl.collate.push_back(dump(cl.meta.get(), "C"));
+        cl.status = cl.engine->AggregateDataInTable(kQsAll, kQq, "A",
+                                                    "(score,max)");
+        if (cl.status.ok()) cl.agg.push_back(dump(cl.meta.get(), "A"));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const Client& cl : clients) {
+    ASSERT_TRUE(cl.status.ok()) << cl.status.ToString();
+    ASSERT_EQ(cl.collate.size(), static_cast<size_t>(kRounds));
+    for (int r = 0; r < kRounds; ++r) {
+      EXPECT_EQ(cl.collate[r], oracle) << "round " << r;
+      EXPECT_EQ(cl.agg[r], oracle_agg) << "round " << r;
     }
   }
 }

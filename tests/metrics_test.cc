@@ -292,7 +292,7 @@ TEST_F(EngineMetricsTest, FlagsOnDeltaStillMatchesLegacyStats) {
   opts->batch_pagelog_reads = true;
   sql::SharedScanCache run_cache({.max_bytes = 0});  // this run's only
   opts->shared_scan_cache = &run_cache;
-  opts->skip_unchanged_iterations = true;
+  opts->memoize_iterations = true;  // run-scoped
   opts->batch_execution = true;
   ExpectDeltaMatchesStats([this] {
     return engine_->CollateData(

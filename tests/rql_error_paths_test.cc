@@ -155,13 +155,20 @@ TEST_F(RqlErrorPathsTest, MidRunFailureInCollateDropsCreatedTable) {
   EXPECT_FALSE(TableExists("Result"));
 }
 
-TEST_F(RqlErrorPathsTest, MemoizeWithoutMemoTableIsRejected) {
-  engine_->mutable_options()->memoize_iterations = true;  // memo left null
+TEST_F(RqlErrorPathsTest, MemoizeWithoutMemoTableIsRunScoped) {
+  // memo left null: the run memoizes for itself and publishes nothing.
+  engine_->mutable_options()->memoize_iterations = true;
   Status s = engine_->CollateData("SELECT snap_id FROM SnapIds",
                                   "SELECT k FROM t", "Result");
-  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
-  EXPECT_FALSE(TableExists("Result"));
-  EXPECT_TRUE(engine_->last_run_stats().iterations.empty());
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_TRUE(TableExists("Result"));
+  const RqlRunStats& stats = engine_->last_run_stats();
+  EXPECT_FALSE(stats.iterations.empty());
+  for (const RqlIterationStats& it : stats.iterations) {
+    EXPECT_EQ(it.memo_hits, 0);
+    EXPECT_EQ(it.memo_bytes, 0);
+    EXPECT_EQ(it.memo_misses + (it.skipped ? 1 : 0), 1);
+  }
 }
 
 TEST_F(RqlErrorPathsTest, MemoizeIncompatibleWithColdCachePerIteration) {

@@ -21,6 +21,28 @@ namespace {
 using sql::Row;
 using sql::Value;
 
+/// The run-scoped memo's counter identities (memoize_iterations with no
+/// MemoTable): every iteration either executed — a miss, and one Qq parse
+/// unless `reuse_plan` — or replayed through the delta fast path, and
+/// nothing was published.
+void ExpectRunScopedMemoCounters(const RqlRunStats& stats, bool reuse_plan,
+                                 const std::string& label) {
+  int64_t hits = 0, misses = 0, bytes = 0;
+  for (const RqlIterationStats& it : stats.iterations) {
+    hits += it.memo_hits;
+    misses += it.memo_misses;
+    bytes += it.memo_bytes;
+  }
+  EXPECT_EQ(hits, 0) << label;
+  EXPECT_EQ(misses + stats.iterations_skipped,
+            static_cast<int64_t>(stats.iterations.size()))
+      << label;
+  EXPECT_EQ(bytes, 0) << label;
+  if (!reuse_plan) {
+    EXPECT_EQ(stats.qq_parse_count, misses) << label;
+  }
+}
+
 // The whole suite runs through a FaultInjectionEnv with nothing armed:
 // every property doubles as a transparency check for the fault layer.
 struct Fixture {
@@ -114,8 +136,8 @@ Fixture MakeFixture(uint64_t seed, int snapshots, int items) {
 /// 2*`live_period`-th. An iteration that executes because zone A changed
 /// still reads zone B's unchanged — and archived, since B changes again
 /// later — page version, so the decoded-page cache gets hits even when
-/// iteration skipping filters the run down to changed snapshots. Post-load
-/// mutations are in-place UPDATEs and DELETEs only (records are
+/// the memo's delta fast path filters the run down to changed snapshots.
+/// Post-load mutations are in-place UPDATEs and DELETEs only (records are
 /// fixed-width, so UPDATE never relocates): an INSERT would land on the
 /// heap tail page and perturb zone B's version chain.
 Fixture MakeSparseFixture(uint64_t seed, int snapshots, int items,
@@ -506,13 +528,15 @@ TEST_P(RqlPropertyTest, TransientPagelogFaultsWithRetriesAreTransparent) {
 }
 
 TEST_P(RqlPropertyTest, PageSharingFlagsPreserveAllMechanismOutputs) {
-  // A run-scoped decoded-page cache and skip_unchanged_iterations are
-  // pure optimizations: on a sparse-update history every mechanism's
-  // result table must be byte-identical with any combination of the two —
-  // alone, together, stacked on the iteration-setup amortization flags,
-  // and (for parallelizable mechanisms) under parallel workers. AggregateDataInVariable uses the
-  // non-idempotent `sum` fold so a replayed iteration that contributed
-  // twice (or not at all) would be caught.
+  // A run-scoped decoded-page cache and a run-scoped memo
+  // (memoize_iterations with no MemoTable) are pure optimizations: on a
+  // sparse-update history every mechanism's result table must be
+  // byte-identical with any combination of the two — alone, together,
+  // stacked on the iteration-setup amortization flags, and (for
+  // parallelizable mechanisms) under parallel workers.
+  // AggregateDataInVariable uses the non-idempotent `sum` fold so a
+  // replayed iteration that contributed twice (or not at all) would be
+  // caught.
   Fixture f = MakeSparseFixture(GetParam() * 1000 + 173, 24, 8, 4);
   const std::string qs = "SELECT snap_id FROM SnapIds";
 
@@ -594,15 +618,15 @@ TEST_P(RqlPropertyTest, PageSharingFlagsPreserveAllMechanismOutputs) {
   };
 
   // `cache` runs against a run-scoped decoded-page cache, cleared before
-  // every run.
+  // every run; `memo` against a run-scoped memo.
   struct Config {
     const char* name;
-    bool cache, skip, amort;
+    bool cache, memo, amort;
     int workers;
   };
   const Config kConfigs[] = {
       {"cache", true, false, false, 1},
-      {"skip", false, true, false, 1},
+      {"memo", false, true, false, 1},
       {"both", true, true, false, 1},
       {"both_amortized", true, true, true, 1},
       {"both_parallel", true, true, false, 4},
@@ -627,7 +651,7 @@ TEST_P(RqlPropertyTest, PageSharingFlagsPreserveAllMechanismOutputs) {
       RqlOptions opts;
       run_cache.Clear();
       opts.shared_scan_cache = c.cache ? &run_cache : nullptr;
-      opts.skip_unchanged_iterations = c.skip;
+      opts.memoize_iterations = c.memo;
       opts.incremental_spt = c.amort;
       opts.reuse_qq_plan = c.amort;
       opts.batch_pagelog_reads = c.amort;
@@ -645,13 +669,16 @@ TEST_P(RqlPropertyTest, PageSharingFlagsPreserveAllMechanismOutputs) {
       EXPECT_EQ(dump(table), baseline) << table;
       const RqlRunStats& stats = f.engine->last_run_stats();
       // Live changes every 4th snapshot only: the three quiet iterations
-      // of each period must skip, and versions shared across the set must
-      // hit the decoded-page cache.
+      // of each period must replay through the delta fast path, and
+      // versions shared across the set must hit the decoded-page cache.
       if (c.cache) {
         EXPECT_GT(stats.shared_page_hits, 0) << table;
       }
-      if (c.skip && !stats.parallel) {
-        EXPECT_GT(stats.iterations_skipped, 0) << table;
+      if (c.memo) {
+        ExpectRunScopedMemoCounters(stats, c.amort, table);
+        if (!stats.parallel) {
+          EXPECT_GT(stats.iterations_skipped, 0) << table;
+        }
       }
       if (!stats.parallel) {
         int64_t skipped = 0;
@@ -666,8 +693,8 @@ TEST_P(RqlPropertyTest, PageSharingFlagsPreserveAllMechanismOutputs) {
 
 TEST_P(RqlPropertyTest, SkipDisabledWhenQqUsesCurrentSnapshot) {
   // current_snapshot() makes the Qq result vary per snapshot even on
-  // identical data: the engine must detect it, never skip, and still
-  // produce the baseline output.
+  // identical data: the engine must detect it, never take the memo's delta
+  // fast path, and still produce the baseline output.
   Fixture f = MakeSparseFixture(GetParam() * 1000 + 191, 16, 6, 4);
   const std::string qs = "SELECT snap_id FROM SnapIds";
   const std::string qq =
@@ -685,7 +712,7 @@ TEST_P(RqlPropertyTest, SkipDisabledWhenQqUsesCurrentSnapshot) {
   std::vector<std::string> baseline = dump("Baseline");
 
   sql::SharedScanCache run_cache({.max_bytes = 0});
-  f.engine->mutable_options()->skip_unchanged_iterations = true;
+  f.engine->mutable_options()->memoize_iterations = true;  // run-scoped
   f.engine->mutable_options()->shared_scan_cache = &run_cache;
   f.data->store()->ClearSnapshotCache();
   ASSERT_TRUE(f.engine->CollateData(qs, qq, "Flagged").ok());
@@ -696,7 +723,7 @@ TEST_P(RqlPropertyTest, SkipDisabledWhenQqUsesCurrentSnapshot) {
 TEST_P(RqlPropertyTest, MemoizationPreservesAllMechanismOutputs) {
   // memoize_iterations is a pure optimization: for every mechanism, under
   // every flag combination it composes with (a run-scoped decoded-page
-  // cache, iteration skipping, batch execution, parallel workers), both the cold run that
+  // cache, batch execution, parallel workers), both the cold run that
   // fills the persistent memo and the warm run that replays from it must
   // be byte-identical to the flags-off baseline — and the warm run must
   // actually hit. AggregateDataInVariable uses the non-idempotent `sum`
@@ -766,16 +793,15 @@ TEST_P(RqlPropertyTest, MemoizationPreservesAllMechanismOutputs) {
 
   struct Config {
     const char* name;
-    bool cache, skip, batch;
+    bool cache, batch;
     int workers;
   };
   const Config kConfigs[] = {
-      {"memo", false, false, false, 1},
-      {"memo_cache", true, false, false, 1},
-      {"memo_skip", false, true, false, 1},
-      {"memo_batch", false, false, true, 1},
-      {"memo_parallel", false, false, false, 4},
-      {"memo_all_flags", true, true, true, 1},
+      {"memo", false, false, 1},
+      {"memo_cache", true, false, 1},
+      {"memo_batch", false, true, 1},
+      {"memo_parallel", false, false, 4},
+      {"memo_all_flags", true, true, 1},
   };
 
   for (const Mech& m : mechs) {
@@ -801,7 +827,6 @@ TEST_P(RqlPropertyTest, MemoizationPreservesAllMechanismOutputs) {
       // Run-scoped: cleared before the warm run below.
       sql::SharedScanCache run_cache({.max_bytes = 0});
       opts.shared_scan_cache = c.cache ? &run_cache : nullptr;
-      opts.skip_unchanged_iterations = c.skip;
       opts.batch_execution = c.batch;
       opts.parallel_workers = c.workers;
       opts.metrics = &registry;
@@ -818,8 +843,13 @@ TEST_P(RqlPropertyTest, MemoizationPreservesAllMechanismOutputs) {
       EXPECT_EQ(cold.hits, 0) << table;
       EXPECT_GT(cold.misses, 0) << table;
       EXPECT_GT(cold.bytes, 0) << table;
-      // Only executed iterations parse Qq (no reuse_qq_plan here), and
-      // every executed iteration is a memo miss.
+      // Every iteration either executed (a miss) or replayed through the
+      // delta fast path; only executed iterations parse Qq (no
+      // reuse_qq_plan here).
+      EXPECT_EQ(cold.misses + f.engine->last_run_stats().iterations_skipped,
+                static_cast<int64_t>(
+                    f.engine->last_run_stats().iterations.size()))
+          << table;
       EXPECT_EQ(f.engine->last_run_stats().qq_parse_count, cold.misses)
           << table;
 
@@ -833,16 +863,14 @@ TEST_P(RqlPropertyTest, MemoizationPreservesAllMechanismOutputs) {
       const RqlRunStats& stats = f.engine->last_run_stats();
       auto warm = memo_sums(stats);
       EXPECT_GT(warm.hits, 0) << table;
-      // A memo-served iteration parses nothing, sequential or parallel.
+      // A replayed iteration parses nothing, sequential or parallel.
       EXPECT_EQ(stats.qq_parse_count, warm.misses) << table;
-      if (!c.skip && !stats.parallel) {
-        // Without the intra-run skipper in front, every iteration of the
-        // warm run must replay straight from the memo.
-        EXPECT_EQ(warm.hits,
-                  static_cast<int64_t>(stats.iterations.size()))
-            << table;
-        EXPECT_EQ(warm.misses, 0) << table;
-      }
+      // Every iteration of the warm run replays: from the memo, or through
+      // the delta fast path where the predecessor already proves it.
+      EXPECT_EQ(warm.hits + stats.iterations_skipped,
+                static_cast<int64_t>(stats.iterations.size()))
+          << table;
+      EXPECT_EQ(warm.misses, 0) << table;
     }
   }
 }
@@ -984,8 +1012,16 @@ TEST_P(RqlPropertyTest, AsyncPrefetchPreservesAllMechanismOutputs) {
         EXPECT_EQ(warm.issued + warm.hits + warm.cancelled, 0) << table;
       } else if (c.memo) {
         // Every warm iteration replays from the memo, so the memo-aware
-        // planner schedules nothing ahead of it.
+        // planner schedules nothing ahead of it. The cold run published
+        // its delta fast-path replays too, so no snapshot is missing.
         EXPECT_EQ(warm.issued, 0) << table;
+        int64_t memo_hits = 0;
+        for (const RqlIterationStats& it : stats.iterations) {
+          memo_hits += it.memo_hits;
+        }
+        EXPECT_EQ(memo_hits + stats.iterations_skipped,
+                  static_cast<int64_t>(stats.iterations.size()))
+            << table;
       } else {
         EXPECT_LE(warm.hits + warm.wasted, warm.issued) << table;
         if (m.heavy) {
@@ -1009,18 +1045,6 @@ TEST(RqlPrefetchOptionsTest, PrefetchIncompatibleWithColdCachePerIteration) {
   // the all-cold baseline the flag exists to measure.
   Fixture f = MakeSparseFixture(9, 6, 4, 2);
   f.engine->mutable_options()->async_prefetch = true;
-  f.engine->mutable_options()->cold_cache_per_iteration = true;
-  Status s = f.engine->CollateData("SELECT snap_id FROM SnapIds",
-                                   "SELECT item FROM live", "Result");
-  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
-  EXPECT_EQ(f.meta->catalog()->data().FindTable("Result"), nullptr);
-}
-
-TEST(RqlPageSharingOptionsTest, SkipIncompatibleWithColdCachePerIteration) {
-  // A replayed iteration reads nothing, so the all-cold baseline that
-  // cold_cache_per_iteration defines would silently not be measured.
-  Fixture f = MakeSparseFixture(7, 6, 4, 2);
-  f.engine->mutable_options()->skip_unchanged_iterations = true;
   f.engine->mutable_options()->cold_cache_per_iteration = true;
   Status s = f.engine->CollateData("SELECT snap_id FROM SnapIds",
                                    "SELECT item FROM live", "Result");

@@ -679,7 +679,7 @@ TEST_F(RqlLoggedInTest, RunsRestoreEngineAndStoreState) {
   auto expect_restored = [&](const char* outcome) {
     EXPECT_EQ(data_->scan_cache(), nullptr) << outcome;
     EXPECT_FALSE(data_->batch_execution()) << outcome;
-    EXPECT_FALSE(store->snapshot_set_active()) << outcome;
+    EXPECT_EQ(data_->snapshot_set(), nullptr) << outcome;
     EXPECT_FALSE(store->batch_archive_reads()) << outcome;
   };
   const std::string qs = "SELECT snap_id FROM SnapIds";
@@ -749,8 +749,9 @@ TEST_F(RqlLoggedInTest, LiteralCurrentSnapshotSurvivesCollate) {
 
 TEST(RqlCurrentSnapshotSkipTest, LiteralDoesNotDisableSkip) {
   // A history where `tagged` is untouched after snapshot 1: snapshots 2-4
-  // are provably unchanged and skippable — unless the skip probe misreads
-  // the quoted literal in Qq as a real current_snapshot() call.
+  // are provably unchanged and replayable by the memo's delta fast path —
+  // unless the probe misreads the quoted literal in Qq as a real
+  // current_snapshot() call.
   storage::InMemoryEnv env;
   auto data = sql::Database::Open(&env, "data");
   auto meta = sql::Database::Open(&env, "meta");
@@ -772,7 +773,7 @@ TEST(RqlCurrentSnapshotSkipTest, LiteralDoesNotDisableSkip) {
                     .ok());
     ASSERT_TRUE(engine.CommitWithSnapshot("t" + std::to_string(s)).ok());
   }
-  engine.mutable_options()->skip_unchanged_iterations = true;
+  engine.mutable_options()->memoize_iterations = true;  // run-scoped
 
   const char* qq =
       "SELECT id FROM tagged WHERE tag = 'current_snapshot()'";
@@ -782,11 +783,11 @@ TEST(RqlCurrentSnapshotSkipTest, LiteralDoesNotDisableSkip) {
   auto count = (*meta)->QueryScalar("SELECT COUNT(*) FROM Lit");
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(count->integer(), 4);
-  // ...and the unchanged iterations were skipped, not re-executed.
+  // ...and the unchanged iterations were replayed, not re-executed.
   EXPECT_GT(engine.last_run_stats().iterations_skipped, 0);
 
   // Contrast: a real call makes results snapshot-dependent, so the same
-  // unchanged history must never skip.
+  // unchanged history must never take the fast path.
   ASSERT_TRUE(engine
                   .CollateData("SELECT snap_id FROM SnapIds",
                                "SELECT id, current_snapshot() AS sid "
@@ -794,6 +795,115 @@ TEST(RqlCurrentSnapshotSkipTest, LiteralDoesNotDisableSkip) {
                                "Call")
                   .ok());
   EXPECT_EQ(engine.last_run_stats().iterations_skipped, 0);
+}
+
+/// Two engines on one store, each with its own metadata database and the
+/// UDF form registered: engine A on the owning data handle, engine B on an
+/// attached one. `t` holds one row whose x is 1 at snapshots 1 and 2 and
+/// 2 at snapshot 3.
+class RqlTwoEngineTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto data = sql::Database::Open(&env_, "data");
+    auto meta_a = sql::Database::Open(&env_, "meta_a");
+    auto meta_b = sql::Database::Open(&env_, "meta_b");
+    ASSERT_TRUE(data.ok() && meta_a.ok() && meta_b.ok());
+    data_ = std::move(*data);
+    meta_a_ = std::move(*meta_a);
+    meta_b_ = std::move(*meta_b);
+    a_ = std::make_unique<RqlEngine>(data_.get(), meta_a_.get());
+    ASSERT_TRUE(a_->EnsureSnapIds().ok());
+    Ok(data_.get(), "CREATE TABLE t (x INTEGER)");
+    Ok(data_.get(), "INSERT INTO t VALUES (1)");
+    ASSERT_TRUE(a_->CommitWithSnapshot("t1").ok());
+    ASSERT_TRUE(a_->CommitWithSnapshot("t2").ok());
+    Ok(data_.get(), "BEGIN; UPDATE t SET x = 2");
+    ASSERT_TRUE(a_->CommitWithSnapshot("t3").ok());
+
+    auto attached = sql::Database::Attach(data_->store());
+    ASSERT_TRUE(attached.ok());
+    data_b_ = std::move(*attached);
+    b_ = std::make_unique<RqlEngine>(data_b_.get(), meta_b_.get());
+    ASSERT_TRUE(b_->EnsureSnapIds().ok());
+    Ok(meta_b_.get(), "INSERT INTO SnapIds VALUES (1, 't1', ''), "
+                      "(2, 't2', ''), (3, 't3', '')");
+    for (RqlEngine* e : {a_.get(), b_.get()}) {
+      e->mutable_options()->memoize_iterations = true;  // run-scoped
+      ASSERT_TRUE(e->RegisterUdfs().ok());
+    }
+  }
+
+  static void Ok(sql::Database* db, const std::string& sql) {
+    Status s = db->Exec(sql);
+    ASSERT_TRUE(s.ok()) << sql << ": " << s.ToString();
+  }
+
+  /// Runs one batch of UDF-form CollateData iterations over the snapshots
+  /// `where` selects; the engine's run stays open until FinishUdfRuns.
+  static Status Iterate(sql::Database* meta, const std::string& table,
+                        const std::string& where) {
+    return meta->Exec("SELECT CollateData(snap_id, 'SELECT x FROM t', '" +
+                      table + "') FROM SnapIds WHERE " + where);
+  }
+
+  static std::vector<int64_t> Xs(sql::Database* meta,
+                                 const std::string& table) {
+    auto rows = meta->Query("SELECT x FROM " + table);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    std::vector<int64_t> out;
+    if (rows.ok()) {
+      for (const Row& row : rows->rows) out.push_back(row[0].integer());
+    }
+    return out;
+  }
+
+  storage::InMemoryEnv env_;
+  std::unique_ptr<sql::Database> data_, data_b_, meta_a_, meta_b_;
+  std::unique_ptr<RqlEngine> a_, b_;
+};
+
+TEST_F(RqlTwoEngineTest, OtherEnginesRunDoesNotEndOpenRun) {
+  // A's UDF-form run is open when B runs a whole mechanism on the same
+  // store. B's run ending must leave A's snapshot set alone.
+  ASSERT_TRUE(Iterate(meta_a_.get(), "RA", "snap_id = 1").ok());
+  ASSERT_TRUE(b_->CollateData("SELECT snap_id FROM SnapIds",
+                              "SELECT x FROM t", "RB")
+                  .ok());
+  Status s = Iterate(meta_a_.get(), "RA", "snap_id >= 2");
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  ASSERT_TRUE(a_->FinishUdfRuns().ok());
+  EXPECT_EQ(Xs(meta_a_.get(), "RA"), (std::vector<int64_t>{1, 1, 2}));
+  EXPECT_EQ(Xs(meta_b_.get(), "RB"), (std::vector<int64_t>{1, 1, 2}));
+}
+
+TEST_F(RqlTwoEngineTest, InterleavedRunDoesNotSkipOnOtherRunsDelta) {
+  // A executes snapshot 1; B's open run then walks 1..3; A's next step is
+  // snapshot 3. A's delta must be measured from A's own predecessor (1 ->
+  // 3, which rewrote t), not from wherever B left a cursor (3 -> 3, empty),
+  // or A would replay x = 1 at snapshot 3.
+  ASSERT_TRUE(Iterate(meta_a_.get(), "RA", "snap_id = 1").ok());
+  ASSERT_TRUE(Iterate(meta_b_.get(), "RB", "snap_id >= 1").ok());
+  ASSERT_TRUE(Iterate(meta_a_.get(), "RA", "snap_id = 3").ok());
+  EXPECT_EQ(a_->last_run_stats().iterations_skipped, 0);
+  ASSERT_TRUE(a_->FinishUdfRuns().ok());
+  ASSERT_TRUE(b_->FinishUdfRuns().ok());
+  EXPECT_EQ(Xs(meta_a_.get(), "RA"), (std::vector<int64_t>{1, 2}));
+  EXPECT_EQ(Xs(meta_b_.get(), "RB"), (std::vector<int64_t>{1, 1, 2}));
+}
+
+TEST_F(RqlTwoEngineTest, UdfStatesOfOneRunKeepTheirOwnDeltas) {
+  // Two mechanisms in one driving SELECT share the run's snapshot set:
+  // per row, the first call moves the cursor and the second finds it
+  // already there. The second state's delta must still span its own step
+  // (2 -> 3 rewrote t), or it would replay its x = 1 row at snapshot 3.
+  ASSERT_TRUE(meta_a_
+                  ->Exec("SELECT CollateData(snap_id, 'SELECT x FROM t', "
+                         "'T1'), CollateData(snap_id, 'SELECT x * 10 AS x "
+                         "FROM t', 'T2') FROM SnapIds")
+                  .ok());
+  ASSERT_TRUE(a_->FinishUdfRuns().ok());
+  EXPECT_EQ(Xs(meta_a_.get(), "T1"), (std::vector<int64_t>{1, 1, 2}));
+  EXPECT_EQ(Xs(meta_a_.get(), "T2"), (std::vector<int64_t>{10, 10, 20}));
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace rql::retro {
 namespace {
 
@@ -57,8 +59,8 @@ TEST_F(SnapshotStoreTest, UnmodifiedPagesAreSharedWithCurrentState) {
   ASSERT_TRUE(view.ok());
   EXPECT_EQ((*view)->spt_size(), 0u);
   EXPECT_EQ(ReadTag(view->get(), *id), 7u);
-  EXPECT_EQ(store_->stats()->db_page_reads, 1);
-  EXPECT_EQ(store_->stats()->pagelog_page_reads, 0);
+  EXPECT_EQ(store_->stats().db_page_reads, 1);
+  EXPECT_EQ(store_->stats().pagelog_page_reads, 0);
 }
 
 TEST_F(SnapshotStoreTest, MultipleSnapshotsSeeTheirOwnStates) {
@@ -98,8 +100,8 @@ TEST_F(SnapshotStoreTest, ConsecutiveSnapshotsSharePreStates) {
     ASSERT_TRUE(view.ok());
     EXPECT_EQ(ReadTag(view->get(), *id), 1u);
   }
-  EXPECT_EQ(store_->stats()->pagelog_page_reads, 1);
-  EXPECT_EQ(store_->stats()->snapshot_cache_hits, 2);
+  EXPECT_EQ(store_->stats().pagelog_page_reads, 1);
+  EXPECT_EQ(store_->stats().snapshot_cache_hits, 2);
 }
 
 TEST_F(SnapshotStoreTest, WritesWithinOneEpochCaptureOnce) {
@@ -278,14 +280,14 @@ TEST_F(SnapshotStoreTest, OverwriteCycleFetchCounts) {
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(ReadTag(view->get(), ids[i]), 100u + i);
   }
-  EXPECT_EQ(store_->stats()->pagelog_page_reads, 8);
-  EXPECT_EQ(store_->stats()->db_page_reads, 0);
+  EXPECT_EQ(store_->stats().pagelog_page_reads, 8);
+  EXPECT_EQ(store_->stats().db_page_reads, 0);
 }
 
 TEST_F(SnapshotStoreTest, SnapshotSetSessionMatchesColdOpens) {
-  // Two pages modified in different epochs; views opened inside a
-  // snapshot-set session must read exactly what cold opens read, in any
-  // visit order (ascending uses the cursor, descending falls back).
+  // Two pages modified in different epochs; views a snapshot set opens
+  // must read exactly what cold opens read, in any visit order (ascending
+  // uses the cursor, descending falls back).
   auto a = store_->AllocatePage();
   auto b = store_->AllocatePage();
   for (uint64_t v = 1; v <= 6; ++v) {
@@ -305,22 +307,20 @@ TEST_F(SnapshotStoreTest, SnapshotSetSessionMatchesColdOpens) {
     cold.push_back({ReadTag(view->get(), *a), ReadTag(view->get(), *b)});
   }
 
-  store_->BeginSnapshotSet();
-  EXPECT_TRUE(store_->snapshot_set_active());
+  std::unique_ptr<SnapshotSet> set = store_->BeginSnapshotSet();
   for (SnapshotId s = 1; s <= 6; ++s) {
-    auto view = store_->OpenSnapshot(s);
+    auto view = set->Open(s);
     ASSERT_TRUE(view.ok());
     EXPECT_EQ(ReadTag(view->get(), *a), cold[s - 1].first) << "snap " << s;
     EXPECT_EQ(ReadTag(view->get(), *b), cold[s - 1].second) << "snap " << s;
   }
-  // Descending re-visit inside the same session: rebase fallback.
+  // Descending re-visit through the same set: rebase fallback.
   for (SnapshotId s = 6; s >= 1; --s) {
-    auto view = store_->OpenSnapshot(s);
+    auto view = set->Open(s);
     ASSERT_TRUE(view.ok());
     EXPECT_EQ(ReadTag(view->get(), *a), cold[s - 1].first) << "snap " << s;
   }
-  store_->EndSnapshotSet();
-  EXPECT_FALSE(store_->snapshot_set_active());
+  EXPECT_TRUE(set->Open(7).status().IsNotFound());
 }
 
 TEST_F(SnapshotStoreTest, SnapshotSetSeesUpdatesCommittedMidSession) {
@@ -329,29 +329,28 @@ TEST_F(SnapshotStoreTest, SnapshotSetSeesUpdatesCommittedMidSession) {
   auto s1 = store_->DeclareSnapshot();
   ASSERT_TRUE(s1.ok());
 
-  store_->BeginSnapshotSet();
+  std::unique_ptr<SnapshotSet> set = store_->BeginSnapshotSet();
   {
-    auto view = store_->OpenSnapshot(*s1);
+    auto view = set->Open(*s1);
     ASSERT_TRUE(view.ok());
     EXPECT_EQ(ReadTag(view->get(), *id), 1u);
   }
-  // History grows while the session is open (the cursor must ingest the
+  // History grows while the set is open (the cursor must ingest the
   // appended capture).
   ASSERT_TRUE(store_->WritePage(*id, TaggedPage(2)).ok());
   auto s2 = store_->DeclareSnapshot();
   ASSERT_TRUE(s2.ok());
   ASSERT_TRUE(store_->WritePage(*id, TaggedPage(3)).ok());
   {
-    auto view = store_->OpenSnapshot(*s2);
+    auto view = set->Open(*s2);
     ASSERT_TRUE(view.ok());
     EXPECT_EQ(ReadTag(view->get(), *id), 2u);
   }
   {
-    auto view = store_->OpenSnapshot(*s1);  // backwards: rebase
+    auto view = set->Open(*s1);  // backwards: rebase
     ASSERT_TRUE(view.ok());
     EXPECT_EQ(ReadTag(view->get(), *id), 1u);
   }
-  store_->EndSnapshotSet();
 }
 
 TEST_F(SnapshotStoreTest, IncrementalSessionScansFewerMaplogEntries) {
@@ -367,16 +366,95 @@ TEST_F(SnapshotStoreTest, IncrementalSessionScansFewerMaplogEntries) {
   for (SnapshotId s = 1; s <= kSnaps; ++s) {
     ASSERT_TRUE(store_->OpenSnapshot(s).ok());
   }
-  int64_t cold_entries = store_->stats()->spt.entries_scanned;
+  int64_t cold_entries = store_->stats().spt.entries_scanned;
 
   store_->ResetStats();
-  store_->BeginSnapshotSet();
+  std::unique_ptr<SnapshotSet> set = store_->BeginSnapshotSet();
   for (SnapshotId s = 1; s <= kSnaps; ++s) {
-    ASSERT_TRUE(store_->OpenSnapshot(s).ok());
+    ASSERT_TRUE(set->Open(s).ok());
   }
-  store_->EndSnapshotSet();
-  EXPECT_GT(store_->stats()->spt_delta_entries, 0);
-  EXPECT_LT(store_->stats()->spt.entries_scanned, cold_entries);
+  EXPECT_GT(store_->stats().spt_delta_entries, 0);
+  EXPECT_LT(store_->stats().spt.entries_scanned, cold_entries);
+}
+
+TEST_F(SnapshotStoreTest, InterleavedSnapshotSetsEachMatchColdOpens) {
+  // Two runs' sets on one store, stepped alternately in different
+  // directions: each cursor is private, so neither sees the other's
+  // position or delta.
+  auto a = store_->AllocatePage();
+  auto b = store_->AllocatePage();
+  for (uint64_t v = 1; v <= 8; ++v) {
+    ASSERT_TRUE(store_->WritePage(*a, TaggedPage(10 * v)).ok());
+    if (v % 3 == 0) {
+      ASSERT_TRUE(store_->WritePage(*b, TaggedPage(100 * v)).ok());
+    }
+    ASSERT_TRUE(store_->DeclareSnapshot().ok());
+  }
+  ASSERT_TRUE(store_->WritePage(*a, TaggedPage(999)).ok());
+  ASSERT_TRUE(store_->WritePage(*b, TaggedPage(999)).ok());
+  std::vector<std::pair<uint64_t, uint64_t>> cold;
+  for (SnapshotId s = 1; s <= 8; ++s) {
+    auto view = store_->OpenSnapshot(s);
+    ASSERT_TRUE(view.ok());
+    cold.push_back({ReadTag(view->get(), *a), ReadTag(view->get(), *b)});
+  }
+
+  std::unique_ptr<SnapshotSet> up = store_->BeginSnapshotSet();
+  std::unique_ptr<SnapshotSet> odd = store_->BeginSnapshotSet();
+  std::vector<storage::PageId> delta;
+  for (SnapshotId s = 1; s <= 8; ++s) {
+    auto advanced = up->Advance(s, &delta);
+    ASSERT_TRUE(advanced.ok());
+    // Only the first step rebases; every later one is a one-snapshot
+    // advance whose delta holds `a` (rewritten every epoch).
+    EXPECT_EQ(*advanced, s > 1) << "snap " << s;
+    if (s > 1) {
+      EXPECT_NE(std::find(delta.begin(), delta.end(), *a), delta.end());
+    }
+    auto view = up->Open(s);
+    ASSERT_TRUE(view.ok());
+    EXPECT_EQ(ReadTag(view->get(), *a), cold[s - 1].first) << "snap " << s;
+    EXPECT_EQ(ReadTag(view->get(), *b), cold[s - 1].second) << "snap " << s;
+    if (s % 2 == 1) {
+      auto other = odd->Open(s);
+      ASSERT_TRUE(other.ok());
+      EXPECT_EQ(ReadTag(other->get(), *a), cold[s - 1].first);
+      EXPECT_EQ(ReadTag(other->get(), *b), cold[s - 1].second);
+    }
+  }
+}
+
+TEST_F(SnapshotStoreTest, TruncationBetweenAdvancesForcesRebase) {
+  auto id = store_->AllocatePage();
+  for (uint64_t v = 1; v <= 6; ++v) {
+    ASSERT_TRUE(store_->WritePage(*id, TaggedPage(v)).ok());
+    ASSERT_TRUE(store_->DeclareSnapshot().ok());
+  }
+  ASSERT_TRUE(store_->WritePage(*id, TaggedPage(999)).ok());
+
+  std::unique_ptr<SnapshotSet> set = store_->BeginSnapshotSet();
+  std::vector<storage::PageId> delta;
+  ASSERT_TRUE(set->Advance(2, &delta).ok());
+  auto advanced = set->Advance(3, &delta);
+  ASSERT_TRUE(advanced.ok());
+  EXPECT_TRUE(*advanced);
+
+  // Compaction rewrites the logs and recycles Pagelog offsets: the next
+  // step must rebase (no delta) instead of advancing stale chains.
+  ASSERT_TRUE(store_->TruncateHistory(3).ok());
+  advanced = set->Advance(4, &delta);
+  ASSERT_TRUE(advanced.ok());
+  EXPECT_FALSE(*advanced);
+  EXPECT_TRUE(delta.empty());
+  for (SnapshotId s = 4; s <= 6; ++s) {
+    auto view = set->Open(s);
+    ASSERT_TRUE(view.ok());
+    EXPECT_EQ(ReadTag(view->get(), *id), s) << "snap " << s;
+  }
+  advanced = set->Advance(6, &delta);  // re-seek in place: a valid delta
+  ASSERT_TRUE(advanced.ok());
+  EXPECT_TRUE(*advanced);
+  EXPECT_TRUE(set->Open(2).status().IsNotFound());
 }
 
 TEST_F(SnapshotStoreTest, BatchedPrefetchWarmsCacheWithSameResults) {
@@ -398,20 +476,20 @@ TEST_F(SnapshotStoreTest, BatchedPrefetchWarmsCacheWithSameResults) {
   auto view = store_->OpenSnapshot(*snap);
   ASSERT_TRUE(view.ok());
   // The prefetch fetched every archived page in one ordered pass...
-  EXPECT_EQ(store_->stats()->batched_pagelog_reads, 6);
+  EXPECT_EQ(store_->stats().batched_pagelog_reads, 6);
   for (int i = 0; i < 6; ++i) {
     EXPECT_EQ(ReadTag(view->get(), ids[i]), 100u + i);
   }
   // ...so the demand path never touched the Pagelog.
-  EXPECT_EQ(store_->stats()->pagelog_page_reads, 0);
-  EXPECT_EQ(store_->stats()->snapshot_cache_hits, 6);
+  EXPECT_EQ(store_->stats().pagelog_page_reads, 0);
+  EXPECT_EQ(store_->stats().snapshot_cache_hits, 6);
   store_->set_batch_archive_reads(false);
 
   // Second open with a warm cache: nothing left to prefetch.
   store_->ResetStats();
   store_->set_batch_archive_reads(true);
   ASSERT_TRUE(store_->OpenSnapshot(*snap).ok());
-  EXPECT_EQ(store_->stats()->batched_pagelog_reads, 0);
+  EXPECT_EQ(store_->stats().batched_pagelog_reads, 0);
   store_->set_batch_archive_reads(false);
 }
 

@@ -236,7 +236,7 @@ struct MechanismRun {
 
 // The LoggedIn-style synthetic history: `orders` changes on most
 // snapshots; every third snapshot only touches `audit`, leaving `orders`
-// byte-identical so skip_unchanged_iterations has something to skip.
+// byte-identical so the memo's delta fast path has something to replay.
 Status BuildHistory(RqlEngine* engine, sql::Database* data, int snapshots) {
   RQL_RETURN_IF_ERROR(engine->EnsureSnapIds());
   RQL_RETURN_IF_ERROR(data->Exec(
@@ -246,7 +246,7 @@ Status BuildHistory(RqlEngine* engine, sql::Database* data, int snapshots) {
   int next_id = 1;
   for (int i = 1; i <= snapshots; ++i) {
     if (i > 1 && i % 3 == 0) {
-      // Orders untouched: this iteration is skip-eligible.
+      // Orders untouched: this iteration can take the fast path.
       RQL_RETURN_IF_ERROR(data->Exec(
           "BEGIN; INSERT INTO audit VALUES (" + std::to_string(i) +
           ", 'no-op day')"));
@@ -304,7 +304,6 @@ int Run(const ReportOptions& opt) {
   opts->incremental_spt = true;
   opts->reuse_qq_plan = true;
   opts->batch_pagelog_reads = true;
-  opts->skip_unchanged_iterations = true;
   opts->shared_scan_cache = &shared_cache;
   // Background archive prefetch: sequential runs overlap each iteration's
   // I/O with the previous one's execution (parallel runs ignore the flag).
