@@ -4,12 +4,13 @@
 // invariant (or nearly so) across the snapshots of one Qs set: the SPT
 // build scans the same Maplog suffix again and again, Qq is re-lexed,
 // re-parsed and re-planned per snapshot, and archived pages are demand-
-// fetched in random Pagelog order. This bench toggles the three
-// amortizations (RqlOptions::incremental_spt / reuse_qq_plan /
-// batch_pagelog_reads) independently over ordered snapshot sets of
-// 10 / 50 / 100 old snapshots (CollateData, UW30) and reports, per
-// config: cumulative Maplog pages scanned, cumulative simulated SPT time,
-// Qq parse/plan invocations, batched archive reads, and total run time.
+// fetched in random Pagelog order. This bench compares the paper-faithful
+// profile against RqlProfile::kFast (incremental SPT, one Qq plan per
+// run, vectorized scans) and RqlOptions::batch_pagelog_reads, alone and
+// combined, over ordered snapshot sets of 10 / 50 / 100 old snapshots
+// (CollateData, UW30) and reports, per config: cumulative Maplog pages
+// scanned, cumulative simulated SPT time, Qq parse/plan invocations,
+// batched archive reads, and total run time.
 // Result tables are compared byte-for-byte against the baseline run.
 //
 // Machine-readable output goes to BENCH_iterset.json (CI artifact).
@@ -23,15 +24,15 @@ namespace {
 
 struct Config {
   const char* name;
-  bool incremental, reuse, batch;
+  RqlProfile profile;
+  bool batch;
 };
 
 constexpr Config kConfigs[] = {
-    {"baseline", false, false, false},
-    {"incremental_spt", true, false, false},
-    {"reuse_qq_plan", false, true, false},
-    {"batch_pagelog_reads", false, false, true},
-    {"all_on", true, true, true},
+    {"baseline", RqlProfile::kPaperFaithful, false},
+    {"fast", RqlProfile::kFast, false},
+    {"batch_pagelog_reads", RqlProfile::kPaperFaithful, true},
+    {"all_on", RqlProfile::kFast, true},
 };
 
 struct RunResult {
@@ -50,8 +51,7 @@ RunResult RunConfig(tpch::History* history, const Config& config,
                     const std::string& qs, const std::string& qq) {
   RqlEngine* engine = history->engine();
   RqlOptions* opts = engine->mutable_options();
-  opts->incremental_spt = config.incremental;
-  opts->reuse_qq_plan = config.reuse;
+  opts->profile = config.profile;
   opts->batch_pagelog_reads = config.batch;
   // Comparable Pagelog I/O across configs: every run starts cold.
   history->data()->store()->ClearSnapshotCache();
@@ -80,8 +80,7 @@ RunResult RunConfig(tpch::History* history, const Config& config,
     r.rows.push_back(sql::EncodeRow(row));
   }
 
-  opts->incremental_spt = false;
-  opts->reuse_qq_plan = false;
+  opts->profile = RqlProfile::kPaperFaithful;
   opts->batch_pagelog_reads = false;
   return r;
 }
@@ -147,14 +146,15 @@ int Run() {
                     "at %d snapshots\n", config.name, count);
         checks_ok = false;
       }
-      if (config.reuse && r.qq_parses != 1) {
+      const bool fast = config.profile == RqlProfile::kFast;
+      if (fast && r.qq_parses != 1) {
         std::printf("CHECK FAILED: %s parsed Qq %lld times (want 1)\n",
                     config.name, static_cast<long long>(r.qq_parses));
         checks_ok = false;
       }
       // Acceptance ratios at the largest set: >= 2x fewer Maplog pages
       // with the incremental SPT, >= 10x fewer parses with plan reuse.
-      if (count == 100 && config.incremental &&
+      if (count == 100 && fast &&
           r.maplog_pages * 2 > baseline.maplog_pages) {
         std::printf("CHECK FAILED: %s maplog pages %lld vs baseline %lld "
                     "(< 2x reduction)\n", config.name,
@@ -162,7 +162,7 @@ int Run() {
                     static_cast<long long>(baseline.maplog_pages));
         checks_ok = false;
       }
-      if (count == 100 && config.reuse &&
+      if (count == 100 && fast &&
           r.qq_parses * 10 > baseline.qq_parses) {
         std::printf("CHECK FAILED: %s parses %lld vs baseline %lld "
                     "(< 10x reduction)\n", config.name,
@@ -180,11 +180,11 @@ int Run() {
   json.Close();
 
   std::printf("\nExpected: identical result tables in every config; at 100 "
-              "snapshots the\nincremental SPT cuts cumulative Maplog pages "
-              ">= 2x (one suffix scan plus\ninter-mark deltas instead of a "
-              "scan per snapshot), plan reuse cuts Qq\nparse/plan "
-              "invocations %dx -> 1, and batched reads shift Pagelog I/O "
-              "to the\ncheaper sequential rate.\n", 100);
+              "snapshots the\nfast profile's incremental SPT cuts cumulative "
+              "Maplog pages >= 2x (one suffix\nscan plus inter-mark deltas "
+              "instead of a scan per snapshot), its plan reuse cuts\nQq "
+              "parse/plan invocations %dx -> 1, and batched reads shift "
+              "Pagelog I/O to the\ncheaper sequential rate.\n", 100);
   std::printf("checks: %s\n", checks_ok ? "OK" : "FAILED");
   return checks_ok ? 0 : 1;
 }

@@ -184,12 +184,13 @@ int Run() {
   store->set_simulated_archive_fetch_slots(1);
   store->snapshot_cache()->set_capacity(kSnapshotCachePages);
 
-  // Both concurrent configs run batch execution: page-at-a-time
-  // evaluation keeps per-iteration CPU small relative to archive I/O,
-  // which is the regime the shared cache targets.
+  // Both concurrent configs run the fast profile: page-at-a-time
+  // evaluation and one Qq plan per run keep per-iteration CPU small
+  // relative to archive I/O, which is the regime the shared cache
+  // targets.
   RqlOptions private_opts;
   private_opts.cold_cache_per_run = false;
-  private_opts.batch_execution = true;
+  private_opts.profile = RqlProfile::kFast;
   std::vector<Client> priv = MakeClients(history, private_opts);
   std::vector<std::unique_ptr<sql::SharedScanCache>> private_caches;
   for (Client& c : priv) {
@@ -205,7 +206,7 @@ int Run() {
   RqlOptions shared_opts;
   shared_opts.cold_cache_per_run = false;
   shared_opts.shared_scan_cache = &cache;
-  shared_opts.batch_execution = true;
+  shared_opts.profile = RqlProfile::kFast;
   std::vector<Client> shared = MakeClients(history, shared_opts);
   store->ClearSnapshotCache();
   const int64_t spt_shared_before = store->shared_spt_builds_total();

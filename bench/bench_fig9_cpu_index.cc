@@ -1,9 +1,10 @@
 // Reproduces Figure 9: CPU-intensive Qq (the lineitem-part join, Qq_cpu)
 // with AggregateDataInVariable(Qs_50, Qq_cpu, AVG) under UW30, with and
 // without a native index on lineitem(l_partkey) — and extends it with the
-// batch-execution ablation on the CPU-bound part of the figure: a
-// scan-filter-aggregate over lineitem run row-at-a-time vs. vectorized
-// (RqlOptions::batch_execution).
+// execution-profile ablation on the CPU-bound part of the figure: a
+// scan-filter-aggregate over lineitem run paper-faithfully (row at a time,
+// Qq re-parsed per iteration) vs. RqlProfile::kFast (vectorized, one plan
+// per run).
 //
 // Expected shape (paper): without a native index the engine builds a
 // transient ("automatic covering") index on lineitem for every iteration,
@@ -13,11 +14,11 @@
 // because the index enlarges the database and the Pagelog.
 //
 // Machine-readable output goes to BENCH_cpu.json (CI artifact). The bench
-// self-checks the ablation: the batch path must produce the byte-identical
-// result table, must actually engage (batches_scanned > 0 with the flag
-// on, 0 with it off), must keep its hands off the join plan (Qq_cpu falls
-// back to the row path), and must cut Qq evaluation time of the CPU-bound
-// scan-aggregate at least 1.5x.
+// self-checks the ablation: the fast profile must produce the byte-
+// identical result table, must actually engage the batch path
+// (batches_scanned > 0 under kFast, 0 under kPaperFaithful), must keep its
+// hands off the join plan (Qq_cpu falls back to the row path), and must
+// cut Qq evaluation time of the CPU-bound scan-aggregate at least 1.5x.
 
 #include "bench_common.h"
 #include "sql/shared_scan_cache.h"
@@ -69,7 +70,7 @@ AblationResult RunScanAgg(tpch::History* history, int count, bool batch) {
   // rather than fetch/decode costs.
   sql::SharedScanCache run_cache({.max_bytes = 0});
   opts->shared_scan_cache = &run_cache;
-  opts->batch_execution = batch;
+  opts->profile = batch ? RqlProfile::kFast : RqlProfile::kPaperFaithful;
   std::string qs = history->QsInterval(1, count);
   // Warm-up evens out OS caches and the allocator; the measured run still
   // starts with a cold snapshot cache (cold_cache_per_run default) and an
@@ -156,8 +157,8 @@ int Run() {
     checks_ok = false;
   }
   if (row_path.batches != 0) {
-    std::printf("CHECK FAILED: row run scanned %lld batches with the flag "
-                "off\n", static_cast<long long>(row_path.batches));
+    std::printf("CHECK FAILED: paper-faithful run scanned %lld batches\n",
+                static_cast<long long>(row_path.batches));
     checks_ok = false;
   }
   // Acceptance: vectorization must pay on the CPU-bound scan-aggregate.
@@ -166,10 +167,10 @@ int Run() {
                 speedup);
     checks_ok = false;
   }
-  // The join keeps its row-at-a-time plan even with the flag on.
+  // The join keeps its row-at-a-time plan even under kFast.
   {
     RqlEngine* engine = plain->get()->engine();
-    engine->mutable_options()->batch_execution = true;
+    engine->mutable_options()->profile = RqlProfile::kFast;
     BENCH_CHECK(engine->AggregateDataInVariable(
         plain->get()->QsInterval(1, 5), kQqCpu, "Result", "avg"));
     int64_t join_batches = 0;

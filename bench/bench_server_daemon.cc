@@ -13,14 +13,15 @@
 // Self-checks (CI gates):
 //   * every client's result table, fetched over the wire from its
 //     session's metadata database, is byte-identical to a sequential
-//     flag-off in-process oracle;
+//     paper-faithful in-process oracle, while the daemon serves its
+//     default fast profile over a warm store cache;
 //   * the shared cache saw cross-session hits AND coalesced decodes > 0 —
 //     concurrent daemon runs blocked on each other's in-flight decodes
 //     instead of duplicating them;
 //   * per-run kRunDone attribution sums to the cache's own counters;
 //   * the scheduler completed exactly the submitted runs, rejected none;
 //   * the wire-protocol stats document is pullable during operation and
-//     carries all four sections.
+//     carries all five sections.
 //
 // Results go to BENCH_server.json (CI artifact, collated by
 // tools/bench_summary.py).
@@ -61,7 +62,8 @@ std::string ClientQs(tpch::History* history, int i) {
   return qs;
 }
 
-/// Sequential flag-off in-process oracle: the byte-identity reference.
+/// Sequential paper-faithful in-process oracle: the byte-identity
+/// reference.
 std::vector<std::vector<std::string>> RunOracle(tpch::History* history) {
   std::vector<std::vector<std::string>> oracle(kClients);
   for (int i = 0; i < kClients; ++i) {
@@ -113,8 +115,6 @@ int Run() {
   options.socket_path =
       "/tmp/rql_bench_server_" + std::to_string(::getpid()) + ".sock";
   options.scheduler.dispatch_threads = kClients;
-  options.engine.cold_cache_per_run = false;
-  options.engine.batch_execution = true;
   auto srv = server::Server::Create(history->data(), history->meta(),
                                     std::move(options));
   if (!srv.ok()) Fail(srv.status(), "create server");
@@ -221,7 +221,8 @@ int Run() {
     checks_ok = false;
   }
   for (const char* section :
-       {"\"server\"", "\"scheduler\"", "\"scan_cache\"", "\"store\""}) {
+       {"\"server\"", "\"engine\"", "\"scheduler\"", "\"scan_cache\"",
+        "\"store\""}) {
     if (wire_stats->find(section) == std::string::npos) {
       std::printf("CHECK FAILED: wire stats document missing %s section\n",
                   section);

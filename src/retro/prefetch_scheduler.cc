@@ -121,7 +121,13 @@ void PrefetchScheduler::Shutdown() {
 
 void PrefetchScheduler::OnArchivedPageServed(uint64_t pagelog_offset) {
   std::lock_guard<std::mutex> lock(track_mu_);
-  if (loaded_.erase(pagelog_offset) != 0) ++hits_;
+  if (loaded_.erase(pagelog_offset) != 0) {
+    ++hits_;
+  } else if (auto it = claims_.find(pagelog_offset); it != claims_.end()) {
+    // Our fetch of this page is still in flight: credit the read only
+    // once the fetch turns out to have loaded it.
+    it->second = true;
+  }
 }
 
 void PrefetchScheduler::WorkerLoop() {
@@ -162,12 +168,13 @@ void PrefetchScheduler::RunJob(Job* job) {
       }
       const uint64_t offset = plan[i];
       // Claim the offset before the load so a demand read that coalesces
-      // onto our in-flight fetch counts as a hit; release the claim below
-      // if the load turns out not to be ours.
+      // onto our in-flight fetch is remembered; it becomes a hit only if
+      // the load below turns out to be ours.
       bool claimed;
       {
         std::lock_guard<std::mutex> lock(track_mu_);
-        claimed = loaded_.insert(offset).second;
+        claimed = loaded_.count(offset) == 0 &&
+                  claims_.emplace(offset, false).second;
       }
       int64_t fetches = 0;
       storage::BufferPool::GetOutcome outcome;
@@ -184,13 +191,21 @@ void PrefetchScheduler::RunJob(Job* job) {
             offset, loader, &outcome,
             storage::BufferPool::Admission::kPrefetch);
       }
-      if (r.ok() && outcome.loaded) {
-        ++job->issued;
-      } else if (claimed) {
+      const bool ours = r.ok() && outcome.loaded;
+      if (ours) ++job->issued;
+      if (claimed) {
         // Resident already, someone else's load, or an error: not a page
-        // we fetched ahead, so the claim would inflate the hit count.
+        // we fetched ahead, so a read served meanwhile is no hit. Only a
+        // page this job issued can be credited or become waste.
         std::lock_guard<std::mutex> lock(track_mu_);
-        loaded_.erase(offset);
+        auto it = claims_.find(offset);
+        const bool served = it->second;
+        claims_.erase(it);
+        if (ours && served) {
+          ++hits_;
+        } else if (ours) {
+          loaded_.insert(offset);
+        }
       }
       if (!r.ok()) {
         // Park the first failure for Collect; the consuming iteration

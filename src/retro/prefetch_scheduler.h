@@ -170,8 +170,15 @@ class PrefetchScheduler : public PrefetchTracker {
   std::mutex plan_mu_;  // serializes workers on the private cursor
   SptCursor cursor_;
 
-  std::mutex track_mu_;  // loaded_, hits_
+  std::mutex track_mu_;  // loaded_, claims_, hits_
+  /// Pages a job loaded ahead that no demand read has consumed yet.
   std::unordered_set<uint64_t> loaded_;
+  /// Pages whose fetch a worker has in flight, each with whether a demand
+  /// read was served the page meanwhile. A claim turns into a hit or a
+  /// loaded_ entry only when the fetch loaded the page, so no read is
+  /// credited for a page the pipeline did not issue (hits + wasted <=
+  /// issued).
+  std::unordered_map<uint64_t, bool> claims_;
   int64_t hits_ = 0;
 };
 

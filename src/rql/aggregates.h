@@ -56,9 +56,9 @@ Result<sql::Value> RqlCombineBatch(RqlAggFunc func, sql::Value acc,
 /// order (NULL skip, count bump, int/real split, long-double running
 /// sum), so a batch fold is bit-identical to the equivalent sequence of
 /// scalar updates — including float rounding, which is what keeps
-/// batch_execution results byte-identical to the row path. AVG and TOTAL
-/// share FoldSum: both carry the (real_sum, count) pair and diverge only
-/// at finalization. Header-inline so the sql executor can fold without a
+/// batch-executed (RqlProfile::kFast) results byte-identical to the row
+/// path. AVG and TOTAL share FoldSum: both carry the (real_sum, count)
+/// pair and diverge only at finalization. Header-inline so the sql executor can fold without a
 /// link-time dependency on the rql core library.
 namespace batch {
 

@@ -139,7 +139,7 @@ class RqlEngine::MechanismState {
   const std::string& qq() const { return qq_; }
   const std::string& table() const { return table_; }
 
-  /// Prepared-plan slot for the reuse_qq_plan path: RunIteration prepares
+  /// Prepared-plan slot for kFast's plan reuse: RunIteration prepares
   /// Qq once per run and rebinds AS OF per snapshot. After a failed
   /// Prepare/BindAsOf the run permanently falls back to the paper's
   /// textual rewrite (plan_failed_).
@@ -630,6 +630,10 @@ class RqlEngine::IntervalState : public MechanismState {
 // Engine
 // ---------------------------------------------------------------------------
 
+const char* RqlProfileName(RqlProfile profile) {
+  return profile == RqlProfile::kFast ? "fast" : "paper_faithful";
+}
+
 RqlEngine::RqlEngine(sql::Database* data_db, sql::Database* meta_db,
                      RqlOptions options)
     : data_db_(data_db), meta_db_(meta_db), options_(std::move(options)) {}
@@ -938,11 +942,12 @@ void RqlEngine::PublishRunMetrics() {
 
 namespace {
 
-/// Bit encoding of the opt-in flags for the kRunBegin trace event (bits 8
-/// and 16 are retired; see trace.h).
+/// Bit encoding of the profile and opt-in flags for the kRunBegin trace
+/// event (bits 8 and 16 are retired; see trace.h). kFast sets the bits of
+/// the three flags it replaced (1 | 2 | 32), so older traces still read.
 int64_t OptionFlagBits(const RqlOptions& o) {
-  return (o.incremental_spt ? 1 : 0) | (o.reuse_qq_plan ? 2 : 0) |
-         (o.batch_pagelog_reads ? 4 : 0) | (o.batch_execution ? 32 : 0) |
+  return (o.profile == RqlProfile::kFast ? 1 | 2 | 32 : 0) |
+         (o.batch_pagelog_reads ? 4 : 0) |
          (o.memoize_iterations ? 64 : 0) |
          (o.shared_scan_cache != nullptr ? 128 : 0) |
          (o.async_prefetch ? 256 : 0);
@@ -964,9 +969,9 @@ Status ValidateRunOptions(const RqlOptions& o, bool parallel) {
       {cold && parallel,
        "cold_cache_per_iteration is incompatible with parallel Qq "
        "evaluation (parallel_workers > 1)"},
-      {cold && o.batch_execution,
-       "cold_cache_per_iteration is incompatible with batch_execution "
-       "(the all-cold baseline measures the row-at-a-time pipeline)"},
+      {cold && o.profile == RqlProfile::kFast,
+       "cold_cache_per_iteration is incompatible with the fast profile "
+       "(the all-cold baseline measures the paper-faithful pipeline)"},
       {cold && o.memoize_iterations,
        "cold_cache_per_iteration is incompatible with "
        "memoize_iterations (a replayed iteration reads nothing, so the "
@@ -1004,9 +1009,9 @@ void HarvestExecStats(const sql::ExecStats& exec, RqlIterationStats* iter) {
 /// and UDF-form drivers. Construction restarts the run's stats and trace.
 /// Begin() arms the run once it has passed validation: the kRunBegin
 /// event, the cold start, the store's read retries and diff-depth feed,
-/// the scan cache, batch execution, the run's snapshot set and batched
-/// archive reads (not for parallel runs) and the prefetch pipeline (only
-/// for the sequential loop).
+/// the scan cache, batch execution (kFast), the run's snapshot set and
+/// batched archive reads (not for parallel runs) and the prefetch pipeline
+/// (only for the sequential loop).
 /// Destruction disarms whatever Begin() armed, on every exit path.
 /// Finish() ends the run's observable life: kRunEnd and the metrics
 /// publish.
@@ -1078,18 +1083,19 @@ class RqlEngine::RunScope {
       store->set_share_spt_builds(true);
       cache_attached_ = true;
     }
-    if (o.batch_execution) {
+    const bool fast = o.profile == RqlProfile::kFast;
+    if (fast) {
       data->set_batch_execution(
           true, engine_->metrics()->GetHistogram("rql.batch_size"));
       batch_execution_ = true;
     }
     if (kind == Kind::kParallel) return;
-    // Memoized runs need the set's cursor for the per-step Maplog delta of
-    // the fast path; it also makes a memo probe's snapshot open plus the
-    // execute-on-miss open of the same id cost one SPT derivation, not two
-    // cold builds. Attached to the data handle, so Qq's AS OF opens go
-    // through it too.
-    if (o.incremental_spt || o.memoize_iterations) {
+    // The set's cursor is kFast's incremental SPT. Memoized runs need it
+    // too, for the per-step Maplog delta of the replay fast path; it also
+    // makes a memo probe's snapshot open plus the execute-on-miss open of
+    // the same id cost one SPT derivation, not two cold builds. Attached
+    // to the data handle, so Qq's AS OF opens go through it too.
+    if (fast || o.memoize_iterations) {
       set_ = store->BeginSnapshotSet();
       data->set_snapshot_set(set_.get());
     }
@@ -1111,7 +1117,7 @@ class RqlEngine::RunScope {
 
   /// The background archive-read pipeline (async_prefetch), or null.
   retro::PrefetchScheduler* prefetch() const { return prefetch_.get(); }
-  /// The run's snapshot set (incremental_spt, memoize_iterations), or null.
+  /// The run's snapshot set (kFast, memoize_iterations), or null.
   retro::SnapshotSet* snapshot_set() const { return set_.get(); }
 
   /// UDF form: remembers the first failed iteration, after which the run
@@ -1321,9 +1327,9 @@ Status RqlEngine::RunMechanismParallel(
 
   // Resolved once before the threads spawn; Histogram observation itself
   // is atomic, so the workers share the instance.
+  const bool fast = options_.profile == RqlProfile::kFast;
   retro::MetricsRegistry::Histogram* batch_hist =
-      options_.batch_execution ? metrics()->GetHistogram("rql.batch_size")
-                               : nullptr;
+      fast ? metrics()->GetHistogram("rql.batch_size") : nullptr;
   std::vector<QqResult> results(snaps.size());
   std::atomic<size_t> next{0};
   int workers = std::min<int>(options_.parallel_workers,
@@ -1393,7 +1399,7 @@ Status RqlEngine::RunMechanismParallel(
         // Workers share the scan cache the run attached, so a page version
         // shared across their snapshots decodes once.
         ctx.scan_cache = data_db_->scan_cache();
-        ctx.batch_execution = options_.batch_execution;
+        ctx.batch_execution = fast;
         ctx.batch_size_hist = batch_hist;
         RQL_ASSIGN_OR_RETURN(std::unique_ptr<sql::SelectExecutor> exec,
                              sql::SelectExecutor::Prepare(select, ctx));
@@ -1570,7 +1576,7 @@ Status RqlEngine::RunIteration(retro::SnapshotId snap, MechanismState* state,
   };
   Status s = Status::OK();
   bool ran_prepared = false;
-  if (options_.reuse_qq_plan && !state->plan_failed_) {
+  if (options_.profile == RqlProfile::kFast && !state->plan_failed_) {
     bool had_plan = state->plan_ != nullptr;
     if (!had_plan) {
       ++stats_.qq_parse_count;
@@ -1644,7 +1650,7 @@ Status RqlEngine::RunIteration(retro::SnapshotId snap, MechanismState* state,
     int64_t now = NowMicros();
     trace_.Emit(RqlTraceEventType::kSptBuild, snap, now,
                 {iter.maplog_pages, iter.spt_delta_entries, rs.spt.cpu_us,
-                 options_.incremental_spt ? 1 : 0});
+                 set != nullptr ? 1 : 0});
     trace_.Emit(RqlTraceEventType::kArchiveFetch, snap, now,
                 {iter.pagelog_pages, iter.batched_pagelog_reads,
                  iter.cache_hits, iter.db_pages, rs.archive_read_retries});

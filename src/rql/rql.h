@@ -44,7 +44,7 @@ struct RqlIterationStats {
   int64_t result_inserts = 0;
   int64_t result_updates = 0;
   // Iteration-setup amortization counters (all zero at paper-faithful
-  // defaults; see the matching RqlOptions flags).
+  // defaults; see RqlProfile::kFast and batch_pagelog_reads).
   int64_t maplog_pages = 0;        // Maplog pages scanned for the SPT build
   int64_t spt_delta_entries = 0;   // log entries covered by an SPT advance
   int64_t plan_cache_hits = 0;     // 1 when Qq ran from the cached plan
@@ -74,9 +74,9 @@ struct RqlIterationStats {
   /// of the predecessor (the iteration the run last executed or
   /// memo-replayed), whose rows were replayed instead.
   bool skipped = false;
-  // Batch-execution counters (RqlOptions::batch_execution; zero at
-  // paper-faithful defaults, zero for skipped/replayed iterations, and
-  // zero when Qq's plan fell back to the row path entirely).
+  // Batch-execution counters (RqlProfile::kFast; zero under
+  // kPaperFaithful, zero for skipped/replayed iterations, and zero when
+  // Qq's plan fell back to the row path entirely).
   /// Page-sized RowBatches the vectorized scan served to Qq.
   int64_t batches_scanned = 0;
   /// Rows those batches carried (pre-filter).
@@ -127,7 +127,8 @@ struct RqlRunStats {
   /// Set by benchmarks for the Collate Data + final SQL pattern (Fig. 11).
   int64_t extra_agg_us = 0;
   /// Times the engine lexed/parsed/planned Qq during the run: one per
-  /// iteration normally, one per run under RqlOptions::reuse_qq_plan.
+  /// iteration under RqlProfile::kPaperFaithful, one per sequential run
+  /// under kFast.
   int64_t qq_parse_count = 0;
   /// Parallel runs: concurrent Qq evaluation makes per-iteration I/O and
   /// SPT attribution meaningless, so they are reported as run totals here
@@ -214,6 +215,42 @@ enum class AggTableStrategy {
   kSortMerge,
 };
 
+/// The execution pipeline of a run. Both profiles produce byte-identical
+/// result tables; they differ in how much per-iteration work they repeat.
+enum class RqlProfile {
+  /// The paper's loop, as its figures measure it: every iteration builds
+  /// its SPT from a full Maplog suffix scan, lexes/parses/plans the
+  /// textually rewritten Qq (InjectAsOf), and evaluates it row at a time.
+  /// The figure benches and the embedded oracles select it.
+  kPaperFaithful,
+  /// Every iteration-setup and evaluation amortization a run can use:
+  ///   * incremental SPT — sequential runs open their snapshots through a
+  ///     run-private retro::SnapshotSet, deriving SPT(s_{i+1}) from
+  ///     SPT(s_i) over the Maplog delta when ids ascend (counted in
+  ///     RqlIterationStats::spt_delta_entries). Parallel runs ignore it:
+  ///     workers open snapshots out of order.
+  ///   * plan reuse — sequential and UDF-form runs lex/parse/plan Qq once
+  ///     and re-point the prepared plan at each snapshot through the
+  ///     bindable AS OF parameter (RqlRunStats::qq_parse_count == 1,
+  ///     RqlIterationStats::plan_cache_hits). Qq the prepared path cannot
+  ///     serve (a multi-statement script) falls back to the textual
+  ///     rewrite for the rest of the run.
+  ///   * vectorized Qq — eligible sequential scans decode each pinned page
+  ///     into a RowBatch once and push it through vectorized predicate
+  ///     evaluation and aggregate folds; plans the batch path cannot serve
+  ///     (joins, index access) keep the row path. Borrows the decoded
+  ///     pages of shared_scan_cache zero-copy. Counted in
+  ///     RqlIterationStats::batches_scanned / batch_rows /
+  ///     batch_fallback_rows and the "rql.batch_size" histogram.
+  /// Rejected with InvalidArgument in combination with
+  /// cold_cache_per_iteration: that all-cold baseline measures the
+  /// paper-faithful pipeline (the memoize_iterations precedent).
+  kFast,
+};
+
+/// "paper_faithful" / "fast".
+const char* RqlProfileName(RqlProfile profile);
+
 struct RqlOptions {
   /// Name of the snapshot table in the metadata database.
   std::string snapids_table = "SnapIds";
@@ -244,20 +281,10 @@ struct RqlOptions {
   int parallel_workers = 1;
   AggTableStrategy agg_table_strategy = AggTableStrategy::kIndexProbe;
 
-  // --- iteration-setup amortization (all default off: the paper-faithful
-  // --- baseline pays each iteration's setup from scratch) -----------------
-  /// Derive SPT(s_{i+1}) from SPT(s_i) when sequential runs visit
-  /// snapshots in ascending id order (a run-private retro::SnapshotSet),
-  /// scanning only the Maplog delta between the declaration marks.
-  /// Counted in RqlIterationStats::spt_delta_entries. Ignored by parallel
-  /// runs (workers open snapshots out of order).
-  bool incremental_spt = false;
-  /// Lex/parse/plan Qq once per run and re-point the prepared plan at each
-  /// snapshot via the bindable AS OF parameter, instead of the per-
-  /// iteration InjectAsOf textual rewrite (which remains the documented
-  /// paper behaviour and the fallback for multi-statement Qq). Counted in
-  /// RqlRunStats::qq_parse_count / RqlIterationStats::plan_cache_hits.
-  bool reuse_qq_plan = false;
+  /// Which pipeline the run executes (see RqlProfile). kPaperFaithful, the
+  /// default, pays every iteration's setup from scratch and evaluates Qq
+  /// row at a time, as the paper measures; kFast amortizes both.
+  RqlProfile profile = RqlProfile::kPaperFaithful;
   /// Prefetch each iteration's SPT-resident pages that miss the snapshot
   /// cache in one Pagelog-offset-ordered pass, charged at the sequential
   /// rate (CostModel::pagelog_seq_read_us). Counted in
@@ -266,20 +293,6 @@ struct RqlOptions {
 
   // --- COW page-sharing exploitation (default off: the paper-faithful
   // --- baseline re-fetches and re-decodes every snapshot from scratch) ----
-  /// Execute Qq batch-at-a-time: eligible sequential scans decode each
-  /// pinned page into a RowBatch once and push it through vectorized
-  /// predicate evaluation and aggregate folds instead of the row-at-a-time
-  /// spine (plans the batch path cannot serve — joins, index access —
-  /// silently keep the row path). Results are byte-identical to the row
-  /// path. Pays off most on CPU-bound scans and composes with
-  /// shared_scan_cache, whose cached decoded pages the batches borrow
-  /// zero-copy. Counted in RqlIterationStats::batches_scanned /
-  /// batch_rows / batch_fallback_rows and the "rql.batch_size" histogram.
-  /// Rejected with InvalidArgument in combination with
-  /// cold_cache_per_iteration: that all-cold baseline measures the
-  /// paper-faithful row pipeline, and a vectorized scan would silently
-  /// change what the baseline times (the memoize_iterations precedent).
-  bool batch_execution = false;
   /// Replay iterations whose result is provably known instead of
   /// executing Qq. Every executed iteration records the page versions its
   /// Qq read and buffers its rows as a retro::MemoEntry. Sequential and

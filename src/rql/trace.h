@@ -13,13 +13,14 @@ namespace rql {
 /// slots are zero):
 ///
 ///   kRunBegin        {snapshot_count, workers, flags_bits, 0, 0, 0}
-///                    flags_bits: 1=incremental_spt 2=reuse_qq_plan
-///                    4=batch_pagelog_reads 8=retired (was
+///                    flags_bits: 1|2|32 = RqlProfile::kFast (bits of
+///                    the retired incremental_spt, reuse_qq_plan and
+///                    batch_execution flags it replaced; always set
+///                    together) 4=batch_pagelog_reads 8=retired (was
 ///                    reuse_decoded_pages; never set, kept unassigned so
 ///                    older traces still decode)
 ///                    16=retired (was skip_unchanged_iterations, folded
 ///                    into memoize_iterations; kept unassigned)
-///                    32=batch_execution
 ///                    64=memoize_iterations 128=shared_scan_cache
 ///                    256=async_prefetch
 ///   kRunEnd          {iterations, iterations_skipped, total_us, ok, 0, 0}
@@ -28,7 +29,9 @@ namespace rql {
 ///                     udf_us, qq_rows}  — the Fig. 8 phase attribution;
 ///                    the five *_us slots mirror RqlIterationStats::TotalUs.
 ///   kSptBuild        {maplog_pages, spt_delta_entries, spt_cpu_us,
-///                     incremental, 0, 0}
+///                     incremental, 0, 0}  — incremental: 1 when the run
+///                    opens snapshots through its snapshot set (kFast or
+///                    memoize_iterations)
 ///   kArchiveFetch    {pagelog_pages, batched_pagelog_reads, cache_hits,
 ///                     db_pages, archive_read_retries, 0}
 ///   kScanCache       {shared_page_hits, misses, coalesced_decodes, 0, 0, 0}

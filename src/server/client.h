@@ -50,6 +50,7 @@ class Client {
     uint64_t run_id = 0;
     Status status;
     uint32_t iterations = 0;
+    /// Server-side wall time of the run (see MsgType::kRunDone).
     int64_t total_us = 0;
     int64_t shared_page_hits = 0;
     int64_t coalesced_decodes = 0;

@@ -355,6 +355,9 @@ Status Server::HandleRqlRun(Conn* conn, const Frame& frame) {
                canonical = std::move(canonical), qs = std::move(qs),
                qq = std::move(qq), table = std::move(table),
                extra = std::move(extra)](RunScheduler::Ticket* t) -> Status {
+    // Measured wall time, never the engine's TotalUs(): that adds the
+    // CostModel's simulated I/O charges, which need not have elapsed.
+    const int64_t start_us = NowMicros();
     Status st;
     {
       std::lock_guard<std::mutex> lock(session->mu);
@@ -384,7 +387,7 @@ Status Server::HandleRqlRun(Conn* conn, const Frame& frame) {
         opts->run_id = 0;
         const RqlRunStats& stats = engine->last_run_stats();
         harvest->iterations = static_cast<uint32_t>(stats.iterations.size());
-        harvest->total_us = stats.TotalUs();
+        harvest->total_us = NowMicros() - start_us;
         harvest->shared_hits = stats.shared_page_hits;
         harvest->coalesced = stats.coalesced_decodes;
         harvest->skipped = stats.iterations_skipped;
@@ -706,6 +709,11 @@ std::string Server::StatsJson() {
       << ", \"sessions_opened\": " << sessions_opened_.load()
       << ", \"max_sessions\": " << options_.max_sessions
       << ", \"runs_completed\": " << runs_completed_.load() << "},\n";
+  const RqlOptions& engine = options_.engine;
+  out << "  \"engine\": {"
+      << "\"profile\": \"" << RqlProfileName(engine.profile) << "\""
+      << ", \"cold_cache_per_run\": "
+      << (engine.cold_cache_per_run ? "true" : "false") << "},\n";
   out << "  \"scheduler\": {"
       << "\"queued\": " << scheduler_->queued()
       << ", \"active\": " << scheduler_->active()

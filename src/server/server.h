@@ -61,9 +61,16 @@ struct ServerOptions {
   int64_t idle_timeout_us = 0;
   /// Base RqlOptions for session engines. The server injects
   /// shared_scan_cache, metrics, session_id and the per-run cancel/run_id
-  /// wiring itself; everything else (memoize_iterations,
-  /// batch_execution, incremental_spt, ...) is taken as configured here.
-  RqlOptions engine;
+  /// wiring itself; everything else (profile, memoize_iterations, ...) is
+  /// taken as configured here. The default serves the fast profile over a
+  /// warm cache: cold_cache_per_run would clear the store-wide snapshot
+  /// cache at every run start, wiping pages other sessions are reading.
+  RqlOptions engine = [] {
+    RqlOptions o;
+    o.profile = RqlProfile::kFast;
+    o.cold_cache_per_run = false;
+    return o;
+  }();
   /// Receives the server gauges (server.active_sessions,
   /// server.queued_runs, server.active_runs, server.admission_rejects,
   /// server.sessions_opened, server.runs_completed). Defaults to
@@ -98,8 +105,9 @@ class Server {
 
   const std::string& socket_path() const { return options_.socket_path; }
 
-  /// The kStats document (also returned over the wire): server, scheduler,
-  /// shared scan cache and store sections.
+  /// The kStats document (also returned over the wire): server, engine
+  /// (the served profile and cold_cache_per_run), scheduler, shared scan
+  /// cache and store sections.
   std::string StatsJson();
 
   RunScheduler* scheduler() { return scheduler_.get(); }

@@ -33,7 +33,7 @@ class Session {
  public:
   /// Attaches to `store` and builds the private metadata database. `base`
   /// carries the server's engine wiring (shared_scan_cache, metrics,
-  /// batch_execution); the session id is stamped into it for tracing.
+  /// profile); the session id is stamped into it for tracing.
   static Result<std::unique_ptr<Session>> Create(uint64_t id,
                                                  retro::SnapshotStore* store,
                                                  const RqlOptions& base);

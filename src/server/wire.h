@@ -113,6 +113,10 @@ enum class MsgType : uint8_t {
   /// u64 run_id, u8 status_code, str message, u32 iterations,
   /// i64 total_us, i64 shared_page_hits, i64 coalesced_decodes,
   /// i64 iterations_skipped. Pushed out of band at run completion.
+  /// total_us is the run body's measured steady-clock wall time on the
+  /// server (SnapIds mirror plus the mechanism run; queue wait excluded),
+  /// never simulated CostModel I/O, so it cannot exceed the latency the
+  /// client observes. 0 for a run that never dispatched.
   kRunDone = 70,
   /// str payload (JSON for kStats, rendered text for kRunStats).
   kStatsJson = 71,

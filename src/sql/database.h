@@ -155,7 +155,7 @@ class Database {
   void set_snapshot_set(retro::SnapshotSet* set) { snapshot_set_ = set; }
   retro::SnapshotSet* snapshot_set() const { return snapshot_set_; }
 
-  /// Run-scoped batch-execution toggle (RqlOptions::batch_execution):
+  /// Run-scoped batch-execution toggle (RqlProfile::kFast):
   /// SELECT execution serves eligible sequential scans page-at-a-time
   /// through RowBatches instead of row by row. Results are byte-identical
   /// to the row path; only ExecStats batch counters and timings change.

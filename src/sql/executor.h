@@ -84,7 +84,7 @@ struct ExecContext {
   /// pages); readers without stable page versions — the current state —
   /// leave it untouched.
   SharedScanCache* scan_cache = nullptr;
-  /// Batch-at-a-time execution (RqlOptions::batch_execution): eligible
+  /// Batch-at-a-time execution (RqlProfile::kFast): eligible
   /// sequential scans run page-sized RowBatches through vectorized
   /// filters and aggregate folds instead of the row-at-a-time spine.
   /// Plans the batch path cannot serve (joins, index scans) silently use

@@ -1,7 +1,7 @@
-// Property tests for vectorized batch execution: with
-// RqlOptions::batch_execution on, every mechanism's result table must be
-// byte-identical to the row-at-a-time run across the page-sharing /
-// amortization flag matrix and worker counts, plus direct BatchIterator
+// Property tests for vectorized batch execution: under RqlProfile::kFast,
+// every mechanism's result table must be byte-identical to the paper-
+// faithful row-at-a-time run across the page-sharing / prefetch flag
+// matrix and worker counts, plus direct BatchIterator
 // edge cases (empty pages, boundary selections, mid-scan cache eviction).
 
 #include <gtest/gtest.h>
@@ -139,9 +139,10 @@ Fixture MakeSparseFixture(uint64_t seed, int snapshots, int items,
 class BatchExecutionTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(BatchExecutionTest, BatchPathByteIdenticalAcrossFlagMatrix) {
-  // batch_execution is a pure optimization: for every mechanism, every
-  // result table must be byte-identical between the row and batch paths
-  // under every flag configuration and worker count. AggregateDataInVariable
+  // The fast profile's batch path is a pure optimization: for every
+  // mechanism, every result table must be byte-identical between the
+  // paper-faithful and fast profiles under every flag configuration and
+  // worker count. AggregateDataInVariable
   // uses the non-idempotent `sum` fold so a double- or under-counted batch
   // would be caught.
   Fixture f = MakeSparseFixture(GetParam() * 1000 + 211, 16, 8, 4);
@@ -183,20 +184,21 @@ TEST_P(BatchExecutionTest, BatchPathByteIdenticalAcrossFlagMatrix) {
   };
 
   // The property test's flag matrix, plus the flags-off config, crossed
-  // with {row, batch} and {1, 4} workers below. `cache` runs against a
-  // run-scoped decoded-page cache, cleared before every run; `memo`
-  // against a run-scoped memo (memoize_iterations with no MemoTable).
+  // with {kPaperFaithful, kFast} and {1, 4} workers below. `cache` runs
+  // against a run-scoped decoded-page cache, cleared before every run;
+  // `memo` against a run-scoped memo (memoize_iterations with no
+  // MemoTable); `pagelog` with batch_pagelog_reads.
   struct Config {
     const char* name;
-    bool cache, memo, amort;
+    bool cache, memo, pagelog;
   };
   const Config kConfigs[] = {
       {"off", false, false, false},
       {"cache", true, false, false},
       {"memo", false, true, false},
       {"both", true, true, false},
-      {"both_amortized", true, true, true},
-      {"amortized_only", false, false, true},
+      {"both_pagelog", true, true, true},
+      {"pagelog_only", false, false, true},
   };
   sql::SharedScanCache run_cache({.max_bytes = 0});
 
@@ -210,23 +212,23 @@ TEST_P(BatchExecutionTest, BatchPathByteIdenticalAcrossFlagMatrix) {
     int variant = 0;
     for (const Config& c : kConfigs) {
       for (int workers : {1, 4}) {
-        for (bool batch : {false, true}) {
+        for (RqlProfile profile :
+             {RqlProfile::kPaperFaithful, RqlProfile::kFast}) {
+          const bool batch = profile == RqlProfile::kFast;
           RqlOptions opts;
           run_cache.Clear();
           opts.shared_scan_cache = c.cache ? &run_cache : nullptr;
           opts.memoize_iterations = c.memo;
-          opts.incremental_spt = c.amort;
-          opts.reuse_qq_plan = c.amort;
-          opts.batch_pagelog_reads = c.amort;
+          opts.batch_pagelog_reads = c.pagelog;
           opts.parallel_workers = workers;
-          opts.batch_execution = batch;
+          opts.profile = profile;
           *f.engine->mutable_options() = opts;
           f.data->store()->ClearSnapshotCache();
           std::string table = std::string(m.name) + "_v" +
                               std::to_string(variant++);
           std::string label = std::string(m.name) + "/" + c.name +
                               "/workers=" + std::to_string(workers) +
-                              (batch ? "/batch" : "/row");
+                              "/" + RqlProfileName(profile);
           Status s = m.run(table);
           ASSERT_TRUE(s.ok()) << label << ": " << s.ToString();
           EXPECT_EQ(dump(table), baseline) << label;
@@ -265,10 +267,10 @@ TEST_P(BatchExecutionTest, BatchPathByteIdenticalAcrossFlagMatrix) {
 }
 
 TEST(BatchOptionsTest, BatchIncompatibleWithColdCachePerIteration) {
-  // The all-cold baseline measures the paper-faithful row pipeline; the
-  // combination is rejected before the result table is touched.
+  // The all-cold baseline measures the paper-faithful pipeline; the fast
+  // profile's batch path is rejected before the result table is touched.
   Fixture f = MakeSparseFixture(7, 6, 4, 2);
-  f.engine->mutable_options()->batch_execution = true;
+  f.engine->mutable_options()->profile = RqlProfile::kFast;
   f.engine->mutable_options()->cold_cache_per_iteration = true;
   Status s = f.engine->CollateData("SELECT snap_id FROM SnapIds",
                                    "SELECT item FROM live", "Result");

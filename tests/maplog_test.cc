@@ -211,9 +211,9 @@ TEST_F(MaplogTest, SptCursorExpiryAndWake) {
 }
 
 TEST_F(MaplogTest, SptCursorMatchesColdBuildOnRandomHistories) {
-  // The equivalence property behind incremental_spt: after any mix of
-  // appends and (mostly ascending) seeks, the cursor's table must equal a
-  // cold BuildSpt of the same snapshot.
+  // The equivalence property behind the fast profile's incremental SPT:
+  // after any mix of appends and (mostly ascending) seeks, the cursor's
+  // table must equal a cold BuildSpt of the same snapshot.
   uint64_t seed = 20260805;
   auto next = [&seed]() {
     seed = seed * 6364136223846793005ull + 1442695040888963407ull;

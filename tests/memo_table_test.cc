@@ -711,7 +711,7 @@ TEST(MemoConcurrencyTest, TwoEnginesRunScopedMemoMatchSequentialOracle) {
     cl.meta = std::move(*meta);
     RqlOptions opts;
     opts.memoize_iterations = true;
-    opts.incremental_spt = c == 0;
+    opts.profile = c == 0 ? RqlProfile::kFast : RqlProfile::kPaperFaithful;
     cl.engine = std::make_unique<RqlEngine>(cl.data.get(), cl.meta.get(),
                                             opts);
     ASSERT_TRUE(cl.engine->EnsureSnapIds().ok());

@@ -287,13 +287,11 @@ TEST_F(EngineMetricsTest, CollateDataIntoIntervalsDeltaMatchesLegacyStats) {
 
 TEST_F(EngineMetricsTest, FlagsOnDeltaStillMatchesLegacyStats) {
   RqlOptions* opts = engine_->mutable_options();
-  opts->incremental_spt = true;
-  opts->reuse_qq_plan = true;
+  opts->profile = RqlProfile::kFast;
   opts->batch_pagelog_reads = true;
   sql::SharedScanCache run_cache({.max_bytes = 0});  // this run's only
   opts->shared_scan_cache = &run_cache;
   opts->memoize_iterations = true;  // run-scoped
-  opts->batch_execution = true;
   ExpectDeltaMatchesStats([this] {
     return engine_->CollateData(
         "SELECT snap_id FROM SnapIds",
@@ -303,7 +301,7 @@ TEST_F(EngineMetricsTest, FlagsOnDeltaStillMatchesLegacyStats) {
 }
 
 TEST_F(EngineMetricsTest, BatchExecutionDeltaMatchesLegacyStats) {
-  engine_->mutable_options()->batch_execution = true;
+  engine_->mutable_options()->profile = RqlProfile::kFast;
   ExpectDeltaMatchesStats([this] {
     return engine_->CollateData("SELECT snap_id FROM SnapIds",
                                 "SELECT id, st FROM items WHERE st = 'O'",

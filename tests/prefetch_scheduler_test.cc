@@ -9,8 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <condition_variable>
+#include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -104,6 +108,82 @@ TEST(PrefetchSchedulerTest, CollectedJobWarmsCacheAndDemandReadsHit) {
   int64_t wasted = sched.TakeWasted();
   EXPECT_GE(wasted, 0);
   EXPECT_LE(hits + wasted, rep.issued);
+}
+
+TEST(PrefetchSchedulerTest, ReadServedDuringOthersLoadIsNoHit) {
+  // The worker claims a page, then finds it already being loaded by
+  // another reader and coalesces onto that load. A demand read served the
+  // page while the claim is outstanding must not be credited as a hit:
+  // the pipeline issued nothing (hits + wasted <= issued).
+  Fixture f = MakeHistory(6, 400);
+  retro::SnapshotStore* store = f.data->store();
+  retro::SnapshotId target = f.snaps[1];
+  store->ClearSnapshotCache();
+
+  // The lowest archived offset of the target: with a budget of one page
+  // and a fresh planning cursor, it is the whole plan.
+  uint64_t first = UINT64_MAX;
+  {
+    auto view = store->OpenSnapshot(target);
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    for (storage::PageId id = 0; id < 4096; ++id) {
+      uint64_t v = 0;
+      if ((*view)->PageVersion(id, &v)) first = std::min(first, v);
+    }
+  }
+  ASSERT_NE(first, UINT64_MAX);
+
+  // Another reader's load of that page, held in flight by its loader.
+  storage::BufferPool* cache = store->snapshot_cache();
+  std::mutex mu;
+  std::condition_variable cv;
+  bool entered = false, release = false;
+  std::thread other([&] {
+    auto blocking = [&](uint64_t, storage::Page*) {
+      std::unique_lock<std::mutex> lock(mu);
+      entered = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return release; });
+      return Status::OK();
+    };
+    EXPECT_TRUE(cache->Get(first, blocking).ok());
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return entered; });
+  }
+
+  const int64_t coalesced_before = cache->stats().coalesced_loads;
+  retro::PrefetchScheduler::Options opts;
+  opts.budget_pages = 1;
+  retro::PrefetchScheduler sched(store, opts);
+  sched.Schedule(target);
+  // The worker has claimed the page once its Get has coalesced onto the
+  // held load.
+  while (cache->stats().coalesced_loads == coalesced_before) {
+    std::this_thread::yield();
+  }
+  // A demand read served the page in that window.
+  sched.OnArchivedPageServed(first);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  other.join();
+
+  sched.Drain(target);
+  retro::PrefetchScheduler::JobReport rep = sched.Collect(target);
+  ASSERT_TRUE(rep.scheduled);
+  ASSERT_TRUE(rep.error.ok()) << rep.error.ToString();
+  EXPECT_EQ(rep.issued, 0);
+  int64_t hits = sched.TakeHits();
+  sched.Shutdown();
+  int64_t wasted = sched.TakeWasted();
+  EXPECT_EQ(hits, 0);
+  EXPECT_LE(hits + wasted, rep.issued);
+  // The held load installed a placeholder page; drop it.
+  store->ClearSnapshotCache();
 }
 
 TEST(PrefetchSchedulerTest, BackgroundErrorMatchesSyncStatusAndCancelDrops) {

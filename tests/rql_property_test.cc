@@ -38,9 +38,10 @@ void ExpectRunScopedMemoCounters(const RqlRunStats& stats, bool reuse_plan,
             static_cast<int64_t>(stats.iterations.size()))
       << label;
   EXPECT_EQ(bytes, 0) << label;
-  if (!reuse_plan) {
-    EXPECT_EQ(stats.qq_parse_count, misses) << label;
-  }
+  // With plan reuse, the first executed iteration parses Qq for the run.
+  EXPECT_EQ(stats.qq_parse_count, reuse_plan ? std::min<int64_t>(misses, 1)
+                                             : misses)
+      << label;
 }
 
 // The whole suite runs through a FaultInjectionEnv with nothing armed:
@@ -415,10 +416,11 @@ TEST_P(RqlPropertyTest, SubsetAndSkipQsMatchModel) {
 }
 
 TEST_P(RqlPropertyTest, AmortizationFlagsPreserveCollateOutput) {
-  // The iteration-setup amortization flags (incremental SPT, Qq plan
-  // reuse, batched Pagelog reads) are pure optimizations: CollateData must
-  // produce byte-identical result tables with any of them enabled, across
-  // randomized update/snapshot interleavings.
+  // The iteration-setup amortizations (the fast profile's incremental SPT,
+  // Qq plan reuse and vectorized scans; batched Pagelog reads) are pure
+  // optimizations: CollateData must produce byte-identical result tables
+  // with any of them enabled, across randomized update/snapshot
+  // interleavings.
   Fixture f = MakeFixture(GetParam() * 1000 + 137, 18, 10);
   const std::string qs = "SELECT snap_id FROM SnapIds";
   const std::string qq =
@@ -440,29 +442,27 @@ TEST_P(RqlPropertyTest, AmortizationFlagsPreserveCollateOutput) {
 
   struct Config {
     const char* name;
-    bool incremental, reuse, batch;
+    bool fast, batch;
   };
   const Config kConfigs[] = {
-      {"IncrementalSpt", true, false, false},
-      {"ReusePlan", false, true, false},
-      {"BatchReads", false, false, true},
-      {"AllOn", true, true, true},
+      {"Fast", true, false},
+      {"BatchReads", false, true},
+      {"AllOn", true, true},
   };
   for (const Config& c : kConfigs) {
     RqlOptions* opts = f.engine->mutable_options();
-    opts->incremental_spt = c.incremental;
-    opts->reuse_qq_plan = c.reuse;
+    opts->profile = c.fast ? RqlProfile::kFast : RqlProfile::kPaperFaithful;
     opts->batch_pagelog_reads = c.batch;
     f.data->store()->ClearSnapshotCache();
     ASSERT_TRUE(f.engine->CollateData(qs, qq, c.name).ok()) << c.name;
     EXPECT_EQ(dump(c.name), baseline) << c.name;
     const RqlRunStats& stats = f.engine->last_run_stats();
-    if (c.reuse) {
+    if (c.fast) {
       EXPECT_EQ(stats.qq_parse_count, 1) << c.name;
     } else {
       EXPECT_EQ(stats.qq_parse_count, baseline_parses) << c.name;
     }
-    if (c.incremental) {
+    if (c.fast) {
       int64_t delta = 0;
       for (const RqlIterationStats& it : stats.iterations) {
         delta += it.spt_delta_entries;
@@ -532,8 +532,8 @@ TEST_P(RqlPropertyTest, PageSharingFlagsPreserveAllMechanismOutputs) {
   // (memoize_iterations with no MemoTable) are pure optimizations: on a
   // sparse-update history every mechanism's result table must be
   // byte-identical with any combination of the two — alone, together,
-  // stacked on the iteration-setup amortization flags, and (for
-  // parallelizable mechanisms) under parallel workers.
+  // stacked on batched Pagelog reads, and (for parallelizable mechanisms)
+  // under parallel workers — under both profiles.
   // AggregateDataInVariable uses the non-idempotent `sum` fold so a
   // replayed iteration that contributed twice (or not at all) would be
   // caught.
@@ -618,17 +618,19 @@ TEST_P(RqlPropertyTest, PageSharingFlagsPreserveAllMechanismOutputs) {
   };
 
   // `cache` runs against a run-scoped decoded-page cache, cleared before
-  // every run; `memo` against a run-scoped memo.
+  // every run; `memo` against a run-scoped memo; `pagelog` with batched
+  // Pagelog reads. Each runs under both profiles.
   struct Config {
     const char* name;
-    bool cache, memo, amort;
+    bool cache, memo, pagelog;
     int workers;
   };
   const Config kConfigs[] = {
+      {"none", false, false, false, 1},
       {"cache", true, false, false, 1},
       {"memo", false, true, false, 1},
       {"both", true, true, false, 1},
-      {"both_amortized", true, true, true, 1},
+      {"both_pagelog", true, true, true, 1},
       {"both_parallel", true, true, false, 4},
   };
   sql::SharedScanCache run_cache({.max_bytes = 0});
@@ -648,44 +650,48 @@ TEST_P(RqlPropertyTest, PageSharingFlagsPreserveAllMechanismOutputs) {
     std::vector<std::string> baseline = dump(base_table);
 
     for (const Config& c : kConfigs) {
-      RqlOptions opts;
-      run_cache.Clear();
-      opts.shared_scan_cache = c.cache ? &run_cache : nullptr;
-      opts.memoize_iterations = c.memo;
-      opts.incremental_spt = c.amort;
-      opts.reuse_qq_plan = c.amort;
-      opts.batch_pagelog_reads = c.amort;
-      opts.parallel_workers = c.workers;
-      // Options are replaced wholesale above, so the registry has to be
-      // re-installed for every configuration.
-      opts.metrics = &registry;
-      *f.engine->mutable_options() = opts;
-      f.data->store()->ClearSnapshotCache();
-      std::string table = std::string(m.name) + "_" + c.name;
-      before = registry.TakeSnapshot();
-      ASSERT_TRUE(m.run(table).ok()) << table;
-      expect_delta_matches(registry.TakeSnapshot().DeltaFrom(before),
-                           table);
-      EXPECT_EQ(dump(table), baseline) << table;
-      const RqlRunStats& stats = f.engine->last_run_stats();
-      // Live changes every 4th snapshot only: the three quiet iterations
-      // of each period must replay through the delta fast path, and
-      // versions shared across the set must hit the decoded-page cache.
-      if (c.cache) {
-        EXPECT_GT(stats.shared_page_hits, 0) << table;
-      }
-      if (c.memo) {
-        ExpectRunScopedMemoCounters(stats, c.amort, table);
+      for (RqlProfile profile :
+           {RqlProfile::kPaperFaithful, RqlProfile::kFast}) {
+        RqlOptions opts;
+        run_cache.Clear();
+        opts.profile = profile;
+        opts.shared_scan_cache = c.cache ? &run_cache : nullptr;
+        opts.memoize_iterations = c.memo;
+        opts.batch_pagelog_reads = c.pagelog;
+        opts.parallel_workers = c.workers;
+        // Options are replaced wholesale above, so the registry has to be
+        // re-installed for every configuration.
+        opts.metrics = &registry;
+        *f.engine->mutable_options() = opts;
+        f.data->store()->ClearSnapshotCache();
+        std::string table = std::string(m.name) + "_" + c.name + "_" +
+                            RqlProfileName(profile);
+        before = registry.TakeSnapshot();
+        ASSERT_TRUE(m.run(table).ok()) << table;
+        expect_delta_matches(registry.TakeSnapshot().DeltaFrom(before),
+                             table);
+        EXPECT_EQ(dump(table), baseline) << table;
+        const RqlRunStats& stats = f.engine->last_run_stats();
+        // Live changes every 4th snapshot only: the three quiet iterations
+        // of each period must replay through the delta fast path, and
+        // versions shared across the set must hit the decoded-page cache.
+        if (c.cache) {
+          EXPECT_GT(stats.shared_page_hits, 0) << table;
+        }
+        if (c.memo) {
+          ExpectRunScopedMemoCounters(
+              stats, profile == RqlProfile::kFast && !stats.parallel, table);
+          if (!stats.parallel) {
+            EXPECT_GT(stats.iterations_skipped, 0) << table;
+          }
+        }
         if (!stats.parallel) {
-          EXPECT_GT(stats.iterations_skipped, 0) << table;
+          int64_t skipped = 0;
+          for (const RqlIterationStats& it : stats.iterations) {
+            if (it.skipped) ++skipped;
+          }
+          EXPECT_EQ(skipped, stats.iterations_skipped) << table;
         }
-      }
-      if (!stats.parallel) {
-        int64_t skipped = 0;
-        for (const RqlIterationStats& it : stats.iterations) {
-          if (it.skipped) ++skipped;
-        }
-        EXPECT_EQ(skipped, stats.iterations_skipped) << table;
       }
     }
   }
@@ -793,14 +799,15 @@ TEST_P(RqlPropertyTest, MemoizationPreservesAllMechanismOutputs) {
 
   struct Config {
     const char* name;
-    bool cache, batch;
+    bool cache, fast;
     int workers;
   };
   const Config kConfigs[] = {
       {"memo", false, false, 1},
       {"memo_cache", true, false, 1},
-      {"memo_batch", false, true, 1},
+      {"memo_fast", false, true, 1},
       {"memo_parallel", false, false, 4},
+      {"memo_fast_parallel", false, true, 4},
       {"memo_all_flags", true, true, 1},
   };
 
@@ -827,7 +834,7 @@ TEST_P(RqlPropertyTest, MemoizationPreservesAllMechanismOutputs) {
       // Run-scoped: cleared before the warm run below.
       sql::SharedScanCache run_cache({.max_bytes = 0});
       opts.shared_scan_cache = c.cache ? &run_cache : nullptr;
-      opts.batch_execution = c.batch;
+      opts.profile = c.fast ? RqlProfile::kFast : RqlProfile::kPaperFaithful;
       opts.parallel_workers = c.workers;
       opts.metrics = &registry;
       *f.engine->mutable_options() = opts;
@@ -844,13 +851,19 @@ TEST_P(RqlPropertyTest, MemoizationPreservesAllMechanismOutputs) {
       EXPECT_GT(cold.misses, 0) << table;
       EXPECT_GT(cold.bytes, 0) << table;
       // Every iteration either executed (a miss) or replayed through the
-      // delta fast path; only executed iterations parse Qq (no
-      // reuse_qq_plan here).
+      // delta fast path; only executed iterations parse Qq, and a
+      // sequential kFast run parses it once for all of them.
+      const bool reuse_plan =
+          c.fast && !f.engine->last_run_stats().parallel;
+      auto expected_parses = [reuse_plan](int64_t misses) {
+        return reuse_plan ? std::min<int64_t>(misses, 1) : misses;
+      };
       EXPECT_EQ(cold.misses + f.engine->last_run_stats().iterations_skipped,
                 static_cast<int64_t>(
                     f.engine->last_run_stats().iterations.size()))
           << table;
-      EXPECT_EQ(f.engine->last_run_stats().qq_parse_count, cold.misses)
+      EXPECT_EQ(f.engine->last_run_stats().qq_parse_count,
+                expected_parses(cold.misses))
           << table;
 
       run_cache.Clear();
@@ -864,7 +877,7 @@ TEST_P(RqlPropertyTest, MemoizationPreservesAllMechanismOutputs) {
       auto warm = memo_sums(stats);
       EXPECT_GT(warm.hits, 0) << table;
       // A replayed iteration parses nothing, sequential or parallel.
-      EXPECT_EQ(stats.qq_parse_count, warm.misses) << table;
+      EXPECT_EQ(stats.qq_parse_count, expected_parses(warm.misses)) << table;
       // Every iteration of the warm run replays: from the memo, or through
       // the delta fast path where the predecessor already proves it.
       EXPECT_EQ(warm.hits + stats.iterations_skipped,
@@ -951,14 +964,15 @@ TEST_P(RqlPropertyTest, AsyncPrefetchPreservesAllMechanismOutputs) {
        }},
   };
 
+  // `fast` runs the fast profile with batched Pagelog reads.
   struct Config {
     const char* name;
-    bool batch, memo, shared;
+    bool fast, memo, shared;
     int workers, budget;
   };
   const Config kConfigs[] = {
       {"pf", false, false, false, 1, 64},
-      {"pf_batch", true, false, false, 1, 64},
+      {"pf_fast", true, false, false, 1, 64},
       {"pf_memo", false, true, false, 1, 64},
       {"pf_shared", false, false, true, 1, 64},
       {"pf_tiny_budget", false, false, false, 1, 1},
@@ -985,8 +999,8 @@ TEST_P(RqlPropertyTest, AsyncPrefetchPreservesAllMechanismOutputs) {
       RqlOptions opts;
       opts.async_prefetch = true;
       opts.prefetch_budget_pages = c.budget;
-      opts.batch_pagelog_reads = c.batch;
-      opts.batch_execution = c.batch;
+      opts.batch_pagelog_reads = c.fast;
+      opts.profile = c.fast ? RqlProfile::kFast : RqlProfile::kPaperFaithful;
       if (c.memo) {
         opts.memoize_iterations = true;
         opts.memo = memo->get();

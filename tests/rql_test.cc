@@ -656,8 +656,7 @@ TEST_F(RqlLoggedInTest, RunsRestoreEngineAndStoreState) {
   std::atomic<bool> cancel{false};
   RqlOptions* opts = engine_->mutable_options();
   opts->shared_scan_cache = &run_cache;
-  opts->batch_execution = true;
-  opts->incremental_spt = true;
+  opts->profile = RqlProfile::kFast;
   opts->batch_pagelog_reads = true;
   opts->cancel = &cancel;
   // Qq-side hooks: fail_on(snap, n) fails Qq on snapshot n, cancel_on

@@ -1,10 +1,12 @@
 // rql_serverd end-to-end: session lifecycle over the wire protocol,
 // admission-control rejection, cooperative cancellation mid-run (store
 // left fully reusable), prepared statements with per-session AS OF plan
-// state, idle-session reaping, and the concurrency gate — four socket
-// clients running staggered CollateData intervals concurrently, byte-
-// identical to an in-process sequential oracle, with the shared scan
-// cache showing actual cross-run sharing.
+// state, idle-session reaping, kRunDone's measured wall time, and the
+// concurrency gates — four socket clients running staggered CollateData
+// intervals concurrently, byte-identical to an in-process sequential
+// oracle, with the shared scan cache showing actual cross-run sharing;
+// and the other three mechanisms served on the fast profile, byte-
+// identical to the paper-faithful oracle.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -15,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/clock.h"
 #include "rql/rql.h"
 #include "server/client.h"
 #include "server/server.h"
@@ -45,9 +48,10 @@ struct HistoryFixture {
   retro::SnapshotId last_snap = retro::kNoSnapshot;
 };
 
-HistoryFixture MakeHistory(int snapshots) {
+HistoryFixture MakeHistory(int snapshots,
+                           sql::DatabaseOptions data_options = {}) {
   HistoryFixture f;
-  auto data = sql::Database::Open(f.env.get(), "data");
+  auto data = sql::Database::Open(f.env.get(), "data", data_options);
   auto meta = sql::Database::Open(f.env.get(), "meta");
   EXPECT_TRUE(data.ok() && meta.ok());
   f.data = std::move(*data);
@@ -148,10 +152,18 @@ TEST(ServerTest, SessionLifecycle) {
   ASSERT_EQ(tables->rows.size(), 1u);
   EXPECT_EQ(tables->rows[0][0].ToString(), "t");
 
+  // The default server serves the fast profile over a warm cache, and
+  // says so; embedded engines stay paper-faithful.
+  EXPECT_EQ(RqlOptions{}.profile, RqlProfile::kPaperFaithful);
+  EXPECT_TRUE(RqlOptions{}.cold_cache_per_run);
   auto stats = (*client)->StatsJson();
   ASSERT_TRUE(stats.ok());
   EXPECT_NE(stats->find("\"active_sessions\": 1"), std::string::npos);
   EXPECT_NE(stats->find("\"scheduler\""), std::string::npos);
+  EXPECT_NE(stats->find("\"engine\": {\"profile\": \"fast\", "
+                        "\"cold_cache_per_run\": false}"),
+            std::string::npos)
+      << *stats;
 
   client->reset();  // goodbye
   WaitForNoSessions(server->get());
@@ -378,6 +390,46 @@ TEST(ServerTest, SessionCapacityIsEnforced) {
   (*server)->Stop();
 }
 
+TEST(ServerTest, RunDoneTotalIsMeasuredWallTime) {
+  // Every archive page and Maplog page read is charged a simulated
+  // second, far beyond what the run really takes: kRunDone must report
+  // the measured wall time, which cannot exceed the client's latency.
+  sql::DatabaseOptions data_options;
+  data_options.store.cost_model.pagelog_read_us = 1000 * 1000;
+  data_options.store.cost_model.maplog_page_read_us = 1000 * 1000;
+  HistoryFixture f = MakeHistory(6, data_options);
+  retro::MetricsRegistry registry;
+  ServerOptions options;
+  options.socket_path = UniqueSocketPath();
+  options.metrics = &registry;
+  auto server = Server::Create(f.data.get(), f.meta.get(), options);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->Start().ok());
+
+  auto client = Client::Connect(options.socket_path);
+  ASSERT_TRUE(client.ok());
+  retro::MetricsRegistry::Snapshot before = registry.TakeSnapshot();
+  const int64_t start = NowMicros();
+  auto run = (*client)->StartRun(Mechanism::kCollateData,
+                                 QsRange(1, f.last_snap), kQq, "Out");
+  ASSERT_TRUE(run.ok());
+  auto done = (*client)->WaitRun(*run);
+  const int64_t observed = NowMicros() - start;
+  ASSERT_TRUE(done.ok());
+  ASSERT_TRUE(done->status.ok()) << done->status.ToString();
+  retro::MetricsRegistry::Snapshot delta =
+      registry.TakeSnapshot().DeltaFrom(before);
+  // The charge really exceeded the run: the engine's own total would have.
+  ASSERT_GT(delta.counter("rql.io_us") + delta.counter("rql.spt_build_us"),
+            observed);
+  EXPECT_GT(done->total_us, 0);
+  EXPECT_LE(done->total_us, observed);
+
+  client->reset();
+  WaitForNoSessions(server->get());
+  (*server)->Stop();
+}
+
 // The concurrency gate: four socket clients, staggered overlapping
 // intervals (odd clients descending), concurrent scheduled runs — every
 // client's result table byte-identical to a sequential in-process oracle
@@ -468,6 +520,115 @@ TEST(ServerConcurrencyTest, FourClientsByteIdenticalToSequentialOracle) {
   EXPECT_GT(cache.shared_hits, 0);
 
   for (ClientRun& r : runs) r.client.reset();
+  WaitForNoSessions(server->get());
+  (*server)->Stop();
+}
+
+// Daemon-path byte identity for every mechanism: the three mechanisms
+// beside CollateData, each over ascending and descending Qs, run
+// concurrently through a default server (fast profile, warm cache) and
+// compared against the paper-faithful embedded oracle on the owner
+// engine. The served runs must also have taken the fast path.
+TEST(ServerConcurrencyTest, AllMechanismsByteIdenticalToPaperFaithfulOracle) {
+  HistoryFixture f = MakeHistory(12);
+  struct Spec {
+    Mechanism mechanism;
+    const char* qq;
+    const char* extra;
+  };
+  const Spec kSpecs[] = {
+      {Mechanism::kAggregateDataInVariable,
+       "SELECT COUNT(*) AS c FROM t WHERE v % 3 = 0", "sum"},
+      {Mechanism::kAggregateDataInTable, kQq, "(v,max)"},
+      {Mechanism::kCollateDataIntoIntervals, kQq, ""},
+  };
+  struct Run {
+    Spec spec;
+    std::string qs;
+    std::vector<std::string> oracle;
+    std::vector<std::string> rows;
+    Status status;
+  };
+  std::vector<Run> runs;
+  for (const Spec& spec : kSpecs) {
+    for (bool descending : {false, true}) {
+      Run r{spec, QsRange(2, f.last_snap) + (descending ? " DESC" : ""),
+            {}, {}, Status::OK()};
+      const std::string table = "Oracle" + std::to_string(runs.size());
+      Status s;
+      switch (spec.mechanism) {
+        case Mechanism::kAggregateDataInVariable:
+          s = f.engine->AggregateDataInVariable(r.qs, spec.qq, table,
+                                                spec.extra);
+          break;
+        case Mechanism::kAggregateDataInTable:
+          s = f.engine->AggregateDataInTable(r.qs, spec.qq, table,
+                                             std::string(spec.extra));
+          break;
+        default:
+          s = f.engine->CollateDataIntoIntervals(r.qs, spec.qq, table);
+          break;
+      }
+      ASSERT_TRUE(s.ok()) << table << ": " << s.ToString();
+      auto rows = f.meta->Query("SELECT * FROM " + table);
+      ASSERT_TRUE(rows.ok());
+      r.oracle = EncodeRows(*rows);
+      ASSERT_FALSE(r.oracle.empty()) << table;
+      runs.push_back(std::move(r));
+    }
+  }
+
+  retro::MetricsRegistry registry;
+  ServerOptions options;
+  options.socket_path = UniqueSocketPath();
+  options.metrics = &registry;
+  options.scheduler.dispatch_threads = 4;
+  auto server = Server::Create(f.data.get(), f.meta.get(), options);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->Start().ok());
+
+  retro::MetricsRegistry::Snapshot before = registry.TakeSnapshot();
+  std::vector<std::thread> threads;
+  threads.reserve(runs.size());
+  for (Run& r : runs) {
+    threads.emplace_back([&r, &options] {
+      auto client = Client::Connect(options.socket_path);
+      if (!client.ok()) {
+        r.status = client.status();
+        return;
+      }
+      auto run = (*client)->StartRun(r.spec.mechanism, r.qs, r.spec.qq, "Out",
+                                     r.spec.extra);
+      if (!run.ok()) {
+        r.status = run.status();
+        return;
+      }
+      auto done = (*client)->WaitRun(*run);
+      r.status = !done.ok() ? done.status() : done->status;
+      if (!r.status.ok()) return;
+      auto rows = (*client)->MetaSql("SELECT * FROM Out");
+      r.status = rows.status();
+      if (rows.ok()) r.rows = EncodeRows(*rows);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  retro::MetricsRegistry::Snapshot delta =
+      registry.TakeSnapshot().DeltaFrom(before);
+
+  for (size_t i = 0; i < runs.size(); ++i) {
+    ASSERT_TRUE(runs[i].status.ok())
+        << "run " << i << ": " << runs[i].status.ToString();
+    EXPECT_EQ(runs[i].rows, runs[i].oracle) << "run " << i << ": "
+                                            << runs[i].qs;
+  }
+  // The fast path: every run executed Qq, so each parsed it at least
+  // once; a total of one parse per run means each parsed exactly once
+  // (plan reuse), and the plain scans went through the batch path.
+  EXPECT_EQ(delta.counter("rql.runs"), static_cast<int64_t>(runs.size()));
+  EXPECT_EQ(delta.counter("rql.qq_parse_count"),
+            static_cast<int64_t>(runs.size()));
+  EXPECT_GT(delta.counter("rql.batches_scanned"), 0);
+
   WaitForNoSessions(server->get());
   (*server)->Stop();
 }

@@ -5,9 +5,9 @@ Usage: check_server_json.py STATS.json
        rql_shell --connect SOCKET --pull-stats | check_server_json.py -
 
 Validates the wire-protocol stats document CI pulls from a live
-rql_serverd: the four sections (server, scheduler, scan_cache, store),
-their field types, and the internal invariants a healthy server must
-satisfy. Exits non-zero with a path-qualified message on the first
+rql_serverd: the five sections (server, engine, scheduler, scan_cache,
+store), their field types, and the internal invariants a healthy server
+must satisfy. Exits non-zero with a path-qualified message on the first
 violation.
 """
 
@@ -20,6 +20,10 @@ SECTIONS = {
         "sessions_opened": int,
         "max_sessions": int,
         "runs_completed": int,
+    },
+    "engine": {
+        "profile": str,
+        "cold_cache_per_run": bool,
     },
     "scheduler": {
         "queued": int,
@@ -45,6 +49,9 @@ SECTIONS = {
 }
 
 
+PROFILES = {"paper_faithful", "fast"}
+
+
 class SchemaError(Exception):
     pass
 
@@ -62,8 +69,10 @@ def check_stats(doc):
         require(isinstance(obj, dict), f"$.{section}", "expected object")
         for name, typ in fields.items():
             require(name in obj, f"$.{section}", f"missing field '{name}'")
+            # bool is an int subclass in Python; keep int fields strict.
             require(
-                isinstance(obj[name], typ) and not isinstance(obj[name], bool),
+                isinstance(obj[name], typ) and
+                (typ is bool or not isinstance(obj[name], bool)),
                 f"$.{section}.{name}", f"expected {typ.__name__}")
 
     server = doc["server"]
@@ -71,6 +80,9 @@ def check_stats(doc):
             "$.server", "active_sessions outside [0, max_sessions]")
     require(server["sessions_opened"] >= server["active_sessions"],
             "$.server", "fewer sessions opened than active")
+
+    require(doc["engine"]["profile"] in PROFILES, "$.engine.profile",
+            f"expected one of {sorted(PROFILES)}")
 
     sched = doc["scheduler"]
     require(sched["queued"] >= 0 and sched["active"] >= 0, "$.scheduler",

@@ -301,8 +301,7 @@ int Run(const ReportOptions& opt) {
   opts->trace_capacity = static_cast<size_t>(opt.trace_capacity);
   opts->metrics = &registry;
   opts->parallel_workers = opt.workers;
-  opts->incremental_spt = true;
-  opts->reuse_qq_plan = true;
+  opts->profile = RqlProfile::kFast;
   opts->batch_pagelog_reads = true;
   opts->shared_scan_cache = &shared_cache;
   // Background archive prefetch: sequential runs overlap each iteration's

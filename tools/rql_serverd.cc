@@ -4,7 +4,9 @@
 // runs go through the admission-controlled scheduler, and concurrent
 // sessions share the store's caches — coalesced SPT builds, single-
 // flight SharedScanCache decodes — exactly like in-process concurrent
-// engines do.
+// engines do. Runs execute the fast profile (RqlProfile::kFast:
+// incremental SPT, one Qq plan per run, vectorized scans) over a warm
+// store-wide cache; see ServerOptions::engine.
 //
 // Usage:
 //   rql_serverd --socket PATH [options]
@@ -20,7 +22,6 @@
 //   --queue-limit N        pending-run admission bound   (default 16)
 //   --workers N            shared parallel-worker budget (default 4)
 //   --idle-timeout-ms N    disconnect idle sessions      (default off)
-//   --batch                enable vectorized Qq execution
 //
 // The daemon exits on SIGINT/SIGTERM after a clean Stop(): sessions are
 // disconnected, their runs cancelled and drained, the socket unlinked.
@@ -46,7 +47,7 @@ int Usage(const char* argv0) {
                "usage: %s --socket PATH [--store PREFIX] [--seed-demo]\n"
                "          [--max-sessions N] [--dispatch N] "
                "[--queue-limit N]\n"
-               "          [--workers N] [--idle-timeout-ms N] [--batch]\n",
+               "          [--workers N] [--idle-timeout-ms N]\n",
                argv0);
   return 2;
 }
@@ -113,8 +114,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
       options.idle_timeout_us = std::atoll(v) * 1000;
-    } else if (arg == "--batch") {
-      options.engine.batch_execution = true;
     } else {
       return Usage(argv[0]);
     }

@@ -18,7 +18,10 @@
 //                                 its completion and print the summary
 //                                 (MECH: collate | aggvar | aggtable |
 //                                 intervals; aggvar reads the aggregate
-//                                 function from --extra)
+//                                 function from --extra). The printed ms
+//                                 is the daemon's measured wall time for
+//                                 the run (kRunDone total_us), not
+//                                 simulated archive I/O.
 //   --extra ARG                   mechanism extra argument
 //   --workers N                   parallel workers to request
 
