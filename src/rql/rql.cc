@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <cmath>
+#include <map>
 #include <thread>
 
 #include "common/clock.h"
@@ -58,16 +60,18 @@ Status CreateAndPopulateIndex(sql::Database* db, const std::string& name,
   return Status::OK();
 }
 
-struct ProbeMatch {
+/// One result-table row with its heap position.
+struct StoredRow {
   sql::Rid rid;
   Row row;
 };
 
-/// All rows of `table` whose values on the index's columns equal `prefix`.
-Result<std::vector<ProbeMatch>> ProbeByPrefix(sql::Database* db,
-                                              const sql::IndexInfo* index,
-                                              const Row& prefix) {
-  std::vector<ProbeMatch> matches;
+/// All rows of `table` whose values on the index's columns equal `prefix`,
+/// in index order: by key under CompareValues, then by rid.
+Result<std::vector<StoredRow>> ProbeByPrefix(sql::Database* db,
+                                             const sql::IndexInfo* index,
+                                             const Row& prefix) {
+  std::vector<StoredRow> matches;
   RQL_ASSIGN_OR_RETURN(sql::BTree::Iterator it,
                        sql::BTree::Seek(db->store(), index->root, prefix));
   for (; it.Valid(); it.Next()) {
@@ -84,11 +88,88 @@ Result<std::vector<ProbeMatch>> ProbeByPrefix(sql::Database* db,
     RQL_ASSIGN_OR_RETURN(std::string record,
                          sql::HeapTable::Get(db->store(), it.value()));
     RQL_ASSIGN_OR_RETURN(Row row, sql::DecodeRow(record));
-    matches.push_back(ProbeMatch{it.value(), std::move(row)});
+    matches.push_back(StoredRow{it.value(), std::move(row)});
   }
   RQL_RETURN_IF_ERROR(it.status());
   return matches;
 }
+
+/// True when sql::CompareRows orders keys holding `key`'s values as a
+/// strict weak order, which an ordered map needs. A REAL breaks it when it
+/// is NaN (equal to every number) or a finite value of magnitude 2^53 or
+/// more (equal, through AsDouble, to several distinct INTEGERs).
+bool StrictlyOrdered(const Row& key) {
+  for (const Value& v : key) {
+    if (v.type() != sql::ValueType::kReal) continue;
+    double x = v.real();
+    if (std::isnan(x)) return false;
+    if (std::isfinite(x) && std::fabs(x) >= 9007199254740992.0) return false;
+  }
+  return true;
+}
+
+/// kFast's in-memory stand-in for probing an AggregateDataInTable result
+/// table's `<table>_rql_idx` index (RqlProfile::kFast): the table's rows
+/// grouped by their indexed columns. Keys compare with sql::CompareRows,
+/// the B-tree's own comparator, so INTEGER 1 and REAL 1.0, or two NULLs,
+/// land in one group exactly as they match one probe; only
+/// StrictlyOrdered keys may enter. A group lists its rows in rid order,
+/// the order the probe returns them in. The fold keeps the directory in
+/// step with every AppendRow and UpdateRowAt it issues.
+class GroupDirectory {
+ public:
+  struct Group {
+    /// Ascending rid: rows.front() is the probe's first match.
+    std::vector<StoredRow> rows;
+
+    void Add(sql::Rid rid, Row row) {
+      auto at = std::upper_bound(
+          rows.begin(), rows.end(), rid,
+          [](sql::Rid r, const StoredRow& s) { return r < s.rid; });
+      rows.insert(at, StoredRow{rid, std::move(row)});
+    }
+
+    /// Row `rid` was rewritten to `row`, now at `new_rid`. A row that
+    /// moved is re-sorted.
+    void Replace(sql::Rid rid, sql::Rid new_rid, Row row) {
+      auto it = std::lower_bound(
+          rows.begin(), rows.end(), rid,
+          [](const StoredRow& s, sql::Rid r) { return s.rid < r; });
+      if (new_rid == rid) {
+        it->row = std::move(row);
+        return;
+      }
+      rows.erase(it);
+      Add(new_rid, std::move(row));
+    }
+  };
+
+  /// The group of `key`, created empty if absent. Fails once the
+  /// directory was discarded.
+  Result<Group*> Get(const Row& key) {
+    if (discarded_) {
+      return Status::Internal(
+          "result fold state was discarded by a failed iteration");
+    }
+    return &groups_.try_emplace(key).first->second;
+  }
+
+  /// Drops every group: after a rolled-back iteration they describe
+  /// writes the result table no longer holds.
+  void Discard() {
+    groups_.clear();
+    discarded_ = true;
+  }
+
+ private:
+  struct KeyLess {
+    bool operator()(const Row& a, const Row& b) const {
+      return sql::CompareRows(a, b) < 0;
+    }
+  };
+  std::map<Row, Group, KeyLess> groups_;
+  bool discarded_ = false;
+};
 
 }  // namespace
 
@@ -126,6 +207,20 @@ class RqlEngine::MechanismState {
     if (!table_created_) return;
     (void)meta()->Exec("DROP TABLE IF EXISTS " + table_);
     table_created_ = false;
+  }
+
+  /// Ends the metadata transaction one iteration's fold ran in, with the
+  /// fold's outcome `s`: commits on success, rolls back on failure. A
+  /// failed iteration also discards the directory, which described the
+  /// rolled-back writes.
+  Status EndFoldTransaction(Status s) {
+    if (s.ok()) {
+      s = meta()->Exec("COMMIT");
+    } else {
+      (void)meta()->Exec("ROLLBACK");
+    }
+    if (!s.ok()) directory_.Discard();
+    return s;
   }
 
   /// Moves per-iteration result-table counters into `iter`.
@@ -205,6 +300,54 @@ class RqlEngine::MechanismState {
     return Status::OK();
   }
 
+  std::string IndexName() const { return table_ + "_rql_idx"; }
+
+  /// The directory group of `key`, or null when this state probes the
+  /// index instead (kPaperFaithful, sort-merge, CollateDataIntoIntervals).
+  /// A key the directory cannot order strictly switches the rest of the
+  /// run to the index probe; the index, kept under both profiles, already
+  /// holds every row, so the output stays the probe's.
+  Result<GroupDirectory::Group*> DirectoryGroup(const Row& key) {
+    if (use_directory_ && !StrictlyOrdered(key)) {
+      use_directory_ = false;
+      directory_ = GroupDirectory();
+    }
+    if (!use_directory_) return static_cast<GroupDirectory::Group*>(nullptr);
+    return directory_.Get(key);
+  }
+
+  /// The result-table rows whose indexed columns equal `key`, smallest rid
+  /// first: `group`'s rows under kFast, else the rows an index probe
+  /// decodes into *probed. One call counts as one probe.
+  Result<const std::vector<StoredRow>*> Matches(
+      const Row& key, GroupDirectory::Group* group,
+      std::vector<StoredRow>* probed) {
+    ++probes_;
+    if (group != nullptr) return &group->rows;
+    const sql::IndexInfo* index =
+        meta()->catalog()->data().FindIndex(IndexName());
+    RQL_ASSIGN_OR_RETURN(*probed, ProbeByPrefix(meta(), index, key));
+    return probed;
+  }
+
+  Status AppendResult(GroupDirectory::Group* group, const Row& row) {
+    ++inserts_;
+    RQL_ASSIGN_OR_RETURN(sql::Rid rid, meta()->AppendRow(table_, row));
+    if (group != nullptr) group->Add(rid, row);
+    return Status::OK();
+  }
+
+  /// Rewrites the stored row `match` to `updated`.
+  Status UpdateResult(GroupDirectory::Group* group, const StoredRow& match,
+                      Row updated) {
+    ++updates_;
+    RQL_ASSIGN_OR_RETURN(
+        sql::Rid rid,
+        meta()->UpdateRowAt(table_, match.rid, match.row, updated));
+    if (group != nullptr) group->Replace(match.rid, rid, std::move(updated));
+    return Status::OK();
+  }
+
   RqlEngine* engine_;
   std::string qq_;
   std::string table_;
@@ -215,6 +358,11 @@ class RqlEngine::MechanismState {
   uint64_t memo_fp_ = 0;
   bool memo_fp_ready_ = false;
   int qq_uses_current_snapshot_ = -1;  // -1 unknown, 0 no, 1 yes
+  /// kFast's AggregateDataInTable index-probe fold: the result table's
+  /// rows by indexed columns, read instead of the `<table>_rql_idx`
+  /// B-tree.
+  bool use_directory_ = false;
+  GroupDirectory directory_;
 };
 
 /// Collate Data: append every Qq row to T.
@@ -309,64 +457,39 @@ class RqlEngine::AggTableState : public MechanismState {
       RQL_RETURN_IF_ERROR(ResolveLayout(cols));
       RQL_RETURN_IF_ERROR(EnsureTable(cols, row));
       strategy_ = engine_->options().agg_table_strategy;
+      use_directory_ = strategy_ == AggTableStrategy::kIndexProbe &&
+                       engine_->options().profile == RqlProfile::kFast;
     }
     if (strategy_ == AggTableStrategy::kSortMerge && first_done_) {
       // Sort-merge: buffer the iteration's batch; merge at iteration end.
       batch_.push_back(row);
       return Status::OK();
     }
+    Row key = GroupKey(row);
+    RQL_ASSIGN_OR_RETURN(GroupDirectory::Group * group, DirectoryGroup(key));
     if (!first_done_) {
       // First (cold) iteration: plain inserts; the index (index-probe
       // strategy only) is built at the end of the iteration (Fig. 12's
       // costlier cold iteration).
-      RQL_RETURN_IF_ERROR(SeedAvg(row));
-      ++inserts_;
-      return meta()->AppendRow(table_, row).status();
+      SeedAvg(row);
+      return AppendResult(group, row);
     }
 
-    // Subsequent iterations: probe by grouping columns, then update or
-    // insert — the across-snapshot aggregation step.
-    Row group;
-    group.reserve(group_idx_.size());
-    for (size_t idx : group_idx_) group.push_back(row[idx]);
-    ++probes_;
-    const sql::IndexInfo* index = meta()->catalog()->data().FindIndex(
-        IndexName());
-    RQL_ASSIGN_OR_RETURN(std::vector<ProbeMatch> matches,
-                         ProbeByPrefix(meta(), index, group));
-    if (matches.empty()) {
-      RQL_RETURN_IF_ERROR(SeedAvg(row));
-      ++inserts_;
-      return meta()->AppendRow(table_, row).status();
+    // Subsequent iterations: probe by grouping columns, then update the
+    // first match or insert — the across-snapshot aggregation step.
+    std::vector<StoredRow> probed;
+    RQL_ASSIGN_OR_RETURN(const std::vector<StoredRow>* matches,
+                         Matches(key, group, &probed));
+    if (matches->empty()) {
+      SeedAvg(row);
+      return AppendResult(group, row);
     }
-    const ProbeMatch& match = matches.front();
+    const StoredRow& match = matches->front();
     Row updated = match.row;
     bool changed = false;
-    for (size_t p = 0; p < pairs_.size(); ++p) {
-      size_t col = agg_idx_[p];
-      if (pairs_[p].func == RqlAggFunc::kAvg) {
-        AvgState& avg = avg_state_[sql::EncodeRow(group)][p];
-        avg.Add(row[col]);
-        Value v = avg.Final();
-        if (sql::CompareValues(v, updated[col]) != 0) {
-          updated[col] = std::move(v);
-          changed = true;
-        }
-        continue;
-      }
-      RQL_ASSIGN_OR_RETURN(
-          Value combined,
-          RqlCombine(pairs_[p].func, updated[col], row[col]));
-      if (sql::CompareValues(combined, updated[col]) != 0) {
-        updated[col] = std::move(combined);
-        changed = true;
-      }
-    }
+    RQL_RETURN_IF_ERROR(CombineInto(row, &updated, &changed));
     if (!changed) return Status::OK();
-    ++updates_;
-    return meta()
-        ->UpdateRowAt(table_, match.rid, match.row, updated)
-        .status();
+    return UpdateResult(group, match, std::move(updated));
   }
 
   Status OnIterationEnd(retro::SnapshotId) override {
@@ -390,8 +513,6 @@ class RqlEngine::AggTableState : public MechanismState {
   }
 
  protected:
-  std::string IndexName() const { return table_ + "_rql_idx"; }
-
   Row GroupKey(const Row& row) const {
     Row key;
     key.reserve(group_idx_.size());
@@ -399,15 +520,25 @@ class RqlEngine::AggTableState : public MechanismState {
     return key;
   }
 
-  /// Combines `incoming` into `target` (aggregate columns only); sets
-  /// *changed when any value moved.
+  /// The AVG (sum, count) slots of stored row `stored`'s group, keyed by
+  /// the stored group's encoding. The stored row, not the incoming one,
+  /// names the group: a probe matches INTEGER 1 to a stored REAL 1.0,
+  /// whose slots SeedAvg filled.
+  std::vector<AvgState>& AvgStates(const Row& stored) {
+    std::vector<AvgState>& states =
+        avg_state_[sql::EncodeRow(GroupKey(stored))];
+    if (states.empty()) states.resize(pairs_.size());
+    return states;
+  }
+
+  /// Combines `incoming` into the stored row `target` (aggregate columns
+  /// only); sets *changed when any value moved.
   Status CombineInto(const Row& incoming, Row* target, bool* changed) {
-    Row group = GroupKey(incoming);
     for (size_t p = 0; p < pairs_.size(); ++p) {
       size_t col = agg_idx_[p];
       Value combined;
       if (pairs_[p].func == RqlAggFunc::kAvg) {
-        AvgState& avg = avg_state_[sql::EncodeRow(group)][p];
+        AvgState& avg = AvgStates(*target)[p];
         avg.Add(incoming[col]);
         combined = avg.Final();
       } else {
@@ -463,7 +594,7 @@ class RqlEngine::AggTableState : public MechanismState {
         merged.push_back(std::move(existing[i].second));
         ++i;
       } else if (cmp > 0) {
-        RQL_RETURN_IF_ERROR(SeedAvg(batch_[j]));
+        SeedAvg(batch_[j]);
         merged.push_back(std::move(batch_[j]));
         ++inserts_;
         ++j;
@@ -521,22 +652,19 @@ class RqlEngine::AggTableState : public MechanismState {
     return Status::OK();
   }
 
-  Status SeedAvg(const Row& row) {
+  /// Seeds the AVG slots of a row about to be inserted.
+  void SeedAvg(const Row& row) {
     bool any_avg = false;
     for (const ColFuncPair& pair : pairs_) {
       if (pair.func == RqlAggFunc::kAvg) any_avg = true;
     }
-    if (!any_avg) return Status::OK();
-    Row group;
-    for (size_t idx : group_idx_) group.push_back(row[idx]);
-    auto& states = avg_state_[sql::EncodeRow(group)];
-    states.resize(pairs_.size());
+    if (!any_avg) return;
+    std::vector<AvgState>& states = AvgStates(row);
     for (size_t p = 0; p < pairs_.size(); ++p) {
       if (pairs_[p].func == RqlAggFunc::kAvg) {
         states[p].Add(row[agg_idx_[p]]);
       }
     }
-    return Status::OK();
   }
 
   std::vector<ColFuncPair> pairs_;
@@ -549,7 +677,8 @@ class RqlEngine::AggTableState : public MechanismState {
   bool first_done_ = false;
   AggTableStrategy strategy_ = AggTableStrategy::kIndexProbe;
   std::vector<Row> batch_;  // sort-merge: the current iteration's rows
-  // AVG special case: per-group running (sum, count) per pair slot.
+  // AVG special case: per stored group encoding, the running
+  // (sum, count) per pair slot.
   std::unordered_map<std::string, std::vector<AvgState>> avg_state_;
 };
 
@@ -576,31 +705,22 @@ class RqlEngine::IntervalState : public MechanismState {
     full.push_back(Value::Integer(snap));
     full.push_back(Value::Integer(snap));
 
-    if (!index_created_) {
-      ++inserts_;
-      return meta()->AppendRow(table_, full).status();
-    }
-    ++probes_;
-    const sql::IndexInfo* index =
-        meta()->catalog()->data().FindIndex(IndexName());
-    RQL_ASSIGN_OR_RETURN(std::vector<ProbeMatch> matches,
-                         ProbeByPrefix(meta(), index, row));
+    if (!index_created_) return AppendResult(nullptr, full);
+    std::vector<StoredRow> probed;
+    RQL_ASSIGN_OR_RETURN(const std::vector<StoredRow>* matches,
+                         Matches(row, nullptr, &probed));
     // Extend the lifetime whose end is the previous iteration's snapshot;
     // otherwise a new lifetime interval starts.
-    for (const ProbeMatch& match : matches) {
+    for (const StoredRow& match : *matches) {
       const Value& end = match.row[group_width_ + 1];
       if (end.type() == sql::ValueType::kInteger &&
           end.integer() == static_cast<int64_t>(prev_snap_)) {
         Row updated = match.row;
         updated[group_width_ + 1] = Value::Integer(snap);
-        ++updates_;
-        return meta()
-            ->UpdateRowAt(table_, match.rid, match.row, updated)
-            .status();
+        return UpdateResult(nullptr, match, std::move(updated));
       }
     }
-    ++inserts_;
-    return meta()->AppendRow(table_, full).status();
+    return AppendResult(nullptr, full);
   }
 
   Status OnIterationEnd(retro::SnapshotId snap) override {
@@ -618,8 +738,6 @@ class RqlEngine::IntervalState : public MechanismState {
   }
 
  private:
-  std::string IndexName() const { return table_ + "_rql_idx"; }
-
   size_t group_width_ = 0;
   std::vector<std::string> group_cols_;
   bool index_created_ = false;
@@ -1616,11 +1734,7 @@ Status RqlEngine::RunIteration(retro::SnapshotId snap, MechanismState* state,
   }
   int64_t exec_total = NowMicros() - start;
   data_db_->set_current_snapshot(retro::kNoSnapshot);
-  if (!s.ok()) {
-    (void)meta_db_->Exec("ROLLBACK");
-    return s;
-  }
-  RQL_RETURN_IF_ERROR(meta_db_->Exec("COMMIT"));
+  RQL_RETURN_IF_ERROR(state->EndFoldTransaction(std::move(s)));
 
   const retro::CostModel& cm = store->cost_model();
   stats_.archive_read_retries += rs.archive_read_retries;
@@ -1707,11 +1821,7 @@ Status RqlEngine::FoldRows(MechanismState* state, retro::SnapshotId snap,
     }
     if (s.ok()) s = state->OnIterationEnd(snap);
   }
-  if (!s.ok()) {
-    (void)meta_db_->Exec("ROLLBACK");
-    return s;
-  }
-  RQL_RETURN_IF_ERROR(meta_db_->Exec("COMMIT"));
+  RQL_RETURN_IF_ERROR(state->EndFoldTransaction(std::move(s)));
   state->CollectCounters(iter);
   return Status::OK();
 }

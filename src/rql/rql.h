@@ -209,6 +209,7 @@ struct ColFuncPair {
 /// provided so the claim is reproducible (bench_ablation_aggtable).
 enum class AggTableStrategy {
   /// Per-record index probe + insert/update (the paper's choice).
+  /// RqlProfile::kFast probes an in-memory directory instead.
   kIndexProbe,
   /// Per-iteration: sort the Qq batch by grouping columns and merge it
   /// with the (sorted) result table, rewriting the table.
@@ -242,6 +243,18 @@ enum class RqlProfile {
   ///     pages of shared_scan_cache zero-copy. Counted in
   ///     RqlIterationStats::batches_scanned / batch_rows /
   ///     batch_fallback_rows and the "rql.batch_size" histogram.
+  ///   * in-memory result fold — AggregateDataInTable (index-probe
+  ///     strategy) looks each Qq row up in a run-scoped directory of the
+  ///     result table's rows, keyed by the grouping columns under
+  ///     sql::CompareRows, instead of seeking the `<table>_rql_idx`
+  ///     B-tree and decoding the heap record it points at. The directory
+  ///     is filled from the rids of the fold's own writes, so every heap
+  ///     write, the index and the result_probes / result_inserts /
+  ///     result_updates counters stay as under kPaperFaithful; it costs
+  ///     one in-memory copy of the result table. A key CompareRows cannot
+  ///     order strictly (a REAL NaN, or a REAL of magnitude 2^53 or more)
+  ///     hands the rest of the run back to the index probe.
+  ///     CollateDataIntoIntervals keeps the index probe.
   /// Rejected with InvalidArgument in combination with
   /// cold_cache_per_iteration: that all-cold baseline measures the
   /// paper-faithful pipeline (the memoize_iterations precedent).

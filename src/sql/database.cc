@@ -1,5 +1,7 @@
 #include "sql/database.h"
 
+#include <algorithm>
+
 #include "common/clock.h"
 #include "sql/btree.h"
 #include "sql/parser.h"
@@ -657,6 +659,14 @@ Result<Rid> Database::UpdateRowAt(std::string_view table, Rid rid,
     HeapTable heap(store_, info->root);
     RQL_ASSIGN_OR_RETURN(new_rid, heap.Update(rid, EncodeRow(new_row)));
     for (const IndexInfo* index : catalog_->data().TableIndexes(info->name)) {
+      if (new_rid == rid &&
+          std::all_of(index->column_idx.begin(), index->column_idx.end(),
+                      [&](int idx) {
+                        size_t i = static_cast<size_t>(idx);
+                        return IdenticalValues(old_row[i], new_row[i]);
+                      })) {
+        continue;  // same key bytes
+      }
       BTree tree(store_, index->root);
       RQL_RETURN_IF_ERROR(tree.Delete(IndexKey(*index, old_row, rid)));
       RQL_RETURN_IF_ERROR(

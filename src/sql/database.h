@@ -191,7 +191,10 @@ class Database {
   Result<Rid> AppendRow(std::string_view table, const Row& row);
 
   /// Replaces the row at `rid` (all columns), maintaining indexes; the row
-  /// may move. Returns the new rid.
+  /// may move. Returns the new rid. An index is left untouched when the row
+  /// stayed at `rid` and every indexed column is identical (same type and
+  /// bits, sql::IdenticalValues), since its key bytes did not change; as in
+  /// SQLite, only the indexes whose columns changed are rewritten.
   Result<Rid> UpdateRowAt(std::string_view table, Rid rid, const Row& old_row,
                           const Row& new_row);
 

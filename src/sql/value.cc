@@ -79,6 +79,23 @@ int CompareRows(const Row& a, const Row& b) {
   return a.size() < b.size() ? -1 : 1;
 }
 
+bool IdenticalValues(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  switch (a.type()) {
+    case ValueType::kNull:
+      return true;
+    case ValueType::kInteger:
+      return a.integer() == b.integer();
+    case ValueType::kReal: {
+      double x = a.real(), y = b.real();
+      return std::memcmp(&x, &y, sizeof(x)) == 0;
+    }
+    case ValueType::kText:
+      return a.text() == b.text();
+  }
+  return false;
+}
+
 namespace {
 
 void PutU32(std::string* out, uint32_t v) {

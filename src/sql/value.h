@@ -90,6 +90,11 @@ int CompareValues(const Value& a, const Value& b);
 /// that is a prefix of a longer one compares less.
 int CompareRows(const Row& a, const Row& b);
 
+/// True when `a` and `b` have the same type and the same payload bits, so
+/// EncodeRow writes them as the same bytes. Stricter than CompareValues:
+/// INTEGER 1 and REAL 1.0 compare equal but are not identical.
+bool IdenticalValues(const Value& a, const Value& b);
+
 /// Serializes a row to a compact byte string and back. The encoding is not
 /// order-preserving; ordered structures decode before comparing.
 void EncodeRow(const Row& row, std::string* out);

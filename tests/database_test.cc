@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "sql/btree.h"
+#include "sql/heap_table.h"
+
 namespace rql::sql {
 namespace {
 
@@ -403,6 +408,156 @@ TEST_F(DatabaseTest, PersistsAcrossReopen) {
   db_ = std::move(*db);
   EXPECT_EQ(Scalar("SELECT a FROM t").integer(), 43);
   EXPECT_EQ(Scalar("SELECT AS OF 1 a FROM t").integer(), 42);
+}
+
+
+/// Database::UpdateRowAt against `t (k INTEGER, s TEXT, v INTEGER)` with
+/// one index on k and one on s, filled through AppendRow past its first
+/// heap page, so a row there that grows cannot stay put. Every case
+/// checks both indexes key for key (encoded, so INTEGER 1 and REAL 1.0
+/// differ) against the live heap rows, and an equality seek on each.
+class UpdateRowAtTest : public DatabaseTest {
+ protected:
+  void SetUp() override {
+    DatabaseTest::SetUp();
+    Ok("CREATE TABLE t (k INTEGER, s TEXT, v INTEGER)");
+    Ok("CREATE INDEX t_k ON t (k)");
+    Ok("CREATE INDEX t_s ON t (s)");
+    for (int i = 0; i < 150; ++i) {
+      Row row = {Value::Integer(i % 5), Value::Text("s" + std::to_string(i)),
+                 Value::Integer(i)};
+      auto rid = db_->AppendRow("t", row);
+      ASSERT_TRUE(rid.ok()) << rid.status().ToString();
+      rows_.push_back({*rid, row});
+    }
+  }
+
+  const IndexInfo* Index(const std::string& name) {
+    return db_->catalog()->data().FindIndex(name);
+  }
+
+  /// Every key index `name` holds, encoded and sorted.
+  std::vector<std::string> IndexKeys(const std::string& name) {
+    std::vector<std::string> keys;
+    auto it = BTree::SeekFirst(db_->store(), Index(name)->root);
+    EXPECT_TRUE(it.ok());
+    for (; it->Valid(); it->Next()) {
+      // The trailing key column is the rid the entry points at.
+      EXPECT_EQ(static_cast<uint64_t>(it->key().back().integer()),
+                it->value());
+      keys.push_back(EncodeRow(it->key()));
+    }
+    EXPECT_TRUE(it->status().ok());
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  }
+
+  /// The keys index `name` must hold: each live row's indexed columns and
+  /// rid, encoded and sorted.
+  std::vector<std::string> HeapKeys(const std::string& name) {
+    const IndexInfo* index = Index(name);
+    std::vector<std::string> keys;
+    const TableInfo* table = db_->catalog()->data().FindTable("t");
+    for (auto it = HeapTable::Scan(db_->store(), table->root); it.Valid();
+         it.Next()) {
+      auto row = DecodeRow(it.record());
+      EXPECT_TRUE(row.ok());
+      Row key;
+      for (int idx : index->column_idx) {
+        key.push_back((*row)[static_cast<size_t>(idx)]);
+      }
+      key.push_back(Value::Integer(static_cast<int64_t>(it.rid())));
+      keys.push_back(EncodeRow(key));
+    }
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  }
+
+  /// Rids an equality seek on index `name` (one column) returns for
+  /// `value`, against the live rows whose column `col` equals it.
+  void ExpectSeekFindsLiveRows(const std::string& name, size_t col,
+                               const Value& value) {
+    std::vector<Rid> seek;
+    auto it = BTree::Seek(db_->store(), Index(name)->root, {value});
+    ASSERT_TRUE(it.ok());
+    for (; it->Valid() && CompareValues(it->key()[0], value) == 0;
+         it->Next()) {
+      seek.push_back(it->value());
+    }
+    std::vector<Rid> live;
+    const TableInfo* table = db_->catalog()->data().FindTable("t");
+    for (auto h = HeapTable::Scan(db_->store(), table->root); h.Valid();
+         h.Next()) {
+      auto row = DecodeRow(h.record());
+      ASSERT_TRUE(row.ok());
+      if (CompareValues((*row)[col], value) == 0) live.push_back(h.rid());
+    }
+    std::sort(seek.begin(), seek.end());
+    std::sort(live.begin(), live.end());
+    EXPECT_EQ(seek, live) << name << " = " << value.ToString();
+  }
+
+  void ExpectIndexesMatchHeap() {
+    for (const char* name : {"t_k", "t_s"}) {
+      EXPECT_EQ(IndexKeys(name), HeapKeys(name)) << name;
+    }
+  }
+
+  /// Replaces row `i` with `updated` and returns the row's new rid.
+  Rid Update(size_t i, const Row& updated) {
+    auto rid = db_->UpdateRowAt("t", rows_[i].first, rows_[i].second,
+                                updated);
+    EXPECT_TRUE(rid.ok()) << rid.status().ToString();
+    rows_[i] = {rid.ok() ? *rid : 0, updated};
+    return rows_[i].first;
+  }
+
+  std::vector<std::pair<Rid, Row>> rows_;
+};
+
+TEST_F(UpdateRowAtTest, InPlaceUpdateOfNonIndexedColumnKeepsIndexesCorrect) {
+  Rid rid = rows_[7].first;
+  Row updated = rows_[7].second;
+  updated[2] = Value::Integer(700);
+  EXPECT_EQ(Update(7, updated), rid);
+  ExpectIndexesMatchHeap();
+  ExpectSeekFindsLiveRows("t_k", 0, Value::Integer(2));
+  ExpectSeekFindsLiveRows("t_s", 1, Value::Text("s7"));
+  EXPECT_EQ(Scalar("SELECT v FROM t WHERE s = 's7'").integer(), 700);
+}
+
+TEST_F(UpdateRowAtTest, GrowingUpdateMovesRowAndRekeysEveryIndex) {
+  Rid rid = rows_[7].first;
+  Row updated = rows_[7].second;
+  updated[1] = Value::Text(std::string(200, 'x'));
+  Rid moved = Update(7, updated);
+  EXPECT_NE(moved, rid);
+  // t_k's column did not change, but its key carries the rid.
+  ExpectIndexesMatchHeap();
+  ExpectSeekFindsLiveRows("t_k", 0, Value::Integer(2));
+  ExpectSeekFindsLiveRows("t_s", 1, Value::Text("s7"));
+  ExpectSeekFindsLiveRows("t_s", 1, Value::Text(std::string(200, 'x')));
+}
+
+TEST_F(UpdateRowAtTest, IndexedColumnChangeRekeysThatIndex) {
+  Row updated = rows_[7].second;
+  updated[0] = Value::Integer(4);  // 2 -> 4, in place
+  Rid rid = rows_[7].first;
+  EXPECT_EQ(Update(7, updated), rid);
+  ExpectIndexesMatchHeap();
+  ExpectSeekFindsLiveRows("t_k", 0, Value::Integer(2));
+  ExpectSeekFindsLiveRows("t_k", 0, Value::Integer(4));
+
+  // INTEGER 1 -> REAL 1.0 compares equal, but the key bytes change, so
+  // t_k must be re-keyed all the same.
+  updated = rows_[6].second;
+  ASSERT_EQ(updated[0].integer(), 1);
+  updated[0] = Value::Real(1.0);
+  rid = rows_[6].first;
+  EXPECT_EQ(Update(6, updated), rid);
+  ExpectIndexesMatchHeap();
+  ExpectSeekFindsLiveRows("t_k", 0, Value::Integer(1));
+  ExpectSeekFindsLiveRows("t_k", 0, Value::Real(1.0));
 }
 
 }  // namespace

@@ -1066,6 +1066,237 @@ TEST(RqlPrefetchOptionsTest, PrefetchIncompatibleWithColdCachePerIteration) {
   EXPECT_EQ(f.meta->catalog()->data().FindTable("Result"), nullptr);
 }
 
+/// A hand-built history for the result folds' corner cases, over
+/// src (g, n, s), with no declared column type enforced on g:
+///   snapshot 1: duplicate groups 5 and NULL; group 1 as INTEGER 1 and as
+///               REAL 1.0; Intervals duplicates (7, 'd') twice and
+///               (2, 'k') beside (2.0, 'k'); 150 filler groups, so the
+///               result tables span several heap pages;
+///   snapshot 2: the first group-5 row's s grows to 1500 bytes, so MAX(s)
+///               grows the first duplicate's result record past its full
+///               page and moves it to a later rid; fillers 100..109
+///               vanish;
+///   snapshot 3: the vanished fillers return, and the INTEGER-1 row's s
+///               grows too, moving group 1's first match;
+///   snapshot 4: every n changes;
+///   snapshot 5: only a side table changes, so memoized runs replay it.
+Fixture MakeFoldFixture() {
+  Fixture f;
+  auto data = sql::Database::Open(f.env.get(), "data");
+  auto meta = sql::Database::Open(f.env.get(), "meta");
+  EXPECT_TRUE(data.ok() && meta.ok());
+  f.data = std::move(*data);
+  f.meta = std::move(*meta);
+  f.engine = std::make_unique<RqlEngine>(f.data.get(), f.meta.get());
+  EXPECT_TRUE(f.engine->EnsureSnapIds().ok());
+  auto exec = [&](const std::string& sql) {
+    Status s = f.data->Exec(sql);
+    EXPECT_TRUE(s.ok()) << sql << ": " << s.ToString();
+  };
+  exec("CREATE TABLE src (g INTEGER, n INTEGER, s TEXT)");
+  exec("CREATE TABLE side (x INTEGER)");
+  exec("INSERT INTO src VALUES (5, 1, 'a'), (5, 2, 'b'), (NULL, 1, 'n'), "
+       "(NULL, 2, 'm'), (1, 1, 'i'), (1.0, 2, 'r'), (7, 0, 'd'), "
+       "(7, 0, 'd'), (2, 0, 'k'), (2.0, 0, 'k')");
+  for (int i = 0; i < 150; ++i) {
+    exec("INSERT INTO src VALUES (" + std::to_string(100 + i) + ", " +
+         std::to_string(i) + ", 'f')");
+  }
+  const std::string big_z(1500, 'z');
+  const std::string big_y(1500, 'y');
+  const std::vector<std::string> rounds = {
+      "",
+      "UPDATE src SET s = '" + big_z + "' WHERE s = 'a'; "
+      "DELETE FROM src WHERE g >= 100 AND g < 110",
+      "UPDATE src SET s = '" + big_y + "' WHERE s = 'i'; "
+      "INSERT INTO src VALUES (100, 0, 'f'), (101, 1, 'f'), (102, 2, 'f'), "
+      "(103, 3, 'f'), (104, 4, 'f'), (105, 5, 'f'), (106, 6, 'f'), "
+      "(107, 7, 'f'), (108, 8, 'f'), (109, 9, 'f')",
+      "UPDATE src SET n = n + 1",
+      "INSERT INTO side VALUES (1)",
+  };
+  for (size_t r = 0; r < rounds.size(); ++r) {
+    if (r > 0) exec("BEGIN; " + rounds[r]);
+    auto snap = f.engine->CommitWithSnapshot("t" + std::to_string(r));
+    EXPECT_TRUE(snap.ok()) << snap.status().ToString();
+    f.snaps.push_back(*snap);
+  }
+  return f;
+}
+
+/// A history over src (g, n, s) whose first snapshot lists `rows`, in
+/// heap order, beside small INTEGER and NULL groups; every later snapshot
+/// changes every n, and the last only a side table, so memoized runs
+/// replay it.
+Fixture MakeUnorderableKeyFixture(const std::string& rows) {
+  Fixture f;
+  auto data = sql::Database::Open(f.env.get(), "data");
+  auto meta = sql::Database::Open(f.env.get(), "meta");
+  EXPECT_TRUE(data.ok() && meta.ok());
+  f.data = std::move(*data);
+  f.meta = std::move(*meta);
+  f.engine = std::make_unique<RqlEngine>(f.data.get(), f.meta.get());
+  EXPECT_TRUE(f.engine->EnsureSnapIds().ok());
+  auto exec = [&](const std::string& sql) {
+    Status s = f.data->Exec(sql);
+    EXPECT_TRUE(s.ok()) << sql << ": " << s.ToString();
+  };
+  exec("CREATE TABLE src (g INTEGER, n INTEGER, s TEXT)");
+  exec("CREATE TABLE side (x INTEGER)");
+  exec("INSERT INTO src VALUES " + rows +
+       ", (1, 3, 'c'), (2, 4, 'd'), (NULL, 5, 'e')");
+  const std::vector<std::string> rounds = {
+      "", "UPDATE src SET n = n + 1", "UPDATE src SET n = n + 10",
+      "INSERT INTO side VALUES (1)"};
+  for (size_t r = 0; r < rounds.size(); ++r) {
+    if (r > 0) exec("BEGIN; " + rounds[r]);
+    auto snap = f.engine->CommitWithSnapshot("t" + std::to_string(r));
+    EXPECT_TRUE(snap.ok()) << snap.status().ToString();
+    f.snaps.push_back(*snap);
+  }
+  return f;
+}
+
+/// kFast folds AggregateDataInTable's index probe through an in-memory
+/// group directory instead of the result table's B-tree. On `f`'s history
+/// (src (g, n, s)), each result table must be byte-identical (EncodeRow,
+/// heap order) to the paper-faithful run, with the same
+/// probe/insert/update counts, with memoized replay off, run-scoped (delta
+/// fast path) and through a shared memo (cold and warm), and in the UDF
+/// form. CollateDataIntoIntervals probes under both profiles; it is
+/// checked alongside.
+void ExpectFastFoldMatchesPaperFaithful(Fixture& f) {
+  const std::string qs = "SELECT snap_id FROM SnapIds";
+  struct Mech {
+    const char* name;
+    const char* udf;  // the UDF-form call, with %T for the table
+    std::function<Status(const std::string&)> run;
+  };
+  const std::vector<Mech> mechs = {
+      {"sum_max",
+       "AggregateDataInTable(snap_id, 'SELECT g, n, s FROM src', '%T', "
+       "'(n,sum):(s,max)')",
+       [&](const std::string& t) {
+         return f.engine->AggregateDataInTable(
+             qs, "SELECT g, n, s FROM src", t, "(n,sum):(s,max)");
+       }},
+      {"avg_max",
+       "AggregateDataInTable(snap_id, 'SELECT g, n, s FROM src', '%T', "
+       "'(n,avg):(s,max)')",
+       [&](const std::string& t) {
+         return f.engine->AggregateDataInTable(
+             qs, "SELECT g, n, s FROM src", t, "(n,avg):(s,max)");
+       }},
+      {"intervals",
+       "CollateDataIntoIntervals(snap_id, 'SELECT g, s FROM src', '%T')",
+       [&](const std::string& t) {
+         return f.engine->CollateDataIntoIntervals(
+             qs, "SELECT g, s FROM src", t);
+       }},
+  };
+  auto dump = [&](const std::string& table) {
+    auto rows = f.meta->Query("SELECT * FROM " + table);
+    EXPECT_TRUE(rows.ok()) << table << ": " << rows.status().ToString();
+    std::vector<std::string> out;
+    if (rows.ok()) {
+      for (const Row& row : rows->rows) out.push_back(sql::EncodeRow(row));
+    }
+    return out;
+  };
+  struct Counts {
+    int64_t probes = 0, inserts = 0, updates = 0;
+    bool operator==(const Counts& o) const {
+      return probes == o.probes && inserts == o.inserts &&
+             updates == o.updates;
+    }
+  };
+  auto counts = [&]() {
+    Counts c;
+    for (const RqlIterationStats& it : f.engine->last_run_stats().iterations) {
+      c.probes += it.result_probes;
+      c.inserts += it.result_inserts;
+      c.updates += it.result_updates;
+    }
+    return c;
+  };
+
+  enum class Replay { kOff, kRunScoped, kSharedMemo };
+  for (const Mech& m : mechs) {
+    *f.engine->mutable_options() = RqlOptions{};
+    std::string base = std::string(m.name) + "_base";
+    ASSERT_TRUE(m.run(base).ok()) << base;
+    const std::vector<std::string> expected = dump(base);
+    const Counts expected_counts = counts();
+    EXPECT_GT(expected_counts.probes, 0) << base;
+    EXPECT_GT(expected_counts.updates, 0) << base;
+
+    for (RqlProfile profile :
+         {RqlProfile::kPaperFaithful, RqlProfile::kFast}) {
+      for (Replay replay :
+           {Replay::kOff, Replay::kRunScoped, Replay::kSharedMemo}) {
+        std::string table = std::string(m.name) + "_" +
+                            RqlProfileName(profile) + "_" +
+                            std::to_string(static_cast<int>(replay));
+        std::unique_ptr<retro::MemoTable> memo;
+        if (replay == Replay::kSharedMemo) {
+          auto opened = retro::MemoTable::Open(f.env.get(), "memo_" + table);
+          ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+          memo = std::move(*opened);
+        }
+        RqlOptions opts;
+        opts.profile = profile;
+        opts.memoize_iterations = replay != Replay::kOff;
+        opts.memo = memo.get();
+        *f.engine->mutable_options() = opts;
+        // A shared memo runs twice: the cold run fills it, the warm run
+        // replays every iteration from it.
+        for (const char* pass : {"", "_warm"}) {
+          if (*pass != '\0' && memo == nullptr) continue;
+          ASSERT_TRUE(m.run(table + pass).ok()) << table << pass;
+          EXPECT_EQ(dump(table + pass), expected) << table << pass;
+          EXPECT_TRUE(counts() == expected_counts) << table << pass;
+          if (replay == Replay::kRunScoped) {
+            EXPECT_GT(f.engine->last_run_stats().iterations_skipped, 0)
+                << table;
+          }
+        }
+      }
+
+      // The UDF form folds one iteration per call of the driving SELECT.
+      *f.engine->mutable_options() = RqlOptions{};
+      f.engine->mutable_options()->profile = profile;
+      ASSERT_TRUE(f.engine->RegisterUdfs().ok());
+      std::string table =
+          std::string(m.name) + "_udf_" + RqlProfileName(profile);
+      std::string call = m.udf;
+      call.replace(call.find("%T"), 2, table);
+      Status s = f.meta->Exec("SELECT " + call + " FROM SnapIds");
+      ASSERT_TRUE(s.ok()) << table << ": " << s.ToString();
+      ASSERT_TRUE(f.engine->FinishUdfRuns().ok()) << table;
+      EXPECT_EQ(dump(table), expected) << table;
+    }
+  }
+}
+
+TEST(RqlFoldPropertyTest, FastFoldIsByteIdenticalToPaperFaithful) {
+  Fixture f = MakeFoldFixture();
+  ExpectFastFoldMatchesPaperFaithful(f);
+}
+
+TEST(RqlFoldPropertyTest, UnorderableKeysFoldAsTheProbeDoes) {
+  // CompareRows is no strict weak order on these keys, so kFast's
+  // directory hands the fold back to the index probe. REAL 2^53 equals
+  // both INTEGER 2^53 and 2^53 + 1; a REAL NaN equals every number.
+  for (const char* rows :
+       {"(9007199254740993, 1, 'a'), (9007199254740992.0, 2, 'r'), "
+        "(9007199254740992, 3, 'b')",
+        "(CAST('nan' AS REAL), 1, 'z'), (5, 2, 'f'), (6, 3, 'g')"}) {
+    SCOPED_TRACE(rows);
+    Fixture f = MakeUnorderableKeyFixture(rows);
+    ExpectFastFoldMatchesPaperFaithful(f);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RqlPropertyTest, ::testing::Range(0, 8));
 
 }  // namespace

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <map>
 
+#include "sql/btree.h"
 #include "sql/shared_scan_cache.h"
 
 namespace rql {
@@ -903,6 +905,191 @@ TEST_F(RqlTwoEngineTest, UdfStatesOfOneRunKeepTheirOwnDeltas) {
   ASSERT_TRUE(a_->FinishUdfRuns().ok());
   EXPECT_EQ(Xs(meta_a_.get(), "T1"), (std::vector<int64_t>{1, 1, 2}));
   EXPECT_EQ(Xs(meta_a_.get(), "T2"), (std::vector<int64_t>{10, 10, 20}));
+}
+
+
+/// A one-table history for the result fold: t (g, x) with one row whose
+/// group g is INTEGER 1 at snapshot 1 and REAL 1.0 at snapshots 2 and 3,
+/// while x is 10, 20, 30.
+class RqlGroupTypeChangeTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto data = sql::Database::Open(&env_, "data");
+    auto meta = sql::Database::Open(&env_, "meta");
+    ASSERT_TRUE(data.ok() && meta.ok());
+    data_ = std::move(*data);
+    meta_ = std::move(*meta);
+    engine_ = std::make_unique<RqlEngine>(data_.get(), meta_.get());
+    ASSERT_TRUE(engine_->EnsureSnapIds().ok());
+    for (const char* sql :
+         {"CREATE TABLE t (g INTEGER, x INTEGER)",
+          "INSERT INTO t VALUES (1, 10)", "BEGIN; COMMIT WITH SNAPSHOT;",
+          "UPDATE t SET g = 1.0, x = 20", "BEGIN; COMMIT WITH SNAPSHOT;",
+          "UPDATE t SET x = 30", "BEGIN; COMMIT WITH SNAPSHOT;"}) {
+      ASSERT_TRUE(data_->Exec(sql).ok()) << sql;
+    }
+    for (int snap = 1; snap <= 3; ++snap) {
+      ASSERT_TRUE(meta_
+                      ->Exec("INSERT INTO SnapIds VALUES (" +
+                             std::to_string(snap) + ", 't', '')")
+                      .ok());
+    }
+  }
+
+  storage::InMemoryEnv env_;
+  std::unique_ptr<sql::Database> data_;
+  std::unique_ptr<sql::Database> meta_;
+  std::unique_ptr<RqlEngine> engine_;
+};
+
+TEST_F(RqlGroupTypeChangeTest, AvgFollowsTheStoredGroupAcrossTypeChange) {
+  // From snapshot 2 on, the incoming group REAL 1.0 matches the stored
+  // INTEGER 1 (CompareValues equates them). The AVG state must be the
+  // stored group's, which the cold iteration seeded: looking it up by the
+  // incoming group read past the end of an empty slot vector.
+  for (AggTableStrategy strategy :
+       {AggTableStrategy::kIndexProbe, AggTableStrategy::kSortMerge}) {
+    for (RqlProfile profile :
+         {RqlProfile::kPaperFaithful, RqlProfile::kFast}) {
+      engine_->mutable_options()->agg_table_strategy = strategy;
+      engine_->mutable_options()->profile = profile;
+      std::string table =
+          std::string(strategy == AggTableStrategy::kIndexProbe ? "Probe"
+                                                                : "Merge") +
+          "_" + RqlProfileName(profile);
+      Status s = engine_->AggregateDataInTable(
+          "SELECT snap_id FROM SnapIds", "SELECT g, x FROM t", table,
+          "(x,avg)");
+      ASSERT_TRUE(s.ok()) << table << ": " << s.ToString();
+      auto r = meta_->Query("SELECT g, x FROM " + table);
+      ASSERT_TRUE(r.ok()) << table;
+      ASSERT_EQ(r->rows.size(), 1u) << table;
+      EXPECT_EQ(r->rows[0][0].type(), sql::ValueType::kInteger) << table;
+      EXPECT_EQ(r->rows[0][0].integer(), 1) << table;
+      EXPECT_EQ(r->rows[0][1].type(), sql::ValueType::kReal) << table;
+      EXPECT_DOUBLE_EQ(r->rows[0][1].real(), 20.0) << table;
+    }
+  }
+}
+
+TEST(RqlFastFoldTest, HotIterationsNeverReadTheResultIndex) {
+  // From snapshot 2 on, Qq's predicate deletes every key of the result
+  // table's `<table>_rql_idx` before the iteration's first row is folded.
+  // A fold that probes the index then finds no match and inserts a
+  // duplicate row; kFast's AggregateDataInTable fold reads its directory
+  // instead and must produce the untampered result. The paper-faithful runs show the
+  // tampering bites.
+  storage::InMemoryEnv env;
+  auto data = sql::Database::Open(&env, "data");
+  auto meta = sql::Database::Open(&env, "meta");
+  ASSERT_TRUE(data.ok() && meta.ok());
+  RqlEngine engine(data->get(), meta->get());
+  ASSERT_TRUE(engine.EnsureSnapIds().ok());
+  ASSERT_TRUE((*data)->Exec("CREATE TABLE t (g INTEGER, x INTEGER)").ok());
+  for (int g = 0; g < 10; ++g) {
+    ASSERT_TRUE((*data)
+                    ->Exec("INSERT INTO t VALUES (" + std::to_string(g) +
+                           ", " + std::to_string(g) + ")")
+                    .ok());
+  }
+  for (int snap = 1; snap <= 4; ++snap) {
+    if (snap > 1) {
+      ASSERT_TRUE((*data)->Exec("BEGIN; UPDATE t SET x = x + 1").ok());
+    }
+    ASSERT_TRUE(engine.CommitWithSnapshot("t").ok());
+  }
+
+  std::string wipe_index;  // the index to empty; none while empty
+  sql::Database* meta_db = meta->get();
+  (*data)->RegisterFunction(
+      "wipe_result_index", 1, 1,
+      [&](const std::vector<Value>& args) -> Result<Value> {
+        if (wipe_index.empty() || args[0].AsInt() < 2) return Value::Integer(1);
+        const sql::IndexInfo* index =
+            meta_db->catalog()->data().FindIndex(wipe_index);
+        if (index == nullptr) return Status::Internal("no " + wipe_index);
+        std::vector<Row> keys;
+        RQL_ASSIGN_OR_RETURN(
+            sql::BTree::Iterator it,
+            sql::BTree::SeekFirst(meta_db->store(), index->root));
+        for (; it.Valid(); it.Next()) keys.push_back(it.key());
+        sql::BTree tree(meta_db->store(), index->root);
+        for (const Row& key : keys) RQL_RETURN_IF_ERROR(tree.Delete(key));
+        return Value::Integer(1);
+      });
+
+  auto run = [&](const std::string& table) {
+    return engine.AggregateDataInTable(
+        "SELECT snap_id FROM SnapIds",
+        "SELECT g, x FROM t WHERE wipe_result_index(current_snapshot()) = 1",
+        table, "(x,sum)");
+  };
+  auto dump = [&](const std::string& table) {
+    auto rows = (*meta)->Query("SELECT * FROM " + table);
+    EXPECT_TRUE(rows.ok()) << table;
+    std::vector<std::string> out;
+    if (rows.ok()) {
+      for (const Row& row : rows->rows) out.push_back(sql::EncodeRow(row));
+    }
+    return out;
+  };
+  ASSERT_TRUE(run("base").ok());
+  std::vector<std::string> expected = dump("base");
+  ASSERT_EQ(expected.size(), 10u);
+
+  for (RqlProfile profile : {RqlProfile::kPaperFaithful, RqlProfile::kFast}) {
+    engine.mutable_options()->profile = profile;
+    std::string table = std::string("R_") + RqlProfileName(profile);
+    wipe_index = table + "_rql_idx";
+    Status s = run(table);
+    ASSERT_TRUE(s.ok()) << table << ": " << s.ToString();
+    int64_t hot_probes = 0;
+    for (const RqlIterationStats& it : engine.last_run_stats().iterations) {
+      if (it.snapshot >= 2) hot_probes += it.result_probes;
+    }
+    EXPECT_EQ(hot_probes, 30) << table;
+    if (profile == RqlProfile::kFast) {
+      EXPECT_EQ(dump(table), expected) << table;
+    } else {
+      EXPECT_GT(dump(table).size(), expected.size()) << table;
+    }
+  }
+}
+
+
+TEST(RqlFastFoldTest, FailedIterationDiscardsTheRun) {
+  // The third snapshot's x is text, so SUM fails mid-fold. The iteration
+  // rolls back and discards the fold state, and the run is dropped under
+  // both profiles, leaving the metadata database usable.
+  storage::InMemoryEnv env;
+  auto data = sql::Database::Open(&env, "data");
+  auto meta = sql::Database::Open(&env, "meta");
+  ASSERT_TRUE(data.ok() && meta.ok());
+  RqlEngine engine(data->get(), meta->get());
+  ASSERT_TRUE(engine.EnsureSnapIds().ok());
+  ASSERT_TRUE((*data)->Exec("CREATE TABLE t (g INTEGER, x INTEGER)").ok());
+  ASSERT_TRUE((*data)->Exec("INSERT INTO t VALUES (1, 1), (2, 2)").ok());
+  ASSERT_TRUE(engine.CommitWithSnapshot("t1").ok());
+  ASSERT_TRUE((*data)->Exec("BEGIN; UPDATE t SET x = x + 1").ok());
+  ASSERT_TRUE(engine.CommitWithSnapshot("t2").ok());
+  ASSERT_TRUE((*data)->Exec("BEGIN; UPDATE t SET x = 'oops' WHERE g = 2").ok());
+  ASSERT_TRUE(engine.CommitWithSnapshot("t3").ok());
+  for (RqlProfile profile : {RqlProfile::kPaperFaithful, RqlProfile::kFast}) {
+    engine.mutable_options()->profile = profile;
+    Status s = engine.AggregateDataInTable("SELECT snap_id FROM SnapIds",
+                                           "SELECT g, x FROM t", "R",
+                                           "(x,sum)");
+    EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+    EXPECT_EQ((*meta)->catalog()->data().FindTable("R"), nullptr);
+    ASSERT_TRUE(engine
+                    .AggregateDataInTable(
+                        "SELECT snap_id FROM SnapIds WHERE snap_id < 3",
+                        "SELECT g, x FROM t", "R", "(x,sum)")
+                    .ok());
+    auto sum = (*meta)->QueryScalar("SELECT SUM(x) FROM R");
+    ASSERT_TRUE(sum.ok());
+    EXPECT_EQ(sum->integer(), 8);  // (1 + 2) + (2 + 3)
+  }
 }
 
 }  // namespace
