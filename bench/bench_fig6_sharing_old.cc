@@ -3,8 +3,8 @@
 // steps 1 and 10, using AggregateDataInVariable(Qs_N, Qq_io, AVG) over old
 // snapshots — and extends it with the COW page-sharing ablation: a
 // run-scoped decoded-page cache (SharedScanCache) and a run-scoped memo
-// (memoize_iterations with no MemoTable, replaying through its delta fast
-// path) over a sparse-update history, where most consecutive snapshots map
+// (a fresh log-free MemoTable, replaying through its delta fast path) over
+// a sparse-update history, where most consecutive snapshots map
 // identical page versions for the table Qq reads.
 //
 // Expected shape (paper): C starts near 1 for one-snapshot intervals,
@@ -125,10 +125,12 @@ struct AblationResult {
 AblationResult RunCell(SparseHistory* h, const AblationCell& cell) {
   RqlEngine* engine = h->engine.get();
   RqlOptions* opts = engine->mutable_options();
-  // Created per run: the cache serves only this run's snapshots.
+  // Created per run: the cache and the memo serve only this run's
+  // snapshots.
   sql::SharedScanCache run_cache({.max_bytes = 0});
+  std::unique_ptr<retro::MemoTable> run_memo = retro::MemoTable::InMemory();
   opts->shared_scan_cache = cell.cache ? &run_cache : nullptr;
-  opts->memoize_iterations = cell.memo;
+  opts->memo = cell.memo ? run_memo.get() : nullptr;
   // Comparable across cells: every run starts with a cold snapshot cache.
   h->data->store()->ClearSnapshotCache();
 
@@ -155,7 +157,7 @@ AblationResult RunCell(SparseHistory* h, const AblationCell& cell) {
   }
 
   opts->shared_scan_cache = nullptr;
-  opts->memoize_iterations = false;
+  opts->memo = nullptr;
   return r;
 }
 

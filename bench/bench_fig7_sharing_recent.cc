@@ -11,7 +11,7 @@
 // Machine-readable output goes to BENCH_sharing_recent.json (CI
 // artifact). Self-check: on the most recent interval of each workload the
 // page-sharing options (a run-scoped SharedScanCache + a run-scoped memo,
-// memoize_iterations with no MemoTable) must reproduce the flags-off
+// a fresh log-free MemoTable) must reproduce the flags-off
 // result table byte-for-byte — the recent end of the history is where
 // snapshots share pages with the current database, so versioned and
 // unversioned reads mix in one run.
@@ -96,8 +96,9 @@ bool Series(const char* name, tpch::History* history, int overwrite_cycle,
   BENCH_CHECK(engine->AggregateDataInVariable(qs, kQqIo, "Base", "avg"));
   std::vector<std::string> base = DumpTable(history, "Base");
   sql::SharedScanCache run_cache({.max_bytes = 0});  // this run's only
+  std::unique_ptr<retro::MemoTable> run_memo = retro::MemoTable::InMemory();
   engine->mutable_options()->shared_scan_cache = &run_cache;
-  engine->mutable_options()->memoize_iterations = true;
+  engine->mutable_options()->memo = run_memo.get();
   // Counters come from the metrics registry the engine publishes into at
   // run end (delta around the run == the run's RqlRunStats).
   retro::MetricsRegistry* metrics = engine->metrics();
@@ -106,7 +107,7 @@ bool Series(const char* name, tpch::History* history, int overwrite_cycle,
   retro::MetricsRegistry::Snapshot delta =
       metrics->TakeSnapshot().DeltaFrom(before);
   engine->mutable_options()->shared_scan_cache = nullptr;
-  engine->mutable_options()->memoize_iterations = false;
+  engine->mutable_options()->memo = nullptr;
   const int64_t iterations_skipped = delta.counter("rql.iterations_skipped");
   const int64_t shared_page_hits = delta.counter("rql.shared_page_hits");
   bool rows_match = DumpTable(history, "Flagged") == base;

@@ -8,7 +8,7 @@
 // CollateData over a 48-snapshot set three times on UW30:
 //
 //   baseline  memo-less oracle (the byte-identity reference),
-//   cold      memoize_iterations on, fresh memo: no iteration hits; each
+//   cold      a fresh persistent memo: no iteration hits; each
 //             one executes and publishes its rows, or replays its
 //             predecessor through the delta fast path,
 //   warm      the memo is closed and REOPENED from its on-disk log (a
@@ -104,7 +104,6 @@ int Run() {
 
   auto memo = retro::MemoTable::Open(BenchEnv(), memo_name);
   if (!memo.ok()) Fail(memo.status(), "open memo table");
-  engine->mutable_options()->memoize_iterations = true;
   engine->mutable_options()->memo = memo->get();
   RunResult cold = RunOnce(history, qs, qq);
 
@@ -117,7 +116,6 @@ int Run() {
   engine->mutable_options()->memo = reopened->get();
   RunResult warm = RunOnce(history, qs, qq);
 
-  engine->mutable_options()->memoize_iterations = false;
   engine->mutable_options()->memo = nullptr;
 
   const double speedup =

@@ -337,6 +337,14 @@ Result<bool> SnapshotSet::Advance(SnapshotId snap,
   return true;
 }
 
+bool SnapshotSet::PageVersion(storage::PageId page, uint64_t* version) const {
+  const SnapshotPageTable& spt = cursor_.table();
+  auto it = spt.find(page);
+  if (it == spt.end()) return false;
+  *version = it->second;
+  return true;
+}
+
 Result<std::unique_ptr<SnapshotView>> SnapshotSet::Open(SnapshotId snap) {
   int64_t lock_start_us = NowMicros();
   std::shared_lock<std::shared_mutex> lock(store_->mu_);

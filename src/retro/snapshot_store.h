@@ -222,6 +222,12 @@ class SnapshotSet {
   /// call): the origin of the next Advance's delta.
   SnapshotId position() const { return cursor_.position(); }
 
+  /// Resolves `page` at position() exactly as SnapshotView::PageVersion
+  /// does for a view opened there, but reads the cursor's table in place:
+  /// no SPT copy, and nothing recorded. Lets a memo probe validate a read
+  /// set right after Advance.
+  bool PageVersion(storage::PageId page, uint64_t* version) const;
+
   /// Arms (or with nullptr disarms) the version recorder every view this
   /// set opens from now on carries (SnapshotView::set_version_recorder).
   void set_version_recorder(

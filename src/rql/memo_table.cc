@@ -113,6 +113,18 @@ bool DecodeEntryPayload(std::string_view payload, MemoEntry* entry) {
   return pos == payload.size();
 }
 
+/// One log record: the header, then the payload.
+std::string FrameRecord(uint32_t type, const std::string& payload) {
+  std::string rec;
+  rec.reserve(kHeaderBytes + payload.size());
+  PutU32(&rec, kMemoMagic);
+  PutU32(&rec, type);
+  PutU64(&rec, payload.size());
+  PutU64(&rec, sql::Fnv1a64(payload));
+  rec += payload;
+  return rec;
+}
+
 std::string EncodeAliasPayload(uint64_t fingerprint, uint64_t digest,
                                SnapshotId snapshot) {
   std::string out;
@@ -120,6 +132,18 @@ std::string EncodeAliasPayload(uint64_t fingerprint, uint64_t digest,
   PutU64(&out, digest);
   PutU32(&out, snapshot);
   return out;
+}
+
+/// FNV-1a over the read set's [page u32][version u64] records, in order;
+/// `read_set` must be sorted by page id.
+uint64_t DigestSorted(const std::vector<MemoPageVersion>& read_set) {
+  std::string bytes;
+  bytes.reserve(read_set.size() * 12);
+  for (const MemoPageVersion& pv : read_set) {
+    PutU32(&bytes, pv.page);
+    PutU64(&bytes, pv.version);
+  }
+  return sql::Fnv1a64(bytes);
 }
 
 }  // namespace
@@ -130,17 +154,13 @@ uint64_t MemoTable::ReadSetDigest(std::vector<MemoPageVersion> read_set) {
               return a.page != b.page ? a.page < b.page
                                       : a.version < b.version;
             });
-  std::string bytes;
-  bytes.reserve(read_set.size() * 12);
-  for (const MemoPageVersion& pv : read_set) {
-    PutU32(&bytes, pv.page);
-    PutU64(&bytes, pv.version);
-  }
-  return sql::Fnv1a64(bytes);
+  return DigestSorted(read_set);
 }
 
 MemoTable::Key MemoTable::KeyOf(const MemoEntry& entry) {
-  Key key{entry.fingerprint, ReadSetDigest(entry.read_set)};
+  // MemoEntry::read_set is sorted by page, so it hashes in place: equal
+  // to ReadSetDigest without its copy and sort.
+  Key key{entry.fingerprint, DigestSorted(entry.read_set)};
   // A db-shared token only says "unchanged since *this* snapshot": two
   // snapshots can record identical all-db-shared read sets over different
   // content (an update between them captured the page). Such an entry
@@ -171,6 +191,10 @@ Result<std::unique_ptr<MemoTable>> MemoTable::Open(storage::Env* env,
   RQL_ASSIGN_OR_RETURN(table->file_, env->OpenFile(name + ".memo"));
   RQL_RETURN_IF_ERROR(table->Recover());
   return table;
+}
+
+std::unique_ptr<MemoTable> MemoTable::InMemory(MemoTableOptions options) {
+  return std::unique_ptr<MemoTable>(new MemoTable(nullptr, "", options));
 }
 
 Status MemoTable::Recover() {
@@ -228,13 +252,7 @@ Status MemoTable::CompactLocked() {
   RQL_RETURN_IF_ERROR(tmp->Truncate(0));
   uint64_t total = 0;
   auto append = [&](uint32_t type, const std::string& payload) -> Status {
-    std::string rec;
-    rec.reserve(kHeaderBytes + payload.size());
-    PutU32(&rec, kMemoMagic);
-    PutU32(&rec, type);
-    PutU64(&rec, payload.size());
-    PutU64(&rec, sql::Fnv1a64(payload));
-    rec += payload;
+    const std::string rec = FrameRecord(type, payload);
     uint64_t at = 0;
     RQL_RETURN_IF_ERROR(tmp->Append(rec.size(), rec.data(), &at));
     total += rec.size();
@@ -269,7 +287,8 @@ void MemoTable::ApplyRecord(uint32_t type, const std::string& payload) {
     auto entry = std::make_shared<MemoEntry>();
     if (!DecodeEntryPayload(payload, entry.get())) return;
     int64_t evicted = 0;
-    if (InsertLocked(std::move(entry), &evicted)) ++recovered_entries_;
+    const Key key = KeyOf(*entry);
+    if (InsertLocked(key, std::move(entry), &evicted)) ++recovered_entries_;
     evictions_ += evicted;
     return;
   }
@@ -291,30 +310,21 @@ void MemoTable::ApplyRecord(uint32_t type, const std::string& payload) {
     size_t pos = 0;
     uint32_t keep_from = 0;
     if (!GetU32(payload, &pos, &keep_from)) return;
-    std::vector<Key> dead;
     for (auto it = probe_.begin(); it != probe_.end();) {
       if (it->first.second < keep_from) {
-        auto stored = entries_.find(it->second);
-        if (stored != entries_.end()) {
-          auto& snaps = stored->second.snapshots;
-          snaps.erase(std::remove(snaps.begin(), snaps.end(),
-                                  it->first.second),
-                      snaps.end());
-          if (snaps.empty()) dead.push_back(it->second);
-        }
+        UnregisterLocked(it->second, it->first.second);
         it = probe_.erase(it);
       } else {
         ++it;
       }
     }
-    for (const Key& key : dead) EraseLocked(key);
   }
 }
 
-bool MemoTable::InsertLocked(std::shared_ptr<const MemoEntry> entry,
+bool MemoTable::InsertLocked(const Key& key,
+                             std::shared_ptr<const MemoEntry> entry,
                              int64_t* evicted) {
   *evicted = 0;
-  Key key = KeyOf(*entry);
   SnapshotId snapshot = entry->snapshot;
   auto it = entries_.find(key);
   if (it != entries_.end()) {
@@ -348,13 +358,9 @@ void MemoTable::RegisterSnapshotLocked(const Key& key, SnapshotId snapshot) {
     if (it->second == key) return;
     // The snapshot re-published under a different read-set digest (data
     // changed): drop the old registration.
-    auto old_it = entries_.find(it->second);
-    if (old_it != entries_.end()) {
-      auto& snaps = old_it->second.snapshots;
-      snaps.erase(std::remove(snaps.begin(), snaps.end(), snapshot),
-                  snaps.end());
-    }
+    const Key old_key = it->second;
     it->second = key;
+    UnregisterLocked(old_key, snapshot);
   } else {
     probe_.emplace(probe_key, key);
   }
@@ -362,6 +368,15 @@ void MemoTable::RegisterSnapshotLocked(const Key& key, SnapshotId snapshot) {
   if (std::find(snaps.begin(), snaps.end(), snapshot) == snaps.end()) {
     snaps.push_back(snapshot);
   }
+}
+
+void MemoTable::UnregisterLocked(Key key, SnapshotId snapshot) {
+  auto it = entries_.find(key);
+  if (it == entries_.end()) return;
+  auto& snaps = it->second.snapshots;
+  snaps.erase(std::remove(snaps.begin(), snaps.end(), snapshot), snaps.end());
+  // Nothing probes to the entry any more, so it can never be served.
+  if (snaps.empty()) EraseLocked(key);
 }
 
 int64_t MemoTable::EnforceBoundLocked(const Key* keep) {
@@ -404,13 +419,7 @@ std::shared_ptr<const MemoEntry> MemoTable::Probe(uint64_t fingerprint,
 Status MemoTable::AppendRecordLocked(uint32_t type,
                                      const std::string& payload,
                                      uint64_t* appended) {
-  std::string rec;
-  rec.reserve(kHeaderBytes + payload.size());
-  PutU32(&rec, kMemoMagic);
-  PutU32(&rec, type);
-  PutU64(&rec, payload.size());
-  PutU64(&rec, sql::Fnv1a64(payload));
-  rec += payload;
+  const std::string rec = FrameRecord(type, payload);
   uint64_t at = 0;
   RQL_RETURN_IF_ERROR(file_->Append(rec.size(), rec.data(), &at));
   RQL_RETURN_IF_ERROR(file_->Sync());
@@ -424,12 +433,16 @@ Result<MemoPublishResult> MemoTable::Publish(
   std::lock_guard<std::mutex> lock(mu_);
   MemoPublishResult result;
   const Key key = KeyOf(*entry);
+  if (file_ == nullptr) {
+    result.inserted = InsertLocked(key, std::move(entry), &result.evictions);
+    return result;
+  }
   const bool is_entry = entries_.count(key) == 0;
   std::string payload =
       is_entry ? EncodeEntryPayload(*entry)
                : EncodeAliasPayload(key.fingerprint, key.digest,
                                     entry->snapshot);
-  result.inserted = InsertLocked(std::move(entry), &result.evictions);
+  result.inserted = InsertLocked(key, std::move(entry), &result.evictions);
   RQL_RETURN_IF_ERROR(AppendRecordLocked(
       is_entry ? kEntryRecord : kAliasRecord, payload,
       &result.bytes_appended));
@@ -441,6 +454,7 @@ Status MemoTable::InvalidateBelow(SnapshotId keep_from) {
   std::string payload;
   PutU32(&payload, keep_from);
   ApplyRecord(kInvalidateRecord, payload);
+  if (file_ == nullptr) return Status::OK();
   return AppendRecordLocked(kInvalidateRecord, payload, nullptr);
 }
 

@@ -61,7 +61,7 @@ struct MemoTableOptions {
 struct MemoPublishResult {
   /// Log bytes this publish appended (full record, or the small alias
   /// record when an identical entry was already present under another
-  /// snapshot).
+  /// snapshot); always 0 for a log-free table.
   uint64_t bytes_appended = 0;
   /// Entries the LRU byte bound evicted to make room.
   int64_t evictions = 0;
@@ -71,8 +71,8 @@ struct MemoPublishResult {
   bool inserted = false;
 };
 
-/// A persistent, bounded, version-keyed memo of per-iteration RQL Qq
-/// results (RqlOptions::memoize_iterations' shared memo). Key =
+/// A bounded, version-keyed memo of per-iteration RQL Qq results: a run
+/// memoizes exactly when RqlOptions::memo points at one. Key =
 /// (query/mechanism fingerprint, digest of the sorted page-version read
 /// set, plus the snapshot when a page is db-shared); probing is by
 /// (fingerprint, snapshot id), which resolves through an index to the
@@ -83,7 +83,7 @@ struct MemoPublishResult {
 /// Open scans the log, truncating at the first torn or corrupt record
 /// (crash mid-append loses at most that record; everything before it
 /// replays). Publishes sync the log, so a published entry survives any
-/// later crash.
+/// later crash. A table made by InMemory keeps no log at all.
 ///
 /// Thread-safe: one mutex serializes probes and publishes, and publishes
 /// are first-publish-wins, so any number of engines (cross-client reuse)
@@ -99,6 +99,13 @@ class MemoTable {
       storage::Env* env, const std::string& name,
       MemoTableOptions options = MemoTableOptions());
 
+  /// A log-free table: Publish encodes, appends and syncs nothing, and the
+  /// entries die with the table. Same probe, validation, first-publish-wins
+  /// and LRU bound as an opened table. The server's shared memo, and a
+  /// run-scoped memo when given to a single run.
+  static std::unique_ptr<MemoTable> InMemory(
+      MemoTableOptions options = MemoTableOptions());
+
   /// Entry registered for (fingerprint, snapshot), or nullptr. A returned
   /// entry is *unvalidated*: the caller must check every read-set token
   /// against the snapshot's current resolution before replaying. Touches
@@ -108,7 +115,9 @@ class MemoTable {
 
   /// Inserts `entry` (first publish of its key wins), registers it for
   /// entry->snapshot, appends the log record and syncs. Evicts
-  /// least-recently-used entries beyond MemoTableOptions::max_bytes.
+  /// least-recently-used entries beyond MemoTableOptions::max_bytes. An
+  /// entry left with no registered snapshot (its last one re-published
+  /// under another read set) is erased.
   Result<MemoPublishResult> Publish(std::shared_ptr<const MemoEntry> entry);
 
   /// Retention hook: drops (and persistently invalidates) every snapshot
@@ -132,7 +141,7 @@ class MemoTable {
   int64_t evictions() const;     // lifetime LRU evictions (incl. recovery)
   int64_t recovered_entries() const;  // intact entries replayed by Open
   uint64_t truncated_tail_bytes() const;  // bytes Open cut from a torn tail
-  uint64_t log_bytes() const;    // current log file size
+  uint64_t log_bytes() const;    // current log file size (0 if log-free)
   const MemoTableOptions& options() const { return options_; }
 
  private:
@@ -177,17 +186,22 @@ class MemoTable {
   /// Applies one recovered/compacted record to the in-memory maps (no log
   /// writes). Unknown types and dangling aliases are ignored.
   void ApplyRecord(uint32_t type, const std::string& payload);
-  /// Inserts or aliases without logging; shared by Publish and recovery.
-  bool InsertLocked(std::shared_ptr<const MemoEntry> entry, int64_t* evicted);
+  /// Inserts or aliases under `key` (= KeyOf(*entry)) without logging;
+  /// shared by Publish and recovery.
+  bool InsertLocked(const Key& key, std::shared_ptr<const MemoEntry> entry,
+                    int64_t* evicted);
   void TouchLocked(Stored* stored);
   void RegisterSnapshotLocked(const Key& key, SnapshotId snapshot);
+  /// Drops `snapshot` from the entry under `key` (the caller owns the
+  /// probe_ row) and erases the entry once no snapshot is left on it.
+  void UnregisterLocked(Key key, SnapshotId snapshot);
   int64_t EnforceBoundLocked(const Key* keep);
   void EraseLocked(const Key& key);
 
-  storage::Env* env_;
+  storage::Env* env_;  // null for a log-free table
   std::string name_;
   MemoTableOptions options_;
-  std::unique_ptr<storage::File> file_;
+  std::unique_ptr<storage::File> file_;  // null for a log-free table
 
   mutable std::mutex mu_;
   std::unordered_map<Key, Stored, KeyHash> entries_;

@@ -241,7 +241,7 @@ class RqlEngine::MechanismState {
   std::unique_ptr<sql::PreparedStatement> plan_;
   bool plan_failed_ = false;
 
-  /// The delta fast path's predecessor (memoize_iterations): the memo
+  /// The delta fast path's predecessor (RqlOptions::memo): the memo
   /// entry of the iteration this run last executed or memo-replayed —
   /// its page-version read set and columns — with its decoded rows. An
   /// iteration whose Maplog delta misses the read set replays the rows;
@@ -1062,11 +1062,12 @@ namespace {
 
 /// Bit encoding of the profile and opt-in flags for the kRunBegin trace
 /// event (bits 8 and 16 are retired; see trace.h). kFast sets the bits of
-/// the three flags it replaced (1 | 2 | 32), so older traces still read.
+/// the three flags it replaced (1 | 2 | 32), and a memo the bit of the
+/// flag it replaced (64), so older traces still read.
 int64_t OptionFlagBits(const RqlOptions& o) {
   return (o.profile == RqlProfile::kFast ? 1 | 2 | 32 : 0) |
          (o.batch_pagelog_reads ? 4 : 0) |
-         (o.memoize_iterations ? 64 : 0) |
+         (o.memo != nullptr ? 64 : 0) |
          (o.shared_scan_cache != nullptr ? 128 : 0) |
          (o.async_prefetch ? 256 : 0);
 }
@@ -1090,10 +1091,10 @@ Status ValidateRunOptions(const RqlOptions& o, bool parallel) {
       {cold && o.profile == RqlProfile::kFast,
        "cold_cache_per_iteration is incompatible with the fast profile "
        "(the all-cold baseline measures the paper-faithful pipeline)"},
-      {cold && o.memoize_iterations,
-       "cold_cache_per_iteration is incompatible with "
-       "memoize_iterations (a replayed iteration reads nothing, so the "
-       "all-cold baseline would not be measured)"},
+      {cold && o.memo != nullptr,
+       "cold_cache_per_iteration is incompatible with a memo (a replayed "
+       "iteration reads nothing, so the all-cold baseline would not be "
+       "measured)"},
       {cold && o.shared_scan_cache != nullptr,
        "cold_cache_per_iteration is incompatible with shared_scan_cache "
        "(a store-scoped cache serves pages other runs decoded, so the "
@@ -1213,7 +1214,7 @@ class RqlEngine::RunScope {
     // makes a memo probe's snapshot open plus the execute-on-miss open of
     // the same id cost one SPT derivation, not two cold builds. Attached
     // to the data handle, so Qq's AS OF opens go through it too.
-    if (fast || o.memoize_iterations) {
+    if (fast || o.memo != nullptr) {
       set_ = store->BeginSnapshotSet();
       data->set_snapshot_set(set_.get());
     }
@@ -1235,7 +1236,7 @@ class RqlEngine::RunScope {
 
   /// The background archive-read pipeline (async_prefetch), or null.
   retro::PrefetchScheduler* prefetch() const { return prefetch_.get(); }
-  /// The run's snapshot set (kFast, memoize_iterations), or null.
+  /// The run's snapshot set (kFast, or a memo), or null.
   retro::SnapshotSet* snapshot_set() const { return set_.get(); }
 
   /// UDF form: remembers the first failed iteration, after which the run
@@ -1317,12 +1318,12 @@ Status RqlEngine::RunMechanism(const std::string& qs, MechanismState* state) {
     retro::PrefetchScheduler* prefetch = run.prefetch();
     for (size_t i = 0; s.ok() && i < snap_ids.size(); ++i) {
       if (prefetch != nullptr && i + 1 < snap_ids.size()) {
-        // Look ahead while iteration i executes. A step the shared memo
-        // will serve reads nothing, so it schedules nothing; the delta
-        // fast path needs the cursor position iteration i+1 itself
+        // Look ahead while iteration i executes. A step the memo will
+        // serve reads nothing, so it schedules nothing; the delta fast
+        // path needs the cursor position iteration i+1 itself
         // establishes, so its replay cancels the job at iteration head.
         bool next_memoized = false;
-        if (options_.memoize_iterations && options_.memo != nullptr) {
+        if (options_.memo != nullptr) {
           Result<uint64_t> fp = state->MemoFingerprint();
           next_memoized = fp.ok() &&
                           options_.memo->Probe(*fp, snap_ids[i + 1]) != nullptr;
@@ -1343,15 +1344,16 @@ Status RqlEngine::RunMechanism(const std::string& qs, MechanismState* state) {
 namespace {
 
 /// True when every page version the memo entry recorded equals the
-/// snapshot's current resolution through `view` — the content-identity
-/// test that makes replaying the entry sound. Any mismatch (a page
-/// rewritten inside the read set, an archive offset moved by compaction,
-/// a formerly db-shared page since captured) is a conservative miss.
-bool ValidateMemoEntry(retro::SnapshotView* view,
-                       const retro::MemoEntry& entry) {
+/// snapshot's current resolution through `at` (a view of the snapshot, or
+/// a snapshot set positioned there) — the content-identity test that makes
+/// replaying the entry sound. Any mismatch (a page rewritten inside the
+/// read set, an archive offset moved by compaction, a formerly db-shared
+/// page since captured) is a conservative miss.
+template <typename Resolver>
+bool ValidateMemoEntry(Resolver& at, const retro::MemoEntry& entry) {
   for (const retro::MemoPageVersion& pv : entry.read_set) {
     uint64_t v = 0;
-    uint64_t token = view->PageVersion(pv.page, &v)
+    uint64_t token = at.PageVersion(pv.page, &v)
                          ? v
                          : retro::kMemoDbSharedVersion;
     if (token != pv.version) return false;
@@ -1432,12 +1434,11 @@ Status RqlEngine::RunMechanismParallel(
   const sql::FunctionRegistry* functions = data_db_->functions();
   storage::PageId catalog_root = data_db_->catalog()->root();
 
-  // A shared memo composes with parallel evaluation: workers probe the
+  // The memo composes with parallel evaluation: workers probe the
   // (thread-safe) memo and record versions into per-result maps; publishes
   // happen in the sequential replay loop, in Qs order. The delta fast path
-  // needs the sequential cursor, so a run-scoped memo replays nothing here.
-  const bool memoize = options_.memoize_iterations;
-  retro::MemoTable* memo = memoize ? options_.memo : nullptr;
+  // needs the sequential cursor, so only validated entries replay here.
+  retro::MemoTable* memo = options_.memo;
   uint64_t memo_fp = 0;
   if (memo != nullptr) {
     RQL_ASSIGN_OR_RETURN(memo_fp, state->MemoFingerprint());
@@ -1479,7 +1480,7 @@ Status RqlEngine::RunMechanismParallel(
         if (memo != nullptr) {
           std::shared_ptr<const retro::MemoEntry> entry =
               memo->Probe(memo_fp, snaps[i]);
-          if (entry != nullptr && ValidateMemoEntry(view.get(), *entry)) {
+          if (entry != nullptr && ValidateMemoEntry(*view, *entry)) {
             auto rows = DecodeMemoRows(*entry);
             if (rows.ok()) {
               out.columns = entry->columns;
@@ -1493,8 +1494,8 @@ Status RqlEngine::RunMechanismParallel(
           // Armed before the catalog load: schema pages the query depends
           // on belong in the recorded read set too.
           view->set_version_recorder(&out.versions);
+          iter.memo_misses = 1;
         }
-        if (memoize) iter.memo_misses = 1;
         // The paper's full textual rewrite: AS OF injection plus literal
         // current_snapshot() substitution (no shared engine state).
         std::string rewritten = ReplaceCurrentSnapshot(
@@ -1626,7 +1627,7 @@ Status RqlEngine::RunIteration(retro::SnapshotId snap, MechanismState* state,
   // cancelled (a parked error dies with it — the synchronous path would
   // not have issued these reads either) and what the job already did is
   // charged to the replayed iteration.
-  const bool memoize = options_.memoize_iterations;
+  const bool memoize = options_.memo != nullptr;
   retro::SnapshotSet* set = run->snapshot_set();
   int64_t delta_pages = 0;
   if (memoize) {
@@ -1783,20 +1784,15 @@ Status RqlEngine::RunIteration(retro::SnapshotId snap, MechanismState* state,
                  iter.index_create_us, iter.udf_us, iter.qq_rows});
   }
   if (memoize) {
-    // The executed iteration becomes the fast path's predecessor, and —
-    // with a shared memo — a published entry. Only a published entry
-    // needs encoded rows: the predecessor replays its decoded ones.
+    // The executed iteration becomes a published entry and the fast
+    // path's predecessor, which replays the decoded rows.
     RQL_ASSIGN_OR_RETURN(uint64_t fp, state->MemoFingerprint());
-    const std::vector<Row> no_rows;
-    std::shared_ptr<const retro::MemoEntry> entry = MakeMemoEntry(
-        fp, snap, versions, buf_cols,
-        options_.memo != nullptr ? buf_rows : no_rows);
-    if (options_.memo != nullptr) {
-      RQL_ASSIGN_OR_RETURN(retro::MemoPublishResult pub,
-                           options_.memo->Publish(entry));
-      iter.memo_bytes = static_cast<int64_t>(pub.bytes_appended);
-      iter.memo_evictions = pub.evictions;
-    }
+    std::shared_ptr<const retro::MemoEntry> entry =
+        MakeMemoEntry(fp, snap, versions, buf_cols, buf_rows);
+    RQL_ASSIGN_OR_RETURN(retro::MemoPublishResult pub,
+                         options_.memo->Publish(entry));
+    iter.memo_bytes = static_cast<int64_t>(pub.bytes_appended);
+    iter.memo_evictions = pub.evictions;
     state->prev_ = {std::move(entry), std::move(buf_rows)};
   }
   state->CollectCounters(&iter);
@@ -1850,15 +1846,12 @@ Result<bool> RqlEngine::ReplayIteration(retro::SnapshotId snap,
       DeltaMissesReadSet(delta, *prev.entry)) {
     iter.skipped = true;
   } else {
-    if (options_.memo == nullptr) return false;
     RQL_ASSIGN_OR_RETURN(uint64_t fp, state->MemoFingerprint());
     std::shared_ptr<const retro::MemoEntry> entry =
         options_.memo->Probe(fp, snap);
-    if (entry == nullptr) return false;
-    // Validation failures are conservative misses, never errors: the
-    // execute path runs next and surfaces any real problem itself.
-    auto view = set->Open(snap);
-    if (!view.ok() || !ValidateMemoEntry(view->get(), *entry)) return false;
+    // Advance left the cursor at `snap`, so validation reads its table in
+    // place. A failure is a conservative miss: the execute path runs next.
+    if (entry == nullptr || !ValidateMemoEntry(*set, *entry)) return false;
     auto rows = DecodeMemoRows(*entry);
     if (!rows.ok()) return false;
     // The hit seeds the fast path: provably unchanged successors replay
@@ -1869,8 +1862,8 @@ Result<bool> RqlEngine::ReplayIteration(retro::SnapshotId snap,
   }
   RQL_RETURN_IF_ERROR(
       FoldRows(state, snap, prev.entry->columns, prev.rows, &iter));
-  if (iter.skipped && options_.memo != nullptr) {
-    // A shared memo learns the fast-path replay too, as if `snap` had
+  if (iter.skipped) {
+    // The memo learns the fast-path replay too, as if `snap` had
     // executed: the delta missed the predecessor's read set, so it
     // resolves identically at `snap`. Later runs over any subset of these
     // snapshots then hit. An archived read set publishes only an alias
@@ -1889,7 +1882,7 @@ Result<bool> RqlEngine::ReplayIteration(retro::SnapshotId snap,
     }
   }
   // The only store work the iteration did was its probe: the cursor
-  // advance and, for a memo hit, the validation view's SPT derivation.
+  // advance.
   retro::SnapshotStore* store = data_db_->store();
   const retro::CostModel& cm = store->cost_model();
   const retro::IterationStats rs = store->stats();

@@ -53,7 +53,7 @@ struct RqlIterationStats {
   /// in-flight fetch of the same page (always 0 in sequential runs).
   int64_t coalesced_loads = 0;
   // COW page-sharing exploitation counters (zero at paper-faithful
-  // defaults; see RqlOptions::shared_scan_cache / memoize_iterations).
+  // defaults; see RqlOptions::shared_scan_cache / memo).
   /// Scan-path pages served from the attached decoded-page cache: the
   /// page version (Pagelog offset) was already fetched and tuple-decoded
   /// for an earlier snapshot of this run, or for any other run sharing
@@ -84,8 +84,8 @@ struct RqlIterationStats {
   /// (row, expression) evaluations routed through scalar fallback because
   /// the expression is not vectorizable.
   int64_t batch_fallback_rows = 0;
-  // Cross-run memoization counters (RqlOptions::memoize_iterations; all
-  // zero at paper-faithful defaults).
+  // Cross-run memoization counters (RqlOptions::memo; all zero at
+  // paper-faithful defaults).
   /// 1 when this iteration was answered by replaying a persistent memo
   /// entry whose page-version read set validated against the snapshot.
   int64_t memo_hits = 0;
@@ -93,7 +93,7 @@ struct RqlIterationStats {
   /// delta fast path nor a validated memo entry could serve it.
   int64_t memo_misses = 0;
   /// Memo-log bytes appended by this iteration's publish (0 on hits, on
-  /// fast-path replays and in run-scoped runs, which publish nothing).
+  /// a fast-path replay already registered, and into a log-free memo).
   int64_t memo_bytes = 0;
   /// Entries the publish evicted to keep the memo under its byte bound.
   int64_t memo_evictions = 0;
@@ -155,8 +155,7 @@ struct RqlRunStats {
   /// (RqlOptions::archive_read_retries) during this run.
   int64_t archive_read_retries = 0;
   /// Iterations answered by the memo's delta fast path, replaying the
-  /// predecessor's result instead of executing Qq
-  /// (RqlOptions::memoize_iterations).
+  /// predecessor's result instead of executing Qq (RqlOptions::memo).
   int64_t iterations_skipped = 0;
   /// Run total of decoded-page cache hits (RqlOptions::shared_scan_cache).
   /// Hits are attributed from per-execution counters
@@ -257,7 +256,7 @@ enum class RqlProfile {
   ///     CollateDataIntoIntervals keeps the index probe.
   /// Rejected with InvalidArgument in combination with
   /// cold_cache_per_iteration: that all-cold baseline measures the
-  /// paper-faithful pipeline (the memoize_iterations precedent).
+  /// paper-faithful pipeline (the memo precedent).
   kFast,
 };
 
@@ -306,34 +305,33 @@ struct RqlOptions {
 
   // --- COW page-sharing exploitation (default off: the paper-faithful
   // --- baseline re-fetches and re-decodes every snapshot from scratch) ----
-  /// Replay iterations whose result is provably known instead of
-  /// executing Qq. Every executed iteration records the page versions its
-  /// Qq read and buffers its rows as a retro::MemoEntry. Sequential and
-  /// UDF-form iterations then try, in order: (a) the delta fast path —
-  /// when Qq does not use current_snapshot() and the Maplog delta from the
-  /// previous snapshot in the set (SptCursor::last_delta) misses the
-  /// predecessor entry's read set, the predecessor's rows are replayed
-  /// (counted in RqlIterationStats::skipped / RqlRunStats::
-  /// iterations_skipped; with a non-null `memo` the replay is published
-  /// for the snapshot too); (b) with a non-null `memo`, an entry for
-  /// (canonicalized query/mechanism fingerprint, snapshot) whose every
-  /// recorded page version still matches the snapshot's resolution is
-  /// replayed (memo_hits); (c) otherwise Qq executes (memo_misses) and,
-  /// with a non-null `memo`, its entry is published for later runs and
-  /// other engines (memo_bytes / memo_evictions). With `memo` null the
-  /// memo is run-scoped: only the delta fast path replays, and nothing
-  /// outlives the run. Parallel runs use only (b) and (c), and only with
-  /// a non-null `memo`. On a memoized run, iterations = memo_misses +
-  /// memo_hits + iterations_skipped. Results are byte-identical to
-  /// execution (the mechanism fold re-runs on the replayed rows). Traced
-  /// as kIterationSkip / kMemoHit. Rejected with InvalidArgument in
-  /// combination with cold_cache_per_iteration (a replayed iteration
-  /// reads nothing, so the all-cold baseline would not be measured).
-  bool memoize_iterations = false;
-  /// The memo table memoize_iterations consults and publishes into, or
-  /// null for a run-scoped memo. Owned by the caller; shareable by any
-  /// number of engines (publishes are first-publish-wins). Must live and
-  /// die with the data database's files (see MemoTable::Open).
+  /// The memo the run consults and publishes into; a run memoizes exactly
+  /// when this is non-null. Memoized runs replay iterations whose result
+  /// is provably known instead of executing Qq. Every executed iteration
+  /// records the page versions its Qq read and buffers its rows as a
+  /// retro::MemoEntry. Sequential and UDF-form iterations then try, in
+  /// order: (a) the delta fast path — when Qq does not use
+  /// current_snapshot() and the Maplog delta from the previous snapshot in
+  /// the set (SptCursor::last_delta) misses the predecessor entry's read
+  /// set, the predecessor's rows are replayed (counted in
+  /// RqlIterationStats::skipped / RqlRunStats::iterations_skipped) and
+  /// published for the snapshot too; (b) an entry for (canonicalized
+  /// query/mechanism fingerprint, snapshot) whose every recorded page
+  /// version still matches the snapshot's resolution is replayed
+  /// (memo_hits); (c) otherwise Qq executes (memo_misses) and its entry is
+  /// published for later runs and other engines (memo_bytes /
+  /// memo_evictions). Parallel runs use only (b) and (c). On a memoized
+  /// run, iterations = memo_misses + memo_hits + iterations_skipped.
+  /// Results are byte-identical to execution (the mechanism fold re-runs
+  /// on the replayed rows). Traced as kIterationSkip / kMemoHit.
+  ///
+  /// Owned by the caller; shareable by any number of engines (publishes
+  /// are first-publish-wins), which is how the server serves one memo to
+  /// every session. A fresh retro::MemoTable::InMemory() given to one run
+  /// is a run-scoped memo. Must live and die with the data database's
+  /// files (see MemoTable::Open). Rejected with InvalidArgument in
+  /// combination with cold_cache_per_iteration (a replayed iteration reads
+  /// nothing, so the all-cold baseline would not be measured).
   retro::MemoTable* memo = nullptr;
   /// Decoded-page cache the run's scans go through: table pages are keyed
   /// by their physical version (the Pagelog offset the SPT resolves them
@@ -356,7 +354,7 @@ struct RqlOptions {
   /// TruncateHistory (entries a live run still holds stay alive through
   /// their shared_ptr). Rejected with InvalidArgument in combination with
   /// cold_cache_per_iteration: a cross-run cache would falsify the
-  /// all-cold baseline (the memoize_iterations precedent).
+  /// all-cold baseline (the memo precedent).
   sql::SharedScanCache* shared_scan_cache = nullptr;
   /// Overlap each iteration's archive I/O with the previous iteration's
   /// query execution: while Qq runs on snapshot s_i, a background
@@ -374,8 +372,7 @@ struct RqlOptions {
   /// RqlIterationStats::prefetch_* and traced as kPrefetch. Rejected with
   /// InvalidArgument in combination with cold_cache_per_iteration: a
   /// background fetch landing after the per-iteration clear would
-  /// silently warm the all-cold baseline (the memoize_iterations
-  /// precedent).
+  /// silently warm the all-cold baseline (the memo precedent).
   bool async_prefetch = false;
   /// Max pages the pipeline fetches ahead per iteration; 0 = unbounded.
   /// Bounds background read amplification and snapshot-cache churn.
@@ -554,7 +551,7 @@ class RqlEngine {
                               MechanismState* state);
 
   /// One "loop body" invocation of the sequential or UDF-form run `run`:
-  /// with memoize_iterations, first tries ReplayIteration; otherwise
+  /// with a memo, first tries ReplayIteration; otherwise
   /// rewrites Qq, runs it on the snapshot, feeds rows to the state, and
   /// records the iteration cost breakdown.
   Status RunIteration(retro::SnapshotId snap, MechanismState* state,
@@ -571,11 +568,11 @@ class RqlEngine {
 
   /// The replay half of a memoized iteration over `set`'s next snapshot
   /// `snap`: the delta fast path against the state's predecessor, then
-  /// the shared memo (see RqlOptions::memoize_iterations). On success
-  /// folds the replayed rows, records the iteration (skipped or
-  /// memo_hits), publishes a fast-path replay into a non-null memo, and
-  /// returns true; returns false, recording nothing, when
-  /// Qq must execute. `delta_pages` receives the Maplog delta's size.
+  /// the memo (see RqlOptions::memo). On success folds the replayed rows,
+  /// records the iteration (skipped or memo_hits), publishes a fast-path
+  /// replay into the memo, and returns true; returns false, recording
+  /// nothing, when Qq must execute. `delta_pages` receives the Maplog
+  /// delta's size.
   Result<bool> ReplayIteration(retro::SnapshotId snap, MechanismState* state,
                                retro::SnapshotSet* set,
                                int64_t* delta_pages);

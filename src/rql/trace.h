@@ -20,9 +20,9 @@ namespace rql {
 ///                    reuse_decoded_pages; never set, kept unassigned so
 ///                    older traces still decode)
 ///                    16=retired (was skip_unchanged_iterations, folded
-///                    into memoize_iterations; kept unassigned)
-///                    64=memoize_iterations 128=shared_scan_cache
-///                    256=async_prefetch
+///                    into the memo; kept unassigned)
+///                    64=RqlOptions::memo set (the bit of the boolean it
+///                    replaced) 128=shared_scan_cache 256=async_prefetch
 ///   kRunEnd          {iterations, iterations_skipped, total_us, ok, 0, 0}
 ///   kIterationBegin  {index_in_run, 0, 0, 0, 0, 0}
 ///   kIterationEnd    {io_us, spt_build_us, query_eval_us, index_create_us,
@@ -31,7 +31,7 @@ namespace rql {
 ///   kSptBuild        {maplog_pages, spt_delta_entries, spt_cpu_us,
 ///                     incremental, 0, 0}  — incremental: 1 when the run
 ///                    opens snapshots through its snapshot set (kFast or
-///                    memoize_iterations)
+///                    a memo)
 ///   kArchiveFetch    {pagelog_pages, batched_pagelog_reads, cache_hits,
 ///                     db_pages, archive_read_retries, 0}
 ///   kScanCache       {shared_page_hits, misses, coalesced_decodes, 0, 0, 0}
@@ -40,13 +40,13 @@ namespace rql {
 ///                    (shared_scan_cache single-flight)
 ///   kIterationSkip   {index_in_run, delta_pages_scanned, replayed_rows,
 ///                     udf_us, 0, 0}  — replay of a provably unchanged
-///                    iteration (memoize_iterations' delta fast path)
+///                    iteration (the memo's delta fast path)
 ///   kWorkerStall     {lock_wait_us, coalesced_loads, workers, 0, 0, 0}
 ///                    — emitted once per parallel run after the join
 ///   kMemoHit         {index_in_run, validated_pages, replayed_rows,
 ///                     udf_us, 0, 0}  — replay of a persistent memo entry
 ///                    whose page-version read set validated against the
-///                    snapshot (memoize_iterations)
+///                    snapshot (RqlOptions::memo)
 ///   kPrefetch        {issued, hits, cancelled, overlap_us, 0, 0}
 ///                    — one per iteration whose background prefetch job
 ///                    existed (async_prefetch): pages loaded ahead, the

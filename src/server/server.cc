@@ -67,14 +67,18 @@ Result<std::unique_ptr<Server>> Server::Finish(ServerOptions options,
                     ? s->options_.metrics
                     : retro::MetricsRegistry::Default();
   // Wire every session's engine into the store-scoped sharing machinery:
-  // one SharedScanCache for all sessions, coalesced SPT builds in the
-  // store — the bench_concurrent_runs "shared" configuration, always on
-  // for the daemon.
+  // one SharedScanCache and one memo for all sessions, coalesced SPT
+  // builds in the store — the bench_concurrent_runs "shared"
+  // configuration, always on for the daemon. A memo entry replays only
+  // while every page version it recorded still resolves the same, so
+  // sessions reuse each other's iterations without trusting each other.
   s->options_.engine.shared_scan_cache = &s->scan_cache_;
+  s->options_.engine.memo = s->memo_.get();
   s->options_.engine.metrics = s->metrics_;
   s->data_->store()->set_share_spt_builds(true);
   // The owner engine handles snapshot declaration and truncation; giving
-  // it the shared cache keeps TruncateHistory's invalidation contract.
+  // it the shared cache and memo keeps TruncateHistory's invalidation
+  // contract.
   RqlOptions owner_options = s->options_.engine;
   owner_options.session_id = 0;
   s->owner_engine_ =
@@ -729,6 +733,14 @@ std::string Server::StatsJson() {
       << ", \"inserts\": " << cache.inserts
       << ", \"entries\": " << cache.entries
       << ", \"bytes\": " << cache.bytes << "},\n";
+  out << "  \"memo\": {"
+      << "\"entries\": " << memo_->entry_count()
+      << ", \"bytes\": " << memo_->bytes()
+      << ", \"max_bytes\": " << memo_->options().max_bytes
+      << ", \"evictions\": " << memo_->evictions()
+      << ", \"hits\": " << metrics_->GetCounter("rql.memo_hits")->value()
+      << ", \"misses\": "
+      << metrics_->GetCounter("rql.memo_misses")->value() << "},\n";
   out << "  \"store\": {"
       << "\"earliest_snapshot\": "
       << static_cast<int64_t>(data_->store()->earliest_snapshot())

@@ -38,6 +38,7 @@
 #include <thread>
 
 #include "retro/metrics.h"
+#include "rql/memo_table.h"
 #include "rql/rql.h"
 #include "server/scheduler.h"
 #include "server/session.h"
@@ -60,9 +61,9 @@ struct ServerOptions {
   /// disconnect path). 0 disables the timeout.
   int64_t idle_timeout_us = 0;
   /// Base RqlOptions for session engines. The server injects
-  /// shared_scan_cache, metrics, session_id and the per-run cancel/run_id
-  /// wiring itself; everything else (profile, memoize_iterations, ...) is
-  /// taken as configured here. The default serves the fast profile over a
+  /// shared_scan_cache, memo, metrics, session_id and the per-run
+  /// cancel/run_id wiring itself; everything else (profile, async_prefetch,
+  /// ...) is taken as configured here. The default serves the fast profile over a
   /// warm cache: cold_cache_per_run would clear the store-wide snapshot
   /// cache at every run start, wiping pages other sessions are reading.
   RqlOptions engine = [] {
@@ -107,11 +108,13 @@ class Server {
 
   /// The kStats document (also returned over the wire): server, engine
   /// (the served profile and cold_cache_per_run), scheduler, shared scan
-  /// cache and store sections.
+  /// cache, memo and store sections. The memo's hits and misses are the
+  /// registry's rql.memo_hits / rql.memo_misses counters.
   std::string StatsJson();
 
   RunScheduler* scheduler() { return scheduler_.get(); }
   sql::SharedScanCache* scan_cache() { return &scan_cache_; }
+  retro::MemoTable* memo() { return memo_.get(); }
   sql::Database* data() { return data_; }
   sql::Database* meta() { return meta_; }
   int64_t sessions_opened() const { return sessions_opened_.load(); }
@@ -165,6 +168,9 @@ class Server {
   std::mutex write_mu_;
 
   sql::SharedScanCache scan_cache_;
+  /// The memo every session engine and the owner engine share. Log-free:
+  /// it lives and dies with the server, and MemoTableOptions{} bounds it.
+  std::unique_ptr<retro::MemoTable> memo_ = retro::MemoTable::InMemory();
   std::unique_ptr<RunScheduler> scheduler_;
 
   int listen_fd_ = -1;

@@ -128,7 +128,6 @@ Status RunWorkload(storage::Env* env, const TortureConfig& cfg, int* acked,
     // record, adding one kill point per iteration to the schedule.
     RQL_ASSIGN_OR_RETURN(std::unique_ptr<retro::MemoTable> memo,
                          retro::MemoTable::Open(env, "tortmemo"));
-    h.engine->mutable_options()->memoize_iterations = true;
     h.engine->mutable_options()->memo = memo.get();
     std::string collate, aggmax;
     RQL_RETURN_IF_ERROR(
@@ -286,7 +285,6 @@ Status VerifyRecovered(storage::Env* env, const TortureConfig& cfg,
       return fail("memo reopen after recovery failed: " +
                   memo.status().ToString());
     }
-    h.engine->mutable_options()->memoize_iterations = true;
     h.engine->mutable_options()->memo = memo->get();
     for (int pass = 1; pass <= 2; ++pass) {
       std::string collate, aggmax;

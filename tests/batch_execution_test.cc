@@ -186,8 +186,8 @@ TEST_P(BatchExecutionTest, BatchPathByteIdenticalAcrossFlagMatrix) {
   // The property test's flag matrix, plus the flags-off config, crossed
   // with {kPaperFaithful, kFast} and {1, 4} workers below. `cache` runs
   // against a run-scoped decoded-page cache, cleared before every run;
-  // `memo` against a run-scoped memo (memoize_iterations with no
-  // MemoTable); `pagelog` with batch_pagelog_reads.
+  // `memo` against a run-scoped memo (a fresh log-free MemoTable);
+  // `pagelog` with batch_pagelog_reads.
   struct Config {
     const char* name;
     bool cache, memo, pagelog;
@@ -217,8 +217,10 @@ TEST_P(BatchExecutionTest, BatchPathByteIdenticalAcrossFlagMatrix) {
           const bool batch = profile == RqlProfile::kFast;
           RqlOptions opts;
           run_cache.Clear();
+          std::unique_ptr<retro::MemoTable> run_memo =
+              retro::MemoTable::InMemory();
           opts.shared_scan_cache = c.cache ? &run_cache : nullptr;
-          opts.memoize_iterations = c.memo;
+          opts.memo = c.memo ? run_memo.get() : nullptr;
           opts.batch_pagelog_reads = c.pagelog;
           opts.parallel_workers = workers;
           opts.profile = profile;
@@ -244,7 +246,7 @@ TEST_P(BatchExecutionTest, BatchPathByteIdenticalAcrossFlagMatrix) {
           }
           if (c.memo) {
             // Run-scoped: every iteration executed or took the delta fast
-            // path, and nothing was published.
+            // path, and no log bytes were appended.
             EXPECT_EQ(memo_misses + stats.iterations_skipped,
                       static_cast<int64_t>(stats.iterations.size()))
                 << label;

@@ -182,6 +182,59 @@ TEST(MemoTableTest, FirstPublishWinsAndAliasesSnapshots) {
   EXPECT_NE(reopened->Probe(10, 5), nullptr);
 }
 
+TEST(MemoTableTest, RepublishedSnapshotErasesSupersededEntry) {
+  // Snapshot 1 publishes under read set A, then (its data changed) under
+  // read set B. Nothing probes to A any more, so A must leave the table:
+  // in a log-free table, in a logged one, and after replaying that log.
+  MemoEnv m;
+  auto a = MakeEntry(10, 1, 100);
+  auto b = MakeEntry(10, 1, 300);
+  for (bool logged : {false, true}) {
+    SCOPED_TRACE(logged ? "logged" : "log-free");
+    std::unique_ptr<MemoTable> table =
+        logged ? MustOpen(&m.env, "m") : MemoTable::InMemory();
+    ASSERT_TRUE(table->Publish(a).ok());
+    auto pub = table->Publish(b);
+    ASSERT_TRUE(pub.ok());
+    EXPECT_TRUE(pub->inserted);
+    EXPECT_EQ(table->entry_count(), 1u);
+    EXPECT_EQ(table->bytes(), MemoTable::EntryBytes(*b));
+    EXPECT_EQ(table->Probe(10, 1), b);
+    if (!logged) {
+      EXPECT_EQ(pub->bytes_appended, 0u);
+      EXPECT_EQ(table->log_bytes(), 0u);
+    }
+  }
+  auto reopened = MustOpen(&m.env, "m");
+  EXPECT_EQ(reopened->entry_count(), 1u);
+  EXPECT_EQ(reopened->bytes(), MemoTable::EntryBytes(*b));
+  ASSERT_NE(reopened->Probe(10, 1), nullptr);
+  EXPECT_EQ(reopened->Probe(10, 1)->read_set, b->read_set);
+}
+
+TEST(MemoTableTest, ReAliasedSnapshotErasesSupersededEntry) {
+  // Snapshot 2 first publishes read set B, then re-publishes read set A,
+  // which snapshot 1 already holds: an alias record moves snapshot 2 to
+  // A, and B, left unregistered, goes. A keeps both snapshots.
+  MemoEnv m;
+  auto a = MakeEntry(10, 1, 100);
+  auto b = MakeEntry(10, 2, 300);
+  auto a_at_2 = MakeEntry(10, 2, 100);
+  {
+    auto table = MustOpen(&m.env, "m");
+    for (const auto& e : {a, b, a_at_2}) ASSERT_TRUE(table->Publish(e).ok());
+    EXPECT_EQ(table->entry_count(), 1u);
+    EXPECT_EQ(table->bytes(), MemoTable::EntryBytes(*a));
+    EXPECT_EQ(table->Probe(10, 2), table->Probe(10, 1));
+  }
+  auto reopened = MustOpen(&m.env, "m");
+  EXPECT_EQ(reopened->entry_count(), 1u);
+  EXPECT_EQ(reopened->bytes(), MemoTable::EntryBytes(*a));
+  ASSERT_NE(reopened->Probe(10, 2), nullptr);
+  EXPECT_EQ(reopened->Probe(10, 2)->read_set, a->read_set);
+  EXPECT_EQ(reopened->Probe(10, 1), reopened->Probe(10, 2));
+}
+
 TEST(MemoTableTest, LruByteBoundEvictsColdEntries) {
   MemoEnv m;
   auto probe_entry = MakeEntry(1, 1, 10, 256);
@@ -464,7 +517,6 @@ std::vector<std::string> Dump(EngineFixture* f, const std::string& table) {
 Status RunMemoized(EngineFixture* f, const std::string& qs,
                    const std::string& table) {
   RqlOptions opts;
-  opts.memoize_iterations = true;
   opts.memo = f->memo.get();
   *f->engine->mutable_options() = opts;
   return f->engine->CollateData(qs, kQq, table);
@@ -614,7 +666,6 @@ TEST(MemoStalenessTest, TruncateHistoryInvalidatesDroppedSnapshots) {
   // engine's options carry the memo, so the hook fires) — probing them can
   // never validate again.
   retro::SnapshotId keep = f.snaps[5];
-  f.engine->mutable_options()->memoize_iterations = true;
   f.engine->mutable_options()->memo = f.memo.get();
   ASSERT_TRUE(f.engine->TruncateHistory(keep).ok());
   for (retro::SnapshotId snap : f.snaps) {
@@ -681,8 +732,8 @@ TEST(MemoStalenessTest, DbSharedReadSetsNeverAliasAcrossSnapshots) {
 
 TEST(MemoConcurrencyTest, TwoEnginesRunScopedMemoMatchSequentialOracle) {
   // Two engines on one store, each on its own thread, run rounds of
-  // run-scoped memoized runs (memo == nullptr: every round executes and
-  // records afresh). Each run owns its snapshot set and version recorder,
+  // run-scoped memoized runs (a fresh log-free memo per round: every round
+  // executes and records afresh). Each run owns its snapshot set and version recorder,
   // so neither engine's reads leak into the other's read set or delta.
   EngineFixture f = MakeEngineFixture(12, 6);
   ASSERT_TRUE(RunPlain(&f, kQsAll, "Oracle").ok());
@@ -710,7 +761,6 @@ TEST(MemoConcurrencyTest, TwoEnginesRunScopedMemoMatchSequentialOracle) {
     cl.data = std::move(*data);
     cl.meta = std::move(*meta);
     RqlOptions opts;
-    opts.memoize_iterations = true;
     opts.profile = c == 0 ? RqlProfile::kFast : RqlProfile::kPaperFaithful;
     cl.engine = std::make_unique<RqlEngine>(cl.data.get(), cl.meta.get(),
                                             opts);
@@ -736,6 +786,8 @@ TEST(MemoConcurrencyTest, TwoEnginesRunScopedMemoMatchSequentialOracle) {
   for (Client& cl : clients) {
     threads.emplace_back([&cl, &dump] {
       for (int r = 0; r < kRounds && cl.status.ok(); ++r) {
+        std::unique_ptr<retro::MemoTable> memo = retro::MemoTable::InMemory();
+        cl.engine->mutable_options()->memo = memo.get();
         cl.status = cl.engine->CollateData(kQsAll, kQq, "C");
         if (!cl.status.ok()) break;
         const RqlRunStats& stats = cl.engine->last_run_stats();

@@ -291,7 +291,8 @@ TEST_F(EngineMetricsTest, FlagsOnDeltaStillMatchesLegacyStats) {
   opts->batch_pagelog_reads = true;
   sql::SharedScanCache run_cache({.max_bytes = 0});  // this run's only
   opts->shared_scan_cache = &run_cache;
-  opts->memoize_iterations = true;  // run-scoped
+  std::unique_ptr<retro::MemoTable> run_memo = retro::MemoTable::InMemory();
+  opts->memo = run_memo.get();
   ExpectDeltaMatchesStats([this] {
     return engine_->CollateData(
         "SELECT snap_id FROM SnapIds",

@@ -155,9 +155,11 @@ TEST_F(RqlErrorPathsTest, MidRunFailureInCollateDropsCreatedTable) {
   EXPECT_FALSE(TableExists("Result"));
 }
 
-TEST_F(RqlErrorPathsTest, MemoizeWithoutMemoTableIsRunScoped) {
-  // memo left null: the run memoizes for itself and publishes nothing.
-  engine_->mutable_options()->memoize_iterations = true;
+TEST_F(RqlErrorPathsTest, LogFreeMemoAppendsNoLogBytes) {
+  // A fresh log-free memo is run-scoped: the run memoizes for itself,
+  // hits nothing and appends no log record.
+  std::unique_ptr<retro::MemoTable> memo = retro::MemoTable::InMemory();
+  engine_->mutable_options()->memo = memo.get();
   Status s = engine_->CollateData("SELECT snap_id FROM SnapIds",
                                   "SELECT k FROM t", "Result");
   EXPECT_TRUE(s.ok()) << s.ToString();
@@ -169,6 +171,8 @@ TEST_F(RqlErrorPathsTest, MemoizeWithoutMemoTableIsRunScoped) {
     EXPECT_EQ(it.memo_bytes, 0);
     EXPECT_EQ(it.memo_misses + (it.skipped ? 1 : 0), 1);
   }
+  EXPECT_GT(memo->entry_count(), 0u);
+  EXPECT_EQ(memo->log_bytes(), 0u);
 }
 
 TEST_F(RqlErrorPathsTest, MemoizeIncompatibleWithColdCachePerIteration) {
@@ -176,7 +180,6 @@ TEST_F(RqlErrorPathsTest, MemoizeIncompatibleWithColdCachePerIteration) {
   // cold_cache_per_iteration defines would silently not be measured.
   auto memo = retro::MemoTable::Open(&env_, "memo");
   ASSERT_TRUE(memo.ok()) << memo.status().ToString();
-  engine_->mutable_options()->memoize_iterations = true;
   engine_->mutable_options()->memo = memo->get();
   engine_->mutable_options()->cold_cache_per_iteration = true;
   Status s = engine_->CollateData("SELECT snap_id FROM SnapIds",

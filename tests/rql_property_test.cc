@@ -21,10 +21,10 @@ namespace {
 using sql::Row;
 using sql::Value;
 
-/// The run-scoped memo's counter identities (memoize_iterations with no
-/// MemoTable): every iteration either executed — a miss, and one Qq parse
-/// unless `reuse_plan` — or replayed through the delta fast path, and
-/// nothing was published.
+/// The run-scoped memo's counter identities (a fresh log-free MemoTable):
+/// every iteration either executed — a miss, and one Qq parse unless
+/// `reuse_plan` — or replayed through the delta fast path, and no log
+/// bytes were appended.
 void ExpectRunScopedMemoCounters(const RqlRunStats& stats, bool reuse_plan,
                                  const std::string& label) {
   int64_t hits = 0, misses = 0, bytes = 0;
@@ -528,8 +528,8 @@ TEST_P(RqlPropertyTest, TransientPagelogFaultsWithRetriesAreTransparent) {
 }
 
 TEST_P(RqlPropertyTest, PageSharingFlagsPreserveAllMechanismOutputs) {
-  // A run-scoped decoded-page cache and a run-scoped memo
-  // (memoize_iterations with no MemoTable) are pure optimizations: on a
+  // A run-scoped decoded-page cache and a run-scoped memo (a fresh
+  // log-free MemoTable) are pure optimizations: on a
   // sparse-update history every mechanism's result table must be
   // byte-identical with any combination of the two — alone, together,
   // stacked on batched Pagelog reads, and (for parallelizable mechanisms)
@@ -654,9 +654,11 @@ TEST_P(RqlPropertyTest, PageSharingFlagsPreserveAllMechanismOutputs) {
            {RqlProfile::kPaperFaithful, RqlProfile::kFast}) {
         RqlOptions opts;
         run_cache.Clear();
+        std::unique_ptr<retro::MemoTable> run_memo =
+            retro::MemoTable::InMemory();
         opts.profile = profile;
         opts.shared_scan_cache = c.cache ? &run_cache : nullptr;
-        opts.memoize_iterations = c.memo;
+        opts.memo = c.memo ? run_memo.get() : nullptr;
         opts.batch_pagelog_reads = c.pagelog;
         opts.parallel_workers = c.workers;
         // Options are replaced wholesale above, so the registry has to be
@@ -718,7 +720,8 @@ TEST_P(RqlPropertyTest, SkipDisabledWhenQqUsesCurrentSnapshot) {
   std::vector<std::string> baseline = dump("Baseline");
 
   sql::SharedScanCache run_cache({.max_bytes = 0});
-  f.engine->mutable_options()->memoize_iterations = true;  // run-scoped
+  std::unique_ptr<retro::MemoTable> run_memo = retro::MemoTable::InMemory();
+  f.engine->mutable_options()->memo = run_memo.get();
   f.engine->mutable_options()->shared_scan_cache = &run_cache;
   f.data->store()->ClearSnapshotCache();
   ASSERT_TRUE(f.engine->CollateData(qs, qq, "Flagged").ok());
@@ -727,9 +730,8 @@ TEST_P(RqlPropertyTest, SkipDisabledWhenQqUsesCurrentSnapshot) {
 }
 
 TEST_P(RqlPropertyTest, MemoizationPreservesAllMechanismOutputs) {
-  // memoize_iterations is a pure optimization: for every mechanism, under
-  // every flag combination it composes with (a run-scoped decoded-page
-  // cache, batch execution, parallel workers), both the cold run that
+  // A memo is a pure optimization: for every mechanism, under every flag
+  // combination it composes with (a run-scoped decoded-page cache, batch execution, parallel workers), both the cold run that
   // fills the persistent memo and the warm run that replays from it must
   // be byte-identical to the flags-off baseline — and the warm run must
   // actually hit. AggregateDataInVariable uses the non-idempotent `sum`
@@ -829,7 +831,6 @@ TEST_P(RqlPropertyTest, MemoizationPreservesAllMechanismOutputs) {
           f.env.get(), std::string("memo_") + m.name + "_" + c.name);
       ASSERT_TRUE(memo.ok()) << memo.status().ToString();
       RqlOptions opts;
-      opts.memoize_iterations = true;
       opts.memo = memo->get();
       // Run-scoped: cleared before the warm run below.
       sql::SharedScanCache run_cache({.max_bytes = 0});
@@ -1001,10 +1002,7 @@ TEST_P(RqlPropertyTest, AsyncPrefetchPreservesAllMechanismOutputs) {
       opts.prefetch_budget_pages = c.budget;
       opts.batch_pagelog_reads = c.fast;
       opts.profile = c.fast ? RqlProfile::kFast : RqlProfile::kPaperFaithful;
-      if (c.memo) {
-        opts.memoize_iterations = true;
-        opts.memo = memo->get();
-      }
+      if (c.memo) opts.memo = memo->get();
       if (c.shared) opts.shared_scan_cache = &shared_cache;
       opts.parallel_workers = c.workers;
       opts.metrics = &registry;
@@ -1242,16 +1240,17 @@ void ExpectFastFoldMatchesPaperFaithful(Fixture& f) {
           auto opened = retro::MemoTable::Open(f.env.get(), "memo_" + table);
           ASSERT_TRUE(opened.ok()) << opened.status().ToString();
           memo = std::move(*opened);
+        } else if (replay == Replay::kRunScoped) {
+          memo = retro::MemoTable::InMemory();
         }
         RqlOptions opts;
         opts.profile = profile;
-        opts.memoize_iterations = replay != Replay::kOff;
         opts.memo = memo.get();
         *f.engine->mutable_options() = opts;
         // A shared memo runs twice: the cold run fills it, the warm run
         // replays every iteration from it.
         for (const char* pass : {"", "_warm"}) {
-          if (*pass != '\0' && memo == nullptr) continue;
+          if (*pass != '\0' && replay != Replay::kSharedMemo) continue;
           ASSERT_TRUE(m.run(table + pass).ok()) << table << pass;
           EXPECT_EQ(dump(table + pass), expected) << table << pass;
           EXPECT_TRUE(counts() == expected_counts) << table << pass;

@@ -774,7 +774,8 @@ TEST(RqlCurrentSnapshotSkipTest, LiteralDoesNotDisableSkip) {
                     .ok());
     ASSERT_TRUE(engine.CommitWithSnapshot("t" + std::to_string(s)).ok());
   }
-  engine.mutable_options()->memoize_iterations = true;  // run-scoped
+  std::unique_ptr<retro::MemoTable> memo = retro::MemoTable::InMemory();
+  engine.mutable_options()->memo = memo.get();
 
   const char* qq =
       "SELECT id FROM tagged WHERE tag = 'current_snapshot()'";
@@ -828,8 +829,10 @@ class RqlTwoEngineTest : public ::testing::Test {
     ASSERT_TRUE(b_->EnsureSnapIds().ok());
     Ok(meta_b_.get(), "INSERT INTO SnapIds VALUES (1, 't1', ''), "
                       "(2, 't2', ''), (3, 't3', '')");
+    // One memo per engine, so neither replays the other's iterations.
+    a_->mutable_options()->memo = memo_a_.get();
+    b_->mutable_options()->memo = memo_b_.get();
     for (RqlEngine* e : {a_.get(), b_.get()}) {
-      e->mutable_options()->memoize_iterations = true;  // run-scoped
       ASSERT_TRUE(e->RegisterUdfs().ok());
     }
   }
@@ -860,6 +863,8 @@ class RqlTwoEngineTest : public ::testing::Test {
 
   storage::InMemoryEnv env_;
   std::unique_ptr<sql::Database> data_, data_b_, meta_a_, meta_b_;
+  std::unique_ptr<retro::MemoTable> memo_a_ = retro::MemoTable::InMemory();
+  std::unique_ptr<retro::MemoTable> memo_b_ = retro::MemoTable::InMemory();
   std::unique_ptr<RqlEngine> a_, b_;
 };
 

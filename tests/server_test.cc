@@ -6,7 +6,9 @@
 // intervals concurrently, byte-identical to an in-process sequential
 // oracle, with the shared scan cache showing actual cross-run sharing;
 // and the other three mechanisms served on the fast profile, byte-
-// identical to the paper-faithful oracle.
+// identical to the paper-faithful oracle; and the served memo — reuse
+// across sessions, token invalidation by an owner write, truncation and
+// concurrent publishers, each byte-identical to the oracle.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -22,6 +24,7 @@
 #include "server/client.h"
 #include "server/server.h"
 #include "sql/database.h"
+#include "sql/fingerprint.h"
 #include "storage/env.h"
 
 namespace rql::server {
@@ -621,13 +624,218 @@ TEST(ServerConcurrencyTest, AllMechanismsByteIdenticalToPaperFaithfulOracle) {
     EXPECT_EQ(runs[i].rows, runs[i].oracle) << "run " << i << ": "
                                             << runs[i].qs;
   }
-  // The fast path: every run executed Qq, so each parsed it at least
-  // once; a total of one parse per run means each parsed exactly once
-  // (plan reuse), and the plain scans went through the batch path.
-  EXPECT_EQ(delta.counter("rql.runs"), static_cast<int64_t>(runs.size()));
-  EXPECT_EQ(delta.counter("rql.qq_parse_count"),
-            static_cast<int64_t>(runs.size()));
+  // The fast path: a run parses Qq at most once (plan reuse), and not at
+  // all when the served memo replayed every iteration; each of the three
+  // (mechanism, Qq) pairs executed somewhere, and the plain scans went
+  // through the batch path. Every iteration executed or replayed.
+  const int64_t n_runs = static_cast<int64_t>(runs.size());
+  EXPECT_EQ(delta.counter("rql.runs"), n_runs);
+  EXPECT_LE(delta.counter("rql.qq_parse_count"), n_runs);
+  EXPECT_GE(delta.counter("rql.qq_parse_count"), 3);
   EXPECT_GT(delta.counter("rql.batches_scanned"), 0);
+  EXPECT_EQ(delta.counter("rql.memo_hits") + delta.counter("rql.memo_misses") +
+                delta.counter("rql.iterations_skipped"),
+            delta.counter("rql.iterations"));
+
+  WaitForNoSessions(server->get());
+  (*server)->Stop();
+}
+
+// --- the served memo -------------------------------------------------------
+
+/// Embedded paper-faithful CollateData oracle for `qs`, computed on the
+/// fixture's owner engine before a server starts.
+std::vector<std::string> CollateOracle(HistoryFixture* f,
+                                       const std::string& qs,
+                                       const std::string& table) {
+  EXPECT_TRUE(f->engine->CollateData(qs, kQq, table).ok()) << table;
+  auto rows = f->meta->Query("SELECT * FROM " + table);
+  EXPECT_TRUE(rows.ok()) << table;
+  return rows.ok() ? EncodeRows(*rows) : std::vector<std::string>{};
+}
+
+/// Runs CollateData(qs, kQq) on `client` into "Out" and returns its rows.
+Result<std::vector<std::string>> ServeCollate(Client* client,
+                                              const std::string& qs) {
+  RQL_ASSIGN_OR_RETURN(uint64_t run,
+                       client->StartRun(Mechanism::kCollateData, qs, kQq,
+                                        "Out"));
+  RQL_ASSIGN_OR_RETURN(Client::RunResult done, client->WaitRun(run));
+  RQL_RETURN_IF_ERROR(done.status);
+  RQL_ASSIGN_OR_RETURN(sql::QueryResult rows,
+                       client->MetaSql("SELECT * FROM Out"));
+  return EncodeRows(rows);
+}
+
+/// The integer `field` of the kStats document's memo section, or -1.
+int64_t MemoStat(const std::string& stats_json, const std::string& field) {
+  size_t memo = stats_json.find("\"memo\": {");
+  if (memo == std::string::npos) return -1;
+  size_t at = stats_json.find("\"" + field + "\": ", memo);
+  if (at == std::string::npos) return -1;
+  return std::stoll(stats_json.substr(at + field.size() + 4));
+}
+
+struct MemoCounts {
+  int64_t hits = 0, misses = 0, skipped = 0, iterations = 0;
+};
+
+MemoCounts MemoDelta(const retro::MetricsRegistry::Snapshot& delta) {
+  return {delta.counter("rql.memo_hits"), delta.counter("rql.memo_misses"),
+          delta.counter("rql.iterations_skipped"),
+          delta.counter("rql.iterations")};
+}
+
+TEST(ServerMemoTest, SecondSessionReplaysFirstSessionsWindow) {
+  HistoryFixture f = MakeHistory(12);
+  const std::string qs = QsRange(3, 10);
+  const std::vector<std::string> oracle = CollateOracle(&f, qs, "Oracle");
+  retro::MetricsRegistry registry;
+  ServerOptions options;
+  options.socket_path = UniqueSocketPath();
+  options.metrics = &registry;
+  auto server = Server::Create(f.data.get(), f.meta.get(), options);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->Start().ok());
+
+  auto a = Client::Connect(options.socket_path);
+  auto b = Client::Connect(options.socket_path);
+  ASSERT_TRUE(a.ok() && b.ok());
+  retro::MetricsRegistry::Snapshot before = registry.TakeSnapshot();
+  auto rows_a = ServeCollate(a->get(), qs);
+  ASSERT_TRUE(rows_a.ok()) << rows_a.status().ToString();
+  EXPECT_EQ(*rows_a, oracle);
+  MemoCounts first = MemoDelta(registry.TakeSnapshot().DeltaFrom(before));
+  EXPECT_EQ(first.hits, 0);
+  EXPECT_EQ(first.misses + first.skipped, first.iterations);
+
+  before = registry.TakeSnapshot();
+  auto rows_b = ServeCollate(b->get(), qs);
+  ASSERT_TRUE(rows_b.ok()) << rows_b.status().ToString();
+  EXPECT_EQ(*rows_b, oracle);
+  MemoCounts second = MemoDelta(registry.TakeSnapshot().DeltaFrom(before));
+  EXPECT_EQ(second.iterations, 8);
+  EXPECT_EQ(second.hits, second.iterations);
+
+  // The stats pull reports the served memo and the same counters.
+  auto stats = (*b)->StatsJson();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(MemoStat(*stats, "hits"), first.hits + second.hits);
+  EXPECT_EQ(MemoStat(*stats, "misses"), first.misses + second.misses);
+  EXPECT_EQ(MemoStat(*stats, "entries"),
+            static_cast<int64_t>((*server)->memo()->entry_count()));
+  EXPECT_GT(MemoStat(*stats, "entries"), 0);
+
+  a->reset();
+  b->reset();
+  WaitForNoSessions(server->get());
+  (*server)->Stop();
+}
+
+TEST(ServerMemoTest, OwnerUpdateFlipsTokensOfNewestSnapshots) {
+  HistoryFixture f = MakeHistory(12);
+  const std::string qs = QsRange(f.last_snap - 3, f.last_snap);
+  const std::vector<std::string> oracle = CollateOracle(&f, qs, "Oracle");
+  retro::MetricsRegistry registry;
+  ServerOptions options;
+  options.socket_path = UniqueSocketPath();
+  options.metrics = &registry;
+  auto server = Server::Create(f.data.get(), f.meta.get(), options);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->Start().ok());
+  auto client = Client::Connect(options.socket_path);
+  ASSERT_TRUE(client.ok());
+
+  auto cold = ServeCollate(client->get(), qs);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(*cold, oracle);
+
+  // The owner commits over pages the newest snapshots share with the
+  // current database: copy-on-write archives them, so their recorded
+  // db-shared tokens no longer validate.
+  ASSERT_TRUE((*client)->Sql("UPDATE t SET v = v + 1000 WHERE k < 300").ok());
+  retro::MetricsRegistry::Snapshot before = registry.TakeSnapshot();
+  auto rerun = ServeCollate(client->get(), qs);
+  ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+  EXPECT_EQ(*rerun, oracle);
+  MemoCounts counts = MemoDelta(registry.TakeSnapshot().DeltaFrom(before));
+  EXPECT_GT(counts.misses, 0);
+  EXPECT_EQ(counts.hits + counts.misses + counts.skipped, counts.iterations);
+
+  client->reset();
+  WaitForNoSessions(server->get());
+  (*server)->Stop();
+}
+
+TEST(ServerMemoTest, TruncateInvalidatesDroppedSnapshots) {
+  HistoryFixture f = MakeHistory(12);
+  constexpr retro::SnapshotId kKeep = 6;
+  const std::string survivors = QsRange(kKeep, f.last_snap);
+  const std::vector<std::string> oracle =
+      CollateOracle(&f, survivors, "Oracle");
+  ServerOptions options;
+  options.socket_path = UniqueSocketPath();
+  auto server = Server::Create(f.data.get(), f.meta.get(), options);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->Start().ok());
+  auto client = Client::Connect(options.socket_path);
+  ASSERT_TRUE(client.ok());
+
+  ASSERT_TRUE(ServeCollate(client->get(), QsRange(1, f.last_snap)).ok());
+  auto fp = sql::QueryFingerprint(kQq, "CollateData");
+  ASSERT_TRUE(fp.ok());
+  retro::MemoTable* memo = (*server)->memo();
+  ASSERT_NE(memo->Probe(*fp, 1), nullptr);
+
+  auto earliest = (*client)->Truncate(kKeep);
+  ASSERT_TRUE(earliest.ok()) << earliest.status().ToString();
+  for (retro::SnapshotId snap = 1; snap < kKeep; ++snap) {
+    EXPECT_EQ(memo->Probe(*fp, snap), nullptr) << snap;
+  }
+  auto rerun = ServeCollate(client->get(), survivors);
+  ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+  EXPECT_EQ(*rerun, oracle);
+
+  client->reset();
+  WaitForNoSessions(server->get());
+  (*server)->Stop();
+}
+
+TEST(ServerMemoTest, ConcurrentSessionsPublishTheSameSnapshots) {
+  HistoryFixture f = MakeHistory(12);
+  const std::string qs = QsRange(2, f.last_snap);
+  const std::vector<std::string> oracle = CollateOracle(&f, qs, "Oracle");
+  retro::MetricsRegistry registry;
+  ServerOptions options;
+  options.socket_path = UniqueSocketPath();
+  options.metrics = &registry;
+  options.scheduler.dispatch_threads = 2;
+  auto server = Server::Create(f.data.get(), f.meta.get(), options);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->Start().ok());
+
+  retro::MetricsRegistry::Snapshot before = registry.TakeSnapshot();
+  std::vector<Result<std::vector<std::string>>> rows(
+      2, Status::Internal("not run"));
+  std::vector<std::thread> threads;
+  for (auto& out : rows) {
+    threads.emplace_back([&out, &options, &qs] {
+      auto client = Client::Connect(options.socket_path);
+      out = client.ok() ? ServeCollate(client->get(), qs) : client.status();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const auto& r : rows) {
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(*r, oracle);
+  }
+  MemoCounts counts = MemoDelta(registry.TakeSnapshot().DeltaFrom(before));
+  EXPECT_EQ(counts.iterations, 2 * static_cast<int64_t>(f.last_snap - 1));
+  EXPECT_EQ(counts.hits + counts.misses + counts.skipped, counts.iterations);
+  // First publish wins: one entry per snapshot at most, however the two
+  // runs interleaved.
+  EXPECT_GT((*server)->memo()->entry_count(), 0u);
+  EXPECT_LE((*server)->memo()->entry_count(), f.last_snap - 1);
 
   WaitForNoSessions(server->get());
   (*server)->Stop();

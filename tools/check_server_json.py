@@ -5,8 +5,8 @@ Usage: check_server_json.py STATS.json
        rql_shell --connect SOCKET --pull-stats | check_server_json.py -
 
 Validates the wire-protocol stats document CI pulls from a live
-rql_serverd: the five sections (server, engine, scheduler, scan_cache,
-store), their field types, and the internal invariants a healthy server
+rql_serverd: the six sections (server, engine, scheduler, scan_cache,
+memo, store), their field types, and the internal invariants a healthy server
 must satisfy. Exits non-zero with a path-qualified message on the first
 violation.
 """
@@ -41,6 +41,14 @@ SECTIONS = {
         "inserts": int,
         "entries": int,
         "bytes": int,
+    },
+    "memo": {
+        "entries": int,
+        "bytes": int,
+        "max_bytes": int,
+        "evictions": int,
+        "hits": int,
+        "misses": int,
     },
     "store": {
         "earliest_snapshot": int,
@@ -99,6 +107,12 @@ def check_stats(doc):
             "more resident entries than publishes")
     require((cache["bytes"] > 0) == (cache["entries"] > 0), "$.scan_cache",
             "bytes/entries disagree about residency")
+
+    memo = doc["memo"]
+    require(memo["bytes"] <= memo["max_bytes"], "$.memo",
+            "resident bytes beyond the LRU bound")
+    require(memo["hits"] + memo["misses"] >= 0, "$.memo",
+            "negative probe count")
 
     store = doc["store"]
     require(store["earliest_snapshot"] <= store["latest_snapshot"] + 1,

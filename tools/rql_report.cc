@@ -314,7 +314,6 @@ int Run(const ReportOptions& opt) {
   // and the memo_hit trace rows.
   auto memo = retro::MemoTable::Open(&env, "report_memo");
   if (!memo.ok()) Fail(memo.status(), "open memo table");
-  opts->memoize_iterations = true;
   opts->memo = memo->get();
 
   const std::string qs = "SELECT snap_id FROM SnapIds";
