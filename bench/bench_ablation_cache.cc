@@ -22,10 +22,10 @@ double MeasureC(tpch::History* history, int interval_len,
   BENCH_CHECK(engine->AggregateDataInVariable(qs, kQqIo, "Result", "avg"));
   double rql_ms = RunTotalMs(engine->last_run_stats());
 
-  engine->mutable_options()->cold_cache_per_iteration = true;
+  engine->mutable_options()->cache_policy = RqlCachePolicy::kColdPerIteration;
   BENCH_CHECK(engine->AggregateDataInVariable(qs, kQqIo, "Result", "avg"));
   double all_cold_ms = RunTotalMs(engine->last_run_stats());
-  engine->mutable_options()->cold_cache_per_iteration = false;
+  engine->mutable_options()->cache_policy = RqlCachePolicy::kColdPerRun;
 
   cache->set_capacity(original);
   return all_cold_ms > 0 ? rql_ms / all_cold_ms : 0.0;

@@ -178,8 +178,8 @@ int Run() {
 
   // Both concurrent configs run under identical store conditions: cold
   // page cache, simulated archive latency, a page cache far smaller than
-  // the working set. cold_cache_per_run is off — it clears the shared
-  // store cache, which concurrent runs must not do to each other.
+  // the working set. The cache policy is kWarm: kColdPerRun clears the
+  // shared store cache, which concurrent runs must not do to each other.
   store->set_simulated_archive_latency_us(kArchiveLatencyUs);
   store->set_simulated_archive_fetch_slots(1);
   store->snapshot_cache()->set_capacity(kSnapshotCachePages);
@@ -189,7 +189,7 @@ int Run() {
   // relative to archive I/O, which is the regime the shared cache
   // targets.
   RqlOptions private_opts;
-  private_opts.cold_cache_per_run = false;
+  private_opts.cache_policy = RqlCachePolicy::kWarm;
   private_opts.profile = RqlProfile::kFast;
   std::vector<Client> priv = MakeClients(history, private_opts);
   std::vector<std::unique_ptr<sql::SharedScanCache>> private_caches;
@@ -204,7 +204,7 @@ int Run() {
 
   sql::SharedScanCache cache;
   RqlOptions shared_opts;
-  shared_opts.cold_cache_per_run = false;
+  shared_opts.cache_policy = RqlCachePolicy::kWarm;
   shared_opts.shared_scan_cache = &cache;
   shared_opts.profile = RqlProfile::kFast;
   std::vector<Client> shared = MakeClients(history, shared_opts);

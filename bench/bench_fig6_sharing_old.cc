@@ -29,17 +29,17 @@ double MeasureC(tpch::History* history, int interval_len, int step) {
   RqlEngine* engine = history->engine();
   std::string qs = history->QsInterval(1, interval_len, step);
 
-  engine->mutable_options()->cold_cache_per_iteration = false;
+  engine->mutable_options()->cache_policy = RqlCachePolicy::kColdPerRun;
   // Warm up once (OS file cache, allocator) so the two measured runs see
   // the same environment; the snapshot cache itself still starts cold.
   BENCH_CHECK(engine->AggregateDataInVariable(qs, kQqIo, "Result", "avg"));
   BENCH_CHECK(engine->AggregateDataInVariable(qs, kQqIo, "Result", "avg"));
   double rql_ms = RunTotalMs(engine->last_run_stats());
 
-  engine->mutable_options()->cold_cache_per_iteration = true;
+  engine->mutable_options()->cache_policy = RqlCachePolicy::kColdPerIteration;
   BENCH_CHECK(engine->AggregateDataInVariable(qs, kQqIo, "Result", "avg"));
   double all_cold_ms = RunTotalMs(engine->last_run_stats());
-  engine->mutable_options()->cold_cache_per_iteration = false;
+  engine->mutable_options()->cache_policy = RqlCachePolicy::kColdPerRun;
 
   return all_cold_ms > 0 ? rql_ms / all_cold_ms : 0.0;
 }

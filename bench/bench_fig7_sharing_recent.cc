@@ -32,16 +32,16 @@ double MeasureC(tpch::History* history, retro::SnapshotId start) {
   RqlEngine* engine = history->engine();
   std::string qs = history->QsInterval(start, kIntervalLen, 1);
 
-  engine->mutable_options()->cold_cache_per_iteration = false;
+  engine->mutable_options()->cache_policy = RqlCachePolicy::kColdPerRun;
   // Warm up once so both measured runs see the same environment.
   BENCH_CHECK(engine->AggregateDataInVariable(qs, kQqIo, "Result", "avg"));
   BENCH_CHECK(engine->AggregateDataInVariable(qs, kQqIo, "Result", "avg"));
   double rql_ms = RunTotalMs(engine->last_run_stats());
 
-  engine->mutable_options()->cold_cache_per_iteration = true;
+  engine->mutable_options()->cache_policy = RqlCachePolicy::kColdPerIteration;
   BENCH_CHECK(engine->AggregateDataInVariable(qs, kQqIo, "Result", "avg"));
   double all_cold_ms = RunTotalMs(engine->last_run_stats());
-  engine->mutable_options()->cold_cache_per_iteration = false;
+  engine->mutable_options()->cache_policy = RqlCachePolicy::kColdPerRun;
 
   return all_cold_ms > 0 ? rql_ms / all_cold_ms : 0.0;
 }

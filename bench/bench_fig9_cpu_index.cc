@@ -73,8 +73,8 @@ AblationResult RunScanAgg(tpch::History* history, int count, bool batch) {
   opts->profile = batch ? RqlProfile::kFast : RqlProfile::kPaperFaithful;
   std::string qs = history->QsInterval(1, count);
   // Warm-up evens out OS caches and the allocator; the measured run still
-  // starts with a cold snapshot cache (cold_cache_per_run default) and an
-  // empty decoded-page cache.
+  // starts with a cold snapshot cache (the default
+  // RqlCachePolicy::kColdPerRun) and an empty decoded-page cache.
   BENCH_CHECK(engine->CollateData(qs, kQqScanAgg, "ScanAgg"));
   run_cache.Clear();
   BENCH_CHECK(engine->CollateData(qs, kQqScanAgg, "ScanAgg"));

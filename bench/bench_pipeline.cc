@@ -72,13 +72,14 @@ RunResult RunOnce(tpch::History* history, const std::string& qs,
   // iteration's residual sweep (unpipelineable, identical in every
   // configuration) does not dominate the measured interval. The warm run
   // batches, so the whole residual is warmed, not just Qq's footprint.
-  // cold_cache_per_run (a paper-faithful default) would wipe the pool at
-  // every run begin — cache control here is the explicit clear below.
+  // RqlCachePolicy::kColdPerRun (a paper-faithful default) would wipe the
+  // pool at every run begin — cache control here is the explicit clear
+  // below.
   store->ClearSnapshotCache();
   store->set_simulated_archive_latency_us(0);
   store->set_simulated_archive_fetch_slots(0);
   RqlOptions* opt = engine->mutable_options();
-  opt->cold_cache_per_run = false;
+  opt->cache_policy = RqlCachePolicy::kWarm;
   opt->batch_pagelog_reads = true;
   opt->async_prefetch = false;
   BENCH_CHECK(engine->CollateData(warm_qs, qq, "PipelineWarm"));
@@ -98,7 +99,7 @@ RunResult RunOnce(tpch::History* history, const std::string& qs,
   store->set_simulated_archive_fetch_slots(0);
   opt->batch_pagelog_reads = false;
   opt->async_prefetch = false;
-  opt->cold_cache_per_run = true;
+  opt->cache_policy = RqlCachePolicy::kColdPerRun;
 
   const RqlRunStats& stats = engine->last_run_stats();
   r.iterations = static_cast<int64_t>(stats.iterations.size());

@@ -127,8 +127,8 @@ struct RqlRunStats {
   /// Set by benchmarks for the Collate Data + final SQL pattern (Fig. 11).
   int64_t extra_agg_us = 0;
   /// Times the engine lexed/parsed/planned Qq during the run: one per
-  /// iteration under RqlProfile::kPaperFaithful, one per sequential run
-  /// under kFast.
+  /// executed iteration under RqlProfile::kPaperFaithful; under kFast one
+  /// per run, or one per parallel worker that executed an iteration.
   int64_t qq_parse_count = 0;
   /// Parallel runs: concurrent Qq evaluation makes per-iteration I/O and
   /// SPT attribution meaningless, so they are reported as run totals here
@@ -224,14 +224,13 @@ enum class RqlProfile {
   /// The figure benches and the embedded oracles select it.
   kPaperFaithful,
   /// Every iteration-setup and evaluation amortization a run can use:
-  ///   * incremental SPT — sequential runs open their snapshots through a
-  ///     run-private retro::SnapshotSet, deriving SPT(s_{i+1}) from
-  ///     SPT(s_i) over the Maplog delta when ids ascend (counted in
-  ///     RqlIterationStats::spt_delta_entries). Parallel runs ignore it:
-  ///     workers open snapshots out of order.
-  ///   * plan reuse — sequential and UDF-form runs lex/parse/plan Qq once
-  ///     and re-point the prepared plan at each snapshot through the
-  ///     bindable AS OF parameter (RqlRunStats::qq_parse_count == 1,
+  ///   * incremental SPT — a run opens its snapshots through a private
+  ///     retro::SnapshotSet (one per parallel worker), deriving SPT(s_j)
+  ///     from the cursor's previous SPT(s_i) over the Maplog delta when ids
+  ///     ascend (counted in RqlIterationStats::spt_delta_entries).
+  ///   * plan reuse — a run (or each parallel worker) lexes/parses/plans Qq
+  ///     once and re-points the prepared plan at each snapshot through the
+  ///     bindable AS OF parameter (RqlRunStats::qq_parse_count,
   ///     RqlIterationStats::plan_cache_hits). Qq the prepared path cannot
   ///     serve (a multi-statement script) falls back to the textual
   ///     rewrite for the rest of the run.
@@ -255,41 +254,47 @@ enum class RqlProfile {
   ///     hands the rest of the run back to the index probe.
   ///     CollateDataIntoIntervals keeps the index probe.
   /// Rejected with InvalidArgument in combination with
-  /// cold_cache_per_iteration: that all-cold baseline measures the
-  /// paper-faithful pipeline (the memo precedent).
+  /// RqlCachePolicy::kColdPerIteration: that all-cold baseline measures
+  /// the paper-faithful pipeline (the memo precedent).
   kFast,
 };
 
 /// "paper_faithful" / "fast".
 const char* RqlProfileName(RqlProfile profile);
 
-struct RqlOptions {
-  /// Name of the snapshot table in the metadata database.
-  std::string snapids_table = "SnapIds";
-  /// Start every RQL query with an empty snapshot page cache, matching the
+/// When a run clears the store's snapshot page cache. A measurement policy
+/// of the figure benches: the daemon serves kWarm.
+enum class RqlCachePolicy {
+  /// Start every run with an empty snapshot page cache, matching the
   /// paper's experimental assumption (Section 5).
-  bool cold_cache_per_run = true;
-  /// Clear the snapshot cache before every iteration: the paper's
-  /// "all-cold" baseline run, denominator of the ratio C (Section 5.1).
-  /// Incompatible with parallel_workers > 1: concurrent iterations share
-  /// the cache, so per-iteration clearing cannot produce the all-cold
-  /// baseline — mechanisms return InvalidArgument when the combination
-  /// would actually take the parallel path.
-  bool cold_cache_per_iteration = false;
-  /// Drop a pre-existing result table T before a mechanism recreates it.
-  bool replace_result_table = true;
+  kColdPerRun,
+  /// Never clear: runs share whatever pages earlier runs left cached.
+  kWarm,
+  /// Clear before every iteration: the paper's "all-cold" baseline run,
+  /// denominator of the ratio C (Section 5.1). It measures the
+  /// paper-faithful pipeline alone, so mechanisms return InvalidArgument
+  /// when it meets parallel workers (concurrent iterations share the
+  /// cache), the fast profile, a memo, a shared scan cache or
+  /// async_prefetch.
+  kColdPerIteration,
+};
+
+struct RqlOptions {
+  /// When the run clears the snapshot page cache (see RqlCachePolicy).
+  RqlCachePolicy cache_policy = RqlCachePolicy::kColdPerRun;
   /// Workers for parallel Qq evaluation (the paper's Section 7 future
-  /// work). With N > 1, CollateData and AggregateDataInVariable evaluate
-  /// Qq on N snapshots concurrently (each worker on its own snapshot view;
-  /// views read the store under at most a shared lock, and concurrent
-  /// misses on a shared archive page coalesce into one fetch) and process
-  /// results sequentially in Qs order, so semantics are unchanged.
-  /// Mechanisms whose result processing is order-dependent
-  /// (AggregateDataInTable, CollateDataIntoIntervals) always run
-  /// sequentially. In parallel runs current_snapshot() is substituted
-  /// textually, exactly as the paper's Section 3 rewrite describes. Worker
-  /// stall time and coalesced fetches are reported in
-  /// RqlRunStats::parallel_lock_wait_us / coalesced_loads.
+  /// work). With N > 1, CollateData and AggregateDataInVariable answer N
+  /// snapshots concurrently and fold the results sequentially in Qs order,
+  /// so semantics are unchanged. Each worker runs the sequential iteration
+  /// body (memo replay, prepared or rewritten Qq, current_snapshot()) on
+  /// its own attached handle of the data database's store, with its own
+  /// snapshot-set cursor; the engine creates the handles on first use and
+  /// keeps them. Concurrent misses on a shared archive page coalesce into
+  /// one fetch. Mechanisms whose result processing is order-dependent
+  /// (AggregateDataInTable, CollateDataIntoIntervals), and a Qq that is
+  /// not a single SELECT, always run sequentially. Worker stall time and
+  /// coalesced fetches are reported in RqlRunStats::parallel_lock_wait_us
+  /// / coalesced_loads.
   int parallel_workers = 1;
   AggTableStrategy agg_table_strategy = AggTableStrategy::kIndexProbe;
 
@@ -309,10 +314,10 @@ struct RqlOptions {
   /// when this is non-null. Memoized runs replay iterations whose result
   /// is provably known instead of executing Qq. Every executed iteration
   /// records the page versions its Qq read and buffers its rows as a
-  /// retro::MemoEntry. Sequential and UDF-form iterations then try, in
-  /// order: (a) the delta fast path — when Qq does not use
-  /// current_snapshot() and the Maplog delta from the previous snapshot in
-  /// the set (SptCursor::last_delta) misses the predecessor entry's read
+  /// retro::MemoEntry. Every iteration then tries, in order: (a) the
+  /// delta fast path — when Qq does not use current_snapshot() and the
+  /// Maplog delta from the previous snapshot in the set
+  /// (SptCursor::last_delta) misses the predecessor entry's read
   /// set, the predecessor's rows are replayed (counted in
   /// RqlIterationStats::skipped / RqlRunStats::iterations_skipped) and
   /// published for the snapshot too; (b) an entry for (canonicalized
@@ -320,8 +325,10 @@ struct RqlOptions {
   /// version still matches the snapshot's resolution is replayed
   /// (memo_hits); (c) otherwise Qq executes (memo_misses) and its entry is
   /// published for later runs and other engines (memo_bytes /
-  /// memo_evictions). Parallel runs use only (b) and (c). On a memoized
-  /// run, iterations = memo_misses + memo_hits + iterations_skipped.
+  /// memo_evictions). A parallel worker diffs against its own previous
+  /// snapshot, and the coordinator publishes in Qs order after the workers
+  /// finish. On a memoized run, iterations = memo_misses + memo_hits +
+  /// iterations_skipped.
   /// Results are byte-identical to execution (the mechanism fold re-runs
   /// on the replayed rows). Traced as kIterationSkip / kMemoHit.
   ///
@@ -330,8 +337,9 @@ struct RqlOptions {
   /// every session. A fresh retro::MemoTable::InMemory() given to one run
   /// is a run-scoped memo. Must live and die with the data database's
   /// files (see MemoTable::Open). Rejected with InvalidArgument in
-  /// combination with cold_cache_per_iteration (a replayed iteration reads
-  /// nothing, so the all-cold baseline would not be measured).
+  /// combination with RqlCachePolicy::kColdPerIteration (a replayed
+  /// iteration reads nothing, so the all-cold baseline would not be
+  /// measured).
   retro::MemoTable* memo = nullptr;
   /// Decoded-page cache the run's scans go through: table pages are keyed
   /// by their physical version (the Pagelog offset the SPT resolves them
@@ -353,8 +361,8 @@ struct RqlOptions {
   /// in kScanCache events. Invalidated conservatively by
   /// TruncateHistory (entries a live run still holds stay alive through
   /// their shared_ptr). Rejected with InvalidArgument in combination with
-  /// cold_cache_per_iteration: a cross-run cache would falsify the
-  /// all-cold baseline (the memo precedent).
+  /// RqlCachePolicy::kColdPerIteration: a cross-run cache would falsify
+  /// the all-cold baseline (the memo precedent).
   sql::SharedScanCache* shared_scan_cache = nullptr;
   /// Overlap each iteration's archive I/O with the previous iteration's
   /// query execution: while Qq runs on snapshot s_i, a background
@@ -370,8 +378,8 @@ struct RqlOptions {
   /// only (parallel workers fetch concurrently already; the UDF form has
   /// no lookahead — both ignore the flag). Counted in
   /// RqlIterationStats::prefetch_* and traced as kPrefetch. Rejected with
-  /// InvalidArgument in combination with cold_cache_per_iteration: a
-  /// background fetch landing after the per-iteration clear would
+  /// InvalidArgument in combination with RqlCachePolicy::kColdPerIteration:
+  /// a background fetch landing after the per-iteration clear would
   /// silently warm the all-cold baseline (the memo precedent).
   bool async_prefetch = false;
   /// Max pages the pipeline fetches ahead per iteration; 0 = unbounded.
@@ -506,9 +514,10 @@ class RqlEngine {
 
   /// Replaces current_snapshot() calls — outside comments, '...' string
   /// literals and "..." quoted identifiers — with the literal snapshot id:
-  /// the textual half of the paper's rewrite, used by parallel runs where
-  /// the function-based implementation would race. Occurrences inside
-  /// quotes are plain text, not calls, and pass through verbatim.
+  /// the textual half of the paper's rewrite. Runs evaluate
+  /// current_snapshot() as a function on their own handle; the engine uses
+  /// this only to detect whether Qq calls it. Occurrences inside quotes
+  /// are plain text, not calls, and pass through verbatim.
   static std::string ReplaceCurrentSnapshot(const std::string& qq,
                                             retro::SnapshotId snap);
 
@@ -533,6 +542,10 @@ class RqlEngine {
 
  private:
   class MechanismState;
+  /// Where one driver thread answers iterations (rql.cc).
+  struct IterationContext;
+  /// One answered iteration, before the fold (rql.cc).
+  struct Answer;
   class CollateState;
   class AggVariableState;
   class AggTableState;
@@ -545,39 +558,38 @@ class RqlEngine {
   /// iterates the state over every snapshot id.
   Status RunMechanism(const std::string& qs, MechanismState* state);
 
-  /// Parallel variant: Qq evaluated concurrently, results replayed through
-  /// the state sequentially in Qs order.
+  /// Parallel variant: workers answer snapshots concurrently, each on its
+  /// own attached handle; the answers are recorded in Qs order.
   Status RunMechanismParallel(const std::vector<retro::SnapshotId>& snaps,
-                              MechanismState* state);
+                              MechanismState* state, RunScope* run);
 
-  /// One "loop body" invocation of the sequential or UDF-form run `run`:
-  /// with a memo, first tries ReplayIteration; otherwise
-  /// rewrites Qq, runs it on the snapshot, feeds rows to the state, and
-  /// records the iteration cost breakdown.
-  Status RunIteration(retro::SnapshotId snap, MechanismState* state,
-                      RunScope* run);
+  /// One "loop body" of the sequential and UDF-form drivers:
+  /// AnswerIteration, then RecordIteration.
+  Status RunIteration(IterationContext* ctx, MechanismState* state,
+                      retro::SnapshotId snap);
 
-  /// The mechanism fold of one iteration over buffered Qq rows: inside
-  /// one metadata transaction, OnRow for every row and then
-  /// OnIterationEnd, committed on success and rolled back on failure.
-  /// Records the row count in iter->qq_rows, adds the fold time to
-  /// iter->udf_us and collects the result-table counters.
-  Status FoldRows(MechanismState* state, retro::SnapshotId snap,
-                  const std::vector<std::string>& cols,
-                  const std::vector<sql::Row>& rows, RqlIterationStats* iter);
+  /// The iteration body every driver runs on `ctx`: the memo's delta fast
+  /// path or a validated memo entry (ReplayIteration), else Qq executed on
+  /// `ctx`'s handle with the read recorder armed. The sequential and
+  /// UDF-form contexts stream executed rows into the fold; a parallel
+  /// worker buffers them in `out` for RecordIteration.
+  Status AnswerIteration(IterationContext* ctx, MechanismState* state,
+                         retro::SnapshotId snap, Answer* out);
 
-  /// The replay half of a memoized iteration over `set`'s next snapshot
-  /// `snap`: the delta fast path against the state's predecessor, then
-  /// the memo (see RqlOptions::memo). On success folds the replayed rows,
-  /// records the iteration (skipped or memo_hits), publishes a fast-path
-  /// replay into the memo, and returns true; returns false, recording
-  /// nothing, when Qq must execute. `delta_pages` receives the Maplog
-  /// delta's size.
-  Result<bool> ReplayIteration(retro::SnapshotId snap, MechanismState* state,
-                               retro::SnapshotSet* set,
-                               int64_t* delta_pages);
+  /// Folds `answer`'s rows unless they already streamed into the fold
+  /// (OnRow for every row, then OnIterationEnd, inside one metadata
+  /// transaction committed on success and rolled back on failure),
+  /// publishes its memo entry and appends the iteration to the run's
+  /// stats. Runs on the coordinating thread, in Qs order.
+  Status RecordIteration(MechanismState* state, retro::SnapshotId snap,
+                         Answer* answer);
 
-  Status PrepareResultTable(const std::string& table);
+  /// The replay half of a memoized iteration: advances `ctx`'s cursor to
+  /// `snap`, then tries the delta fast path against `ctx`'s predecessor
+  /// and a validated memo entry (see RqlOptions::memo). Returns true with
+  /// the replayed rows in `out`, or false when Qq must execute.
+  Result<bool> ReplayIteration(IterationContext* ctx, MechanismState* state,
+                               retro::SnapshotId snap, Answer* out);
 
   /// True when the caller-owned cancellation flag (RqlOptions::cancel) has
   /// been raised; polled at iteration boundaries.
@@ -601,10 +613,17 @@ class RqlEngine {
   RqlTrace trace_;
   bool trace_on_ = false;
   // UDF-form run: its scope is opened by the first UDF call and closed by
-  // FinishUdfRuns; states are keyed by result table name.
+  // FinishUdfRuns; states, each with its own context, are keyed by result
+  // table name.
+  struct UdfState {
+    std::unique_ptr<MechanismState> state;
+    IterationContext* ctx = nullptr;  // owned by udf_run_
+  };
   std::unique_ptr<RunScope> udf_run_;
-  std::unordered_map<std::string, std::unique_ptr<MechanismState>>
-      udf_states_;
+  std::unordered_map<std::string, UdfState> udf_states_;
+  /// Parallel workers' attached handles on the data database's store,
+  /// created by the first parallel run that needs them and reused.
+  std::vector<std::unique_ptr<sql::Database>> worker_dbs_;
 };
 
 }  // namespace rql

@@ -717,7 +717,8 @@ std::string Server::StatsJson() {
   out << "  \"engine\": {"
       << "\"profile\": \"" << RqlProfileName(engine.profile) << "\""
       << ", \"cold_cache_per_run\": "
-      << (engine.cold_cache_per_run ? "true" : "false") << "},\n";
+      << (engine.cache_policy != RqlCachePolicy::kWarm ? "true" : "false")
+      << "},\n";
   out << "  \"scheduler\": {"
       << "\"queued\": " << scheduler_->queued()
       << ", \"active\": " << scheduler_->active()

@@ -63,13 +63,14 @@ struct ServerOptions {
   /// Base RqlOptions for session engines. The server injects
   /// shared_scan_cache, memo, metrics, session_id and the per-run
   /// cancel/run_id wiring itself; everything else (profile, async_prefetch,
-  /// ...) is taken as configured here. The default serves the fast profile over a
-  /// warm cache: cold_cache_per_run would clear the store-wide snapshot
-  /// cache at every run start, wiping pages other sessions are reading.
+  /// ...) is taken as configured here. The default serves the fast profile
+  /// over a warm cache: RqlCachePolicy::kColdPerRun would clear the
+  /// store-wide snapshot cache at every run start, wiping pages other
+  /// sessions are reading.
   RqlOptions engine = [] {
     RqlOptions o;
     o.profile = RqlProfile::kFast;
-    o.cold_cache_per_run = false;
+    o.cache_policy = RqlCachePolicy::kWarm;
     return o;
   }();
   /// Receives the server gauges (server.active_sessions,
@@ -107,7 +108,8 @@ class Server {
   const std::string& socket_path() const { return options_.socket_path; }
 
   /// The kStats document (also returned over the wire): server, engine
-  /// (the served profile and cold_cache_per_run), scheduler, shared scan
+  /// (the served profile, and cold_cache_per_run: whether the cache policy
+  /// clears the snapshot cache at run start), scheduler, shared scan
   /// cache, memo and store sections. The memo's hits and misses are the
   /// registry's rql.memo_hits / rql.memo_misses counters.
   std::string StatsJson();

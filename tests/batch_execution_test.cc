@@ -273,7 +273,7 @@ TEST(BatchOptionsTest, BatchIncompatibleWithColdCachePerIteration) {
   // profile's batch path is rejected before the result table is touched.
   Fixture f = MakeSparseFixture(7, 6, 4, 2);
   f.engine->mutable_options()->profile = RqlProfile::kFast;
-  f.engine->mutable_options()->cold_cache_per_iteration = true;
+  f.engine->mutable_options()->cache_policy = RqlCachePolicy::kColdPerIteration;
   Status s = f.engine->CollateData("SELECT snap_id FROM SnapIds",
                                    "SELECT item FROM live", "Result");
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();

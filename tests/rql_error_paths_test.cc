@@ -177,11 +177,12 @@ TEST_F(RqlErrorPathsTest, LogFreeMemoAppendsNoLogBytes) {
 
 TEST_F(RqlErrorPathsTest, MemoizeIncompatibleWithColdCachePerIteration) {
   // A memo-replayed iteration reads nothing, so the all-cold baseline that
-  // cold_cache_per_iteration defines would silently not be measured.
+  // RqlCachePolicy::kColdPerIteration defines would silently not be
+  // measured.
   auto memo = retro::MemoTable::Open(&env_, "memo");
   ASSERT_TRUE(memo.ok()) << memo.status().ToString();
   engine_->mutable_options()->memo = memo->get();
-  engine_->mutable_options()->cold_cache_per_iteration = true;
+  engine_->mutable_options()->cache_policy = RqlCachePolicy::kColdPerIteration;
   Status s = engine_->CollateData("SELECT snap_id FROM SnapIds",
                                   "SELECT k FROM t", "Result");
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();

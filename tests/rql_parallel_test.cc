@@ -128,6 +128,57 @@ TEST_P(RqlParallelTest, OrderDependentMechanismsStaySequential) {
   }
 }
 
+TEST_P(RqlParallelTest, ProfilesAndMemoMatchSerial) {
+  // Workers run the sequential iteration body on their own handles, so
+  // every profile and memo combination must fold exactly what the serial
+  // run folds, in the same order — current_snapshot() included.
+  Env e = MakeEnv(12);
+  const std::string qs = "SELECT snap_id FROM SnapIds";
+  const char* collate_qq =
+      "SELECT k, COUNT(*) AS c, current_snapshot() AS sid FROM t GROUP BY k";
+  const char* var_qq = "SELECT SUM(v) + current_snapshot() AS total FROM t";
+  auto dump = [&](const std::string& table) {
+    auto rows = e.meta->Query("SELECT * FROM " + table);
+    EXPECT_TRUE(rows.ok()) << table << ": " << rows.status().ToString();
+    std::vector<std::string> out;
+    if (rows.ok()) {
+      for (const Row& row : rows->rows) out.push_back(sql::EncodeRow(row));
+    }
+    return out;
+  };
+  ASSERT_TRUE(e.engine->CollateData(qs, collate_qq, "SerialC").ok());
+  ASSERT_TRUE(
+      e.engine->AggregateDataInVariable(qs, var_qq, "SerialV", "sum").ok());
+  const std::vector<std::string> serial_c = dump("SerialC");
+  const std::vector<std::string> serial_v = dump("SerialV");
+  ASSERT_FALSE(serial_c.empty());
+
+  for (RqlProfile profile : {RqlProfile::kPaperFaithful, RqlProfile::kFast}) {
+    for (bool memoize : {false, true}) {
+      std::unique_ptr<retro::MemoTable> memo = retro::MemoTable::InMemory();
+      RqlOptions opts;
+      opts.profile = profile;
+      opts.memo = memoize ? memo.get() : nullptr;
+      opts.parallel_workers = GetParam();
+      *e.engine->mutable_options() = opts;
+      const std::string label = std::string(RqlProfileName(profile)) +
+                                (memoize ? "_memo" : "_plain");
+      ASSERT_TRUE(e.engine->CollateData(qs, collate_qq, "C_" + label).ok())
+          << label;
+      const RqlRunStats& stats = e.engine->last_run_stats();
+      EXPECT_TRUE(stats.parallel) << label;
+      EXPECT_EQ(stats.iterations.size(), 12u) << label;
+      EXPECT_EQ(dump("C_" + label), serial_c) << label;
+      ASSERT_TRUE(e.engine
+                      ->AggregateDataInVariable(qs, var_qq, "V_" + label,
+                                                "sum")
+                      .ok())
+          << label;
+      EXPECT_EQ(dump("V_" + label), serial_v) << label;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Workers, RqlParallelTest,
                          ::testing::Values(2, 3, 8));
 
@@ -158,10 +209,56 @@ TEST(RqlParallelStatsTest, TotalUsDerivesFromWallTimeNotPerIterationSums) {
   EXPECT_LE(stats.TotalUs(), expected + eval_sum);
 }
 
+TEST(RqlParallelStatsTest, FastWorkersReusePlansAndAdvanceTheirCursors) {
+  // Under kFast each worker prepares Qq once on its own handle and opens
+  // its snapshots through its own cursor, so a 4-worker run parses at most
+  // four times and derives some SPTs incrementally.
+  Env e = MakeEnv(12);
+  RqlOptions* opts = e.engine->mutable_options();
+  opts->profile = RqlProfile::kFast;
+  opts->parallel_workers = 4;
+  ASSERT_TRUE(e.engine
+                  ->CollateData("SELECT snap_id FROM SnapIds",
+                                "SELECT k, v FROM t WHERE v % 2 = 0", "R")
+                  .ok());
+  const RqlRunStats& stats = e.engine->last_run_stats();
+  ASSERT_TRUE(stats.parallel);
+  EXPECT_GE(stats.qq_parse_count, 1);
+  EXPECT_LE(stats.qq_parse_count, 4);
+  int64_t plan_hits = 0;
+  for (const RqlIterationStats& it : stats.iterations) {
+    plan_hits += it.plan_cache_hits;
+  }
+  EXPECT_EQ(plan_hits + stats.qq_parse_count, 12);
+  // Store counters of a parallel run are run totals: the store's own,
+  // reset when the concurrent phase began.
+  EXPECT_GT(e.data->store()->stats().spt_delta_entries, 0);
+}
+
+TEST(RqlParallelStatsTest, WorkersCallFunctionsRegisteredOnTheDataHandle) {
+  // Workers execute on their own attached handles, which must resolve the
+  // functions registered on the data handle.
+  Env e = MakeEnv(8);
+  e.data->RegisterFunction(
+      "twice", 1, 1, [](const std::vector<Value>& args) -> Result<Value> {
+        return Value::Integer(args[0].AsInt() * 2);
+      });
+  const char* qq = "SELECT k, twice(v) AS w, current_snapshot() AS s FROM t";
+  ASSERT_TRUE(
+      e.engine->CollateData("SELECT snap_id FROM SnapIds", qq, "Serial")
+          .ok());
+  e.engine->mutable_options()->parallel_workers = 4;
+  Status s = e.engine->CollateData("SELECT snap_id FROM SnapIds", qq, "Par");
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_TRUE(e.engine->last_run_stats().parallel);
+  EXPECT_EQ(TableContents(e.meta.get(), "Serial"),
+            TableContents(e.meta.get(), "Par"));
+}
+
 TEST(RqlParallelStatsTest, ColdCachePerIterationRejectedInParallel) {
   Env e = MakeEnv(6);
   e.engine->mutable_options()->parallel_workers = 4;
-  e.engine->mutable_options()->cold_cache_per_iteration = true;
+  e.engine->mutable_options()->cache_policy = RqlCachePolicy::kColdPerIteration;
   Status s = e.engine->CollateData("SELECT snap_id FROM SnapIds",
                                    "SELECT k, v FROM t", "R");
   ASSERT_FALSE(s.ok());
@@ -319,8 +416,9 @@ TEST(RqlTraceParallelTest, TraceWellFormedAndBoundedUnderWorkers) {
 }
 
 TEST(RqlTraceParallelTest, LiteralSurvivesParallelTextualRewrite) {
-  // Parallel workers use the textual current_snapshot() rewrite; a quoted
-  // literal in Qq must come through byte-identical to the serial run.
+  // Parallel workers evaluate current_snapshot() on their own handles; a
+  // quoted literal that looks like the call must come through
+  // byte-identical to the serial run.
   Env e = MakeEnv(6);
   const char* qq =
       "SELECT k, 'current_snapshot()' AS tag, current_snapshot() AS sid "

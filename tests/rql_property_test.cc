@@ -21,12 +21,30 @@ namespace {
 using sql::Row;
 using sql::Value;
 
+/// Qq parses of a run that executed `misses` iterations: one per executed
+/// iteration under kPaperFaithful. Under kFast a sequential run parses
+/// once; in a parallel run each worker that executed an iteration parses
+/// once, which claims decide: at most min(misses, workers), and at least
+/// one when anything executed.
+void ExpectQqParses(const RqlRunStats& stats, bool fast, int64_t misses,
+                    int workers, const std::string& label) {
+  if (!fast) {
+    EXPECT_EQ(stats.qq_parse_count, misses) << label;
+  } else if (!stats.parallel) {
+    EXPECT_EQ(stats.qq_parse_count, std::min<int64_t>(misses, 1)) << label;
+  } else {
+    EXPECT_LE(stats.qq_parse_count, std::min<int64_t>(misses, workers))
+        << label;
+    EXPECT_GE(stats.qq_parse_count, misses > 0 ? 1 : 0) << label;
+  }
+}
+
 /// The run-scoped memo's counter identities (a fresh log-free MemoTable):
-/// every iteration either executed — a miss, and one Qq parse unless
-/// `reuse_plan` — or replayed through the delta fast path, and no log
-/// bytes were appended.
-void ExpectRunScopedMemoCounters(const RqlRunStats& stats, bool reuse_plan,
-                                 const std::string& label) {
+/// every iteration either executed — a miss, parsing Qq as ExpectQqParses
+/// says — or replayed through the delta fast path, and no log bytes were
+/// appended.
+void ExpectRunScopedMemoCounters(const RqlRunStats& stats, bool fast,
+                                 int workers, const std::string& label) {
   int64_t hits = 0, misses = 0, bytes = 0;
   for (const RqlIterationStats& it : stats.iterations) {
     hits += it.memo_hits;
@@ -38,10 +56,7 @@ void ExpectRunScopedMemoCounters(const RqlRunStats& stats, bool reuse_plan,
             static_cast<int64_t>(stats.iterations.size()))
       << label;
   EXPECT_EQ(bytes, 0) << label;
-  // With plan reuse, the first executed iteration parses Qq for the run.
-  EXPECT_EQ(stats.qq_parse_count, reuse_plan ? std::min<int64_t>(misses, 1)
-                                             : misses)
-      << label;
+  ExpectQqParses(stats, fast, misses, workers, label);
 }
 
 // The whole suite runs through a FaultInjectionEnv with nothing armed:
@@ -681,19 +696,17 @@ TEST_P(RqlPropertyTest, PageSharingFlagsPreserveAllMechanismOutputs) {
           EXPECT_GT(stats.shared_page_hits, 0) << table;
         }
         if (c.memo) {
-          ExpectRunScopedMemoCounters(
-              stats, profile == RqlProfile::kFast && !stats.parallel, table);
+          ExpectRunScopedMemoCounters(stats, profile == RqlProfile::kFast,
+                                      c.workers, table);
           if (!stats.parallel) {
             EXPECT_GT(stats.iterations_skipped, 0) << table;
           }
         }
-        if (!stats.parallel) {
-          int64_t skipped = 0;
-          for (const RqlIterationStats& it : stats.iterations) {
-            if (it.skipped) ++skipped;
-          }
-          EXPECT_EQ(skipped, stats.iterations_skipped) << table;
+        int64_t skipped = 0;
+        for (const RqlIterationStats& it : stats.iterations) {
+          if (it.skipped) ++skipped;
         }
+        EXPECT_EQ(skipped, stats.iterations_skipped) << table;
       }
     }
   }
@@ -852,20 +865,14 @@ TEST_P(RqlPropertyTest, MemoizationPreservesAllMechanismOutputs) {
       EXPECT_GT(cold.misses, 0) << table;
       EXPECT_GT(cold.bytes, 0) << table;
       // Every iteration either executed (a miss) or replayed through the
-      // delta fast path; only executed iterations parse Qq, and a
-      // sequential kFast run parses it once for all of them.
-      const bool reuse_plan =
-          c.fast && !f.engine->last_run_stats().parallel;
-      auto expected_parses = [reuse_plan](int64_t misses) {
-        return reuse_plan ? std::min<int64_t>(misses, 1) : misses;
-      };
+      // delta fast path; only executed iterations parse Qq, and a kFast
+      // run parses it once for all of them (once per worker in parallel).
       EXPECT_EQ(cold.misses + f.engine->last_run_stats().iterations_skipped,
                 static_cast<int64_t>(
                     f.engine->last_run_stats().iterations.size()))
           << table;
-      EXPECT_EQ(f.engine->last_run_stats().qq_parse_count,
-                expected_parses(cold.misses))
-          << table;
+      ExpectQqParses(f.engine->last_run_stats(), c.fast, cold.misses,
+                     c.workers, table + "_cold");
 
       run_cache.Clear();
       f.data->store()->ClearSnapshotCache();
@@ -878,7 +885,7 @@ TEST_P(RqlPropertyTest, MemoizationPreservesAllMechanismOutputs) {
       auto warm = memo_sums(stats);
       EXPECT_GT(warm.hits, 0) << table;
       // A replayed iteration parses nothing, sequential or parallel.
-      EXPECT_EQ(stats.qq_parse_count, expected_parses(warm.misses)) << table;
+      ExpectQqParses(stats, c.fast, warm.misses, c.workers, table + "_warm");
       // Every iteration of the warm run replays: from the memo, or through
       // the delta fast path where the predecessor already proves it.
       EXPECT_EQ(warm.hits + stats.iterations_skipped,
@@ -1057,7 +1064,7 @@ TEST(RqlPrefetchOptionsTest, PrefetchIncompatibleWithColdCachePerIteration) {
   // the all-cold baseline the flag exists to measure.
   Fixture f = MakeSparseFixture(9, 6, 4, 2);
   f.engine->mutable_options()->async_prefetch = true;
-  f.engine->mutable_options()->cold_cache_per_iteration = true;
+  f.engine->mutable_options()->cache_policy = RqlCachePolicy::kColdPerIteration;
   Status s = f.engine->CollateData("SELECT snap_id FROM SnapIds",
                                    "SELECT item FROM live", "Result");
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();

@@ -158,7 +158,7 @@ TEST(ServerTest, SessionLifecycle) {
   // The default server serves the fast profile over a warm cache, and
   // says so; embedded engines stay paper-faithful.
   EXPECT_EQ(RqlOptions{}.profile, RqlProfile::kPaperFaithful);
-  EXPECT_TRUE(RqlOptions{}.cold_cache_per_run);
+  EXPECT_EQ(RqlOptions{}.cache_policy, RqlCachePolicy::kColdPerRun);
   auto stats = (*client)->StatsJson();
   ASSERT_TRUE(stats.ok());
   EXPECT_NE(stats->find("\"active_sessions\": 1"), std::string::npos);

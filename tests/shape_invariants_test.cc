@@ -64,11 +64,11 @@ TEST_F(ShapeInvariantsTest, SharingReducesTotalFetches) {
       engine->AggregateDataInVariable(qs, qq, "Result", "avg").ok());
   int64_t shared = TotalPagelogPages(engine->last_run_stats());
 
-  engine->mutable_options()->cold_cache_per_iteration = true;
+  engine->mutable_options()->cache_policy = RqlCachePolicy::kColdPerIteration;
   ASSERT_TRUE(
       engine->AggregateDataInVariable(qs, qq, "Result", "avg").ok());
   int64_t all_cold = TotalPagelogPages(engine->last_run_stats());
-  engine->mutable_options()->cold_cache_per_iteration = false;
+  engine->mutable_options()->cache_policy = RqlCachePolicy::kColdPerRun;
 
   EXPECT_LT(shared, all_cold / 2);
 }

@@ -125,44 +125,35 @@ std::vector<IterRow> RowsFromTrace(const RqlTrace& trace) {
         rows.push_back(row);
         break;
       }
-      case RqlTraceEventType::kMemoHit: {
-        // Parallel runs emit begin/end around the worker's probe and the
-        // replay loop adds the memo_hit event afterwards: fold it into
-        // the worker's row. Sequential hits have no begin/end pair, so
-        // the event stands alone.
-        bool merged = false;
+      case RqlTraceEventType::kMemoHit:
+      case RqlTraceEventType::kIterationSkip: {
+        // Parallel runs emit begin/end around the worker's answer and the
+        // record loop adds the replay event afterwards: fold it into the
+        // worker's row. Sequential replays have no begin/end pair, so the
+        // event stands alone.
+        IterRow* row = nullptr;
         for (auto it = rows.rbegin(); it != rows.rend(); ++it) {
-          if (it->snapshot == ev.snapshot && !it->memo_hit && !it->skipped) {
-            it->memo_hit = true;
-            it->validated_pages = ev.args[1];
-            it->qq_rows = ev.args[2];
-            it->udf_us += ev.args[3];
-            merged = true;
+          if (it->worker != 0 && it->snapshot == ev.snapshot &&
+              !it->memo_hit && !it->skipped) {
+            row = &*it;
             break;
           }
         }
-        if (merged) break;
-        IterRow row;
-        row.index = ev.args[0];
-        row.snapshot = ev.snapshot;
-        row.worker = ev.worker;
-        row.memo_hit = true;
-        row.validated_pages = ev.args[1];
-        row.qq_rows = ev.args[2];
-        row.udf_us = ev.args[3];
-        rows.push_back(row);
-        break;
-      }
-      case RqlTraceEventType::kIterationSkip: {
-        IterRow row;
-        row.index = ev.args[0];
-        row.snapshot = ev.snapshot;
-        row.worker = ev.worker;
-        row.skipped = true;
-        row.delta_pages = ev.args[1];
-        row.qq_rows = ev.args[2];
-        row.udf_us = ev.args[3];
-        rows.push_back(row);
+        if (row == nullptr) {
+          row = &rows.emplace_back();
+          row->index = ev.args[0];
+          row->snapshot = ev.snapshot;
+          row->worker = ev.worker;
+        }
+        if (ev.type == RqlTraceEventType::kMemoHit) {
+          row->memo_hit = true;
+          row->validated_pages = ev.args[1];
+        } else {
+          row->skipped = true;
+          row->delta_pages = ev.args[1];
+        }
+        row->qq_rows = ev.args[2];
+        row->udf_us += ev.args[3];
         break;
       }
       default:
