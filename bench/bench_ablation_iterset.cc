@@ -3,14 +3,13 @@
 // The paper's RQL loop pays three per-iteration setup costs that are
 // invariant (or nearly so) across the snapshots of one Qs set: the SPT
 // build scans the same Maplog suffix again and again, Qq is re-lexed,
-// re-parsed and re-planned per snapshot, and archived pages are demand-
-// fetched in random Pagelog order. This bench compares the paper-faithful
-// profile against RqlProfile::kFast (incremental SPT, one Qq plan per
-// run, vectorized scans) and RqlOptions::batch_pagelog_reads, alone and
-// combined, over ordered snapshot sets of 10 / 50 / 100 old snapshots
-// (CollateData, UW30) and reports, per config: cumulative Maplog pages
-// scanned, cumulative simulated SPT time, Qq parse/plan invocations,
-// batched archive reads, and total run time.
+// re-parsed and re-planned per snapshot, and Qq is evaluated row at a
+// time. This bench compares the paper-faithful profile against
+// RqlProfile::kFast (incremental SPT, one Qq plan per run, vectorized
+// scans) over ordered snapshot sets of 10 / 50 / 100 old snapshots
+// (CollateData, UW30) and reports, per profile: cumulative Maplog pages
+// scanned, cumulative simulated SPT time, Qq parse/plan invocations, and
+// total run time.
 // Result tables are compared byte-for-byte against the baseline run.
 //
 // Machine-readable output goes to BENCH_iterset.json (CI artifact).
@@ -25,20 +24,16 @@ namespace {
 struct Config {
   const char* name;
   RqlProfile profile;
-  bool batch;
 };
 
 constexpr Config kConfigs[] = {
-    {"baseline", RqlProfile::kPaperFaithful, false},
-    {"fast", RqlProfile::kFast, false},
-    {"batch_pagelog_reads", RqlProfile::kPaperFaithful, true},
-    {"all_on", RqlProfile::kFast, true},
+    {"baseline", RqlProfile::kPaperFaithful},
+    {"fast", RqlProfile::kFast},
 };
 
 struct RunResult {
   int64_t maplog_pages = 0;       // cumulative, over all iterations
   int64_t spt_delta_entries = 0;
-  int64_t batched_reads = 0;
   int64_t plan_cache_hits = 0;
   int64_t qq_parses = 0;
   double spt_ms = 0;
@@ -52,7 +47,6 @@ RunResult RunConfig(tpch::History* history, const Config& config,
   RqlEngine* engine = history->engine();
   RqlOptions* opts = engine->mutable_options();
   opts->profile = config.profile;
-  opts->batch_pagelog_reads = config.batch;
   // Comparable Pagelog I/O across configs: every run starts cold.
   history->data()->store()->ClearSnapshotCache();
 
@@ -69,7 +63,6 @@ RunResult RunConfig(tpch::History* history, const Config& config,
   r.total_ms = delta.counter("rql.total_us") / 1000.0;
   r.maplog_pages = delta.counter("rql.maplog_pages");
   r.spt_delta_entries = delta.counter("rql.spt_delta_entries");
-  r.batched_reads = delta.counter("rql.batched_pagelog_reads");
   r.plan_cache_hits = delta.counter("rql.plan_cache_hits");
   r.spt_ms = delta.counter("rql.spt_build_us") / 1000.0;
   r.io_ms = delta.counter("rql.io_us") / 1000.0;
@@ -81,7 +74,6 @@ RunResult RunConfig(tpch::History* history, const Config& config,
   }
 
   opts->profile = RqlProfile::kPaperFaithful;
-  opts->batch_pagelog_reads = false;
   return r;
 }
 
@@ -107,9 +99,9 @@ int Run() {
   for (int count : counts) {
     std::string qs = history->QsInterval(1, count);
     std::printf("\n-- %d-snapshot set --\n", count);
-    std::printf("%-22s %12s %10s %10s %10s %10s %10s %10s\n", "config",
+    std::printf("%-22s %12s %10s %10s %10s %10s %10s\n", "config",
                 "maplog_pg", "spt_ms", "io_ms", "total_ms", "parses",
-                "plan_hits", "batched");
+                "plan_hits");
 
     RunResult baseline;
     json.BeginObject();
@@ -118,12 +110,11 @@ int Run() {
     for (size_t c = 0; c < sizeof(kConfigs) / sizeof(kConfigs[0]); ++c) {
       const Config& config = kConfigs[c];
       RunResult r = RunConfig(history, config, qs, qq);
-      std::printf("%-22s %12lld %10.2f %10.2f %10.2f %10lld %10lld %10lld\n",
+      std::printf("%-22s %12lld %10.2f %10.2f %10.2f %10lld %10lld\n",
                   config.name, static_cast<long long>(r.maplog_pages),
                   r.spt_ms, r.io_ms, r.total_ms,
                   static_cast<long long>(r.qq_parses),
-                  static_cast<long long>(r.plan_cache_hits),
-                  static_cast<long long>(r.batched_reads));
+                  static_cast<long long>(r.plan_cache_hits));
       json.BeginObject();
       json.Field("name", config.name);
       json.Field("maplog_pages", r.maplog_pages);
@@ -132,7 +123,6 @@ int Run() {
       json.Field("total_ms", r.total_ms);
       json.Field("qq_parses", r.qq_parses);
       json.Field("plan_cache_hits", r.plan_cache_hits);
-      json.Field("batched_pagelog_reads", r.batched_reads);
       json.Field("spt_delta_entries", r.spt_delta_entries);
       json.EndObject();
 
@@ -183,8 +173,7 @@ int Run() {
               "snapshots the\nfast profile's incremental SPT cuts cumulative "
               "Maplog pages >= 2x (one suffix\nscan plus inter-mark deltas "
               "instead of a scan per snapshot), its plan reuse cuts\nQq "
-              "parse/plan invocations %dx -> 1, and batched reads shift "
-              "Pagelog I/O to the\ncheaper sequential rate.\n", 100);
+              "parse/plan invocations %dx -> 1.\n", 100);
   std::printf("checks: %s\n", checks_ok ? "OK" : "FAILED");
   return checks_ok ? 0 : 1;
 }

@@ -1,6 +1,5 @@
 #include "retro/snapshot_store.h"
 
-#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -271,9 +270,6 @@ Status SnapshotStore::TruncateHistory(SnapshotId keep_from) {
   RQL_ASSIGN_OR_RETURN(maplog_, Maplog::Open(env_, maplog_name));
   RQL_RETURN_IF_ERROR(maplog_->RecoverModEpochs(&mod_epoch_, &latest_snap_,
                                                 &last_capture_offset_));
-  // Published before the cache clear: a background prefetcher that
-  // re-checks the epoch after this store observes the bump no later than
-  // it could observe recycled offsets, and abandons its stale plan.
   truncate_epoch_.fetch_add(1, std::memory_order_acq_rel);
   snapshot_cache_.Clear();
   // Cached shared SPTs hold pre-compaction Pagelog offsets (recycled
@@ -305,9 +301,6 @@ Result<std::unique_ptr<SnapshotView>> SnapshotStore::OpenSnapshot(
         maplog_->BuildSpt(snap, &view->spt_, &view->resume_index_, &build);
     AddSptBuildStats(build);
     RQL_RETURN_IF_ERROR(s);
-  }
-  if (batch_archive_reads()) {
-    RQL_RETURN_IF_ERROR(PrefetchArchived(*view));
   }
   return view;
 }
@@ -359,9 +352,6 @@ Result<std::unique_ptr<SnapshotView>> SnapshotSet::Open(SnapshotId snap) {
   view->resume_index_ = store_->maplog_->entry_count();
   store_->AddSptBuildStats(build, delta_entries);
   view->set_version_recorder(version_recorder_);
-  if (store_->batch_archive_reads()) {
-    RQL_RETURN_IF_ERROR(store_->PrefetchArchived(*view));
-  }
   return view;
 }
 
@@ -426,8 +416,8 @@ Status SnapshotStore::FillSptShared(SnapshotId snap, SnapshotView* view) {
 }
 
 storage::BufferPool::Loader SnapshotStore::MakeArchiveLoader(
-    int64_t* fetches, bool prefetch) {
-  return [this, fetches, prefetch](uint64_t off, storage::Page* p) {
+    int64_t* fetches) {
+  return [this, fetches](uint64_t off, storage::Page* p) {
     // Diff-chain reconstruction may touch several records; each counts as
     // an archive fetch (the Thresher trade-off).
     const int64_t fetches_before = *fetches;
@@ -444,22 +434,14 @@ storage::BufferPool::Loader SnapshotStore::MakeArchiveLoader(
         simulated_archive_latency_us_.load(std::memory_order_relaxed);
     if (s.ok() && latency_us > 0) {
       // With bounded fetch slots the sleep itself queues, so concurrent
-      // fetches beyond the archive's bandwidth serialize (the slot limit
-      // is re-read inside the wait: shrinking it mid-run is safe, callers
-      // waiting under an older, larger bound wake as slots free up).
-      // Prefetch loads additionally yield to demand: a background fetch
-      // stays parked while any foreground reader wants a slot, so warming
-      // ahead spends only the bandwidth the query leaves idle.
+      // fetches beyond the archive's bandwidth serialize.
       const int slots =
           simulated_archive_fetch_slots_.load(std::memory_order_relaxed);
       if (slots > 0) {
         std::unique_lock<std::mutex> slot_lock(archive_fetch_mu_);
-        if (!prefetch) ++demand_slot_waiters_;
-        archive_fetch_cv_.wait(slot_lock, [this, slots, prefetch] {
-          if (archive_fetches_inflight_ >= slots) return false;
-          return !(prefetch && demand_slot_waiters_ > 0);
+        archive_fetch_cv_.wait(slot_lock, [this, slots] {
+          return archive_fetches_inflight_ < slots;
         });
-        if (!prefetch) --demand_slot_waiters_;
         ++archive_fetches_inflight_;
       }
       std::this_thread::sleep_for(std::chrono::microseconds(latency_us));
@@ -468,66 +450,13 @@ storage::BufferPool::Loader SnapshotStore::MakeArchiveLoader(
           std::lock_guard<std::mutex> slot_lock(archive_fetch_mu_);
           --archive_fetches_inflight_;
         }
-        // All, not one: demand and prefetch waiters have different wake
-        // predicates, and a single notify could land on a prefetch that
-        // immediately re-parks behind a waiting demand reader.
+        // All, not one: waiters that read different slot limits wake on
+        // different predicates.
         archive_fetch_cv_.notify_all();
       }
     }
     return s;
   };
-}
-
-Status SnapshotStore::PrefetchArchived(const SnapshotView& view) {
-  std::vector<uint64_t> missing;
-  missing.reserve(view.spt_.size());
-  // The batched sweep is the demand front-end for every page the
-  // iteration maps, so it must credit the background prefetcher the same
-  // way ReadArchivedPinned does: a page served without a fresh load —
-  // already resident or coalesced onto an in-flight fetch — is a demand
-  // read a prefetched page saved.
-  auto* tracker = prefetch_tracker_.load(std::memory_order_acquire);
-  for (const auto& [page, offset] : view.spt_) {
-    if (!snapshot_cache_.Lookup(offset)) {
-      missing.push_back(offset);
-    } else if (tracker != nullptr) {
-      tracker->OnArchivedPageServed(offset);
-    }
-  }
-  std::sort(missing.begin(), missing.end());
-  int64_t batched = 0;
-  int64_t retries = 0;
-  Status s = Status::OK();
-  for (uint64_t offset : missing) {
-    int64_t fetches = 0;
-    storage::BufferPool::GetOutcome outcome;
-    auto fetch = [&]() {
-      fetches = 0;
-      outcome = {};
-      return snapshot_cache_.Get(offset, MakeArchiveLoader(&fetches),
-                                 &outcome);
-    };
-    Result<storage::PinnedPage> page = fetch();
-    for (int r = 0; !page.ok() && r < archive_read_retries(); ++r) {
-      ++retries;
-      page = fetch();
-    }
-    if (!page.ok()) {
-      s = page.status();
-      break;
-    }
-    if (outcome.loaded) {
-      batched += fetches;
-    } else if (tracker != nullptr) {
-      tracker->OnArchivedPageServed(offset);
-    }
-  }
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    stats_.batched_pagelog_reads += batched;
-    stats_.archive_read_retries += retries;
-  }
-  return s;
 }
 
 Status SnapshotStore::ReadArchived(uint64_t pagelog_offset,
@@ -570,13 +499,6 @@ Result<storage::PinnedPage> SnapshotStore::ReadArchivedPinned(
         ++stats_.snapshot_cache_hits;
       }
     }
-  }
-  if (result.ok() && !outcome.loaded) {
-    // Served without loading (hit or coalesced): tell the prefetcher, so
-    // it can attribute the save to a page it fetched ahead. Outside
-    // stats_mu_ — the tracker synchronizes internally.
-    auto* tracker = prefetch_tracker_.load(std::memory_order_acquire);
-    if (tracker != nullptr) tracker->OnArchivedPageServed(pagelog_offset);
   }
   return result;
 }

@@ -22,18 +22,6 @@
 
 namespace rql::retro {
 
-/// Consumer-side callback of a background prefetcher: the store invokes it
-/// whenever a demand read was served an archived page without running its
-/// own load (a snapshot-cache hit, or a wait coalesced onto an in-flight
-/// load). The prefetcher matches the offset against what it fetched ahead
-/// to attribute prefetch hits. Implementations must be thread-safe; the
-/// callback runs on reader threads with no store lock held.
-class PrefetchTracker {
- public:
-  virtual ~PrefetchTracker() = default;
-  virtual void OnArchivedPageServed(uint64_t pagelog_offset) = 0;
-};
-
 /// Simulated device costs used to convert page-fetch counts into time.
 /// The paper's testbed keeps the current database memory-resident and the
 /// Pagelog on SSD; we model that with a per-page charge for Pagelog and
@@ -43,10 +31,6 @@ struct CostModel {
   int64_t pagelog_read_us = 100;     // one 4K random read from the archive
   int64_t maplog_page_read_us = 100; // one log page during an SPT scan
   int64_t db_read_us = 0;            // current state is memory-resident
-  /// One archive page fetched by a batched, offset-ordered pass
-  /// (set_batch_archive_reads): sequential SSD reads are ~5x cheaper than
-  /// the random reads the demand path issues.
-  int64_t pagelog_seq_read_us = 20;
 };
 
 /// Per-iteration cost counters. The RQL runner resets this before invoking
@@ -56,9 +40,6 @@ struct IterationStats {
   int64_t pagelog_page_reads = 0;  // snapshot-cache misses -> archive I/O
   int64_t snapshot_cache_hits = 0;
   int64_t db_page_reads = 0;       // snapshot pages shared with current db
-  /// Archive pages fetched by the batched, offset-ordered prefetch pass
-  /// (charged at CostModel::pagelog_seq_read_us, not pagelog_read_us).
-  int64_t batched_pagelog_reads = 0;
   /// Maplog entries covered by incremental SPT advances inside a snapshot
   /// set (subset of spt.entries_scanned).
   int64_t spt_delta_entries = 0;
@@ -88,7 +69,6 @@ struct IterationStats {
     pagelog_page_reads += o.pagelog_page_reads;
     snapshot_cache_hits += o.snapshot_cache_hits;
     db_page_reads += o.db_page_reads;
-    batched_pagelog_reads += o.batched_pagelog_reads;
     spt_delta_entries += o.spt_delta_entries;
     archive_read_retries += o.archive_read_retries;
     coalesced_loads += o.coalesced_loads;
@@ -102,7 +82,6 @@ struct IterationStats {
   /// Simulated Pagelog I/O time.
   int64_t IoUs(const CostModel& cm) const {
     return pagelog_page_reads * cm.pagelog_read_us +
-           batched_pagelog_reads * cm.pagelog_seq_read_us +
            db_page_reads * cm.db_read_us;
   }
 
@@ -338,18 +317,6 @@ class SnapshotStore : public storage::PageWriter {
         new SnapshotSet(this, truncate_epoch()));
   }
 
-  /// When enabled, OpenSnapshot prefetches the view's SPT-resident pages
-  /// that miss the snapshot cache in one Pagelog-offset-ordered pass,
-  /// charged at CostModel::pagelog_seq_read_us per fetched page
-  /// (IterationStats::batched_pagelog_reads). Query-time reads then hit
-  /// the cache; results are unchanged.
-  void set_batch_archive_reads(bool on) {
-    batch_archive_reads_.store(on, std::memory_order_relaxed);
-  }
-  bool batch_archive_reads() const {
-    return batch_archive_reads_.load(std::memory_order_relaxed);
-  }
-
   /// Bounded retry budget for transient Pagelog read failures (flaky
   /// media): a failed archive read is re-issued up to `n` times before the
   /// error propagates. Each retry is counted in
@@ -397,23 +364,6 @@ class SnapshotStore : public storage::PageWriter {
     return simulated_archive_latency_us_.load(std::memory_order_relaxed);
   }
 
-  /// Arms (or with nullptr disarms) a prefetch-consumption tracker: every
-  /// demand archive read served without a fresh load (cache hit or
-  /// coalesced wait) reports its Pagelog offset, letting a background
-  /// prefetcher count which of its fetches were consumed. The tracker must
-  /// outlive its registration; retro::PrefetchScheduler deregisters itself
-  /// (compare-and-swap, so overlapping schedulers never clear each other's
-  /// registration) on shutdown.
-  void set_prefetch_tracker(PrefetchTracker* tracker) {
-    prefetch_tracker_.store(tracker, std::memory_order_release);
-  }
-  /// Atomically replaces `expected` with nullptr; used by a tracker
-  /// deregistering itself without clobbering a newer registration.
-  void clear_prefetch_tracker(PrefetchTracker* expected) {
-    prefetch_tracker_.compare_exchange_strong(expected, nullptr,
-                                              std::memory_order_acq_rel);
-  }
-
   /// Arms (or with nullptr disarms) a histogram observing, per successful
   /// archive read, the diff-chain depth the read walked (records touched
   /// minus one — identical to Pagelog::DepthAt for the read's offset, but
@@ -428,8 +378,8 @@ class SnapshotStore : public storage::PageWriter {
 
   /// Monotonic count of completed TruncateHistory compactions. Pagelog
   /// offsets are only comparable within one epoch: compaction rewrites the
-  /// log and recycles offsets, so a background prefetcher snapshots the
-  /// epoch when it plans and abandons the plan if the epoch moved.
+  /// log and recycles offsets, so a snapshot-set cursor records the epoch
+  /// it was built in and rebases when the epoch moved.
   uint64_t truncate_epoch() const {
     return truncate_epoch_.load(std::memory_order_acquire);
   }
@@ -513,11 +463,6 @@ class SnapshotStore : public storage::PageWriter {
  private:
   friend class SnapshotView;
   friend class SnapshotSet;
-  // The background prefetch pipeline plans against the Maplog under the
-  // shared half of mu_ and issues loads through the snapshot cache with
-  // the prefetch-flagged loader; it lives in this layer, so narrow access
-  // beats widening the public surface.
-  friend class PrefetchScheduler;
 
   SnapshotStore(Options options) : options_(options), snapshot_cache_(0) {}
 
@@ -540,16 +485,8 @@ class SnapshotStore : public storage::PageWriter {
 
   /// The snapshot-cache loader for archive offset keys: a Pagelog read
   /// (counting records into `*fetches`) plus the optional simulated
-  /// latency sleep. With `prefetch` the simulated-bandwidth slot wait
-  /// yields to any waiting demand reader (background fetches get the
-  /// archive's leftover bandwidth, never priority over the foreground).
-  storage::BufferPool::Loader MakeArchiveLoader(int64_t* fetches,
-                                                bool prefetch = false);
-
-  /// Fetches `view`'s SPT entries missing from the snapshot cache in one
-  /// offset-ordered pass (set_batch_archive_reads). Requires at least a
-  /// shared hold on mu_ (the view's SPT must be stable).
-  Status PrefetchArchived(const SnapshotView& view);
+  /// latency sleep, queued behind the simulated fetch slots.
+  storage::BufferPool::Loader MakeArchiveLoader(int64_t* fetches);
 
   /// Requires mu_ held exclusively.
   Result<SnapshotId> DeclareSnapshotLocked();
@@ -596,7 +533,6 @@ class SnapshotStore : public storage::PageWriter {
   // commit is atomic and rollback simply drops the batch.
   bool in_txn_ = false;
 
-  std::atomic<bool> batch_archive_reads_{false};
   std::atomic<int> archive_read_retries_{0};
   // Cross-run SPT sharing (set_share_spt_builds). An entry is created by
   // the first opener of a snapshot and completed under its own mutex;
@@ -617,14 +553,10 @@ class SnapshotStore : public storage::PageWriter {
   std::unordered_map<SnapshotId, std::shared_ptr<SharedSpt>> spt_shared_;
   std::atomic<int64_t> simulated_archive_latency_us_{0};
   std::atomic<int> simulated_archive_fetch_slots_{0};
-  std::mutex archive_fetch_mu_;  // guards the two slot-wait counters below
+  std::mutex archive_fetch_mu_;  // guards archive_fetches_inflight_
   std::condition_variable archive_fetch_cv_;
   int archive_fetches_inflight_ = 0;
-  // Demand readers currently waiting for (or about to claim) a fetch
-  // slot; prefetch loaders stay parked while this is nonzero.
-  int demand_slot_waiters_ = 0;
   std::atomic<uint64_t> truncate_epoch_{0};
-  std::atomic<PrefetchTracker*> prefetch_tracker_{nullptr};
   std::atomic<MetricsRegistry::Histogram*> diff_depth_hist_{nullptr};
 
   IterationStats stats_;

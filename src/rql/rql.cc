@@ -9,7 +9,6 @@
 #include <variant>
 
 #include "common/clock.h"
-#include "retro/prefetch_scheduler.h"
 #include "sql/btree.h"
 #include "sql/executor.h"
 #include "sql/fingerprint.h"
@@ -724,6 +723,18 @@ const char* RqlProfileName(RqlProfile profile) {
   return profile == RqlProfile::kFast ? "fast" : "paper_faithful";
 }
 
+const char* RqlCachePolicyName(RqlCachePolicy policy) {
+  switch (policy) {
+    case RqlCachePolicy::kColdPerRun:
+      return "cold_per_run";
+    case RqlCachePolicy::kWarm:
+      return "warm";
+    case RqlCachePolicy::kColdPerIteration:
+      return "cold_per_iteration";
+  }
+  return "unknown";
+}
+
 RqlEngine::RqlEngine(sql::Database* data_db, sql::Database* meta_db,
                      RqlOptions options)
     : data_db_(data_db), meta_db_(meta_db), options_(std::move(options)) {}
@@ -955,12 +966,10 @@ void RqlEngine::PublishRunMetrics() {
   int64_t pagelog_pages = 0, db_pages = 0, cache_hits = 0, qq_rows = 0;
   int64_t result_probes = 0, result_inserts = 0, result_updates = 0;
   int64_t maplog_pages = 0, spt_delta_entries = 0, plan_cache_hits = 0;
-  int64_t batched_pagelog_reads = 0, delta_pages_scanned = 0;
+  int64_t delta_pages_scanned = 0;
   int64_t batches_scanned = 0, batch_rows = 0, batch_fallback_rows = 0;
   int64_t memo_hits = 0, memo_misses = 0, memo_bytes = 0;
   int64_t memo_evictions = 0;
-  int64_t prefetch_issued = 0, prefetch_hits = 0, prefetch_wasted = 0;
-  int64_t prefetch_cancelled = 0;
   retro::MetricsRegistry::Histogram* iter_hist =
       reg->GetHistogram("rql.iteration_us");
   for (const RqlIterationStats& it : stats_.iterations) {
@@ -979,7 +988,6 @@ void RqlEngine::PublishRunMetrics() {
     maplog_pages += it.maplog_pages;
     spt_delta_entries += it.spt_delta_entries;
     plan_cache_hits += it.plan_cache_hits;
-    batched_pagelog_reads += it.batched_pagelog_reads;
     delta_pages_scanned += it.delta_pages_scanned;
     batches_scanned += it.batches_scanned;
     batch_rows += it.batch_rows;
@@ -988,10 +996,6 @@ void RqlEngine::PublishRunMetrics() {
     memo_misses += it.memo_misses;
     memo_bytes += it.memo_bytes;
     memo_evictions += it.memo_evictions;
-    prefetch_issued += it.prefetch_issued;
-    prefetch_hits += it.prefetch_hits;
-    prefetch_wasted += it.prefetch_wasted;
-    prefetch_cancelled += it.prefetch_cancelled;
     iter_hist->ObserveUs(it.TotalUs());
   }
   add("rql.io_us", io_us);
@@ -1009,7 +1013,6 @@ void RqlEngine::PublishRunMetrics() {
   add("rql.maplog_pages", maplog_pages);
   add("rql.spt_delta_entries", spt_delta_entries);
   add("rql.plan_cache_hits", plan_cache_hits);
-  add("rql.batched_pagelog_reads", batched_pagelog_reads);
   add("rql.delta_pages_scanned", delta_pages_scanned);
   add("rql.batches_scanned", batches_scanned);
   add("rql.batch_rows", batch_rows);
@@ -1018,25 +1021,19 @@ void RqlEngine::PublishRunMetrics() {
   add("rql.memo_misses", memo_misses);
   add("rql.memo_bytes", memo_bytes);
   add("rql.memo_evictions", memo_evictions);
-  add("rql.prefetch_issued", prefetch_issued);
-  add("rql.prefetch_hits", prefetch_hits);
-  add("rql.prefetch_wasted", prefetch_wasted);
-  add("rql.prefetch_cancelled", prefetch_cancelled);
   reg->GetHistogram("rql.run_us")->ObserveUs(stats_.TotalUs());
 }
 
 namespace {
 
 /// Bit encoding of the profile and opt-in flags for the kRunBegin trace
-/// event (bits 8 and 16 are retired; see trace.h). kFast sets the bits of
-/// the three flags it replaced (1 | 2 | 32), and a memo the bit of the
-/// flag it replaced (64), so older traces still read.
+/// event (bits 4, 8, 16 and 256 are retired; see trace.h). kFast sets the
+/// bits of the three flags it replaced (1 | 2 | 32), and a memo the bit of
+/// the flag it replaced (64), so older traces still read.
 int64_t OptionFlagBits(const RqlOptions& o) {
   return (o.profile == RqlProfile::kFast ? 1 | 2 | 32 : 0) |
-         (o.batch_pagelog_reads ? 4 : 0) |
          (o.memo != nullptr ? 64 : 0) |
-         (o.shared_scan_cache != nullptr ? 128 : 0) |
-         (o.async_prefetch ? 256 : 0);
+         (o.shared_scan_cache != nullptr ? 128 : 0);
 }
 
 /// Rejects invalid option combinations before a run touches anything;
@@ -1067,10 +1064,6 @@ Status ValidateRunOptions(const RqlOptions& o, bool parallel) {
        "cache_policy kColdPerIteration is incompatible with "
        "shared_scan_cache (a store-scoped cache serves pages other runs "
        "decoded, so the all-cold baseline would not be measured)"},
-      {cold && o.async_prefetch,
-       "cache_policy kColdPerIteration is incompatible with async_prefetch "
-       "(a background fetch landing after the clear would warm the "
-       "all-cold baseline)"},
   };
   for (const Rule& rule : rules) {
     if (rule.violated) return Status::InvalidArgument(rule.message);
@@ -1195,8 +1188,6 @@ struct RqlEngine::IterationContext {
   /// iteration's successor step only if the cursor still sits there: an
   /// explicit AS OF inside Qq opens through the cursor too and moves it.
   retro::SnapshotId last_snap = retro::kNoSnapshot;
-  /// The async_prefetch pipeline (sequential runs only), or null.
-  retro::PrefetchScheduler* prefetch = nullptr;
 };
 
 /// One answered iteration, as AnswerIteration leaves it for
@@ -1220,16 +1211,12 @@ struct RqlEngine::Answer {
 /// and UDF-form drivers. Construction restarts the run's stats and trace.
 /// Begin() arms the store once the run has passed validation: the
 /// kRunBegin event, the cold start, read retries and the diff-depth feed,
-/// SPT-build sharing under a scan cache, batched archive reads (not for
-/// parallel runs) and the prefetch pipeline (only for the sequential
-/// loop). NewContext() arms each handle the run executes on: the scan
-/// cache and batch execution (kFast). Destruction disarms whatever was
-/// armed, on every exit path. Finish() ends the run's observable life:
-/// kRunEnd and the metrics publish.
+/// and SPT-build sharing under a scan cache. NewContext() arms each handle
+/// the run executes on: the scan cache and batch execution (kFast).
+/// Destruction disarms whatever was armed, on every exit path. Finish()
+/// ends the run's observable life: kRunEnd and the metrics publish.
 class RqlEngine::RunScope {
  public:
-  enum class Kind { kSequential, kParallel, kUdf };
-
   explicit RunScope(RqlEngine* engine) : engine_(engine) {
     const RqlOptions& o = engine_->options_;
     engine_->stats_ = RqlRunStats{};
@@ -1245,13 +1232,7 @@ class RqlEngine::RunScope {
 
   ~RunScope() {
     if (!begun_) return;
-    // The pipeline's workers stop before any store setting changes under
-    // them.
-    prefetch_.reset();
     retro::SnapshotStore* store = engine_->data_db_->store();
-    if (kind_ != Kind::kParallel) {
-      store->set_batch_archive_reads(saved_batch_reads_);
-    }
     for (sql::Database* db : armed_) {
       db->set_snapshot_set(nullptr);
       if (scan_cache_ != nullptr) db->set_scan_cache(nullptr);
@@ -1263,16 +1244,15 @@ class RqlEngine::RunScope {
 
   /// Arms the run. `snapshots` is the size of the Qs set; the UDF form
   /// passes 0, since its driving scan feeds iterations one call at a time.
-  void Begin(Kind kind, size_t snapshots) {
+  /// `workers` is the number of threads answering iterations.
+  void Begin(size_t snapshots, int workers) {
     const RqlOptions& o = engine_->options_;
     retro::SnapshotStore* store = engine_->data_db_->store();
-    kind_ = kind;
     begun_ = true;
     if (engine_->trace_on_) {
       engine_->trace_.Emit(RqlTraceEventType::kRunBegin, retro::kNoSnapshot,
                            NowMicros(),
-                           {static_cast<int64_t>(snapshots),
-                            kind == Kind::kParallel ? o.parallel_workers : 1,
+                           {static_cast<int64_t>(snapshots), workers,
                             OptionFlagBits(o)});
     }
     if (o.cache_policy != RqlCachePolicy::kWarm) {
@@ -1301,21 +1281,6 @@ class RqlEngine::RunScope {
     // memo probe's snapshot open plus the execute-on-miss open of the same
     // id cost one SPT derivation, not two cold builds.
     snapshot_sets_ = fast || o.memo != nullptr;
-    if (kind == Kind::kParallel) return;
-    saved_batch_reads_ = store->batch_archive_reads();
-    if (o.batch_pagelog_reads) store->set_batch_archive_reads(true);
-    // async_prefetch is inert in the UDF form: its driving scan feeds
-    // iterations one call at a time, so there is no lookahead to schedule.
-    if (kind == Kind::kSequential && o.async_prefetch) {
-      retro::PrefetchScheduler::Options popts;
-      popts.budget_pages = o.prefetch_budget_pages;
-      if (sql::SharedScanCache* cache = o.shared_scan_cache) {
-        popts.is_decoded = [cache](uint64_t version) {
-          return cache->Contains(version);
-        };
-      }
-      prefetch_ = std::make_unique<retro::PrefetchScheduler>(store, popts);
-    }
   }
 
   /// A new iteration context on `db` for `worker` (0 for the sequential
@@ -1332,7 +1297,6 @@ class RqlEngine::RunScope {
     ctx->db = db;
     ctx->worker = worker;
     if (snapshot_sets_) ctx->set = db->store()->BeginSnapshotSet();
-    ctx->prefetch = prefetch_.get();
     contexts_.push_back(std::move(ctx));
     return contexts_.back().get();
   }
@@ -1344,20 +1308,10 @@ class RqlEngine::RunScope {
   }
   const Status& failure() const { return failure_; }
 
-  /// Ends the run with outcome `s`: stops the prefetch pipeline, emits
-  /// kRunEnd and publishes the run's metrics. Call once.
+  /// Ends the run with outcome `s`: emits kRunEnd and publishes the
+  /// run's metrics. Call once.
   void Finish(const Status& s) {
-    RqlRunStats& stats = engine_->stats_;
-    if (prefetch_ != nullptr) {
-      prefetch_->Shutdown();
-      // Waste is only known once no further iteration can consume a
-      // fetched page: charge the remainder to the final iteration.
-      int64_t wasted = prefetch_->TakeWasted();
-      if (wasted > 0 && !stats.iterations.empty()) {
-        stats.iterations.back().prefetch_wasted += wasted;
-      }
-      prefetch_.reset();
-    }
+    const RqlRunStats& stats = engine_->stats_;
     if (engine_->trace_on_) {
       engine_->trace_.Emit(RqlTraceEventType::kRunEnd, retro::kNoSnapshot,
                            NowMicros(),
@@ -1370,14 +1324,11 @@ class RqlEngine::RunScope {
 
  private:
   RqlEngine* engine_;
-  Kind kind_ = Kind::kSequential;
   bool begun_ = false;
   sql::SharedScanCache* scan_cache_ = nullptr;
   /// Set under kFast, whose batch execution observes it.
   retro::MetricsRegistry::Histogram* batch_hist_ = nullptr;
   bool snapshot_sets_ = false;
-  bool saved_batch_reads_ = false;
-  std::unique_ptr<retro::PrefetchScheduler> prefetch_;
   std::vector<sql::Database*> armed_;
   std::vector<std::unique_ptr<IterationContext>> contexts_;
   Status failure_;
@@ -1416,28 +1367,13 @@ Status RqlEngine::RunMechanism(const std::string& qs, MechanismState* state) {
                         snap_ids.size() > 1;
   RQL_RETURN_IF_ERROR(ValidateRunOptions(options_, parallel));
   RQL_RETURN_IF_ERROR(meta_db_->Exec("DROP TABLE IF EXISTS " + state->table()));
-  run.Begin(parallel ? RunScope::Kind::kParallel : RunScope::Kind::kSequential,
-            snap_ids.size());
+  run.Begin(snap_ids.size(), parallel ? options_.parallel_workers : 1);
   Status s = Status::OK();
   if (parallel) {
     s = RunMechanismParallel(snap_ids, state, &run);
   } else {
     IterationContext* ctx = run.NewContext(data_db_, 0);
-    retro::PrefetchScheduler* prefetch = ctx->prefetch;
     for (size_t i = 0; s.ok() && i < snap_ids.size(); ++i) {
-      if (prefetch != nullptr && i + 1 < snap_ids.size()) {
-        // Look ahead while iteration i executes. A step the memo will
-        // serve reads nothing, so it schedules nothing; the delta fast
-        // path needs the cursor position iteration i+1 itself
-        // establishes, so its replay cancels the job at iteration head.
-        bool next_memoized = false;
-        if (options_.memo != nullptr) {
-          Result<uint64_t> fp = state->MemoFingerprint();
-          next_memoized = fp.ok() &&
-                          options_.memo->Probe(*fp, snap_ids[i + 1]) != nullptr;
-        }
-        if (!next_memoized) prefetch->Schedule(snap_ids[i + 1]);
-      }
       s = RunIteration(ctx, state, snap_ids[i]);
     }
   }
@@ -1575,15 +1511,11 @@ Status RqlEngine::AnswerIteration(IterationContext* ctx,
   // here to its harvest; a parallel run reports them as run totals.
   if (!parallel) store->ResetStats();
   db->set_snapshot_set(ctx->set.get());
-  retro::PrefetchScheduler* prefetch = ctx->prefetch;
   RqlIterationStats& iter = out->iter;
   iter.snapshot = snap;
 
   // Replay probe: its costs land after ResetStats, so they are attributed
-  // to this iteration. A replayed step reads nothing: its prefetch job is
-  // cancelled (a parked error dies with it — the synchronous path would
-  // not have issued these reads either) and what the job already did is
-  // charged to the replayed iteration.
+  // to this iteration.
   const bool memoize = options_.memo != nullptr;
   if (memoize) {
     RQL_ASSIGN_OR_RETURN(bool replayed,
@@ -1599,13 +1531,6 @@ Status RqlEngine::AnswerIteration(IterationContext* ctx,
         iter.maplog_pages = rs.spt.maplog_pages_read;
         iter.spt_delta_entries = rs.spt_delta_entries;
       }
-      if (prefetch != nullptr) {
-        retro::PrefetchScheduler::JobReport rep = prefetch->Cancel(snap);
-        if (rep.scheduled) {
-          iter.prefetch_issued = rep.issued;
-          iter.prefetch_cancelled = rep.cancelled;
-        }
-      }
       return Status::OK();
     }
   }
@@ -1616,22 +1541,6 @@ Status RqlEngine::AnswerIteration(IterationContext* ctx,
   iter.memo_misses = memoize ? 1 : 0;
   int64_t udf_us = 0;
   int64_t qq_rows = 0;
-
-  // Consume this iteration's prefetch job before executing: stop the
-  // un-issued remainder (the iteration's own demand reads take over, with
-  // slot priority) and surface any parked background I/O error exactly
-  // where the synchronous batched pass would have failed.
-  retro::PrefetchScheduler::JobReport prefetch_report;
-  if (prefetch != nullptr) {
-    prefetch_report = prefetch->Collect(snap);
-    RQL_RETURN_IF_ERROR(prefetch_report.error);
-    iter.prefetch_issued = prefetch_report.issued;
-    iter.prefetch_cancelled = prefetch_report.cancelled;
-    if (prefetch_report.scheduled) {
-      metrics()->GetHistogram("rql.prefetch.overlap_us")
-          ->ObserveUs(prefetch_report.overlap_us);
-    }
-  }
 
   // A sequential iteration folds Qq's rows as they arrive, inside one
   // metadata transaction; a parallel worker buffers them for the
@@ -1728,29 +1637,21 @@ Status RqlEngine::AnswerIteration(IterationContext* ctx,
     iter.cache_hits = rs.snapshot_cache_hits;
     iter.maplog_pages = rs.spt.maplog_pages_read;
     iter.spt_delta_entries = rs.spt_delta_entries;
-    iter.batched_pagelog_reads = rs.batched_pagelog_reads;
     iter.coalesced_loads = rs.coalesced_loads;
     iter.qq_rows = qq_rows;
-    // Harvested after the query so every demand read of this iteration has
-    // had its chance to consume a prefetched page.
-    if (prefetch != nullptr) iter.prefetch_hits = prefetch->TakeHits();
     if (trace_on_) {
       int64_t now = NowMicros();
       trace_.Emit(RqlTraceEventType::kSptBuild, snap, now,
                   {iter.maplog_pages, iter.spt_delta_entries, rs.spt.cpu_us,
                    ctx->set != nullptr ? 1 : 0});
+      // Args slot 1 is retired (always 0), keeping positions stable.
       trace_.Emit(RqlTraceEventType::kArchiveFetch, snap, now,
-                  {iter.pagelog_pages, iter.batched_pagelog_reads,
-                   iter.cache_hits, iter.db_pages, rs.archive_read_retries});
+                  {iter.pagelog_pages, 0, iter.cache_hits, iter.db_pages,
+                   rs.archive_read_retries});
       if (db->scan_cache() != nullptr) {
         trace_.Emit(RqlTraceEventType::kScanCache, snap, now,
                     {iter.shared_page_hits, iter.scan_cache_misses,
                      iter.coalesced_decodes});
-      }
-      if (prefetch_report.scheduled) {
-        trace_.Emit(RqlTraceEventType::kPrefetch, snap, now,
-                    {iter.prefetch_issued, iter.prefetch_hits,
-                     iter.prefetch_cancelled, prefetch_report.overlap_us});
       }
       trace_.Emit(RqlTraceEventType::kIterationEnd, snap, now,
                   {iter.io_us, iter.spt_build_us, iter.query_eval_us,
@@ -1984,7 +1885,7 @@ Status RqlEngine::RegisterUdfs() {
     if (udf_run_ == nullptr) {
       RQL_RETURN_IF_ERROR(ValidateRunOptions(options_, /*parallel=*/false));
       udf_run_ = std::make_unique<RunScope>(this);
-      udf_run_->Begin(RunScope::Kind::kUdf, 0);
+      udf_run_->Begin(/*snapshots=*/0, /*workers=*/1);
     }
     RQL_RETURN_IF_ERROR(udf_run_->failure());
     auto it = udf_states_.find(table);

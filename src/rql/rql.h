@@ -20,9 +20,6 @@ namespace rql {
 namespace sql {
 class SharedScanCache;  // sql/shared_scan_cache.h
 }
-namespace retro {
-class PrefetchScheduler;  // retro/prefetch_scheduler.h
-}
 
 /// Cost breakdown of one RQL iteration (one Qq execution on one snapshot).
 /// These are the bars of the paper's Figures 8-13: Pagelog I/O, SPT build,
@@ -44,11 +41,10 @@ struct RqlIterationStats {
   int64_t result_inserts = 0;
   int64_t result_updates = 0;
   // Iteration-setup amortization counters (all zero at paper-faithful
-  // defaults; see RqlProfile::kFast and batch_pagelog_reads).
+  // defaults; see RqlProfile::kFast).
   int64_t maplog_pages = 0;        // Maplog pages scanned for the SPT build
   int64_t spt_delta_entries = 0;   // log entries covered by an SPT advance
   int64_t plan_cache_hits = 0;     // 1 when Qq ran from the cached plan
-  int64_t batched_pagelog_reads = 0;  // archive pages fetched by prefetch
   /// Archive reads this iteration coalesced onto another worker's
   /// in-flight fetch of the same page (always 0 in sequential runs).
   int64_t coalesced_loads = 0;
@@ -97,24 +93,6 @@ struct RqlIterationStats {
   int64_t memo_bytes = 0;
   /// Entries the publish evicted to keep the memo under its byte bound.
   int64_t memo_evictions = 0;
-  // Background prefetch counters (RqlOptions::async_prefetch; all zero at
-  // paper-faithful defaults).
-  /// Archive pages the background pipeline loaded ahead for this
-  /// iteration (attributed to the iteration that consumed or cancelled
-  /// the prefetch job).
-  int64_t prefetch_issued = 0;
-  /// Prefetched pages a demand read of this iteration was served without
-  /// a fresh archive load (cache hit or coalesced onto the in-flight
-  /// prefetch).
-  int64_t prefetch_hits = 0;
-  /// Pages loaded ahead but never consumed by any demand read. Counted at
-  /// run end against the final iteration (waste is only known once no
-  /// further iteration can consume the page).
-  int64_t prefetch_wasted = 0;
-  /// Planned pages dropped before issue: the job was cancelled (its
-  /// iteration was replayed, or the run ended) or abandoned after a
-  /// background I/O error or history truncation.
-  int64_t prefetch_cancelled = 0;
 
   int64_t TotalUs() const {
     return io_us + spt_build_us + query_eval_us + index_create_us + udf_us;
@@ -274,10 +252,12 @@ enum class RqlCachePolicy {
   /// denominator of the ratio C (Section 5.1). It measures the
   /// paper-faithful pipeline alone, so mechanisms return InvalidArgument
   /// when it meets parallel workers (concurrent iterations share the
-  /// cache), the fast profile, a memo, a shared scan cache or
-  /// async_prefetch.
+  /// cache), the fast profile, a memo or a shared scan cache.
   kColdPerIteration,
 };
+
+/// "cold_per_run" / "warm" / "cold_per_iteration".
+const char* RqlCachePolicyName(RqlCachePolicy policy);
 
 struct RqlOptions {
   /// When the run clears the snapshot page cache (see RqlCachePolicy).
@@ -302,11 +282,6 @@ struct RqlOptions {
   /// default, pays every iteration's setup from scratch and evaluates Qq
   /// row at a time, as the paper measures; kFast amortizes both.
   RqlProfile profile = RqlProfile::kPaperFaithful;
-  /// Prefetch each iteration's SPT-resident pages that miss the snapshot
-  /// cache in one Pagelog-offset-ordered pass, charged at the sequential
-  /// rate (CostModel::pagelog_seq_read_us). Counted in
-  /// RqlIterationStats::batched_pagelog_reads.
-  bool batch_pagelog_reads = false;
 
   // --- COW page-sharing exploitation (default off: the paper-faithful
   // --- baseline re-fetches and re-decodes every snapshot from scratch) ----
@@ -364,27 +339,6 @@ struct RqlOptions {
   /// RqlCachePolicy::kColdPerIteration: a cross-run cache would falsify
   /// the all-cold baseline (the memo precedent).
   sql::SharedScanCache* shared_scan_cache = nullptr;
-  /// Overlap each iteration's archive I/O with the previous iteration's
-  /// query execution: while Qq runs on snapshot s_i, a background
-  /// retro::PrefetchScheduler — driven by the snapshot-set cursor's Maplog
-  /// delta and the SPT mapping for s_{i+1} — fetches the pages the next
-  /// iteration will touch and that are not already resident (BufferPool
-  /// probe, SharedScanCache probe; a step the shared memo will serve
-  /// schedules nothing). Demand reads coalesce with in-flight prefetches
-  /// through the BufferPool single-flight and take priority for simulated
-  /// archive bandwidth; background I/O errors surface on the consuming
-  /// iteration as the same Status the synchronous path would have
-  /// returned. Results are byte-identical on and off. Sequential runs
-  /// only (parallel workers fetch concurrently already; the UDF form has
-  /// no lookahead — both ignore the flag). Counted in
-  /// RqlIterationStats::prefetch_* and traced as kPrefetch. Rejected with
-  /// InvalidArgument in combination with RqlCachePolicy::kColdPerIteration:
-  /// a background fetch landing after the per-iteration clear would
-  /// silently warm the all-cold baseline (the memo precedent).
-  bool async_prefetch = false;
-  /// Max pages the pipeline fetches ahead per iteration; 0 = unbounded.
-  /// Bounds background read amplification and snapshot-cache churn.
-  int prefetch_budget_pages = 64;
 
   /// Cooperative cancellation: when non-null, the engine polls the flag at
   /// iteration boundaries — sequential and UDF-form runs at the head of

@@ -16,13 +16,15 @@ namespace rql {
 ///                    flags_bits: 1|2|32 = RqlProfile::kFast (bits of
 ///                    the retired incremental_spt, reuse_qq_plan and
 ///                    batch_execution flags it replaced; always set
-///                    together) 4=batch_pagelog_reads 8=retired (was
+///                    together) 4=retired (was batch_pagelog_reads,
+///                    deleted; kept unassigned) 8=retired (was
 ///                    reuse_decoded_pages; never set, kept unassigned so
 ///                    older traces still decode)
 ///                    16=retired (was skip_unchanged_iterations, folded
 ///                    into the memo; kept unassigned)
 ///                    64=RqlOptions::memo set (the bit of the boolean it
-///                    replaced) 128=shared_scan_cache 256=async_prefetch
+///                    replaced) 128=shared_scan_cache 256=retired (was
+///                    async_prefetch, deleted; kept unassigned)
 ///   kRunEnd          {iterations, iterations_skipped, total_us, ok, 0, 0}
 ///   kIterationBegin  {index_in_run, 0, 0, 0, 0, 0}
 ///   kIterationEnd    {io_us, spt_build_us, query_eval_us, index_create_us,
@@ -32,8 +34,9 @@ namespace rql {
 ///                     incremental, 0, 0}  — incremental: 1 when the run
 ///                    opens snapshots through its snapshot set (kFast or
 ///                    a memo)
-///   kArchiveFetch    {pagelog_pages, batched_pagelog_reads, cache_hits,
-///                     db_pages, archive_read_retries, 0}
+///   kArchiveFetch    {pagelog_pages, 0, cache_hits, db_pages,
+///                     archive_read_retries, 0}  — slot 1 is retired
+///                    (always 0) so positional readers stay aligned
 ///   kScanCache       {shared_page_hits, misses, coalesced_decodes, 0, 0, 0}
 ///                    — coalesced_decodes is the subset of hits served by
 ///                    waiting on another run's in-flight decode
@@ -47,12 +50,9 @@ namespace rql {
 ///                     udf_us, 0, 0}  — replay of a persistent memo entry
 ///                    whose page-version read set validated against the
 ///                    snapshot (RqlOptions::memo)
-///   kPrefetch        {issued, hits, cancelled, overlap_us, 0, 0}
-///                    — one per iteration whose background prefetch job
-///                    existed (async_prefetch): pages loaded ahead, the
-///                    subset demand reads consumed, planned pages dropped
-///                    before issue, and the job's wall-time overlap with
-///                    the previous iteration
+///   kPrefetch        retired: the background prefetch pipeline is
+///                    deleted and nothing emits it; the value is kept so
+///                    later kinds keep their numbers
 enum class RqlTraceEventType : uint8_t {
   kRunBegin = 0,
   kRunEnd,

@@ -716,9 +716,8 @@ std::string Server::StatsJson() {
   const RqlOptions& engine = options_.engine;
   out << "  \"engine\": {"
       << "\"profile\": \"" << RqlProfileName(engine.profile) << "\""
-      << ", \"cold_cache_per_run\": "
-      << (engine.cache_policy != RqlCachePolicy::kWarm ? "true" : "false")
-      << "},\n";
+      << ", \"cache_policy\": \"" << RqlCachePolicyName(engine.cache_policy)
+      << "\"},\n";
   out << "  \"scheduler\": {"
       << "\"queued\": " << scheduler_->queued()
       << ", \"active\": " << scheduler_->active()

@@ -62,7 +62,7 @@ struct ServerOptions {
   int64_t idle_timeout_us = 0;
   /// Base RqlOptions for session engines. The server injects
   /// shared_scan_cache, memo, metrics, session_id and the per-run
-  /// cancel/run_id wiring itself; everything else (profile, async_prefetch,
+  /// cancel/run_id wiring itself; everything else (profile, cache_policy,
   /// ...) is taken as configured here. The default serves the fast profile
   /// over a warm cache: RqlCachePolicy::kColdPerRun would clear the
   /// store-wide snapshot cache at every run start, wiping pages other
@@ -108,10 +108,10 @@ class Server {
   const std::string& socket_path() const { return options_.socket_path; }
 
   /// The kStats document (also returned over the wire): server, engine
-  /// (the served profile, and cold_cache_per_run: whether the cache policy
-  /// clears the snapshot cache at run start), scheduler, shared scan
-  /// cache, memo and store sections. The memo's hits and misses are the
-  /// registry's rql.memo_hits / rql.memo_misses counters.
+  /// (the served profile and cache policy, by RqlProfileName and
+  /// RqlCachePolicyName), scheduler, shared scan cache, memo and store
+  /// sections. The memo's hits and misses are the registry's
+  /// rql.memo_hits / rql.memo_misses counters.
   std::string StatsJson();
 
   RunScheduler* scheduler() { return scheduler_.get(); }

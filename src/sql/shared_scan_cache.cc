@@ -123,12 +123,6 @@ std::shared_ptr<const SharedScanCache::DecodedPage> SharedScanCache::Lookup(
   return it->second.page;
 }
 
-bool SharedScanCache::Contains(uint64_t version) const {
-  const Shard& shard = *shards_[Mix(version) % shards_.size()];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.entries.find(version) != shard.entries.end();
-}
-
 SharedScanCache::AcquireResult SharedScanCache::Acquire(uint64_t version) {
   Shard* shard = ShardFor(version);
   std::shared_ptr<InFlight> fl;

@@ -134,12 +134,6 @@ class SharedScanCache {
   /// never claims, an in-flight decode).
   std::shared_ptr<const DecodedPage> Lookup(uint64_t version);
 
-  /// True when `version` is resident right now. A pure probe — no stats,
-  /// no LRU touch, no waiting on in-flight decodes — for a background
-  /// prefetch planner deciding whether fetching the raw page would be
-  /// wasted work. Thread-safe like every other entry point.
-  bool Contains(uint64_t version) const;
-
   /// Single-flight acquire: a table hit returns the entry; a cold version
   /// claims the decode for this caller; a version another thread is
   /// already decoding blocks until that decode publishes (coalesced hit)

@@ -33,10 +33,6 @@ BufferPool::Shard& BufferPool::ShardFor(uint64_t key) {
   return *shards_[MixKey(key) % shards_.size()];
 }
 
-const BufferPool::Shard& BufferPool::ShardFor(uint64_t key) const {
-  return *shards_[MixKey(key) % shards_.size()];
-}
-
 void BufferPool::set_capacity(uint64_t capacity_pages) {
   capacity_.store(capacity_pages, std::memory_order_relaxed);
   const uint64_t n = shards_.size();
@@ -55,8 +51,7 @@ void BufferPool::set_capacity(uint64_t capacity_pages) {
 }
 
 Result<PinnedPage> BufferPool::Get(uint64_t key, const Loader& loader,
-                                   GetOutcome* outcome,
-                                   Admission admission) {
+                                   GetOutcome* outcome) {
   Shard& shard = ShardFor(key);
   std::shared_ptr<InFlight> fl;
   bool owner = false;
@@ -65,11 +60,7 @@ Result<PinnedPage> BufferPool::Get(uint64_t key, const Loader& loader,
     auto it = shard.entries.find(key);
     if (it != shard.entries.end()) {
       ++shard.stats.hits;
-      // A background prefetch racing a resident page must not distort the
-      // recency order demand readers established; only demand promotes.
-      if (admission == Admission::kDemand) {
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      }
+      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
       return PinnedPage(it->second->page);
     }
     auto in = shard.inflight.find(key);
@@ -105,7 +96,7 @@ Result<PinnedPage> BufferPool::Get(uint64_t key, const Loader& loader,
     shard.inflight.erase(key);
     // A failed load leaves no entry; waiters receive the error and the
     // caller's retry policy decides whether to re-issue the read.
-    if (s.ok()) InsertLocked(shard, key, loaded, admission);
+    if (s.ok()) InsertLocked(shard, key, loaded);
   }
   {
     std::lock_guard<std::mutex> publish(fl->mu);
@@ -129,12 +120,6 @@ PinnedPage BufferPool::Lookup(uint64_t key) {
   return PinnedPage(it->second->page);
 }
 
-bool BufferPool::Contains(uint64_t key) const {
-  const Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.entries.find(key) != shard.entries.end();
-}
-
 void BufferPool::Put(uint64_t key, const Page& page) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -142,8 +127,7 @@ void BufferPool::Put(uint64_t key, const Page& page) {
 }
 
 void BufferPool::InsertLocked(Shard& shard, uint64_t key,
-                              std::shared_ptr<const Page> page,
-                              Admission admission) {
+                              std::shared_ptr<const Page> page) {
   auto it = shard.entries.find(key);
   if (it != shard.entries.end()) {
     // Overwrite by replacing the reference: pins on the old page keep it.
@@ -151,44 +135,17 @@ void BufferPool::InsertLocked(Shard& shard, uint64_t key,
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
-  // Prefetched pages enter at the front like demand loads — they are the
-  // next iteration's imminent working set — but their eviction pass spares
-  // pinned frames, so warming ahead never recycles what is being read now.
   shard.lru.push_front(Entry{key, std::move(page)});
   shard.entries[key] = shard.lru.begin();
-  EvictIfNeededLocked(shard, /*spare_pinned=*/admission == Admission::kPrefetch);
+  EvictIfNeededLocked(shard);
 }
 
-void BufferPool::EvictIfNeededLocked(Shard& shard, bool spare_pinned) {
+void BufferPool::EvictIfNeededLocked(Shard& shard) {
   if (!shard.bounded) return;
-  if (!spare_pinned) {
-    while (shard.entries.size() > shard.quota) {
-      const Entry& victim = shard.lru.back();
-      shard.entries.erase(victim.key);
-      shard.lru.pop_back();
-      ++shard.stats.evictions;
-    }
-    return;
-  }
-  // Prefetch admission: walk from the LRU tail skipping entries some
-  // caller still pins (use_count > 1 = the pool's reference plus at least
-  // one PinnedPage; pins are only created under this shard's mutex, so a
-  // stale count can only over-estimate, which errs toward keeping). If
-  // every entry is pinned the shard runs over quota until pins drain —
-  // the next demand insert evicts unconditionally and restores the bound.
-  auto it = shard.lru.end();
-  size_t scanned = 0;
-  const size_t limit = shard.lru.size();
-  while (shard.entries.size() > shard.quota && scanned < limit &&
-         it != shard.lru.begin()) {
-    auto victim = std::prev(it);
-    ++scanned;
-    if (victim->page.use_count() > 1) {
-      it = victim;  // pinned: step over it, keep scanning toward the front
-      continue;
-    }
-    shard.entries.erase(victim->key);
-    shard.lru.erase(victim);  // `it` stays valid: it was next(victim)
+  while (shard.entries.size() > shard.quota) {
+    const Entry& victim = shard.lru.back();
+    shard.entries.erase(victim.key);
+    shard.lru.pop_back();
     ++shard.stats.evictions;
   }
 }

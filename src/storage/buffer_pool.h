@@ -87,17 +87,6 @@ class BufferPool {
     int64_t wait_us = 0;     // wall time blocked on the coalesced load
   };
 
-  /// Who is asking for the page. Demand reads are the foreground query
-  /// path; prefetch reads come from a background pipeline warming the
-  /// cache ahead of the next iteration. Both ride the same single-flight
-  /// (a demand read coalesces with an in-flight prefetch of the same key
-  /// instead of duplicating the load), but prefetch admission is
-  /// deliberately second-class: a prefetch hit does not promote the entry
-  /// in LRU order, and a prefetch insert never evicts a page some caller
-  /// still pins — the background sweep cannot recycle frames the current
-  /// iteration is actively reading.
-  enum class Admission { kDemand, kPrefetch };
-
   /// Enough shards that 8 concurrent workers rarely collide on a shard
   /// mutex, while keeping per-shard LRU lists long enough to stay useful.
   static constexpr int kDefaultShards = 16;
@@ -116,17 +105,11 @@ class BufferPool {
   /// missing on the same key coalesce onto one load. A failed load leaves
   /// no cache entry and propagates its status to every coalesced waiter.
   Result<PinnedPage> Get(uint64_t key, const Loader& loader,
-                         GetOutcome* outcome = nullptr,
-                         Admission admission = Admission::kDemand);
+                         GetOutcome* outcome = nullptr);
 
   /// Returns a pin on the cached page, or an empty pin, without invoking
   /// any loader (and without waiting on in-flight loads).
   PinnedPage Lookup(uint64_t key);
-
-  /// True when `key` is resident right now. A pure probe: no stats, no
-  /// LRU promotion, no waiting on in-flight loads — safe for a background
-  /// planner to call without perturbing what it is measuring.
-  bool Contains(uint64_t key) const;
 
   /// Inserts (or overwrites) `page` under `key`. Pins handed out for a
   /// previous value keep reading that value.
@@ -212,14 +195,11 @@ class BufferPool {
   };
 
   Shard& ShardFor(uint64_t key);
-  const Shard& ShardFor(uint64_t key) const;
   /// Requires `shard.mu`.
   void InsertLocked(Shard& shard, uint64_t key,
-                    std::shared_ptr<const Page> page,
-                    Admission admission = Admission::kDemand);
-  /// Requires `shard.mu`. `spare_pinned` (prefetch admission) skips
-  /// entries with outstanding pins when choosing eviction victims.
-  void EvictIfNeededLocked(Shard& shard, bool spare_pinned);
+                    std::shared_ptr<const Page> page);
+  /// Requires `shard.mu`.
+  void EvictIfNeededLocked(Shard& shard);
 
   std::atomic<uint64_t> capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;

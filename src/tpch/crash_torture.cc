@@ -66,12 +66,6 @@ struct Harness {
 Status RunRqlChecks(Harness* h, int j, std::string* collate,
                     std::string* aggmax);
 
-void ApplyEngineConfig(Harness* h, const TortureConfig& cfg) {
-  if (cfg.async_prefetch) {
-    h->engine->mutable_options()->async_prefetch = true;
-  }
-}
-
 std::string Timestamp(int round) {
   std::string day = std::to_string(round);
   if (day.size() < 2) day = "0" + day;
@@ -88,7 +82,6 @@ Status RunWorkload(storage::Env* env, const TortureConfig& cfg, int* acked,
                    std::vector<std::string>* sigs) {
   *acked = 0;
   RQL_ASSIGN_OR_RETURN(Harness h, Harness::Open(env));
-  ApplyEngineConfig(&h, cfg);
   RQL_RETURN_IF_ERROR(h.engine->EnsureSnapIds());
   TpchConfig tc;
   tc.scale_factor = cfg.scale_factor;
@@ -188,7 +181,6 @@ Status VerifyRecovered(storage::Env* env, const TortureConfig& cfg,
                 opened.status().ToString());
   }
   Harness h = std::move(*opened);
-  ApplyEngineConfig(&h, cfg);
 
   // Recovery invariant 1: the mark of snapshot s is synced only after s's
   // declaring commit is WAL-durable and after CommitWithSnapshot acked
@@ -346,7 +338,6 @@ Status RunCrashTorture(const TortureConfig& cfg, TortureReport* report) {
   // reopen also exercises clean-shutdown recovery.
   {
     RQL_ASSIGN_OR_RETURN(Harness oh, Harness::Open(&oracle_env));
-    ApplyEngineConfig(&oh, cfg);
     for (int j = 1; j <= cfg.snapshots; ++j) {
       std::string collate, aggmax;
       RQL_RETURN_IF_ERROR(RunRqlChecks(&oh, j, &collate, &aggmax));

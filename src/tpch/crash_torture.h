@@ -43,13 +43,6 @@ struct TortureConfig {
   /// oracle: a crash anywhere — including mid-publish — may lose memo
   /// entries but never serve stale rows.
   bool memoize = false;
-  /// When set, every RQL pass — workload, oracle, and the per-kill-point
-  /// recovery checks — runs with the background prefetch pipeline on. Its
-  /// archive reads issue no syncs, so the kill-point schedule is unchanged;
-  /// what it exercises is a crash landing while background fetches are in
-  /// flight (the parked error must surface, never wedge a worker) and
-  /// byte-identity of every recovered answer with the prefetch-less oracle.
-  bool async_prefetch = false;
 };
 
 struct TortureReport {

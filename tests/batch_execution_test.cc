@@ -1,7 +1,7 @@
 // Property tests for vectorized batch execution: under RqlProfile::kFast,
 // every mechanism's result table must be byte-identical to the paper-
-// faithful row-at-a-time run across the page-sharing / prefetch flag
-// matrix and worker counts, plus direct BatchIterator
+// faithful row-at-a-time run across the page-sharing flag matrix and
+// worker counts, plus direct BatchIterator
 // edge cases (empty pages, boundary selections, mid-scan cache eviction).
 
 #include <gtest/gtest.h>
@@ -186,19 +186,16 @@ TEST_P(BatchExecutionTest, BatchPathByteIdenticalAcrossFlagMatrix) {
   // The property test's flag matrix, plus the flags-off config, crossed
   // with {kPaperFaithful, kFast} and {1, 4} workers below. `cache` runs
   // against a run-scoped decoded-page cache, cleared before every run;
-  // `memo` against a run-scoped memo (a fresh log-free MemoTable);
-  // `pagelog` with batch_pagelog_reads.
+  // `memo` against a run-scoped memo (a fresh log-free MemoTable).
   struct Config {
     const char* name;
-    bool cache, memo, pagelog;
+    bool cache, memo;
   };
   const Config kConfigs[] = {
-      {"off", false, false, false},
-      {"cache", true, false, false},
-      {"memo", false, true, false},
-      {"both", true, true, false},
-      {"both_pagelog", true, true, true},
-      {"pagelog_only", false, false, true},
+      {"off", false, false},
+      {"cache", true, false},
+      {"memo", false, true},
+      {"both", true, true},
   };
   sql::SharedScanCache run_cache({.max_bytes = 0});
 
@@ -221,7 +218,6 @@ TEST_P(BatchExecutionTest, BatchPathByteIdenticalAcrossFlagMatrix) {
               retro::MemoTable::InMemory();
           opts.shared_scan_cache = c.cache ? &run_cache : nullptr;
           opts.memo = c.memo ? run_memo.get() : nullptr;
-          opts.batch_pagelog_reads = c.pagelog;
           opts.parallel_workers = workers;
           opts.profile = profile;
           *f.engine->mutable_options() = opts;

@@ -57,26 +57,6 @@ TEST(CrashTortureTest, MemoizedRunRecoversAtEverySyncPoint) {
             << report.completed_runs << "\n";
 }
 
-TEST(CrashTortureTest, PrefetchedRunRecoversAtEverySyncPoint) {
-  // With async_prefetch on, every RQL pass has background archive fetches
-  // in flight when the crash lands. The pipeline's reads issue no syncs,
-  // so the kill-point schedule is identical to the prefetch-less run; what
-  // must hold is that a crash mid-fetch parks a clean error (the run fails
-  // instead of wedging a worker or dereferencing the dead Env) and every
-  // recovered answer stays byte-identical to the oracle.
-  TortureConfig config;
-  config.snapshots = 3;
-  config.async_prefetch = true;
-  TortureReport report;
-  Status s = RunCrashTorture(config, &report);
-  ASSERT_TRUE(s.ok()) << s.ToString();
-  EXPECT_GT(report.sync_points, 0);
-  EXPECT_EQ(report.kill_points, report.sync_points);
-  EXPECT_EQ(report.completed_runs, report.kill_points);
-  std::cout << "[torture] prefetched sync points: " << report.sync_points
-            << ", recovered+verified: " << report.completed_runs << "\n";
-}
-
 TEST(CrashTortureTest, CappedRunExercisesPrefix) {
   TortureConfig config;
   config.snapshots = 3;

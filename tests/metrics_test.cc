@@ -206,7 +206,7 @@ class EngineMetricsTest : public ::testing::Test {
               stats.archive_read_retries);
 
     int64_t io = 0, spt = 0, query = 0, index = 0, udf = 0, rows = 0;
-    int64_t maplog = 0, plog = 0, db = 0, hits = 0, plans = 0, batched = 0;
+    int64_t maplog = 0, plog = 0, db = 0, hits = 0, plans = 0;
     int64_t vbatches = 0, vrows = 0, vfallback = 0;
     for (const RqlIterationStats& it : stats.iterations) {
       io += it.io_us;
@@ -220,7 +220,6 @@ class EngineMetricsTest : public ::testing::Test {
       db += it.db_pages;
       hits += it.cache_hits;
       plans += it.plan_cache_hits;
-      batched += it.batched_pagelog_reads;
       vbatches += it.batches_scanned;
       vrows += it.batch_rows;
       vfallback += it.batch_fallback_rows;
@@ -236,7 +235,6 @@ class EngineMetricsTest : public ::testing::Test {
     EXPECT_EQ(delta.counter("rql.db_pages"), db);
     EXPECT_EQ(delta.counter("rql.cache_hits"), hits);
     EXPECT_EQ(delta.counter("rql.plan_cache_hits"), plans);
-    EXPECT_EQ(delta.counter("rql.batched_pagelog_reads"), batched);
     EXPECT_EQ(delta.counter("rql.batches_scanned"), vbatches);
     EXPECT_EQ(delta.counter("rql.batch_rows"), vrows);
     EXPECT_EQ(delta.counter("rql.batch_fallback_rows"), vfallback);
@@ -288,7 +286,6 @@ TEST_F(EngineMetricsTest, CollateDataIntoIntervalsDeltaMatchesLegacyStats) {
 TEST_F(EngineMetricsTest, FlagsOnDeltaStillMatchesLegacyStats) {
   RqlOptions* opts = engine_->mutable_options();
   opts->profile = RqlProfile::kFast;
-  opts->batch_pagelog_reads = true;
   sql::SharedScanCache run_cache({.max_bytes = 0});  // this run's only
   opts->shared_scan_cache = &run_cache;
   std::unique_ptr<retro::MemoTable> run_memo = retro::MemoTable::InMemory();

@@ -432,10 +432,9 @@ TEST_P(RqlPropertyTest, SubsetAndSkipQsMatchModel) {
 
 TEST_P(RqlPropertyTest, AmortizationFlagsPreserveCollateOutput) {
   // The iteration-setup amortizations (the fast profile's incremental SPT,
-  // Qq plan reuse and vectorized scans; batched Pagelog reads) are pure
-  // optimizations: CollateData must produce byte-identical result tables
-  // with any of them enabled, across randomized update/snapshot
-  // interleavings.
+  // Qq plan reuse and vectorized scans) are pure optimizations:
+  // CollateData must produce byte-identical result tables with them
+  // enabled, across randomized update/snapshot interleavings.
   Fixture f = MakeFixture(GetParam() * 1000 + 137, 18, 10);
   const std::string qs = "SELECT snap_id FROM SnapIds";
   const std::string qq =
@@ -455,36 +454,17 @@ TEST_P(RqlPropertyTest, AmortizationFlagsPreserveCollateOutput) {
   EXPECT_EQ(baseline_parses, static_cast<int64_t>(f.snaps.size()));
   std::vector<std::string> baseline = dump("Baseline");
 
-  struct Config {
-    const char* name;
-    bool fast, batch;
-  };
-  const Config kConfigs[] = {
-      {"Fast", true, false},
-      {"BatchReads", false, true},
-      {"AllOn", true, true},
-  };
-  for (const Config& c : kConfigs) {
-    RqlOptions* opts = f.engine->mutable_options();
-    opts->profile = c.fast ? RqlProfile::kFast : RqlProfile::kPaperFaithful;
-    opts->batch_pagelog_reads = c.batch;
-    f.data->store()->ClearSnapshotCache();
-    ASSERT_TRUE(f.engine->CollateData(qs, qq, c.name).ok()) << c.name;
-    EXPECT_EQ(dump(c.name), baseline) << c.name;
-    const RqlRunStats& stats = f.engine->last_run_stats();
-    if (c.fast) {
-      EXPECT_EQ(stats.qq_parse_count, 1) << c.name;
-    } else {
-      EXPECT_EQ(stats.qq_parse_count, baseline_parses) << c.name;
-    }
-    if (c.fast) {
-      int64_t delta = 0;
-      for (const RqlIterationStats& it : stats.iterations) {
-        delta += it.spt_delta_entries;
-      }
-      EXPECT_GT(delta, 0) << c.name;
-    }
+  f.engine->mutable_options()->profile = RqlProfile::kFast;
+  f.data->store()->ClearSnapshotCache();
+  ASSERT_TRUE(f.engine->CollateData(qs, qq, "Fast").ok());
+  EXPECT_EQ(dump("Fast"), baseline);
+  const RqlRunStats& stats = f.engine->last_run_stats();
+  EXPECT_EQ(stats.qq_parse_count, 1);
+  int64_t delta = 0;
+  for (const RqlIterationStats& it : stats.iterations) {
+    delta += it.spt_delta_entries;
   }
+  EXPECT_GT(delta, 0);
 }
 
 TEST_P(RqlPropertyTest, TransientPagelogFaultsWithRetriesAreTransparent) {
@@ -540,6 +520,18 @@ TEST_P(RqlPropertyTest, TransientPagelogFaultsWithRetriesAreTransparent) {
   EXPECT_FALSE(failed.ok());
   f.env->DisarmAll();
   EXPECT_EQ(f.meta->catalog()->data().FindTable("NoRetry"), nullptr);
+
+  // A persistent fault exhausts any retry budget and surfaces the same
+  // Status the fail-fast run returned, again without a partial table.
+  f.engine->mutable_options()->archive_read_retries = 2;
+  f.env->Arm(sticky);
+  f.data->store()->ClearSnapshotCache();
+  Status exhausted = f.engine->CollateData(qs, qq, "Exhausted");
+  EXPECT_FALSE(exhausted.ok());
+  EXPECT_EQ(exhausted.code(), failed.code())
+      << exhausted.ToString() << " vs " << failed.ToString();
+  f.env->DisarmAll();
+  EXPECT_EQ(f.meta->catalog()->data().FindTable("Exhausted"), nullptr);
 }
 
 TEST_P(RqlPropertyTest, PageSharingFlagsPreserveAllMechanismOutputs) {
@@ -547,8 +539,8 @@ TEST_P(RqlPropertyTest, PageSharingFlagsPreserveAllMechanismOutputs) {
   // log-free MemoTable) are pure optimizations: on a
   // sparse-update history every mechanism's result table must be
   // byte-identical with any combination of the two — alone, together,
-  // stacked on batched Pagelog reads, and (for parallelizable mechanisms)
-  // under parallel workers — under both profiles.
+  // and (for parallelizable mechanisms) under parallel workers — under both
+  // profiles.
   // AggregateDataInVariable uses the non-idempotent `sum` fold so a
   // replayed iteration that contributed twice (or not at all) would be
   // caught.
@@ -633,20 +625,19 @@ TEST_P(RqlPropertyTest, PageSharingFlagsPreserveAllMechanismOutputs) {
   };
 
   // `cache` runs against a run-scoped decoded-page cache, cleared before
-  // every run; `memo` against a run-scoped memo; `pagelog` with batched
-  // Pagelog reads. Each runs under both profiles.
+  // every run; `memo` against a run-scoped memo. Each runs under both
+  // profiles.
   struct Config {
     const char* name;
-    bool cache, memo, pagelog;
+    bool cache, memo;
     int workers;
   };
   const Config kConfigs[] = {
-      {"none", false, false, false, 1},
-      {"cache", true, false, false, 1},
-      {"memo", false, true, false, 1},
-      {"both", true, true, false, 1},
-      {"both_pagelog", true, true, true, 1},
-      {"both_parallel", true, true, false, 4},
+      {"none", false, false, 1},
+      {"cache", true, false, 1},
+      {"memo", false, true, 1},
+      {"both", true, true, 1},
+      {"both_parallel", true, true, 4},
   };
   sql::SharedScanCache run_cache({.max_bytes = 0});
 
@@ -674,7 +665,6 @@ TEST_P(RqlPropertyTest, PageSharingFlagsPreserveAllMechanismOutputs) {
         opts.profile = profile;
         opts.shared_scan_cache = c.cache ? &run_cache : nullptr;
         opts.memo = c.memo ? run_memo.get() : nullptr;
-        opts.batch_pagelog_reads = c.pagelog;
         opts.parallel_workers = c.workers;
         // Options are replaced wholesale above, so the registry has to be
         // re-installed for every configuration.
@@ -897,13 +887,13 @@ TEST_P(RqlPropertyTest, MemoizationPreservesAllMechanismOutputs) {
 }
 
 TEST_P(RqlPropertyTest, AsyncPrefetchPreservesAllMechanismOutputs) {
-  // async_prefetch is a pure optimization: overlapping the next iteration's
-  // archive reads with the current iteration's compute must leave every
-  // mechanism's result table byte-identical to the flags-off baseline,
-  // alone and stacked on batching, memoization, the cross-run shared scan
-  // cache, and parallel workers (where the flag is ignored). The registry
-  // delta taken around each run must equal the per-iteration prefetch
-  // stats exactly.
+  // The test id predates the deletion of the background prefetch pipeline;
+  // the matrix it carried stays. Reruns against state that outlives a run
+  // are pure optimizations: every mechanism's cold run and its warm rerun
+  // must be byte-identical to the flags-off baseline under the fast
+  // profile, a persistent memo, a store-scoped decoded-page cache that is
+  // never cleared (across reruns, configurations and mechanisms, as the
+  // daemon serves it), parallel workers, and all of them stacked.
   Fixture f = MakeSparseFixture(GetParam() * 1000 + 229, 24, 8, 4);
   const std::string qs = "SELECT snap_id FROM SnapIds";
 
@@ -915,77 +905,44 @@ TEST_P(RqlPropertyTest, AsyncPrefetchPreservesAllMechanismOutputs) {
     return out;
   };
 
-  retro::MetricsRegistry registry;
-  auto prefetch_sums = [&](const RqlRunStats& stats) {
-    struct Sums {
-      int64_t issued = 0, hits = 0, wasted = 0, cancelled = 0;
-    } s;
-    for (const RqlIterationStats& it : stats.iterations) {
-      s.issued += it.prefetch_issued;
-      s.hits += it.prefetch_hits;
-      s.wasted += it.prefetch_wasted;
-      s.cancelled += it.prefetch_cancelled;
-    }
-    return s;
-  };
-  auto expect_prefetch_delta_matches =
-      [&](const retro::MetricsRegistry::Snapshot& delta,
-          const std::string& label) {
-        auto s = prefetch_sums(f.engine->last_run_stats());
-        EXPECT_EQ(delta.counter("rql.prefetch_issued"), s.issued) << label;
-        EXPECT_EQ(delta.counter("rql.prefetch_hits"), s.hits) << label;
-        EXPECT_EQ(delta.counter("rql.prefetch_wasted"), s.wasted) << label;
-        EXPECT_EQ(delta.counter("rql.prefetch_cancelled"), s.cancelled)
-            << label;
-      };
-
   struct Mech {
     const char* name;
-    // True when every iteration does enough result-side work (hundreds of
-    // row inserts) that the background worker reliably plans and issues
-    // before the next iteration head collects the job. aggvar's COUNT(*)
-    // folds finish in the same microseconds the worker needs to wake, so
-    // its jobs can legitimately be collected un-started (demand priority)
-    // and liveness cannot be asserted.
-    bool heavy;
     std::function<Status(const std::string&)> run;
   };
   const std::vector<Mech> mechs = {
-      {"collate", true,
+      {"collate",
        [&](const std::string& t) {
          return f.engine->CollateData(qs, "SELECT item, score FROM live", t);
        }},
-      {"aggvar", false,
+      {"aggvar",
        [&](const std::string& t) {
          return f.engine->AggregateDataInVariable(
              qs, "SELECT COUNT(*) AS c FROM live", t, "sum");
        }},
-      {"aggtable", true,
+      {"aggtable",
        [&](const std::string& t) {
          return f.engine->AggregateDataInTable(
              qs, "SELECT item, score FROM live", t, "(score,max)");
        }},
-      {"intervals", true,
+      {"intervals",
        [&](const std::string& t) {
          return f.engine->CollateDataIntoIntervals(
              qs, "SELECT item FROM live", t);
        }},
   };
 
-  // `fast` runs the fast profile with batched Pagelog reads.
   struct Config {
     const char* name;
     bool fast, memo, shared;
-    int workers, budget;
+    int workers;
   };
   const Config kConfigs[] = {
-      {"pf", false, false, false, 1, 64},
-      {"pf_fast", true, false, false, 1, 64},
-      {"pf_memo", false, true, false, 1, 64},
-      {"pf_shared", false, false, true, 1, 64},
-      {"pf_tiny_budget", false, false, false, 1, 1},
-      {"pf_parallel", false, false, false, 4, 64},
-      {"pf_all", true, true, true, 1, 64},
+      {"plain", false, false, false, 1},
+      {"fast", true, false, false, 1},
+      {"memo", false, true, false, 1},
+      {"shared", false, false, true, 1},
+      {"parallel", false, false, false, 4},
+      {"all", true, true, true, 1},
   };
 
   sql::SharedScanCache shared_cache;
@@ -994,46 +951,29 @@ TEST_P(RqlPropertyTest, AsyncPrefetchPreservesAllMechanismOutputs) {
     f.data->store()->ClearSnapshotCache();
     std::string base_table = std::string("base_") + m.name;
     ASSERT_TRUE(m.run(base_table).ok()) << m.name;
-    // Flags-off runs must not engage the scheduler at all.
-    auto off = prefetch_sums(f.engine->last_run_stats());
-    EXPECT_EQ(off.issued + off.hits + off.wasted + off.cancelled, 0)
-        << m.name;
     std::vector<std::string> baseline = dump(base_table);
 
     for (const Config& c : kConfigs) {
       auto memo = retro::MemoTable::Open(
-          f.env.get(), std::string("pfmemo_") + m.name + "_" + c.name);
+          f.env.get(), std::string("rerun_memo_") + m.name + "_" + c.name);
       ASSERT_TRUE(memo.ok()) << memo.status().ToString();
       RqlOptions opts;
-      opts.async_prefetch = true;
-      opts.prefetch_budget_pages = c.budget;
-      opts.batch_pagelog_reads = c.fast;
       opts.profile = c.fast ? RqlProfile::kFast : RqlProfile::kPaperFaithful;
       if (c.memo) opts.memo = memo->get();
       if (c.shared) opts.shared_scan_cache = &shared_cache;
       opts.parallel_workers = c.workers;
-      opts.metrics = &registry;
       *f.engine->mutable_options() = opts;
 
       std::string table = std::string(m.name) + "_" + c.name;
       for (const char* pass : {"_cold", "_warm"}) {
         f.data->store()->ClearSnapshotCache();
-        retro::MetricsRegistry::Snapshot before = registry.TakeSnapshot();
         ASSERT_TRUE(m.run(table + pass).ok()) << table << pass;
-        expect_prefetch_delta_matches(
-            registry.TakeSnapshot().DeltaFrom(before), table + pass);
         EXPECT_EQ(dump(table + pass), baseline) << table << pass;
       }
       const RqlRunStats& stats = f.engine->last_run_stats();
-      auto warm = prefetch_sums(stats);
-      if (stats.parallel) {
-        // The flag is ignored under parallel workers: nothing scheduled.
-        EXPECT_EQ(warm.issued + warm.hits + warm.cancelled, 0) << table;
-      } else if (c.memo) {
-        // Every warm iteration replays from the memo, so the memo-aware
-        // planner schedules nothing ahead of it. The cold run published
-        // its delta fast-path replays too, so no snapshot is missing.
-        EXPECT_EQ(warm.issued, 0) << table;
+      if (c.memo) {
+        // The cold run published its delta fast-path replays too, so every
+        // warm iteration replays.
         int64_t memo_hits = 0;
         for (const RqlIterationStats& it : stats.iterations) {
           memo_hits += it.memo_hits;
@@ -1041,34 +981,13 @@ TEST_P(RqlPropertyTest, AsyncPrefetchPreservesAllMechanismOutputs) {
         EXPECT_EQ(memo_hits + stats.iterations_skipped,
                   static_cast<int64_t>(stats.iterations.size()))
             << table;
-      } else {
-        EXPECT_LE(warm.hits + warm.wasted, warm.issued) << table;
-        if (m.heavy) {
-          // Every commit churns the SnapIds page, so each step's delta
-          // holds at least one certainly-missing pre-state for the planner
-          // to issue while the heavy iteration executes. hits stay
-          // unasserted here: whether an issued page lands before the
-          // consuming iteration's own demand read is pure scheduling luck
-          // on a loaded machine. Deterministic consumption crediting is
-          // covered by prefetch_scheduler_test (which drains the job
-          // before consuming) and gated for real by bench_pipeline.
-          EXPECT_GT(warm.issued, 0) << table;
-        }
+      }
+      if (c.shared && !c.memo) {
+        // The cold run decoded every version the warm rerun reads.
+        EXPECT_EQ(stats.scan_cache_misses, 0) << table;
       }
     }
   }
-}
-
-TEST(RqlPrefetchOptionsTest, PrefetchIncompatibleWithColdCachePerIteration) {
-  // A background fetch landing after the per-iteration clear would warm
-  // the all-cold baseline the flag exists to measure.
-  Fixture f = MakeSparseFixture(9, 6, 4, 2);
-  f.engine->mutable_options()->async_prefetch = true;
-  f.engine->mutable_options()->cache_policy = RqlCachePolicy::kColdPerIteration;
-  Status s = f.engine->CollateData("SELECT snap_id FROM SnapIds",
-                                   "SELECT item FROM live", "Result");
-  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
-  EXPECT_EQ(f.meta->catalog()->data().FindTable("Result"), nullptr);
 }
 
 /// A hand-built history for the result folds' corner cases, over

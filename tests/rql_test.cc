@@ -646,7 +646,7 @@ TEST_F(RqlLoggedInTest, RunsRestoreEngineAndStoreState) {
   RqlOptions* opts = engine_->mutable_options();
   opts->shared_scan_cache = &run_cache;
   opts->profile = RqlProfile::kFast;
-  opts->batch_pagelog_reads = true;
+  opts->archive_read_retries = 2;
   opts->cancel = &cancel;
   // Qq-side hooks: fail_on(snap, n) fails Qq on snapshot n, cancel_on
   // raises the cancel flag there (the next iteration head aborts).
@@ -668,7 +668,7 @@ TEST_F(RqlLoggedInTest, RunsRestoreEngineAndStoreState) {
     EXPECT_EQ(data_->scan_cache(), nullptr) << outcome;
     EXPECT_FALSE(data_->batch_execution()) << outcome;
     EXPECT_EQ(data_->snapshot_set(), nullptr) << outcome;
-    EXPECT_FALSE(store->batch_archive_reads()) << outcome;
+    EXPECT_EQ(store->archive_read_retries(), 0) << outcome;
   };
   const std::string qs = "SELECT snap_id FROM SnapIds";
 

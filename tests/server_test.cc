@@ -159,12 +159,17 @@ TEST(ServerTest, SessionLifecycle) {
   // says so; embedded engines stay paper-faithful.
   EXPECT_EQ(RqlOptions{}.profile, RqlProfile::kPaperFaithful);
   EXPECT_EQ(RqlOptions{}.cache_policy, RqlCachePolicy::kColdPerRun);
+  EXPECT_STREQ(RqlCachePolicyName(RqlCachePolicy::kColdPerRun),
+               "cold_per_run");
+  EXPECT_STREQ(RqlCachePolicyName(RqlCachePolicy::kWarm), "warm");
+  EXPECT_STREQ(RqlCachePolicyName(RqlCachePolicy::kColdPerIteration),
+               "cold_per_iteration");
   auto stats = (*client)->StatsJson();
   ASSERT_TRUE(stats.ok());
   EXPECT_NE(stats->find("\"active_sessions\": 1"), std::string::npos);
   EXPECT_NE(stats->find("\"scheduler\""), std::string::npos);
   EXPECT_NE(stats->find("\"engine\": {\"profile\": \"fast\", "
-                        "\"cold_cache_per_run\": false}"),
+                        "\"cache_policy\": \"warm\"}"),
             std::string::npos)
       << *stats;
 

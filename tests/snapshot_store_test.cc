@@ -457,41 +457,5 @@ TEST_F(SnapshotStoreTest, TruncationBetweenAdvancesForcesRebase) {
   EXPECT_TRUE(set->Open(2).status().IsNotFound());
 }
 
-TEST_F(SnapshotStoreTest, BatchedPrefetchWarmsCacheWithSameResults) {
-  std::vector<storage::PageId> ids;
-  for (int i = 0; i < 6; ++i) {
-    auto id = store_->AllocatePage();
-    ASSERT_TRUE(store_->WritePage(*id, TaggedPage(100 + i)).ok());
-    ids.push_back(*id);
-  }
-  auto snap = store_->DeclareSnapshot();
-  ASSERT_TRUE(snap.ok());
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(store_->WritePage(ids[i], TaggedPage(200 + i)).ok());
-  }
-
-  store_->ClearSnapshotCache();
-  store_->ResetStats();
-  store_->set_batch_archive_reads(true);
-  auto view = store_->OpenSnapshot(*snap);
-  ASSERT_TRUE(view.ok());
-  // The prefetch fetched every archived page in one ordered pass...
-  EXPECT_EQ(store_->stats().batched_pagelog_reads, 6);
-  for (int i = 0; i < 6; ++i) {
-    EXPECT_EQ(ReadTag(view->get(), ids[i]), 100u + i);
-  }
-  // ...so the demand path never touched the Pagelog.
-  EXPECT_EQ(store_->stats().pagelog_page_reads, 0);
-  EXPECT_EQ(store_->stats().snapshot_cache_hits, 6);
-  store_->set_batch_archive_reads(false);
-
-  // Second open with a warm cache: nothing left to prefetch.
-  store_->ResetStats();
-  store_->set_batch_archive_reads(true);
-  ASSERT_TRUE(store_->OpenSnapshot(*snap).ok());
-  EXPECT_EQ(store_->stats().batched_pagelog_reads, 0);
-  store_->set_batch_archive_reads(false);
-}
-
 }  // namespace
 }  // namespace rql::retro

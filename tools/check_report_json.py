@@ -16,7 +16,7 @@ import sys
 EVENT_TYPES = {
     "run_begin", "run_end", "iteration_begin", "iteration_end",
     "spt_build", "archive_fetch", "scan_cache", "iteration_skip",
-    "worker_stall", "memo_hit", "prefetch",
+    "worker_stall", "memo_hit",
 }
 
 PASSES = {"cold", "warm"}
@@ -33,8 +33,6 @@ ITERATION_FIELDS = {
     "index_create_us": int, "udf_us": int, "total_us": int, "qq_rows": int,
     "maplog_pages": int, "pagelog_pages": int, "cache_hits": int,
     "db_pages": int, "delta_pages": int,
-    "prefetched": bool, "prefetch_issued": int, "prefetch_hits": int,
-    "prefetch_cancelled": int, "prefetch_overlap_us": int,
 }
 
 
@@ -138,18 +136,6 @@ def check_run(run, path):
     memo_rows = sum(1 for it in run["iterations"] if it["memo_hit"])
     require(counters.get("rql.memo_hits", 0) == memo_rows, path,
             "rql.memo_hits != memo_hit rows")
-    # Prefetch cross-checks: the per-iteration kPrefetch rows sum to the
-    # published counters (hits can also land on replayed/final iterations
-    # whose rows carry no kPrefetch event, so issued is the exact check).
-    pf_issued = sum(it["prefetch_issued"] for it in run["iterations"])
-    require(counters.get("rql.prefetch_issued", 0) >= pf_issued, path,
-            "rql.prefetch_issued < per-iteration prefetch rows")
-    require(counters.get("rql.prefetch_hits", 0) <=
-            counters.get("rql.prefetch_issued", 0), path,
-            "more prefetch hits than pages issued")
-    require(counters.get("rql.prefetch_wasted", 0) <=
-            counters.get("rql.prefetch_issued", 0), path,
-            "more prefetch waste than pages issued")
     if run["pass"] == "cold":
         require(memo_rows == 0, path, "cold pass served memo hits")
         require(counters.get("rql.memo_misses", 0) > 0, path,
@@ -190,22 +176,9 @@ def check_report(doc):
             "more publishes than claimed decodes")
     require(cache["entries"] <= cache["inserts"], "$.shared_cache",
             "more resident entries than publishes")
-    check_typed_fields(doc.get("prefetch"),
-                       {"issued": int, "hits": int, "wasted": int,
-                        "cancelled": int, "overlap_jobs": int,
-                        "overlap_sum_us": int},
-                       "$.prefetch")
-    pf = doc["prefetch"]
-    require(pf["hits"] + pf["wasted"] <= pf["issued"], "$.prefetch",
-            "hits + wasted exceed pages issued")
-    if doc["workers"] == 1:
-        require(pf["overlap_jobs"] > 0, "$.prefetch",
-                "sequential report ran no prefetch jobs")
     check_metrics(doc.get("final"), "$.final")
     require("rql.pagelog.diff_depth" in doc["final"]["histograms"],
             "$.final.histograms", "missing rql.pagelog.diff_depth")
-    require("rql.prefetch.overlap_us" in doc["final"]["histograms"],
-            "$.final.histograms", "missing rql.prefetch.overlap_us")
 
 
 def main():

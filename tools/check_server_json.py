@@ -23,7 +23,7 @@ SECTIONS = {
     },
     "engine": {
         "profile": str,
-        "cold_cache_per_run": bool,
+        "cache_policy": str,
     },
     "scheduler": {
         "queued": int,
@@ -58,6 +58,7 @@ SECTIONS = {
 
 
 PROFILES = {"paper_faithful", "fast"}
+CACHE_POLICIES = {"cold_per_run", "warm", "cold_per_iteration"}
 
 
 class SchemaError(Exception):
@@ -91,6 +92,9 @@ def check_stats(doc):
 
     require(doc["engine"]["profile"] in PROFILES, "$.engine.profile",
             f"expected one of {sorted(PROFILES)}")
+    require(doc["engine"]["cache_policy"] in CACHE_POLICIES,
+            "$.engine.cache_policy",
+            f"expected one of {sorted(CACHE_POLICIES)}")
 
     sched = doc["scheduler"]
     require(sched["queued"] >= 0 and sched["active"] >= 0, "$.scheduler",

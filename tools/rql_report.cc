@@ -56,10 +56,6 @@ struct IterRow {
   int64_t maplog_pages = 0, pagelog_pages = 0, cache_hits = 0, db_pages = 0;
   int64_t scan_hits = 0, scan_misses = 0;
   int64_t delta_pages = 0;  // skip rows: changed pages in the read set
-  // Background prefetch (async_prefetch): the iteration's kPrefetch event.
-  bool prefetched = false;
-  int64_t prefetch_issued = 0, prefetch_hits = 0, prefetch_cancelled = 0;
-  int64_t prefetch_overlap_us = 0;
 
   int64_t TotalUs() const {
     return io_us + spt_us + query_us + index_us + udf_us;
@@ -100,15 +96,6 @@ std::vector<IterRow> RowsFromTrace(const RqlTrace& trace) {
         IterRow& row = pending[key];
         row.scan_hits = ev.args[0];
         row.scan_misses = ev.args[1];
-        break;
-      }
-      case RqlTraceEventType::kPrefetch: {
-        IterRow& row = pending[key];
-        row.prefetched = true;
-        row.prefetch_issued = ev.args[0];
-        row.prefetch_hits = ev.args[1];
-        row.prefetch_cancelled = ev.args[2];
-        row.prefetch_overlap_us = ev.args[3];
         break;
       }
       case RqlTraceEventType::kIterationEnd: {
@@ -179,12 +166,6 @@ void PrintIterationTable(const std::vector<IterRow>& rows) {
     } else if (r.scan_hits + r.scan_misses > 0) {
       note = "scan_cache " + std::to_string(r.scan_hits) + "/" +
              std::to_string(r.scan_hits + r.scan_misses) + " hit";
-    }
-    if (r.prefetched) {
-      if (!note.empty()) note += "; ";
-      note += "prefetch issued=" + std::to_string(r.prefetch_issued) +
-              " hits=" + std::to_string(r.prefetch_hits) +
-              " cancelled=" + std::to_string(r.prefetch_cancelled);
     }
     std::printf("  %-4lld %-6u %8.2f %8.2f %9.2f %9.2f %8.2f %9.2f %8lld "
                 "%7lld %6lld  %s\n",
@@ -293,11 +274,7 @@ int Run(const ReportOptions& opt) {
   opts->metrics = &registry;
   opts->parallel_workers = opt.workers;
   opts->profile = RqlProfile::kFast;
-  opts->batch_pagelog_reads = true;
   opts->shared_scan_cache = &shared_cache;
-  // Background archive prefetch: sequential runs overlap each iteration's
-  // I/O with the previous one's execution (parallel runs ignore the flag).
-  opts->async_prefetch = true;
 
   // Cross-run memoization: every mechanism runs twice, a cold pass that
   // publishes per-iteration results into the memo and a warm pass that
@@ -405,37 +382,6 @@ int Run(const ReportOptions& opt) {
   std::printf("  %-32s %12lld\n", "truncate_invalidations",
               static_cast<long long>(cache_stats.truncate_invalidations));
 
-  // Background prefetch totals, accumulated from the per-run registry
-  // deltas (the same numbers the kPrefetch trace rows carry per
-  // iteration).
-  int64_t pf_issued = 0, pf_hits = 0, pf_wasted = 0, pf_cancelled = 0;
-  int64_t pf_overlap_count = 0, pf_overlap_sum_us = 0;
-  for (const MechanismRun& run : runs) {
-    auto counter = [&run](const char* name) -> int64_t {
-      auto it = run.delta.counters.find(name);
-      return it == run.delta.counters.end() ? 0 : it->second;
-    };
-    pf_issued += counter("rql.prefetch_issued");
-    pf_hits += counter("rql.prefetch_hits");
-    pf_wasted += counter("rql.prefetch_wasted");
-    pf_cancelled += counter("rql.prefetch_cancelled");
-    auto hit = run.delta.histograms.find("rql.prefetch.overlap_us");
-    if (hit != run.delta.histograms.end()) {
-      pf_overlap_count += hit->second.count;
-      pf_overlap_sum_us += hit->second.sum_us;
-    }
-  }
-  std::printf("\n== background prefetch (async_prefetch) ==\n");
-  std::printf("  %-32s %12lld\n", "issued", static_cast<long long>(pf_issued));
-  std::printf("  %-32s %12lld\n", "hits", static_cast<long long>(pf_hits));
-  std::printf("  %-32s %12lld\n", "wasted", static_cast<long long>(pf_wasted));
-  std::printf("  %-32s %12lld\n", "cancelled",
-              static_cast<long long>(pf_cancelled));
-  std::printf("  %-32s %12lld\n", "overlap_jobs",
-              static_cast<long long>(pf_overlap_count));
-  std::printf("  %-32s %12lld\n", "overlap_sum_us",
-              static_cast<long long>(pf_overlap_sum_us));
-
   retro::MetricsRegistry::Snapshot final_snap = registry.TakeSnapshot();
   // Pagelog diff-chain depth observed per archive read over the whole
   // report (always a single zero-depth bucket in kFull mode).
@@ -490,11 +436,6 @@ int Run(const ReportOptions& opt) {
         json.Field("cache_hits", r.cache_hits);
         json.Field("db_pages", r.db_pages);
         json.Field("delta_pages", r.delta_pages);
-        json.Field("prefetched", r.prefetched);
-        json.Field("prefetch_issued", r.prefetch_issued);
-        json.Field("prefetch_hits", r.prefetch_hits);
-        json.Field("prefetch_cancelled", r.prefetch_cancelled);
-        json.Field("prefetch_overlap_us", r.prefetch_overlap_us);
         json.EndObject();
       }
       json.EndArray();
@@ -519,14 +460,6 @@ int Run(const ReportOptions& opt) {
     json.Field("evictions", cache_stats.evictions);
     json.Field("abandoned_decodes", cache_stats.abandoned_decodes);
     json.Field("truncate_invalidations", cache_stats.truncate_invalidations);
-    json.EndObject();
-    json.BeginObject("prefetch");
-    json.Field("issued", pf_issued);
-    json.Field("hits", pf_hits);
-    json.Field("wasted", pf_wasted);
-    json.Field("cancelled", pf_cancelled);
-    json.Field("overlap_jobs", pf_overlap_count);
-    json.Field("overlap_sum_us", pf_overlap_sum_us);
     json.EndObject();
     WriteMetricsJson(&json, "final", final_snap, /*include_zero=*/true);
     json.EndObject();
