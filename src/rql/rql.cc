@@ -4,8 +4,9 @@
 #include <atomic>
 #include <cctype>
 #include <cmath>
-#include <map>
+#include <functional>
 #include <thread>
+#include <unordered_map>
 #include <variant>
 
 #include "common/clock.h"
@@ -60,10 +61,12 @@ Status CreateAndPopulateIndex(sql::Database* db, const std::string& name,
   return Status::OK();
 }
 
-/// One result-table row with its heap position.
+/// One result-table row with its heap position and its record's length,
+/// which is its slot's size.
 struct StoredRow {
   sql::Rid rid;
   Row row;
+  size_t bytes = 0;
 };
 
 /// All rows of `table` whose values on the index's columns equal `prefix`,
@@ -88,7 +91,7 @@ Result<std::vector<StoredRow>> ProbeByPrefix(sql::Database* db,
     RQL_ASSIGN_OR_RETURN(std::string record,
                          sql::HeapTable::Get(db->store(), it.value()));
     RQL_ASSIGN_OR_RETURN(Row row, sql::DecodeRow(record));
-    matches.push_back(StoredRow{it.value(), std::move(row)});
+    matches.push_back(StoredRow{it.value(), std::move(row), record.size()});
   }
   RQL_RETURN_IF_ERROR(it.status());
   return matches;
@@ -110,37 +113,32 @@ bool StrictlyOrdered(const Row& key) {
 
 /// kFast's in-memory stand-in for probing an AggregateDataInTable result
 /// table's `<table>_rql_idx` index (RqlProfile::kFast): the table's rows
-/// grouped by their indexed columns. Keys compare with sql::CompareRows,
-/// the B-tree's own comparator, so INTEGER 1 and REAL 1.0, or two NULLs,
-/// land in one group exactly as they match one probe; only
-/// StrictlyOrdered keys may enter. A group lists its rows in rid order,
-/// the order the probe returns them in. The fold keeps the directory in
-/// step with every AppendRow and UpdateRowAt it issues.
+/// grouped by their indexed columns, in a hash map. Keys are equal when
+/// sql::CompareRows, the B-tree's own comparator, says so, so INTEGER 1
+/// and REAL 1.0, or two NULLs, land in one group exactly as they match
+/// one probe; only StrictlyOrdered keys may enter, and on those that
+/// equality is an equivalence. A group lists its rows in rid order, the
+/// order the probe returns them in, each with its slot's size. The fold
+/// keeps the directory in step with every write it issues.
 class GroupDirectory {
  public:
   struct Group {
     /// Ascending rid: rows.front() is the probe's first match.
     std::vector<StoredRow> rows;
 
-    void Add(sql::Rid rid, Row row) {
+    void Add(StoredRow row) {
       auto at = std::upper_bound(
-          rows.begin(), rows.end(), rid,
+          rows.begin(), rows.end(), row.rid,
           [](sql::Rid r, const StoredRow& s) { return r < s.rid; });
-      rows.insert(at, StoredRow{rid, std::move(row)});
+      rows.insert(at, std::move(row));
     }
 
-    /// Row `rid` was rewritten to `row`, now at `new_rid`. A row that
-    /// moved is re-sorted.
-    void Replace(sql::Rid rid, sql::Rid new_rid, Row row) {
-      auto it = std::lower_bound(
-          rows.begin(), rows.end(), rid,
-          [](const StoredRow& s, sql::Rid r) { return s.rid < r; });
-      if (new_rid == rid) {
-        it->row = std::move(row);
-        return;
-      }
-      rows.erase(it);
-      Add(new_rid, std::move(row));
+    /// rows[i] moved to `rid`: re-sorts it.
+    void Move(size_t i, sql::Rid rid) {
+      StoredRow row = std::move(rows[i]);
+      rows.erase(rows.begin() + static_cast<std::ptrdiff_t>(i));
+      row.rid = rid;
+      Add(std::move(row));
     }
   };
 
@@ -151,7 +149,9 @@ class GroupDirectory {
       return Status::Internal(
           "result fold state was discarded by a failed iteration");
     }
-    return &groups_.try_emplace(key).first->second;
+    auto it = groups_.find(key);
+    if (it == groups_.end()) it = groups_.emplace(key, Group()).first;
+    return &it->second;
   }
 
   /// Drops every group: after a rolled-back iteration they describe
@@ -162,12 +162,38 @@ class GroupDirectory {
   }
 
  private:
-  struct KeyLess {
-    bool operator()(const Row& a, const Row& b) const {
-      return sql::CompareRows(a, b) < 0;
+  /// Agrees with KeyEqual: numbers hash by their AsDouble value, with
+  /// -0.0 as 0.0, so an INTEGER and the REAL CompareRows holds equal to
+  /// it hash alike.
+  struct KeyHash {
+    size_t operator()(const Row& key) const {
+      size_t h = key.size();
+      for (const Value& v : key) {
+        size_t x = 0;
+        switch (v.type()) {
+          case sql::ValueType::kNull:
+            break;
+          case sql::ValueType::kInteger:
+          case sql::ValueType::kReal: {
+            double d = v.AsDouble();
+            x = std::hash<double>{}(d == 0.0 ? 0.0 : d);
+            break;
+          }
+          case sql::ValueType::kText:
+            x = std::hash<std::string>{}(v.text());
+            break;
+        }
+        h ^= x + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+      }
+      return h;
     }
   };
-  std::map<Row, Group, KeyLess> groups_;
+  struct KeyEqual {
+    bool operator()(const Row& a, const Row& b) const {
+      return sql::CompareRows(a, b) == 0;
+    }
+  };
+  std::unordered_map<Row, Group, KeyHash, KeyEqual> groups_;
   bool discarded_ = false;
 };
 
@@ -213,16 +239,21 @@ class RqlEngine::MechanismState {
   }
 
   /// Ends the metadata transaction one iteration's fold ran in, with the
-  /// fold's outcome `s`: commits on success, rolls back on failure. A
-  /// failed iteration also discards the directory, which described the
-  /// rolled-back writes.
+  /// fold's outcome `s`: flushes the overwrite queue and commits on
+  /// success, rolls back on failure. A failed iteration also drops the
+  /// queue and discards the directory, which described the rolled-back
+  /// writes.
   Status EndFoldTransaction(Status s) {
+    if (s.ok()) s = FlushOverwrites();
     if (s.ok()) {
       s = meta()->Exec("COMMIT");
     } else {
       (void)meta()->Exec("ROLLBACK");
     }
-    if (!s.ok()) directory_.Discard();
+    if (!s.ok()) {
+      pending_.clear();
+      directory_.Discard();
+    }
     return s;
   }
 
@@ -280,6 +311,8 @@ class RqlEngine::MechanismState {
   /// holds every row, so the output stays the probe's.
   Result<GroupDirectory::Group*> DirectoryGroup(const Row& key) {
     if (use_directory_ && !StrictlyOrdered(key)) {
+      // The probe reads the result table, which must hold every write.
+      RQL_RETURN_IF_ERROR(FlushOverwrites());
       use_directory_ = false;
       directory_ = GroupDirectory();
     }
@@ -303,20 +336,53 @@ class RqlEngine::MechanismState {
 
   Status AppendResult(GroupDirectory::Group* group, const Row& row) {
     ++inserts_;
+    // The append fills, and may compact, the tail page: the queued
+    // overwrites land first.
+    RQL_RETURN_IF_ERROR(FlushOverwrites());
     RQL_ASSIGN_OR_RETURN(sql::Rid rid, meta()->AppendRow(table_, row));
-    if (group != nullptr) group->Add(rid, row);
+    if (group != nullptr) {
+      group->Add(StoredRow{rid, row, sql::EncodeRow(row).size()});
+    }
     return Status::OK();
   }
 
-  /// Rewrites the stored row `match` to `updated`.
-  Status UpdateResult(GroupDirectory::Group* group, const StoredRow& match,
-                      Row updated) {
+  /// Rewrites the stored row `match` to `updated` (the index probe's
+  /// fold).
+  Status UpdateResult(const StoredRow& match, Row updated) {
     ++updates_;
+    return meta()->UpdateRowAt(table_, match.rid, match.row, updated).status();
+  }
+
+  /// kFast: writes back `group`'s row `i`, which the fold changed in place
+  /// in its aggregate columns only. A record that still fits its slot
+  /// joins the overwrite queue; one that grew relocates through
+  /// UpdateRowAt once the queue is flushed.
+  Status UpdateResult(GroupDirectory::Group* group, size_t i) {
+    ++updates_;
+    StoredRow& stored = group->rows[i];
+    std::string record = sql::EncodeRow(stored.row);
+    const size_t bytes = stored.bytes;
+    stored.bytes = record.size();
+    if (record.size() <= bytes) {
+      pending_.push_back({stored.rid, std::move(record)});
+      return Status::OK();
+    }
+    RQL_RETURN_IF_ERROR(FlushOverwrites());
+    // The row is its own old image: its indexed columns are unchanged.
     RQL_ASSIGN_OR_RETURN(
         sql::Rid rid,
-        meta()->UpdateRowAt(table_, match.rid, match.row, updated));
-    if (group != nullptr) group->Replace(match.rid, rid, std::move(updated));
+        meta()->UpdateRowAt(table_, stored.rid, stored.row, stored.row));
+    if (rid != stored.rid) group->Move(i, rid);
     return Status::OK();
+  }
+
+  /// Applies the queued in-place overwrites in order, one read and one
+  /// write per touched page.
+  Status FlushOverwrites() {
+    if (pending_.empty()) return Status::OK();
+    Status s = meta()->OverwriteRows(table_, pending_);
+    pending_.clear();
+    return s;
   }
 
   RqlEngine* engine_;
@@ -334,6 +400,11 @@ class RqlEngine::MechanismState {
   /// B-tree.
   bool use_directory_ = false;
   GroupDirectory directory_;
+  /// kFast's in-place directory-row writes not yet applied, in fold
+  /// order. Flushed before anything that reads or reshapes the result
+  /// table and at the end of every iteration, so it never outlives the
+  /// iteration's transaction.
+  std::vector<sql::RecordOverwrite> pending_;
 };
 
 /// Collate Data: append every Qq row to T.
@@ -436,7 +507,7 @@ class RqlEngine::AggTableState : public MechanismState {
       batch_.push_back(row);
       return Status::OK();
     }
-    Row key = GroupKey(row);
+    const Row& key = GroupKeyOf(row);
     RQL_ASSIGN_OR_RETURN(GroupDirectory::Group * group, DirectoryGroup(key));
     if (!first_done_) {
       // First (cold) iteration: plain inserts; the index (index-probe
@@ -455,15 +526,21 @@ class RqlEngine::AggTableState : public MechanismState {
       SeedAvg(row);
       return AppendResult(group, row);
     }
+    bool changed = false;
+    if (group != nullptr) {
+      // The directory's copy of the first match combines in place.
+      RQL_RETURN_IF_ERROR(CombineInto(row, &group->rows.front().row, &changed));
+      return changed ? UpdateResult(group, 0) : Status::OK();
+    }
     const StoredRow& match = matches->front();
     Row updated = match.row;
-    bool changed = false;
     RQL_RETURN_IF_ERROR(CombineInto(row, &updated, &changed));
     if (!changed) return Status::OK();
-    return UpdateResult(group, match, std::move(updated));
+    return UpdateResult(match, std::move(updated));
   }
 
   Status OnIterationEnd(retro::SnapshotId) override {
+    RQL_RETURN_IF_ERROR(FlushOverwrites());
     if (strategy_ == AggTableStrategy::kSortMerge) {
       if (!first_done_) {
         first_done_ = table_created_;
@@ -489,6 +566,13 @@ class RqlEngine::AggTableState : public MechanismState {
     key.reserve(group_idx_.size());
     for (size_t idx : group_idx_) key.push_back(row[idx]);
     return key;
+  }
+
+  /// GroupKey(row), built in a buffer reused row after row.
+  const Row& GroupKeyOf(const Row& row) {
+    key_.resize(group_idx_.size());
+    for (size_t i = 0; i < group_idx_.size(); ++i) key_[i] = row[group_idx_[i]];
+    return key_;
   }
 
   /// The AVG (sum, count) slots of stored row `stored`'s group, keyed by
@@ -648,6 +732,7 @@ class RqlEngine::AggTableState : public MechanismState {
   bool first_done_ = false;
   AggTableStrategy strategy_ = AggTableStrategy::kIndexProbe;
   std::vector<Row> batch_;  // sort-merge: the current iteration's rows
+  Row key_;                 // GroupKeyOf's buffer
   // AVG special case: per stored group encoding, the running
   // (sum, count) per pair slot.
   std::unordered_map<std::string, std::vector<AvgState>> avg_state_;
@@ -688,7 +773,7 @@ class RqlEngine::IntervalState : public MechanismState {
           end.integer() == static_cast<int64_t>(prev_snap_)) {
         Row updated = match.row;
         updated[group_width_ + 1] = Value::Integer(snap);
-        return UpdateResult(nullptr, match, std::move(updated));
+        return UpdateResult(match, std::move(updated));
       }
     }
     return AppendResult(nullptr, full);

@@ -15,6 +15,7 @@
 #include "common/clock.h"
 #include "server/repl.h"
 #include "sql/parser.h"
+#include "sql/schema.h"
 #include "sql/value.h"
 
 namespace rql::server {
@@ -389,6 +390,8 @@ Status Server::HandleRqlRun(Conn* conn, const Frame& frame) {
         }
         opts->cancel = nullptr;
         opts->run_id = 0;
+        // The run dropped and rewrote its result table.
+        if (sql::IdentEquals(table, "SnapIds")) session->ForgetSnapIdsMirror();
         const RqlRunStats& stats = engine->last_run_stats();
         harvest->iterations = static_cast<uint32_t>(stats.iterations.size());
         harvest->total_us = NowMicros() - start_us;
@@ -478,6 +481,8 @@ bool Server::HandleFrame(Conn* conn, const Frame& frame) {
       }
       auto result = session->meta()->Query(sql);
       Status finish = session->engine()->FinishUdfRuns();
+      // The statement may have written SnapIds or opened a transaction.
+      session->ForgetSnapIdsMirror();
       if (!result.ok()) {
         (void)SendError(conn, result.status());
       } else if (!finish.ok()) {

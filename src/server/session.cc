@@ -1,5 +1,6 @@
 #include "server/session.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace rql::server {
@@ -22,12 +23,44 @@ Result<std::unique_ptr<Session>> Session::Create(
 
 Session::~Session() = default;
 
+namespace {
+
+bool IdenticalRows(const std::vector<sql::Row>& a,
+                   const std::vector<sql::Row>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const sql::Row& x, const sql::Row& y) {
+                      return std::equal(x.begin(), x.end(), y.begin(),
+                                        y.end(), sql::IdenticalValues);
+                    });
+}
+
+}  // namespace
+
 Status Session::ReplaceSnapIds(const sql::QueryResult& canonical) {
-  RQL_RETURN_IF_ERROR(meta_->Exec("DELETE FROM SnapIds"));
-  for (const sql::Row& row : canonical.rows) {
-    RQL_RETURN_IF_ERROR(meta_->AppendRow("SnapIds", row).status());
+  if (mirrored_.has_value() && IdenticalRows(*mirrored_, canonical.rows)) {
+    return Status::OK();
   }
-  return Status::OK();
+  mirrored_.reset();
+  // One transaction, not one commit per row. Inside a transaction the
+  // client left open, the rewrite joins it; the client's next kMetaSql
+  // forgets the mirror. The table is created afresh: a run or statement
+  // may have replaced it with one of another shape.
+  const bool own_txn = !meta_->store()->in_transaction();
+  if (own_txn) RQL_RETURN_IF_ERROR(meta_->Exec("BEGIN"));
+  Status s = meta_->Exec("DROP TABLE IF EXISTS SnapIds");
+  if (s.ok()) s = engine_->EnsureSnapIds();
+  for (size_t i = 0; s.ok() && i < canonical.rows.size(); ++i) {
+    s = meta_->AppendRow("SnapIds", canonical.rows[i]).status();
+  }
+  if (own_txn) {
+    if (s.ok()) {
+      s = meta_->Exec("COMMIT");
+    } else {
+      (void)meta_->Exec("ROLLBACK");
+    }
+  }
+  if (s.ok()) mirrored_ = canonical.rows;
+  return s;
 }
 
 Result<sql::PreparedStatement*> Session::FindStmt(uint32_t stmt_id) {

@@ -19,6 +19,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/status.h"
@@ -50,10 +52,17 @@ class Session {
   /// a run holds it.
   std::mutex mu;
 
-  /// Replaces the private SnapIds mirror with `rows` (the canonical table
-  /// read from the owner's metadata database), so Qs sees every snapshot
-  /// declared by any client up to this request.
+  /// Replaces the private SnapIds mirror with `canonical` (the table read
+  /// from the owner's metadata database), so Qs sees every snapshot
+  /// declared by any client up to this request. Rows equal to the ones
+  /// last mirrored leave the table as it is; others are rewritten in one
+  /// transaction.
   Status ReplaceSnapIds(const sql::QueryResult& canonical);
+
+  /// Forgets the rows last mirrored, so the next ReplaceSnapIds rewrites
+  /// the table: a kMetaSql statement, or a run whose result table is
+  /// SnapIds, may have changed it.
+  void ForgetSnapIdsMirror() { mirrored_.reset(); }
 
   // --- prepared statements (wire kPrepare..kClosePrepared) ----------------
   Result<uint32_t> Prepare(const std::string& sql);
@@ -81,6 +90,9 @@ class Session {
   std::unique_ptr<sql::Database> meta_;
   std::unique_ptr<sql::Database> data_;  // attached; store outlives us
   std::unique_ptr<RqlEngine> engine_;
+
+  // The canonical rows the private SnapIds holds; empty when unknown.
+  std::optional<std::vector<sql::Row>> mirrored_;
 
   std::map<uint32_t, std::unique_ptr<sql::PreparedStatement>> stmts_;
   uint32_t next_stmt_id_ = 1;

@@ -677,6 +677,41 @@ Result<Rid> Database::UpdateRowAt(std::string_view table, Rid rid,
   return new_rid;
 }
 
+Status Database::OverwriteRows(std::string_view table,
+                               const std::vector<RecordOverwrite>& rows) {
+  const TableInfo* info = catalog_->data().FindTable(table);
+  if (info == nullptr) {
+    return Status::NotFound("no such table: " + std::string(table));
+  }
+  std::vector<size_t> indexed;  // columns some index keys on
+  for (const IndexInfo* index : catalog_->data().TableIndexes(info->name)) {
+    for (int idx : index->column_idx) {
+      indexed.push_back(static_cast<size_t>(idx));
+    }
+  }
+  std::vector<std::string_view> stored_values, values;
+  auto check = [&](std::string_view stored, std::string_view record) {
+    RQL_RETURN_IF_ERROR(SplitEncodedRow(stored, &stored_values));
+    RQL_RETURN_IF_ERROR(SplitEncodedRow(record, &values));
+    if (values.size() != info->schema.size() ||
+        stored_values.size() != values.size()) {
+      return Status::InvalidArgument("row arity mismatch for table " +
+                                     info->name);
+    }
+    for (size_t idx : indexed) {
+      if (stored_values[idx] != values[idx]) {
+        return Status::InvalidArgument(
+            "in-place overwrite changes an indexed column of " + info->name);
+      }
+    }
+    return Status::OK();
+  };
+  return WithImplicitTxn([&]() -> Status {
+    HeapTable heap(store_, info->root);
+    return heap.Overwrite(rows, check);
+  });
+}
+
 Result<Database::TableStats> Database::GetTableStats(std::string_view table) {
   const TableInfo* info = catalog_->data().FindTable(table);
   if (info == nullptr) {

@@ -198,6 +198,17 @@ class Database {
   Result<Rid> UpdateRowAt(std::string_view table, Rid rid, const Row& old_row,
                           const Row& new_row);
 
+  /// Rewrites rows of `table` in place, in the given order, each record in
+  /// EncodeRow form: UpdateRowAt's in-place case, batched. Each touched
+  /// heap page is read and written once, where UpdateRowAt reads and
+  /// writes it once per row. Only overwrites that move no row and change
+  /// no index are taken: a record no larger than the one it replaces,
+  /// with every indexed column identical. The heap then ends byte-
+  /// identical to the same UpdateRowAt calls. Fails on a dead slot, a
+  /// grown record or a changed indexed column.
+  Status OverwriteRows(std::string_view table,
+                       const std::vector<RecordOverwrite>& rows);
+
  private:
   friend class PreparedStatement;
   Database() = default;

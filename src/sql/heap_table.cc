@@ -1,6 +1,7 @@
 #include "sql/heap_table.h"
 
 #include <cstring>
+#include <unordered_map>
 #include <vector>
 
 namespace rql::sql {
@@ -268,6 +269,41 @@ Result<Rid> HeapTable::Update(Rid rid, std::string_view record) {
   }
   RQL_RETURN_IF_ERROR(Delete(rid));
   return Insert(record);
+}
+
+Status HeapTable::Overwrite(const std::vector<RecordOverwrite>& overwrites,
+                            const OverwriteCheck& check) {
+  // Each page's overwrites, pages in order of first appearance.
+  std::vector<PageId> pages;
+  std::unordered_map<PageId, std::vector<const RecordOverwrite*>> by_page;
+  for (const RecordOverwrite& o : overwrites) {
+    auto [it, fresh] = by_page.try_emplace(RidPage(o.rid));
+    if (fresh) pages.push_back(it->first);
+    it->second.push_back(&o);
+  }
+  Page page;
+  for (PageId id : pages) {
+    RQL_RETURN_IF_ERROR(writer_->ReadPage(id, &page));
+    uint16_t slot_count = page.ReadU16(kSlotCountOff);
+    for (const RecordOverwrite* o : by_page[id]) {
+      uint16_t slot = RidSlot(o->rid);
+      if (slot >= slot_count) return Status::NotFound("no such slot");
+      uint16_t off, len;
+      ReadSlot(page, slot, &off, &len);
+      if (len == kDeadLen) return Status::NotFound("record deleted");
+      if (o->record.size() > len) {
+        return Status::InvalidArgument("in-place overwrite grows the record");
+      }
+      if (check) {
+        RQL_RETURN_IF_ERROR(check(std::string_view(page.data + off, len),
+                                  o->record));
+      }
+      std::memcpy(page.data + off, o->record.data(), o->record.size());
+      WriteSlot(&page, slot, off, static_cast<uint16_t>(o->record.size()));
+    }
+    RQL_RETURN_IF_ERROR(writer_->WritePage(id, page));
+  }
+  return Status::OK();
 }
 
 Status HeapTable::Drop() {

@@ -2,9 +2,11 @@
 #define RQL_SQL_HEAP_TABLE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 #include "sql/row_batch.h"
@@ -24,6 +26,13 @@ inline storage::PageId RidPage(Rid rid) {
   return static_cast<storage::PageId>(rid >> 16);
 }
 inline uint16_t RidSlot(Rid rid) { return static_cast<uint16_t>(rid & 0xFFFF); }
+
+/// One in-place record rewrite for HeapTable::Overwrite: the record at
+/// `rid` becomes `record`.
+struct RecordOverwrite {
+  Rid rid;
+  std::string record;
+};
 
 /// A heap file of variable-length records in slotted pages.
 ///
@@ -52,6 +61,21 @@ class HeapTable {
 
   /// Replaces the record, possibly moving it; returns the (new) rid.
   Result<Rid> Update(Rid rid, std::string_view record);
+
+  /// Vets one overwrite: the stored record and its replacement.
+  using OverwriteCheck =
+      std::function<Status(std::string_view stored, std::string_view record)>;
+
+  /// Rewrites records in place, as Update does with a record that does
+  /// not grow, reading and writing each touched page once. Overwrites of
+  /// one page apply in their given order, so every page ends byte-
+  /// identical to the same Update calls made one at a time. `check`, when
+  /// given, vets each overwrite before it applies. Fails on a dead slot, a
+  /// grown record or a failed check without writing the page that holds
+  /// it; pages written before stay written, so callers overwrite inside a
+  /// transaction.
+  Status Overwrite(const std::vector<RecordOverwrite>& overwrites,
+                   const OverwriteCheck& check = nullptr);
 
   /// Frees every page of the table, including the root.
   Status Drop();

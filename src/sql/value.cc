@@ -201,4 +201,43 @@ Result<Row> DecodeRow(std::string_view data) {
   return row;
 }
 
+Status SplitEncodedRow(std::string_view record,
+                       std::vector<std::string_view>* values) {
+  values->clear();
+  uint32_t count = 0;
+  if (!GetU32(&record, &count)) {
+    return Status::Corruption("row split: truncated header");
+  }
+  for (uint32_t i = 0; i < count; ++i) {
+    if (record.empty()) return Status::Corruption("row split: truncated tag");
+    size_t size = 1;
+    switch (static_cast<ValueType>(record.front())) {
+      case ValueType::kNull:
+        break;
+      case ValueType::kInteger:
+      case ValueType::kReal:
+        size += sizeof(uint64_t);
+        break;
+      case ValueType::kText: {
+        std::string_view len_bytes = record.substr(1);
+        uint32_t len;
+        if (!GetU32(&len_bytes, &len)) {
+          return Status::Corruption("row split: truncated text");
+        }
+        size += sizeof(uint32_t) + len;
+        break;
+      }
+      default:
+        return Status::Corruption("row split: bad type tag");
+    }
+    if (record.size() < size) {
+      return Status::Corruption("row split: truncated value");
+    }
+    values->push_back(record.substr(0, size));
+    record.remove_prefix(size);
+  }
+  if (!record.empty()) return Status::Corruption("row split: trailing bytes");
+  return Status::OK();
+}
+
 }  // namespace rql::sql

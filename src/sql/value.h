@@ -101,6 +101,12 @@ void EncodeRow(const Row& row, std::string* out);
 std::string EncodeRow(const Row& row);
 Result<Row> DecodeRow(std::string_view data);
 
+/// Splits an EncodeRow record into the bytes of each value, in column
+/// order, without decoding: equal spans are identical values
+/// (IdenticalValues). Fails on a malformed record.
+Status SplitEncodedRow(std::string_view record,
+                       std::vector<std::string_view>* values);
+
 }  // namespace rql::sql
 
 #endif  // RQL_SQL_VALUE_H_

@@ -560,5 +560,35 @@ TEST_F(UpdateRowAtTest, IndexedColumnChangeRekeysThatIndex) {
   ExpectSeekFindsLiveRows("t_k", 0, Value::Real(1.0));
 }
 
+TEST_F(UpdateRowAtTest, OverwriteRowsTakesOnlyInPlaceUnindexedChanges) {
+  // Non-indexed v changes in place on two heap pages; the indexes stay.
+  std::vector<RecordOverwrite> overwrites;
+  for (size_t i : {3, 140, 4}) {
+    rows_[i].second[2] = Value::Integer(1000 + static_cast<int64_t>(i));
+    overwrites.push_back({rows_[i].first, EncodeRow(rows_[i].second)});
+  }
+  ASSERT_NE(RidPage(rows_[3].first), RidPage(rows_[140].first));
+  ASSERT_TRUE(db_->OverwriteRows("t", overwrites).ok());
+  ExpectIndexesMatchHeap();
+  EXPECT_EQ(Scalar("SELECT v FROM t WHERE s = 's140'").integer(), 1140);
+
+  // A changed indexed column, even INTEGER 2 -> REAL 2.0 (equal, other
+  // bytes), and a grown record are refused; nothing is written.
+  Row rekeyed = rows_[7].second;
+  rekeyed[0] = Value::Real(2.0);
+  Row grown = rows_[8].second;
+  grown[2] = Value::Text("a long replacement for an integer");
+  for (const Row& row : {rekeyed, grown}) {
+    Status s = db_->OverwriteRows(
+        "t", {{rows_[3].first, EncodeRow(rows_[3].second)},
+              {row == rekeyed ? rows_[7].first : rows_[8].first,
+               EncodeRow(row)}});
+    EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  }
+  ExpectIndexesMatchHeap();
+  EXPECT_EQ(Scalar("SELECT COUNT(*) FROM t WHERE k = 2.0").integer(), 30);
+  EXPECT_TRUE(db_->OverwriteRows("missing", {}).IsNotFound());
+}
+
 }  // namespace
 }  // namespace rql::sql

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
 #include <set>
 
 #include "retro/snapshot_store.h"
@@ -138,6 +140,109 @@ TEST_F(HeapTableTest, UpdateInPlaceAndMoving) {
   auto rec = HeapTable::Get(store_.get(), *moved);
   ASSERT_TRUE(rec.ok());
   EXPECT_EQ(*rec, big);
+}
+
+/// Counts each page's reads and writes on the way to the wrapped writer.
+class CountingWriter : public storage::PageWriter {
+ public:
+  explicit CountingWriter(storage::PageWriter* base) : base_(base) {}
+  Status ReadPage(storage::PageId id, storage::Page* page) override {
+    ++reads[id];
+    return base_->ReadPage(id, page);
+  }
+  Status WritePage(storage::PageId id, const storage::Page& page) override {
+    ++writes[id];
+    return base_->WritePage(id, page);
+  }
+  Result<storage::PageId> AllocatePage() override {
+    return base_->AllocatePage();
+  }
+  Status FreePage(storage::PageId id) override { return base_->FreePage(id); }
+
+  std::map<storage::PageId, int> reads, writes;
+
+ private:
+  storage::PageWriter* base_;
+};
+
+TEST_F(HeapTableTest, OverwriteTouchesEachPageOnceWithUpdatesBytes) {
+  // A twin store takes the same inserts, then the overwrites as Update
+  // calls one at a time; every page must end byte-identical.
+  storage::InMemoryEnv twin_env;
+  auto twin = retro::SnapshotStore::Open(&twin_env, "t");
+  ASSERT_TRUE(twin.ok());
+  auto twin_root = HeapTable::Create(twin->get());
+  ASSERT_TRUE(twin_root.ok());
+  ASSERT_EQ(*twin_root, root_);
+  HeapTable table(store_.get(), root_);
+  HeapTable twin_table(twin->get(), root_);
+  std::vector<Rid> rids;
+  for (int i = 0; i < 30; ++i) {
+    std::string record(300, static_cast<char>('a' + i % 26));
+    auto rid = table.Insert(record);
+    ASSERT_TRUE(rid.ok());
+    auto twin_rid = twin_table.Insert(record);
+    ASSERT_TRUE(twin_rid.ok());
+    ASSERT_EQ(*rid, *twin_rid);
+    rids.push_back(*rid);
+  }
+  // Pages interleave; row 0 is rewritten twice, shrinking both times, and
+  // row 12 keeps its size.
+  std::vector<RecordOverwrite> overwrites;
+  std::set<storage::PageId> touched;
+  for (int i : {0, 25, 3, 12, 0, 27, 13}) {
+    size_t size = i == 12 ? 300 : 200 - overwrites.size() * 10;
+    overwrites.push_back({rids[i], std::string(size, 'A' + i % 26)});
+    touched.insert(RidPage(rids[i]));
+  }
+  ASSERT_GE(touched.size(), 3u);
+  for (const RecordOverwrite& o : overwrites) {
+    auto rid = twin_table.Update(o.rid, o.record);
+    ASSERT_TRUE(rid.ok());
+    ASSERT_EQ(*rid, o.rid);
+  }
+
+  CountingWriter counting(store_.get());
+  HeapTable counted(&counting, root_);
+  ASSERT_TRUE(counted.Overwrite(overwrites).ok());
+  EXPECT_EQ(counting.reads.size(), touched.size());
+  EXPECT_EQ(counting.writes.size(), touched.size());
+  for (storage::PageId id : touched) {
+    EXPECT_EQ(counting.reads[id], 1) << id;
+    EXPECT_EQ(counting.writes[id], 1) << id;
+  }
+
+  storage::PageId id = root_;
+  while (id != storage::kInvalidPageId) {
+    storage::Page page, twin_page;
+    ASSERT_TRUE(store_->ReadPage(id, &page).ok());
+    ASSERT_TRUE((*twin)->ReadPage(id, &twin_page).ok());
+    EXPECT_EQ(std::memcmp(page.data, twin_page.data, storage::kPageSize), 0)
+        << "page " << id;
+    id = page.ReadU32(0);  // the next-page link
+  }
+  EXPECT_EQ(ScanAll().size(), 30u);
+}
+
+TEST_F(HeapTableTest, OverwriteRejectsGrownRecordsAndDeadSlots) {
+  HeapTable table(store_.get(), root_);
+  auto live = table.Insert("short");
+  auto dead = table.Insert("other");
+  ASSERT_TRUE(live.ok() && dead.ok());
+  ASSERT_TRUE(table.Delete(*dead).ok());
+
+  CountingWriter counting(store_.get());
+  HeapTable counted(&counting, root_);
+  EXPECT_TRUE(counted.Overwrite({{*live, "longer!"}}).IsInvalidArgument());
+  EXPECT_TRUE(counted.Overwrite({{*dead, "x"}}).IsNotFound());
+  EXPECT_TRUE(
+      counted.Overwrite({{MakeRid(RidPage(*live), 99), "x"}}).IsNotFound());
+  // A valid overwrite ahead of a bad one on the same page is not written.
+  EXPECT_TRUE(counted.Overwrite({{*live, "tiny"}, {*dead, "x"}}).IsNotFound());
+  EXPECT_TRUE(counting.writes.empty());
+  auto record = HeapTable::Get(store_.get(), *live);
+  ASSERT_TRUE(record.ok());
+  EXPECT_EQ(*record, "short");
 }
 
 TEST_F(HeapTableTest, RejectsOversizedRecord) {

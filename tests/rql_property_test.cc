@@ -12,6 +12,8 @@
 
 #include "common/random.h"
 #include "rql/rql.h"
+#include "sql/btree.h"
+#include "sql/heap_table.h"
 #include "sql/shared_scan_cache.h"
 #include "storage/fault_env.h"
 
@@ -1048,11 +1050,74 @@ Fixture MakeFoldFixture() {
   return f;
 }
 
+/// A history over src (g, n, s) whose hot iterations resize result
+/// records both ways and append new groups behind them, so kFast's fold
+/// both queues in-place overwrites and relocates or appends around them:
+/// - SUM over a NULL n that turns INTEGER, and MAX over a TEXT that
+///   lengthens, grow records past their slots;
+/// - MIN over long TEXTs that turn short shrinks them in place, in the
+///   same iterations that append long-TEXT groups, so an append may
+///   compact the tail page around queued shrinks;
+/// - a record that MIN shrank grows again, under SUM, past its slot but
+///   not past its first size;
+/// - two identical rows give duplicate keys (Qq is no GROUP BY).
+/// The last snapshot changes only a side table, so memoized runs replay
+/// it.
+Fixture MakeResizingFoldFixture() {
+  Fixture f;
+  auto data = sql::Database::Open(f.env.get(), "data");
+  auto meta = sql::Database::Open(f.env.get(), "meta");
+  EXPECT_TRUE(data.ok() && meta.ok());
+  f.data = std::move(*data);
+  f.meta = std::move(*meta);
+  f.engine = std::make_unique<RqlEngine>(f.data.get(), f.meta.get());
+  EXPECT_TRUE(f.engine->EnsureSnapIds().ok());
+  auto exec = [&](const std::string& sql) {
+    Status s = f.data->Exec(sql);
+    EXPECT_TRUE(s.ok()) << sql << ": " << s.ToString();
+  };
+  const std::string long_q(300, 'q');
+  auto insert_groups = [&](int from, int to) {
+    std::string values;
+    for (int g = from; g < to; ++g) {
+      if (!values.empty()) values += ", ";
+      values += "(" + std::to_string(g) + ", " + std::to_string(g) + ", '" +
+                long_q + std::to_string(g) + "')";
+    }
+    return "INSERT INTO src VALUES " + values;
+  };
+  exec("CREATE TABLE src (g INTEGER, n INTEGER, s TEXT)");
+  exec("CREATE TABLE side (x INTEGER)");
+  exec(insert_groups(200, 240));
+  exec("INSERT INTO src VALUES (300, NULL, 'b'), (301, 1, 'd'), "
+       "(301, 1, 'd'), (302, NULL, '" + long_q + "')");
+  const std::vector<std::string> rounds = {
+      "",
+      "UPDATE src SET n = n + 1, s = 'a' WHERE g < 220; "
+      "UPDATE src SET n = 7, s = 'bbbbbbbb' WHERE g = 300; "
+      "UPDATE src SET s = 'e' WHERE g = 302; " +
+          insert_groups(240, 260),
+      "UPDATE src SET n = n + 1, s = 'c' WHERE g >= 220; "
+      "UPDATE src SET n = 3 WHERE g = 302; " +
+          insert_groups(260, 275),
+      "INSERT INTO side VALUES (1)",
+  };
+  for (size_t r = 0; r < rounds.size(); ++r) {
+    if (r > 0) exec("BEGIN; " + rounds[r]);
+    auto snap = f.engine->CommitWithSnapshot("t" + std::to_string(r));
+    EXPECT_TRUE(snap.ok()) << snap.status().ToString();
+    f.snaps.push_back(*snap);
+  }
+  return f;
+}
+
 /// A history over src (g, n, s) whose first snapshot lists `rows`, in
 /// heap order, beside small INTEGER and NULL groups; every later snapshot
-/// changes every n, and the last only a side table, so memoized runs
-/// replay it.
-Fixture MakeUnorderableKeyFixture(const std::string& rows) {
+/// changes every n, the second also appends `late` rows (scanned after
+/// every other row, so after the hot iteration's first updates), and the
+/// last changes only a side table, so memoized runs replay it.
+Fixture MakeUnorderableKeyFixture(const std::string& rows,
+                                  const std::string& late = "") {
   Fixture f;
   auto data = sql::Database::Open(f.env.get(), "data");
   auto meta = sql::Database::Open(f.env.get(), "meta");
@@ -1070,8 +1135,10 @@ Fixture MakeUnorderableKeyFixture(const std::string& rows) {
   exec("INSERT INTO src VALUES " + rows +
        ", (1, 3, 'c'), (2, 4, 'd'), (NULL, 5, 'e')");
   const std::vector<std::string> rounds = {
-      "", "UPDATE src SET n = n + 1", "UPDATE src SET n = n + 10",
-      "INSERT INTO side VALUES (1)"};
+      "",
+      "UPDATE src SET n = n + 1" +
+          (late.empty() ? "" : "; INSERT INTO src VALUES " + late),
+      "UPDATE src SET n = n + 10", "INSERT INTO side VALUES (1)"};
   for (size_t r = 0; r < rounds.size(); ++r) {
     if (r > 0) exec("BEGIN; " + rounds[r]);
     auto snap = f.engine->CommitWithSnapshot("t" + std::to_string(r));
@@ -1082,13 +1149,15 @@ Fixture MakeUnorderableKeyFixture(const std::string& rows) {
 }
 
 /// kFast folds AggregateDataInTable's index probe through an in-memory
-/// group directory instead of the result table's B-tree. On `f`'s history
-/// (src (g, n, s)), each result table must be byte-identical (EncodeRow,
-/// heap order) to the paper-faithful run, with the same
-/// probe/insert/update counts, with memoized replay off, run-scoped (delta
-/// fast path) and through a shared memo (cold and warm), and in the UDF
-/// form. CollateDataIntoIntervals probes under both profiles; it is
-/// checked alongside.
+/// group directory instead of the result table's B-tree, and batches its
+/// in-place writes per page. On `f`'s history (src (g, n, s)), each result
+/// table must equal the paper-faithful run's: the same records at the
+/// same rids in heap scan order, read with HeapTable::Scan on the
+/// metadata store, the same `_rql_idx` keys, and the same
+/// probe/insert/update counts. That holds with memoized replay off,
+/// run-scoped (delta fast path) and through a shared memo (cold and
+/// warm), and in the UDF form. CollateDataIntoIntervals probes under both
+/// profiles; it is checked alongside.
 void ExpectFastFoldMatchesPaperFaithful(Fixture& f) {
   const std::string qs = "SELECT snap_id FROM SnapIds";
   struct Mech {
@@ -1111,6 +1180,13 @@ void ExpectFastFoldMatchesPaperFaithful(Fixture& f) {
          return f.engine->AggregateDataInTable(
              qs, "SELECT g, n, s FROM src", t, "(n,avg):(s,max)");
        }},
+      {"sum_min",
+       "AggregateDataInTable(snap_id, 'SELECT g, n, s FROM src', '%T', "
+       "'(n,sum):(s,min)')",
+       [&](const std::string& t) {
+         return f.engine->AggregateDataInTable(
+             qs, "SELECT g, n, s FROM src", t, "(n,sum):(s,min)");
+       }},
       {"intervals",
        "CollateDataIntoIntervals(snap_id, 'SELECT g, s FROM src', '%T')",
        [&](const std::string& t) {
@@ -1118,12 +1194,36 @@ void ExpectFastFoldMatchesPaperFaithful(Fixture& f) {
              qs, "SELECT g, s FROM src", t);
        }},
   };
+  // "rid:record" per heap row in scan order, then every index key. A rid
+  // names its page by the page's rank in scan order, since two tables'
+  // page ids differ.
   auto dump = [&](const std::string& table) {
-    auto rows = f.meta->Query("SELECT * FROM " + table);
-    EXPECT_TRUE(rows.ok()) << table << ": " << rows.status().ToString();
     std::vector<std::string> out;
-    if (rows.ok()) {
-      for (const Row& row : rows->rows) out.push_back(sql::EncodeRow(row));
+    const sql::CatalogData& catalog = f.meta->catalog()->data();
+    const sql::TableInfo* info = catalog.FindTable(table);
+    EXPECT_NE(info, nullptr) << table;
+    if (info == nullptr) return out;
+    std::map<storage::PageId, size_t> page_rank;
+    auto rid_name = [&](sql::Rid rid) {
+      auto rank = page_rank.try_emplace(sql::RidPage(rid), page_rank.size());
+      return std::to_string(rank.first->second) + "." +
+             std::to_string(sql::RidSlot(rid));
+    };
+    auto it = sql::HeapTable::Scan(f.meta->store(), info->root);
+    for (; it.Valid(); it.Next()) {
+      out.push_back(rid_name(it.rid()) + ":" + std::string(it.record()));
+    }
+    EXPECT_TRUE(it.status().ok()) << table;
+    for (const sql::IndexInfo* index : catalog.TableIndexes(table)) {
+      auto keys = sql::BTree::SeekFirst(f.meta->store(), index->root);
+      EXPECT_TRUE(keys.ok()) << table;
+      if (!keys.ok()) continue;
+      for (; keys->Valid(); keys->Next()) {
+        Row key = keys->key();
+        sql::Rid rid = static_cast<sql::Rid>(key.back().integer());
+        key.pop_back();
+        out.push_back("key:" + sql::EncodeRow(key) + "@" + rid_name(rid));
+      }
     }
     return out;
   };
@@ -1208,16 +1308,29 @@ TEST(RqlFoldPropertyTest, FastFoldIsByteIdenticalToPaperFaithful) {
   ExpectFastFoldMatchesPaperFaithful(f);
 }
 
+TEST(RqlFoldPropertyTest, ResizedRecordsFoldAsThePaperFaithfulRunDoes) {
+  Fixture f = MakeResizingFoldFixture();
+  ExpectFastFoldMatchesPaperFaithful(f);
+}
+
 TEST(RqlFoldPropertyTest, UnorderableKeysFoldAsTheProbeDoes) {
   // CompareRows is no strict weak order on these keys, so kFast's
   // directory hands the fold back to the index probe. REAL 2^53 equals
-  // both INTEGER 2^53 and 2^53 + 1; a REAL NaN equals every number.
-  for (const char* rows :
-       {"(9007199254740993, 1, 'a'), (9007199254740992.0, 2, 'r'), "
-        "(9007199254740992, 3, 'b')",
-        "(CAST('nan' AS REAL), 1, 'z'), (5, 2, 'f'), (6, 3, 'g')"}) {
-    SCOPED_TRACE(rows);
-    Fixture f = MakeUnorderableKeyFixture(rows);
+  // both INTEGER 2^53 and 2^53 + 1; a REAL NaN equals every number. The
+  // last case's NaN arrives in a hot iteration, behind in-place updates
+  // the hand-back must first write.
+  struct Case {
+    const char* rows;
+    const char* late;
+  };
+  for (const Case& c :
+       {Case{"(9007199254740993, 1, 'a'), (9007199254740992.0, 2, 'r'), "
+             "(9007199254740992, 3, 'b')",
+             ""},
+        Case{"(CAST('nan' AS REAL), 1, 'z'), (5, 2, 'f'), (6, 3, 'g')", ""},
+        Case{"(5, 2, 'f'), (6, 3, 'g')", "(CAST('nan' AS REAL), 1, 'z')"}}) {
+    SCOPED_TRACE(std::string(c.rows) + " / " + c.late);
+    Fixture f = MakeUnorderableKeyFixture(c.rows, c.late);
     ExpectFastFoldMatchesPaperFaithful(f);
   }
 }

@@ -7,6 +7,7 @@
 #include <map>
 
 #include "sql/btree.h"
+#include "sql/heap_table.h"
 #include "sql/shared_scan_cache.h"
 
 namespace rql {
@@ -1099,9 +1100,11 @@ TEST(RqlFastFoldTest, HotIterationsNeverReadTheResultIndex) {
 
 
 TEST(RqlFastFoldTest, FailedIterationDiscardsTheRun) {
-  // The third snapshot's x is text, so SUM fails mid-fold. The iteration
-  // rolls back and discards the fold state, and the run is dropped under
-  // both profiles, leaving the metadata database usable.
+  // The third snapshot's x is text, so SUM fails mid-fold, after g = 1's
+  // update (queued in place under kFast). The iteration rolls back and
+  // drops the fold state, and the run is dropped under both profiles,
+  // leaving the metadata database usable: a rerun stores the same rows at
+  // the same slots under both.
   storage::InMemoryEnv env;
   auto data = sql::Database::Open(&env, "data");
   auto meta = sql::Database::Open(&env, "meta");
@@ -1115,6 +1118,7 @@ TEST(RqlFastFoldTest, FailedIterationDiscardsTheRun) {
   ASSERT_TRUE(engine.CommitWithSnapshot("t2").ok());
   ASSERT_TRUE((*data)->Exec("BEGIN; UPDATE t SET x = 'oops' WHERE g = 2").ok());
   ASSERT_TRUE(engine.CommitWithSnapshot("t3").ok());
+  std::vector<std::vector<std::string>> heaps;  // per profile, slot:record
   for (RqlProfile profile : {RqlProfile::kPaperFaithful, RqlProfile::kFast}) {
     engine.mutable_options()->profile = profile;
     Status s = engine.AggregateDataInTable("SELECT snap_id FROM SnapIds",
@@ -1130,7 +1134,17 @@ TEST(RqlFastFoldTest, FailedIterationDiscardsTheRun) {
     auto sum = (*meta)->QueryScalar("SELECT SUM(x) FROM R");
     ASSERT_TRUE(sum.ok());
     EXPECT_EQ(sum->integer(), 8);  // (1 + 2) + (2 + 3)
+    const sql::TableInfo* info = (*meta)->catalog()->data().FindTable("R");
+    ASSERT_NE(info, nullptr);
+    std::vector<std::string> heap;
+    for (auto it = sql::HeapTable::Scan((*meta)->store(), info->root);
+         it.Valid(); it.Next()) {
+      heap.push_back(std::to_string(sql::RidSlot(it.rid())) + ":" +
+                     std::string(it.record()));
+    }
+    heaps.push_back(heap);
   }
+  EXPECT_EQ(heaps[0], heaps[1]);
 }
 
 }  // namespace

@@ -438,6 +438,15 @@ TEST(ServerTest, RunDoneTotalIsMeasuredWallTime) {
   (*server)->Stop();
 }
 
+/// The integer `field` of the kStats document's memo section, or -1.
+int64_t MemoStat(const std::string& stats_json, const std::string& field) {
+  size_t memo = stats_json.find("\"memo\": {");
+  if (memo == std::string::npos) return -1;
+  size_t at = stats_json.find("\"" + field + "\": ", memo);
+  if (at == std::string::npos) return -1;
+  return std::stoll(stats_json.substr(at + field.size() + 4));
+}
+
 // The concurrency gate: four socket clients, staggered overlapping
 // intervals (odd clients descending), concurrent scheduled runs — every
 // client's result table byte-identical to a sequential in-process oracle
@@ -462,8 +471,11 @@ TEST(ServerConcurrencyTest, FourClientsByteIdenticalToSequentialOracle) {
     ASSERT_FALSE(oracle[i].empty());
   }
 
+  // A registry of its own: kStats then counts this server's memo hits.
+  retro::MetricsRegistry registry;
   ServerOptions options;
   options.socket_path = UniqueSocketPath();
+  options.metrics = &registry;
   options.scheduler.dispatch_threads = kClients;
   auto server = Server::Create(f.data.get(), f.meta.get(), options);
   ASSERT_TRUE(server.ok());
@@ -522,10 +534,19 @@ TEST(ServerConcurrencyTest, FourClientsByteIdenticalToSequentialOracle) {
     total_shared_hits += runs[i].shared_hits;
   }
   // Cross-session sharing actually happened: the staggered intervals
-  // overlap heavily, so decoded page versions were served across runs.
-  EXPECT_GT(total_shared_hits, 0);
+  // overlap heavily, so runs reused each other's work. A run shares either
+  // decoded page versions (scan-cache hits) or whole iterations another
+  // session published to the served memo (memo hits; such an iteration
+  // scans nothing, so which of the two a run gets depends on timing).
+  // Every memo hit is another session's: a run visits each snapshot once,
+  // so it never probes an entry it published itself.
+  auto stats = runs[0].client->StatsJson();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const int64_t memo_hits = MemoStat(*stats, "hits");
+  ASSERT_GE(memo_hits, 0);
+  EXPECT_GT(total_shared_hits + memo_hits, 0);
   sql::SharedScanCache::Stats cache = (*server)->scan_cache()->GetStats();
-  EXPECT_GT(cache.shared_hits, 0);
+  EXPECT_GT(cache.shared_hits + memo_hits, 0);
 
   for (ClientRun& r : runs) r.client.reset();
   WaitForNoSessions(server->get());
@@ -670,15 +691,6 @@ Result<std::vector<std::string>> ServeCollate(Client* client,
   RQL_ASSIGN_OR_RETURN(sql::QueryResult rows,
                        client->MetaSql("SELECT * FROM Out"));
   return EncodeRows(rows);
-}
-
-/// The integer `field` of the kStats document's memo section, or -1.
-int64_t MemoStat(const std::string& stats_json, const std::string& field) {
-  size_t memo = stats_json.find("\"memo\": {");
-  if (memo == std::string::npos) return -1;
-  size_t at = stats_json.find("\"" + field + "\": ", memo);
-  if (at == std::string::npos) return -1;
-  return std::stoll(stats_json.substr(at + field.size() + 4));
 }
 
 struct MemoCounts {
@@ -844,6 +856,92 @@ TEST(ServerMemoTest, ConcurrentSessionsPublishTheSameSnapshots) {
 
   WaitForNoSessions(server->get());
   (*server)->Stop();
+}
+
+/// A started server over a 6-snapshot history, with one client.
+struct MirrorFixture {
+  HistoryFixture f = MakeHistory(6);
+  ServerOptions options;
+  std::unique_ptr<Server> server;
+  std::unique_ptr<Client> client;
+
+  MirrorFixture() {
+    options.socket_path = UniqueSocketPath();
+    auto created = Server::Create(f.data.get(), f.meta.get(), options);
+    EXPECT_TRUE(created.ok());
+    if (!created.ok()) return;
+    server = std::move(*created);
+    EXPECT_TRUE(server->Start().ok());
+    auto connected = Client::Connect(options.socket_path);
+    EXPECT_TRUE(connected.ok());
+    if (connected.ok()) client = std::move(*connected);
+  }
+
+  ~MirrorFixture() {
+    client.reset();
+    if (server == nullptr) return;
+    WaitForNoSessions(server.get());
+    server->Stop();
+  }
+
+  /// The iterations of a served run over every snapshot the session's
+  /// SnapIds mirror lists.
+  Result<uint32_t> RunOverSnapIds() {
+    RQL_ASSIGN_OR_RETURN(
+        uint64_t run,
+        client->StartRun(Mechanism::kAggregateDataInVariable,
+                         "SELECT snap_id FROM SnapIds",
+                         "SELECT COUNT(*) AS c FROM t", "Count", "sum"));
+    RQL_ASSIGN_OR_RETURN(Client::RunResult done, client->WaitRun(run));
+    RQL_RETURN_IF_ERROR(done.status);
+    return done.iterations;
+  }
+};
+
+/// Expects `run` to have succeeded with `iterations` iterations.
+void ExpectIterations(const Result<uint32_t>& run, uint32_t iterations) {
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(*run, iterations);
+}
+
+TEST(ServerMirrorTest, RunSeesSnapshotDeclaredSinceTheLastRun) {
+  MirrorFixture m;
+  ASSERT_NE(m.client, nullptr);
+  ExpectIterations(m.RunOverSnapIds(), 6);
+  ExpectIterations(m.RunOverSnapIds(), 6);
+  ASSERT_TRUE(m.client->DeclareSnapshot("later").ok());
+  ExpectIterations(m.RunOverSnapIds(), 7);
+}
+
+TEST(ServerMirrorTest, RunAfterTruncateSkipsDroppedSnapshots) {
+  MirrorFixture m;
+  ASSERT_NE(m.client, nullptr);
+  ExpectIterations(m.RunOverSnapIds(), 6);
+  auto earliest = m.client->Truncate(4);
+  ASSERT_TRUE(earliest.ok()) << earliest.status().ToString();
+  ExpectIterations(m.RunOverSnapIds(), 3);
+}
+
+TEST(ServerMirrorTest, SnapIdsDeletedOverMetaSqlReturnOnTheNextRun) {
+  MirrorFixture m;
+  ASSERT_NE(m.client, nullptr);
+  ExpectIterations(m.RunOverSnapIds(), 6);
+  ASSERT_TRUE(m.client->MetaSql("DELETE FROM SnapIds").ok());
+  ExpectIterations(m.RunOverSnapIds(), 6);
+}
+
+TEST(ServerMirrorTest, RunIntoSnapIdsLeavesTheNextRunCorrect) {
+  MirrorFixture m;
+  ASSERT_NE(m.client, nullptr);
+  ExpectIterations(m.RunOverSnapIds(), 6);
+  // The run replaces the private SnapIds with 200 rows of its own.
+  auto run = m.client->StartRun(Mechanism::kCollateData, QsRange(1, 2),
+                                "SELECT k AS snap_id FROM t WHERE k < 100",
+                                "SnapIds");
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  auto done = m.client->WaitRun(*run);
+  ASSERT_TRUE(done.ok() && done->status.ok());
+  ExpectIterations(m.RunOverSnapIds(), 6);
 }
 
 }  // namespace
