@@ -9,9 +9,10 @@ namespace rql::bench {
 namespace {
 
 struct Sample {
-  double entries = 0;
-  double pages = 0;
+  int64_t entries = 0;
+  int64_t pages = 0;
   double ms = 0;
+  bool repeatable = true;  // every repeat counted the same entries and pages
 };
 
 Sample MeasureSpt(tpch::History* history, retro::SnapshotId snap,
@@ -20,17 +21,18 @@ Sample MeasureSpt(tpch::History* history, retro::SnapshotId snap,
   store->maplog()->set_use_skippy(skippy);
   Sample sample;
   for (int r = 0; r < repeats; ++r) {
-    store->ResetStats();
     auto view = store->OpenSnapshot(snap);
     if (!view.ok()) Fail(view.status(), "OpenSnapshot");
-    const retro::IterationStats stats = store->stats();
-    sample.entries += static_cast<double>(stats.spt.entries_scanned);
-    sample.pages += static_cast<double>(stats.spt.maplog_pages_read);
+    const retro::IterationStats& stats = (*view)->stats();
+    if (r > 0 && (stats.spt.entries_scanned != sample.entries ||
+                  stats.spt.maplog_pages_read != sample.pages)) {
+      sample.repeatable = false;
+    }
+    sample.entries = stats.spt.entries_scanned;
+    sample.pages = stats.spt.maplog_pages_read;
     sample.ms += stats.SptUs(store->cost_model()) / 1000.0;
   }
   store->maplog()->set_use_skippy(true);
-  sample.entries /= repeats;
-  sample.pages /= repeats;
   sample.ms /= repeats;
   return sample;
 }
@@ -46,6 +48,7 @@ int Run() {
   std::printf("%-16s %12s %12s %10s %12s %12s %10s\n", "snapshot",
               "lin_entries", "lin_pages", "lin_ms", "sk_entries", "sk_pages",
               "sk_ms");
+  bool checks_ok = true;
   const int offsets[] = {1, 2, 4, 8, 16, 32, 64, 128, 256,
                          static_cast<int>(slast) - 1};
   for (int offset : offsets) {
@@ -54,16 +57,33 @@ int Run() {
     if (snap < 1) continue;
     Sample linear = MeasureSpt(history, snap, /*skippy=*/false, 3);
     Sample skippy = MeasureSpt(history, snap, /*skippy=*/true, 3);
-    std::printf("Slast-%-10d %12.0f %12.0f %10.2f %12.0f %12.0f %10.2f\n",
-                offset, linear.entries, linear.pages, linear.ms,
-                skippy.entries, skippy.pages, skippy.ms);
+    std::printf("Slast-%-10d %12lld %12lld %10.2f %12lld %12lld %10.2f\n",
+                offset, static_cast<long long>(linear.entries),
+                static_cast<long long>(linear.pages), linear.ms,
+                static_cast<long long>(skippy.entries),
+                static_cast<long long>(skippy.pages), skippy.ms);
+    if (!linear.repeatable || !skippy.repeatable) {
+      std::printf("CHECK FAILED: Slast-%d counts differ across repeats\n",
+                  offset);
+      checks_ok = false;
+    }
+    if (skippy.entries > linear.entries) {
+      std::printf("CHECK FAILED: Slast-%d Skippy scanned %lld entries, the "
+                  "linear scan %lld\n",
+                  offset, static_cast<long long>(skippy.entries),
+                  static_cast<long long>(linear.entries));
+      checks_ok = false;
+    }
   }
   std::printf(
       "\nExpected: identical results (verified by tests); for old "
       "snapshots the\nlinear scan reads the whole Maplog suffix while "
       "Skippy reads each page's\nmapping roughly once per level, cutting "
-      "entries and simulated I/O by ~4-10x.\n");
-  return 0;
+      "entries and simulated I/O by ~4-10x.\nChecked: at every offset "
+      "Skippy scans no more entries than the linear scan,\nand each "
+      "view counts the same entries and pages on every repeat.\n");
+  std::printf("checks: %s\n", checks_ok ? "OK" : "FAILED");
+  return checks_ok ? 0 : 1;
 }
 
 }  // namespace

@@ -287,26 +287,23 @@ Result<std::unique_ptr<SnapshotView>> SnapshotStore::OpenSnapshot(
     SnapshotId snap) {
   int64_t lock_start_us = NowMicros();
   std::shared_lock<std::shared_mutex> lock(mu_);
-  int64_t waited_us = NowMicros() - lock_start_us;
+  const int64_t waited_us = NowMicros() - lock_start_us;
   if (snap == kNoSnapshot || snap > latest_snap_) {
     return Status::NotFound("unknown snapshot id " + std::to_string(snap));
   }
   auto view = std::unique_ptr<SnapshotView>(new SnapshotView(this, snap));
-  AddLockWaitUs(waited_us);
+  view->stats_.lock_wait_us = waited_us;
   if (share_spt_builds_.load(std::memory_order_relaxed)) {
     RQL_RETURN_IF_ERROR(FillSptShared(snap, view.get()));
   } else {
-    SptBuildStats build;
-    Status s =
-        maplog_->BuildSpt(snap, &view->spt_, &view->resume_index_, &build);
-    AddSptBuildStats(build);
-    RQL_RETURN_IF_ERROR(s);
+    RQL_RETURN_IF_ERROR(maplog_->BuildSpt(snap, &view->spt_,
+                                          &view->resume_index_,
+                                          &view->stats_.spt));
   }
   return view;
 }
 
-Status SnapshotSet::SeekLocked(SnapshotId snap, SptBuildStats* build,
-                               int64_t* delta_entries) {
+Status SnapshotSet::SeekLocked(SnapshotId snap, IterationStats* stats) {
   const uint64_t epoch = store_->truncate_epoch();
   if (epoch != epoch_) {
     // Compaction rewrote the log: the cursor's chains hold stale offsets
@@ -314,17 +311,15 @@ Status SnapshotSet::SeekLocked(SnapshotId snap, SptBuildStats* build,
     cursor_ = SptCursor();
     epoch_ = epoch;
   }
-  return cursor_.Seek(*store_->maplog_, snap, build, delta_entries);
+  return cursor_.Seek(*store_->maplog_, snap, &stats->spt,
+                      &stats->spt_delta_entries);
 }
 
 Result<bool> SnapshotSet::Advance(SnapshotId snap,
                                   std::vector<storage::PageId>* delta) {
   delta->clear();
   std::shared_lock<std::shared_mutex> lock(store_->mu_);
-  SptBuildStats build;
-  int64_t delta_entries = 0;
-  RQL_RETURN_IF_ERROR(SeekLocked(snap, &build, &delta_entries));
-  store_->AddSptBuildStats(build, delta_entries);
+  RQL_RETURN_IF_ERROR(SeekLocked(snap, &stats_));
   if (!cursor_.last_delta_valid()) return false;
   *delta = cursor_.last_delta();
   return true;
@@ -341,16 +336,13 @@ bool SnapshotSet::PageVersion(storage::PageId page, uint64_t* version) const {
 Result<std::unique_ptr<SnapshotView>> SnapshotSet::Open(SnapshotId snap) {
   int64_t lock_start_us = NowMicros();
   std::shared_lock<std::shared_mutex> lock(store_->mu_);
-  store_->AddLockWaitUs(NowMicros() - lock_start_us);
-  SptBuildStats build;
-  int64_t delta_entries = 0;
-  RQL_RETURN_IF_ERROR(SeekLocked(snap, &build, &delta_entries));
   auto view = std::unique_ptr<SnapshotView>(new SnapshotView(store_, snap));
+  view->stats_.lock_wait_us = NowMicros() - lock_start_us;
+  RQL_RETURN_IF_ERROR(SeekLocked(snap, &view->stats_));
   int64_t copy_start_us = NowMicros();
   view->spt_ = cursor_.table();
-  build.cpu_us += NowMicros() - copy_start_us;
+  view->stats_.spt.cpu_us += NowMicros() - copy_start_us;
   view->resume_index_ = store_->maplog_->entry_count();
-  store_->AddSptBuildStats(build, delta_entries);
   view->set_version_recorder(version_recorder_);
   return view;
 }
@@ -375,10 +367,8 @@ Status SnapshotStore::FillSptShared(SnapshotId snap, SnapshotView* view) {
     }
   }
   if (builder) {
-    SptBuildStats build;
-    entry->status =
-        maplog_->BuildSpt(snap, &entry->table, &entry->resume_index, &build);
-    AddSptBuildStats(build);
+    entry->status = maplog_->BuildSpt(snap, &entry->table,
+                                      &entry->resume_index, &view->stats_.spt);
     {
       std::lock_guard<std::mutex> entry_lock(entry->mu);
       entry->done = true;
@@ -400,8 +390,6 @@ Status SnapshotStore::FillSptShared(SnapshotId snap, SnapshotView* view) {
     }
     if (!entry->status.ok()) return entry->status;
     shared_spt_builds_total_.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.shared_spt_builds;
   }
   // Copy out (views mutate their table during Maplog catch-up). A table
   // built earlier than `now` is sound: resume_index records where its
@@ -409,9 +397,7 @@ Status SnapshotStore::FillSptShared(SnapshotId snap, SnapshotView* view) {
   int64_t copy_start_us = NowMicros();
   view->spt_ = entry->table;
   view->resume_index_ = entry->resume_index;
-  SptBuildStats copy;
-  copy.cpu_us = NowMicros() - copy_start_us;
-  AddSptBuildStats(copy);
+  view->stats_.spt.cpu_us += NowMicros() - copy_start_us;
   return Status::OK();
 }
 
@@ -459,63 +445,42 @@ storage::BufferPool::Loader SnapshotStore::MakeArchiveLoader(
   };
 }
 
-Status SnapshotStore::ReadArchived(uint64_t pagelog_offset,
-                                   storage::Page* page) {
+Status SnapshotView::ReadArchived(uint64_t pagelog_offset,
+                                  storage::Page* page) {
   RQL_ASSIGN_OR_RETURN(storage::PinnedPage pin,
                        ReadArchivedPinned(pagelog_offset));
   *page = *pin;
   return Status::OK();
 }
 
-Result<storage::PinnedPage> SnapshotStore::ReadArchivedPinned(
+Result<storage::PinnedPage> SnapshotView::ReadArchivedPinned(
     uint64_t pagelog_offset) {
   int64_t fetches = 0;
   storage::BufferPool::GetOutcome outcome;
   auto fetch = [&]() {
     fetches = 0;
     outcome = {};
-    return snapshot_cache_.Get(pagelog_offset, MakeArchiveLoader(&fetches),
-                               &outcome);
+    return store_->snapshot_cache_.Get(
+        pagelog_offset, store_->MakeArchiveLoader(&fetches), &outcome);
   };
   // Transient media errors are retried within the configured budget; a
   // persistent failure still propagates to the iteration. Coalesced
   // waiters receive the owner's error and retry with their own fresh load.
   Result<storage::PinnedPage> result = fetch();
-  int64_t retries = 0;
-  for (int r = 0; !result.ok() && r < archive_read_retries(); ++r) {
-    ++retries;
+  for (int r = 0; !result.ok() && r < store_->archive_read_retries(); ++r) {
+    ++stats_.archive_read_retries;
     result = fetch();
   }
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    stats_.archive_read_retries += retries;
-    if (result.ok()) {
-      if (outcome.loaded) {
-        stats_.pagelog_page_reads += fetches;
-      } else if (outcome.coalesced) {
-        ++stats_.coalesced_loads;
-        stats_.lock_wait_us += outcome.wait_us;
-      } else {
-        ++stats_.snapshot_cache_hits;
-      }
-    }
+  if (!result.ok()) return result;
+  if (outcome.loaded) {
+    stats_.pagelog_page_reads += fetches;
+  } else if (outcome.coalesced) {
+    ++stats_.coalesced_loads;
+    stats_.lock_wait_us += outcome.wait_us;
+  } else {
+    ++stats_.snapshot_cache_hits;
   }
   return result;
-}
-
-void SnapshotStore::AddSptBuildStats(const SptBuildStats& s,
-                                     int64_t delta_entries) {
-  std::lock_guard<std::mutex> stats_lock(stats_mu_);
-  stats_.spt_delta_entries += delta_entries;
-  stats_.spt.entries_scanned += s.entries_scanned;
-  stats_.spt.maplog_pages_read += s.maplog_pages_read;
-  stats_.spt.cpu_us += s.cpu_us;
-}
-
-void SnapshotStore::AddLockWaitUs(int64_t us) {
-  if (us <= 0) return;
-  std::lock_guard<std::mutex> stats_lock(stats_mu_);
-  stats_.lock_wait_us += us;
 }
 
 bool SnapshotView::PageVersion(storage::PageId id, uint64_t* version) {
@@ -545,7 +510,7 @@ Result<storage::PinnedPage> SnapshotView::ReadPagePinned(
     return storage::PinnedPage();
   }
   RecordVersion(id, it->second);
-  return store_->ReadArchivedPinned(it->second);
+  return ReadArchivedPinned(it->second);
 }
 
 Status SnapshotView::ReadPage(storage::PageId id, storage::Page* page) {
@@ -557,7 +522,7 @@ Status SnapshotView::ReadPage(storage::PageId id, storage::Page* page) {
   auto it = spt_.find(id);
   if (it != spt_.end()) {
     RecordVersion(id, it->second);
-    return store_->ReadArchived(it->second, page);
+    return ReadArchived(it->second, page);
   }
 
   // SPT miss: the page is either shared with the current state or was
@@ -566,15 +531,13 @@ Status SnapshotView::ReadPage(storage::PageId id, storage::Page* page) {
   // lock (excluding writers, not other snapshot readers).
   int64_t lock_start_us = NowMicros();
   std::shared_lock<std::shared_mutex> lock(store_->mu_);
-  store_->AddLockWaitUs(NowMicros() - lock_start_us);
+  stats_.lock_wait_us += NowMicros() - lock_start_us;
   if (store_->ModEpoch(id) >= snap_) {
     // The page was modified after this view was built; its pre-state is in
     // a Maplog suffix we have not scanned yet.
-    SptBuildStats refresh;
-    Status s = store_->maplog_->RefreshSpt(snap_, &spt_, &resume_index_,
-                                           &refresh);
-    store_->AddSptBuildStats(refresh);
-    RQL_RETURN_IF_ERROR(s);
+    RQL_RETURN_IF_ERROR(store_->maplog_->RefreshSpt(snap_, &spt_,
+                                                    &resume_index_,
+                                                    &stats_.spt));
     it = spt_.find(id);
     if (it == spt_.end()) {
       return Status::Corruption("page " + std::to_string(id) +
@@ -583,13 +546,10 @@ Status SnapshotView::ReadPage(storage::PageId id, storage::Page* page) {
     }
     lock.unlock();
     RecordVersion(id, it->second);
-    return store_->ReadArchived(it->second, page);
+    return ReadArchived(it->second, page);
   }
   // Shared with the current database state.
-  {
-    std::lock_guard<std::mutex> stats_lock(store_->stats_mu_);
-    ++store_->stats_.db_page_reads;
-  }
+  ++stats_.db_page_reads;
   RecordVersion(id, kUnversionedPageToken);
   return store_->store_->ReadPage(id, page);
 }

@@ -9,6 +9,7 @@
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/cleanup.h"
@@ -33,9 +34,12 @@ struct CostModel {
   int64_t db_read_us = 0;            // current state is memory-resident
 };
 
-/// Per-iteration cost counters. The RQL runner resets this before invoking
-/// Qq on a snapshot and snapshots it afterwards, yielding the per-iteration
-/// breakdown (I/O, SPT build) of Figures 8-13.
+/// Cost counters of one snapshot reader. Every SnapshotView counts the
+/// reads and the SPT work it does into its own block, and a SnapshotSet
+/// counts its Advance calls into its own; a reader belongs to one thread,
+/// so the blocks take no lock, and readers sharing a store never see each
+/// other's work. The RQL engine sums an iteration's blocks into the
+/// per-iteration breakdown (I/O, SPT build) of Figures 8-13.
 struct IterationStats {
   int64_t pagelog_page_reads = 0;  // snapshot-cache misses -> archive I/O
   int64_t snapshot_cache_hits = 0;
@@ -48,22 +52,14 @@ struct IterationStats {
   int64_t archive_read_retries = 0;
   /// Snapshot-cache misses that found another reader already fetching the
   /// same archive page and waited for that load instead of issuing a
-  /// duplicate one. Always 0 in sequential runs; in parallel runs a
-  /// nonzero count proves the paper's page-sharing effect (Section 5.1)
-  /// survives concurrency: a shared pre-state page is read once, not once
-  /// per racing worker.
+  /// duplicate one. A nonzero count in a parallel run proves the paper's
+  /// page-sharing effect (Section 5.1) survives concurrency: a shared
+  /// pre-state page is read once, not once per racing worker.
   int64_t coalesced_loads = 0;
-  /// Wall time snapshot readers spent blocked: acquiring the store's
-  /// reader lock (writers hold it exclusively) plus waiting on coalesced
-  /// archive loads. Always ~0 in sequential runs.
+  /// Wall time the reader spent blocked: acquiring the store's reader lock
+  /// (writers hold it exclusively) plus waiting on coalesced archive loads.
   int64_t lock_wait_us = 0;
-  /// OpenSnapshot calls that served their SPT from (or coalesced into)
-  /// another run's build of the same snapshot (set_share_spt_builds).
-  /// Always 0 unless concurrent runs overlap on a snapshot.
-  int64_t shared_spt_builds = 0;
   SptBuildStats spt;
-
-  void Reset() { *this = IterationStats{}; }
 
   void Add(const IterationStats& o) {
     pagelog_page_reads += o.pagelog_page_reads;
@@ -73,7 +69,6 @@ struct IterationStats {
     archive_read_retries += o.archive_read_retries;
     coalesced_loads += o.coalesced_loads;
     lock_wait_us += o.lock_wait_us;
-    shared_spt_builds += o.shared_spt_builds;
     spt.entries_scanned += o.spt.entries_scanned;
     spt.maplog_pages_read += o.spt.maplog_pages_read;
     spt.cpu_us += o.spt.cpu_us;
@@ -137,6 +132,10 @@ class SnapshotView : public storage::PageReader {
 
   SnapshotId id() const { return snap_; }
 
+  /// What this view has cost since it was opened: its SPT build (or copy),
+  /// every read through it and every lock wait.
+  const IterationStats& stats() const { return stats_; }
+
   /// Number of pages this snapshot does not share with the current state.
   uint64_t spt_size() const { return spt_.size(); }
 
@@ -165,11 +164,18 @@ class SnapshotView : public storage::PageReader {
     if (version_recorder_ != nullptr) (*version_recorder_)[id] = token;
   }
 
+  /// Reads a pre-state page through the snapshot cache, counting it in
+  /// stats_. Takes no store lock: archive records are immutable, file
+  /// reads are thread-safe, and the cache single-flights concurrent misses.
+  Result<storage::PinnedPage> ReadArchivedPinned(uint64_t pagelog_offset);
+  Status ReadArchived(uint64_t pagelog_offset, storage::Page* page);
+
   SnapshotStore* store_;
   SnapshotId snap_;
   SnapshotPageTable spt_;
   uint64_t resume_index_ = 0;
   std::unordered_map<storage::PageId, uint64_t>* version_recorder_ = nullptr;
+  IterationStats stats_;
 };
 
 /// One RQL run's private snapshot-set cursor (iteration-setup
@@ -214,20 +220,25 @@ class SnapshotSet {
     version_recorder_ = recorder;
   }
 
+  /// Returns the SPT work of the Advance calls since the last TakeStats
+  /// and zeroes it. An Open's seek counts in the view it returns.
+  IterationStats TakeStats() { return std::exchange(stats_, {}); }
+
  private:
   friend class SnapshotStore;
   SnapshotSet(SnapshotStore* store, uint64_t epoch)
       : store_(store), epoch_(epoch) {}
 
   /// Seeks the cursor to `snap`, rebasing first if the history was
-  /// truncated since the last seek. Requires the store's reader lock.
-  Status SeekLocked(SnapshotId snap, SptBuildStats* build,
-                    int64_t* delta_entries);
+  /// truncated since the last seek, and counts the SPT work in `stats`.
+  /// Requires the store's reader lock.
+  Status SeekLocked(SnapshotId snap, IterationStats* stats);
 
   SnapshotStore* store_;
   SptCursor cursor_;
   uint64_t epoch_;
   std::unordered_map<storage::PageId, uint64_t>* version_recorder_ = nullptr;
+  IterationStats stats_;
 };
 
 /// The Retro snapshot system: a transactional page store extended with
@@ -247,6 +258,7 @@ class SnapshotSet {
 /// instead of BDB's version store. Reads of SPT-mapped archive pages take
 /// no store lock at all, and concurrent misses on the same archive page
 /// coalesce into a single Pagelog read (IterationStats::coalesced_loads).
+/// Cost counters belong to the readers (SnapshotView::stats), not the store.
 /// Higher layers (sql::Database) remain single-threaded per connection.
 struct SnapshotStoreOptions {
   /// Snapshot page cache capacity in pages; 0 = unbounded. The paper
@@ -331,7 +343,7 @@ class SnapshotStore : public storage::PageWriter {
   /// When enabled, concurrent OpenSnapshot calls (SnapshotSet::Open derives
   /// its own tables) on the same snapshot id share one SPT build: the first
   /// caller scans the Maplog, the others block on that build and copy its
-  /// result (IterationStats::shared_spt_builds), and later opens of the
+  /// result (shared_spt_builds_total), and later opens of the
   /// same id reuse the cached table. A cached table built earlier is
   /// sound because its recorded resume index makes the view catch up from
   /// the Maplog suffix on demand, exactly as a freshly built SPT does.
@@ -344,9 +356,8 @@ class SnapshotStore : public storage::PageWriter {
     return share_spt_builds_.load(std::memory_order_relaxed);
   }
   /// Monotonic count of SPT builds served from another open's build
-  /// (cached table or in-flight wait). Unlike the IterationStats counter
-  /// this survives ResetStats, so concurrent runs — each of which resets
-  /// the shared iteration stats — can still observe aggregate sharing.
+  /// (cached table or in-flight wait): the store-wide view of cross-run
+  /// sharing, which no single reader's counters can show.
   int64_t shared_spt_builds_total() const {
     return shared_spt_builds_total_.load(std::memory_order_relaxed);
   }
@@ -399,17 +410,6 @@ class SnapshotStore : public storage::PageWriter {
   }
 
   // --- instrumentation ----------------------------------------------------
-  /// A copy of the counters, taken under their lock. The counters are
-  /// store-wide: overlapping runs on one store each see the other's reads
-  /// attributed to themselves.
-  IterationStats stats() const {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    return stats_;
-  }
-  void ResetStats() {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    stats_.Reset();
-  }
   const CostModel& cost_model() const { return options_.cost_model; }
 
   /// Drops all cached snapshot pages (cold-cache experiment setup). The
@@ -474,15 +474,6 @@ class SnapshotStore : public storage::PageWriter {
   /// pass the already-read page content to avoid a second read.
   Status CaptureIfNeeded(storage::PageId id, const storage::Page* current);
 
-  /// Reads a pre-state page through the snapshot cache, updating stats.
-  /// Takes no store lock: archive records are immutable, file reads are
-  /// thread-safe, and the cache single-flights concurrent misses.
-  Status ReadArchived(uint64_t pagelog_offset, storage::Page* page);
-
-  /// Pin-returning form of ReadArchived (same retry policy and stats);
-  /// ReadArchived is this plus a copy-out.
-  Result<storage::PinnedPage> ReadArchivedPinned(uint64_t pagelog_offset);
-
   /// The snapshot-cache loader for archive offset keys: a Pagelog read
   /// (counting records into `*fetches`) plus the optional simulated
   /// latency sleep, queued behind the simulated fetch slots.
@@ -497,10 +488,6 @@ class SnapshotStore : public storage::PageWriter {
   /// Maplog, which is stable under the reader lock).
   Status FillSptShared(SnapshotId snap, SnapshotView* view);
 
-  /// Fold per-call counters into stats_ under stats_mu_.
-  void AddSptBuildStats(const SptBuildStats& s, int64_t delta_entries = 0);
-  void AddLockWaitUs(int64_t us);
-
   SnapshotId ModEpoch(storage::PageId id) const {
     auto it = mod_epoch_.find(id);
     return it == mod_epoch_.end() ? kNoSnapshot : it->second;
@@ -510,9 +497,6 @@ class SnapshotStore : public storage::PageWriter {
   /// shared half only when they must consult mutable store metadata. See
   /// the thread model above.
   mutable std::shared_mutex mu_;
-  /// Guards stats_ for readers running under the shared half of mu_ (or no
-  /// lock at all). Leaf lock: never acquire anything while holding it.
-  mutable std::mutex stats_mu_;
 
   Options options_;
   storage::Env* env_ = nullptr;
@@ -558,8 +542,6 @@ class SnapshotStore : public storage::PageWriter {
   int archive_fetches_inflight_ = 0;
   std::atomic<uint64_t> truncate_epoch_{0};
   std::atomic<MetricsRegistry::Histogram*> diff_depth_hist_{nullptr};
-
-  IterationStats stats_;
 };
 
 }  // namespace rql::retro

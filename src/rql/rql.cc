@@ -1027,8 +1027,6 @@ void RqlEngine::PublishRunMetrics() {
   add("rql.iterations_skipped", stats_.iterations_skipped);
   add("rql.qq_parse_count", stats_.qq_parse_count);
   add("rql.extra_agg_us", stats_.extra_agg_us);
-  add("rql.parallel_io_us", stats_.parallel_io_us);
-  add("rql.parallel_spt_us", stats_.parallel_spt_us);
   add("rql.parallel_wall_us", stats_.parallel_wall_us);
   add("rql.parallel_lock_wait_us", stats_.parallel_lock_wait_us);
   add("rql.coalesced_loads", stats_.coalesced_loads);
@@ -1279,6 +1277,9 @@ struct RqlEngine::IterationContext {
 /// RecordIteration.
 struct RqlEngine::Answer {
   RqlIterationStats iter;
+  /// The iteration's store counters: its cursor's Advance plus the views
+  /// its Qq statement opened.
+  retro::IterationStats store;
   /// Rows still to fold, with their columns; null when they streamed into
   /// the fold while Qq executed. A replay shares both with the memo entry.
   std::shared_ptr<const std::vector<std::string>> columns;
@@ -1492,7 +1493,6 @@ Status RqlEngine::RunMechanismParallel(
     contexts.push_back(run->NewContext(worker_dbs_[static_cast<size_t>(w)].get(),
                                        static_cast<uint16_t>(w + 1)));
   }
-  store->ResetStats();
 
   struct Slot {
     Status status;
@@ -1505,24 +1505,7 @@ Status RqlEngine::RunMechanismParallel(
       size_t i = next.fetch_add(1);
       if (i >= snaps.size()) return;
       Slot& slot = slots[i];
-      int64_t start = NowMicros();
-      if (trace_on_) {
-        trace_.Emit(RqlTraceEventType::kIterationBegin, snaps[i], start,
-                    {static_cast<int64_t>(i)}, ctx->worker);
-      }
-      slot.status = AnswerIteration(ctx, state, snaps[i], &slot.answer);
-      RqlIterationStats& iter = slot.answer.iter;
-      int64_t end = NowMicros();
-      iter.query_eval_us = end - start;
-      if (trace_on_) {
-        // Parallel attribution: args[2] is the worker's wall time for the
-        // iteration (I/O and SPT stalls fold into the run totals).
-        int64_t rows = slot.answer.rows != nullptr
-                           ? static_cast<int64_t>(slot.answer.rows->size())
-                           : 0;
-        trace_.Emit(RqlTraceEventType::kIterationEnd, snaps[i], end,
-                    {0, 0, iter.query_eval_us, 0, 0, rows}, ctx->worker);
-      }
+      slot.status = AnswerIteration(ctx, state, snaps[i], i, &slot.answer);
       // Every index up to the highest claim is owned by some worker, so
       // the in-order record loop below meets a failure (a cancellation
       // included) before any snapshot left unclaimed.
@@ -1537,13 +1520,10 @@ Status RqlEngine::RunMechanismParallel(
   for (std::thread& t : threads) t.join();
   stats_.parallel_wall_us = NowMicros() - phase_start;
 
-  const retro::CostModel& cm = store->cost_model();
-  const retro::IterationStats rs = store->stats();
-  stats_.parallel_io_us = rs.IoUs(cm);
-  stats_.parallel_spt_us = rs.SptUs(cm);
-  stats_.parallel_lock_wait_us = rs.lock_wait_us;
-  stats_.coalesced_loads = rs.coalesced_loads;
-  stats_.archive_read_retries += rs.archive_read_retries;
+  for (const Slot& slot : slots) {
+    stats_.parallel_lock_wait_us += slot.answer.store.lock_wait_us;
+    stats_.coalesced_loads += slot.answer.store.coalesced_loads;
+  }
   if (trace_on_) {
     trace_.Emit(RqlTraceEventType::kWorkerStall, retro::kNoSnapshot,
                 NowMicros(),
@@ -1556,28 +1536,21 @@ Status RqlEngine::RunMechanismParallel(
     RQL_RETURN_IF_ERROR(slots[i].status);
     RQL_RETURN_IF_ERROR(RecordIteration(state, snaps[i], &slots[i].answer));
   }
-  // Scan-cache attribution comes from per-execution ExecStats, never from
-  // the cache's own counters: workers (and concurrent runs) interleave on
-  // those.
-  if (trace_on_ && options_.shared_scan_cache != nullptr) {
-    trace_.Emit(RqlTraceEventType::kScanCache, retro::kNoSnapshot,
-                NowMicros(),
-                {stats_.shared_page_hits, stats_.scan_cache_misses,
-                 stats_.coalesced_decodes});
-  }
   return Status::OK();
 }
 
 Status RqlEngine::RunIteration(IterationContext* ctx, MechanismState* state,
                                retro::SnapshotId snap) {
   Answer answer;
-  RQL_RETURN_IF_ERROR(AnswerIteration(ctx, state, snap, &answer));
+  RQL_RETURN_IF_ERROR(
+      AnswerIteration(ctx, state, snap, stats_.iterations.size(), &answer));
   return RecordIteration(state, snap, &answer);
 }
 
 Status RqlEngine::AnswerIteration(IterationContext* ctx,
                                   MechanismState* state,
-                                  retro::SnapshotId snap, Answer* out) {
+                                  retro::SnapshotId snap, size_t index,
+                                  Answer* out) {
   // Iteration boundaries are the cancellation safety points: nothing is
   // half-done here, so aborting leaves the store, caches and the (about to
   // be discarded) result table in a reusable state. Sequential and
@@ -1592,36 +1565,38 @@ Status RqlEngine::AnswerIteration(IterationContext* ctx,
   if (options_.cache_policy == RqlCachePolicy::kColdPerIteration) {
     store->ClearSnapshotCache();
   }
-  // Store counters are store-wide: a sequential iteration owns them from
-  // here to its harvest; a parallel run reports them as run totals.
-  if (!parallel) store->ResetStats();
   db->set_snapshot_set(ctx->set.get());
   RqlIterationStats& iter = out->iter;
   iter.snapshot = snap;
+  // The iteration's store counters are its readers' own: the cursor's
+  // Advance (the replay probe) plus the views its Qq statement opens.
+  auto take_store_counters = [&](const retro::IterationStats& views) {
+    retro::IterationStats& rs = out->store;
+    rs = views;
+    if (ctx->set != nullptr) rs.Add(ctx->set->TakeStats());
+    const retro::CostModel& cm = store->cost_model();
+    iter.io_us = rs.IoUs(cm);
+    iter.spt_build_us = rs.SptUs(cm);
+    iter.pagelog_pages = rs.pagelog_page_reads;
+    iter.db_pages = rs.db_page_reads;
+    iter.cache_hits = rs.snapshot_cache_hits;
+    iter.maplog_pages = rs.spt.maplog_pages_read;
+    iter.spt_delta_entries = rs.spt_delta_entries;
+    iter.coalesced_loads = rs.coalesced_loads;
+  };
 
-  // Replay probe: its costs land after ResetStats, so they are attributed
-  // to this iteration.
   const bool memoize = options_.memo != nullptr;
   if (memoize) {
     RQL_ASSIGN_OR_RETURN(bool replayed,
                          ReplayIteration(ctx, state, snap, out));
     if (replayed) {
-      if (!parallel) {
-        // The only store work the iteration did was its probe: the cursor
-        // advance.
-        const retro::CostModel& cm = store->cost_model();
-        const retro::IterationStats rs = store->stats();
-        iter.io_us = rs.IoUs(cm);
-        iter.spt_build_us = rs.SptUs(cm);
-        iter.maplog_pages = rs.spt.maplog_pages_read;
-        iter.spt_delta_entries = rs.spt_delta_entries;
-      }
+      take_store_counters({});
       return Status::OK();
     }
   }
-  if (trace_on_ && !parallel) {
+  if (trace_on_) {
     trace_.Emit(RqlTraceEventType::kIterationBegin, snap, NowMicros(),
-                {static_cast<int64_t>(stats_.iterations.size())});
+                {static_cast<int64_t>(index)}, ctx->worker);
   }
   iter.memo_misses = memoize ? 1 : 0;
   int64_t udf_us = 0;
@@ -1643,13 +1618,13 @@ Status RqlEngine::AnswerIteration(IterationContext* ctx,
   int64_t start = NowMicros();
   auto row_cb = [&](const std::vector<std::string>& row_cols,
                     const Row& row) -> Status {
+    ++qq_rows;
     if (buffer) {
       if (cols.empty()) cols = row_cols;
       rows.push_back(row);
     }
     if (parallel) return Status::OK();
     ScopedTimer timer(&udf_us);
-    ++qq_rows;
     return state->OnRow(snap, row_cols, row);
   };
   Status s = Status::OK();
@@ -1697,51 +1672,47 @@ Status RqlEngine::AnswerIteration(IterationContext* ctx,
   iter.shared_page_hits = exec.scan_cache.hits;
   iter.scan_cache_misses = exec.scan_cache.misses;
   iter.coalesced_decodes = exec.scan_cache.coalesced;
+  take_store_counters(exec.store);
 
+  // A parallel worker's rows fold later, on the coordinating thread.
+  if (s.ok() && !parallel) {
+    ScopedTimer timer(&udf_us);
+    s = state->OnIterationEnd(snap);
+  }
+  int64_t exec_total = NowMicros() - start;
   if (parallel) {
     RQL_RETURN_IF_ERROR(s);
   } else {
-    const retro::IterationStats rs = store->stats();
-    if (s.ok()) {
-      ScopedTimer timer(&udf_us);
-      s = state->OnIterationEnd(snap);
-    }
-    int64_t exec_total = NowMicros() - start;
     RQL_RETURN_IF_ERROR(state->EndFoldTransaction(std::move(s)));
-
-    const retro::CostModel& cm = store->cost_model();
-    stats_.archive_read_retries += rs.archive_read_retries;
-    iter.io_us = rs.IoUs(cm);
-    iter.spt_build_us = rs.SptUs(cm);
-    iter.udf_us = udf_us;
-    iter.query_eval_us =
-        std::max<int64_t>(0, exec_total - udf_us - iter.index_create_us -
-                                 rs.spt.cpu_us);
-    iter.pagelog_pages = rs.pagelog_page_reads;
-    iter.db_pages = rs.db_page_reads;
-    iter.cache_hits = rs.snapshot_cache_hits;
-    iter.maplog_pages = rs.spt.maplog_pages_read;
-    iter.spt_delta_entries = rs.spt_delta_entries;
-    iter.coalesced_loads = rs.coalesced_loads;
-    iter.qq_rows = qq_rows;
-    if (trace_on_) {
-      int64_t now = NowMicros();
-      trace_.Emit(RqlTraceEventType::kSptBuild, snap, now,
-                  {iter.maplog_pages, iter.spt_delta_entries, rs.spt.cpu_us,
-                   ctx->set != nullptr ? 1 : 0});
-      // Args slot 1 is retired (always 0), keeping positions stable.
-      trace_.Emit(RqlTraceEventType::kArchiveFetch, snap, now,
-                  {iter.pagelog_pages, 0, iter.cache_hits, iter.db_pages,
-                   rs.archive_read_retries});
-      if (db->scan_cache() != nullptr) {
-        trace_.Emit(RqlTraceEventType::kScanCache, snap, now,
-                    {iter.shared_page_hits, iter.scan_cache_misses,
-                     iter.coalesced_decodes});
-      }
-      trace_.Emit(RqlTraceEventType::kIterationEnd, snap, now,
-                  {iter.io_us, iter.spt_build_us, iter.query_eval_us,
-                   iter.index_create_us, iter.udf_us, iter.qq_rows});
+  }
+  const retro::IterationStats& rs = out->store;
+  iter.udf_us = udf_us;
+  iter.query_eval_us =
+      std::max<int64_t>(0, exec_total - udf_us - iter.index_create_us -
+                               rs.spt.cpu_us);
+  iter.qq_rows = qq_rows;
+  if (trace_on_) {
+    int64_t now = NowMicros();
+    const uint16_t w = ctx->worker;
+    trace_.Emit(RqlTraceEventType::kSptBuild, snap, now,
+                {iter.maplog_pages, iter.spt_delta_entries, rs.spt.cpu_us,
+                 ctx->set != nullptr ? 1 : 0},
+                w);
+    // Args slot 1 is retired (always 0), keeping positions stable.
+    trace_.Emit(RqlTraceEventType::kArchiveFetch, snap, now,
+                {iter.pagelog_pages, 0, iter.cache_hits, iter.db_pages,
+                 rs.archive_read_retries},
+                w);
+    if (db->scan_cache() != nullptr) {
+      trace_.Emit(RqlTraceEventType::kScanCache, snap, now,
+                  {iter.shared_page_hits, iter.scan_cache_misses,
+                   iter.coalesced_decodes},
+                  w);
     }
+    trace_.Emit(RqlTraceEventType::kIterationEnd, snap, now,
+                {iter.io_us, iter.spt_build_us, iter.query_eval_us,
+                 iter.index_create_us, iter.udf_us, iter.qq_rows},
+                w);
   }
 
   std::shared_ptr<const std::vector<Row>> buffered;
@@ -1818,6 +1789,7 @@ Status RqlEngine::RecordIteration(MechanismState* state,
                  answer->replay_trace_arg, iter.qq_rows, iter.udf_us});
   }
   stats_.qq_parse_count += answer->qq_parses;
+  stats_.archive_read_retries += answer->store.archive_read_retries;
   if (iter.skipped) ++stats_.iterations_skipped;
   stats_.shared_page_hits += iter.shared_page_hits;
   stats_.scan_cache_misses += iter.scan_cache_misses;

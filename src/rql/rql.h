@@ -108,23 +108,21 @@ struct RqlRunStats {
   /// executed iteration under RqlProfile::kPaperFaithful; under kFast one
   /// per run, or one per parallel worker that executed an iteration.
   int64_t qq_parse_count = 0;
-  /// Parallel runs: concurrent Qq evaluation makes per-iteration I/O and
-  /// SPT attribution meaningless, so they are reported as run totals here
-  /// (per-iteration entries then carry wall time, UDF time and row
-  /// counts). `parallel_wall_us` is the elapsed time of the concurrent
-  /// phase.
+  /// Parallel runs: every iteration still reports its own store counters
+  /// (I/O, SPT build, page counts), read from the views and cursor of the
+  /// worker that answered it, exactly as a sequential iteration does.
+  /// `parallel_wall_us` is the elapsed time of the concurrent phase.
   bool parallel = false;
-  int64_t parallel_io_us = 0;
-  int64_t parallel_spt_us = 0;
   int64_t parallel_wall_us = 0;
   /// Wall time workers spent blocked inside the snapshot store during the
   /// concurrent phase: reader-lock acquisition plus waiting on coalesced
-  /// archive loads. Summed across workers, so it can exceed
+  /// archive loads. Summed over the workers' iterations, so it can exceed
   /// parallel_wall_us; a value approaching workers x parallel_wall_us
   /// means the run serialized on the store. 0 in sequential runs.
   int64_t parallel_lock_wait_us = 0;
   /// Archive reads that coalesced onto a concurrent worker's in-flight
-  /// fetch of the same shared pre-state page (single-flight). Nonzero
+  /// fetch of the same shared pre-state page (single-flight), summed over
+  /// the iterations of a parallel run (0 in sequential runs). Nonzero
   /// values prove the paper's page-sharing effect (Section 5.1) survives
   /// parallel evaluation: each shared page is fetched once per run, not
   /// once per racing worker.
@@ -148,11 +146,10 @@ struct RqlRunStats {
 
   int64_t TotalUs() const {
     if (parallel) {
-      // Per-iteration query_eval_us is worker wall time and already
-      // includes the I/O and SPT stalls reported in parallel_io_us /
-      // parallel_spt_us, so summing them too would double count. The
-      // honest total is wall-derived: the concurrent phase plus the
-      // sequential result replay (per-iteration UDF work).
+      // The workers' iterations overlap in time, so summing their phases
+      // would count the concurrent interval several times. The honest
+      // total is wall-derived: the concurrent phase plus the sequential
+      // result replay (per-iteration UDF work).
       int64_t total = extra_agg_us + parallel_wall_us;
       for (const RqlIterationStats& it : iterations) total += it.udf_us;
       return total;
@@ -526,9 +523,11 @@ class RqlEngine {
   /// path or a validated memo entry (ReplayIteration), else Qq executed on
   /// `ctx`'s handle with the read recorder armed. The sequential and
   /// UDF-form contexts stream executed rows into the fold; a parallel
-  /// worker buffers them in `out` for RecordIteration.
+  /// worker buffers them in `out` for RecordIteration. `index` is the
+  /// iteration's position in the run (the trace's kIterationBegin); the
+  /// store counters in `out` are those of `ctx`'s own readers.
   Status AnswerIteration(IterationContext* ctx, MechanismState* state,
-                         retro::SnapshotId snap, Answer* out);
+                         retro::SnapshotId snap, size_t index, Answer* out);
 
   /// Folds `answer`'s rows unless they already streamed into the fold
   /// (OnRow for every row, then OnIterationEnd, inside one metadata

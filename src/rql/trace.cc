@@ -1,5 +1,7 @@
 #include "rql/trace.h"
 
+#include <algorithm>
+
 namespace rql {
 
 RqlTrace::RqlTrace(const RqlTrace& other) {
@@ -8,6 +10,7 @@ RqlTrace::RqlTrace(const RqlTrace& other) {
   capacity_ = other.capacity_;
   emitted_ = other.emitted_;
   t0_us_ = other.t0_us_;
+  last_t_us_ = other.last_t_us_;
   session_id_ = other.session_id_;
   run_id_ = other.run_id_;
 }
@@ -19,6 +22,7 @@ RqlTrace& RqlTrace::operator=(const RqlTrace& other) {
   capacity_ = other.capacity_;
   emitted_ = other.emitted_;
   t0_us_ = other.t0_us_;
+  last_t_us_ = other.last_t_us_;
   session_id_ = other.session_id_;
   run_id_ = other.run_id_;
   return *this;
@@ -31,6 +35,7 @@ void RqlTrace::Restart(size_t capacity, int64_t now_us) {
   ring_.reserve(capacity_ < 1024 ? capacity_ : 1024);
   emitted_ = 0;
   t0_us_ = now_us;
+  last_t_us_ = 0;
   session_id_ = 0;
   run_id_ = 0;
 }
@@ -57,7 +62,8 @@ void RqlTrace::Emit(RqlTraceEventType type, retro::SnapshotId snapshot,
   std::lock_guard<std::mutex> lock(mu_);
   if (capacity_ == 0) return;
   RqlTraceEvent ev;
-  ev.t_us = now_us - t0_us_;
+  last_t_us_ = std::max(last_t_us_, now_us - t0_us_);
+  ev.t_us = last_t_us_;
   ev.snapshot = snapshot;
   ev.type = type;
   ev.worker = worker;

@@ -30,6 +30,11 @@ namespace rql {
 ///   kIterationEnd    {io_us, spt_build_us, query_eval_us, index_create_us,
 ///                     udf_us, qq_rows}  — the Fig. 8 phase attribution;
 ///                    the five *_us slots mirror RqlIterationStats::TotalUs.
+///                    Every executed iteration emits begin, spt_build,
+///                    archive_fetch, scan_cache (with a cache) and end from
+///                    the thread that answered it, tagged with its worker;
+///                    a parallel worker's udf_us is 0, since its rows fold
+///                    later on the coordinating thread.
 ///   kSptBuild        {maplog_pages, spt_delta_entries, spt_cpu_us,
 ///                     incremental, 0, 0}  — incremental: 1 when the run
 ///                    opens snapshots through its snapshot set (kFast or
@@ -68,7 +73,7 @@ enum class RqlTraceEventType : uint8_t {
 };
 
 /// One fixed-size trace record. `t_us` is relative to the enclosing run's
-/// start; `worker` is 0 for the coordinating thread and 1-based for
+/// start and never decreases along the ring; `worker` is 0 for the coordinating thread and 1-based for
 /// parallel workers; `snapshot` is kNoSnapshot for run-scoped events.
 struct RqlTraceEvent {
   int64_t t_us = 0;
@@ -125,6 +130,7 @@ class RqlTrace {
   size_t capacity_ = 0;
   uint64_t emitted_ = 0;  // ring head = emitted_ % capacity_
   int64_t t0_us_ = 0;
+  int64_t last_t_us_ = 0;  // workers read their clocks outside mu_
   uint64_t session_id_ = 0;
   uint64_t run_id_ = 0;
 };

@@ -25,9 +25,11 @@ Session::~Session() = default;
 
 namespace {
 
-bool IdenticalRows(const std::vector<sql::Row>& a,
-                   const std::vector<sql::Row>& b) {
-  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+/// Whether `prefix` holds exactly the first rows of `rows`.
+bool IsPrefix(const std::vector<sql::Row>& prefix,
+              const std::vector<sql::Row>& rows) {
+  return prefix.size() <= rows.size() &&
+         std::equal(prefix.begin(), prefix.end(), rows.begin(),
                     [](const sql::Row& x, const sql::Row& y) {
                       return std::equal(x.begin(), x.end(), y.begin(),
                                         y.end(), sql::IdenticalValues);
@@ -37,19 +39,25 @@ bool IdenticalRows(const std::vector<sql::Row>& a,
 }  // namespace
 
 Status Session::ReplaceSnapIds(const sql::QueryResult& canonical) {
-  if (mirrored_.has_value() && IdenticalRows(*mirrored_, canonical.rows)) {
-    return Status::OK();
-  }
+  // Snapshots are declared at the end of SnapIds: when the rows last
+  // mirrored are still its start, only the new rows are appended.
+  const bool append =
+      mirrored_.has_value() && IsPrefix(*mirrored_, canonical.rows);
+  const size_t from = append ? mirrored_->size() : 0;
+  if (append && from == canonical.rows.size()) return Status::OK();
   mirrored_.reset();
   // One transaction, not one commit per row. Inside a transaction the
-  // client left open, the rewrite joins it; the client's next kMetaSql
-  // forgets the mirror. The table is created afresh: a run or statement
-  // may have replaced it with one of another shape.
+  // client left open, the write joins it; the client's next kMetaSql
+  // forgets the mirror. A rewrite creates the table afresh: a run or
+  // statement may have replaced it with one of another shape.
   const bool own_txn = !meta_->store()->in_transaction();
   if (own_txn) RQL_RETURN_IF_ERROR(meta_->Exec("BEGIN"));
-  Status s = meta_->Exec("DROP TABLE IF EXISTS SnapIds");
-  if (s.ok()) s = engine_->EnsureSnapIds();
-  for (size_t i = 0; s.ok() && i < canonical.rows.size(); ++i) {
+  Status s = Status::OK();
+  if (!append) {
+    s = meta_->Exec("DROP TABLE IF EXISTS SnapIds");
+    if (s.ok()) s = engine_->EnsureSnapIds();
+  }
+  for (size_t i = from; s.ok() && i < canonical.rows.size(); ++i) {
     s = meta_->AppendRow("SnapIds", canonical.rows[i]).status();
   }
   if (own_txn) {

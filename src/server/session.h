@@ -55,8 +55,9 @@ class Session {
   /// Replaces the private SnapIds mirror with `canonical` (the table read
   /// from the owner's metadata database), so Qs sees every snapshot
   /// declared by any client up to this request. Rows equal to the ones
-  /// last mirrored leave the table as it is; others are rewritten in one
-  /// transaction.
+  /// last mirrored leave the table as it is; rows that extend them are
+  /// appended; anything else (a truncation, a forgotten mirror) rewrites
+  /// the table. Either write is one transaction.
   Status ReplaceSnapIds(const sql::QueryResult& canonical);
 
   /// Forgets the rows last mirrored, so the next ReplaceSnapIds rewrites

@@ -237,9 +237,8 @@ Status Database::ExecStatement(Statement* stmt, const QueryCallback& cb) {
     ExecContext ctx;
     ctx.functions = &functions_;
     ctx.stats = &last_stats_.exec;
-    std::unique_ptr<retro::SnapshotView> view;
-    CatalogData as_of_catalog;
-    RQL_RETURN_IF_ERROR(BindReader(*s->select, &ctx, &view, &as_of_catalog));
+    BoundReader bound;
+    RQL_RETURN_IF_ERROR(BindReader(*s->select, &ctx, &bound));
     RQL_ASSIGN_OR_RETURN(std::unique_ptr<SelectExecutor> exec,
                          SelectExecutor::Prepare(s->select.get(), ctx));
     if (cb == nullptr) return Status::OK();
@@ -253,8 +252,7 @@ Status Database::ExecStatement(Statement* stmt, const QueryCallback& cb) {
 }
 
 Status Database::BindReader(const SelectStmt& stmt, ExecContext* ctx,
-                            std::unique_ptr<retro::SnapshotView>* view,
-                            CatalogData* as_of_catalog) {
+                            BoundReader* bound) {
   RQL_ASSIGN_OR_RETURN(ctx->as_of, ResolveAsOf(stmt));
   if (ctx->as_of == retro::kNoSnapshot) {
     ctx->reader = store_;
@@ -262,14 +260,15 @@ Status Database::BindReader(const SelectStmt& stmt, ExecContext* ctx,
     return Status::OK();
   }
   if (snapshot_set_ != nullptr) {
-    RQL_ASSIGN_OR_RETURN(*view, snapshot_set_->Open(ctx->as_of));
+    RQL_ASSIGN_OR_RETURN(bound->view, snapshot_set_->Open(ctx->as_of));
   } else {
-    RQL_ASSIGN_OR_RETURN(*view, store_->OpenSnapshot(ctx->as_of));
+    RQL_ASSIGN_OR_RETURN(bound->view, store_->OpenSnapshot(ctx->as_of));
   }
-  ctx->reader = view->get();
-  RQL_ASSIGN_OR_RETURN(*as_of_catalog,
-                       CatalogData::Load(view->get(), catalog_->root()));
-  ctx->catalog = as_of_catalog;
+  bound->stats = ctx->stats;
+  ctx->reader = bound->view.get();
+  RQL_ASSIGN_OR_RETURN(bound->catalog,
+                       CatalogData::Load(bound->view.get(), catalog_->root()));
+  ctx->catalog = &bound->catalog;
   return Status::OK();
 }
 
@@ -284,9 +283,8 @@ Status Database::ExecSelect(const SelectStmt& stmt, const QueryCallback& cb) {
   ctx.batch_execution = batch_execution_;
   ctx.batch_size_hist = batch_size_hist_;
 
-  std::unique_ptr<retro::SnapshotView> view;
-  CatalogData as_of_catalog;
-  RQL_RETURN_IF_ERROR(BindReader(stmt, &ctx, &view, &as_of_catalog));
+  BoundReader bound;
+  RQL_RETURN_IF_ERROR(BindReader(stmt, &ctx, &bound));
 
   RQL_ASSIGN_OR_RETURN(std::unique_ptr<SelectExecutor> exec,
                        SelectExecutor::Prepare(&stmt, ctx));
@@ -312,10 +310,8 @@ Status Database::ExecCreateTable(CreateTableStmt* stmt) {
   ExecContext ctx;
   ctx.functions = &functions_;
   ctx.stats = &last_stats_.exec;
-  std::unique_ptr<retro::SnapshotView> view;
-  CatalogData as_of_catalog;
-  RQL_RETURN_IF_ERROR(
-      BindReader(*stmt->as_select, &ctx, &view, &as_of_catalog));
+  BoundReader bound;
+  RQL_RETURN_IF_ERROR(BindReader(*stmt->as_select, &ctx, &bound));
   RQL_ASSIGN_OR_RETURN(std::unique_ptr<SelectExecutor> exec,
                        SelectExecutor::Prepare(stmt->as_select.get(), ctx));
   columns = exec->columns();
@@ -431,10 +427,8 @@ Status Database::ExecInsert(InsertStmt* stmt) {
     ExecContext ctx;
     ctx.functions = &functions_;
     ctx.stats = &last_stats_.exec;
-    std::unique_ptr<retro::SnapshotView> view;
-    CatalogData as_of_catalog;
-    RQL_RETURN_IF_ERROR(
-        BindReader(*stmt->select, &ctx, &view, &as_of_catalog));
+    BoundReader bound;
+    RQL_RETURN_IF_ERROR(BindReader(*stmt->select, &ctx, &bound));
     RQL_ASSIGN_OR_RETURN(std::unique_ptr<SelectExecutor> exec,
                          SelectExecutor::Prepare(stmt->select.get(), ctx));
     return exec->Run(insert_positional);

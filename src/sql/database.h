@@ -217,13 +217,26 @@ class Database {
   /// once `store_` points at the (owned or borrowed) store.
   Status Init();
 
+  /// What an AS OF statement's ExecContext borrows: the snapshot's view
+  /// and catalog. Destruction adds the view's store counters to the
+  /// statement's ExecStats.
+  struct BoundReader {
+    std::unique_ptr<retro::SnapshotView> view;
+    CatalogData catalog;
+    ExecStats* stats = nullptr;
+    BoundReader() = default;
+    BoundReader(const BoundReader&) = delete;
+    BoundReader& operator=(const BoundReader&) = delete;
+    ~BoundReader() {
+      if (view != nullptr && stats != nullptr) stats->store.Add(view->stats());
+    }
+  };
+
   /// Points `ctx` at what `stmt` reads: the snapshot its AS OF names
   /// (opened through the attached snapshot set, if any) with that
-  /// snapshot's catalog, or the current state. `view` and `as_of_catalog`
-  /// hold what `ctx` borrows.
+  /// snapshot's catalog, held in `bound`, or the current state.
   Status BindReader(const SelectStmt& stmt, ExecContext* ctx,
-                    std::unique_ptr<retro::SnapshotView>* view,
-                    CatalogData* as_of_catalog);
+                    BoundReader* bound);
 
   Status ExecStatement(Statement* stmt, const QueryCallback& cb);
   Status ExecSelect(const SelectStmt& stmt, const QueryCallback& cb);

@@ -11,6 +11,7 @@
 #include "common/status.h"
 #include "retro/maplog.h"
 #include "retro/metrics.h"
+#include "retro/snapshot_store.h"
 #include "sql/ast.h"
 #include "sql/catalog.h"
 #include "sql/expr.h"
@@ -40,6 +41,9 @@ struct ExecStats {
   // counters are global), so the engine credits hits to the iteration
   // that performed them.
   ScanCacheCounters scan_cache;
+  // Store counters of the snapshot views THIS execution opened (SPT build,
+  // archive and db-shared reads, lock waits), exact for the same reason.
+  retro::IterationStats store;
 
   void Reset() { *this = ExecStats{}; }
 };

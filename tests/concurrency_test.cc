@@ -166,9 +166,11 @@ TEST(ConcurrencyTest, RandomSnapshotReadsMatchSequentialOracle) {
 
   // Cold start: force every archived read to hit the Pagelog at least once.
   store->ClearSnapshotCache();
-  store->ResetStats();
 
   std::atomic<int> failures{0};
+  // Per thread: the reads it issued, and its views' counters.
+  std::vector<int64_t> issued(kThreads, 0);
+  std::vector<IterationStats> counted(kThreads);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
@@ -183,17 +185,34 @@ TEST(ConcurrencyTest, RandomSnapshotReadsMatchSequentialOracle) {
         for (int j = 0; j < 3; ++j) {
           int p = static_cast<int>(rng.Uniform(kPages));
           Page page;
+          ++issued[t];
           if (!(*view)->ReadPage(pages[p], &page).ok()) { ++failures; continue; }
           uint64_t want = oracle[s][p];
           if (page.ReadU64(0) != want || page.ReadU64(2048) != want * 31) {
             ++failures;
           }
         }
+        counted[t].Add((*view)->stats());
       }
     });
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
+
+  // Each view counts its own reads, so summed over all views every read
+  // issued is counted exactly once: an archive load (one record per load
+  // in full-page mode), a cache hit, a coalesced wait or a db-shared read.
+  IterationStats total;
+  int64_t total_issued = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    total.Add(counted[t]);
+    total_issued += issued[t];
+  }
+  EXPECT_EQ(total_issued, int64_t{kThreads} * kReadsPerThread * 3);
+  EXPECT_EQ(total.pagelog_page_reads + total.snapshot_cache_hits +
+                total.coalesced_loads + total.db_page_reads,
+            total_issued);
+  EXPECT_GT(total.pagelog_page_reads, 0);
 
   // The store stays fully usable (and exact) after the storm.
   for (int s = 0; s < kSnapshots; ++s) {

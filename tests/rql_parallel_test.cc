@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
 
 #include "common/random.h"
 #include "rql/rql.h"
@@ -230,9 +232,12 @@ TEST(RqlParallelStatsTest, FastWorkersReusePlansAndAdvanceTheirCursors) {
     plan_hits += it.plan_cache_hits;
   }
   EXPECT_EQ(plan_hits + stats.qq_parse_count, 12);
-  // Store counters of a parallel run are run totals: the store's own,
-  // reset when the concurrent phase began.
-  EXPECT_GT(e.data->store()->stats().spt_delta_entries, 0);
+  // Each parallel iteration reports its worker's own store counters.
+  int64_t spt_delta_entries = 0;
+  for (const RqlIterationStats& it : stats.iterations) {
+    spt_delta_entries += it.spt_delta_entries;
+  }
+  EXPECT_GT(spt_delta_entries, 0);
 }
 
 TEST(RqlParallelStatsTest, WorkersCallFunctionsRegisteredOnTheDataHandle) {
@@ -301,6 +306,128 @@ TEST(RqlParallelStatsTest, ConcurrencyCountersZeroInSequentialRuns) {
   EXPECT_GE(parallel.parallel_lock_wait_us, 0);
   EXPECT_EQ(TableContents(e.meta.get(), "Seq"),
             TableContents(e.meta.get(), "Par"));
+}
+
+/// Per snapshot of a run: the snapshot pages its iteration read, however
+/// each read was served (archive load, cache hit, coalesced wait, or a page
+/// shared with the current state), and the Maplog pages its SPT build
+/// scanned. Both depend on the history alone, not on what the snapshot
+/// cache held or who else was reading.
+std::vector<std::pair<int64_t, int64_t>> PageCounts(const RqlRunStats& stats) {
+  std::vector<std::pair<int64_t, int64_t>> out;
+  for (const RqlIterationStats& it : stats.iterations) {
+    out.emplace_back(
+        it.pagelog_pages + it.cache_hits + it.coalesced_loads + it.db_pages,
+        it.maplog_pages);
+  }
+  return out;
+}
+
+TEST(RqlParallelStatsTest, ParallelIterationsCarryExactStoreCounters) {
+  // kPaperFaithful, no scan cache: every iteration builds its SPT cold and
+  // reads every page it needs through its own views, so each snapshot's
+  // counts are the same whichever worker answers it.
+  Env e = MakeEnv(12);
+  const std::string qs = "SELECT snap_id FROM SnapIds";
+  const char* qq = "SELECT k, SUM(v) AS s FROM t GROUP BY k";
+  ASSERT_TRUE(e.engine->CollateData(qs, qq, "Serial").ok());
+  const RqlRunStats serial = e.engine->last_run_stats();
+  ASSERT_FALSE(serial.parallel);
+
+  e.engine->mutable_options()->parallel_workers = 4;
+  ASSERT_TRUE(e.engine->CollateData(qs, qq, "Par").ok());
+  const RqlRunStats& parallel = e.engine->last_run_stats();
+  ASSERT_TRUE(parallel.parallel);
+  ASSERT_EQ(parallel.iterations.size(), serial.iterations.size());
+  for (size_t i = 0; i < serial.iterations.size(); ++i) {
+    EXPECT_EQ(parallel.iterations[i].snapshot, serial.iterations[i].snapshot);
+  }
+  const auto counts = PageCounts(serial);
+  int64_t maplog_pages = 0;
+  for (const auto& [pages, maplog] : counts) {
+    EXPECT_GT(pages, 0);
+    maplog_pages += maplog;
+  }
+  EXPECT_GT(maplog_pages, 0);
+  EXPECT_EQ(PageCounts(parallel), counts);
+  EXPECT_EQ(TableContents(e.meta.get(), "Serial"),
+            TableContents(e.meta.get(), "Par"));
+
+  // With a memo, each worker's cursor builds its SPTs in the replay
+  // probe's Advance, which its iterations report too.
+  std::unique_ptr<retro::MemoTable> memo = retro::MemoTable::InMemory();
+  e.engine->mutable_options()->memo = memo.get();
+  ASSERT_TRUE(e.engine->CollateData(qs, qq, "Memo").ok());
+  int64_t spt_work = 0;
+  for (const RqlIterationStats& it : e.engine->last_run_stats().iterations) {
+    spt_work += it.maplog_pages + it.spt_delta_entries;
+  }
+  EXPECT_GT(spt_work, 0);
+}
+
+TEST(RqlParallelStatsTest, OverlappingRunsKeepTheirOwnCounters) {
+  // A CollateData sweep on a cold cache, alone and then while another
+  // handle on the same store runs AS OF queries in a loop: the sweep's
+  // per-iteration counters must not change, and each of the reader's
+  // statements must count its own reads.
+  Env e = MakeEnv(12);
+  std::atomic<bool> reading{false};
+  std::atomic<int64_t> reader_statements{0};
+  // Qq calls overlap(current_snapshot()) on every row. While the reader
+  // runs, a snapshot's first call blocks until the reader finishes one more
+  // statement, so every iteration of the sweep overlaps the reader's reads.
+  retro::SnapshotId waited = retro::kNoSnapshot;
+  e.data->RegisterFunction(
+      "overlap", 1, 1, [&](const std::vector<Value>& args) -> Result<Value> {
+        const auto snap = static_cast<retro::SnapshotId>(args[0].AsInt());
+        if (reading.load() && snap != waited) {
+          waited = snap;
+          const int64_t seen = reader_statements.load();
+          while (reader_statements.load() == seen) std::this_thread::yield();
+        }
+        return Value::Integer(0);
+      });
+  const std::string qs = "SELECT snap_id FROM SnapIds";
+  const char* qq =
+      "SELECT k, v FROM t WHERE v % 3 = overlap(current_snapshot())";
+  ASSERT_TRUE(e.engine->CollateData(qs, qq, "Alone").ok());
+  const auto alone = PageCounts(e.engine->last_run_stats());
+
+  auto reader_db = sql::Database::Attach(e.data->store());
+  ASSERT_TRUE(reader_db.ok()) << reader_db.status().ToString();
+  std::atomic<bool> stop{false};
+  std::atomic<int> reader_failures{0};
+  std::thread reader([&] {
+    sql::Database* db = reader_db->get();
+    for (uint64_t i = 0; !stop.load(); ++i) {
+      const std::string sql = "SELECT AS OF " + std::to_string(1 + i % 12) +
+                              " COUNT(*) FROM t";
+      const sql::ExecStats& exec = db->last_stats().exec;
+      if (!db->Query(sql).ok() ||
+          exec.store.pagelog_page_reads + exec.store.snapshot_cache_hits +
+                  exec.store.coalesced_loads + exec.store.db_page_reads ==
+              0) {
+        ++reader_failures;
+      }
+      ++reader_statements;
+    }
+  });
+  reading = true;
+  for (int round = 0; round < 3; ++round) {
+    const std::string table = "Overlapped" + std::to_string(round);
+    waited = retro::kNoSnapshot;
+    Status s = e.engine->CollateData(qs, qq, table);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ(PageCounts(e.engine->last_run_stats()), alone)
+        << "round " << round;
+    EXPECT_EQ(TableContents(e.meta.get(), "Alone"),
+              TableContents(e.meta.get(), table));
+  }
+  reading = false;
+  stop = true;
+  reader.join();
+  EXPECT_GE(reader_statements.load(), 3 * 12);
+  EXPECT_EQ(reader_failures.load(), 0);
 }
 
 TEST(ReplaceCurrentSnapshotTest, TextualRewrite) {

@@ -14,17 +14,21 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
 #include "rql/rql.h"
 #include "server/client.h"
 #include "server/server.h"
+#include "server/session.h"
 #include "sql/database.h"
 #include "sql/fingerprint.h"
+#include "sql/heap_table.h"
 #include "storage/env.h"
 
 namespace rql::server {
@@ -942,6 +946,110 @@ TEST(ServerMirrorTest, RunIntoSnapIdsLeavesTheNextRunCorrect) {
   auto done = m.client->WaitRun(*run);
   ASSERT_TRUE(done.ok() && done->status.ok());
   ExpectIterations(m.RunOverSnapIds(), 6);
+}
+
+/// The private SnapIds heap of `session`: (rid, record) in scan order.
+std::vector<std::pair<sql::Rid, std::string>> SnapIdsHeap(Session* session) {
+  std::vector<std::pair<sql::Rid, std::string>> out;
+  const sql::TableInfo* info =
+      session->meta()->catalog()->data().FindTable("SnapIds");
+  EXPECT_NE(info, nullptr);
+  if (info == nullptr) return out;
+  auto it = sql::HeapTable::Scan(session->meta()->store(), info->root);
+  for (; it.Valid(); it.Next()) {
+    out.emplace_back(it.rid(), std::string(it.record()));
+  }
+  EXPECT_TRUE(it.status().ok());
+  return out;
+}
+
+/// The same heap with each rid's page named by its rank in scan order, so
+/// two sessions' heaps compare record by record.
+std::vector<std::string> RankedHeap(Session* session) {
+  std::vector<std::string> out;
+  std::map<storage::PageId, size_t> rank;
+  for (const auto& [rid, record] : SnapIdsHeap(session)) {
+    auto page = rank.try_emplace(sql::RidPage(rid), rank.size());
+    out.push_back(std::to_string(page.first->second) + "." +
+                  std::to_string(sql::RidSlot(rid)) + ":" + record);
+  }
+  return out;
+}
+
+struct SessionMirrorFixture {
+  HistoryFixture f = MakeHistory(6);
+  std::unique_ptr<Session> session = NewSession();
+
+  std::unique_ptr<Session> NewSession() {
+    auto created = Session::Create(1, f.data->store(), RqlOptions{});
+    EXPECT_TRUE(created.ok()) << created.status().ToString();
+    return created.ok() ? std::move(*created) : nullptr;
+  }
+
+  sql::QueryResult Canonical() {
+    auto rows = f.meta->Query("SELECT * FROM SnapIds");
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    return rows.ok() ? *rows : sql::QueryResult{};
+  }
+
+  /// Mirrors `canonical` into the session, then expects the mirror to hold
+  /// exactly its rows, laid out as a fresh session's full rewrite lays
+  /// them out.
+  void MirrorAndCheck(const sql::QueryResult& canonical) {
+    ASSERT_TRUE(session->ReplaceSnapIds(canonical).ok());
+    auto mirrored = session->meta()->Query("SELECT * FROM SnapIds");
+    ASSERT_TRUE(mirrored.ok()) << mirrored.status().ToString();
+    ASSERT_EQ(mirrored->rows.size(), canonical.rows.size());
+    for (size_t i = 0; i < canonical.rows.size(); ++i) {
+      EXPECT_EQ(sql::EncodeRow(mirrored->rows[i]),
+                sql::EncodeRow(canonical.rows[i]))
+          << "row " << i;
+    }
+    std::unique_ptr<Session> fresh = NewSession();
+    ASSERT_NE(fresh, nullptr);
+    ASSERT_TRUE(fresh->ReplaceSnapIds(canonical).ok());
+    EXPECT_EQ(RankedHeap(session.get()), RankedHeap(fresh.get()));
+  }
+};
+
+TEST(ServerMirrorTest, DeclaredSnapshotAppendsToTheMirror) {
+  SessionMirrorFixture m;
+  ASSERT_NE(m.session, nullptr);
+  m.MirrorAndCheck(m.Canonical());
+  const auto before = SnapIdsHeap(m.session.get());
+  ASSERT_EQ(before.size(), 6u);
+
+  ASSERT_TRUE(m.f.engine->CommitWithSnapshot("later").ok());
+  const sql::QueryResult canonical = m.Canonical();
+  ASSERT_EQ(canonical.rows.size(), 7u);
+  m.MirrorAndCheck(canonical);
+  // The rows mirrored before stay where they were: only the new row was
+  // written.
+  const auto after = SnapIdsHeap(m.session.get());
+  ASSERT_EQ(after.size(), 7u);
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i], before[i]) << "row " << i;
+  }
+}
+
+TEST(ServerMirrorTest, TruncatedSnapIdsRewriteTheMirror) {
+  SessionMirrorFixture m;
+  ASSERT_NE(m.session, nullptr);
+  m.MirrorAndCheck(m.Canonical());
+  ASSERT_TRUE(m.f.engine->TruncateHistory(4).ok());
+  const sql::QueryResult truncated = m.Canonical();
+  ASSERT_EQ(truncated.rows.size(), 3u);
+  m.MirrorAndCheck(truncated);
+
+  // Truncated again, then declared past the mirror's length: only the
+  // rows' content, not their count, shows that they are not an extension.
+  ASSERT_TRUE(m.f.engine->TruncateHistory(6).ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(m.f.engine->CommitWithSnapshot("later").ok());
+  }
+  const sql::QueryResult regrown = m.Canonical();
+  ASSERT_EQ(regrown.rows.size(), 4u);
+  m.MirrorAndCheck(regrown);
 }
 
 }  // namespace

@@ -54,13 +54,12 @@ TEST_F(SnapshotStoreTest, UnmodifiedPagesAreSharedWithCurrentState) {
   auto snap = store_->DeclareSnapshot();
   ASSERT_TRUE(snap.ok());
 
-  store_->ResetStats();
   auto view = store_->OpenSnapshot(*snap);
   ASSERT_TRUE(view.ok());
   EXPECT_EQ((*view)->spt_size(), 0u);
   EXPECT_EQ(ReadTag(view->get(), *id), 7u);
-  EXPECT_EQ(store_->stats().db_page_reads, 1);
-  EXPECT_EQ(store_->stats().pagelog_page_reads, 0);
+  EXPECT_EQ((*view)->stats().db_page_reads, 1);
+  EXPECT_EQ((*view)->stats().pagelog_page_reads, 0);
 }
 
 TEST_F(SnapshotStoreTest, MultipleSnapshotsSeeTheirOwnStates) {
@@ -94,14 +93,15 @@ TEST_F(SnapshotStoreTest, ConsecutiveSnapshotsSharePreStates) {
   // Reading the page as of snapshot 1 warms the cache; snapshots 2 and 3
   // then hit the cache because they share the same Pagelog location.
   store_->ClearSnapshotCache();
-  store_->ResetStats();
+  IterationStats stats;
   for (SnapshotId s = 1; s <= 3; ++s) {
     auto view = store_->OpenSnapshot(s);
     ASSERT_TRUE(view.ok());
     EXPECT_EQ(ReadTag(view->get(), *id), 1u);
+    stats.Add((*view)->stats());
   }
-  EXPECT_EQ(store_->stats().pagelog_page_reads, 1);
-  EXPECT_EQ(store_->stats().snapshot_cache_hits, 2);
+  EXPECT_EQ(stats.pagelog_page_reads, 1);
+  EXPECT_EQ(stats.snapshot_cache_hits, 2);
 }
 
 TEST_F(SnapshotStoreTest, WritesWithinOneEpochCaptureOnce) {
@@ -274,14 +274,13 @@ TEST_F(SnapshotStoreTest, OverwriteCycleFetchCounts) {
   }
 
   store_->ClearSnapshotCache();
-  store_->ResetStats();
   auto view = store_->OpenSnapshot(*snap);
   ASSERT_TRUE(view.ok());
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(ReadTag(view->get(), ids[i]), 100u + i);
   }
-  EXPECT_EQ(store_->stats().pagelog_page_reads, 8);
-  EXPECT_EQ(store_->stats().db_page_reads, 0);
+  EXPECT_EQ((*view)->stats().pagelog_page_reads, 8);
+  EXPECT_EQ((*view)->stats().db_page_reads, 0);
 }
 
 TEST_F(SnapshotStoreTest, SnapshotSetSessionMatchesColdOpens) {
@@ -362,19 +361,23 @@ TEST_F(SnapshotStoreTest, IncrementalSessionScansFewerMaplogEntries) {
   }
   ASSERT_TRUE(store_->WritePage(*id, TaggedPage(999)).ok());
 
-  store_->ResetStats();
+  IterationStats cold;
   for (SnapshotId s = 1; s <= kSnaps; ++s) {
-    ASSERT_TRUE(store_->OpenSnapshot(s).ok());
+    auto view = store_->OpenSnapshot(s);
+    ASSERT_TRUE(view.ok());
+    cold.Add((*view)->stats());
   }
-  int64_t cold_entries = store_->stats().spt.entries_scanned;
+  int64_t cold_entries = cold.spt.entries_scanned;
 
-  store_->ResetStats();
+  IterationStats incremental;
   std::unique_ptr<SnapshotSet> set = store_->BeginSnapshotSet();
   for (SnapshotId s = 1; s <= kSnaps; ++s) {
-    ASSERT_TRUE(set->Open(s).ok());
+    auto view = set->Open(s);
+    ASSERT_TRUE(view.ok());
+    incremental.Add((*view)->stats());
   }
-  EXPECT_GT(store_->stats().spt_delta_entries, 0);
-  EXPECT_LT(store_->stats().spt.entries_scanned, cold_entries);
+  EXPECT_GT(incremental.spt_delta_entries, 0);
+  EXPECT_LT(incremental.spt.entries_scanned, cold_entries);
 }
 
 TEST_F(SnapshotStoreTest, InterleavedSnapshotSetsEachMatchColdOpens) {

@@ -31,8 +31,8 @@ ITERATION_FIELDS = {
     "memo_hit": bool, "validated_pages": int,
     "io_us": int, "spt_build_us": int, "query_eval_us": int,
     "index_create_us": int, "udf_us": int, "total_us": int, "qq_rows": int,
-    "maplog_pages": int, "pagelog_pages": int, "cache_hits": int,
-    "db_pages": int, "delta_pages": int,
+    "maplog_pages": int, "spt_delta_entries": int, "pagelog_pages": int,
+    "cache_hits": int, "db_pages": int, "delta_pages": int,
 }
 
 
@@ -140,6 +140,12 @@ def check_run(run, path):
         require(memo_rows == 0, path, "cold pass served memo hits")
         require(counters.get("rql.memo_misses", 0) > 0, path,
                 "cold pass published no memo entries")
+        # Every executed iteration reports its own SPT work, parallel
+        # workers' included, so a cold pass cannot read zero.
+        spt_work = sum(it["maplog_pages"] + it["spt_delta_entries"]
+                       for it in run["iterations"])
+        require(spt_work > 0, path,
+                "cold pass reports no Maplog pages or SPT delta entries")
     else:
         require(memo_rows > 0, path, "warm pass replayed nothing")
 

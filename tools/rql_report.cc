@@ -53,7 +53,8 @@ struct IterRow {
   int64_t validated_pages = 0;  // memo-hit rows: read-set pages validated
   int64_t io_us = 0, spt_us = 0, query_us = 0, index_us = 0, udf_us = 0;
   int64_t qq_rows = 0;
-  int64_t maplog_pages = 0, pagelog_pages = 0, cache_hits = 0, db_pages = 0;
+  int64_t maplog_pages = 0, spt_delta_entries = 0;
+  int64_t pagelog_pages = 0, cache_hits = 0, db_pages = 0;
   int64_t scan_hits = 0, scan_misses = 0;
   int64_t delta_pages = 0;  // skip rows: changed pages in the read set
 
@@ -82,6 +83,7 @@ std::vector<IterRow> RowsFromTrace(const RqlTrace& trace) {
       case RqlTraceEventType::kSptBuild: {
         IterRow& row = pending[key];
         row.maplog_pages = ev.args[0];
+        row.spt_delta_entries = ev.args[1];
         break;
       }
       case RqlTraceEventType::kArchiveFetch: {
@@ -92,7 +94,6 @@ std::vector<IterRow> RowsFromTrace(const RqlTrace& trace) {
         break;
       }
       case RqlTraceEventType::kScanCache: {
-        if (ev.snapshot == retro::kNoSnapshot) break;  // run-level summary
         IterRow& row = pending[key];
         row.scan_hits = ev.args[0];
         row.scan_misses = ev.args[1];
@@ -114,24 +115,12 @@ std::vector<IterRow> RowsFromTrace(const RqlTrace& trace) {
       }
       case RqlTraceEventType::kMemoHit:
       case RqlTraceEventType::kIterationSkip: {
-        // Parallel runs emit begin/end around the worker's answer and the
-        // record loop adds the replay event afterwards: fold it into the
-        // worker's row. Sequential replays have no begin/end pair, so the
-        // event stands alone.
-        IterRow* row = nullptr;
-        for (auto it = rows.rbegin(); it != rows.rend(); ++it) {
-          if (it->worker != 0 && it->snapshot == ev.snapshot &&
-              !it->memo_hit && !it->skipped) {
-            row = &*it;
-            break;
-          }
-        }
-        if (row == nullptr) {
-          row = &rows.emplace_back();
-          row->index = ev.args[0];
-          row->snapshot = ev.snapshot;
-          row->worker = ev.worker;
-        }
+        // A replayed iteration executes nothing, so it has no begin/end
+        // pair, sequential or parallel: the record loop's event stands alone.
+        IterRow* row = &rows.emplace_back();
+        row->index = ev.args[0];
+        row->snapshot = ev.snapshot;
+        row->worker = ev.worker;
         if (ev.type == RqlTraceEventType::kMemoHit) {
           row->memo_hit = true;
           row->validated_pages = ev.args[1];
@@ -432,6 +421,7 @@ int Run(const ReportOptions& opt) {
         json.Field("total_us", r.TotalUs());
         json.Field("qq_rows", r.qq_rows);
         json.Field("maplog_pages", r.maplog_pages);
+        json.Field("spt_delta_entries", r.spt_delta_entries);
         json.Field("pagelog_pages", r.pagelog_pages);
         json.Field("cache_hits", r.cache_hits);
         json.Field("db_pages", r.db_pages);
