@@ -316,10 +316,12 @@ Status SnapshotSet::SeekLocked(SnapshotId snap, IterationStats* stats) {
 }
 
 Result<bool> SnapshotSet::Advance(SnapshotId snap,
-                                  std::vector<storage::PageId>* delta) {
+                                  std::vector<storage::PageId>* delta,
+                                  IterationStats* stats) {
   delta->clear();
+  IterationStats unused;
   std::shared_lock<std::shared_mutex> lock(store_->mu_);
-  RQL_RETURN_IF_ERROR(SeekLocked(snap, &stats_));
+  RQL_RETURN_IF_ERROR(SeekLocked(snap, stats != nullptr ? stats : &unused));
   if (!cursor_.last_delta_valid()) return false;
   *delta = cursor_.last_delta();
   return true;

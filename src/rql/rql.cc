@@ -1337,7 +1337,6 @@ class RqlEngine::RunScope {
     begun_ = true;
     if (engine_->trace_on_) {
       engine_->trace_.Emit(RqlTraceEventType::kRunBegin, retro::kNoSnapshot,
-                           NowMicros(),
                            {static_cast<int64_t>(snapshots), workers,
                             OptionFlagBits(o)});
     }
@@ -1400,7 +1399,6 @@ class RqlEngine::RunScope {
     const RqlRunStats& stats = engine_->stats_;
     if (engine_->trace_on_) {
       engine_->trace_.Emit(RqlTraceEventType::kRunEnd, retro::kNoSnapshot,
-                           NowMicros(),
                            {static_cast<int64_t>(stats.iterations.size()),
                             stats.iterations_skipped, stats.TotalUs(),
                             s.ok() ? 1 : 0});
@@ -1526,7 +1524,6 @@ Status RqlEngine::RunMechanismParallel(
   }
   if (trace_on_) {
     trace_.Emit(RqlTraceEventType::kWorkerStall, retro::kNoSnapshot,
-                NowMicros(),
                 {stats_.parallel_lock_wait_us, stats_.coalesced_loads,
                  workers});
   }
@@ -1569,11 +1566,11 @@ Status RqlEngine::AnswerIteration(IterationContext* ctx,
   RqlIterationStats& iter = out->iter;
   iter.snapshot = snap;
   // The iteration's store counters are its readers' own: the cursor's
-  // Advance (the replay probe) plus the views its Qq statement opens.
+  // Advance (the replay probe, counted into out->store as it runs) plus
+  // the views its Qq statement opens.
   auto take_store_counters = [&](const retro::IterationStats& views) {
     retro::IterationStats& rs = out->store;
-    rs = views;
-    if (ctx->set != nullptr) rs.Add(ctx->set->TakeStats());
+    rs.Add(views);
     const retro::CostModel& cm = store->cost_model();
     iter.io_us = rs.IoUs(cm);
     iter.spt_build_us = rs.SptUs(cm);
@@ -1595,7 +1592,7 @@ Status RqlEngine::AnswerIteration(IterationContext* ctx,
     }
   }
   if (trace_on_) {
-    trace_.Emit(RqlTraceEventType::kIterationBegin, snap, NowMicros(),
+    trace_.Emit(RqlTraceEventType::kIterationBegin, snap,
                 {static_cast<int64_t>(index)}, ctx->worker);
   }
   iter.memo_misses = memoize ? 1 : 0;
@@ -1692,24 +1689,23 @@ Status RqlEngine::AnswerIteration(IterationContext* ctx,
                                rs.spt.cpu_us);
   iter.qq_rows = qq_rows;
   if (trace_on_) {
-    int64_t now = NowMicros();
     const uint16_t w = ctx->worker;
-    trace_.Emit(RqlTraceEventType::kSptBuild, snap, now,
+    trace_.Emit(RqlTraceEventType::kSptBuild, snap,
                 {iter.maplog_pages, iter.spt_delta_entries, rs.spt.cpu_us,
                  ctx->set != nullptr ? 1 : 0},
                 w);
     // Args slot 1 is retired (always 0), keeping positions stable.
-    trace_.Emit(RqlTraceEventType::kArchiveFetch, snap, now,
+    trace_.Emit(RqlTraceEventType::kArchiveFetch, snap,
                 {iter.pagelog_pages, 0, iter.cache_hits, iter.db_pages,
                  rs.archive_read_retries},
                 w);
     if (db->scan_cache() != nullptr) {
-      trace_.Emit(RqlTraceEventType::kScanCache, snap, now,
+      trace_.Emit(RqlTraceEventType::kScanCache, snap,
                   {iter.shared_page_hits, iter.scan_cache_misses,
                    iter.coalesced_decodes},
                   w);
     }
-    trace_.Emit(RqlTraceEventType::kIterationEnd, snap, now,
+    trace_.Emit(RqlTraceEventType::kIterationEnd, snap,
                 {iter.io_us, iter.spt_build_us, iter.query_eval_us,
                  iter.index_create_us, iter.udf_us, iter.qq_rows},
                 w);
@@ -1784,7 +1780,7 @@ Status RqlEngine::RecordIteration(MechanismState* state,
   if (trace_on_ && (iter.skipped || iter.memo_hits != 0)) {
     trace_.Emit(iter.skipped ? RqlTraceEventType::kIterationSkip
                              : RqlTraceEventType::kMemoHit,
-                snap, NowMicros(),
+                snap,
                 {static_cast<int64_t>(stats_.iterations.size()),
                  answer->replay_trace_arg, iter.qq_rows, iter.udf_us});
   }
@@ -1805,7 +1801,8 @@ Result<bool> RqlEngine::ReplayIteration(IterationContext* ctx,
   // below (or Qq's, on a miss): re-seeking the same id drains no delta.
   std::vector<storage::PageId> delta;
   const retro::SnapshotId from = ctx->set->position();
-  RQL_ASSIGN_OR_RETURN(bool have_delta, ctx->set->Advance(snap, &delta));
+  RQL_ASSIGN_OR_RETURN(bool have_delta,
+                       ctx->set->Advance(snap, &delta, &out->store));
   RqlIterationStats& iter = out->iter;
   iter.delta_pages_scanned = static_cast<int64_t>(delta.size());
   IterationContext::Predecessor& prev = ctx->prev;

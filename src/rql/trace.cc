@@ -1,6 +1,6 @@
 #include "rql/trace.h"
 
-#include <algorithm>
+#include "common/clock.h"
 
 namespace rql {
 
@@ -10,7 +10,6 @@ RqlTrace::RqlTrace(const RqlTrace& other) {
   capacity_ = other.capacity_;
   emitted_ = other.emitted_;
   t0_us_ = other.t0_us_;
-  last_t_us_ = other.last_t_us_;
   session_id_ = other.session_id_;
   run_id_ = other.run_id_;
 }
@@ -22,7 +21,6 @@ RqlTrace& RqlTrace::operator=(const RqlTrace& other) {
   capacity_ = other.capacity_;
   emitted_ = other.emitted_;
   t0_us_ = other.t0_us_;
-  last_t_us_ = other.last_t_us_;
   session_id_ = other.session_id_;
   run_id_ = other.run_id_;
   return *this;
@@ -35,7 +33,6 @@ void RqlTrace::Restart(size_t capacity, int64_t now_us) {
   ring_.reserve(capacity_ < 1024 ? capacity_ : 1024);
   emitted_ = 0;
   t0_us_ = now_us;
-  last_t_us_ = 0;
   session_id_ = 0;
   run_id_ = 0;
 }
@@ -57,13 +54,11 @@ uint64_t RqlTrace::run_id() const {
 }
 
 void RqlTrace::Emit(RqlTraceEventType type, retro::SnapshotId snapshot,
-                    int64_t now_us, std::initializer_list<int64_t> args,
-                    uint16_t worker) {
+                    std::initializer_list<int64_t> args, uint16_t worker) {
   std::lock_guard<std::mutex> lock(mu_);
   if (capacity_ == 0) return;
   RqlTraceEvent ev;
-  last_t_us_ = std::max(last_t_us_, now_us - t0_us_);
-  ev.t_us = last_t_us_;
+  ev.t_us = NowMicros() - t0_us_;
   ev.snapshot = snapshot;
   ev.type = type;
   ev.worker = worker;

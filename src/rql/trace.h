@@ -73,7 +73,7 @@ enum class RqlTraceEventType : uint8_t {
 };
 
 /// One fixed-size trace record. `t_us` is relative to the enclosing run's
-/// start and never decreases along the ring; `worker` is 0 for the coordinating thread and 1-based for
+/// start; `worker` is 0 for the coordinating thread and 1-based for
 /// parallel workers; `snapshot` is kNoSnapshot for run-scoped events.
 struct RqlTraceEvent {
   int64_t t_us = 0;
@@ -111,7 +111,9 @@ class RqlTrace {
   uint64_t session_id() const;
   uint64_t run_id() const;
 
-  void Emit(RqlTraceEventType type, retro::SnapshotId snapshot, int64_t now_us,
+  /// Appends an event stamped with the clock read under the ring's lock,
+  /// so events from parallel workers are in time order along the ring.
+  void Emit(RqlTraceEventType type, retro::SnapshotId snapshot,
             std::initializer_list<int64_t> args, uint16_t worker = 0);
 
   /// Retained events, oldest first.
@@ -130,7 +132,6 @@ class RqlTrace {
   size_t capacity_ = 0;
   uint64_t emitted_ = 0;  // ring head = emitted_ % capacity_
   int64_t t0_us_ = 0;
-  int64_t last_t_us_ = 0;  // workers read their clocks outside mu_
   uint64_t session_id_ = 0;
   uint64_t run_id_ = 0;
 };

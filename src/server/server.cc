@@ -474,21 +474,11 @@ bool Server::HandleFrame(Conn* conn, const Frame& frame) {
         return true;
       }
       std::lock_guard<std::mutex> lock(session->mu);
-      Status refresh = session->ReplaceSnapIds(*canonical);
-      if (!refresh.ok()) {
-        (void)SendError(conn, refresh);
-        return true;
-      }
-      auto result = session->meta()->Query(sql);
-      Status finish = session->engine()->FinishUdfRuns();
-      // The statement may have written SnapIds or opened a transaction.
-      session->ForgetSnapIdsMirror();
-      if (!result.ok()) {
-        (void)SendError(conn, result.status());
-      } else if (!finish.ok()) {
-        (void)SendError(conn, finish);
-      } else {
+      auto result = session->MetaSql(*canonical, sql);
+      if (result.ok()) {
         (void)SendResult(conn, *result);
+      } else {
+        (void)SendError(conn, result.status());
       }
       return true;
     }

@@ -47,9 +47,9 @@ Status Session::ReplaceSnapIds(const sql::QueryResult& canonical) {
   if (append && from == canonical.rows.size()) return Status::OK();
   mirrored_.reset();
   // One transaction, not one commit per row. Inside a transaction the
-  // client left open, the write joins it; the client's next kMetaSql
-  // forgets the mirror. A rewrite creates the table afresh: a run or
-  // statement may have replaced it with one of another shape.
+  // client left open, the write joins it and the mirror stays unknown:
+  // the client may roll it back. A rewrite creates the table afresh: a
+  // run or statement may have replaced it with one of another shape.
   const bool own_txn = !meta_->store()->in_transaction();
   if (own_txn) RQL_RETURN_IF_ERROR(meta_->Exec("BEGIN"));
   Status s = Status::OK();
@@ -67,8 +67,21 @@ Status Session::ReplaceSnapIds(const sql::QueryResult& canonical) {
       (void)meta_->Exec("ROLLBACK");
     }
   }
-  if (s.ok()) mirrored_ = canonical.rows;
+  if (s.ok() && own_txn) mirrored_ = canonical.rows;
   return s;
+}
+
+Result<sql::QueryResult> Session::MetaSql(const sql::QueryResult& canonical,
+                                          std::string_view sql) {
+  RQL_RETURN_IF_ERROR(ReplaceSnapIds(canonical));
+  const storage::PageStore* pages = meta_->store()->page_store();
+  const uint64_t mutations = pages->mutations();
+  Result<sql::QueryResult> result = meta_->Query(sql);
+  Status finish = engine_->FinishUdfRuns();
+  // A statement that wrote anything may have written SnapIds.
+  if (pages->mutations() != mutations) mirrored_.reset();
+  if (result.ok()) RQL_RETURN_IF_ERROR(finish);
+  return result;
 }
 
 Result<sql::PreparedStatement*> Session::FindStmt(uint32_t stmt_id) {

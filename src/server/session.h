@@ -20,6 +20,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "common/clock.h"
@@ -61,9 +62,15 @@ class Session {
   Status ReplaceSnapIds(const sql::QueryResult& canonical);
 
   /// Forgets the rows last mirrored, so the next ReplaceSnapIds rewrites
-  /// the table: a kMetaSql statement, or a run whose result table is
-  /// SnapIds, may have changed it.
+  /// the table: a run whose result table is SnapIds has changed it.
   void ForgetSnapIdsMirror() { mirrored_.reset(); }
+
+  /// Runs `sql` (kMetaSql) on the metadata database after mirroring
+  /// `canonical`, and finishes the UDF runs it started. The mirror is
+  /// forgotten only when the statement wrote: a pure read such as
+  /// "SELECT COUNT(*) FROM SnapIds" lets the next refresh append.
+  Result<sql::QueryResult> MetaSql(const sql::QueryResult& canonical,
+                                   std::string_view sql);
 
   // --- prepared statements (wire kPrepare..kClosePrepared) ----------------
   Result<uint32_t> Prepare(const std::string& sql);

@@ -9,9 +9,9 @@
 #include <vector>
 
 #include "common/status.h"
+#include "retro/iteration_stats.h"
 #include "retro/maplog.h"
 #include "retro/metrics.h"
-#include "retro/snapshot_store.h"
 #include "sql/ast.h"
 #include "sql/catalog.h"
 #include "sql/expr.h"

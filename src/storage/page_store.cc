@@ -129,6 +129,7 @@ Status PageStore::ReadThrough(PageId id, Page* page) const {
 }
 
 Status PageStore::MaybeAutoCommit() {
+  ++mutations_;
   if (in_batch_) return Status::OK();
   return CommitDirty();
 }

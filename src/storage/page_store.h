@@ -99,6 +99,10 @@ class PageStore : public PageWriter {
   /// Pages currently allocated (excludes header and free-list pages).
   uint32_t allocated_pages() const { return page_count_ - 1 - free_count_; }
 
+  /// Monotonic count of mutations (AllocatePage, FreePage, WritePage,
+  /// SetRoot), committed or not: whether anything wrote between two reads.
+  uint64_t mutations() const { return mutations_; }
+
   /// Hook invoked before each non-empty commit becomes durable (before
   /// the WAL append). The Retro layer uses it to sync the Pagelog and
   /// Maplog first, so no committed post-state can outlive its archived
@@ -117,7 +121,8 @@ class PageStore : public PageWriter {
   Status CommitDirty();
   /// Reads a page preferring the dirty set over the file.
   Status ReadThrough(PageId id, Page* page) const;
-  /// Auto-commits when not inside an explicit batch.
+  /// Counts the mutation just staged; auto-commits when not inside an
+  /// explicit batch.
   Status MaybeAutoCommit();
 
   std::unique_ptr<File> file_;
@@ -132,6 +137,7 @@ class PageStore : public PageWriter {
   // page_count_ as of the last commit: the file's real page extent.
   uint32_t committed_page_count_ = 0;
   bool in_batch_ = false;
+  uint64_t mutations_ = 0;
   PreCommitHook pre_commit_hook_;
 };
 

@@ -1052,5 +1052,59 @@ TEST(ServerMirrorTest, TruncatedSnapIdsRewriteTheMirror) {
   m.MirrorAndCheck(regrown);
 }
 
+/// The single integer a one-row, one-column result holds, or -1.
+int64_t ScalarOf(const Result<sql::QueryResult>& r) {
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  if (!r.ok() || r->rows.size() != 1 || r->rows[0].size() != 1) return -1;
+  return r->rows[0][0].AsInt();
+}
+
+TEST(ServerMirrorTest, ReadOnlyMetaSqlKeepsTheMirrorForAnAppend) {
+  SessionMirrorFixture m;
+  ASSERT_NE(m.session, nullptr);
+  const storage::PageStore* pages = m.session->meta()->store()->page_store();
+  const std::string count = "SELECT COUNT(*) FROM SnapIds";
+  EXPECT_EQ(ScalarOf(m.session->MetaSql(m.Canonical(), count)), 6);
+  const auto before = SnapIdsHeap(m.session.get());
+
+  // The read wrote nothing, so the refresh after one declaration appends.
+  ASSERT_TRUE(m.f.engine->CommitWithSnapshot("later").ok());
+  const sql::QueryResult canonical = m.Canonical();
+  uint64_t start = pages->mutations();
+  EXPECT_EQ(ScalarOf(m.session->MetaSql(canonical, count)), 7);
+  const uint64_t append_mutations = pages->mutations() - start;
+  const auto after = SnapIdsHeap(m.session.get());
+  ASSERT_EQ(after.size(), 7u);
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i], before[i]) << "row " << i;
+  }
+
+  // A statement that writes forgets the mirror: the next refresh rewrites
+  // the row it deleted, and costs more than the append did.
+  ASSERT_TRUE(
+      m.session->MetaSql(canonical, "DELETE FROM SnapIds WHERE snap_id = 1")
+          .ok());
+  start = pages->mutations();
+  EXPECT_EQ(ScalarOf(m.session->MetaSql(canonical, count)), 7);
+  EXPECT_LT(append_mutations, pages->mutations() - start);
+  std::unique_ptr<Session> fresh = m.NewSession();
+  ASSERT_NE(fresh, nullptr);
+  ASSERT_TRUE(fresh->ReplaceSnapIds(canonical).ok());
+  EXPECT_EQ(RankedHeap(m.session.get()), RankedHeap(fresh.get()));
+}
+
+TEST(ServerMirrorTest, MirrorWrittenInsideAClientTransactionIsNotTrusted) {
+  SessionMirrorFixture m;
+  ASSERT_NE(m.session, nullptr);
+  const std::string count = "SELECT COUNT(*) FROM SnapIds";
+  ASSERT_TRUE(m.session->MetaSql(m.Canonical(), "BEGIN").ok());
+  // The append joins the client's transaction, which then rolls back.
+  ASSERT_TRUE(m.f.engine->CommitWithSnapshot("later").ok());
+  const sql::QueryResult canonical = m.Canonical();
+  EXPECT_EQ(ScalarOf(m.session->MetaSql(canonical, count)), 7);
+  ASSERT_TRUE(m.session->MetaSql(canonical, "ROLLBACK").ok());
+  EXPECT_EQ(ScalarOf(m.session->MetaSql(canonical, count)), 7);
+}
+
 }  // namespace
 }  // namespace rql::server
