@@ -138,9 +138,12 @@ AblationResult RunCell(SparseHistory* h, const AblationCell& cell) {
   // run end (delta around the run == the run's RqlRunStats).
   retro::MetricsRegistry* metrics = engine->metrics();
   retro::MetricsRegistry::Snapshot before = metrics->TakeSnapshot();
+  // A table of the cell's own: a rerun into the previous cell's table
+  // would keep that table instead of measuring this cell's replay.
+  const std::string table = std::string("Sharing_") + cell.name;
   BENCH_CHECK(engine->CollateData(
       "SELECT snap_id FROM SnapIds",
-      "SELECT COUNT(*) AS cnt, SUM(v) AS sv FROM stock", "Sharing"));
+      "SELECT COUNT(*) AS cnt, SUM(v) AS sv FROM stock", table));
   retro::MetricsRegistry::Snapshot delta =
       metrics->TakeSnapshot().DeltaFrom(before);
 
@@ -150,8 +153,8 @@ AblationResult RunCell(SparseHistory* h, const AblationCell& cell) {
   r.shared_page_hits = delta.counter("rql.shared_page_hits");
   r.delta_pages = delta.counter("rql.delta_pages_scanned");
 
-  auto rows = h->meta->Query("SELECT * FROM Sharing");
-  if (!rows.ok()) Fail(rows.status(), "dump Sharing");
+  auto rows = h->meta->Query("SELECT * FROM " + table);
+  if (!rows.ok()) Fail(rows.status(), ("dump " + table).c_str());
   for (const sql::Row& row : rows->rows) {
     r.rows.push_back(sql::EncodeRow(row));
   }

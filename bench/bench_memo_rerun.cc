@@ -5,21 +5,25 @@
 // query fingerprint, page-version read set) and replayed on any later
 // identical run — across engine restarts, because retro::MemoTable
 // persists its entries in a checksummed append log. This bench runs
-// CollateData over a 48-snapshot set three times on UW30:
+// CollateData over a 48-snapshot set four times on UW30:
 //
-//   baseline  memo-less oracle (the byte-identity reference),
-//   cold      a fresh persistent memo: no iteration hits; each
-//             one executes and publishes its rows, or replays its
-//             predecessor through the delta fast path,
-//   warm      the memo is closed and REOPENED from its on-disk log (a
-//             fresh engine process would see the same bytes), then the
-//             identical run replays from memo entries.
+//   baseline   memo-less oracle (the byte-identity reference),
+//   cold       a fresh persistent memo: no iteration hits; each
+//              one executes and publishes its rows, or replays its
+//              predecessor through the delta fast path,
+//   warm       the memo is closed and REOPENED from its on-disk log (a
+//              fresh engine process would see the same bytes), then the
+//              identical run into the same table: the engine revalidates
+//              the cold run's read sets and keeps its result table,
+//   warm_fold  the identical run on the reopened memo into a fresh
+//              table, so it replays every iteration from memo entries
+//              and folds their rows.
 //
-// Self-checks (CI gates): cold and warm result tables are byte-identical
-// to the baseline, the warm run replays >= 90% of its iterations (memo
-// hits plus fast-path replays), and the warm run is >= 3x faster than the
-// cold one. Results go to
-// BENCH_memo.json (CI artifact).
+// Self-checks (CI gates): every result table is byte-identical to the
+// baseline, the warm run keeps the cold run's table (result_reused), the
+// warm_fold run replays >= 90% of its iterations (memo hits plus
+// fast-path replays) and is >= 3x faster than the cold one. Results go
+// to BENCH_memo.json (CI artifact).
 
 #include "bench_common.h"
 
@@ -41,28 +45,30 @@ struct RunResult {
   int64_t memo_misses = 0;
   int64_t skipped = 0;  // delta fast-path replays
   int64_t memo_bytes = 0;
+  bool result_reused = false;
   std::vector<std::string> rows;  // encoded result table, in table order
 };
 
 RunResult RunOnce(tpch::History* history, const std::string& qs,
-                  const std::string& qq) {
+                  const std::string& qq, const std::string& table) {
   // Comparable Pagelog I/O across runs: every run starts page-cold. The
-  // warm run's advantage must come from the memo, not the page cache.
+  // warm runs' advantage must come from the memo, not the page cache.
   history->data()->store()->ClearSnapshotCache();
-  BENCH_CHECK(history->engine()->CollateData(qs, qq, "MemoRerun"));
+  BENCH_CHECK(history->engine()->CollateData(qs, qq, table));
 
   RunResult r;
   const RqlRunStats& stats = history->engine()->last_run_stats();
   r.total_ms = RunTotalMs(stats);
   r.iterations = static_cast<int64_t>(stats.iterations.size());
   r.skipped = stats.iterations_skipped;
+  r.result_reused = stats.result_reused;
   for (const RqlIterationStats& it : stats.iterations) {
     r.memo_hits += it.memo_hits;
     r.memo_misses += it.memo_misses;
     r.memo_bytes += it.memo_bytes;
   }
-  auto rows = history->meta()->Query("SELECT * FROM MemoRerun");
-  if (!rows.ok()) Fail(rows.status(), "dump MemoRerun");
+  auto rows = history->meta()->Query("SELECT * FROM " + table);
+  if (!rows.ok()) Fail(rows.status(), "dump the result table");
   for (const sql::Row& row : rows->rows) {
     r.rows.push_back(sql::EncodeRow(row));
   }
@@ -77,6 +83,7 @@ void WriteRunJson(JsonWriter* json, const char* key, const RunResult& r) {
   json->Field("memo_misses", r.memo_misses);
   json->Field("iterations_skipped", r.skipped);
   json->Field("memo_bytes_appended", r.memo_bytes);
+  json->Field("result_reused", r.result_reused);
   json->EndObject();
 }
 
@@ -100,12 +107,12 @@ int Run() {
   // across invocations.
   (void)BenchEnv()->DeleteFile(std::string(memo_name) + ".memo");
 
-  RunResult baseline = RunOnce(history, qs, qq);
+  RunResult baseline = RunOnce(history, qs, qq, "MemoRerun");
 
   auto memo = retro::MemoTable::Open(BenchEnv(), memo_name);
   if (!memo.ok()) Fail(memo.status(), "open memo table");
   engine->mutable_options()->memo = memo->get();
-  RunResult cold = RunOnce(history, qs, qq);
+  RunResult cold = RunOnce(history, qs, qq, "MemoRerun");
 
   // Cross-run persistence: drop the in-memory table and reopen from the
   // on-disk log, exactly what a fresh client process would do.
@@ -114,27 +121,30 @@ int Run() {
   auto reopened = retro::MemoTable::Open(BenchEnv(), memo_name);
   if (!reopened.ok()) Fail(reopened.status(), "reopen memo table");
   engine->mutable_options()->memo = reopened->get();
-  RunResult warm = RunOnce(history, qs, qq);
+  // The same table first: the cold run's is still the last one written.
+  RunResult warm = RunOnce(history, qs, qq, "MemoRerun");
+  RunResult warm_fold = RunOnce(history, qs, qq, "MemoRerunFold");
 
   engine->mutable_options()->memo = nullptr;
 
   const double speedup =
-      warm.total_ms > 0 ? cold.total_ms / warm.total_ms : 0;
-  std::printf("%-10s %10s %6s %6s %8s %12s\n", "run", "total_ms", "hits",
-              "misses", "skipped", "memo_bytes");
-  std::printf("%-10s %10.2f %6lld %6lld %8lld %12lld\n", "baseline",
-              baseline.total_ms, 0LL, 0LL, 0LL, 0LL);
+      warm_fold.total_ms > 0 ? cold.total_ms / warm_fold.total_ms : 0;
+  std::printf("%-10s %10s %6s %6s %8s %12s %7s\n", "run", "total_ms",
+              "hits", "misses", "skipped", "memo_bytes", "reused");
   for (const auto& [name, r] : {std::pair<const char*, const RunResult&>{
-                                    "cold", cold},
-                                {"warm", warm}}) {
-    std::printf("%-10s %10.2f %6lld %6lld %8lld %12lld\n", name, r.total_ms,
-                static_cast<long long>(r.memo_hits),
+                                    "baseline", baseline},
+                                {"cold", cold},
+                                {"warm", warm},
+                                {"warm_fold", warm_fold}}) {
+    std::printf("%-10s %10.2f %6lld %6lld %8lld %12lld %7s\n", name,
+                r.total_ms, static_cast<long long>(r.memo_hits),
                 static_cast<long long>(r.memo_misses),
                 static_cast<long long>(r.skipped),
-                static_cast<long long>(r.memo_bytes));
+                static_cast<long long>(r.memo_bytes),
+                r.result_reused ? "yes" : "no");
   }
-  std::printf("\nwarm speedup over cold: %.1fx (recovered %lld entries "
-              "from the reopened log)\n", speedup,
+  std::printf("\nwarm_fold speedup over cold: %.1fx (recovered %lld "
+              "entries from the reopened log)\n", speedup,
               static_cast<long long>((*reopened)->recovered_entries()));
 
   bool checks_ok = true;
@@ -148,6 +158,18 @@ int Run() {
                 "the memo-less baseline\n");
     checks_ok = false;
   }
+  if (warm_fold.rows != baseline.rows) {
+    std::printf("CHECK FAILED: warm_fold result table differs from the "
+                "memo-less baseline\n");
+    checks_ok = false;
+  }
+  if (!warm.result_reused || cold.result_reused || warm_fold.result_reused) {
+    std::printf("CHECK FAILED: only the warm run into the cold run's table "
+                "should keep it (reused: cold=%d warm=%d warm_fold=%d)\n",
+                cold.result_reused, warm.result_reused,
+                warm_fold.result_reused);
+    checks_ok = false;
+  }
   if (cold.memo_hits != 0 ||
       cold.memo_misses + cold.skipped != cold.iterations) {
     std::printf("CHECK FAILED: cold run on a fresh memo should hit nothing "
@@ -159,16 +181,17 @@ int Run() {
                 static_cast<long long>(cold.iterations));
     checks_ok = false;
   }
-  const int64_t warm_replays = warm.memo_hits + warm.skipped;
-  if (warm_replays * 10 < warm.iterations * 9) {
-    std::printf("CHECK FAILED: warm run replayed %lld of %lld iterations "
-                "(< 90%%)\n", static_cast<long long>(warm_replays),
-                static_cast<long long>(warm.iterations));
+  const int64_t warm_replays = warm_fold.memo_hits + warm_fold.skipped;
+  if (warm_replays * 10 < warm_fold.iterations * 9) {
+    std::printf("CHECK FAILED: warm_fold run replayed %lld of %lld "
+                "iterations (< 90%%)\n",
+                static_cast<long long>(warm_replays),
+                static_cast<long long>(warm_fold.iterations));
     checks_ok = false;
   }
-  if (warm.total_ms * 3 > cold.total_ms) {
-    std::printf("CHECK FAILED: warm run %.2fms vs cold %.2fms "
-                "(< 3x speedup)\n", warm.total_ms, cold.total_ms);
+  if (warm_fold.total_ms * 3 > cold.total_ms) {
+    std::printf("CHECK FAILED: warm_fold run %.2fms vs cold %.2fms "
+                "(< 3x speedup)\n", warm_fold.total_ms, cold.total_ms);
     checks_ok = false;
   }
 
@@ -179,7 +202,8 @@ int Run() {
   WriteRunJson(&json, "baseline", baseline);
   WriteRunJson(&json, "cold", cold);
   WriteRunJson(&json, "warm", warm);
-  json.Field("warm_speedup_over_cold", speedup, 2);
+  WriteRunJson(&json, "warm_fold", warm_fold);
+  json.Field("warm_fold_speedup_over_cold", speedup, 2);
   json.Field("recovered_entries",
              static_cast<int64_t>((*reopened)->recovered_entries()));
   json.Field("memo_log_bytes",
@@ -188,10 +212,11 @@ int Run() {
   json.EndObject();
   json.Close();
 
-  std::printf("\nExpected: identical result tables in all three runs; the "
-              "warm run, on the memo\nreopened off disk, replays >= 90%% of "
-              "its iterations (memo hits or fast\npath) and finishes >= 3x "
-              "faster than the publishing cold run.\n");
+  std::printf("\nExpected: identical result tables in all four runs; the "
+              "warm run keeps the cold\nrun's table; the warm_fold run, on "
+              "the memo reopened off disk, replays >= 90%%\nof its "
+              "iterations (memo hits or fast path) and finishes >= 3x "
+              "faster than the\npublishing cold run.\n");
   std::printf("checks: %s\n", checks_ok ? "OK" : "FAILED");
   return checks_ok ? 0 : 1;
 }

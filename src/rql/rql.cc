@@ -268,6 +268,23 @@ class RqlEngine::MechanismState {
   const std::string& qq() const { return qq_; }
   const std::string& table() const { return table_; }
 
+  /// Everything of the invocation the result table's bytes depend on
+  /// besides the options and the Qq rows: the mechanism, Qq's text and
+  /// the mechanism's own arguments.
+  std::string ResultSpec() const {
+    return std::string(MechanismName()) + ':' + std::to_string(qq_.size()) +
+           ':' + qq_ + SpecArgs();
+  }
+
+  /// Keeps the page-version read set of the memo entry that answered the
+  /// iteration just recorded: a memoized run holds one per snapshot.
+  void NoteReadSet(const std::vector<retro::MemoPageVersion>& read_set) {
+    read_sets_.push_back(read_set);
+  }
+  std::vector<std::vector<retro::MemoPageVersion>> TakeReadSets() {
+    return std::move(read_sets_);
+  }
+
   /// Whether Qq textually uses current_snapshot() — its result then varies
   /// per snapshot even on identical data, so the delta fast path is never
   /// sound.
@@ -293,6 +310,9 @@ class RqlEngine::MechanismState {
 
  protected:
   sql::Database* meta() { return engine_->meta_db_; }
+
+  /// The mechanism's arguments beside Qs, Qq and the table.
+  virtual std::string SpecArgs() const { return ""; }
 
   Status EnsureTable(const std::vector<std::string>& cols, const Row& row) {
     if (table_created_) return Status::OK();
@@ -395,6 +415,7 @@ class RqlEngine::MechanismState {
   const bool uses_current_snapshot_;
   uint64_t memo_fp_ = 0;
   bool memo_fp_ready_ = false;
+  std::vector<std::vector<retro::MemoPageVersion>> read_sets_;
   /// kFast's AggregateDataInTable index-probe fold: the result table's
   /// rows by indexed columns, read instead of the `<table>_rql_idx`
   /// B-tree.
@@ -474,6 +495,11 @@ class RqlEngine::AggVariableState : public MechanismState {
 
   const char* MechanismName() const override {
     return "AggregateDataInVariable";
+  }
+
+ protected:
+  std::string SpecArgs() const override {
+    return std::string(RqlAggFuncName(func_));
   }
 
  private:
@@ -561,6 +587,15 @@ class RqlEngine::AggTableState : public MechanismState {
   }
 
  protected:
+  std::string SpecArgs() const override {
+    std::string args;
+    for (const ColFuncPair& pair : pairs_) {
+      args += std::to_string(pair.column.size()) + ':' + pair.column +
+              std::string(RqlAggFuncName(pair.func)) + ';';
+    }
+    return args;
+  }
+
   Row GroupKey(const Row& row) const {
     Row key;
     key.reserve(group_idx_.size());
@@ -804,6 +839,25 @@ class RqlEngine::IntervalState : public MechanismState {
 // Engine
 // ---------------------------------------------------------------------------
 
+/// What a successful memoized run left in its result table, and what the
+/// bytes there depend on. The fold is deterministic in its spec, options
+/// and ordered Qq rows; each snapshot's rows are fixed by the page
+/// versions of its read set. So while every read set still validates and
+/// the metadata database has not been written since, a run with the same
+/// spec, options and snapshot list would rebuild exactly this table.
+struct RqlEngine::ResultRecord {
+  std::string spec;  // MechanismState::ResultSpec()
+  AggTableStrategy strategy = AggTableStrategy::kIndexProbe;
+  RqlProfile profile = RqlProfile::kPaperFaithful;
+  std::string table;
+  /// The Qs snapshot list, in order.
+  std::vector<retro::SnapshotId> snapshots;
+  /// Per snapshot, the read set of the memo entry that answered it.
+  std::vector<std::vector<retro::MemoPageVersion>> read_sets;
+  /// The metadata store's PageStore::mutations() once the run committed.
+  uint64_t meta_mutations = 0;
+};
+
 const char* RqlProfileName(RqlProfile profile) {
   return profile == RqlProfile::kFast ? "fast" : "paper_faithful";
 }
@@ -1023,6 +1077,7 @@ void RqlEngine::PublishRunMetrics() {
   };
   add("rql.runs", 1);
   add("rql.parallel_runs", stats_.parallel ? 1 : 0);
+  add("rql.result_reuses", stats_.result_reused ? 1 : 0);
   add("rql.iterations", static_cast<int64_t>(stats_.iterations.size()));
   add("rql.iterations_skipped", stats_.iterations_skipped);
   add("rql.qq_parse_count", stats_.qq_parse_count);
@@ -1154,15 +1209,15 @@ Status ValidateRunOptions(const RqlOptions& o, bool parallel) {
   return Status::OK();
 }
 
-/// True when every page version the memo entry recorded equals the
+/// True when every page version of a memo entry's `read_set` equals the
 /// snapshot's current resolution through `set`, positioned at the
 /// snapshot — the content-identity test that makes replaying the entry
 /// sound. Any mismatch (a page rewritten inside the read set, an archive
 /// offset moved by compaction, a formerly db-shared page since captured)
 /// is a conservative miss.
-bool ValidateMemoEntry(const retro::SnapshotSet& set,
-                       const retro::MemoEntry& entry) {
-  for (const retro::MemoPageVersion& pv : entry.read_set) {
+bool ValidateReadSet(const retro::SnapshotSet& set,
+                     const std::vector<retro::MemoPageVersion>& read_set) {
+  for (const retro::MemoPageVersion& pv : read_set) {
     uint64_t v = 0;
     uint64_t token = set.PageVersion(pv.page, &v)
                          ? v
@@ -1220,6 +1275,20 @@ std::shared_ptr<const retro::MemoEntry> MakeMemoEntry(
   entry->rows.reserve(rows.size());
   for (const Row& row : rows) entry->rows.push_back(sql::EncodeRow(row));
   return entry;
+}
+
+/// An iteration's store counters, as the run reports them: `rs` is what
+/// its cursor and its Qq statement's views counted.
+void SetStoreCounters(const retro::IterationStats& rs,
+                      const retro::CostModel& cm, RqlIterationStats* iter) {
+  iter->io_us = rs.IoUs(cm);
+  iter->spt_build_us = rs.SptUs(cm);
+  iter->pagelog_pages = rs.pagelog_page_reads;
+  iter->db_pages = rs.db_page_reads;
+  iter->cache_hits = rs.snapshot_cache_hits;
+  iter->maplog_pages = rs.spt.maplog_pages_read;
+  iter->spt_delta_entries = rs.spt_delta_entries;
+  iter->coalesced_loads = rs.coalesced_loads;
 }
 
 /// Gives a parallel worker's attached handle the functions Qq may call on
@@ -1284,9 +1353,12 @@ struct RqlEngine::Answer {
   /// the fold while Qq executed. A replay shares both with the memo entry.
   std::shared_ptr<const std::vector<std::string>> columns;
   std::shared_ptr<const std::vector<Row>> rows;
-  /// The memo entry to publish: an executed iteration's own, or the
-  /// predecessor's a fast-path replay re-keys to its snapshot.
-  std::shared_ptr<const retro::MemoEntry> publish;
+  /// The memo entry that answered a memoized iteration: an executed
+  /// iteration's own (published), the predecessor's a fast-path replay
+  /// re-keys to its snapshot (published as an alias), or the validated
+  /// entry of a memo hit (already registered). Its read set goes into the
+  /// run's ResultRecord.
+  std::shared_ptr<const retro::MemoEntry> entry;
   /// kIterationSkip: the delta's size; kMemoHit: the validated read set's.
   int64_t replay_trace_arg = 0;
   /// Times the iteration lexed/parsed/planned Qq.
@@ -1418,11 +1490,27 @@ class RqlEngine::RunScope {
   Status failure_;
 };
 
+namespace {
+
+/// A run must own the metadata transactions it folds in. Inside one a
+/// client left open, its DROP would join the client's transaction (which
+/// a later COMMIT makes stick, losing the old result table) and its first
+/// iteration's BEGIN would fail.
+Status RejectOpenMetaTransaction(sql::Database* meta) {
+  if (!meta->store()->in_transaction()) return Status::OK();
+  return Status::InvalidArgument(
+      "an RQL run cannot start inside an open metadata transaction; "
+      "COMMIT or ROLLBACK it first");
+}
+
+}  // namespace
+
 Status RqlEngine::RunMechanism(const std::string& qs, MechanismState* state) {
   RunScope run(this);
   // A run cancelled before it starts must leave the metadata database
   // untouched (no dropped result table).
   if (CancelRequested()) return Status::Aborted("run cancelled");
+  RQL_RETURN_IF_ERROR(RejectOpenMetaTransaction(meta_db_));
   // Validate Qq and Qs before touching the result table: a malformed query
   // must surface before the first iteration and leave the metadata
   // database untouched (no dropped table, no partial output).
@@ -1450,6 +1538,19 @@ Status RqlEngine::RunMechanism(const std::string& qs, MechanismState* state) {
                         state->SupportsParallel() && single_select &&
                         snap_ids.size() > 1;
   RQL_RETURN_IF_ERROR(ValidateRunOptions(options_, parallel));
+  std::vector<Answer> reused;
+  if (ReuseRecordedResult(state, snap_ids, &reused)) {
+    run.Begin(snap_ids.size(), 1);
+    stats_.result_reused = true;
+    Status s = Status::OK();
+    for (size_t i = 0; s.ok() && i < snap_ids.size(); ++i) {
+      s = RecordIteration(state, snap_ids[i], &reused[i]);
+    }
+    run.Finish(s);
+    return s;
+  }
+  // From here until the run succeeds, the table is not the recorded one.
+  last_result_.reset();
   RQL_RETURN_IF_ERROR(meta_db_->Exec("DROP TABLE IF EXISTS " + state->table()));
   run.Begin(snap_ids.size(), parallel ? options_.parallel_workers : 1);
   Status s = Status::OK();
@@ -1462,11 +1563,58 @@ Status RqlEngine::RunMechanism(const std::string& qs, MechanismState* state) {
     }
   }
   if (s.ok()) s = state->Finish();
+  if (s.ok() && options_.memo != nullptr) {
+    auto record = std::make_unique<ResultRecord>();
+    record->spec = state->ResultSpec();
+    record->strategy = options_.agg_table_strategy;
+    record->profile = options_.profile;
+    record->table = state->table();
+    record->snapshots = std::move(snap_ids);
+    record->read_sets = state->TakeReadSets();
+    record->meta_mutations = meta_db_->store()->page_store()->mutations();
+    last_result_ = std::move(record);
+  }
   run.Finish(s);
   // A failed iteration (or Finish) aborts the run with a clean error:
   // drop the partial result table and its transient index.
   if (!s.ok()) state->DiscardOnFailure();
   return s;
+}
+
+bool RqlEngine::ReuseRecordedResult(
+    MechanismState* state, const std::vector<retro::SnapshotId>& snaps,
+    std::vector<Answer>* out) {
+  const ResultRecord* r = last_result_.get();
+  if (options_.memo == nullptr || r == nullptr) return false;
+  if (r->meta_mutations != meta_db_->store()->page_store()->mutations() ||
+      r->table != state->table() || r->snapshots != snaps ||
+      r->spec != state->ResultSpec() ||
+      r->strategy != options_.agg_table_strategy ||
+      r->profile != options_.profile) {
+    return false;
+  }
+  // Each read set validates in place at its snapshot, as a memo hit's
+  // does, on a cursor of the run's own.
+  retro::SnapshotStore* store = data_db_->store();
+  std::unique_ptr<retro::SnapshotSet> set = store->BeginSnapshotSet();
+  std::vector<storage::PageId> delta;
+  out->assign(snaps.size(), Answer());
+  for (size_t i = 0; i < snaps.size(); ++i) {
+    // A cancelled validation takes the fold path, which aborts at its
+    // first iteration exactly as before.
+    if (CancelRequested()) return false;
+    Answer& answer = (*out)[i];
+    if (!set->Advance(snaps[i], &delta, &answer.store).ok() ||
+        !ValidateReadSet(*set, r->read_sets[i])) {
+      return false;
+    }
+    RqlIterationStats& iter = answer.iter;
+    iter.snapshot = snaps[i];
+    iter.memo_hits = 1;
+    SetStoreCounters(answer.store, store->cost_model(), &iter);
+    answer.replay_trace_arg = static_cast<int64_t>(r->read_sets[i].size());
+  }
+  return true;
 }
 
 Status RqlEngine::RunMechanismParallel(
@@ -1569,17 +1717,8 @@ Status RqlEngine::AnswerIteration(IterationContext* ctx,
   // Advance (the replay probe, counted into out->store as it runs) plus
   // the views its Qq statement opens.
   auto take_store_counters = [&](const retro::IterationStats& views) {
-    retro::IterationStats& rs = out->store;
-    rs.Add(views);
-    const retro::CostModel& cm = store->cost_model();
-    iter.io_us = rs.IoUs(cm);
-    iter.spt_build_us = rs.SptUs(cm);
-    iter.pagelog_pages = rs.pagelog_page_reads;
-    iter.db_pages = rs.db_page_reads;
-    iter.cache_hits = rs.snapshot_cache_hits;
-    iter.maplog_pages = rs.spt.maplog_pages_read;
-    iter.spt_delta_entries = rs.spt_delta_entries;
-    iter.coalesced_loads = rs.coalesced_loads;
+    out->store.Add(views);
+    SetStoreCounters(out->store, store->cost_model(), &iter);
   };
 
   const bool memoize = options_.memo != nullptr;
@@ -1606,8 +1745,8 @@ Status RqlEngine::AnswerIteration(IterationContext* ctx,
   // entry. Disarmed right after Qq finishes (no early returns in between:
   // both execution paths capture their status in `s`).
   const bool buffer = parallel || memoize;
-  db->set_current_snapshot(snap);
   if (!parallel) RQL_RETURN_IF_ERROR(meta_db_->Exec("BEGIN"));
+  db->set_current_snapshot(snap);
   std::unordered_map<storage::PageId, uint64_t> versions;
   std::vector<std::string> cols;
   std::vector<Row> rows;
@@ -1719,8 +1858,8 @@ Status RqlEngine::AnswerIteration(IterationContext* ctx,
     // The executed iteration becomes a published entry and the fast
     // path's predecessor, which replays the decoded rows.
     RQL_ASSIGN_OR_RETURN(uint64_t fp, state->MemoFingerprint());
-    out->publish = MakeMemoEntry(fp, snap, versions, cols, *buffered);
-    ctx->prev = {out->publish, buffered};
+    out->entry = MakeMemoEntry(fp, snap, versions, cols, *buffered);
+    ctx->prev = {out->entry, buffered};
   }
   if (parallel) {
     out->columns =
@@ -1752,7 +1891,10 @@ Status RqlEngine::RecordIteration(MechanismState* state,
     RQL_RETURN_IF_ERROR(state->EndFoldTransaction(std::move(s)));
   }
   state->CollectCounters(&iter);
-  std::shared_ptr<const retro::MemoEntry> entry = std::move(answer->publish);
+  std::shared_ptr<const retro::MemoEntry> entry = std::move(answer->entry);
+  if (entry != nullptr) state->NoteReadSet(entry->read_set);
+  // A memo hit's entry is registered already.
+  if (iter.memo_hits != 0) entry = nullptr;
   if (entry != nullptr && iter.skipped) {
     // The memo learns the fast-path replay too, as if `snap` had
     // executed: the delta missed the predecessor's read set, so it
@@ -1815,14 +1957,14 @@ Result<bool> RqlEngine::ReplayIteration(IterationContext* ctx,
       DeltaMissesReadSet(delta, *prev.entry)) {
     iter.skipped = true;
     out->replay_trace_arg = iter.delta_pages_scanned;
-    out->publish = prev.entry;
+    out->entry = prev.entry;
   } else {
     RQL_ASSIGN_OR_RETURN(uint64_t fp, state->MemoFingerprint());
     std::shared_ptr<const retro::MemoEntry> entry =
         options_.memo->Probe(fp, snap);
     // Advance left the cursor at `snap`, so validation reads its table in
     // place. A failure is a conservative miss: the execute path runs next.
-    if (entry == nullptr || !ValidateMemoEntry(*ctx->set, *entry)) {
+    if (entry == nullptr || !ValidateReadSet(*ctx->set, entry->read_set)) {
       return false;
     }
     auto rows = DecodeMemoRows(*entry);
@@ -1833,6 +1975,7 @@ Result<bool> RqlEngine::ReplayIteration(IterationContext* ctx,
                        std::move(rows).value())};
     iter.memo_hits = 1;
     out->replay_trace_arg = static_cast<int64_t>(entry->read_set.size());
+    out->entry = std::move(entry);
   }
   out->columns = std::shared_ptr<const std::vector<std::string>>(
       prev.entry, &prev.entry->columns);
@@ -1937,6 +2080,7 @@ Status RqlEngine::RegisterUdfs() {
   auto iterate = [this](retro::SnapshotId snap, const std::string& table,
                         auto make_state) -> Result<MechanismState*> {
     if (udf_run_ == nullptr) {
+      RQL_RETURN_IF_ERROR(RejectOpenMetaTransaction(meta_db_));
       RQL_RETURN_IF_ERROR(ValidateRunOptions(options_, /*parallel=*/false));
       udf_run_ = std::make_unique<RunScope>(this);
       udf_run_->Begin(/*snapshots=*/0, /*workers=*/1);

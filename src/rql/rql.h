@@ -143,6 +143,11 @@ struct RqlRunStats {
   /// Run total of hits served by waiting on another run's in-flight
   /// decode (SharedScanCache single-flight).
   int64_t coalesced_decodes = 0;
+  /// True when the run kept the result table the engine's previous run
+  /// left: the same spec, table and snapshot list, an untouched metadata
+  /// database and every recorded read set still valid (RqlOptions::memo).
+  /// Its iterations are memo hits that folded nothing.
+  bool result_reused = false;
 
   int64_t TotalUs() const {
     if (parallel) {
@@ -303,6 +308,13 @@ struct RqlOptions {
   /// iterations_skipped.
   /// Results are byte-identical to execution (the mechanism fold re-runs
   /// on the replayed rows). Traced as kIterationSkip / kMemoHit.
+  ///
+  /// A memoized run that repeats the engine's last successful one (same
+  /// mechanism and spec, result table and ordered snapshot list, with no
+  /// write to the metadata database since) first revalidates that run's
+  /// per-iteration read sets; when all of them hold, the result table
+  /// already holds this run's output and the run keeps it: no DROP, no
+  /// fold, every iteration a memo hit (RqlRunStats::result_reused).
   ///
   /// Owned by the caller; shareable by any number of engines (publishes
   /// are first-publish-wins), which is how the server serves one memo to
@@ -504,10 +516,22 @@ class RqlEngine {
 
   /// The setup and teardown every run performs (rql.cc).
   class RunScope;
+  /// What the last successful memoized run left in its result table
+  /// (rql.cc).
+  struct ResultRecord;
 
   /// Runs a full mechanism: evaluates Qs on the metadata database, then
   /// iterates the state over every snapshot id.
   Status RunMechanism(const std::string& qs, MechanismState* state);
+
+  /// True when `state`'s run over `snaps` repeats the recorded run and
+  /// every recorded read set still validates, so the result table already
+  /// holds the run's output; `out` then holds one memo-hit answer per
+  /// snapshot. False, with nothing written, on any mismatch or a
+  /// cancellation.
+  bool ReuseRecordedResult(MechanismState* state,
+                           const std::vector<retro::SnapshotId>& snaps,
+                           std::vector<Answer>* out);
 
   /// Parallel variant: workers answer snapshots concurrently, each on its
   /// own attached handle; the answers are recorded in Qs order.
@@ -577,6 +601,9 @@ class RqlEngine {
   /// Parallel workers' attached handles on the data database's store,
   /// created by the first parallel run that needs them and reused.
   std::vector<std::unique_ptr<sql::Database>> worker_dbs_;
+  /// The last successful memoized mechanism run; null before one, and
+  /// from the moment a run drops its result table until it succeeds.
+  std::unique_ptr<ResultRecord> last_result_;
 };
 
 }  // namespace rql

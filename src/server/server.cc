@@ -734,8 +734,9 @@ std::string Server::StatsJson() {
       << ", \"max_bytes\": " << memo_->options().max_bytes
       << ", \"evictions\": " << memo_->evictions()
       << ", \"hits\": " << metrics_->GetCounter("rql.memo_hits")->value()
-      << ", \"misses\": "
-      << metrics_->GetCounter("rql.memo_misses")->value() << "},\n";
+      << ", \"misses\": " << metrics_->GetCounter("rql.memo_misses")->value()
+      << ", \"result_reuses\": "
+      << metrics_->GetCounter("rql.result_reuses")->value() << "},\n";
   out << "  \"store\": {"
       << "\"earliest_snapshot\": "
       << static_cast<int64_t>(data_->store()->earliest_snapshot())

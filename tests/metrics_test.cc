@@ -204,6 +204,8 @@ class EngineMetricsTest : public ::testing::Test {
     EXPECT_EQ(delta.counter("rql.coalesced_loads"), stats.coalesced_loads);
     EXPECT_EQ(delta.counter("rql.archive_read_retries"),
               stats.archive_read_retries);
+    EXPECT_EQ(delta.counter("rql.result_reuses"),
+              stats.result_reused ? 1 : 0);
 
     int64_t io = 0, spt = 0, query = 0, index = 0, udf = 0, rows = 0;
     int64_t maplog = 0, plog = 0, db = 0, hits = 0, plans = 0;
@@ -296,6 +298,27 @@ TEST_F(EngineMetricsTest, FlagsOnDeltaStillMatchesLegacyStats) {
         "SELECT id, current_snapshot() AS sid FROM items WHERE st = 'O'",
         "M5");
   });
+}
+
+TEST_F(EngineMetricsTest, ReusedResultDeltaMatchesLegacyStats) {
+  std::unique_ptr<retro::MemoTable> memo = retro::MemoTable::InMemory();
+  engine_->mutable_options()->memo = memo.get();
+  auto run = [this] {
+    return engine_->AggregateDataInTable("SELECT snap_id FROM SnapIds",
+                                         "SELECT id, st FROM items", "M9",
+                                         "(st,max)");
+  };
+  ExpectDeltaMatchesStats(run);
+  EXPECT_FALSE(engine_->last_run_stats().result_reused);
+  // The identical rerun keeps the table: one reuse, every iteration a
+  // memo hit.
+  ExpectDeltaMatchesStats(run);
+  const RqlRunStats& stats = engine_->last_run_stats();
+  EXPECT_TRUE(stats.result_reused);
+  ASSERT_EQ(stats.iterations.size(), 4u);
+  for (const RqlIterationStats& it : stats.iterations) {
+    EXPECT_EQ(it.memo_hits, 1);
+  }
 }
 
 TEST_F(EngineMetricsTest, BatchExecutionDeltaMatchesLegacyStats) {

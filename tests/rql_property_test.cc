@@ -1148,6 +1148,61 @@ Fixture MakeUnorderableKeyFixture(const std::string& rows,
   return f;
 }
 
+/// "rid:record" per heap row of `table` in scan order, then every index
+/// key. A rid names its page by the page's rank in scan order, since two
+/// tables' page ids differ.
+std::vector<std::string> DumpResultTable(Fixture& f,
+                                         const std::string& table) {
+  std::vector<std::string> out;
+  const sql::CatalogData& catalog = f.meta->catalog()->data();
+  const sql::TableInfo* info = catalog.FindTable(table);
+  EXPECT_NE(info, nullptr) << table;
+  if (info == nullptr) return out;
+  std::map<storage::PageId, size_t> page_rank;
+  auto rid_name = [&](sql::Rid rid) {
+    auto rank = page_rank.try_emplace(sql::RidPage(rid), page_rank.size());
+    return std::to_string(rank.first->second) + "." +
+           std::to_string(sql::RidSlot(rid));
+  };
+  auto it = sql::HeapTable::Scan(f.meta->store(), info->root);
+  for (; it.Valid(); it.Next()) {
+    out.push_back(rid_name(it.rid()) + ":" + std::string(it.record()));
+  }
+  EXPECT_TRUE(it.status().ok()) << table;
+  for (const sql::IndexInfo* index : catalog.TableIndexes(table)) {
+    auto keys = sql::BTree::SeekFirst(f.meta->store(), index->root);
+    EXPECT_TRUE(keys.ok()) << table;
+    if (!keys.ok()) continue;
+    for (; keys->Valid(); keys->Next()) {
+      Row key = keys->key();
+      sql::Rid rid = static_cast<sql::Rid>(key.back().integer());
+      key.pop_back();
+      out.push_back("key:" + sql::EncodeRow(key) + "@" + rid_name(rid));
+    }
+  }
+  return out;
+}
+
+/// Reruns `run` into `table`, the table the engine's last memoized run
+/// wrote: the rerun keeps the table, so it folds nothing, and the table
+/// still dumps as `expected`.
+void ExpectKeptTable(Fixture& f,
+                     const std::function<Status(const std::string&)>& run,
+                     const std::string& table,
+                     const std::vector<std::string>& expected) {
+  ASSERT_TRUE(run(table).ok()) << table;
+  const RqlRunStats& stats = f.engine->last_run_stats();
+  EXPECT_TRUE(stats.result_reused) << table;
+  EXPECT_FALSE(stats.iterations.empty()) << table;
+  for (const RqlIterationStats& it : stats.iterations) {
+    EXPECT_EQ(it.memo_hits, 1) << table;
+    EXPECT_EQ(it.udf_us, 0) << table;
+    EXPECT_EQ(it.result_probes + it.result_inserts + it.result_updates, 0)
+        << table;
+  }
+  EXPECT_EQ(DumpResultTable(f, table), expected) << table;
+}
+
 /// kFast folds AggregateDataInTable's index probe through an in-memory
 /// group directory instead of the result table's B-tree, and batches its
 /// in-place writes per page. On `f`'s history (src (g, n, s)), each result
@@ -1157,7 +1212,8 @@ Fixture MakeUnorderableKeyFixture(const std::string& rows,
 /// probe/insert/update counts. That holds with memoized replay off,
 /// run-scoped (delta fast path) and through a shared memo (cold and
 /// warm), and in the UDF form. CollateDataIntoIntervals probes under both
-/// profiles; it is checked alongside.
+/// profiles; it is checked alongside. A memoized run's same-table rerun
+/// keeps the table it left, for these and the two other mechanisms.
 void ExpectFastFoldMatchesPaperFaithful(Fixture& f) {
   const std::string qs = "SELECT snap_id FROM SnapIds";
   struct Mech {
@@ -1194,39 +1250,6 @@ void ExpectFastFoldMatchesPaperFaithful(Fixture& f) {
              qs, "SELECT g, s FROM src", t);
        }},
   };
-  // "rid:record" per heap row in scan order, then every index key. A rid
-  // names its page by the page's rank in scan order, since two tables'
-  // page ids differ.
-  auto dump = [&](const std::string& table) {
-    std::vector<std::string> out;
-    const sql::CatalogData& catalog = f.meta->catalog()->data();
-    const sql::TableInfo* info = catalog.FindTable(table);
-    EXPECT_NE(info, nullptr) << table;
-    if (info == nullptr) return out;
-    std::map<storage::PageId, size_t> page_rank;
-    auto rid_name = [&](sql::Rid rid) {
-      auto rank = page_rank.try_emplace(sql::RidPage(rid), page_rank.size());
-      return std::to_string(rank.first->second) + "." +
-             std::to_string(sql::RidSlot(rid));
-    };
-    auto it = sql::HeapTable::Scan(f.meta->store(), info->root);
-    for (; it.Valid(); it.Next()) {
-      out.push_back(rid_name(it.rid()) + ":" + std::string(it.record()));
-    }
-    EXPECT_TRUE(it.status().ok()) << table;
-    for (const sql::IndexInfo* index : catalog.TableIndexes(table)) {
-      auto keys = sql::BTree::SeekFirst(f.meta->store(), index->root);
-      EXPECT_TRUE(keys.ok()) << table;
-      if (!keys.ok()) continue;
-      for (; keys->Valid(); keys->Next()) {
-        Row key = keys->key();
-        sql::Rid rid = static_cast<sql::Rid>(key.back().integer());
-        key.pop_back();
-        out.push_back("key:" + sql::EncodeRow(key) + "@" + rid_name(rid));
-      }
-    }
-    return out;
-  };
   struct Counts {
     int64_t probes = 0, inserts = 0, updates = 0;
     bool operator==(const Counts& o) const {
@@ -1249,7 +1272,7 @@ void ExpectFastFoldMatchesPaperFaithful(Fixture& f) {
     *f.engine->mutable_options() = RqlOptions{};
     std::string base = std::string(m.name) + "_base";
     ASSERT_TRUE(m.run(base).ok()) << base;
-    const std::vector<std::string> expected = dump(base);
+    const std::vector<std::string> expected = DumpResultTable(f, base);
     const Counts expected_counts = counts();
     EXPECT_GT(expected_counts.probes, 0) << base;
     EXPECT_GT(expected_counts.updates, 0) << base;
@@ -1275,16 +1298,20 @@ void ExpectFastFoldMatchesPaperFaithful(Fixture& f) {
         *f.engine->mutable_options() = opts;
         // A shared memo runs twice: the cold run fills it, the warm run
         // replays every iteration from it.
+        std::string last;
         for (const char* pass : {"", "_warm"}) {
           if (*pass != '\0' && replay != Replay::kSharedMemo) continue;
-          ASSERT_TRUE(m.run(table + pass).ok()) << table << pass;
-          EXPECT_EQ(dump(table + pass), expected) << table << pass;
-          EXPECT_TRUE(counts() == expected_counts) << table << pass;
+          last = table + pass;
+          ASSERT_TRUE(m.run(last).ok()) << last;
+          EXPECT_FALSE(f.engine->last_run_stats().result_reused) << last;
+          EXPECT_EQ(DumpResultTable(f, last), expected) << last;
+          EXPECT_TRUE(counts() == expected_counts) << last;
           if (replay == Replay::kRunScoped) {
             EXPECT_GT(f.engine->last_run_stats().iterations_skipped, 0)
                 << table;
           }
         }
+        if (replay != Replay::kOff) ExpectKeptTable(f, m.run, last, expected);
       }
 
       // The UDF form folds one iteration per call of the driving SELECT.
@@ -1298,7 +1325,41 @@ void ExpectFastFoldMatchesPaperFaithful(Fixture& f) {
       Status s = f.meta->Exec("SELECT " + call + " FROM SnapIds");
       ASSERT_TRUE(s.ok()) << table << ": " << s.ToString();
       ASSERT_TRUE(f.engine->FinishUdfRuns().ok()) << table;
-      EXPECT_EQ(dump(table), expected) << table;
+      EXPECT_EQ(DumpResultTable(f, table), expected) << table;
+    }
+  }
+
+  // The other two mechanisms keep their tables too, each run answered by
+  // two parallel workers.
+  const std::vector<Mech> others = {
+      {"collate", "",
+       [&](const std::string& t) {
+         return f.engine->CollateData(qs, "SELECT g, n, s FROM src", t);
+       }},
+      {"variable", "",
+       [&](const std::string& t) {
+         return f.engine->AggregateDataInVariable(
+             qs, "SELECT COUNT(*) AS c FROM src", t, "sum");
+       }},
+  };
+  for (const Mech& m : others) {
+    *f.engine->mutable_options() = RqlOptions{};
+    std::string base = std::string(m.name) + "_base";
+    ASSERT_TRUE(m.run(base).ok()) << base;
+    const std::vector<std::string> expected = DumpResultTable(f, base);
+    for (RqlProfile profile :
+         {RqlProfile::kPaperFaithful, RqlProfile::kFast}) {
+      std::string table = std::string(m.name) + "_" + RqlProfileName(profile);
+      std::unique_ptr<retro::MemoTable> memo = retro::MemoTable::InMemory();
+      RqlOptions opts;
+      opts.profile = profile;
+      opts.memo = memo.get();
+      opts.parallel_workers = 2;
+      *f.engine->mutable_options() = opts;
+      ASSERT_TRUE(m.run(table).ok()) << table;
+      EXPECT_TRUE(f.engine->last_run_stats().parallel) << table;
+      EXPECT_EQ(DumpResultTable(f, table), expected) << table;
+      ExpectKeptTable(f, m.run, table, expected);
     }
   }
 }

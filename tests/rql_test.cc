@@ -711,6 +711,237 @@ TEST_F(RqlLoggedInTest, RunsRestoreEngineAndStoreState) {
   EXPECT_EQ(meta_->catalog()->data().FindTable("UdfFailed"), nullptr);
 }
 
+// --- runs and client metadata transactions ---------------------------------
+
+TEST_F(RqlLoggedInTest, RunInsideOpenMetaTransactionIsRejected) {
+  const std::string qs = "SELECT snap_id FROM SnapIds";
+  const std::string qq = "SELECT l_userid FROM LoggedIn";
+  ASSERT_TRUE(engine_->CollateData(qs, qq, "Out").ok());
+  const sql::QueryResult before = Q(meta_.get(), "SELECT * FROM Out");
+  ASSERT_EQ(before.rows.size(), 8u);  // 3 + 2 + 3 logins
+  ASSERT_TRUE(engine_->RegisterUdfs().ok());
+
+  // A client left BEGIN open: both run forms refuse to start, before
+  // their DROP could join the client's transaction.
+  Ok(meta_.get(), "BEGIN");
+  Status s = engine_->CollateData(qs, qq, "Out");
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_EQ(data_->current_snapshot(), retro::kNoSnapshot);
+  s = meta_->Exec("SELECT CollateData(snap_id, '" + qq +
+                  "', 'Out') FROM SnapIds");
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_TRUE(engine_->FinishUdfRuns().ok());  // no run started
+  EXPECT_EQ(data_->current_snapshot(), retro::kNoSnapshot);
+  Ok(meta_.get(), "COMMIT");
+
+  // The client's COMMIT kept the old result table.
+  const sql::QueryResult after = Q(meta_.get(), "SELECT * FROM Out");
+  ASSERT_EQ(after.rows.size(), before.rows.size());
+  for (size_t i = 0; i < after.rows.size(); ++i) {
+    EXPECT_EQ(sql::EncodeRow(after.rows[i]), sql::EncodeRow(before.rows[i]));
+  }
+  ASSERT_TRUE(engine_->CollateData(qs, qq, "Out").ok());
+}
+
+// --- keeping the last run's result table ------------------------------------
+
+/// "page.slot:record" per heap row of `table` in scan order (pages named
+/// by their rank), then every index key with the rid it points at.
+std::vector<std::string> HeapDump(sql::Database* meta,
+                                  const std::string& table) {
+  std::vector<std::string> out;
+  const sql::CatalogData& catalog = meta->catalog()->data();
+  const sql::TableInfo* info = catalog.FindTable(table);
+  if (info == nullptr) return out;
+  std::map<storage::PageId, size_t> rank;
+  auto rid_name = [&](sql::Rid rid) {
+    auto page = rank.try_emplace(sql::RidPage(rid), rank.size());
+    return std::to_string(page.first->second) + "." +
+           std::to_string(sql::RidSlot(rid));
+  };
+  for (auto it = sql::HeapTable::Scan(meta->store(), info->root); it.Valid();
+       it.Next()) {
+    out.push_back(rid_name(it.rid()) + ":" + std::string(it.record()));
+  }
+  for (const sql::IndexInfo* index : catalog.TableIndexes(table)) {
+    auto keys = sql::BTree::SeekFirst(meta->store(), index->root);
+    if (!keys.ok()) continue;
+    for (; keys->Valid(); keys->Next()) {
+      Row key = keys->key();
+      sql::Rid rid = static_cast<sql::Rid>(key.back().integer());
+      key.pop_back();
+      out.push_back("key:" + sql::EncodeRow(key) + "@" + rid_name(rid));
+    }
+  }
+  return out;
+}
+
+class RqlResultReuseTest : public RqlLoggedInTest {
+ protected:
+  static constexpr char kQs[] = "SELECT snap_id FROM SnapIds";
+  static constexpr char kQq[] =
+      "SELECT l_country, COUNT(*) AS n, MIN(l_time) AS t FROM LoggedIn "
+      "GROUP BY l_country";
+
+  void SetUp() override {
+    RqlLoggedInTest::SetUp();
+    engine_->mutable_options()->memo = memo_.get();
+    // The oracle engine writes its tables into a metadata database of its
+    // own, so computing an oracle never writes the one under test.
+    auto oracle_meta = sql::Database::Open(&env_, "oracle_meta");
+    ASSERT_TRUE(oracle_meta.ok());
+    oracle_meta_ = std::move(*oracle_meta);
+    oracle_ = std::make_unique<RqlEngine>(data_.get(), oracle_meta_.get());
+    ASSERT_TRUE(oracle_->EnsureSnapIds().ok());
+    for (const Row& row : Q(meta_.get(), "SELECT * FROM SnapIds").rows) {
+      ASSERT_TRUE(oracle_meta_->AppendRow("SnapIds", row).ok());
+    }
+  }
+
+  Status Run(const std::string& qs, const std::string& table,
+             const std::string& pairs = "(n,max):(t,min)") {
+    return engine_->AggregateDataInTable(qs, kQq, table, pairs);
+  }
+
+  /// The table of a paper-faithful, memo-less run under the strategy the
+  /// engine under test has.
+  std::vector<std::string> Oracle(const std::string& qs,
+                                  const std::string& pairs =
+                                      "(n,max):(t,min)") {
+    oracle_->mutable_options()->agg_table_strategy =
+        engine_->options().agg_table_strategy;
+    const std::string table = "Oracle" + std::to_string(++oracles_);
+    EXPECT_TRUE(oracle_->AggregateDataInTable(qs, kQq, table, pairs).ok());
+    return HeapDump(oracle_meta_.get(), table);
+  }
+
+  bool Reused() const { return engine_->last_run_stats().result_reused; }
+
+  std::unique_ptr<retro::MemoTable> memo_ = retro::MemoTable::InMemory();
+  std::unique_ptr<sql::Database> oracle_meta_;
+  std::unique_ptr<RqlEngine> oracle_;
+  int oracles_ = 0;
+};
+
+TEST_F(RqlResultReuseTest, IdenticalRerunKeepsTheTable) {
+  for (RqlProfile profile : {RqlProfile::kPaperFaithful, RqlProfile::kFast}) {
+    engine_->mutable_options()->profile = profile;
+    const std::vector<std::string> oracle = Oracle(kQs);
+    ASSERT_TRUE(Run(kQs, "Out").ok());
+    EXPECT_FALSE(Reused());
+    EXPECT_EQ(HeapDump(meta_.get(), "Out"), oracle);
+
+    const storage::PageStore* pages = meta_->store()->page_store();
+    const uint64_t mutations = pages->mutations();
+    ASSERT_TRUE(Run(kQs, "Out").ok());
+    EXPECT_TRUE(Reused());
+    EXPECT_EQ(pages->mutations(), mutations);  // nothing written
+    EXPECT_EQ(HeapDump(meta_.get(), "Out"), oracle);
+    const RqlRunStats& stats = engine_->last_run_stats();
+    ASSERT_EQ(stats.iterations.size(), 3u);
+    for (const RqlIterationStats& it : stats.iterations) {
+      EXPECT_EQ(it.memo_hits, 1);
+      EXPECT_EQ(it.udf_us, 0);
+      EXPECT_EQ(it.result_probes + it.result_inserts + it.result_updates, 0);
+    }
+    // A third run keeps it too: keeping writes nothing the check sees.
+    ASSERT_TRUE(Run(kQs, "Out").ok());
+    EXPECT_TRUE(Reused());
+    EXPECT_EQ(HeapDump(meta_.get(), "Out"), oracle);
+  }
+}
+
+TEST_F(RqlResultReuseTest, AnyDifferenceRefolds) {
+  const std::string subset = "SELECT snap_id FROM SnapIds WHERE snap_id < 3";
+  const std::string reversed = std::string(kQs) + " ORDER BY snap_id DESC";
+  const std::vector<std::string> oracle = Oracle(kQs);
+  struct Case {
+    const char* what;
+    std::function<void()> change;  // applied after a kept table
+    std::string qs;
+    std::string table;
+    std::string pairs;
+  };
+  const std::vector<Case> cases = {
+      {"fewer snapshots", [] {}, subset, "Out", "(n,max):(t,min)"},
+      {"reversed snapshots", [] {}, reversed, "Out", "(n,max):(t,min)"},
+      {"other pairs", [] {}, kQs, "Out", "(n,sum):(t,min)"},
+      {"other table", [] {}, kQs, "Out2", "(n,max):(t,min)"},
+      {"metadata write",
+       [this] { Ok(meta_.get(), "DELETE FROM Out WHERE l_country = 'UK'"); },
+       kQs, "Out", "(n,max):(t,min)"},
+      {"other profile",
+       [this] { engine_->mutable_options()->profile = RqlProfile::kFast; },
+       kQs, "Out", "(n,max):(t,min)"},
+      {"other strategy",
+       [this] {
+         engine_->mutable_options()->agg_table_strategy =
+             AggTableStrategy::kSortMerge;
+       },
+       kQs, "Out", "(n,max):(t,min)"},
+      // Snapshot 3 shares LoggedIn's page with the current state: the
+      // owner's update captures it, so its recorded token no longer
+      // validates.
+      {"read set flipped",
+       [this] {
+         Ok(data_.get(),
+            "UPDATE LoggedIn SET l_country = 'FR' WHERE l_userid = 'UserD'");
+       },
+       kQs, "Out", "(n,max):(t,min)"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    engine_->mutable_options()->profile = RqlProfile::kPaperFaithful;
+    engine_->mutable_options()->agg_table_strategy =
+        AggTableStrategy::kIndexProbe;
+    ASSERT_TRUE(Run(kQs, "Out").ok());
+    ASSERT_TRUE(Run(kQs, "Out").ok());
+    ASSERT_TRUE(Reused());
+    c.change();
+    const std::vector<std::string> expected = Oracle(c.qs, c.pairs);
+    ASSERT_TRUE(Run(c.qs, c.table, c.pairs).ok());
+    EXPECT_FALSE(Reused());
+    EXPECT_EQ(HeapDump(meta_.get(), c.table), expected);
+  }
+  // The snapshots themselves never changed.
+  EXPECT_EQ(Oracle(kQs), oracle);
+}
+
+TEST_F(RqlResultReuseTest, CancelDuringValidationDropsTheTable) {
+  std::atomic<bool> cancel{false};
+  engine_->mutable_options()->cancel = &cancel;
+  // Qs raises the flag, so the first poll after it is the validation's.
+  meta_->RegisterFunction(
+      "raise_cancel", 1, 1,
+      [&cancel](const std::vector<Value>& a) -> Result<Value> {
+        cancel.store(true);
+        return a[0];
+      });
+  const std::vector<std::string> oracle = Oracle(kQs);
+  ASSERT_TRUE(Run(kQs, "Out").ok());
+  ASSERT_TRUE(Run(kQs, "Out").ok());
+  ASSERT_TRUE(Reused());
+
+  Status s = Run("SELECT raise_cancel(snap_id) FROM SnapIds", "Out");
+  EXPECT_EQ(s.code(), StatusCode::kAborted) << s.ToString();
+  EXPECT_EQ(meta_->catalog()->data().FindTable("Out"), nullptr);
+  cancel.store(false);
+  ASSERT_TRUE(Run(kQs, "Out").ok());
+  EXPECT_FALSE(Reused());
+  EXPECT_EQ(HeapDump(meta_.get(), "Out"), oracle);
+}
+
+TEST_F(RqlResultReuseTest, RunsWithoutAMemoAlwaysFold) {
+  engine_->mutable_options()->memo = nullptr;
+  ASSERT_TRUE(Run(kQs, "Out").ok());
+  ASSERT_TRUE(Run(kQs, "Out").ok());
+  EXPECT_FALSE(Reused());
+  // Nor does a memoized run keep a table a memo-less run wrote.
+  engine_->mutable_options()->memo = memo_.get();
+  ASSERT_TRUE(Run(kQs, "Out").ok());
+  EXPECT_FALSE(Reused());
+}
+
 // --- current_snapshot() literal awareness ----------------------------------
 
 TEST_F(RqlLoggedInTest, LiteralCurrentSnapshotSurvivesCollate) {

@@ -8,12 +8,15 @@
 // and the other three mechanisms served on the fast profile, byte-
 // identical to the paper-faithful oracle; and the served memo — reuse
 // across sessions, token invalidation by an owner write, truncation and
-// concurrent publishers, each byte-identical to the oracle.
+// concurrent publishers, each byte-identical to the oracle; and a session
+// keeping its last result table — kept on an identical rerun, re-folded
+// after any change, refused inside a client's open metadata transaction.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -860,6 +863,219 @@ TEST(ServerMemoTest, ConcurrentSessionsPublishTheSameSnapshots) {
 
   WaitForNoSessions(server->get());
   (*server)->Stop();
+}
+
+// --- a session keeps its last result table ---------------------------------
+
+constexpr char kMaxPairs[] = "(v,max)";
+
+/// Embedded paper-faithful AggregateDataInTable(qs, kQq, table, pairs)
+/// oracle, computed on the fixture's owner engine before a server starts.
+std::vector<std::string> AggTableOracle(HistoryFixture* f,
+                                        const std::string& qs,
+                                        const std::string& pairs,
+                                        const std::string& table) {
+  EXPECT_TRUE(f->engine->AggregateDataInTable(qs, kQq, table, pairs).ok())
+      << table;
+  auto rows = f->meta->Query("SELECT * FROM " + table);
+  EXPECT_TRUE(rows.ok()) << table;
+  return rows.ok() ? EncodeRows(*rows) : std::vector<std::string>{};
+}
+
+/// Runs AggregateDataInTable(qs, kQq, "Out", pairs) on `client` and
+/// returns its rows.
+Result<std::vector<std::string>> ServeAggTable(Client* client,
+                                               const std::string& qs,
+                                               const std::string& pairs) {
+  RQL_ASSIGN_OR_RETURN(uint64_t run,
+                       client->StartRun(Mechanism::kAggregateDataInTable, qs,
+                                        kQq, "Out", pairs));
+  RQL_ASSIGN_OR_RETURN(Client::RunResult done, client->WaitRun(run));
+  RQL_RETURN_IF_ERROR(done.status);
+  RQL_ASSIGN_OR_RETURN(sql::QueryResult rows,
+                       client->MetaSql("SELECT * FROM Out"));
+  return EncodeRows(rows);
+}
+
+/// A 12-snapshot history whose oracles the test computes before Start()
+/// serves it, with one client.
+struct ReuseFixture {
+  HistoryFixture f = MakeHistory(12);
+  retro::MetricsRegistry registry;
+  ServerOptions options;
+  std::unique_ptr<Server> server;
+  std::unique_ptr<Client> client;
+
+  void Start() {
+    options.socket_path = UniqueSocketPath();
+    options.metrics = &registry;
+    auto created = Server::Create(f.data.get(), f.meta.get(), options);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    server = std::move(*created);
+    ASSERT_TRUE(server->Start().ok());
+    auto connected = Client::Connect(options.socket_path);
+    ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+    client = std::move(*connected);
+  }
+
+  ~ReuseFixture() {
+    client.reset();
+    if (server == nullptr) return;
+    WaitForNoSessions(server.get());
+    server->Stop();
+  }
+
+  int64_t Reuses() {
+    return registry.TakeSnapshot().counter("rql.result_reuses");
+  }
+
+  /// Serves the run twice; the second keeps the first one's table.
+  void FoldThenKeep(const std::string& qs, const std::string& pairs,
+                    const std::vector<std::string>& oracle) {
+    auto folded = ServeAggTable(client.get(), qs, pairs);
+    ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+    EXPECT_EQ(*folded, oracle);
+    const int64_t reuses = Reuses();
+    auto kept = ServeAggTable(client.get(), qs, pairs);
+    ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+    EXPECT_EQ(*kept, oracle);
+    EXPECT_EQ(Reuses(), reuses + 1);
+  }
+};
+
+TEST(ServerReuseTest, RunInsideClientMetaTransactionKeepsTheOldTable) {
+  ReuseFixture m;
+  const std::string qs = QsRange(3, 10);
+  const std::vector<std::string> oracle =
+      AggTableOracle(&m.f, qs, kMaxPairs, "Oracle");
+  m.Start();
+  ASSERT_NE(m.client, nullptr);
+  auto folded = ServeAggTable(m.client.get(), qs, kMaxPairs);
+  ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+  ASSERT_EQ(*folded, oracle);
+
+  ASSERT_TRUE(m.client->MetaSql("BEGIN").ok());
+  auto run = m.client->StartRun(Mechanism::kAggregateDataInTable, qs, kQq,
+                                "Out", kMaxPairs);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  auto done = m.client->WaitRun(*run);
+  ASSERT_TRUE(done.ok()) << done.status().ToString();
+  EXPECT_EQ(done->status.code(), StatusCode::kInvalidArgument)
+      << done->status.ToString();
+  ASSERT_TRUE(m.client->MetaSql("COMMIT").ok());
+
+  auto rows = m.client->MetaSql("SELECT * FROM Out");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(EncodeRows(*rows), oracle);
+}
+
+TEST(ServerReuseTest, SameSessionRerunKeepsTheTable) {
+  ReuseFixture m;
+  const std::string qs = QsRange(3, 10);
+  const std::vector<std::string> oracle =
+      AggTableOracle(&m.f, qs, kMaxPairs, "Oracle");
+  m.Start();
+  ASSERT_NE(m.client, nullptr);
+  m.FoldThenKeep(qs, kMaxPairs, oracle);
+  auto stats = m.client->StatsJson();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(MemoStat(*stats, "result_reuses"), 1);
+}
+
+TEST(ServerReuseTest, ChangesBetweenRerunsForceARefold) {
+  ReuseFixture m;
+  const std::string qs = QsRange(m.f.last_snap - 3, m.f.last_snap);
+  const std::vector<std::string> oracle =
+      AggTableOracle(&m.f, qs, kMaxPairs, "Oracle");
+  const std::vector<std::string> sum_oracle =
+      AggTableOracle(&m.f, qs, "(v,sum)", "SumOracle");
+  m.Start();
+  ASSERT_NE(m.client, nullptr);
+  struct Case {
+    const char* what;
+    std::function<Status()> change;
+    const char* pairs;
+    const std::vector<std::string>* expected;
+  };
+  const std::vector<Case> cases = {
+      // The newest snapshots share pages with the current state: the
+      // owner's commit archives them, flipping their recorded tokens.
+      {"owner update",
+       [&] {
+         return m.client->Sql("UPDATE t SET v = v + 1000 WHERE k < 300")
+             .status();
+       },
+       kMaxPairs, &oracle},
+      {"metadata delete",
+       [&] { return m.client->MetaSql("DELETE FROM Out").status(); },
+       kMaxPairs, &oracle},
+      {"other pairs", [] { return Status::OK(); }, "(v,sum)", &sum_oracle},
+      {"truncate", [&] { return m.client->Truncate(4).status(); }, kMaxPairs,
+       &oracle},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    m.FoldThenKeep(qs, kMaxPairs, oracle);
+    ASSERT_TRUE(c.change().ok());
+    const int64_t reuses = m.Reuses();
+    auto rerun = ServeAggTable(m.client.get(), qs, c.pairs);
+    ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+    EXPECT_EQ(*rerun, *c.expected);
+    EXPECT_EQ(m.Reuses(), reuses);
+  }
+}
+
+/// The scheduler's running-run count in a kStats document, or -1.
+int64_t ActiveRuns(const std::string& stats_json) {
+  size_t at = stats_json.find("\"active\": ");
+  if (at == std::string::npos) return -1;
+  return std::stoll(stats_json.substr(at + 10));
+}
+
+TEST(ServerReuseTest, CancelDuringValidationLeavesNoTable) {
+  ReuseFixture m;
+  const std::string qs = QsRange(3, 10);
+  const std::vector<std::string> oracle =
+      AggTableOracle(&m.f, qs, kMaxPairs, "Oracle");
+  m.Start();
+  ASSERT_NE(m.client, nullptr);
+  // A Qs slow enough for the cancel to land while it runs, selecting the
+  // same snapshots: the first poll after it is the validation pass's. Its
+  // table is written before the runs, so the kept table stays valid.
+  std::string values;
+  for (int i = 0; i < 2000; ++i) {
+    values += (i == 0 ? "(" : ", (") + std::to_string(i) + ")";
+  }
+  ASSERT_TRUE(m.client->MetaSql("CREATE TABLE Big (x INTEGER)").ok());
+  ASSERT_TRUE(m.client->MetaSql("INSERT INTO Big VALUES " + values).ok());
+  const std::string slow_qs =
+      "SELECT snap_id FROM SnapIds WHERE snap_id >= 3 AND snap_id <= 10 "
+      "AND (SELECT COUNT(*) FROM Big a, Big b WHERE a.x < b.x) > 0 "
+      "ORDER BY snap_id";
+  m.FoldThenKeep(qs, kMaxPairs, oracle);
+
+  const int64_t reuses = m.Reuses();
+  auto run = m.client->StartRun(Mechanism::kAggregateDataInTable, slow_qs,
+                                kQq, "Out", kMaxPairs);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  for (int i = 0; i < 500; ++i) {
+    auto stats = m.client->StatsJson();
+    ASSERT_TRUE(stats.ok());
+    if (ActiveRuns(*stats) > 0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(m.client->CancelRun(*run).ok());
+  auto done = m.client->WaitRun(*run);
+  ASSERT_TRUE(done.ok()) << done.status().ToString();
+  EXPECT_EQ(done->status.code(), StatusCode::kAborted)
+      << done->status.ToString();
+  EXPECT_FALSE(m.client->MetaSql("SELECT * FROM Out").ok());
+
+  auto rerun = ServeAggTable(m.client.get(), qs, kMaxPairs);
+  ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+  EXPECT_EQ(*rerun, oracle);
+  EXPECT_EQ(m.Reuses(), reuses);
 }
 
 /// A started server over a 6-snapshot history, with one client.

@@ -49,6 +49,7 @@ SECTIONS = {
         "evictions": int,
         "hits": int,
         "misses": int,
+        "result_reuses": int,
     },
     "store": {
         "earliest_snapshot": int,
@@ -117,6 +118,8 @@ def check_stats(doc):
             "resident bytes beyond the LRU bound")
     require(memo["hits"] + memo["misses"] >= 0, "$.memo",
             "negative probe count")
+    require(memo["result_reuses"] >= 0, "$.memo",
+            "negative result-table reuse count")
 
     store = doc["store"]
     require(store["earliest_snapshot"] <= store["latest_snapshot"] + 1,
