@@ -87,7 +87,7 @@ bool Series(const char* name, tpch::History* history, int overwrite_cycle,
 
   // Flag-identity on the most recent interval: snapshots here read a mix
   // of archived page versions (cacheable) and current-database pages
-  // (deliberately unversioned), and TPC-H touches orders every snapshot,
+  // (not cacheable), and TPC-H touches orders every snapshot,
   // so nothing may skip.
   RqlEngine* engine = history->engine();
   std::string qs = history->QsInterval(

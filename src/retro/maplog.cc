@@ -101,13 +101,25 @@ Status Maplog::AppendAlloc(storage::PageId page, SnapshotId latest) {
   return AppendEntry(entry);
 }
 
+namespace {
+
+/// Maps `capture`'s page in `spt` when its range covers `snap` and the
+/// page has no mapping yet (the first covering capture in log order wins).
+void MapIfCovers(const MaplogEntry& capture, SnapshotId snap,
+                 SnapshotPageTable* spt) {
+  if (capture.start_snap > snap || capture.end_snap < snap) return;
+  spt->emplace(capture.page,
+               SptEntry{capture.pagelog_offset, capture.start_snap});
+}
+
+}  // namespace
+
 void Maplog::ScanEntries(const MaplogEntry* entries, size_t count,
                          SnapshotId snap, SnapshotPageTable* spt) const {
   for (size_t i = 0; i < count; ++i) {
-    const MaplogEntry& entry = entries[i];
-    if (entry.type != MaplogEntry::kCapture) continue;
-    if (entry.start_snap > snap || entry.end_snap < snap) continue;
-    spt->emplace(entry.page, entry.pagelog_offset);
+    if (entries[i].type == MaplogEntry::kCapture) {
+      MapIfCovers(entries[i], snap, spt);
+    }
   }
 }
 
@@ -189,10 +201,7 @@ Status Maplog::BuildSptSkippy(SnapshotId snap, SnapshotPageTable* spt,
     const std::vector<MaplogEntry>& run = GetRun(level, e);
     // The run keeps the first capture per page, so "first match wins"
     // across runs remains correct.
-    for (const MaplogEntry& entry : run) {
-      if (entry.start_snap > snap || entry.end_snap < snap) continue;
-      spt->emplace(entry.page, entry.pagelog_offset);
-    }
+    for (const MaplogEntry& entry : run) MapIfCovers(entry, snap, spt);
     scanned += static_cast<int64_t>(run.size());
     pages += std::max<int64_t>(
         1, (static_cast<int64_t>(run.size()) + kEntriesPerPage - 1) /
@@ -241,14 +250,9 @@ Status Maplog::BuildSpt(SnapshotId snap, SnapshotPageTable* spt,
 Status Maplog::RefreshSpt(SnapshotId snap, SnapshotPageTable* spt,
                           uint64_t* resume_index, SptBuildStats* stats) const {
   int64_t start_us = NowMicros();
-  int64_t scanned = 0;
-  for (uint64_t index = *resume_index; index < entry_count_; ++index) {
-    const MaplogEntry& entry = entries_[index];
-    ++scanned;
-    if (entry.type != MaplogEntry::kCapture) continue;
-    if (entry.start_snap > snap || entry.end_snap < snap) continue;
-    spt->emplace(entry.page, entry.pagelog_offset);
-  }
+  const int64_t scanned = static_cast<int64_t>(entry_count_ - *resume_index);
+  ScanEntries(entries_.data() + *resume_index, entry_count_ - *resume_index,
+              snap, spt);
   *resume_index = entry_count_;
   if (stats != nullptr) {
     stats->entries_scanned += scanned;
@@ -334,7 +338,7 @@ void SptCursor::Reposition(storage::PageId page) {
   }
   const Capture& cap = chain.caps[chain.next];
   if (cap.start <= snap_) {
-    table_[page] = cap.offset;
+    table_[page] = SptEntry{cap.offset, cap.start};
     wake_[cap.end + 1].push_back(page);
   } else {
     // Allocation gap: the page is absent from SPTs until cap.start.

@@ -24,13 +24,17 @@ inline constexpr SnapshotId kNoSnapshot = 0;
 struct MaplogEntry {
   enum Type : uint8_t {
     /// A pre-state capture: `page` as of snapshots [start_snap, end_snap]
-    /// lives in the Pagelog at `pagelog_offset`.
+    /// lives in the Pagelog at `pagelog_offset`. The range is the
+    /// content's whole validity interval, so `start_snap` names the bytes
+    /// (the memo's page token, PageToken in snapshot_store.h).
     kCapture = 1,
     /// Declaration boundary for snapshot `end_snap`; marks where the scan
     /// for that snapshot's page table begins.
     kSnapshotMark = 2,
     /// `page` was (re)allocated during the epoch following snapshot
     /// `end_snap`; used only to recover modification epochs on reopen.
+    /// TruncateHistory also writes one in place of a page's last capture
+    /// when it drops it, so compaction never moves a mod epoch.
     kAlloc = 3,
     /// History before snapshot `end_snap` has been truncated away
     /// (TruncateHistory); snapshots below it are no longer reconstructable.
@@ -55,10 +59,22 @@ struct SptBuildStats {
   int64_t cpu_us = 0;
 };
 
+/// Where a snapshot page table finds one page: the Pagelog record holding
+/// its content, and the first snapshot that content belongs to (the
+/// capture's start_snap). The offset locates the bytes; `start` names
+/// them: a page holds one content per validity interval, so (page, start)
+/// identifies the same bytes in every snapshot that maps it, before and
+/// after compaction moves the offset.
+struct SptEntry {
+  uint64_t offset = 0;
+  SnapshotId start = 0;
+  bool operator==(const SptEntry&) const = default;
+};
+
 /// The snapshot page table: for every page captured after snapshot S was
 /// declared, its Pagelog location as of S. Pages absent from the table are
 /// shared with the current database state.
-using SnapshotPageTable = std::unordered_map<storage::PageId, uint64_t>;
+using SnapshotPageTable = std::unordered_map<storage::PageId, SptEntry>;
 
 /// The on-disk log-structured list of page->Pagelog-location mappings
 /// (Shaull et al., "Skippy", SIGMOD'08). Mappings are appended in capture

@@ -213,7 +213,17 @@ Status SnapshotStore::TruncateHistory(SnapshotId keep_from) {
 
   // Per page: the offset of its last rewritten record (the diff base).
   std::unordered_map<storage::PageId, uint64_t> rebase;
-  for (const MaplogEntry& entry : maplog_->entries()) {
+  // Per page: the log index of its last capture. Mod epochs are memo
+  // tokens (PageToken), so compaction must recover the ones it found.
+  const std::vector<MaplogEntry>& entries = maplog_->entries();
+  std::unordered_map<storage::PageId, size_t> last_capture;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (entries[i].type == MaplogEntry::kCapture) {
+      last_capture[entries[i].page] = i;
+    }
+  }
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const MaplogEntry& entry = entries[i];
     switch (entry.type) {
       case MaplogEntry::kSnapshotMark:
         RQL_RETURN_IF_ERROR(new_maplog->AppendSnapshotMark(entry.end_snap));
@@ -225,7 +235,15 @@ Status SnapshotStore::TruncateHistory(SnapshotId keep_from) {
       case MaplogEntry::kTruncate:
         break;  // superseded by the new truncate record
       case MaplogEntry::kCapture: {
-        if (entry.end_snap < keep_from) break;  // covers dropped snaps only
+        if (entry.end_snap < keep_from) {
+          // Covers dropped snapshots only. A page's last capture still
+          // sets its mod epoch on recovery, so an alloc record keeps it.
+          if (last_capture[entry.page] == i) {
+            RQL_RETURN_IF_ERROR(
+                new_maplog->AppendAlloc(entry.page, entry.end_snap));
+          }
+          break;
+        }
         storage::Page content;
         RQL_RETURN_IF_ERROR(pagelog_->Read(entry.pagelog_offset, &content));
         uint64_t new_offset = 0;
@@ -327,11 +345,25 @@ Result<bool> SnapshotSet::Advance(SnapshotId snap,
   return true;
 }
 
-bool SnapshotSet::PageVersion(storage::PageId page, uint64_t* version) const {
+bool SnapshotSet::Validate(const std::vector<PageToken>& read_set) const {
   const SnapshotPageTable& spt = cursor_.table();
-  auto it = spt.find(page);
-  if (it == spt.end()) return false;
-  *version = it->second;
+  const SnapshotId at = cursor_.position();
+  std::shared_lock<std::shared_mutex> lock(store_->mu_, std::defer_lock);
+  for (const PageToken& pt : read_set) {
+    auto it = spt.find(pt.page);
+    if (it != spt.end()) {
+      if (it->second.start != pt.version) return false;
+      continue;
+    }
+    if (!lock.owns_lock()) lock.lock();
+    // A mod epoch at or past `at` means the page was captured (or
+    // allocated) since the cursor's table was built: the table no longer
+    // tells its state at `at`. (Its current token would also exceed every
+    // token recorded for it before the capture.) Otherwise the page is
+    // shared, with token CurrentToken() = epoch + 1.
+    const SnapshotId epoch = store_->ModEpoch(pt.page);
+    if (epoch >= at || uint64_t{epoch} + 1 != pt.version) return false;
+  }
   return true;
 }
 
@@ -490,29 +522,23 @@ bool SnapshotView::PageVersion(storage::PageId id, uint64_t* version) {
   // never reaching ReadPage/ReadPagePinned — so the read is recorded here
   // too, keeping the memo's read set a superset of the pages the query
   // depends on.
-  // Only SPT-mapped pages have a stable identity: their content lives in
-  // an immutable archive record at a fixed offset. A page shared with the
-  // current database may change under a concurrently committing update, so
-  // it is deliberately unversioned (and thus uncacheable across reads).
+  // Only SPT-mapped pages are cacheable: their content lives in an
+  // immutable archive record at a fixed offset. A page shared with the
+  // current database is read under the store lock by ReadPage, which
+  // records its token there.
   auto it = spt_.find(id);
-  if (it == spt_.end()) {
-    RecordVersion(id, kUnversionedPageToken);
-    return false;
-  }
-  RecordVersion(id, it->second);
-  *version = it->second;
+  if (it == spt_.end()) return false;
+  RecordVersion(id, it->second.start);
+  *version = it->second.offset;
   return true;
 }
 
 Result<storage::PinnedPage> SnapshotView::ReadPagePinned(
     storage::PageId id) {
   auto it = spt_.find(id);
-  if (it == spt_.end()) {
-    RecordVersion(id, kUnversionedPageToken);
-    return storage::PinnedPage();
-  }
-  RecordVersion(id, it->second);
-  return ReadArchivedPinned(it->second);
+  if (it == spt_.end()) return storage::PinnedPage();  // ReadPage records
+  RecordVersion(id, it->second.start);
+  return ReadArchivedPinned(it->second.offset);
 }
 
 Status SnapshotView::ReadPage(storage::PageId id, storage::Page* page) {
@@ -523,8 +549,8 @@ Status SnapshotView::ReadPage(storage::PageId id, storage::Page* page) {
   // pre-state page coalesce into one archive read.
   auto it = spt_.find(id);
   if (it != spt_.end()) {
-    RecordVersion(id, it->second);
-    return ReadArchived(it->second, page);
+    RecordVersion(id, it->second.start);
+    return ReadArchived(it->second.offset, page);
   }
 
   // SPT miss: the page is either shared with the current state or was
@@ -547,12 +573,13 @@ Status SnapshotView::ReadPage(storage::PageId id, storage::Page* page) {
                                 std::to_string(snap_));
     }
     lock.unlock();
-    RecordVersion(id, it->second);
-    return ReadArchived(it->second, page);
+    RecordVersion(id, it->second.start);
+    return ReadArchived(it->second.offset, page);
   }
-  // Shared with the current database state.
+  // Shared with the current database state. The token is read under the
+  // same lock as the bytes, so a commit cannot slip between them.
   ++stats_.db_page_reads;
-  RecordVersion(id, kUnversionedPageToken);
+  RecordVersion(id, store_->CurrentToken(id));
   return store_->store_->ReadPage(id, page);
 }
 

@@ -25,13 +25,20 @@ namespace rql::retro {
 
 class SnapshotStore;
 
-/// Version token fed to version recorders for a page with no stable
-/// archived identity — one the snapshot shares with the current database.
-/// The first modification after the snapshot's declaration captures the
-/// pre-state and gives the page an SPT mapping (a real Pagelog offset), so
-/// observing this token again on a later probe proves the page unchanged.
-/// retro::MemoTable (memo_table.h) aliases it as kMemoDbSharedVersion.
-constexpr uint64_t kUnversionedPageToken = ~0ull;
+/// One page a reader read, and the version token it resolved to: the
+/// first snapshot whose state of the page holds the bytes read (the start
+/// of the content's validity interval). A page holds one content per
+/// interval, so equal tokens on one page mean equal bytes, whichever
+/// snapshot resolved them. An archived page's token is its capture's
+/// start_snap. A page the snapshot shares with the current database gets
+/// ModEpoch + 1, which is exactly the start_snap the page's next capture
+/// will record: archiving the page moves its bytes to the Pagelog but
+/// leaves the token as it was.
+struct PageToken {
+  storage::PageId page = 0;
+  uint64_t version = 0;
+  bool operator==(const PageToken&) const = default;
+};
 
 /// A read-only, transactionally consistent view of the database as of a
 /// declared snapshot. Page reads resolve through the snapshot page table:
@@ -59,7 +66,8 @@ class SnapshotView : public storage::PageReader {
   /// snapshots mapping a page to the same offset share one immutable
   /// archive record, so the offset is a stable cross-snapshot identity for
   /// the page's content (the scan-reuse key). Pages shared with the
-  /// current database have no stable version and return false.
+  /// current database return false and record nothing: the caller falls
+  /// back to ReadPage, which records them.
   bool PageVersion(storage::PageId id, uint64_t* version) override;
 
   /// Pins `id`'s archived version straight from the snapshot cache
@@ -77,12 +85,11 @@ class SnapshotView : public storage::PageReader {
   uint64_t spt_size() const { return spt_.size(); }
 
   /// Arms (or with nullptr disarms) a (page -> version token) recorder:
-  /// every read through this view records the Pagelog offset it resolved
-  /// to, or kUnversionedPageToken for pages shared with the current
-  /// database — the versioned read set the RQL memo validates entries
-  /// against. Views belong to one reader, so each run (parallel workers
-  /// directly, sequential runs through their SnapshotSet) records into its
-  /// own map. The caller owns the map and must keep it alive while armed.
+  /// every read through this view records its page's token (PageToken) —
+  /// the versioned read set the RQL memo validates entries against. Views
+  /// belong to one reader, so each run (parallel workers directly,
+  /// sequential runs through their SnapshotSet) records into its own map.
+  /// The caller owns the map and must keep it alive while armed.
   void set_version_recorder(
       std::unordered_map<storage::PageId, uint64_t>* recorder) {
     version_recorder_ = recorder;
@@ -94,9 +101,7 @@ class SnapshotView : public storage::PageReader {
   SnapshotView(SnapshotStore* store, SnapshotId snap)
       : store_(store), snap_(snap) {}
 
-  /// Feeds (id, token) to the recorder, if armed. Last write wins: a page
-  /// first seen as db-shared and then refreshed to an archived mapping
-  /// keeps the final (stable) token.
+  /// Feeds (id, token) to the recorder, if armed. Last write wins.
   void RecordVersion(storage::PageId id, uint64_t token) {
     if (version_recorder_ != nullptr) (*version_recorder_)[id] = token;
   }
@@ -146,11 +151,15 @@ class SnapshotSet {
   /// call): the origin of the next Advance's delta.
   SnapshotId position() const { return cursor_.position(); }
 
-  /// Resolves `page` at position() exactly as SnapshotView::PageVersion
-  /// does for a view opened there, but reads the cursor's table in place:
-  /// no SPT copy, and nothing recorded. Lets a memo probe validate a read
-  /// set right after Advance.
-  bool PageVersion(storage::PageId page, uint64_t* version) const;
+  /// True when every page of `read_set` resolves at position() to its
+  /// recorded token, exactly as a view opened there would record it. Reads
+  /// the cursor's table in place (no SPT copy, nothing recorded) and takes
+  /// the store's reader lock at most once, at the first page the table
+  /// does not map. Such a page is shared with the current database unless
+  /// the writer captured it after the cursor last moved (its mod epoch
+  /// reached position()); that case is a conservative mismatch. Lets a memo
+  /// probe validate a read set right after Advance.
+  bool Validate(const std::vector<PageToken>& read_set) const;
 
   /// Arms (or with nullptr disarms) the version recorder every view this
   /// set opens from now on carries (SnapshotView::set_version_recorder).
@@ -425,6 +434,13 @@ class SnapshotStore : public storage::PageWriter {
   SnapshotId ModEpoch(storage::PageId id) const {
     auto it = mod_epoch_.find(id);
     return it == mod_epoch_.end() ? kNoSnapshot : it->second;
+  }
+
+  /// Token of `id`'s current content (PageToken): the first snapshot
+  /// declared after its last modification, which is the start_snap its next
+  /// capture records. Requires mu_ (either half).
+  uint64_t CurrentToken(storage::PageId id) const {
+    return static_cast<uint64_t>(ModEpoch(id)) + 1;
   }
 
   /// Writers (mutations) take this exclusively; snapshot readers take the

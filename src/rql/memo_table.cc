@@ -13,9 +13,12 @@ namespace {
 // [payload]. The crc is FNV-1a over the payload; a mismatch (or a short
 // header/payload at the tail) marks the end of the intact prefix.
 constexpr uint32_t kMemoMagic = 0x4D454D52;  // "RMEM"
-constexpr uint32_t kEntryRecord = 1;
-constexpr uint32_t kAliasRecord = 2;
+// Types 1 and 2 were entries and aliases whose read-set tokens were
+// Pagelog offsets. Tokens are now start snapshots (PageToken), which an
+// old offset can equal, so Open skips those records like any unknown type.
 constexpr uint32_t kInvalidateRecord = 3;
+constexpr uint32_t kEntryRecord = 4;
+constexpr uint32_t kAliasRecord = 5;
 constexpr uint64_t kHeaderBytes = 24;
 // Defense against a corrupt length field pointing past any plausible
 // record: no single memo entry approaches this.
@@ -75,8 +78,9 @@ std::string EncodeEntryPayload(const MemoEntry& entry) {
   std::string out;
   PutU64(&out, entry.fingerprint);
   PutU32(&out, entry.snapshot);
+  out.push_back(entry.per_snapshot ? 1 : 0);
   PutU32(&out, static_cast<uint32_t>(entry.read_set.size()));
-  for (const MemoPageVersion& pv : entry.read_set) {
+  for (const PageToken& pv : entry.read_set) {
     PutU32(&out, pv.page);
     PutU64(&out, pv.version);
   }
@@ -94,6 +98,10 @@ bool DecodeEntryPayload(std::string_view payload, MemoEntry* entry) {
   if (!GetU64(payload, &pos, &entry->fingerprint)) return false;
   if (!GetU32(payload, &pos, &snapshot)) return false;
   entry->snapshot = snapshot;
+  if (pos >= payload.size() || static_cast<uint8_t>(payload[pos]) > 1) {
+    return false;
+  }
+  entry->per_snapshot = payload[pos++] == 1;
   if (!GetU32(payload, &pos, &n_pages)) return false;
   entry->read_set.resize(n_pages);
   for (uint32_t i = 0; i < n_pages; ++i) {
@@ -136,10 +144,10 @@ std::string EncodeAliasPayload(uint64_t fingerprint, uint64_t digest,
 
 /// FNV-1a over the read set's [page u32][version u64] records, in order;
 /// `read_set` must be sorted by page id.
-uint64_t DigestSorted(const std::vector<MemoPageVersion>& read_set) {
+uint64_t DigestSorted(const std::vector<PageToken>& read_set) {
   std::string bytes;
   bytes.reserve(read_set.size() * 12);
-  for (const MemoPageVersion& pv : read_set) {
+  for (const PageToken& pv : read_set) {
     PutU32(&bytes, pv.page);
     PutU64(&bytes, pv.version);
   }
@@ -148,9 +156,9 @@ uint64_t DigestSorted(const std::vector<MemoPageVersion>& read_set) {
 
 }  // namespace
 
-uint64_t MemoTable::ReadSetDigest(std::vector<MemoPageVersion> read_set) {
+uint64_t MemoTable::ReadSetDigest(std::vector<PageToken> read_set) {
   std::sort(read_set.begin(), read_set.end(),
-            [](const MemoPageVersion& a, const MemoPageVersion& b) {
+            [](const PageToken& a, const PageToken& b) {
               return a.page != b.page ? a.page < b.page
                                       : a.version < b.version;
             });
@@ -161,24 +169,19 @@ MemoTable::Key MemoTable::KeyOf(const MemoEntry& entry) {
   // MemoEntry::read_set is sorted by page, so it hashes in place: equal
   // to ReadSetDigest without its copy and sort.
   Key key{entry.fingerprint, DigestSorted(entry.read_set)};
-  // A db-shared token only says "unchanged since *this* snapshot": two
-  // snapshots can record identical all-db-shared read sets over different
-  // content (an update between them captured the page). Such an entry
-  // must never alias another snapshot, so its key names its own.
-  for (const MemoPageVersion& pv : entry.read_set) {
-    if (pv.version == kMemoDbSharedVersion) {
-      std::string bytes;
-      PutU64(&bytes, key.digest);
-      PutU32(&bytes, entry.snapshot);
-      key.digest = sql::Fnv1a64(bytes);
-      break;
-    }
+  if (entry.per_snapshot) {
+    // Identical bytes read, yet rows that name the snapshot: the key names
+    // it too, so no other snapshot aliases the entry.
+    std::string bytes;
+    PutU64(&bytes, key.digest);
+    PutU32(&bytes, entry.snapshot);
+    key.digest = sql::Fnv1a64(bytes);
   }
   return key;
 }
 
 uint64_t MemoTable::EntryBytes(const MemoEntry& entry) {
-  uint64_t bytes = 8 + 4 + 4 + 12ull * entry.read_set.size() + 4 + 8;
+  uint64_t bytes = 8 + 4 + 1 + 4 + 12ull * entry.read_set.size() + 4 + 8;
   for (const std::string& col : entry.columns) bytes += 4 + col.size();
   for (const std::string& row : entry.rows) bytes += 4 + row.size();
   return bytes;

@@ -11,25 +11,11 @@
 #include <vector>
 
 #include "common/status.h"
-#include "retro/snapshot_store.h"  // SnapshotId, kUnversionedPageToken
+#include "retro/snapshot_store.h"  // SnapshotId, PageToken
 #include "storage/env.h"
 #include "storage/page.h"  // storage::PageId
 
 namespace rql::retro {
-
-/// Version token of one page in a memoized iteration's read set: the
-/// Pagelog offset the snapshot's SPT resolved the page to, or
-/// kMemoDbSharedVersion for pages the snapshot shares with the current
-/// database (no archive record exists; the first later modification
-/// captures one, flipping the token — so strict token equality at probe
-/// time is exactly the "content unchanged" test).
-constexpr uint64_t kMemoDbSharedVersion = kUnversionedPageToken;
-
-struct MemoPageVersion {
-  storage::PageId page = 0;
-  uint64_t version = 0;
-  bool operator==(const MemoPageVersion&) const = default;
-};
 
 /// One memoized Qq iteration: everything needed to replay the iteration
 /// through a mechanism without executing Qq. Rows are stored encoded
@@ -41,10 +27,15 @@ struct MemoEntry {
   uint64_t fingerprint = 0;
   /// Snapshot the entry was recorded at (the first publisher's iteration).
   SnapshotId snapshot = kNoSnapshot;
-  /// Sorted by page id; the pages Qq read and the versions they resolved
-  /// to. A probe replays the entry only when every recorded token equals
-  /// the probing snapshot's current resolution.
-  std::vector<MemoPageVersion> read_set;
+  /// Sorted by page id; the pages Qq read and the version tokens they
+  /// resolved to (PageToken: the snapshot each page's content starts at).
+  /// A probe replays the entry only when every recorded token equals the
+  /// probing snapshot's resolution, i.e. Qq would read the same bytes.
+  std::vector<PageToken> read_set;
+  /// Qq calls current_snapshot(), so its rows depend on the snapshot id as
+  /// well as on the bytes read: the key names the snapshot, and the entry
+  /// never serves another snapshot with an identical read set.
+  bool per_snapshot = false;
   std::vector<std::string> columns;
   std::vector<std::string> rows;  // sql::EncodeRow payloads, Qq order
 };
@@ -73,17 +64,23 @@ struct MemoPublishResult {
 
 /// A bounded, version-keyed memo of per-iteration RQL Qq results: a run
 /// memoizes exactly when RqlOptions::memo points at one. Key =
-/// (query/mechanism fingerprint, digest of the sorted page-version read
-/// set, plus the snapshot when a page is db-shared); probing is by
+/// (query/mechanism fingerprint, digest of the sorted page-token read
+/// set, plus the snapshot for a per_snapshot entry); probing is by
 /// (fingerprint, snapshot id), which resolves through an index to the
-/// entry last published or aliased for that snapshot.
+/// entry last published or aliased for that snapshot. Tokens name page
+/// content, not its location, so snapshots that read the same bytes share
+/// one entry, and a writer archiving a page the snapshot shares with the
+/// current database leaves the entry valid.
 ///
 /// Persistence is a WAL-style append-only log through storage::Env: each
 /// record is [magic, type, payload length, FNV-1a checksum, payload], and
 /// Open scans the log, truncating at the first torn or corrupt record
 /// (crash mid-append loses at most that record; everything before it
 /// replays). Publishes sync the log, so a published entry survives any
-/// later crash. A table made by InMemory keeps no log at all.
+/// later crash. Open skips intact records of an older format (entries and
+/// aliases whose tokens were Pagelog offsets: an old offset and a start
+/// snapshot can be the same number). A table made by InMemory keeps no
+/// log at all.
 ///
 /// Thread-safe: one mutex serializes probes and publishes, and publishes
 /// are first-publish-wins, so any number of engines (cross-client reuse)
@@ -123,14 +120,14 @@ class MemoTable {
   /// Retention hook: drops (and persistently invalidates) every snapshot
   /// registration below `keep_from`, and any entry left without a
   /// registration. Called by RqlEngine::TruncateHistory; entries for
-  /// surviving snapshots stay, and their read-set validation keeps them
-  /// safe even though Pagelog compaction may have moved their offsets
-  /// (a moved offset mismatches and conservatively misses).
+  /// surviving snapshots stay, and stay valid: compaction moves Pagelog
+  /// offsets but keeps every capture's start_snap and every page's mod
+  /// epoch, so the tokens their read sets validate against do not move.
   Status InvalidateBelow(SnapshotId keep_from);
 
   /// Order-independent digest of a read set: the set is sorted by page id
   /// before hashing, so recording order never changes the key.
-  static uint64_t ReadSetDigest(std::vector<MemoPageVersion> read_set);
+  static uint64_t ReadSetDigest(std::vector<PageToken> read_set);
 
   /// Approximate in-memory/logged size of one entry (its record payload).
   static uint64_t EntryBytes(const MemoEntry& entry);
@@ -175,8 +172,7 @@ class MemoTable {
       : env_(env), name_(std::move(name)), options_(options) {}
 
   /// The entry's table key: (fingerprint, read-set digest), with the
-  /// digest also naming the entry's snapshot when the read set holds a
-  /// db-shared token.
+  /// digest also naming the entry's snapshot when it is per_snapshot.
   static Key KeyOf(const MemoEntry& entry);
 
   Status Recover();

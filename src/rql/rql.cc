@@ -278,10 +278,10 @@ class RqlEngine::MechanismState {
 
   /// Keeps the page-version read set of the memo entry that answered the
   /// iteration just recorded: a memoized run holds one per snapshot.
-  void NoteReadSet(const std::vector<retro::MemoPageVersion>& read_set) {
+  void NoteReadSet(const std::vector<retro::PageToken>& read_set) {
     read_sets_.push_back(read_set);
   }
-  std::vector<std::vector<retro::MemoPageVersion>> TakeReadSets() {
+  std::vector<std::vector<retro::PageToken>> TakeReadSets() {
     return std::move(read_sets_);
   }
 
@@ -415,7 +415,7 @@ class RqlEngine::MechanismState {
   const bool uses_current_snapshot_;
   uint64_t memo_fp_ = 0;
   bool memo_fp_ready_ = false;
-  std::vector<std::vector<retro::MemoPageVersion>> read_sets_;
+  std::vector<std::vector<retro::PageToken>> read_sets_;
   /// kFast's AggregateDataInTable index-probe fold: the result table's
   /// rows by indexed columns, read instead of the `<table>_rql_idx`
   /// B-tree.
@@ -853,7 +853,7 @@ struct RqlEngine::ResultRecord {
   /// The Qs snapshot list, in order.
   std::vector<retro::SnapshotId> snapshots;
   /// Per snapshot, the read set of the memo entry that answered it.
-  std::vector<std::vector<retro::MemoPageVersion>> read_sets;
+  std::vector<std::vector<retro::PageToken>> read_sets;
   /// The metadata store's PageStore::mutations() once the run committed.
   uint64_t meta_mutations = 0;
 };
@@ -1209,33 +1209,15 @@ Status ValidateRunOptions(const RqlOptions& o, bool parallel) {
   return Status::OK();
 }
 
-/// True when every page version of a memo entry's `read_set` equals the
-/// snapshot's current resolution through `set`, positioned at the
-/// snapshot — the content-identity test that makes replaying the entry
-/// sound. Any mismatch (a page rewritten inside the read set, an archive
-/// offset moved by compaction, a formerly db-shared page since captured)
-/// is a conservative miss.
-bool ValidateReadSet(const retro::SnapshotSet& set,
-                     const std::vector<retro::MemoPageVersion>& read_set) {
-  for (const retro::MemoPageVersion& pv : read_set) {
-    uint64_t v = 0;
-    uint64_t token = set.PageVersion(pv.page, &v)
-                         ? v
-                         : retro::kMemoDbSharedVersion;
-    if (token != pv.version) return false;
-  }
-  return true;
-}
-
 /// True when no page of `delta` is in `entry`'s read set (sorted by page):
 /// the pages Qq read map to the same versions at the new snapshot.
 bool DeltaMissesReadSet(const std::vector<storage::PageId>& delta,
                         const retro::MemoEntry& entry) {
-  const std::vector<retro::MemoPageVersion>& reads = entry.read_set;
+  const std::vector<retro::PageToken>& reads = entry.read_set;
   for (storage::PageId page : delta) {
     auto it = std::lower_bound(
         reads.begin(), reads.end(), page,
-        [](const retro::MemoPageVersion& pv, storage::PageId p) {
+        [](const retro::PageToken& pv, storage::PageId p) {
           return pv.page < p;
         });
     if (it != reads.end() && it->page == page) return false;
@@ -1258,19 +1240,21 @@ Result<std::vector<Row>> DecodeMemoRows(const retro::MemoEntry& entry) {
 
 /// Builds the publishable memo entry for one executed iteration.
 std::shared_ptr<const retro::MemoEntry> MakeMemoEntry(
-    uint64_t fingerprint, retro::SnapshotId snap,
+    uint64_t fingerprint, retro::SnapshotId snap, bool per_snapshot,
     const std::unordered_map<storage::PageId, uint64_t>& versions,
     const std::vector<std::string>& columns, const std::vector<Row>& rows) {
   auto entry = std::make_shared<retro::MemoEntry>();
   entry->fingerprint = fingerprint;
   entry->snapshot = snap;
+  entry->per_snapshot = per_snapshot;
   entry->read_set.reserve(versions.size());
   for (const auto& [page, token] : versions) {
-    entry->read_set.push_back(retro::MemoPageVersion{page, token});
+    entry->read_set.push_back(retro::PageToken{page, token});
   }
   std::sort(entry->read_set.begin(), entry->read_set.end(),
-            [](const retro::MemoPageVersion& a,
-               const retro::MemoPageVersion& b) { return a.page < b.page; });
+            [](const retro::PageToken& a, const retro::PageToken& b) {
+              return a.page < b.page;
+            });
   entry->columns = columns;
   entry->rows.reserve(rows.size());
   for (const Row& row : rows) entry->rows.push_back(sql::EncodeRow(row));
@@ -1605,7 +1589,7 @@ bool RqlEngine::ReuseRecordedResult(
     if (CancelRequested()) return false;
     Answer& answer = (*out)[i];
     if (!set->Advance(snaps[i], &delta, &answer.store).ok() ||
-        !ValidateReadSet(*set, r->read_sets[i])) {
+        !set->Validate(r->read_sets[i])) {
       return false;
     }
     RqlIterationStats& iter = answer.iter;
@@ -1858,7 +1842,8 @@ Status RqlEngine::AnswerIteration(IterationContext* ctx,
     // The executed iteration becomes a published entry and the fast
     // path's predecessor, which replays the decoded rows.
     RQL_ASSIGN_OR_RETURN(uint64_t fp, state->MemoFingerprint());
-    out->entry = MakeMemoEntry(fp, snap, versions, cols, *buffered);
+    out->entry = MakeMemoEntry(fp, snap, state->UsesCurrentSnapshot(),
+                               versions, cols, *buffered);
     ctx->prev = {out->entry, buffered};
   }
   if (parallel) {
@@ -1964,7 +1949,7 @@ Result<bool> RqlEngine::ReplayIteration(IterationContext* ctx,
         options_.memo->Probe(fp, snap);
     // Advance left the cursor at `snap`, so validation reads its table in
     // place. A failure is a conservative miss: the execute path runs next.
-    if (entry == nullptr || !ValidateReadSet(*ctx->set, entry->read_set)) {
+    if (entry == nullptr || !ctx->set->Validate(entry->read_set)) {
       return false;
     }
     auto rows = DecodeMemoRows(*entry);

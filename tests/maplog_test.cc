@@ -39,14 +39,16 @@ TEST_F(MaplogTest, BuildSptPicksFirstCoveringEntryPerPage) {
   SptBuildStats stats;
   ASSERT_TRUE(log_->BuildSpt(1, &spt, &resume, &stats).ok());
   EXPECT_EQ(spt.size(), 2u);
-  EXPECT_EQ(spt[10], 4096u);
-  EXPECT_EQ(spt[11], 8192u);
+  EXPECT_EQ(spt[10].offset, 4096u);
+  EXPECT_EQ(spt[11].offset, 8192u);
+  EXPECT_EQ(spt[10].start, 1u);
   EXPECT_EQ(resume, log_->entry_count());
   EXPECT_GT(stats.entries_scanned, 0);
 
   ASSERT_TRUE(log_->BuildSpt(2, &spt, &resume, &stats).ok());
   EXPECT_EQ(spt.size(), 1u);
-  EXPECT_EQ(spt[10], 12288u);
+  EXPECT_EQ(spt[10].offset, 12288u);
+  EXPECT_EQ(spt[10].start, 2u);
 }
 
 TEST_F(MaplogTest, RangeCaptureCoversAllSnapshotsInRange) {
@@ -62,7 +64,8 @@ TEST_F(MaplogTest, RangeCaptureCoversAllSnapshotsInRange) {
     uint64_t resume = 0;
     ASSERT_TRUE(log_->BuildSpt(s, &spt, &resume, nullptr).ok());
     ASSERT_EQ(spt.size(), 1u) << "snapshot " << s;
-    EXPECT_EQ(spt[7], 0u);
+    EXPECT_EQ(spt[7].offset, 0u);
+    EXPECT_EQ(spt[7].start, 1u);  // one content, one token, in 1..3
   }
 }
 
@@ -93,7 +96,7 @@ TEST_F(MaplogTest, RefreshExtendsSpt) {
   ASSERT_TRUE(log_->AppendCapture(5, 1, 1, 4096).ok());
   ASSERT_TRUE(log_->RefreshSpt(1, &spt, &resume, nullptr).ok());
   EXPECT_EQ(spt.size(), 1u);
-  EXPECT_EQ(spt[5], 4096u);
+  EXPECT_EQ(spt[5].offset, 4096u);
   EXPECT_EQ(resume, log_->entry_count());
 }
 
@@ -176,10 +179,10 @@ TEST_F(MaplogTest, SkippyScansFewerEntriesOnRepeatedOverwrites) {
   SptBuildStats lin_stats, sk_stats;
   log_->set_use_skippy(false);
   ASSERT_TRUE(log_->BuildSpt(1, &spt, &resume, &lin_stats).ok());
-  EXPECT_EQ(spt[7], 4096u);
+  EXPECT_EQ(spt[7].offset, 4096u);
   log_->set_use_skippy(true);
   ASSERT_TRUE(log_->BuildSpt(1, &spt, &resume, &sk_stats).ok());
-  EXPECT_EQ(spt[7], 4096u);
+  EXPECT_EQ(spt[7].offset, 4096u);
   EXPECT_GE(lin_stats.entries_scanned, 256);
   EXPECT_LE(sk_stats.entries_scanned, 2 * 9);  // ~log2(256) runs of size 1
 }
@@ -199,15 +202,15 @@ TEST_F(MaplogTest, SptCursorExpiryAndWake) {
   int64_t delta = 0;
   ASSERT_TRUE(cursor.Seek(*log_, 1, nullptr, &delta).ok());
   EXPECT_EQ(cursor.table().size(), 1u);
-  EXPECT_EQ(cursor.table().at(5), 4096u);
+  EXPECT_EQ(cursor.table().at(5).offset, 4096u);
 
   ASSERT_TRUE(cursor.Seek(*log_, 2, nullptr, &delta).ok());
   EXPECT_EQ(cursor.table().size(), 1u);
-  EXPECT_EQ(cursor.table().at(5), 4096u);
+  EXPECT_EQ(cursor.table().at(5).offset, 4096u);
 
   ASSERT_TRUE(cursor.Seek(*log_, 3, nullptr, &delta).ok());
   EXPECT_EQ(cursor.table().size(), 1u);
-  EXPECT_EQ(cursor.table().at(9), 8192u);
+  EXPECT_EQ(cursor.table().at(9).offset, 8192u);
 }
 
 TEST_F(MaplogTest, SptCursorMatchesColdBuildOnRandomHistories) {
@@ -255,11 +258,11 @@ TEST_F(MaplogTest, SptCursorMatchesColdBuildOnRandomHistories) {
     ASSERT_TRUE(log_->BuildSpt(target, &cold, &resume, nullptr).ok());
     ASSERT_EQ(cursor.table().size(), cold.size())
         << "snapshot " << target << " at history length " << s;
-    for (const auto& [page, offset] : cold) {
+    for (const auto& [page, entry] : cold) {
       auto it = cursor.table().find(page);
       ASSERT_NE(it, cursor.table().end())
           << "snapshot " << target << " page " << page;
-      EXPECT_EQ(it->second, offset)
+      EXPECT_TRUE(it->second == entry)
           << "snapshot " << target << " page " << page;
     }
   }
@@ -286,7 +289,7 @@ TEST_F(MaplogTest, SptCursorAdvanceScansOnlyTheDelta) {
     uint64_t resume = 0;
     ASSERT_TRUE(log_->BuildSpt(s, &cold, &resume, &cold_stats).ok());
     cold_entries += cold_stats.entries_scanned;
-    EXPECT_EQ(cursor.table().at(7), cold.at(7)) << "snapshot " << s;
+    EXPECT_TRUE(cursor.table().at(7) == cold.at(7)) << "snapshot " << s;
   }
   // Cold: sum over s of (suffix from mark s) ~ n^2/2. Cursor: one full
   // suffix (rebase at s=1) + ~2 entries per advance.
@@ -340,14 +343,14 @@ TEST_F(MaplogTest, SptCursorDeltaEmptyBetweenIdenticalSnapshots) {
     ASSERT_TRUE(cursor.Seek(*log_, s, nullptr, &delta).ok());
     EXPECT_TRUE(cursor.last_delta_valid()) << "snapshot " << s;
     EXPECT_TRUE(cursor.last_delta().empty()) << "snapshot " << s;
-    EXPECT_EQ(cursor.table().at(6), 4096u) << "snapshot " << s;
+    EXPECT_EQ(cursor.table().at(6).offset, 4096u) << "snapshot " << s;
   }
   // Page 6's capture range [1,3] expires at 4: the advance reports it.
   ASSERT_TRUE(cursor.Seek(*log_, 4, nullptr, &delta).ok());
   ASSERT_TRUE(cursor.last_delta_valid());
   ASSERT_EQ(cursor.last_delta().size(), 1u);
   EXPECT_EQ(cursor.last_delta()[0], 6u);
-  EXPECT_EQ(cursor.table().at(6), 8192u);
+  EXPECT_EQ(cursor.table().at(6).offset, 8192u);
 }
 
 TEST_F(MaplogTest, SptCursorDeltaCoversExpiryGapAndReawakening) {
@@ -371,7 +374,7 @@ TEST_F(MaplogTest, SptCursorDeltaCoversExpiryGapAndReawakening) {
   std::sort(pages.begin(), pages.end());
   EXPECT_EQ(pages, (std::vector<storage::PageId>{10, 11}));
   EXPECT_EQ(cursor.table().count(10), 0u);
-  EXPECT_EQ(cursor.table().at(11), 8192u);
+  EXPECT_EQ(cursor.table().at(11).offset, 8192u);
 
   // Page 10 is captured again only after the cursor reached snapshot 2;
   // the next advance must ingest the entry and report the page.
@@ -381,7 +384,7 @@ TEST_F(MaplogTest, SptCursorDeltaCoversExpiryGapAndReawakening) {
   ASSERT_TRUE(cursor.last_delta_valid());
   pages = cursor.last_delta();
   EXPECT_NE(std::find(pages.begin(), pages.end(), 10u), pages.end());
-  EXPECT_EQ(cursor.table().at(10), 12288u);
+  EXPECT_EQ(cursor.table().at(10).offset, 12288u);
 }
 
 TEST_F(MaplogTest, SptCursorDeltaAcrossTruncatedPrefix) {
@@ -402,7 +405,7 @@ TEST_F(MaplogTest, SptCursorDeltaAcrossTruncatedPrefix) {
   ASSERT_TRUE(cursor.last_delta_valid());
   ASSERT_EQ(cursor.last_delta().size(), 1u);
   EXPECT_EQ(cursor.last_delta()[0], 8u);
-  EXPECT_EQ(cursor.table().at(8), 5u * 4096u);
+  EXPECT_EQ(cursor.table().at(8).offset, 5u * 4096u);
 }
 
 TEST_F(MaplogTest, BoundariesSurviveReopen) {
@@ -444,7 +447,7 @@ TEST_F(MaplogTest, ReopenTruncatesPartialTailEntry) {
   uint64_t resume = 0;
   ASSERT_TRUE((*reopened)->BuildSpt(1, &spt, &resume, nullptr).ok());
   EXPECT_EQ(spt.size(), 1u);
-  EXPECT_EQ(spt[10], 4096u);
+  EXPECT_EQ(spt[10].offset, 4096u);
   // The recovered log still enforces sequential marks from the right spot.
   EXPECT_FALSE((*reopened)->AppendSnapshotMark(3).ok());
   ASSERT_TRUE((*reopened)->AppendSnapshotMark(2).ok());

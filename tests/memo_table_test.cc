@@ -24,10 +24,10 @@ namespace rql {
 namespace {
 
 using retro::MemoEntry;
-using retro::MemoPageVersion;
 using retro::MemoPublishResult;
 using retro::MemoTable;
 using retro::MemoTableOptions;
+using retro::PageToken;
 
 uint64_t Fp(const std::string& sql, const std::string& salt) {
   auto fp = sql::QueryFingerprint(sql, salt);
@@ -81,17 +81,16 @@ TEST(MemoFingerprintTest, AsOfShapeSeparatesKeys) {
 }
 
 TEST(MemoDigestTest, ReadSetDigestIsOrderIndependent) {
-  std::vector<MemoPageVersion> a = {{7, 100}, {2, 50}, {9, 1}, {3, 3}};
-  std::vector<MemoPageVersion> b = {{3, 3}, {9, 1}, {7, 100}, {2, 50}};
+  std::vector<PageToken> a = {{7, 100}, {2, 50}, {9, 1}, {3, 3}};
+  std::vector<PageToken> b = {{3, 3}, {9, 1}, {7, 100}, {2, 50}};
   EXPECT_EQ(MemoTable::ReadSetDigest(a), MemoTable::ReadSetDigest(b));
 }
 
 TEST(MemoDigestTest, VersionChangesChangeTheDigest) {
-  std::vector<MemoPageVersion> a = {{2, 50}, {7, 100}};
-  std::vector<MemoPageVersion> b = {{2, 50}, {7, 101}};
-  std::vector<MemoPageVersion> c = {{2, 50}};
-  std::vector<MemoPageVersion> d = {{2, 50},
-                                    {7, retro::kMemoDbSharedVersion}};
+  std::vector<PageToken> a = {{2, 50}, {7, 100}};
+  std::vector<PageToken> b = {{2, 50}, {7, 101}};
+  std::vector<PageToken> c = {{2, 50}};
+  std::vector<PageToken> d = {{2, 50}, {7, 3}};
   EXPECT_NE(MemoTable::ReadSetDigest(a), MemoTable::ReadSetDigest(b));
   EXPECT_NE(MemoTable::ReadSetDigest(a), MemoTable::ReadSetDigest(c));
   EXPECT_NE(MemoTable::ReadSetDigest(a), MemoTable::ReadSetDigest(d));
@@ -262,6 +261,108 @@ TEST(MemoTableTest, LruByteBoundEvictsColdEntries) {
   EXPECT_NE(table->Probe(8, 8), nullptr);
   EXPECT_EQ(table->Probe(1, 1), nullptr);
   EXPECT_EQ(table->Probe(3, 3), nullptr);
+}
+
+/// Appends `v`'s low `bytes` bytes, little-endian (the memo log's layout).
+void PutLe(std::string* out, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+  }
+}
+
+/// One framed log record of the format whose tokens were Pagelog
+/// offsets: [magic "RMEM"][type][payload length][FNV-1a][payload], with
+/// entry type 1 and alias type 2.
+std::string OldFormatRecord(uint32_t type, const std::string& payload) {
+  std::string rec;
+  PutLe(&rec, 0x4D454D52, 4);
+  PutLe(&rec, type, 4);
+  PutLe(&rec, payload.size(), 8);
+  PutLe(&rec, sql::Fnv1a64(payload), 8);
+  return rec + payload;
+}
+
+TEST(MemoTableTest, OpenSkipsOldFormatRecords) {
+  // An old entry for (fingerprint 10, snapshot 3) whose one page recorded
+  // offset 2, and an alias registering snapshot 4 to it. Under
+  // start-snapshot tokens, 2 names some content of page 1 too, so neither
+  // record may come back.
+  const std::vector<PageToken> read_set = {{1, 2}};
+  std::string entry;
+  PutLe(&entry, 10, 8);  // fingerprint
+  PutLe(&entry, 3, 4);   // snapshot
+  PutLe(&entry, 1, 4);   // read-set size
+  PutLe(&entry, 1, 4);   // page
+  PutLe(&entry, 2, 8);   // version: a Pagelog offset
+  PutLe(&entry, 1, 4);   // one column, "c"
+  PutLe(&entry, 1, 4);
+  entry += "c";
+  PutLe(&entry, 1, 8);  // one row, "r"
+  PutLe(&entry, 1, 4);
+  entry += "r";
+  std::string alias;
+  PutLe(&alias, 10, 8);
+  PutLe(&alias, MemoTable::ReadSetDigest(read_set), 8);
+  PutLe(&alias, 4, 4);
+  const std::string log =
+      OldFormatRecord(1, entry) + OldFormatRecord(2, alias);
+
+  MemoEnv m;
+  {
+    auto file = m.env.OpenFile("m.memo");
+    ASSERT_TRUE(file.ok());
+    uint64_t off = 0;
+    ASSERT_TRUE((*file)->Append(log.size(), log.data(), &off).ok());
+  }
+  auto table = MustOpen(&m.env, "m");
+  EXPECT_EQ(table->recovered_entries(), 0);
+  EXPECT_EQ(table->truncated_tail_bytes(), 0u);  // intact, just skipped
+  EXPECT_EQ(table->entry_count(), 0u);
+  EXPECT_EQ(table->Probe(10, 3), nullptr);
+  EXPECT_EQ(table->Probe(10, 4), nullptr);
+
+  // The same read set published in the current format is served, and a
+  // reopen replays it without reviving the old alias.
+  auto fresh = std::make_shared<MemoEntry>();
+  fresh->fingerprint = 10;
+  fresh->snapshot = 3;
+  fresh->read_set = read_set;
+  fresh->columns = {"c"};
+  fresh->rows = {"R"};
+  ASSERT_TRUE(table->Publish(fresh).ok());
+  table.reset();
+  auto reopened = MustOpen(&m.env, "m");
+  EXPECT_EQ(reopened->recovered_entries(), 1);
+  auto hit = reopened->Probe(10, 3);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->rows, fresh->rows);
+  EXPECT_EQ(reopened->Probe(10, 4), nullptr);
+}
+
+TEST(MemoTableTest, PerSnapshotEntriesNeverAlias) {
+  MemoEnv m;
+  auto table = MustOpen(&m.env, "m");
+  auto at4 = std::make_shared<MemoEntry>(*MakeEntry(10, 4, 100));
+  at4->per_snapshot = true;
+  auto at5 = std::make_shared<MemoEntry>(*at4);
+  at5->snapshot = 5;
+  at5->rows = {"five"};
+  auto p4 = table->Publish(at4);
+  auto p5 = table->Publish(at5);
+  ASSERT_TRUE(p4.ok() && p5.ok());
+  EXPECT_TRUE(p4->inserted);
+  EXPECT_TRUE(p5->inserted);  // identical read set, yet its own entry
+  EXPECT_EQ(table->entry_count(), 2u);
+  EXPECT_EQ(table->Probe(10, 5)->rows, at5->rows);
+
+  // The flag persists, so recovery keys the entries apart too.
+  table.reset();
+  auto reopened = MustOpen(&m.env, "m");
+  EXPECT_EQ(reopened->recovered_entries(), 2);
+  ASSERT_NE(reopened->Probe(10, 4), nullptr);
+  EXPECT_TRUE(reopened->Probe(10, 4)->per_snapshot);
+  EXPECT_EQ(reopened->Probe(10, 4)->rows, at4->rows);
+  EXPECT_EQ(reopened->Probe(10, 5)->rows, at5->rows);
 }
 
 TEST(MemoTableTest, TornTailIsTruncatedOnRecovery) {
@@ -460,9 +561,10 @@ struct EngineFixture {
 };
 
 /// `live` changes during the first `live_changes` snapshots, then goes
-/// static while `churn` keeps changing — so the tail snapshots map live's
-/// pages to the current database (db-shared tokens) and the early ones to
-/// archived versions (offset tokens). Both token kinds get exercised.
+/// static while `churn` keeps changing — so the tail snapshots share
+/// live's pages with the current database (tokens read under the store
+/// lock) and the early ones map them to archived versions (tokens from the
+/// SPT). Both resolutions get exercised.
 EngineFixture MakeEngineFixture(int snapshots, int live_changes) {
   EngineFixture f;
   auto data = sql::Database::Open(f.env.get(), "data");
@@ -621,36 +723,38 @@ TEST(MemoStalenessTest, IngestOutsideReadSetKeepsHits) {
   EXPECT_EQ(SumMisses(f.engine->last_run_stats()), 0);
 }
 
-TEST(MemoStalenessTest, IngestInsideReadSetInvalidatesAffectedSnapshots) {
+TEST(MemoStalenessTest, IngestInsideReadSetKeepsEarlierSnapshotsValid) {
   EngineFixture f = MakeEngineFixture(10, 5);
   ASSERT_TRUE(RunPlain(&f, kQsAll, "Base").ok());
   std::vector<std::string> baseline = Dump(&f, "Base");
   ASSERT_TRUE(RunMemoized(&f, kQsAll, "Cold").ok());
 
-  // Rewrite a live page: the tail snapshots recorded that page as
-  // db-shared, and the update forces its capture — their tokens flip, so
-  // their probes must miss. Early snapshots recorded archived offsets the
-  // update cannot move, so they keep hitting. Either way the replayed AS
-  // OF results must stay byte-identical (a stale hit would not).
+  // Rewrite a live page the tail snapshots share with the current state.
+  // The update archives it, but no declared snapshot's bytes change, and
+  // the token names the bytes (the snapshot they start at), not where they
+  // live: every probe still validates, and the replayed results stay
+  // byte-identical.
   ASSERT_TRUE(f.data->Exec("BEGIN").ok());
   ASSERT_TRUE(
       f.data->Exec("UPDATE live SET score = score + 100 WHERE item = 0")
           .ok());
-  ASSERT_TRUE(f.engine->CommitWithSnapshot("rewrite").ok());
+  auto rewrite = f.engine->CommitWithSnapshot("rewrite");
+  ASSERT_TRUE(rewrite.ok());
 
   std::string qs_prefix = std::string(kQsAll) + " WHERE snap_id <= " +
                           std::to_string(f.snaps.back());
   ASSERT_TRUE(RunMemoized(&f, qs_prefix, "Warm").ok());
   EXPECT_EQ(Dump(&f, "Warm"), baseline);
   const RqlRunStats& stats = f.engine->last_run_stats();
-  EXPECT_GT(SumMisses(stats), 0);  // the flipped tokens were caught
-  EXPECT_GT(SumHits(stats), 0);    // the archived prefix still replays
-  EXPECT_EQ(SumReplays(stats) + SumMisses(stats), 10);
+  EXPECT_EQ(SumMisses(stats), 0);
+  EXPECT_EQ(SumReplays(stats), 10);
 
-  // The misses republished against the new resolutions: a further run
-  // replays everything again.
-  ASSERT_TRUE(RunMemoized(&f, qs_prefix, "Warm2").ok());
-  EXPECT_EQ(Dump(&f, "Warm2"), baseline);
+  // The snapshot declared after the rewrite reads the new bytes: it alone
+  // executes, and its result matches a run without a memo.
+  ASSERT_TRUE(RunPlain(&f, kQsAll, "BaseAll").ok());
+  ASSERT_TRUE(RunMemoized(&f, kQsAll, "WarmAll").ok());
+  EXPECT_EQ(Dump(&f, "WarmAll"), Dump(&f, "BaseAll"));
+  EXPECT_EQ(SumMisses(f.engine->last_run_stats()), 1);
   EXPECT_EQ(SumReplays(f.engine->last_run_stats()), 10);
 }
 
@@ -699,12 +803,63 @@ TEST(MemoStalenessTest, TruncateHistoryInvalidatesDroppedSnapshots) {
   }
 }
 
+TEST(MemoStalenessTest, TruncateHistoryKeepsSurvivorsValid) {
+  EngineFixture f = MakeEngineFixture(10, 5);
+  ASSERT_TRUE(RunMemoized(&f, kQsAll, "Cold").ok());
+
+  // Compaction moves every kept Pagelog record, but it keeps each
+  // capture's start snapshot and each page's mod epoch, so the surviving
+  // snapshots resolve to the tokens they recorded: the warm run replays
+  // them all, byte-identical to a run without a memo.
+  const retro::SnapshotId keep = f.snaps[5];
+  f.engine->mutable_options()->memo = f.memo.get();
+  ASSERT_TRUE(f.engine->TruncateHistory(keep).ok());
+  ASSERT_TRUE(RunPlain(&f, kQsAll, "BaseAfter").ok());
+  ASSERT_TRUE(RunMemoized(&f, kQsAll, "WarmAfter").ok());
+  EXPECT_EQ(Dump(&f, "WarmAfter"), Dump(&f, "BaseAfter"));
+  const RqlRunStats& stats = f.engine->last_run_stats();
+  EXPECT_EQ(static_cast<int>(stats.iterations.size()), 5);
+  EXPECT_EQ(SumMisses(stats), 0);
+  EXPECT_EQ(SumReplays(stats), 5);
+}
+
+TEST(MemoStalenessTest, PersistentMemoSurvivesStoreReopen) {
+  EngineFixture f = MakeEngineFixture(10, 5);
+  ASSERT_TRUE(RunPlain(&f, kQsAll, "Base").ok());
+  const std::vector<std::string> baseline = Dump(&f, "Base");
+  ASSERT_TRUE(RunMemoized(&f, kQsAll, "Cold").ok());
+  // An owner update archives live's shared pages before the restart.
+  ASSERT_TRUE(
+      f.data->Exec("UPDATE live SET score = score + 100 WHERE item = 0")
+          .ok());
+
+  // Restart: the store recovers its mod epochs from the Maplog, and the
+  // memo its entries from its log. Both name the same bytes as before.
+  f.engine.reset();
+  f.memo.reset();
+  f.meta.reset();
+  f.data.reset();
+  auto data = sql::Database::Open(f.env.get(), "data");
+  auto meta = sql::Database::Open(f.env.get(), "meta");
+  ASSERT_TRUE(data.ok() && meta.ok());
+  f.data = std::move(*data);
+  f.meta = std::move(*meta);
+  f.engine = std::make_unique<RqlEngine>(f.data.get(), f.meta.get());
+  f.memo = MustOpen(f.env.get(), "qmemo");
+  EXPECT_GT(f.memo->recovered_entries(), 0);
+
+  ASSERT_TRUE(RunMemoized(&f, kQsAll, "Warm").ok());
+  EXPECT_EQ(Dump(&f, "Warm"), baseline);
+  EXPECT_EQ(SumMisses(f.engine->last_run_stats()), 0);
+  EXPECT_EQ(SumReplays(f.engine->last_run_stats()), 10);
+}
+
 TEST(MemoStalenessTest, DbSharedReadSetsNeverAliasAcrossSnapshots) {
   // The newest snapshot reads `live` entirely from db-shared pages. An
   // update then captures item 0's page and a new snapshot reads it
-  // db-shared again: the same all-db-shared read set over different
-  // content. Aliasing the new snapshot to the old entry would replay
-  // item 0's old score.
+  // db-shared again: the same pages, but item 0's page holds content that
+  // starts at the new snapshot, so its token differs. Aliasing the new
+  // snapshot to the old entry would replay item 0's old score.
   EngineFixture f = MakeEngineFixture(10, 5);
   const std::string newest = std::to_string(f.snaps.back());
   ASSERT_TRUE(RunMemoized(&f, std::string(kQsAll) + " WHERE snap_id = " +
