@@ -33,6 +33,7 @@ Status Maplog::LoadMirror() {
         reinterpret_cast<char*>(entries_.data())));
   }
   for (uint64_t i = 0; i < entry_count_; ++i) {
+    IndexEntry(i);
     if (entries_[i].type == MaplogEntry::kSnapshotMark) {
       if (entries_[i].end_snap != snap_mark_index_.size() + 1) {
         return Status::Corruption("maplog snapshot marks out of order");
@@ -57,8 +58,37 @@ Status Maplog::AppendEntry(const MaplogEntry& entry) {
     return s;
   }
   entries_.push_back(entry);
-  ++entry_count_;
+  IndexEntry(entry_count_++);
   return Status::OK();
+}
+
+void Maplog::IndexEntry(uint64_t index) {
+  const MaplogEntry& e = entries_[index];
+  if (e.type != MaplogEntry::kCapture) return;
+  captures_[e.page].push_back(
+      {e.start_snap, e.end_snap, e.pagelog_offset, index});
+}
+
+const PageCapture* Maplog::NextCapture(storage::PageId page, SnapshotId snap,
+                                       uint64_t limit) const {
+  auto it = captures_.find(page);
+  if (it == captures_.end()) return nullptr;
+  // Ranges are disjoint and ascending in log order, so both the range ends
+  // and the log indexes are sorted.
+  const std::vector<PageCapture>& caps = it->second;
+  auto next = std::partition_point(
+      caps.begin(), caps.end(),
+      [snap](const PageCapture& c) { return c.end < snap; });
+  if (next == caps.end() || next->index >= limit) return nullptr;
+  return &*next;
+}
+
+const PageCapture* Maplog::Resolve(storage::PageId page, SnapshotId snap,
+                                   uint64_t limit) const {
+  const PageCapture* next = NextCapture(page, snap, limit);
+  // A capture starting after `snap` closes an allocation gap: the page is
+  // absent from SPT(snap).
+  return next != nullptr && next->start <= snap ? next : nullptr;
 }
 
 Status Maplog::AppendCapture(storage::PageId page, SnapshotId start,
@@ -127,12 +157,7 @@ Status Maplog::BuildSptLinear(SnapshotId snap, SnapshotPageTable* spt,
                               SptBuildStats* stats) const {
   uint64_t begin = snap_mark_index_[snap - 1];
   ScanEntries(entries_.data() + begin, entry_count_ - begin, snap, spt);
-  if (stats != nullptr) {
-    int64_t scanned = static_cast<int64_t>(entry_count_ - begin);
-    stats->entries_scanned += scanned;
-    stats->maplog_pages_read +=
-        (scanned + kEntriesPerPage - 1) / kEntriesPerPage;
-  }
+  ChargeScan(static_cast<int64_t>(entry_count_ - begin), stats);
   return Status::OK();
 }
 
@@ -228,9 +253,8 @@ Status Maplog::PrewarmSkippy() const {
   return Status::OK();
 }
 
-Status Maplog::BuildSpt(SnapshotId snap, SnapshotPageTable* spt,
-                        uint64_t* resume_index, SptBuildStats* stats) const {
-  if (snap == kNoSnapshot || snap > snap_mark_index_.size()) {
+Status Maplog::CheckReadable(SnapshotId snap) const {
+  if (snap == kNoSnapshot || snap > latest()) {
     return Status::NotFound("unknown snapshot id " + std::to_string(snap));
   }
   if (snap < earliest_) {
@@ -238,6 +262,12 @@ Status Maplog::BuildSpt(SnapshotId snap, SnapshotPageTable* spt,
                             " has been truncated (earliest is " +
                             std::to_string(earliest_) + ")");
   }
+  return Status::OK();
+}
+
+Status Maplog::BuildSpt(SnapshotId snap, SnapshotPageTable* spt,
+                        uint64_t* resume_index, SptBuildStats* stats) const {
+  RQL_RETURN_IF_ERROR(CheckReadable(snap));
   spt->clear();
   int64_t start_us = NowMicros();
   Status s = use_skippy_ ? BuildSptSkippy(snap, spt, stats)
@@ -254,125 +284,77 @@ Status Maplog::RefreshSpt(SnapshotId snap, SnapshotPageTable* spt,
   ScanEntries(entries_.data() + *resume_index, entry_count_ - *resume_index,
               snap, spt);
   *resume_index = entry_count_;
-  if (stats != nullptr) {
-    stats->entries_scanned += scanned;
-    stats->maplog_pages_read += (scanned + kEntriesPerPage - 1) /
-                                kEntriesPerPage;
-    stats->cpu_us += NowMicros() - start_us;
-  }
+  ChargeScan(scanned, stats);
+  if (stats != nullptr) stats->cpu_us += NowMicros() - start_us;
   return Status::OK();
 }
 
 Status SptCursor::Seek(const Maplog& log, SnapshotId snap,
                        SptBuildStats* stats, int64_t* delta_entries) {
-  if (snap == kNoSnapshot || snap > log.snap_mark_index_.size()) {
-    return Status::NotFound("unknown snapshot id " + std::to_string(snap));
-  }
-  if (snap < log.earliest_) {
-    return Status::NotFound("snapshot " + std::to_string(snap) +
-                            " has been truncated (earliest is " +
-                            std::to_string(log.earliest_) + ")");
-  }
-  if (snap_ == kNoSnapshot || snap < snap_) return Rebase(log, snap, stats);
+  RQL_RETURN_IF_ERROR(log.CheckReadable(snap));
   int64_t start_us = NowMicros();
-  Advance(log, snap, stats, delta_entries);
+  int64_t scanned = 0;
+  if (snap_ == kNoSnapshot || snap < snap_) {
+    // A rebase: charged as the cold suffix scan from snap's mark.
+    scanned = static_cast<int64_t>(log.entry_count_ -
+                                   log.snap_mark_index_[snap - 1]);
+    last_delta_.clear();
+    last_delta_valid_ = false;
+  } else {
+    // Charged as the physical analog of the incremental build: the log
+    // delta between the two declaration marks.
+    scanned = static_cast<int64_t>(log.snap_mark_index_[snap - 1] -
+                                   log.snap_mark_index_[snap_ - 1]);
+    if (delta_entries != nullptr) *delta_entries += scanned;
+    ComputeDelta(log, snap);
+  }
+  snap_ = snap;
+  ingested_ = log.entry_count_;
+  Maplog::ChargeScan(scanned, stats);
   if (stats != nullptr) stats->cpu_us += NowMicros() - start_us;
   return Status::OK();
 }
 
-Status SptCursor::Rebase(const Maplog& log, SnapshotId snap,
-                         SptBuildStats* stats) {
-  int64_t start_us = NowMicros();
-  chains_.clear();
-  wake_.clear();
-  table_.clear();
-  last_delta_.clear();
-  last_delta_valid_ = false;
-  snap_ = snap;
-  // Every capture at or after snap's mark has end_snap >= snap (it was
-  // appended in some epoch e >= snap), so the whole suffix belongs in the
-  // chains and no future rewind below snap is possible.
-  uint64_t begin = log.snap_mark_index_[snap - 1];
-  for (uint64_t i = begin; i < log.entry_count_; ++i) {
+void SptCursor::ComputeDelta(const Maplog& log, SnapshotId snap) {
+  // A page moves between snap_ and snap only through a log entry: a
+  // capture expiring in [snap_, snap) was appended in one of those epochs,
+  // an allocation gap closing in (snap_, snap] opened with a capture or an
+  // allocation in one of them, and a page captured since the last seek is
+  // among the entries appended after the ingest mark.
+  std::vector<storage::PageId> candidates;
+  const uint64_t to = log.snap_mark_index_[snap - 1];
+  for (uint64_t i = log.snap_mark_index_[snap_ - 1]; i < to; ++i) {
     const MaplogEntry& e = log.entries_[i];
-    if (e.type != MaplogEntry::kCapture) continue;
-    chains_[e.page].caps.push_back(
-        {e.start_snap, e.end_snap, e.pagelog_offset});
-  }
-  ingested_ = log.entry_count_;
-  for (const auto& [page, chain] : chains_) Reposition(page);
-  if (stats != nullptr) {
-    int64_t scanned = static_cast<int64_t>(log.entry_count_ - begin);
-    stats->entries_scanned += scanned;
-    stats->maplog_pages_read +=
-        (scanned + Maplog::kEntriesPerPage - 1) / Maplog::kEntriesPerPage;
-    stats->cpu_us += NowMicros() - start_us;
-  }
-  return Status::OK();
-}
-
-void SptCursor::Ingest(const Maplog& log,
-                       std::vector<storage::PageId>* reawakened) {
-  for (uint64_t i = ingested_; i < log.entry_count_; ++i) {
-    const MaplogEntry& e = log.entries_[i];
-    if (e.type != MaplogEntry::kCapture) continue;
-    Chain& chain = chains_[e.page];
-    // An exhausted chain has no pending wake entry, so schedule the page
-    // for repositioning now that it has captures again. (Covers brand-new
-    // pages too: next == caps.size() == 0 before the push.)
-    if (chain.next == chain.caps.size()) reawakened->push_back(e.page);
-    chain.caps.push_back({e.start_snap, e.end_snap, e.pagelog_offset});
-  }
-  ingested_ = log.entry_count_;
-}
-
-void SptCursor::Reposition(storage::PageId page) {
-  Chain& chain = chains_[page];
-  while (chain.next < chain.caps.size() &&
-         chain.caps[chain.next].end < snap_) {
-    ++chain.next;
-  }
-  if (chain.next == chain.caps.size()) {
-    table_.erase(page);  // shared with the current database from here on
-    return;
-  }
-  const Capture& cap = chain.caps[chain.next];
-  if (cap.start <= snap_) {
-    table_[page] = SptEntry{cap.offset, cap.start};
-    wake_[cap.end + 1].push_back(page);
-  } else {
-    // Allocation gap: the page is absent from SPTs until cap.start.
-    table_.erase(page);
-    wake_[cap.start].push_back(page);
-  }
-}
-
-void SptCursor::Advance(const Maplog& log, SnapshotId snap,
-                        SptBuildStats* stats, int64_t* delta_entries) {
-  std::vector<storage::PageId> reawakened;
-  if (log.entry_count_ > ingested_) Ingest(log, &reawakened);
-  if (snap > snap_) {
-    // Charge the physical analog of the incremental build: the log delta
-    // between the two declaration marks.
-    int64_t delta = static_cast<int64_t>(log.snap_mark_index_[snap - 1] -
-                                         log.snap_mark_index_[snap_ - 1]);
-    if (delta_entries != nullptr) *delta_entries += delta;
-    if (stats != nullptr) {
-      stats->entries_scanned += delta;
-      stats->maplog_pages_read +=
-          (delta + Maplog::kEntriesPerPage - 1) / Maplog::kEntriesPerPage;
+    if (e.type == MaplogEntry::kCapture || e.type == MaplogEntry::kAlloc) {
+      candidates.push_back(e.page);
     }
   }
-  snap_ = snap;
-  std::unordered_set<storage::PageId> pending;
-  while (!wake_.empty() && wake_.begin()->first <= snap) {
-    for (storage::PageId page : wake_.begin()->second) pending.insert(page);
-    wake_.erase(wake_.begin());
+  for (uint64_t i = std::max(to, ingested_); i < log.entry_count_; ++i) {
+    const MaplogEntry& e = log.entries_[i];
+    if (e.type == MaplogEntry::kCapture) candidates.push_back(e.page);
   }
-  for (storage::PageId page : reawakened) pending.insert(page);
-  last_delta_.assign(pending.begin(), pending.end());
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
+  last_delta_.clear();
   last_delta_valid_ = true;
-  for (storage::PageId page : pending) Reposition(page);
+  for (storage::PageId page : candidates) {
+    // The capture that decided the page's state at snap_, as of the old
+    // ingest mark. The page moves when that capture expires or, after an
+    // allocation gap, begins by snap; a page with no such capture moves
+    // when it has been captured since (a capture ends at or after the
+    // snapshot declared last when it is appended).
+    const PageCapture* next = log.NextCapture(page, snap_, ingested_);
+    bool moved;
+    if (next == nullptr) {
+      moved = log.NextCapture(page, snap_, UINT64_MAX) != nullptr;
+    } else if (next->start <= snap_) {
+      moved = next->end < snap;
+    } else {
+      moved = next->start <= snap;
+    }
+    if (moved) last_delta_.push_back(page);
+  }
 }
 
 Status Maplog::RecoverModEpochs(

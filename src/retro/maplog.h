@@ -2,7 +2,6 @@
 #define RQL_RETRO_MAPLOG_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -76,6 +75,16 @@ struct SptEntry {
 /// shared with the current database state.
 using SnapshotPageTable = std::unordered_map<storage::PageId, SptEntry>;
 
+/// One capture in the Maplog's page index: `page`'s content for snapshots
+/// [start, end] lives in the Pagelog at `offset`, recorded by log entry
+/// `index`.
+struct PageCapture {
+  SnapshotId start = 0;
+  SnapshotId end = 0;
+  uint64_t offset = 0;
+  uint64_t index = 0;
+};
+
 /// The on-disk log-structured list of page->Pagelog-location mappings
 /// (Shaull et al., "Skippy", SIGMOD'08). Mappings are appended in capture
 /// order, so entries relevant to snapshot S form a suffix starting at S's
@@ -90,6 +99,15 @@ using SnapshotPageTable = std::unordered_map<storage::PageId, SptEntry>;
 ///     overwrite, giving the paper's ~n log n scan length.
 /// An in-memory mirror of the log avoids per-entry file reads; the
 /// simulated Maplog I/O cost is still charged per log page scanned.
+///
+/// Beside the mirror the log keeps one page index: each page's captures in
+/// log order. A page's capture ranges are disjoint and ascending, so the
+/// capture covering a snapshot, if any, is found by binary search
+/// (Resolve). Snapshot-set cursors and the views they open resolve pages
+/// through this one shared index instead of building tables of their own.
+/// Appends extend it; opening the log (and so TruncateHistory's reopen)
+/// rebuilds it. Like the rest of the log it is guarded by the owning
+/// store's lock: appends under the writer's, Resolve under the reader's.
 class Maplog {
  public:
   static Result<std::unique_ptr<Maplog>> Open(storage::Env* env,
@@ -122,10 +140,18 @@ class Maplog {
                   uint64_t* resume_index, SptBuildStats* stats) const;
 
   /// Extends `spt` with captures appended at or after `*resume_index`
-  /// (exclusive of pages already mapped); advances `*resume_index`. Used to
-  /// keep an open snapshot view consistent across interleaved updates.
+  /// (exclusive of pages already mapped); advances `*resume_index`. Keeps
+  /// an OpenSnapshot view consistent across interleaved updates.
   Status RefreshSpt(SnapshotId snap, SnapshotPageTable* spt,
                     uint64_t* resume_index, SptBuildStats* stats) const;
+
+  /// Where SPT(snap) finds `page`, counting only the captures appended
+  /// before log index `limit`: the capture whose range covers `snap`, or
+  /// nullptr when SPT(snap) does not map the page (it is shared with the
+  /// current database, or was not yet allocated at `snap`). Gives exactly
+  /// BuildSpt's answer. The pointer is valid until the next append.
+  const PageCapture* Resolve(storage::PageId page, SnapshotId snap,
+                             uint64_t limit = UINT64_MAX) const;
 
   /// Recovers per-page modification epochs: for each page, the id of the
   /// latest snapshot declared before the page's last recorded modification.
@@ -160,6 +186,15 @@ class Maplog {
   static constexpr int64_t kEntriesPerPage =
       storage::kPageSize / sizeof(MaplogEntry);
 
+  /// Charges a scan of `entries` log entries to `stats` (when non-null):
+  /// the entries and the log pages they fill.
+  static void ChargeScan(int64_t entries, SptBuildStats* stats) {
+    if (stats == nullptr) return;
+    stats->entries_scanned += entries;
+    stats->maplog_pages_read += (entries + kEntriesPerPage - 1) /
+                                kEntriesPerPage;
+  }
+
  private:
   friend class SptCursor;
 
@@ -168,6 +203,17 @@ class Maplog {
 
   Status LoadMirror();
   Status AppendEntry(const MaplogEntry& entry);
+  /// Adds entry `index` to the page index if it is a capture.
+  void IndexEntry(uint64_t index);
+
+  /// `page`'s first capture appended before `limit` whose range ends at
+  /// or after `snap`: the one covering `snap`, or the next one after an
+  /// allocation gap. nullptr when there is none.
+  const PageCapture* NextCapture(storage::PageId page, SnapshotId snap,
+                                 uint64_t limit) const;
+
+  /// NotFound unless `snap` is declared and not truncated away.
+  Status CheckReadable(SnapshotId snap) const;
 
   /// Number of declared snapshots (== number of marks).
   SnapshotId latest() const {
@@ -207,6 +253,9 @@ class Maplog {
   std::vector<uint64_t> snap_mark_index_;
   // In-memory mirror of the on-disk log.
   std::vector<MaplogEntry> entries_;
+  // The page index: each page's captures in log order (see the class
+  // comment).
+  std::unordered_map<storage::PageId, std::vector<PageCapture>> captures_;
   SnapshotId earliest_ = 1;
   bool use_skippy_ = true;
   // Memoized skip-level runs, keyed by (level << 32) | start. Guarded by
@@ -218,78 +267,55 @@ class Maplog {
 };
 
 /// Incremental SPT construction over an ascending snapshot set (the RQL
-/// iteration-setup amortization path). The first Seek performs one cold
-/// suffix scan and organizes the captures into per-page chains; every
-/// later Seek to a larger snapshot advances per-page chain cursors instead
-/// of re-scanning the suffix, and is charged only the Maplog delta between
-/// the two declaration marks — the entries a physical delta scan would
-/// read. A chain whose captures are exhausted means the page is shared
-/// with the current database and is evicted from the table.
+/// iteration-setup amortization path). The cursor holds no table: it is a
+/// position plus an ingest mark (the log length at its last seek), and
+/// SPT(position) is the Maplog's page index resolved as of that mark
+/// (Resolve). A seek moves the position and the mark, so the first seek,
+/// or a seek to a smaller id, costs O(1); an ascending seek also lists the
+/// pages whose resolution may have moved (last_delta).
 ///
-/// Key invariant (why only chain-cursor advances are needed): for a given
-/// page, capture ranges are appended in increasing [start, end] order and
-/// are disjoint, so SPT(s+1) differs from SPT(s) only by (a) entries whose
-/// range ended at s (evicted or moved to the page's next capture) and
-/// (b) pages whose next capture's range begins at s+1 after an allocation
-/// gap. Both are found via expiry/wake buckets keyed by snapshot id — no
-/// log entries are touched except newly appended ones (Ingest).
+/// The modelled SPT charges are those of the Maplog scans the paper
+/// builds tables with: a first or backward seek is charged a cold suffix
+/// scan from the snapshot's declaration mark, an ascending seek the log
+/// delta between the two declaration marks.
 class SptCursor {
  public:
-  /// Positions the cursor at `snap`, leaving SPT(snap) in table(). An
-  /// ascending seek advances incrementally; the first seek — or a seek to
-  /// a smaller id — rebuilds cold with a linear suffix scan. Entries
-  /// appended to the log since the last seek are ingested, so interleaved
-  /// updates are safe. `delta_entries`, when non-null, accumulates the
-  /// number of log entries covered by incremental advances.
+  /// Positions the cursor at `snap` as of the log's current length.
+  /// `delta_entries`, when non-null, accumulates the number of log entries
+  /// charged to ascending seeks.
   Status Seek(const Maplog& log, SnapshotId snap, SptBuildStats* stats,
               int64_t* delta_entries);
 
-  const SnapshotPageTable& table() const { return table_; }
   SnapshotId position() const { return snap_; }
 
-  /// After an incremental advance, the pages whose table() mapping may
-  /// differ from the previous position (a conservative superset: every page
-  /// whose mapping — including absence — changed is listed; a listed page
-  /// may turn out unchanged). A page modified between the two snapshots
-  /// always has a capture expiring in that window, so content changes are
-  /// covered too. Invalid after a rebase (first seek, backward seek, or a
-  /// truncated prefix): there is no predecessor position to diff against.
+  /// SPT(position()) as of the last seek: where it maps `page`, or nullptr
+  /// (Maplog::Resolve). A capture appended since is not seen until the
+  /// next seek.
+  const PageCapture* Resolve(const Maplog& log, storage::PageId page) const {
+    return log.Resolve(page, snap_, ingested_);
+  }
+
+  /// After an ascending seek, the pages (sorted) whose resolution may
+  /// differ from the previous position (a conservative superset: every
+  /// page whose mapping — including absence — changed is listed; a listed
+  /// page may turn out unchanged). A page modified between the two
+  /// snapshots always has a capture expiring in that window, so content
+  /// changes are covered too. Invalid after a rebase (first seek, backward
+  /// seek, or a truncated prefix): there is no predecessor position to
+  /// diff against.
   const std::vector<storage::PageId>& last_delta() const {
     return last_delta_;
   }
   bool last_delta_valid() const { return last_delta_valid_; }
 
  private:
-  struct Capture {
-    SnapshotId start = 0;
-    SnapshotId end = 0;
-    uint64_t offset = 0;
-  };
-  struct Chain {
-    size_t next = 0;  // active (or next future) capture; caps.size() = done
-    std::vector<Capture> caps;
-  };
-
-  Status Rebase(const Maplog& log, SnapshotId snap, SptBuildStats* stats);
-  void Advance(const Maplog& log, SnapshotId snap, SptBuildStats* stats,
-               int64_t* delta_entries);
-  /// Folds log entries appended since the last seek into the chains;
-  /// returns the pages whose chain was exhausted before the new captures
-  /// (they have no pending wake entry and must be repositioned).
-  void Ingest(const Maplog& log, std::vector<storage::PageId>* reawakened);
-  /// Advances `page`'s chain cursor past captures that ended before the
-  /// current position and places the page in (or evicts it from) the
-  /// table, scheduling the next wake-up.
-  void Reposition(storage::PageId page);
+  /// Lists in last_delta_ the pages that move between the current position
+  /// and `snap` (> or == it), resolving the page index as of the old and
+  /// the new ingest mark.
+  void ComputeDelta(const Maplog& log, SnapshotId snap);
 
   SnapshotId snap_ = kNoSnapshot;
-  uint64_t ingested_ = 0;  // log entries already folded into chains_
-  std::unordered_map<storage::PageId, Chain> chains_;
-  // Pages whose active capture expires (key = end + 1) or whose next
-  // capture begins (key = start) at the keyed snapshot; drained in id
-  // order as the cursor advances.
-  std::map<SnapshotId, std::vector<storage::PageId>> wake_;
-  SnapshotPageTable table_;
+  uint64_t ingested_ = 0;  // log length at the last seek
   std::vector<storage::PageId> last_delta_;
   bool last_delta_valid_ = false;
 };

@@ -324,8 +324,8 @@ Result<std::unique_ptr<SnapshotView>> SnapshotStore::OpenSnapshot(
 Status SnapshotSet::SeekLocked(SnapshotId snap, IterationStats* stats) {
   const uint64_t epoch = store_->truncate_epoch();
   if (epoch != epoch_) {
-    // Compaction rewrote the log: the cursor's chains hold stale offsets
-    // and log positions, so start over from a cold build.
+    // Compaction rewrote the log: the cursor's ingest mark indexes the old
+    // one, so start over with a rebase.
     cursor_ = SptCursor();
     epoch_ = epoch;
   }
@@ -345,22 +345,36 @@ Result<bool> SnapshotSet::Advance(SnapshotId snap,
   return true;
 }
 
-bool SnapshotSet::Validate(const std::vector<PageToken>& read_set) const {
-  const SnapshotPageTable& spt = cursor_.table();
+bool SnapshotSet::Validate(const std::vector<PageToken>& read_set,
+                           const std::vector<PageToken>* held) const {
+  std::shared_lock<std::shared_mutex> lock(store_->mu_);
+  // After a compaction the ingest mark no longer indexes the log.
+  if (store_->truncate_epoch() != epoch_) return false;
+  const Maplog& log = *store_->maplog_;
   const SnapshotId at = cursor_.position();
-  std::shared_lock<std::shared_mutex> lock(store_->mu_, std::defer_lock);
+  static const std::vector<PageToken> kNone;
+  const std::vector<PageToken>& prior =
+      held != nullptr && cursor_.last_delta_valid() ? *held : kNone;
+  const std::vector<storage::PageId>& moved = cursor_.last_delta();
+  auto before = prior.begin();
+  auto move = moved.begin();
   for (const PageToken& pt : read_set) {
-    auto it = spt.find(pt.page);
-    if (it != spt.end()) {
-      if (it->second.start != pt.version) return false;
+    // Both read sets and the delta are sorted by page.
+    while (before != prior.end() && before->page < pt.page) ++before;
+    while (move != moved.end() && *move < pt.page) ++move;
+    if (before != prior.end() && *before == pt &&
+        (move == moved.end() || *move != pt.page)) {
       continue;
     }
-    if (!lock.owns_lock()) lock.lock();
+    if (const PageCapture* capture = cursor_.Resolve(log, pt.page)) {
+      if (capture->start != pt.version) return false;
+      continue;
+    }
     // A mod epoch at or past `at` means the page was captured (or
-    // allocated) since the cursor's table was built: the table no longer
-    // tells its state at `at`. (Its current token would also exceed every
-    // token recorded for it before the capture.) Otherwise the page is
-    // shared, with token CurrentToken() = epoch + 1.
+    // allocated) since the cursor's last seek: the index as of that seek
+    // no longer tells its state at `at`. (Its current token would also
+    // exceed every token recorded for it before the capture.) Otherwise
+    // the page is shared, with token CurrentToken() = epoch + 1.
     const SnapshotId epoch = store_->ModEpoch(pt.page);
     if (epoch >= at || uint64_t{epoch} + 1 != pt.version) return false;
   }
@@ -373,9 +387,7 @@ Result<std::unique_ptr<SnapshotView>> SnapshotSet::Open(SnapshotId snap) {
   auto view = std::unique_ptr<SnapshotView>(new SnapshotView(store_, snap));
   view->stats_.lock_wait_us = NowMicros() - lock_start_us;
   RQL_RETURN_IF_ERROR(SeekLocked(snap, &view->stats_));
-  int64_t copy_start_us = NowMicros();
-  view->spt_ = cursor_.table();
-  view->stats_.spt.cpu_us += NowMicros() - copy_start_us;
+  view->set_view_ = true;
   view->resume_index_ = store_->maplog_->entry_count();
   view->set_version_recorder(version_recorder_);
   return view;
@@ -517,6 +529,29 @@ Result<storage::PinnedPage> SnapshotView::ReadArchivedPinned(
   return result;
 }
 
+std::shared_lock<std::shared_mutex> SnapshotView::LockStore() {
+  int64_t lock_start_us = NowMicros();
+  std::shared_lock<std::shared_mutex> lock(store_->mu_);
+  stats_.lock_wait_us += NowMicros() - lock_start_us;
+  return lock;
+}
+
+const SptEntry* SnapshotView::ResolveLocked(storage::PageId id) {
+  const PageCapture* capture =
+      store_->maplog_->Resolve(id, snap_, resume_index_);
+  if (capture == nullptr) return nullptr;
+  return &spt_.try_emplace(id, SptEntry{capture->offset, capture->start})
+              .first->second;
+}
+
+const SptEntry* SnapshotView::Mapped(storage::PageId id) {
+  auto it = spt_.find(id);
+  if (it != spt_.end()) return &it->second;
+  if (!set_view_) return nullptr;
+  std::shared_lock<std::shared_mutex> lock = LockStore();
+  return ResolveLocked(id);
+}
+
 bool SnapshotView::PageVersion(storage::PageId id, uint64_t* version) {
   // A scan-cache hit answers the read from this version lookup alone,
   // never reaching ReadPage/ReadPagePinned — so the read is recorded here
@@ -526,19 +561,19 @@ bool SnapshotView::PageVersion(storage::PageId id, uint64_t* version) {
   // immutable archive record at a fixed offset. A page shared with the
   // current database is read under the store lock by ReadPage, which
   // records its token there.
-  auto it = spt_.find(id);
-  if (it == spt_.end()) return false;
-  RecordVersion(id, it->second.start);
-  *version = it->second.offset;
+  const SptEntry* entry = Mapped(id);
+  if (entry == nullptr) return false;
+  RecordVersion(id, entry->start);
+  *version = entry->offset;
   return true;
 }
 
 Result<storage::PinnedPage> SnapshotView::ReadPagePinned(
     storage::PageId id) {
-  auto it = spt_.find(id);
-  if (it == spt_.end()) return storage::PinnedPage();  // ReadPage records
-  RecordVersion(id, it->second.start);
-  return ReadArchivedPinned(it->second.offset);
+  const SptEntry* entry = Mapped(id);
+  if (entry == nullptr) return storage::PinnedPage();  // ReadPage records
+  RecordVersion(id, entry->start);
+  return ReadArchivedPinned(entry->offset);
 }
 
 Status SnapshotView::ReadPage(storage::PageId id, storage::Page* page) {
@@ -553,28 +588,42 @@ Status SnapshotView::ReadPage(storage::PageId id, storage::Page* page) {
     return ReadArchived(it->second.offset, page);
   }
 
-  // SPT miss: the page is either shared with the current state or was
-  // captured after this view was built. Both checks consult metadata that
-  // update transactions mutate, so they hold the reader half of the store
-  // lock (excluding writers, not other snapshot readers).
-  int64_t lock_start_us = NowMicros();
-  std::shared_lock<std::shared_mutex> lock(store_->mu_);
-  stats_.lock_wait_us += NowMicros() - lock_start_us;
+  // SPT miss: the page is shared with the current state, not yet resolved
+  // by a set view, or captured after this view was built. All three checks
+  // consult metadata that update transactions mutate, so they hold the
+  // reader half of the store lock (excluding writers, not other snapshot
+  // readers).
+  std::shared_lock<std::shared_mutex> lock = LockStore();
   if (store_->ModEpoch(id) >= snap_) {
-    // The page was modified after this view was built; its pre-state is in
-    // a Maplog suffix we have not scanned yet.
-    RQL_RETURN_IF_ERROR(store_->maplog_->RefreshSpt(snap_, &spt_,
-                                                    &resume_index_,
-                                                    &stats_.spt));
-    it = spt_.find(id);
-    if (it == spt_.end()) {
+    // The page was modified after snap_ was declared, so its pre-state is
+    // archived: among the captures this view has caught up to, or in the
+    // Maplog suffix appended since.
+    const SptEntry* entry = nullptr;
+    if (set_view_) {
+      entry = ResolveLocked(id);
+      if (entry == nullptr) {
+        // Captured since: catch up with the whole log, charged as the
+        // suffix scan an OpenSnapshot view makes here.
+        const uint64_t end = store_->maplog_->entry_count();
+        Maplog::ChargeScan(static_cast<int64_t>(end - resume_index_),
+                           &stats_.spt);
+        resume_index_ = end;
+        entry = ResolveLocked(id);
+      }
+    } else {
+      RQL_RETURN_IF_ERROR(store_->maplog_->RefreshSpt(
+          snap_, &spt_, &resume_index_, &stats_.spt));
+      it = spt_.find(id);
+      if (it != spt_.end()) entry = &it->second;
+    }
+    if (entry == nullptr) {
       return Status::Corruption("page " + std::to_string(id) +
                                 " does not exist in snapshot " +
                                 std::to_string(snap_));
     }
     lock.unlock();
-    RecordVersion(id, it->second.start);
-    return ReadArchived(it->second.offset, page);
+    RecordVersion(id, entry->start);
+    return ReadArchived(entry->offset, page);
   }
   // Shared with the current database state. The token is read under the
   // same lock as the bytes, so a commit cannot slip between them.

@@ -46,18 +46,25 @@ struct PageToken {
 /// pages never modified since the declaration are shared with, and read
 /// from, the current database.
 ///
+/// A view opened by OpenSnapshot starts from a built SPT. A view opened
+/// by a SnapshotSet (a set view) starts with an empty table and maps each
+/// archived page on its first touch, through the Maplog's page index
+/// (Maplog::Resolve).
+///
 /// The view stays consistent across updates that commit while it is open:
 /// when a read misses the SPT but the page has since been modified, the
-/// view refreshes its table from the Maplog suffix appended after the view
-/// was built (standing in for the MVCC guarantee BDB gives Retro).
+/// view catches up with the Maplog suffix appended after it was built
+/// (standing in for the MVCC guarantee BDB gives Retro). An OpenSnapshot
+/// view rescans that suffix (Maplog::RefreshSpt); a set view resolves the
+/// page over the whole log.
 ///
 /// A view is owned by a single reader thread (each parallel RQL worker
 /// opens its own); different views on the same store may read concurrently
 /// with each other and with update transactions. Reads whose page is
 /// already mapped by the view's SPT take no store lock at all — archive
 /// records are immutable and the snapshot page cache synchronizes
-/// internally — while SPT misses take the store's reader lock to consult
-/// mutable metadata.
+/// internally — while SPT misses, and a set view's first touch of a page,
+/// take the store's reader lock to consult mutable metadata.
 class SnapshotView : public storage::PageReader {
  public:
   Status ReadPage(storage::PageId id, storage::Page* page) override;
@@ -77,11 +84,12 @@ class SnapshotView : public storage::PageReader {
 
   SnapshotId id() const { return snap_; }
 
-  /// What this view has cost since it was opened: its SPT build (or copy),
-  /// every read through it and every lock wait.
+  /// What this view has cost since it was opened: its SPT build (or its
+  /// set's seek), every read through it and every lock wait.
   const IterationStats& stats() const { return stats_; }
 
-  /// Number of pages this snapshot does not share with the current state.
+  /// Number of pages this snapshot does not share with the current state
+  /// (for a set view: those resolved so far).
   uint64_t spt_size() const { return spt_.size(); }
 
   /// Arms (or with nullptr disarms) a (page -> version token) recorder:
@@ -106,6 +114,17 @@ class SnapshotView : public storage::PageReader {
     if (version_recorder_ != nullptr) (*version_recorder_)[id] = token;
   }
 
+  /// Takes the store's reader lock, counting the wait in stats_.
+  std::shared_lock<std::shared_mutex> LockStore();
+
+  /// The SPT entry of `id` if the page is archived as of resume_index_:
+  /// a set view resolves it on first touch, under the reader lock, and
+  /// keeps the entry. nullptr for a page shared with the current database
+  /// (or captured after resume_index_).
+  const SptEntry* Mapped(storage::PageId id);
+  /// A set view's first-touch resolution; requires the reader lock.
+  const SptEntry* ResolveLocked(storage::PageId id);
+
   /// Reads a pre-state page through the snapshot cache, counting it in
   /// stats_. Takes no store lock: archive records are immutable, file
   /// reads are thread-safe, and the cache single-flights concurrent misses.
@@ -115,28 +134,30 @@ class SnapshotView : public storage::PageReader {
   SnapshotStore* store_;
   SnapshotId snap_;
   SnapshotPageTable spt_;
+  // The log length spt_ is complete up to (a set view: resolved up to).
   uint64_t resume_index_ = 0;
+  // Opened by a SnapshotSet: spt_ holds only the pages resolved so far.
+  bool set_view_ = false;
   std::unordered_map<storage::PageId, uint64_t>* version_recorder_ = nullptr;
   IterationStats stats_;
 };
 
 /// One RQL run's private snapshot-set cursor (iteration-setup
-/// amortization), from SnapshotStore::BeginSnapshotSet. Opens with
-/// ascending ids derive each SPT incrementally from the previous one via
-/// SptCursor, scanning only the inter-mark Maplog delta instead of the
-/// whole suffix. A non-ascending id falls back to one cold build and
-/// re-anchors the cursor, and so does the first call after a
-/// TruncateHistory (the handle remembers the truncate_epoch() it last saw),
-/// so any visit order stays correct. The handle belongs to one run on one
-/// thread; any number of handles may be live on a store, and every call
-/// takes only the store's reader lock.
+/// amortization), from SnapshotStore::BeginSnapshotSet. The cursor
+/// (SptCursor) is a position over the Maplog's shared page index, so a
+/// seek builds no table: the first seek, a backward one and the first
+/// after a TruncateHistory (the handle remembers the truncate_epoch() it
+/// last saw) each cost O(1), and an ascending one lists the pages whose
+/// resolution moved. Views it opens resolve pages on first touch. The
+/// handle belongs to one run on one thread; any number of handles may be
+/// live on a store, and every call takes only the store's reader lock.
 class SnapshotSet {
  public:
   /// Moves the cursor to `snap` ahead of the query that will open it (the
   /// replay probe). Returns true and fills `delta` with the pages whose
   /// mapping may differ from the cursor's previous position (a
   /// conservative superset — see SptCursor::last_delta) when the move was
-  /// an incremental advance; returns false after a cold rebase (first
+  /// an incremental advance; returns false after a rebase (first
   /// snapshot of the set, a backward seek, a truncation), when no
   /// predecessor exists to diff against. The later Open of the same id
   /// re-seeks at zero incremental cost. The SPT work is added to `stats`
@@ -144,7 +165,8 @@ class SnapshotSet {
   Result<bool> Advance(SnapshotId snap, std::vector<storage::PageId>* delta,
                        IterationStats* stats = nullptr);
 
-  /// Opens an as-of view of `snap` whose SPT is the cursor's table there.
+  /// Moves the cursor to `snap` and opens a set view of it: an as-of view
+  /// that resolves each page on first touch (see SnapshotView).
   Result<std::unique_ptr<SnapshotView>> Open(SnapshotId snap);
 
   /// The snapshot the cursor last moved to (kNoSnapshot before the first
@@ -152,14 +174,22 @@ class SnapshotSet {
   SnapshotId position() const { return cursor_.position(); }
 
   /// True when every page of `read_set` resolves at position() to its
-  /// recorded token, exactly as a view opened there would record it. Reads
-  /// the cursor's table in place (no SPT copy, nothing recorded) and takes
-  /// the store's reader lock at most once, at the first page the table
-  /// does not map. Such a page is shared with the current database unless
-  /// the writer captured it after the cursor last moved (its mod epoch
-  /// reached position()); that case is a conservative mismatch. Lets a memo
-  /// probe validate a read set right after Advance.
-  bool Validate(const std::vector<PageToken>& read_set) const;
+  /// recorded token, exactly as a view opened there would record it.
+  /// Resolves each page in the Maplog's page index as of the cursor's last
+  /// seek, under one hold of the store's reader lock, recording nothing.
+  /// A page the index does not map is shared with the current database
+  /// unless the writer captured it after the cursor last moved (its mod
+  /// epoch reached position()); that case, like a TruncateHistory since
+  /// the last seek, is a conservative mismatch. Lets a memo probe validate
+  /// a read set right after Advance.
+  ///
+  /// `held`, when non-null, is a read set that held at the cursor's
+  /// previous position. After an incremental advance, a page it records
+  /// with the same token that the advance did not move (last_delta) holds
+  /// here too, so it is not looked up: the argument the memo's delta fast
+  /// path rests on, applied page by page.
+  bool Validate(const std::vector<PageToken>& read_set,
+                const std::vector<PageToken>* held = nullptr) const;
 
   /// Arms (or with nullptr disarms) the version recorder every view this
   /// set opens from now on carries (SnapshotView::set_version_recorder).

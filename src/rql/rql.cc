@@ -1588,8 +1588,11 @@ bool RqlEngine::ReuseRecordedResult(
     // first iteration exactly as before.
     if (CancelRequested()) return false;
     Answer& answer = (*out)[i];
+    // Read set i - 1 held at the cursor's previous position, so only what
+    // differs from it, or what the step moved, is looked up.
     if (!set->Advance(snaps[i], &delta, &answer.store).ok() ||
-        !set->Validate(r->read_sets[i])) {
+        !set->Validate(r->read_sets[i],
+                       i > 0 ? &r->read_sets[i - 1] : nullptr)) {
       return false;
     }
     RqlIterationStats& iter = answer.iter;
@@ -1947,9 +1950,13 @@ Result<bool> RqlEngine::ReplayIteration(IterationContext* ctx,
     RQL_ASSIGN_OR_RETURN(uint64_t fp, state->MemoFingerprint());
     std::shared_ptr<const retro::MemoEntry> entry =
         options_.memo->Probe(fp, snap);
-    // Advance left the cursor at `snap`, so validation reads its table in
-    // place. A failure is a conservative miss: the execute path runs next.
-    if (entry == nullptr || !ctx->set->Validate(entry->read_set)) {
+    // Advance left the cursor at `snap`, so validation resolves there; the
+    // predecessor's read set held where the cursor came from. A failure is
+    // a conservative miss: the execute path runs next.
+    if (entry == nullptr ||
+        !ctx->set->Validate(entry->read_set, prev.entry != nullptr
+                                                 ? &prev.entry->read_set
+                                                 : nullptr)) {
       return false;
     }
     auto rows = DecodeMemoRows(*entry);

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <map>
 #include <thread>
+#include <unordered_map>
 
 #include "common/random.h"
 #include "retro/snapshot_store.h"
@@ -266,6 +267,169 @@ TEST(ConcurrencyTest, ViewOpenedBeforeConcurrentOverwriteStaysConsistent) {
   writer.join();
   reader.join();
   EXPECT_EQ(bad.load(), 0);
+}
+
+// Four SnapshotSet readers sweep ascending snapshot runs, validate what
+// they read and open set views while a writer commits updates and
+// declares snapshots. Set views resolve pages on first touch through the
+// Maplog's shared page index, which the writer extends under the same
+// lock. Every reader's per-snapshot row count and recorded page tokens
+// must equal a single-threaded oracle taken afterwards for the same
+// snapshots: a snapshot's bytes and tokens never change.
+TEST(ConcurrencyTest, SnapshotSetReadersMatchOracleWhileWriterDeclares) {
+  storage::InMemoryEnv env;
+  auto opened = SnapshotStore::Open(&env, "c4");
+  ASSERT_TRUE(opened.ok());
+  std::unique_ptr<SnapshotStore> store = std::move(*opened);
+
+  constexpr int kPages = 24;
+  constexpr int kRounds = 60;
+  constexpr int kReaders = 4;
+  // A page's "rows": its row count lives at offset 8; COUNT(*) of a
+  // snapshot is the sum over every page.
+  auto rows_page = [](uint64_t tag, uint64_t rows) {
+    Page p = TaggedPage(tag);
+    p.WriteU64(8, rows);
+    return p;
+  };
+  std::vector<PageId> pages;
+  for (int i = 0; i < kPages; ++i) {
+    auto id = store->AllocatePage();
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE(store->WritePage(*id, rows_page(i, 1)).ok());
+    pages.push_back(*id);
+  }
+  ASSERT_TRUE(store->DeclareSnapshot().ok());
+
+  // The newest declared snapshot, published by the writer (the store's
+  // own counter is the writer's to read).
+  std::atomic<SnapshotId> latest{1};
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::thread writer([&] {
+    Random rng(4242);
+    for (int round = 1; round <= kRounds && failures.load() == 0; ++round) {
+      if (!store->Begin().ok()) { ++failures; break; }
+      const int writes = 1 + static_cast<int>(rng.Uniform(kPages / 2));
+      for (int w = 0; w < writes; ++w) {
+        const int p = static_cast<int>(rng.Uniform(kPages));
+        if (!store->WritePage(pages[p], rows_page(round * 100 + p,
+                                                  rng.Uniform(50)))
+                 .ok()) {
+          ++failures;
+        }
+      }
+      // Most commits declare a snapshot; some leave their captures to
+      // the next epoch.
+      SnapshotId declared = kNoSnapshot;
+      if (!store->Commit(/*declare_snapshot=*/rng.Uniform(4) != 0, &declared)
+               .ok()) {
+        ++failures;
+      }
+      if (declared != kNoSnapshot) latest.store(declared);
+      std::this_thread::yield();
+    }
+    done.store(true);
+  });
+
+  struct Visit {
+    SnapshotId snap;
+    uint64_t count;
+    std::map<PageId, uint64_t> tokens;
+  };
+  std::vector<std::vector<Visit>> visits(kReaders);
+  std::vector<int> validated(kReaders, 0);
+  auto read_all = [&](SnapshotView* view, Random* rng, uint64_t* count) {
+    *count = 0;
+    for (PageId id : pages) {
+      Page page;
+      // Through the scan-cache entry points, as a heap scan reads, or
+      // plainly.
+      uint64_t version = 0;
+      if (rng->Uniform(2) == 0 && view->PageVersion(id, &version)) {
+        auto pinned = view->ReadPagePinned(id);
+        if (!pinned.ok() || !*pinned) return false;
+        page = **pinned;
+      } else if (!view->ReadPage(id, &page).ok()) {
+        return false;
+      }
+      *count += page.ReadU64(8);
+    }
+    return true;
+  };
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      Random rng(static_cast<uint64_t>(r) * 131 + 7);
+      do {
+        const SnapshotId newest = latest.load();
+        std::unique_ptr<SnapshotSet> set = store->BeginSnapshotSet();
+        std::unordered_map<PageId, uint64_t> recorded;
+        set->set_version_recorder(&recorded);
+        std::vector<PageId> delta;
+        SnapshotId snap = 1 + static_cast<SnapshotId>(rng.Uniform(newest));
+        for (int step = 0; step < 6; ++step) {
+          if (!set->Advance(snap, &delta).ok()) { ++failures; return; }
+          recorded.clear();
+          auto view = set->Open(snap);
+          Visit visit{snap, 0, {}};
+          if (!view.ok() || !read_all(view->get(), &rng, &visit.count)) {
+            ++failures;
+            return;
+          }
+          visit.tokens.insert(recorded.begin(), recorded.end());
+          std::vector<PageToken> read_set;
+          for (const auto& [page, token] : visit.tokens) {
+            read_set.push_back({page, token});
+          }
+          // A true answer is exact; a false one may be conservative (the
+          // writer captured a read page after the cursor moved).
+          if (set->Validate(read_set)) ++validated[r];
+          read_set[rng.Uniform(read_set.size())].version += 1000;
+          if (set->Validate(read_set)) ++failures;  // a wrong token
+          visits[r].push_back(std::move(visit));
+          // Mostly ascending, sometimes the same snapshot again.
+          snap = std::min<SnapshotId>(
+              latest.load(), snap + static_cast<SnapshotId>(rng.Uniform(3)));
+        }
+      } while (!done.load());
+    });
+  }
+  writer.join();
+  for (std::thread& t : readers) t.join();
+  ASSERT_EQ(failures.load(), 0);
+
+  std::map<SnapshotId, Visit> oracle;
+  for (const std::vector<Visit>& reader : visits) {
+    for (const Visit& visit : reader) {
+      if (oracle.count(visit.snap) != 0) continue;
+      auto view = store->OpenSnapshot(visit.snap);
+      ASSERT_TRUE(view.ok());
+      std::unordered_map<PageId, uint64_t> recorded;
+      (*view)->set_version_recorder(&recorded);
+      Visit want{visit.snap, 0, {}};
+      for (PageId id : pages) {
+        Page page;
+        ASSERT_TRUE((*view)->ReadPage(id, &page).ok());
+        want.count += page.ReadU64(8);
+      }
+      want.tokens.insert(recorded.begin(), recorded.end());
+      oracle.emplace(visit.snap, std::move(want));
+    }
+  }
+  int checked = 0;
+  for (int r = 0; r < kReaders; ++r) {
+    EXPECT_GT(validated[r], 0) << "reader " << r;
+    for (const Visit& visit : visits[r]) {
+      const Visit& want = oracle.at(visit.snap);
+      EXPECT_EQ(visit.count, want.count)
+          << "reader " << r << " snapshot " << visit.snap;
+      EXPECT_EQ(visit.tokens, want.tokens)
+          << "reader " << r << " snapshot " << visit.snap;
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, kReaders * 6);
 }
 
 }  // namespace

@@ -19,6 +19,19 @@ class MaplogTest : public ::testing::Test {
   std::unique_ptr<Maplog> log_;
 };
 
+/// The cursor's SPT restricted to `pages`: every one of them it maps,
+/// resolved in the log's page index as of the cursor's last seek.
+SnapshotPageTable Resolved(const Maplog& log, const SptCursor& cursor,
+                           const std::vector<storage::PageId>& pages) {
+  SnapshotPageTable table;
+  for (storage::PageId page : pages) {
+    if (const PageCapture* capture = cursor.Resolve(log, page)) {
+      table.emplace(page, SptEntry{capture->offset, capture->start});
+    }
+  }
+  return table;
+}
+
 TEST_F(MaplogTest, MarksMustBeSequential) {
   ASSERT_TRUE(log_->AppendSnapshotMark(1).ok());
   EXPECT_FALSE(log_->AppendSnapshotMark(3).ok());
@@ -201,16 +214,16 @@ TEST_F(MaplogTest, SptCursorExpiryAndWake) {
   SptCursor cursor;
   int64_t delta = 0;
   ASSERT_TRUE(cursor.Seek(*log_, 1, nullptr, &delta).ok());
-  EXPECT_EQ(cursor.table().size(), 1u);
-  EXPECT_EQ(cursor.table().at(5).offset, 4096u);
+  EXPECT_EQ(Resolved(*log_, cursor, {5, 9}).size(), 1u);
+  EXPECT_EQ(Resolved(*log_, cursor, {5, 9}).at(5).offset, 4096u);
 
   ASSERT_TRUE(cursor.Seek(*log_, 2, nullptr, &delta).ok());
-  EXPECT_EQ(cursor.table().size(), 1u);
-  EXPECT_EQ(cursor.table().at(5).offset, 4096u);
+  EXPECT_EQ(Resolved(*log_, cursor, {5, 9}).size(), 1u);
+  EXPECT_EQ(Resolved(*log_, cursor, {5, 9}).at(5).offset, 4096u);
 
   ASSERT_TRUE(cursor.Seek(*log_, 3, nullptr, &delta).ok());
-  EXPECT_EQ(cursor.table().size(), 1u);
-  EXPECT_EQ(cursor.table().at(9).offset, 8192u);
+  EXPECT_EQ(Resolved(*log_, cursor, {5, 9}).size(), 1u);
+  EXPECT_EQ(Resolved(*log_, cursor, {5, 9}).at(9).offset, 8192u);
 }
 
 TEST_F(MaplogTest, SptCursorMatchesColdBuildOnRandomHistories) {
@@ -224,6 +237,8 @@ TEST_F(MaplogTest, SptCursorMatchesColdBuildOnRandomHistories) {
   };
   const SnapshotId kSnapshots = 41;
   std::unordered_map<storage::PageId, SnapshotId> mod_epoch;
+  std::vector<storage::PageId> all_pages;
+  for (storage::PageId page = 1; page <= 20; ++page) all_pages.push_back(page);
   SptCursor cursor;
   SnapshotId last_seek = 0;
   for (SnapshotId s = 1; s <= kSnapshots; ++s) {
@@ -256,11 +271,12 @@ TEST_F(MaplogTest, SptCursorMatchesColdBuildOnRandomHistories) {
     SnapshotPageTable cold;
     uint64_t resume = 0;
     ASSERT_TRUE(log_->BuildSpt(target, &cold, &resume, nullptr).ok());
-    ASSERT_EQ(cursor.table().size(), cold.size())
+    const SnapshotPageTable table = Resolved(*log_, cursor, all_pages);
+    ASSERT_EQ(table.size(), cold.size())
         << "snapshot " << target << " at history length " << s;
     for (const auto& [page, entry] : cold) {
-      auto it = cursor.table().find(page);
-      ASSERT_NE(it, cursor.table().end())
+      auto it = table.find(page);
+      ASSERT_NE(it, table.end())
           << "snapshot " << target << " page " << page;
       EXPECT_TRUE(it->second == entry)
           << "snapshot " << target << " page " << page;
@@ -289,7 +305,8 @@ TEST_F(MaplogTest, SptCursorAdvanceScansOnlyTheDelta) {
     uint64_t resume = 0;
     ASSERT_TRUE(log_->BuildSpt(s, &cold, &resume, &cold_stats).ok());
     cold_entries += cold_stats.entries_scanned;
-    EXPECT_TRUE(cursor.table().at(7) == cold.at(7)) << "snapshot " << s;
+    EXPECT_TRUE(Resolved(*log_, cursor, {7}).at(7) == cold.at(7))
+        << "snapshot " << s;
   }
   // Cold: sum over s of (suffix from mark s) ~ n^2/2. Cursor: one full
   // suffix (rebase at s=1) + ~2 entries per advance.
@@ -343,14 +360,15 @@ TEST_F(MaplogTest, SptCursorDeltaEmptyBetweenIdenticalSnapshots) {
     ASSERT_TRUE(cursor.Seek(*log_, s, nullptr, &delta).ok());
     EXPECT_TRUE(cursor.last_delta_valid()) << "snapshot " << s;
     EXPECT_TRUE(cursor.last_delta().empty()) << "snapshot " << s;
-    EXPECT_EQ(cursor.table().at(6).offset, 4096u) << "snapshot " << s;
+    EXPECT_EQ(Resolved(*log_, cursor, {6}).at(6).offset, 4096u)
+        << "snapshot " << s;
   }
   // Page 6's capture range [1,3] expires at 4: the advance reports it.
   ASSERT_TRUE(cursor.Seek(*log_, 4, nullptr, &delta).ok());
   ASSERT_TRUE(cursor.last_delta_valid());
   ASSERT_EQ(cursor.last_delta().size(), 1u);
   EXPECT_EQ(cursor.last_delta()[0], 6u);
-  EXPECT_EQ(cursor.table().at(6).offset, 8192u);
+  EXPECT_EQ(Resolved(*log_, cursor, {6}).at(6).offset, 8192u);
 }
 
 TEST_F(MaplogTest, SptCursorDeltaCoversExpiryGapAndReawakening) {
@@ -367,14 +385,14 @@ TEST_F(MaplogTest, SptCursorDeltaCoversExpiryGapAndReawakening) {
   SptCursor cursor;
   int64_t delta = 0;
   ASSERT_TRUE(cursor.Seek(*log_, 1, nullptr, &delta).ok());
-  EXPECT_EQ(cursor.table().size(), 1u);
+  EXPECT_EQ(Resolved(*log_, cursor, {10, 11}).size(), 1u);
   ASSERT_TRUE(cursor.Seek(*log_, 2, nullptr, &delta).ok());
   ASSERT_TRUE(cursor.last_delta_valid());
   std::vector<storage::PageId> pages = cursor.last_delta();
   std::sort(pages.begin(), pages.end());
   EXPECT_EQ(pages, (std::vector<storage::PageId>{10, 11}));
-  EXPECT_EQ(cursor.table().count(10), 0u);
-  EXPECT_EQ(cursor.table().at(11).offset, 8192u);
+  EXPECT_EQ(Resolved(*log_, cursor, {10, 11}).count(10), 0u);
+  EXPECT_EQ(Resolved(*log_, cursor, {10, 11}).at(11).offset, 8192u);
 
   // Page 10 is captured again only after the cursor reached snapshot 2;
   // the next advance must ingest the entry and report the page.
@@ -384,7 +402,7 @@ TEST_F(MaplogTest, SptCursorDeltaCoversExpiryGapAndReawakening) {
   ASSERT_TRUE(cursor.last_delta_valid());
   pages = cursor.last_delta();
   EXPECT_NE(std::find(pages.begin(), pages.end(), 10u), pages.end());
-  EXPECT_EQ(cursor.table().at(10).offset, 12288u);
+  EXPECT_EQ(Resolved(*log_, cursor, {10, 11}).at(10).offset, 12288u);
 }
 
 TEST_F(MaplogTest, SptCursorDeltaAcrossTruncatedPrefix) {
@@ -405,7 +423,117 @@ TEST_F(MaplogTest, SptCursorDeltaAcrossTruncatedPrefix) {
   ASSERT_TRUE(cursor.last_delta_valid());
   ASSERT_EQ(cursor.last_delta().size(), 1u);
   EXPECT_EQ(cursor.last_delta()[0], 8u);
-  EXPECT_EQ(cursor.table().at(8).offset, 5u * 4096u);
+  EXPECT_EQ(Resolved(*log_, cursor, {8}).at(8).offset, 5u * 4096u);
+}
+
+TEST_F(MaplogTest, ResolveMatchesColdBuildsAndDeltasCoverEveryMove) {
+  // Random histories shaped like the store's: each epoch captures pages
+  // (first write after a declaration) and allocates pages (a reuse whose
+  // next capture starts after a gap). A cursor seeks while the log grows:
+  // mostly ascending, sometimes to the same snapshot after more appends,
+  // sometimes backwards. At every seek the page index must resolve every
+  // page exactly as a cold linear build does, and an ascending seek's
+  // delta must list every page whose resolution or bytes moved.
+  constexpr storage::PageId kPages = 24;
+  constexpr SnapshotId kSnapshots = 60;
+  std::vector<storage::PageId> all_pages;
+  for (storage::PageId page = 1; page <= kPages; ++page) {
+    all_pages.push_back(page);
+  }
+  for (uint64_t seed : {7u, 20261019u, 99991u}) {
+    SCOPED_TRACE(seed);
+    auto opened = Maplog::Open(&env_, "r" + std::to_string(seed));
+    ASSERT_TRUE(opened.ok());
+    log_ = std::move(*opened);
+    log_->set_use_skippy(false);
+    auto next = [&seed]() {
+      seed = seed * 6364136223846793005ull + 1442695040888963407ull;
+      return seed >> 33;
+    };
+    std::unordered_map<storage::PageId, SnapshotId> mod_epoch;
+    SptCursor cursor;
+    SnapshotPageTable previous;  // the cursor's SPT at its last seek
+    int delta_checks = 0, gaps = 0, moves = 0;
+    auto seek = [&](SnapshotId target) {
+      SptBuildStats stats;
+      int64_t delta = 0;
+      const SnapshotId from = cursor.position();
+      ASSERT_TRUE(cursor.Seek(*log_, target, &stats, &delta).ok());
+      SnapshotPageTable cold;
+      uint64_t resume = 0;
+      ASSERT_TRUE(log_->BuildSpt(target, &cold, &resume, nullptr).ok());
+      const SnapshotPageTable table = Resolved(*log_, cursor, all_pages);
+      for (storage::PageId page : all_pages) {
+        auto want = cold.find(page);
+        const PageCapture* got = log_->Resolve(page, target);
+        ASSERT_EQ(got != nullptr, want != cold.end())
+            << "snapshot " << target << " page " << page;
+        ASSERT_EQ(table.count(page), cold.count(page));
+        if (got == nullptr) continue;
+        EXPECT_TRUE((SptEntry{got->offset, got->start}) == want->second)
+            << "snapshot " << target << " page " << page;
+        EXPECT_TRUE(table.at(page) == want->second);
+      }
+      EXPECT_EQ(cursor.last_delta_valid(),
+                from != kNoSnapshot && target >= from);
+      if (cursor.last_delta_valid()) {
+        ++delta_checks;
+        const std::vector<storage::PageId>& d = cursor.last_delta();
+        for (storage::PageId page : all_pages) {
+          // Moved: the cursor's resolution at its last position differs
+          // from its resolution now, or the bytes differ (resolved over
+          // the whole log, an absent page reads the current database at
+          // both snapshots).
+          auto before = previous.find(page);
+          auto after = table.find(page);
+          const PageCapture* bytes_before = log_->Resolve(page, from);
+          const PageCapture* bytes_after = log_->Resolve(page, target);
+          const bool moved =
+              (before == previous.end()) != (after == table.end()) ||
+              (before != previous.end() &&
+               !(before->second == after->second)) ||
+              bytes_before != bytes_after;
+          if (!moved) continue;
+          ++moves;
+          EXPECT_NE(std::find(d.begin(), d.end(), page), d.end())
+              << "page " << page << " moved from " << from << " to "
+              << target << " outside the delta";
+        }
+      }
+      previous = table;
+    };
+    for (SnapshotId s = 1; s <= kSnapshots; ++s) {
+      ASSERT_TRUE(log_->AppendSnapshotMark(s).ok());
+      const int ops = static_cast<int>(next() % 8);
+      for (int op = 0; op < ops; ++op) {
+        const auto page = static_cast<storage::PageId>(1 + next() % kPages);
+        const SnapshotId epoch = mod_epoch.count(page) ? mod_epoch[page] : 0;
+        if (epoch >= s) continue;  // already captured in this epoch
+        if (next() % 5 == 0) {
+          ASSERT_TRUE(log_->AppendAlloc(page, s).ok());
+          ++gaps;
+        } else {
+          ASSERT_TRUE(log_->AppendCapture(page, epoch + 1, s,
+                                          (s * 100 + op) * 4096)
+                          .ok());
+        }
+        mod_epoch[page] = s;
+        // Mid-epoch seeks: the next one must pick up what follows.
+        if (next() % 9 == 0) seek(cursor.position() == kNoSnapshot
+                                      ? s
+                                      : cursor.position());
+      }
+      SnapshotId target = s;
+      if (s % 6 == 0) target = 1 + next() % s;      // backward (or equal)
+      else if (next() % 4 == 0) target = cursor.position() == kNoSnapshot
+                                             ? s
+                                             : cursor.position();
+      seek(target);
+    }
+    EXPECT_GT(delta_checks, 40);
+    EXPECT_GT(moves, 40);
+    EXPECT_GT(gaps, 3);
+  }
 }
 
 TEST_F(MaplogTest, BoundariesSurviveReopen) {

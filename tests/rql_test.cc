@@ -916,6 +916,47 @@ TEST_F(RqlResultReuseTest, AnyDifferenceRefolds) {
   EXPECT_EQ(Oracle(kQs), oracle);
 }
 
+TEST_F(RqlResultReuseTest, IdenticalReadSetsKeepTheTable) {
+  // Snapshots 4 and 5 change nothing, so their read sets equal snapshot
+  // 3's: a kept run accepts them from the cursor's delta alone, and
+  // snapshot 3 after looking up only what differs from snapshot 2's. The
+  // kept table must still be the oracle's, before and after the owner's
+  // update archives the pages those snapshots share with the current
+  // state.
+  for (const char* ts : {"2008-11-12 23:59:59", "2008-11-13 23:59:59"}) {
+    Ok(data_.get(), "BEGIN");
+    auto snap = engine_->CommitWithSnapshot(ts);
+    ASSERT_TRUE(snap.ok());
+    for (const Row& row : Q(meta_.get(), "SELECT * FROM SnapIds WHERE "
+                                         "snap_id = " +
+                                             std::to_string(*snap))
+                              .rows) {
+      ASSERT_TRUE(oracle_meta_->AppendRow("SnapIds", row).ok());
+    }
+  }
+  const std::string qs = "SELECT snap_id FROM SnapIds WHERE snap_id >= 2";
+  for (RqlProfile profile : {RqlProfile::kPaperFaithful, RqlProfile::kFast}) {
+    SCOPED_TRACE(static_cast<int>(profile));
+    engine_->mutable_options()->profile = profile;
+    const std::vector<std::string> oracle = Oracle(qs);
+    ASSERT_TRUE(Run(qs, "Out").ok());
+    EXPECT_FALSE(Reused());
+    ASSERT_TRUE(Run(qs, "Out").ok());
+    EXPECT_TRUE(Reused());
+    EXPECT_EQ(HeapDump(meta_.get(), "Out"), oracle);
+    ASSERT_EQ(engine_->last_run_stats().iterations.size(), 4u);
+    for (const RqlIterationStats& it : engine_->last_run_stats().iterations) {
+      EXPECT_EQ(it.memo_hits, 1);
+    }
+  }
+  Ok(data_.get(),
+     "UPDATE LoggedIn SET l_country = 'FR' WHERE l_userid = 'UserD'");
+  const std::vector<std::string> oracle = Oracle(qs);
+  ASSERT_TRUE(Run(qs, "Out").ok());
+  EXPECT_TRUE(Reused());
+  EXPECT_EQ(HeapDump(meta_.get(), "Out"), oracle);
+}
+
 TEST_F(RqlResultReuseTest, CancelDuringValidationDropsTheTable) {
   std::atomic<bool> cancel{false};
   engine_->mutable_options()->cancel = &cancel;
