@@ -38,6 +38,8 @@ StrategyRun RunStrategy(tpch::History* history, const char* name,
   const RqlOptions saved = engine->options();
   engine->mutable_options()->agg_table_strategy = strategy;
   engine->mutable_options()->profile = profile;
+  // Iteration 0 is the cold one: the run starts on an empty snapshot cache.
+  history->data()->store()->ClearSnapshotCache();
   BENCH_CHECK(engine->AggregateDataInTable(history->QsInterval(1, 25),
                                            kQqAgg1, table, "(cn,max)"));
   *engine->mutable_options() = saved;

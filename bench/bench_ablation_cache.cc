@@ -9,26 +9,19 @@
 namespace rql::bench {
 namespace {
 
-double MeasureC(tpch::History* history, int interval_len,
+RatioC MeasureC(tpch::History* history, int interval_len,
                 uint64_t cache_pages) {
   RqlEngine* engine = history->engine();
   storage::BufferPool* cache = history->data()->store()->snapshot_cache();
   uint64_t original = cache->capacity();
   cache->set_capacity(cache_pages);
-  std::string qs = history->QsInterval(1, interval_len, 1);
-
-  // Warm up once so both measured runs see the same environment.
-  BENCH_CHECK(engine->AggregateDataInVariable(qs, kQqIo, "Result", "avg"));
-  BENCH_CHECK(engine->AggregateDataInVariable(qs, kQqIo, "Result", "avg"));
-  double rql_ms = RunTotalMs(engine->last_run_stats());
-
-  engine->mutable_options()->cache_policy = RqlCachePolicy::kColdPerIteration;
-  BENCH_CHECK(engine->AggregateDataInVariable(qs, kQqIo, "Result", "avg"));
-  double all_cold_ms = RunTotalMs(engine->last_run_stats());
-  engine->mutable_options()->cache_policy = RqlCachePolicy::kColdPerRun;
-
+  RatioC r = MeasureRatioC(
+      engine, history->QsInterval(1, interval_len, 1),
+      [&](const std::string& qs) {
+        return engine->AggregateDataInVariable(qs, kQqIo, "Result", "avg");
+      });
   cache->set_capacity(original);
-  return all_cold_ms > 0 ? rql_ms / all_cold_ms : 0.0;
+  return r;
 }
 
 int Run() {
@@ -37,12 +30,14 @@ int Run() {
 
   std::printf("Ablation: snapshot page cache capacity vs ratio C "
               "(AggV(Qs_30, Qq_io, AVG), UW30)\n");
-  std::printf("%-22s %10s\n", "cache capacity", "ratio C");
+  std::printf("%-22s %10s %24s\n", "cache capacity", "ratio C",
+              "all-cold plog/mlog/db");
   const uint64_t capacities[] = {1, 64, 256, 1024, 0 /* unbounded */};
   for (uint64_t cap : capacities) {
-    double c = MeasureC(uw30->get(), 30, cap);
-    std::printf("%-22s %10.3f\n",
-                cap == 0 ? "unbounded" : std::to_string(cap).c_str(), c);
+    RatioC r = MeasureC(uw30->get(), 30, cap);
+    std::printf("%-22s %10.3f %24s\n",
+                cap == 0 ? "unbounded" : std::to_string(cap).c_str(), r.c,
+                PageTotals(r.all_cold).c_str());
   }
   std::printf(
       "\nExpected: C near 1 with a one-page cache (no sharing benefit) and "

@@ -71,6 +71,7 @@ ModeResult RunMode(retro::PagelogMode mode, bool sparse_updates) {
   // A cold RQL run over 25 old mid-history snapshots: their pre-states sit
   // behind diff chains in kDiff mode (the first captures of the history
   // are full records, so the earliest snapshots would hide the effect).
+  (*data)->store()->ClearSnapshotCache();
   BENCH_CHECK(engine.AggregateDataInVariable(
       "SELECT snap_id FROM SnapIds WHERE snap_id > 40 AND snap_id <= 65 "
       "ORDER BY snap_id",

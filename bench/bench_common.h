@@ -39,8 +39,11 @@ inline storage::Env* BenchEnv() {
 inline constexpr int kStandardSnapshots = 420;
 inline constexpr int kSmallSnapshots = 70;  // intervals memory study
 
+/// Opens (building on first use) the history `key` over `env`, which must
+/// reach the same files as BenchEnv(): a wrapper such as
+/// storage::ReadLatencyEnv around it.
 inline Result<std::unique_ptr<tpch::History>> GetHistory(
-    const std::string& key) {
+    const std::string& key, storage::Env* env = BenchEnv()) {
   tpch::HistoryConfig config;
   config.tpch.scale_factor = Sf();
   if (key == "uw30") {
@@ -72,7 +75,7 @@ inline Result<std::unique_ptr<tpch::History>> GetHistory(
                key.c_str(), Sf());
   Stopwatch sw;
   auto history =
-      tpch::BuildHistory(BenchEnv(), "rql_bench_cache/" + key, config);
+      tpch::BuildHistory(env, "rql_bench_cache/" + key, config);
   if (history.ok()) {
     // Retro maintains the Skippy index as snapshots are declared; warm it
     // here so its one-off construction never pollutes a measured query.
@@ -212,6 +215,82 @@ inline void Fail(const Status& status, const char* what) {
     ::rql::Status _st = (expr);                  \
     if (!_st.ok()) ::rql::bench::Fail(_st, #expr); \
   } while (false)
+
+/// What the paper's all-cold baseline costs (Section 5.1, the denominator
+/// of ratio C): the summed per-iteration costs of every snapshot answered
+/// as if nothing were shared with the snapshot before it.
+struct AllColdCost {
+  double total_ms = 0;
+  int64_t pagelog_pages = 0;
+  int64_t maplog_pages = 0;
+  int64_t db_pages = 0;
+};
+
+/// Measures the all-cold baseline of the snapshot set `qs` selects: one
+/// paper-faithful, memo-free, one-snapshot run per snapshot, each starting
+/// on an empty snapshot cache. `run(one_qs)` runs the measured mechanism
+/// on `engine` with a Qs selecting one snapshot. The engine's options are
+/// restored afterwards.
+template <typename RunFn>
+Result<AllColdCost> MeasureAllCold(RqlEngine* engine, const std::string& qs,
+                                   RunFn&& run) {
+  RQL_ASSIGN_OR_RETURN(sql::QueryResult snaps, engine->meta_db()->Query(qs));
+  const RqlOptions saved = engine->options();
+  RqlOptions* options = engine->mutable_options();
+  options->profile = RqlProfile::kPaperFaithful;
+  options->memo = nullptr;
+  options->shared_scan_cache = nullptr;
+  AllColdCost cost;
+  Status s = Status::OK();
+  for (size_t i = 0; i < snaps.rows.size(); ++i) {
+    engine->data_db()->store()->ClearSnapshotCache();
+    s = run("SELECT snap_id FROM SnapIds WHERE snap_id = " +
+            snaps.rows[i][0].ToString());
+    if (!s.ok()) break;
+    for (const RqlIterationStats& it : engine->last_run_stats().iterations) {
+      cost.total_ms += it.TotalUs() / 1000.0;
+      cost.pagelog_pages += it.pagelog_pages;
+      cost.maplog_pages += it.maplog_pages;
+      cost.db_pages += it.db_pages;
+    }
+  }
+  *options = saved;
+  RQL_RETURN_IF_ERROR(s);
+  return cost;
+}
+
+/// "pagelog/maplog/db" page totals, as the figure benches print them.
+inline std::string PageTotals(const AllColdCost& cost) {
+  return std::to_string(cost.pagelog_pages) + "/" +
+         std::to_string(cost.maplog_pages) + "/" +
+         std::to_string(cost.db_pages);
+}
+
+/// Ratio C of the snapshot set `qs` selects (Section 5.1): the cost of one
+/// run over the whole set, started on a cold snapshot cache, over its
+/// all-cold baseline. An unmeasured first run warms everything else (OS
+/// file cache, allocator). `run` is as for MeasureAllCold.
+struct RatioC {
+  double c = 0;
+  AllColdCost all_cold;
+};
+
+template <typename RunFn>
+RatioC MeasureRatioC(RqlEngine* engine, const std::string& qs, RunFn&& run) {
+  retro::SnapshotStore* store = engine->data_db()->store();
+  for (int i = 0; i < 2; ++i) {
+    store->ClearSnapshotCache();
+    Status s = run(qs);
+    if (!s.ok()) Fail(s, "ratio C run");
+  }
+  const double rql_ms = RunTotalMs(engine->last_run_stats());
+  Result<AllColdCost> all_cold = MeasureAllCold(engine, qs, run);
+  if (!all_cold.ok()) Fail(all_cold.status(), "all-cold baseline");
+  RatioC r;
+  r.all_cold = *all_cold;
+  r.c = r.all_cold.total_ms > 0 ? rql_ms / r.all_cold.total_ms : 0.0;
+  return r;
+}
 
 // --- machine-readable output -----------------------------------------------
 

@@ -5,14 +5,14 @@
 // CollateData over heavily overlapping 40-snapshot intervals (staggered
 // starts 1, 5, 9, 13; odd clients sweep descending so independent runs
 // do not walk the history in lockstep), concurrently on four threads.
-// The store simulates a bandwidth-limited cold archive — per-fetch
-// latency plus a single fetch slot, so concurrent reads queue — and
-// keeps a deliberately small snapshot page cache, so every decoded-page
-// re-read the caching layer fails to absorb costs a real archive round
-// trip. Three configurations:
+// The store runs over a storage::ReadLatencyEnv that simulates a
+// bandwidth-limited cold archive — per-load latency plus a single read
+// slot, so concurrent reads queue — and keeps a deliberately small
+// snapshot page cache, so every decoded-page re-read the caching layer
+// fails to absorb costs a real archive round trip. Three configurations:
 //
-//   oracle   each client sequentially, flag-off defaults, no simulated
-//            latency: the byte-identity reference.
+//   oracle   each client sequentially from a cold page cache, flag-off
+//            defaults, no simulated latency: the byte-identity reference.
 //   private  concurrent, one run-scoped SharedScanCache per client.
 //            Overlapping clients decode every shared page version once
 //            PER CLIENT — up to 4x duplicated fetch + decode work.
@@ -20,7 +20,12 @@
 //            engines: cross-run hits, per-version single-flight decode,
 //            and coalesced SPT builds in the store.
 //
-// Self-checks (CI gates):
+// The two concurrent configs repeat kRepeats times, each repeat with
+// fresh clients and caches from a cold page cache, and each config's
+// wall time is its median over the repeats: one pass of a few hundred ms
+// moves with host load.
+//
+// Self-checks (CI gates), every count and identity check in every repeat:
 //   * every unique page version is decoded exactly once in the shared
 //     config (cache inserts == resident entries, no evictions, no
 //     abandoned decodes);
@@ -28,8 +33,8 @@
 //     other's in-flight decodes instead of duplicating them;
 //   * per-iteration attribution is exact: client-summed hits / misses /
 //     coalesced equal the cache's own global counters;
-//   * aggregate throughput of the shared config is >= 2x the private
-//     config under the same latency;
+//   * the median aggregate throughput of the shared config is >= 2x the
+//     private config's under the same latency;
 //   * both concurrent configs' result tables are byte-identical to the
 //     sequential flag-off oracle, per client.
 //
@@ -37,6 +42,7 @@
 
 #include "bench_common.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -45,11 +51,13 @@
 
 #include "sql/shared_scan_cache.h"
 #include "storage/env.h"
+#include "storage/latency_env.h"
 
 namespace rql::bench {
 namespace {
 
 constexpr int kClients = 4;
+constexpr int kRepeats = 3;
 constexpr int kSnapshotsPerClient = 40;
 /// Client i's interval starts at 1 + i*kStagger: consecutive clients
 /// share 36 of their 40 snapshots, so most page versions are common.
@@ -160,8 +168,118 @@ void WriteConfigJson(JsonWriter* json, const char* key,
   json->EndObject();
 }
 
+/// One repeat of a concurrent config: fresh clients and caches, run from
+/// a cold page cache.
+struct Pass {
+  std::vector<Client> clients;
+  /// The config's decoded-page caches: one per client (private) or one
+  /// attached to every client (shared).
+  std::vector<std::unique_ptr<sql::SharedScanCache>> caches;
+  double wall_ms = 0;
+  int64_t spt_shared = 0;  // SPT builds served from another open
+};
+
+Pass RunPass(tpch::History* history, bool shared) {
+  // Both concurrent configs run the fast profile: page-at-a-time
+  // evaluation and one Qq plan per run keep per-iteration CPU small
+  // relative to archive I/O, which is the regime the shared cache
+  // targets.
+  RqlOptions opts;
+  opts.profile = RqlProfile::kFast;
+  Pass p;
+  if (shared) {
+    p.caches.push_back(std::make_unique<sql::SharedScanCache>());
+    opts.shared_scan_cache = p.caches.back().get();
+  }
+  p.clients = MakeClients(history, opts);
+  if (!shared) {
+    for (Client& c : p.clients) {
+      p.caches.push_back(std::make_unique<sql::SharedScanCache>(
+          sql::SharedScanCache::Options{.max_bytes = 0}));
+      c.engine->mutable_options()->shared_scan_cache = p.caches.back().get();
+    }
+  }
+  retro::SnapshotStore* store = history->data()->store();
+  store->ClearSnapshotCache();
+  const int64_t spt_shared_before = store->shared_spt_builds_total();
+  p.wall_ms = RunConcurrent(&p.clients);
+  p.spt_shared = store->shared_spt_builds_total() - spt_shared_before;
+  return p;
+}
+
+/// The repeat whose pass took the median wall time, so the counters
+/// reported beside that time come from the same pass.
+const Pass& Median(const std::vector<Pass>& passes) {
+  std::vector<const Pass*> sorted;
+  for (const Pass& p : passes) sorted.push_back(&p);
+  std::sort(sorted.begin(), sorted.end(), [](const Pass* a, const Pass* b) {
+    return a->wall_ms < b->wall_ms;
+  });
+  return *sorted[sorted.size() / 2];
+}
+
+/// The identity, single-decode, coalescing and attribution checks every
+/// repeat must pass.
+bool CheckRepeat(int repeat, const Pass& priv, const Pass& shared,
+                 const std::vector<Client>& oracle) {
+  bool ok = true;
+  for (int i = 0; i < kClients; ++i) {
+    if (priv.clients[i].rows != oracle[i].rows) {
+      std::printf("CHECK FAILED: repeat %d: private-cache client %d result "
+                  "table differs from the sequential oracle\n", repeat, i);
+      ok = false;
+    }
+    if (shared.clients[i].rows != oracle[i].rows) {
+      std::printf("CHECK FAILED: repeat %d: shared-cache client %d result "
+                  "table differs from the sequential oracle\n", repeat, i);
+      ok = false;
+    }
+  }
+  const sql::SharedScanCache::Stats cs = shared.caches[0]->GetStats();
+  if (cs.inserts != static_cast<int64_t>(cs.entries) || cs.evictions != 0 ||
+      cs.abandoned_decodes != 0) {
+    std::printf("CHECK FAILED: repeat %d: expected every unique version "
+                "decoded once (inserts=%lld entries=%llu evictions=%lld "
+                "abandoned=%lld)\n", repeat,
+                static_cast<long long>(cs.inserts),
+                static_cast<unsigned long long>(cs.entries),
+                static_cast<long long>(cs.evictions),
+                static_cast<long long>(cs.abandoned_decodes));
+    ok = false;
+  }
+  if (cs.coalesced_decodes <= 0) {
+    std::printf("CHECK FAILED: repeat %d: no coalesced decodes — concurrent "
+                "runs never waited on each other's in-flight decode\n",
+                repeat);
+    ok = false;
+  }
+  int64_t sum_hits = 0;
+  int64_t sum_misses = 0;
+  int64_t sum_coalesced = 0;
+  for (const Client& c : shared.clients) {
+    sum_hits += c.hits;
+    sum_misses += c.misses;
+    sum_coalesced += c.coalesced;
+  }
+  if (sum_hits != cs.shared_hits || sum_misses != cs.misses ||
+      sum_coalesced != cs.coalesced_decodes) {
+    std::printf("CHECK FAILED: repeat %d: per-iteration attribution drifted "
+                "from the cache's global counters (clients %lld/%lld/%lld "
+                "vs cache %lld/%lld/%lld)\n", repeat,
+                static_cast<long long>(sum_hits),
+                static_cast<long long>(sum_misses),
+                static_cast<long long>(sum_coalesced),
+                static_cast<long long>(cs.shared_hits),
+                static_cast<long long>(cs.misses),
+                static_cast<long long>(cs.coalesced_decodes));
+    ok = false;
+  }
+  return ok;
+}
+
 int Run() {
-  auto uw15 = GetHistory("uw15_small");
+  storage::ReadLatencyEnv env(BenchEnv());
+  auto uw15 = GetHistory("uw15_small", &env);
   if (!uw15.ok()) Fail(uw15.status(), "uw15_small history");
   tpch::History* history = uw15->get();
   retro::SnapshotStore* store = history->data()->store();
@@ -170,62 +288,37 @@ int Run() {
               "%d overlapping snapshots each, UW15\n\n",
               kClients, kSnapshotsPerClient);
 
-  // Oracle: sequential, flag-off, no simulated latency. Defines the
-  // byte-identity reference per client.
+  // Oracle: sequential, flag-off, each run from a cold page cache, no
+  // simulated latency. Defines the byte-identity reference per client.
   RqlOptions oracle_opts;
   std::vector<Client> oracle = MakeClients(history, oracle_opts);
-  for (Client& c : oracle) RunOne(&c);
+  for (Client& c : oracle) {
+    store->ClearSnapshotCache();
+    RunOne(&c);
+  }
 
-  // Both concurrent configs run under identical store conditions: cold
+  // Every concurrent pass runs under identical store conditions: cold
   // page cache, simulated archive latency, a page cache far smaller than
-  // the working set. The cache policy is kWarm: kColdPerRun clears the
-  // shared store cache, which concurrent runs must not do to each other.
-  store->set_simulated_archive_latency_us(kArchiveLatencyUs);
-  store->set_simulated_archive_fetch_slots(1);
+  // the working set.
+  env.set_read_latency_us(kArchiveLatencyUs);
+  env.set_read_slots(1);
   store->snapshot_cache()->set_capacity(kSnapshotCachePages);
-
-  // Both concurrent configs run the fast profile: page-at-a-time
-  // evaluation and one Qq plan per run keep per-iteration CPU small
-  // relative to archive I/O, which is the regime the shared cache
-  // targets.
-  RqlOptions private_opts;
-  private_opts.cache_policy = RqlCachePolicy::kWarm;
-  private_opts.profile = RqlProfile::kFast;
-  std::vector<Client> priv = MakeClients(history, private_opts);
-  std::vector<std::unique_ptr<sql::SharedScanCache>> private_caches;
-  for (Client& c : priv) {
-    private_caches.push_back(std::make_unique<sql::SharedScanCache>(
-        sql::SharedScanCache::Options{.max_bytes = 0}));
-    c.engine->mutable_options()->shared_scan_cache =
-        private_caches.back().get();
+  std::vector<Pass> privs;
+  std::vector<Pass> shareds;
+  for (int r = 0; r < kRepeats; ++r) {
+    privs.push_back(RunPass(history, /*shared=*/false));
+    shareds.push_back(RunPass(history, /*shared=*/true));
   }
-  store->ClearSnapshotCache();
-  const double wall_private = RunConcurrent(&priv);
 
-  sql::SharedScanCache cache;
-  RqlOptions shared_opts;
-  shared_opts.cache_policy = RqlCachePolicy::kWarm;
-  shared_opts.shared_scan_cache = &cache;
-  shared_opts.profile = RqlProfile::kFast;
-  std::vector<Client> shared = MakeClients(history, shared_opts);
-  store->ClearSnapshotCache();
-  const int64_t spt_shared_before = store->shared_spt_builds_total();
-  const double wall_shared = RunConcurrent(&shared);
-  const int64_t spt_shared =
-      store->shared_spt_builds_total() - spt_shared_before;
-
-  store->set_simulated_archive_latency_us(0);
-  store->set_simulated_archive_fetch_slots(0);
-  const sql::SharedScanCache::Stats cs = cache.GetStats();
-
-  int64_t sum_hits = 0;
-  int64_t sum_misses = 0;
-  int64_t sum_coalesced = 0;
-  for (const Client& c : shared) {
-    sum_hits += c.hits;
-    sum_misses += c.misses;
-    sum_coalesced += c.coalesced;
-  }
+  const Pass& priv_median = Median(privs);
+  const Pass& shared_median = Median(shareds);
+  const std::vector<Client>& priv = priv_median.clients;
+  const std::vector<Client>& shared = shared_median.clients;
+  const double wall_private = priv_median.wall_ms;
+  const double wall_shared = shared_median.wall_ms;
+  const int64_t spt_shared = shared_median.spt_shared;
+  const sql::SharedScanCache::Stats cs =
+      shared_median.caches[0]->GetStats();
   const double speedup = wall_shared > 0 ? wall_private / wall_shared : 0;
 
   std::printf("%-10s %10s %10s %10s %10s\n", "config", "wall_ms", "hits",
@@ -244,10 +337,10 @@ int Run() {
   };
   print_config("private", wall_private, priv);
   print_config("shared", wall_shared, shared);
-  std::printf("\nshared-config speedup over private: %.1fx; cache: "
-              "%llu entries, %llu bytes, %lld inserts, %lld evictions, "
-              "%lld coalesced; %lld SPT builds shared\n",
-              speedup, static_cast<unsigned long long>(cs.entries),
+  std::printf("\nmedians of %d repeats; shared-config speedup over private: "
+              "%.1fx; cache: %llu entries, %llu bytes, %lld inserts, %lld "
+              "evictions, %lld coalesced; %lld SPT builds shared\n",
+              kRepeats, speedup, static_cast<unsigned long long>(cs.entries),
               static_cast<unsigned long long>(cs.bytes),
               static_cast<long long>(cs.inserts),
               static_cast<long long>(cs.evictions),
@@ -255,47 +348,11 @@ int Run() {
               static_cast<long long>(spt_shared));
 
   bool checks_ok = true;
-  for (int i = 0; i < kClients; ++i) {
-    if (priv[i].rows != oracle[i].rows) {
-      std::printf("CHECK FAILED: private-cache client %d result table "
-                  "differs from the sequential oracle\n", i);
-      checks_ok = false;
-    }
-    if (shared[i].rows != oracle[i].rows) {
-      std::printf("CHECK FAILED: shared-cache client %d result table "
-                  "differs from the sequential oracle\n", i);
-      checks_ok = false;
-    }
-  }
-  if (cs.inserts != static_cast<int64_t>(cs.entries) || cs.evictions != 0 ||
-      cs.abandoned_decodes != 0) {
-    std::printf("CHECK FAILED: expected every unique version decoded once "
-                "(inserts=%lld entries=%llu evictions=%lld abandoned=%lld)\n",
-                static_cast<long long>(cs.inserts),
-                static_cast<unsigned long long>(cs.entries),
-                static_cast<long long>(cs.evictions),
-                static_cast<long long>(cs.abandoned_decodes));
-    checks_ok = false;
-  }
-  if (cs.coalesced_decodes <= 0) {
-    std::printf("CHECK FAILED: no coalesced decodes — concurrent runs "
-                "never waited on each other's in-flight decode\n");
-    checks_ok = false;
-  }
-  if (sum_hits != cs.shared_hits || sum_misses != cs.misses ||
-      sum_coalesced != cs.coalesced_decodes) {
-    std::printf("CHECK FAILED: per-iteration attribution drifted from the "
-                "cache's global counters (clients %lld/%lld/%lld vs cache "
-                "%lld/%lld/%lld)\n", static_cast<long long>(sum_hits),
-                static_cast<long long>(sum_misses),
-                static_cast<long long>(sum_coalesced),
-                static_cast<long long>(cs.shared_hits),
-                static_cast<long long>(cs.misses),
-                static_cast<long long>(cs.coalesced_decodes));
-    checks_ok = false;
+  for (int r = 0; r < kRepeats; ++r) {
+    if (!CheckRepeat(r, privs[r], shareds[r], oracle)) checks_ok = false;
   }
   if (wall_shared * 2 > wall_private) {
-    std::printf("CHECK FAILED: shared %.2fms vs private %.2fms "
+    std::printf("CHECK FAILED: median shared %.2fms vs private %.2fms "
                 "(< 2x aggregate throughput)\n", wall_shared, wall_private);
     checks_ok = false;
   }
@@ -322,6 +379,7 @@ int Run() {
   json.EndObject();
   json.Field("shared_spt_builds", spt_shared);
   json.Field("shared_speedup_over_private", speedup, 2);
+  json.Field("repeats", kRepeats);
   json.Field("checks_ok", checks_ok);
   json.EndObject();
   json.Close();

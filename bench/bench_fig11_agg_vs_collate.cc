@@ -24,6 +24,7 @@ struct CaseResult {
 
 CaseResult RunCollate(tpch::History* history, bool two_aggs) {
   RqlEngine* engine = history->engine();
+  history->data()->store()->ClearSnapshotCache();
   BENCH_CHECK(engine->CollateData(history->QsInterval(1, 50),
                                   two_aggs ? kQqAgg : kQqAgg1,
                                   "CollateResult"));
@@ -48,6 +49,7 @@ CaseResult RunCollate(tpch::History* history, bool two_aggs) {
 
 CaseResult RunAggTable(tpch::History* history, bool two_aggs) {
   RqlEngine* engine = history->engine();
+  history->data()->store()->ClearSnapshotCache();
   BENCH_CHECK(engine->AggregateDataInTable(
       history->QsInterval(1, 50), two_aggs ? kQqAgg : kQqAgg1, "AggResult",
       two_aggs ? "(cn,max):(av,max)" : "(cn,max)"));

@@ -27,6 +27,10 @@ int Run() {
               "AggregateDataInTable (Qq_agg, UW30)\n");
   PrintBreakdownHeader("iteration");
 
+  // Iteration 0 is the cold one: each run starts on an empty snapshot
+  // cache.
+  retro::SnapshotStore* store = history->data()->store();
+  store->ClearSnapshotCache();
   BENCH_CHECK(engine->CollateData(history->QsInterval(1, 50), kQqAgg1,
                                   "CollateResult"));
   const RqlRunStats& collate = engine->last_run_stats();
@@ -35,6 +39,7 @@ int Run() {
   PrintBreakdownRow("CollateData cold iteration", collate_cold);
   PrintBreakdownRow("CollateData hot iteration", collate_hot);
 
+  store->ClearSnapshotCache();
   BENCH_CHECK(engine->AggregateDataInTable(history->QsInterval(1, 50),
                                            kQqAgg1, "AggResult", "(cn,max)"));
   const RqlRunStats& agg = engine->last_run_stats();

@@ -29,6 +29,8 @@ struct FuncRun {
 FuncRun RunFunc(tpch::History* history, const char* table,
                 const char* pairs) {
   RqlEngine* engine = history->engine();
+  // Iteration 0 is the cold one: the run starts on an empty snapshot cache.
+  history->data()->store()->ClearSnapshotCache();
   BENCH_CHECK(engine->AggregateDataInTable(history->QsInterval(1, 50),
                                            kQqAgg1, table, pairs));
   FuncRun r;

@@ -25,23 +25,13 @@
 namespace rql::bench {
 namespace {
 
-double MeasureC(tpch::History* history, int interval_len, int step) {
+RatioC MeasureC(tpch::History* history, int interval_len, int step) {
   RqlEngine* engine = history->engine();
-  std::string qs = history->QsInterval(1, interval_len, step);
-
-  engine->mutable_options()->cache_policy = RqlCachePolicy::kColdPerRun;
-  // Warm up once (OS file cache, allocator) so the two measured runs see
-  // the same environment; the snapshot cache itself still starts cold.
-  BENCH_CHECK(engine->AggregateDataInVariable(qs, kQqIo, "Result", "avg"));
-  BENCH_CHECK(engine->AggregateDataInVariable(qs, kQqIo, "Result", "avg"));
-  double rql_ms = RunTotalMs(engine->last_run_stats());
-
-  engine->mutable_options()->cache_policy = RqlCachePolicy::kColdPerIteration;
-  BENCH_CHECK(engine->AggregateDataInVariable(qs, kQqIo, "Result", "avg"));
-  double all_cold_ms = RunTotalMs(engine->last_run_stats());
-  engine->mutable_options()->cache_policy = RqlCachePolicy::kColdPerRun;
-
-  return all_cold_ms > 0 ? rql_ms / all_cold_ms : 0.0;
+  return MeasureRatioC(
+      engine, history->QsInterval(1, interval_len, step),
+      [&](const std::string& qs) {
+        return engine->AggregateDataInVariable(qs, kQqIo, "Result", "avg");
+      });
 }
 
 // --- part 2: page-sharing flag ablation ------------------------------------
@@ -180,16 +170,27 @@ int Run() {
               "(AggregateDataInVariable(Qs_N, Qq_io, AVG))\n");
   std::printf("%-10s %14s %14s %20s %20s\n", "interval", "UW30 step1",
               "UW15 step1", "UW30 step10", "UW15 step10");
+  // The all-cold denominators' page totals, printed after the ratios.
+  std::vector<std::string> all_cold_rows;
   json.BeginArray("figure6");
   for (int n : lengths) {
-    double c30 = MeasureC(uw30->get(), n, 1);
-    double c15 = MeasureC(uw15->get(), n, 1);
+    RatioC r30 = MeasureC(uw30->get(), n, 1);
+    RatioC r15 = MeasureC(uw15->get(), n, 1);
     // The step-10 series spans 10x the history; cap it so every snapshot
     // in the set stays old.
     bool step10_fits = n * 10 + 120 <= kStandardSnapshots;
-    double c30s = step10_fits ? MeasureC(uw30->get(), n, 10) : -1;
-    double c15s = step10_fits ? MeasureC(uw15->get(), n, 10) : -1;
+    const RatioC none{.c = -1, .all_cold = {}};
+    RatioC r30s = step10_fits ? MeasureC(uw30->get(), n, 10) : none;
+    RatioC r15s = step10_fits ? MeasureC(uw15->get(), n, 10) : none;
+    double c30 = r30.c, c15 = r15.c, c30s = r30s.c, c15s = r15s.c;
     std::printf("%-10d %14.3f %14.3f", n, c30, c15);
+    char row[160];
+    std::snprintf(
+        row, sizeof(row), "%-10d %20s %20s %20s %20s", n,
+        PageTotals(r30.all_cold).c_str(), PageTotals(r15.all_cold).c_str(),
+        step10_fits ? PageTotals(r30s.all_cold).c_str() : "-",
+        step10_fits ? PageTotals(r15s.all_cold).c_str() : "-");
+    all_cold_rows.push_back(row);
     if (step10_fits) {
       std::printf(" %20.3f %20.3f\n", c30s, c15s);
     } else {
@@ -210,6 +211,12 @@ int Run() {
     }
   }
   json.EndArray();
+  std::printf("\nAll-cold page totals (pagelog/maplog/db)\n");
+  std::printf("%-10s %20s %20s %20s %20s\n", "interval", "UW30 step1",
+              "UW15 step1", "UW30 step10", "UW15 step10");
+  for (const std::string& row : all_cold_rows) {
+    std::printf("%s\n", row.c_str());
+  }
 
   std::printf("\nPage-sharing flag ablation: CollateData over %d sparse "
               "snapshots\n(stock changes every %dth snapshot, one page per "

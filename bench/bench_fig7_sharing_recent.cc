@@ -28,22 +28,13 @@ namespace {
 // current database starts at Slast - OverwriteCycle - kIntervalLen.
 constexpr int kIntervalLen = 20;
 
-double MeasureC(tpch::History* history, retro::SnapshotId start) {
+RatioC MeasureC(tpch::History* history, retro::SnapshotId start) {
   RqlEngine* engine = history->engine();
-  std::string qs = history->QsInterval(start, kIntervalLen, 1);
-
-  engine->mutable_options()->cache_policy = RqlCachePolicy::kColdPerRun;
-  // Warm up once so both measured runs see the same environment.
-  BENCH_CHECK(engine->AggregateDataInVariable(qs, kQqIo, "Result", "avg"));
-  BENCH_CHECK(engine->AggregateDataInVariable(qs, kQqIo, "Result", "avg"));
-  double rql_ms = RunTotalMs(engine->last_run_stats());
-
-  engine->mutable_options()->cache_policy = RqlCachePolicy::kColdPerIteration;
-  BENCH_CHECK(engine->AggregateDataInVariable(qs, kQqIo, "Result", "avg"));
-  double all_cold_ms = RunTotalMs(engine->last_run_stats());
-  engine->mutable_options()->cache_policy = RqlCachePolicy::kColdPerRun;
-
-  return all_cold_ms > 0 ? rql_ms / all_cold_ms : 0.0;
+  return MeasureRatioC(
+      engine, history->QsInterval(start, kIntervalLen, 1),
+      [&](const std::string& qs) {
+        return engine->AggregateDataInVariable(qs, kQqIo, "Result", "avg");
+      });
 }
 
 std::vector<std::string> DumpTable(tpch::History* history,
@@ -61,7 +52,8 @@ bool Series(const char* name, tpch::History* history, int overwrite_cycle,
   retro::SnapshotId slast = history->last_snapshot();
   std::printf("\n%s (overwrite cycle %d snapshots, Slast=%u):\n", name,
               overwrite_cycle, slast);
-  std::printf("%-26s %10s\n", "interval start", "ratio C");
+  std::printf("%-26s %10s %24s\n", "interval start", "ratio C",
+              "all-cold plog/mlog/db");
   json->BeginObject();
   json->Field("workload", name);
   json->Field("overwrite_cycle", overwrite_cycle);
@@ -70,8 +62,10 @@ bool Series(const char* name, tpch::History* history, int overwrite_cycle,
   for (int offset = earliest_offset; offset >= kIntervalLen; offset -= 10) {
     auto start = static_cast<retro::SnapshotId>(
         static_cast<int>(slast) - offset);
-    double c = MeasureC(history, start);
-    std::printf("Slast-%-20d %10.3f\n", offset, c);
+    RatioC r = MeasureC(history, start);
+    double c = r.c;
+    std::printf("Slast-%-20d %10.3f %24s\n", offset, c,
+                PageTotals(r.all_cold).c_str());
     json->BeginObject();
     json->Field("offset", offset);
     json->Field("c", c);
@@ -93,6 +87,7 @@ bool Series(const char* name, tpch::History* history, int overwrite_cycle,
   std::string qs = history->QsInterval(
       static_cast<retro::SnapshotId>(static_cast<int>(slast) - kIntervalLen),
       kIntervalLen, 1);
+  history->data()->store()->ClearSnapshotCache();
   BENCH_CHECK(engine->AggregateDataInVariable(qs, kQqIo, "Base", "avg"));
   std::vector<std::string> base = DumpTable(history, "Base");
   sql::SharedScanCache run_cache({.max_bytes = 0});  // this run's only
@@ -103,6 +98,7 @@ bool Series(const char* name, tpch::History* history, int overwrite_cycle,
   // run end (delta around the run == the run's RqlRunStats).
   retro::MetricsRegistry* metrics = engine->metrics();
   retro::MetricsRegistry::Snapshot before = metrics->TakeSnapshot();
+  history->data()->store()->ClearSnapshotCache();
   BENCH_CHECK(engine->AggregateDataInVariable(qs, kQqIo, "Flagged", "avg"));
   retro::MetricsRegistry::Snapshot delta =
       metrics->TakeSnapshot().DeltaFrom(before);

@@ -29,6 +29,8 @@ namespace {
 void RunCase(const char* label, tpch::History* history, int count,
              JsonWriter* json) {
   RqlEngine* engine = history->engine();
+  // Iteration 0 is the cold one: the run starts on an empty snapshot cache.
+  history->data()->store()->ClearSnapshotCache();
   BENCH_CHECK(engine->AggregateDataInVariable(
       history->QsInterval(1, count), kQqCpu, "Result", "avg"));
   const RqlRunStats& stats = engine->last_run_stats();
@@ -73,10 +75,12 @@ AblationResult RunScanAgg(tpch::History* history, int count, bool batch) {
   opts->profile = batch ? RqlProfile::kFast : RqlProfile::kPaperFaithful;
   std::string qs = history->QsInterval(1, count);
   // Warm-up evens out OS caches and the allocator; the measured run still
-  // starts with a cold snapshot cache (the default
-  // RqlCachePolicy::kColdPerRun) and an empty decoded-page cache.
+  // starts with a cold snapshot cache and an empty decoded-page cache.
+  retro::SnapshotStore* store = history->data()->store();
+  store->ClearSnapshotCache();
   BENCH_CHECK(engine->CollateData(qs, kQqScanAgg, "ScanAgg"));
   run_cache.Clear();
+  store->ClearSnapshotCache();
   BENCH_CHECK(engine->CollateData(qs, kQqScanAgg, "ScanAgg"));
 
   AblationResult r;

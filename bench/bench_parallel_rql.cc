@@ -7,7 +7,8 @@
 // plan and its incremental SPT cursor across the snapshots it claims.
 //
 // The workload is the I/O-heavy Qq_io with a simulated archive latency of
-// ~100us per cold Pagelog fetch, charged inside the snapshot-cache loader.
+// ~100us per cold Pagelog page load: the store runs over a
+// storage::ReadLatencyEnv, whose sleep the snapshot-cache loader pays.
 // That makes the sweep I/O-bound rather than core-bound: the speedup comes
 // from overlapping archive stalls across workers (and from single-flight
 // coalescing of racing fetches of shared pre-state pages), so the scaling
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "storage/latency_env.h"
 
 namespace rql::bench {
 namespace {
@@ -43,8 +45,9 @@ RunResult RunWorkers(tpch::History* history, const std::string& qs,
   // run end (delta around the run == the run's RqlRunStats).
   retro::MetricsRegistry* metrics = engine->metrics();
   retro::MetricsRegistry::Snapshot before = metrics->TakeSnapshot();
-  // RqlCachePolicy::kColdPerRun (the default) clears the snapshot cache at
-  // run start, so every worker count pays the same cold archive I/O.
+  // Every worker count starts on an empty snapshot cache, so each pays the
+  // same cold archive I/O.
+  history->data()->store()->ClearSnapshotCache();
   BENCH_CHECK(engine->CollateData(qs, kQqIo, "Par"));
   retro::MetricsRegistry::Snapshot delta =
       metrics->TakeSnapshot().DeltaFrom(before);
@@ -65,13 +68,13 @@ RunResult RunWorkers(tpch::History* history, const std::string& qs,
 }
 
 int Run() {
-  auto history_or = GetHistory("uw30_small");
+  storage::ReadLatencyEnv env(BenchEnv());
+  auto history_or = GetHistory("uw30_small", &env);
   if (!history_or.ok()) Fail(history_or.status(), "uw30_small history");
   tpch::History* history = history_or->get();
-  retro::SnapshotStore* store = history->data()->store();
   std::string qs = history->QsInterval(1, kSetSize);
 
-  store->set_simulated_archive_latency_us(kArchiveLatencyUs);
+  env.set_read_latency_us(kArchiveLatencyUs);
 
   std::printf("Parallel RQL (paper §7 future work): "
               "CollateData(Qs_%d, Qq_io), UW30-small, "
@@ -164,7 +167,6 @@ int Run() {
   }
   history->engine()->mutable_options()->parallel_workers = 1;
   history->engine()->mutable_options()->profile = RqlProfile::kPaperFaithful;
-  store->set_simulated_archive_latency_us(0);
 
   json.EndArray();
   json.Field("speedup_at_4_paper_faithful", speedup_at_4[0]);

@@ -6,9 +6,10 @@
 // The server wires every session's engine to one store-scoped
 // sql::SharedScanCache and enables coalesced SPT builds, so the sharing
 // bench_concurrent_runs demonstrates in-process must survive the daemon
-// path end to end. The store simulates a bandwidth-limited cold archive
-// (per-fetch latency, one fetch slot, small page cache) so concurrent
-// runs actually contend for pages.
+// path end to end. The store runs over a storage::ReadLatencyEnv that
+// simulates a bandwidth-limited cold archive (per-load latency, one read
+// slot) and keeps a small page cache, so concurrent runs actually contend
+// for pages.
 //
 // Self-checks (CI gates):
 //   * every client's result table, fetched over the wire from its
@@ -40,6 +41,7 @@
 #include "server/server.h"
 #include "sql/shared_scan_cache.h"
 #include "storage/env.h"
+#include "storage/latency_env.h"
 
 namespace rql::bench {
 namespace {
@@ -80,6 +82,7 @@ std::vector<std::vector<std::string>> RunOracle(tpch::History* history) {
                       sql::Value::Text("")});
       if (!row.ok()) Fail(row.status(), "populate oracle SnapIds");
     }
+    history->data()->store()->ClearSnapshotCache();
     BENCH_CHECK(engine.CollateData(ClientQs(history, i), kQqIo,
                                    kResultTable));
     auto rows = (*meta)->Query(std::string("SELECT * FROM ") + kResultTable);
@@ -99,7 +102,8 @@ struct DaemonClient {
 };
 
 int Run() {
-  auto uw15 = GetHistory("uw15_small");
+  storage::ReadLatencyEnv env(BenchEnv());
+  auto uw15 = GetHistory("uw15_small", &env);
   if (!uw15.ok()) Fail(uw15.status(), "uw15_small history");
   tpch::History* history = uw15->get();
   retro::SnapshotStore* store = history->data()->store();
@@ -120,8 +124,8 @@ int Run() {
   if (!srv.ok()) Fail(srv.status(), "create server");
   BENCH_CHECK((*srv)->Start());
 
-  store->set_simulated_archive_latency_us(kArchiveLatencyUs);
-  store->set_simulated_archive_fetch_slots(1);
+  env.set_read_latency_us(kArchiveLatencyUs);
+  env.set_read_slots(1);
   store->snapshot_cache()->set_capacity(kSnapshotCachePages);
   store->ClearSnapshotCache();
 
@@ -160,8 +164,6 @@ int Run() {
   auto wire_stats = clients[0].client->StatsJson();
   if (!wire_stats.ok()) Fail(wire_stats.status(), "pull wire stats");
 
-  store->set_simulated_archive_latency_us(0);
-  store->set_simulated_archive_fetch_slots(0);
   const sql::SharedScanCache::Stats cs = (*srv)->scan_cache()->GetStats();
   server::RunScheduler* scheduler = (*srv)->scheduler();
 

@@ -32,7 +32,7 @@ struct IterationStats {
   /// set (subset of spt.entries_scanned).
   int64_t spt_delta_entries = 0;
   /// Transient Pagelog read failures absorbed by the bounded-retry policy
-  /// (set_archive_read_retries).
+  /// (SnapshotView::set_archive_read_retries).
   int64_t archive_read_retries = 0;
   /// Snapshot-cache misses that found another reader already fetching the
   /// same archive page and waited for that load instead of issuing a

@@ -1,8 +1,5 @@
 #include "retro/snapshot_store.h"
 
-#include <chrono>
-#include <thread>
-
 #include "common/clock.h"
 
 namespace rql::retro {
@@ -462,31 +459,6 @@ storage::BufferPool::Loader SnapshotStore::MakeArchiveLoader(
         hist->ObserveUs(*fetches - fetches_before - 1);
       }
     }
-    int64_t latency_us =
-        simulated_archive_latency_us_.load(std::memory_order_relaxed);
-    if (s.ok() && latency_us > 0) {
-      // With bounded fetch slots the sleep itself queues, so concurrent
-      // fetches beyond the archive's bandwidth serialize.
-      const int slots =
-          simulated_archive_fetch_slots_.load(std::memory_order_relaxed);
-      if (slots > 0) {
-        std::unique_lock<std::mutex> slot_lock(archive_fetch_mu_);
-        archive_fetch_cv_.wait(slot_lock, [this, slots] {
-          return archive_fetches_inflight_ < slots;
-        });
-        ++archive_fetches_inflight_;
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(latency_us));
-      if (slots > 0) {
-        {
-          std::lock_guard<std::mutex> slot_lock(archive_fetch_mu_);
-          --archive_fetches_inflight_;
-        }
-        // All, not one: waiters that read different slot limits wake on
-        // different predicates.
-        archive_fetch_cv_.notify_all();
-      }
-    }
     return s;
   };
 }
@@ -513,7 +485,7 @@ Result<storage::PinnedPage> SnapshotView::ReadArchivedPinned(
   // persistent failure still propagates to the iteration. Coalesced
   // waiters receive the owner's error and retry with their own fresh load.
   Result<storage::PinnedPage> result = fetch();
-  for (int r = 0; !result.ok() && r < store_->archive_read_retries(); ++r) {
+  for (int r = 0; !result.ok() && r < archive_read_retries_; ++r) {
     ++stats_.archive_read_retries;
     result = fetch();
   }

@@ -103,6 +103,12 @@ class SnapshotView : public storage::PageReader {
     version_recorder_ = recorder;
   }
 
+  /// Bounded retry budget for transient Pagelog read failures (flaky
+  /// media): a failed archive read through this view is re-issued up to
+  /// `n` times before the error propagates. Each retry is counted in
+  /// IterationStats::archive_read_retries. Default 0: fail fast.
+  void set_archive_read_retries(int n) { archive_read_retries_ = n; }
+
  private:
   friend class SnapshotStore;
   friend class SnapshotSet;
@@ -139,6 +145,7 @@ class SnapshotView : public storage::PageReader {
   // Opened by a SnapshotSet: spt_ holds only the pages resolved so far.
   bool set_view_ = false;
   std::unordered_map<storage::PageId, uint64_t>* version_recorder_ = nullptr;
+  int archive_read_retries_ = 0;
   IterationStats stats_;
 };
 
@@ -302,17 +309,6 @@ class SnapshotStore : public storage::PageWriter {
         new SnapshotSet(this, truncate_epoch()));
   }
 
-  /// Bounded retry budget for transient Pagelog read failures (flaky
-  /// media): a failed archive read is re-issued up to `n` times before the
-  /// error propagates. Each retry is counted in
-  /// IterationStats::archive_read_retries. Default 0: fail fast.
-  void set_archive_read_retries(int n) {
-    archive_read_retries_.store(n, std::memory_order_relaxed);
-  }
-  int archive_read_retries() const {
-    return archive_read_retries_.load(std::memory_order_relaxed);
-  }
-
   /// When enabled, concurrent OpenSnapshot calls (SnapshotSet::Open derives
   /// its own tables) on the same snapshot id share one SPT build: the first
   /// caller scans the Maplog, the others block on that build and copy its
@@ -335,19 +331,6 @@ class SnapshotStore : public storage::PageWriter {
     return shared_spt_builds_total_.load(std::memory_order_relaxed);
   }
 
-  /// Real (slept) per-load archive latency, in addition to the CostModel's
-  /// simulated charges. Parallel-scaling benchmarks use it to make the
-  /// I/O-bound speedup measurable in wall time regardless of core count:
-  /// the sleep happens inside the snapshot-cache loader, so coalesced
-  /// readers of a shared page share one sleep, exactly as they would share
-  /// one device read. Default 0: off.
-  void set_simulated_archive_latency_us(int64_t us) {
-    simulated_archive_latency_us_.store(us, std::memory_order_relaxed);
-  }
-  int64_t simulated_archive_latency_us() const {
-    return simulated_archive_latency_us_.load(std::memory_order_relaxed);
-  }
-
   /// Arms (or with nullptr disarms) a histogram observing, per successful
   /// archive read, the diff-chain depth the read walked (records touched
   /// minus one — identical to Pagelog::DepthAt for the read's offset, but
@@ -366,20 +349,6 @@ class SnapshotStore : public storage::PageWriter {
   /// it was built in and rebases when the epoch moved.
   uint64_t truncate_epoch() const {
     return truncate_epoch_.load(std::memory_order_acquire);
-  }
-
-  /// Bounds how many simulated archive fetches may sleep concurrently,
-  /// modeling an archive with finite bandwidth: a cold store serves only
-  /// so many reads at once, so concurrent fetches beyond the bound queue
-  /// behind the in-flight ones. Duplicated fetches of the same bytes then
-  /// cost aggregate wall time, not just aggregate sleep — the regime
-  /// where cross-run sharing pays. 0 (default) = unbounded sleeps.
-  /// Only meaningful together with a nonzero simulated latency.
-  void set_simulated_archive_fetch_slots(int n) {
-    simulated_archive_fetch_slots_.store(n, std::memory_order_relaxed);
-  }
-  int simulated_archive_fetch_slots() const {
-    return simulated_archive_fetch_slots_.load(std::memory_order_relaxed);
   }
 
   // --- instrumentation ----------------------------------------------------
@@ -447,9 +416,8 @@ class SnapshotStore : public storage::PageWriter {
   /// pass the already-read page content to avoid a second read.
   Status CaptureIfNeeded(storage::PageId id, const storage::Page* current);
 
-  /// The snapshot-cache loader for archive offset keys: a Pagelog read
-  /// (counting records into `*fetches`) plus the optional simulated
-  /// latency sleep, queued behind the simulated fetch slots.
+  /// The snapshot-cache loader for archive offset keys: a Pagelog read,
+  /// counting records into `*fetches`.
   storage::BufferPool::Loader MakeArchiveLoader(int64_t* fetches);
 
   /// Requires mu_ held exclusively.
@@ -497,7 +465,6 @@ class SnapshotStore : public storage::PageWriter {
   // commit is atomic and rollback simply drops the batch.
   bool in_txn_ = false;
 
-  std::atomic<int> archive_read_retries_{0};
   // Cross-run SPT sharing (set_share_spt_builds). An entry is created by
   // the first opener of a snapshot and completed under its own mutex;
   // `spt_share_mu_` only guards the map. Builds run under the shared half
@@ -515,11 +482,6 @@ class SnapshotStore : public storage::PageWriter {
   std::atomic<int64_t> shared_spt_builds_total_{0};
   mutable std::mutex spt_share_mu_;
   std::unordered_map<SnapshotId, std::shared_ptr<SharedSpt>> spt_shared_;
-  std::atomic<int64_t> simulated_archive_latency_us_{0};
-  std::atomic<int> simulated_archive_fetch_slots_{0};
-  std::mutex archive_fetch_mu_;  // guards archive_fetches_inflight_
-  std::condition_variable archive_fetch_cv_;
-  int archive_fetches_inflight_ = 0;
   std::atomic<uint64_t> truncate_epoch_{0};
   std::atomic<MetricsRegistry::Histogram*> diff_depth_hist_{nullptr};
 };

@@ -862,18 +862,6 @@ const char* RqlProfileName(RqlProfile profile) {
   return profile == RqlProfile::kFast ? "fast" : "paper_faithful";
 }
 
-const char* RqlCachePolicyName(RqlCachePolicy policy) {
-  switch (policy) {
-    case RqlCachePolicy::kColdPerRun:
-      return "cold_per_run";
-    case RqlCachePolicy::kWarm:
-      return "warm";
-    case RqlCachePolicy::kColdPerIteration:
-      return "cold_per_iteration";
-  }
-  return "unknown";
-}
-
 RqlEngine::RqlEngine(sql::Database* data_db, sql::Database* meta_db,
                      RqlOptions options)
     : data_db_(data_db), meta_db_(meta_db), options_(std::move(options)) {}
@@ -1174,41 +1162,6 @@ int64_t OptionFlagBits(const RqlOptions& o) {
          (o.shared_scan_cache != nullptr ? 128 : 0);
 }
 
-/// Rejects invalid option combinations before a run touches anything;
-/// `parallel` says whether the run would take the parallel path. Every
-/// opt-in mechanism that would falsify the all-cold baseline of
-/// RqlCachePolicy::kColdPerIteration is listed here once, with the reason.
-Status ValidateRunOptions(const RqlOptions& o, bool parallel) {
-  const bool cold = o.cache_policy == RqlCachePolicy::kColdPerIteration;
-  struct Rule {
-    bool violated;
-    const char* message;
-  };
-  const Rule rules[] = {
-      // Workers share the snapshot cache; a per-iteration clear would race
-      // with concurrent readers and silently measure a partially warm cache.
-      {cold && parallel,
-       "cache_policy kColdPerIteration is incompatible with parallel Qq "
-       "evaluation (parallel_workers > 1)"},
-      {cold && o.profile == RqlProfile::kFast,
-       "cache_policy kColdPerIteration is incompatible with the fast "
-       "profile (the all-cold baseline measures the paper-faithful "
-       "pipeline)"},
-      {cold && o.memo != nullptr,
-       "cache_policy kColdPerIteration is incompatible with a memo (a "
-       "replayed iteration reads nothing, so the all-cold baseline would "
-       "not be measured)"},
-      {cold && o.shared_scan_cache != nullptr,
-       "cache_policy kColdPerIteration is incompatible with "
-       "shared_scan_cache (a store-scoped cache serves pages other runs "
-       "decoded, so the all-cold baseline would not be measured)"},
-  };
-  for (const Rule& rule : rules) {
-    if (rule.violated) return Status::InvalidArgument(rule.message);
-  }
-  return Status::OK();
-}
-
 /// True when no page of `delta` is in `entry`'s read set (sorted by page):
 /// the pages Qq read map to the same versions at the new snapshot.
 bool DeltaMissesReadSet(const std::vector<storage::PageId>& delta,
@@ -1351,10 +1304,10 @@ struct RqlEngine::Answer {
 
 /// The setup and teardown of one run, shared by the sequential, parallel
 /// and UDF-form drivers. Construction restarts the run's stats and trace.
-/// Begin() arms the store once the run has passed validation: the
-/// kRunBegin event, the cold start, read retries and the diff-depth feed,
-/// and SPT-build sharing under a scan cache. NewContext() arms each handle
-/// the run executes on: the scan cache and batch execution (kFast).
+/// Begin() arms the store once the run's queries have parsed: the
+/// kRunBegin event, the diff-depth feed and SPT-build sharing under a scan
+/// cache. NewContext() arms each handle the run executes on: the scan
+/// cache, batch execution (kFast) and the archive read retry budget.
 /// Destruction disarms whatever was armed, on every exit path. Finish()
 /// ends the run's observable life: kRunEnd and the metrics publish.
 class RqlEngine::RunScope {
@@ -1379,8 +1332,8 @@ class RqlEngine::RunScope {
       db->set_snapshot_set(nullptr);
       if (scan_cache_ != nullptr) db->set_scan_cache(nullptr);
       if (batch_hist_ != nullptr) db->set_batch_execution(false);
+      db->set_archive_read_retries(0);
     }
-    store->set_archive_read_retries(0);
     store->set_diff_depth_histogram(nullptr);
   }
 
@@ -1396,13 +1349,6 @@ class RqlEngine::RunScope {
                            {static_cast<int64_t>(snapshots), workers,
                             OptionFlagBits(o)});
     }
-    if (o.cache_policy != RqlCachePolicy::kWarm) {
-      // Cleared before any worker thread is spawned: thread creation gives
-      // the happens-before fence that makes the cold start visible to (and
-      // not raced by) the parallel phase.
-      store->ClearSnapshotCache();
-    }
-    store->set_archive_read_retries(o.archive_read_retries);
     // Armed for every run: in kDiff mode each archive read reports the
     // diff-chain depth it walked (always 0 in kFull mode — one bucket).
     store->set_diff_depth_histogram(
@@ -1432,6 +1378,7 @@ class RqlEngine::RunScope {
       armed_.push_back(db);
       if (scan_cache_ != nullptr) db->set_scan_cache(scan_cache_);
       if (batch_hist_ != nullptr) db->set_batch_execution(true, batch_hist_);
+      db->set_archive_read_retries(engine_->options_.archive_read_retries);
       if (db != engine_->data_db_) ShareFunctions(engine_->data_db_, db);
     }
     auto ctx = std::make_unique<IterationContext>();
@@ -1521,7 +1468,6 @@ Status RqlEngine::RunMechanism(const std::string& qs, MechanismState* state) {
   const bool parallel = options_.parallel_workers > 1 &&
                         state->SupportsParallel() && single_select &&
                         snap_ids.size() > 1;
-  RQL_RETURN_IF_ERROR(ValidateRunOptions(options_, parallel));
   std::vector<Answer> reused;
   if (ReuseRecordedResult(state, snap_ids, &reused)) {
     run.Begin(snap_ids.size(), 1);
@@ -1692,11 +1638,6 @@ Status RqlEngine::AnswerIteration(IterationContext* ctx,
   const bool parallel = ctx->worker != 0;
   sql::Database* db = ctx->db;
   retro::SnapshotStore* store = db->store();
-  // No decoded-page cache can be attached under the all-cold baseline
-  // (ValidateRunOptions), so dropping the snapshot page cache suffices.
-  if (options_.cache_policy == RqlCachePolicy::kColdPerIteration) {
-    store->ClearSnapshotCache();
-  }
   db->set_snapshot_set(ctx->set.get());
   RqlIterationStats& iter = out->iter;
   iter.snapshot = snap;
@@ -2073,7 +2014,6 @@ Status RqlEngine::RegisterUdfs() {
                         auto make_state) -> Result<MechanismState*> {
     if (udf_run_ == nullptr) {
       RQL_RETURN_IF_ERROR(RejectOpenMetaTransaction(meta_db_));
-      RQL_RETURN_IF_ERROR(ValidateRunOptions(options_, /*parallel=*/false));
       udf_run_ = std::make_unique<RunScope>(this);
       udf_run_->Begin(/*snapshots=*/0, /*workers=*/1);
     }

@@ -233,37 +233,16 @@ enum class RqlProfile {
   ///     order strictly (a REAL NaN, or a REAL of magnitude 2^53 or more)
   ///     hands the rest of the run back to the index probe.
   ///     CollateDataIntoIntervals keeps the index probe.
-  /// Rejected with InvalidArgument in combination with
-  /// RqlCachePolicy::kColdPerIteration: that all-cold baseline measures
-  /// the paper-faithful pipeline (the memo precedent).
   kFast,
 };
 
 /// "paper_faithful" / "fast".
 const char* RqlProfileName(RqlProfile profile);
 
-/// When a run clears the store's snapshot page cache. A measurement policy
-/// of the figure benches: the daemon serves kWarm.
-enum class RqlCachePolicy {
-  /// Start every run with an empty snapshot page cache, matching the
-  /// paper's experimental assumption (Section 5).
-  kColdPerRun,
-  /// Never clear: runs share whatever pages earlier runs left cached.
-  kWarm,
-  /// Clear before every iteration: the paper's "all-cold" baseline run,
-  /// denominator of the ratio C (Section 5.1). It measures the
-  /// paper-faithful pipeline alone, so mechanisms return InvalidArgument
-  /// when it meets parallel workers (concurrent iterations share the
-  /// cache), the fast profile, a memo or a shared scan cache.
-  kColdPerIteration,
-};
-
-/// "cold_per_run" / "warm" / "cold_per_iteration".
-const char* RqlCachePolicyName(RqlCachePolicy policy);
-
+/// A run never clears the store's snapshot page cache, which it does not
+/// own: a caller measuring a cold start (the paper's Section 5 protocol)
+/// calls SnapshotStore::ClearSnapshotCache() before the run.
 struct RqlOptions {
-  /// When the run clears the snapshot page cache (see RqlCachePolicy).
-  RqlCachePolicy cache_policy = RqlCachePolicy::kColdPerRun;
   /// Workers for parallel Qq evaluation (the paper's Section 7 future
   /// work). With N > 1, CollateData and AggregateDataInVariable answer N
   /// snapshots concurrently and fold the results sequentially in Qs order,
@@ -320,10 +299,7 @@ struct RqlOptions {
   /// are first-publish-wins), which is how the server serves one memo to
   /// every session. A fresh retro::MemoTable::InMemory() given to one run
   /// is a run-scoped memo. Must live and die with the data database's
-  /// files (see MemoTable::Open). Rejected with InvalidArgument in
-  /// combination with RqlCachePolicy::kColdPerIteration (a replayed
-  /// iteration reads nothing, so the all-cold baseline would not be
-  /// measured).
+  /// files (see MemoTable::Open).
   retro::MemoTable* memo = nullptr;
   /// Decoded-page cache the run's scans go through: table pages are keyed
   /// by their physical version (the Pagelog offset the SPT resolves them
@@ -344,9 +320,7 @@ struct RqlOptions {
   /// coalesced_decodes, surfaced as rql.scan_cache.* metrics, and traced
   /// in kScanCache events. Invalidated conservatively by
   /// TruncateHistory (entries a live run still holds stay alive through
-  /// their shared_ptr). Rejected with InvalidArgument in combination with
-  /// RqlCachePolicy::kColdPerIteration: a cross-run cache would falsify
-  /// the all-cold baseline (the memo precedent).
+  /// their shared_ptr).
   sql::SharedScanCache* shared_scan_cache = nullptr;
 
   /// Cooperative cancellation: when non-null, the engine polls the flag at
@@ -367,7 +341,9 @@ struct RqlOptions {
 
   /// Bounded retry budget for transient Pagelog archive read failures
   /// during a run: each failed read is re-issued up to this many times
-  /// before the iteration aborts. Counted in
+  /// before the iteration aborts. The budget belongs to the run's readers
+  /// (sql::Database::set_archive_read_retries on each handle it executes
+  /// on), so runs on one store keep their own budgets. Counted in
   /// RqlRunStats::archive_read_retries. Default 0: fail fast, the
   /// paper-faithful assumption of reliable media.
   int archive_read_retries = 0;

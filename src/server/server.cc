@@ -710,9 +710,7 @@ std::string Server::StatsJson() {
       << ", \"runs_completed\": " << runs_completed_.load() << "},\n";
   const RqlOptions& engine = options_.engine;
   out << "  \"engine\": {"
-      << "\"profile\": \"" << RqlProfileName(engine.profile) << "\""
-      << ", \"cache_policy\": \"" << RqlCachePolicyName(engine.cache_policy)
-      << "\"},\n";
+      << "\"profile\": \"" << RqlProfileName(engine.profile) << "\"},\n";
   out << "  \"scheduler\": {"
       << "\"queued\": " << scheduler_->queued()
       << ", \"active\": " << scheduler_->active()

@@ -62,15 +62,12 @@ struct ServerOptions {
   int64_t idle_timeout_us = 0;
   /// Base RqlOptions for session engines. The server injects
   /// shared_scan_cache, memo, metrics, session_id and the per-run
-  /// cancel/run_id wiring itself; everything else (profile, cache_policy,
-  /// ...) is taken as configured here. The default serves the fast profile
-  /// over a warm cache: RqlCachePolicy::kColdPerRun would clear the
-  /// store-wide snapshot cache at every run start, wiping pages other
-  /// sessions are reading.
+  /// cancel/run_id wiring itself; everything else (profile, workers,
+  /// ...) is taken as configured here. The default serves the fast
+  /// profile.
   RqlOptions engine = [] {
     RqlOptions o;
     o.profile = RqlProfile::kFast;
-    o.cache_policy = RqlCachePolicy::kWarm;
     return o;
   }();
   /// Receives the server gauges (server.active_sessions,
@@ -108,9 +105,8 @@ class Server {
   const std::string& socket_path() const { return options_.socket_path; }
 
   /// The kStats document (also returned over the wire): server, engine
-  /// (the served profile and cache policy, by RqlProfileName and
-  /// RqlCachePolicyName), scheduler, shared scan cache, memo and store
-  /// sections. The memo's hits and misses are the registry's
+  /// (the served profile, by RqlProfileName), scheduler, shared scan
+  /// cache, memo and store sections. The memo's hits and misses are the registry's
   /// rql.memo_hits / rql.memo_misses counters.
   std::string StatsJson();
 

@@ -264,6 +264,7 @@ Status Database::BindReader(const SelectStmt& stmt, ExecContext* ctx,
   } else {
     RQL_ASSIGN_OR_RETURN(bound->view, store_->OpenSnapshot(ctx->as_of));
   }
+  bound->view->set_archive_read_retries(archive_read_retries_);
   bound->stats = ctx->stats;
   ctx->reader = bound->view.get();
   RQL_ASSIGN_OR_RETURN(bound->catalog,

@@ -168,6 +168,13 @@ class Database {
   }
   bool batch_execution() const { return batch_execution_; }
 
+  /// Retry budget for transient archive read failures of this handle's
+  /// AS OF reads (retro::SnapshotView::set_archive_read_retries): each
+  /// snapshot view it opens gets it. An RQL run arms its own budget on
+  /// every handle it executes on. Default 0: fail fast.
+  void set_archive_read_retries(int n) { archive_read_retries_ = n; }
+  int archive_read_retries() const { return archive_read_retries_; }
+
   retro::SnapshotStore* store() { return store_; }
   Catalog* catalog() { return catalog_.get(); }
   FunctionRegistry* functions() { return &functions_; }
@@ -270,6 +277,7 @@ class Database {
   retro::SnapshotSet* snapshot_set_ = nullptr;
   bool batch_execution_ = false;
   retro::MetricsRegistry::Histogram* batch_size_hist_ = nullptr;
+  int archive_read_retries_ = 0;
   DbExecStats last_stats_;
 };
 

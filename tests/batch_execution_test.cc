@@ -264,18 +264,6 @@ TEST_P(BatchExecutionTest, BatchPathByteIdenticalAcrossFlagMatrix) {
   }
 }
 
-TEST(BatchOptionsTest, BatchIncompatibleWithColdCachePerIteration) {
-  // The all-cold baseline measures the paper-faithful pipeline; the fast
-  // profile's batch path is rejected before the result table is touched.
-  Fixture f = MakeSparseFixture(7, 6, 4, 2);
-  f.engine->mutable_options()->profile = RqlProfile::kFast;
-  f.engine->mutable_options()->cache_policy = RqlCachePolicy::kColdPerIteration;
-  Status s = f.engine->CollateData("SELECT snap_id FROM SnapIds",
-                                   "SELECT item FROM live", "Result");
-  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
-  EXPECT_EQ(f.meta->catalog()->data().FindTable("Result"), nullptr);
-}
-
 /// Direct BatchIterator edge cases against the heap, current state
 /// (unversioned pages, owned-frame path) and snapshots (pinned path).
 class BatchIteratorTest : public ::testing::Test {

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "storage/fault_env.h"
+#include "storage/latency_env.h"
+#include "storage/page.h"
 
 namespace rql::storage {
 namespace {
@@ -169,6 +174,62 @@ TEST(InMemoryEnvTest, TotalBytes) {
   ASSERT_TRUE((*a)->Append(10, "0123456789", &off).ok());
   ASSERT_TRUE((*b)->Append(5, "01234", &off).ok());
   EXPECT_EQ(env.TotalBytes(), 15u);
+}
+
+TEST(ReadLatencyEnvTest, SleepsOnPageSizedReadsOfMatchingFiles) {
+  InMemoryEnv base;
+  ReadLatencyEnv env(&base);
+  env.set_read_latency_us(1);
+  std::string page(kPageSize, 'p');
+  char buf[kPageSize];
+  for (const char* name : {"db.pagelog", "db.maplog"}) {
+    auto file = env.OpenFile(name);
+    ASSERT_TRUE(file.ok());
+    uint64_t off;
+    ASSERT_TRUE((*file)->Append(page.size(), page.data(), &off).ok());
+    ASSERT_TRUE((*file)->Read(0, 16, buf).ok());         // a header
+    ASSERT_TRUE((*file)->Read(0, kPageSize, buf).ok());  // a page
+    EXPECT_EQ(std::string(buf, kPageSize), page);
+  }
+  // One sleep: the page of the matching file.
+  EXPECT_EQ(env.sleeps(), 1);
+  env.set_read_latency_us(0);
+  auto file = env.OpenFile("db.pagelog");
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE((*file)->Read(0, kPageSize, buf).ok());
+  EXPECT_EQ(env.sleeps(), 1);
+}
+
+TEST(ReadLatencyEnvTest, ReadSlotsQueueConcurrentSleeps) {
+  // Three concurrent page reads behind one slot sleep one after another.
+  constexpr int kReaders = 3;
+  constexpr int64_t kLatencyUs = 20000;
+  InMemoryEnv base;
+  ReadLatencyEnv env(&base);
+  std::string page(kPageSize, 'p');
+  {
+    auto file = env.OpenFile("db.pagelog");
+    ASSERT_TRUE(file.ok());
+    uint64_t off;
+    ASSERT_TRUE((*file)->Append(page.size(), page.data(), &off).ok());
+  }
+  env.set_read_latency_us(kLatencyUs);
+  env.set_read_slots(1);
+  auto start = std::chrono::steady_clock::now();
+  std::vector<std::thread> readers;
+  for (int i = 0; i < kReaders; ++i) {
+    readers.emplace_back([&env] {
+      auto file = env.OpenFile("db.pagelog");
+      char buf[kPageSize];
+      EXPECT_TRUE(file.ok() && (*file)->Read(0, kPageSize, buf).ok());
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
+                     std::chrono::steady_clock::now() - start)
+                     .count();
+  EXPECT_EQ(env.sleeps(), kReaders);
+  EXPECT_GE(elapsed, kReaders * kLatencyUs);
 }
 
 }  // namespace

@@ -175,21 +175,5 @@ TEST_F(RqlErrorPathsTest, LogFreeMemoAppendsNoLogBytes) {
   EXPECT_EQ(memo->log_bytes(), 0u);
 }
 
-TEST_F(RqlErrorPathsTest, MemoizeIncompatibleWithColdCachePerIteration) {
-  // A memo-replayed iteration reads nothing, so the all-cold baseline that
-  // RqlCachePolicy::kColdPerIteration defines would silently not be
-  // measured.
-  auto memo = retro::MemoTable::Open(&env_, "memo");
-  ASSERT_TRUE(memo.ok()) << memo.status().ToString();
-  engine_->mutable_options()->memo = memo->get();
-  engine_->mutable_options()->cache_policy = RqlCachePolicy::kColdPerIteration;
-  Status s = engine_->CollateData("SELECT snap_id FROM SnapIds",
-                                  "SELECT k FROM t", "Result");
-  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
-  EXPECT_FALSE(TableExists("Result"));
-  // Validation fires before any iteration: the memo stayed empty.
-  EXPECT_EQ((*memo)->entry_count(), 0u);
-}
-
 }  // namespace
 }  // namespace rql

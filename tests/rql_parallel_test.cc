@@ -260,23 +260,6 @@ TEST(RqlParallelStatsTest, WorkersCallFunctionsRegisteredOnTheDataHandle) {
             TableContents(e.meta.get(), "Par"));
 }
 
-TEST(RqlParallelStatsTest, ColdCachePerIterationRejectedInParallel) {
-  Env e = MakeEnv(6);
-  e.engine->mutable_options()->parallel_workers = 4;
-  e.engine->mutable_options()->cache_policy = RqlCachePolicy::kColdPerIteration;
-  Status s = e.engine->CollateData("SELECT snap_id FROM SnapIds",
-                                   "SELECT k, v FROM t", "R");
-  ASSERT_FALSE(s.ok());
-  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
-
-  // The combination is fine when the run stays sequential (one worker).
-  e.engine->mutable_options()->parallel_workers = 1;
-  EXPECT_TRUE(e.engine
-                  ->CollateData("SELECT snap_id FROM SnapIds",
-                                "SELECT k, v FROM t", "R2")
-                  .ok());
-}
-
 TEST(RqlParallelStatsTest, ConcurrencyCountersZeroInSequentialRuns) {
   Env e = MakeEnv(8);
   ASSERT_TRUE(e.engine

@@ -2,13 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <functional>
 #include <map>
+#include <mutex>
+#include <thread>
 
+#include "bench_common.h"
 #include "sql/btree.h"
 #include "sql/heap_table.h"
 #include "sql/shared_scan_cache.h"
+#include "storage/fault_env.h"
 
 namespace rql {
 namespace {
@@ -304,26 +310,32 @@ TEST_F(RqlLoggedInTest, UdfFormTwoMechanismsInOneStatement) {
 }
 
 TEST_F(RqlLoggedInTest, AllColdOptionMatchesResults) {
-  // The all-cold measurement mode must not change any result.
-  Status s = engine_->AggregateDataInTable(
-      "SELECT snap_id FROM SnapIds",
-      "SELECT l_country, COUNT(*) AS c FROM LoggedIn GROUP BY l_country",
-      "Warm", "(c,max)");
-  ASSERT_TRUE(s.ok());
-  engine_->mutable_options()->cache_policy = RqlCachePolicy::kColdPerIteration;
-  s = engine_->AggregateDataInTable(
-      "SELECT snap_id FROM SnapIds",
-      "SELECT l_country, COUNT(*) AS c FROM LoggedIn GROUP BY l_country",
-      "Cold", "(c,max)");
-  engine_->mutable_options()->cache_policy = RqlCachePolicy::kColdPerRun;
-  ASSERT_TRUE(s.ok());
+  // The all-cold baseline (one cold one-snapshot run per snapshot) must
+  // not change any result: folding its per-snapshot results gives the
+  // shared run's table.
+  const std::string qs = "SELECT snap_id FROM SnapIds";
+  const std::string qq =
+      "SELECT l_country, COUNT(*) AS c FROM LoggedIn GROUP BY l_country";
+  ASSERT_TRUE(engine_->AggregateDataInTable(qs, qq, "Warm", "(c,max)").ok());
+  std::map<std::string, int64_t> cold;
+  auto all_cold = bench::MeasureAllCold(
+      engine_.get(), qs, [&](const std::string& one_qs) -> Status {
+        RQL_RETURN_IF_ERROR(
+            engine_->AggregateDataInTable(one_qs, qq, "Cold", "(c,max)"));
+        for (const Row& row :
+             Q(meta_.get(), "SELECT l_country, c FROM Cold").rows) {
+          int64_t& c = cold[row[0].text()];
+          c = std::max(c, row[1].integer());
+        }
+        return Status::OK();
+      });
+  ASSERT_TRUE(all_cold.ok()) << all_cold.status().ToString();
+  EXPECT_GT(all_cold->pagelog_pages, 0);
   sql::QueryResult warm =
       Q(meta_.get(), "SELECT l_country, c FROM Warm ORDER BY l_country");
-  sql::QueryResult cold =
-      Q(meta_.get(), "SELECT l_country, c FROM Cold ORDER BY l_country");
-  ASSERT_EQ(warm.rows.size(), cold.rows.size());
-  for (size_t i = 0; i < warm.rows.size(); ++i) {
-    EXPECT_EQ(warm.rows[i][1].integer(), cold.rows[i][1].integer());
+  ASSERT_EQ(warm.rows.size(), cold.size());
+  for (const Row& row : warm.rows) {
+    EXPECT_EQ(row[1].integer(), cold[row[0].text()]) << row[0].text();
   }
 }
 
@@ -564,8 +576,9 @@ TEST_F(RqlLoggedInTest, TraceCapacityBoundsMemoryDropOldest) {
 }
 
 TEST_F(RqlLoggedInTest, TraceOffHasZeroDrift) {
-  // Traced reference run.
+  // Traced reference run. Both runs start on an empty snapshot cache.
   engine_->mutable_options()->trace = true;
+  data_->store()->ClearSnapshotCache();
   ASSERT_TRUE(engine_
                   ->CollateData("SELECT snap_id FROM SnapIds",
                                 "SELECT DISTINCT l_userid FROM LoggedIn",
@@ -577,6 +590,7 @@ TEST_F(RqlLoggedInTest, TraceOffHasZeroDrift) {
   // Identical run with tracing off: no events, and every non-time
   // counter — and the result table — is identical.
   engine_->mutable_options()->trace = false;
+  data_->store()->ClearSnapshotCache();
   ASSERT_TRUE(engine_
                   ->CollateData("SELECT snap_id FROM SnapIds",
                                 "SELECT DISTINCT l_userid FROM LoggedIn",
@@ -641,7 +655,7 @@ TEST_F(RqlLoggedInTest, UdfFormFailedRunIsDiscarded) {
 
 TEST_F(RqlLoggedInTest, RunsRestoreEngineAndStoreState) {
   // However a run ends, it disarms everything it armed on the data
-  // database and the store.
+  // database.
   sql::SharedScanCache run_cache({.max_bytes = 0});
   std::atomic<bool> cancel{false};
   RqlOptions* opts = engine_->mutable_options();
@@ -664,12 +678,11 @@ TEST_F(RqlLoggedInTest, RunsRestoreEngineAndStoreState) {
         if (a[0].AsInt() == a[1].AsInt()) cancel.store(true);
         return a[0];
       });
-  retro::SnapshotStore* store = data_->store();
   auto expect_restored = [&](const char* outcome) {
     EXPECT_EQ(data_->scan_cache(), nullptr) << outcome;
     EXPECT_FALSE(data_->batch_execution()) << outcome;
     EXPECT_EQ(data_->snapshot_set(), nullptr) << outcome;
-    EXPECT_EQ(store->archive_read_retries(), 0) << outcome;
+    EXPECT_EQ(data_->archive_read_retries(), 0) << outcome;
   };
   const std::string qs = "SELECT snap_id FROM SnapIds";
 
@@ -1172,7 +1185,8 @@ TEST(RqlMemoCurrentSnapshotTest, WarmRunNeverReplaysAnotherSnapshotsRows) {
 /// Two engines on one store, each with its own metadata database and the
 /// UDF form registered: engine A on the owning data handle, engine B on an
 /// attached one. `t` holds one row whose x is 1 at snapshots 1 and 2 and
-/// 2 at snapshot 3.
+/// 2 at snapshot 3, so snapshots 1 and 2 read t's page from the Pagelog.
+/// The files live behind a fault-injection env, transparent until armed.
 class RqlTwoEngineTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -1231,7 +1245,8 @@ class RqlTwoEngineTest : public ::testing::Test {
     return out;
   }
 
-  storage::InMemoryEnv env_;
+  storage::InMemoryEnv base_env_;
+  storage::FaultInjectionEnv env_{&base_env_};
   std::unique_ptr<sql::Database> data_, data_b_, meta_a_, meta_b_;
   std::unique_ptr<retro::MemoTable> memo_a_ = retro::MemoTable::InMemory();
   std::unique_ptr<retro::MemoTable> memo_b_ = retro::MemoTable::InMemory();
@@ -1282,6 +1297,85 @@ TEST_F(RqlTwoEngineTest, UdfStatesOfOneRunKeepTheirOwnDeltas) {
   EXPECT_EQ(Xs(meta_a_.get(), "T2"), (std::vector<int64_t>{10, 10, 20}));
 }
 
+
+TEST_F(RqlTwoEngineTest, RunLeavesOtherEnginesCachedPagesAlone) {
+  // A run never clears the store's snapshot cache: B's pages survive A's
+  // run, so B's rerun reads nothing from the Pagelog.
+  a_->mutable_options()->memo = nullptr;
+  b_->mutable_options()->memo = nullptr;
+  const std::string qs = "SELECT snap_id FROM SnapIds";
+  auto pagelog_pages = [](const RqlEngine& e) {
+    int64_t pages = 0;
+    for (const auto& it : e.last_run_stats().iterations) {
+      pages += it.pagelog_pages;
+    }
+    return pages;
+  };
+  ASSERT_TRUE(b_->CollateData(qs, "SELECT x FROM t", "RB").ok());
+  EXPECT_GT(pagelog_pages(*b_), 0);
+  // A reads only snapshot 3, whose pages are the current state's.
+  ASSERT_TRUE(a_->CollateData("SELECT snap_id FROM SnapIds WHERE "
+                              "snap_id = 3",
+                              "SELECT x FROM t", "RA")
+                  .ok());
+  ASSERT_TRUE(b_->CollateData(qs, "SELECT x FROM t", "RB").ok());
+  EXPECT_EQ(pagelog_pages(*b_), 0);
+  EXPECT_EQ(Xs(meta_b_.get(), "RB"), (std::vector<int64_t>{1, 1, 2}));
+}
+
+TEST_F(RqlTwoEngineTest, ReadRetryBudgetBelongsToTheRun) {
+  // A's retry budget holds for all of A's run, even when B (budget 0)
+  // runs to completion on the same store while A is mid-run.
+  a_->mutable_options()->memo = nullptr;
+  b_->mutable_options()->memo = nullptr;
+  a_->mutable_options()->archive_read_retries = 2;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool held = false;
+  bool released = false;
+  // hold(x) blocks A's first Qq row until the test releases it.
+  data_->RegisterFunction(
+      "hold", 1, 1, [&](const std::vector<Value>& a) -> Result<Value> {
+        std::unique_lock<std::mutex> lock(mu);
+        if (!held) {
+          held = true;
+          cv.notify_all();
+          cv.wait(lock, [&] { return released; });
+        }
+        return a[0];
+      });
+  Status a_status;
+  std::thread a_run([&] {
+    a_status = a_->CollateData("SELECT snap_id FROM SnapIds",
+                               "SELECT hold(x) AS x FROM t", "RA");
+    // A run that failed before reaching hold() must not hang the test.
+    std::lock_guard<std::mutex> lock(mu);
+    held = true;
+    cv.notify_all();
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return held; });
+  }
+  // EXPECT, not ASSERT: A's thread must be released and joined either way.
+  EXPECT_TRUE(b_->CollateData("SELECT snap_id FROM SnapIds",
+                              "SELECT x FROM t", "RB")
+                  .ok());
+  // A's next archive read fails once, and must be retried.
+  data_->store()->ClearSnapshotCache();
+  env_.Arm({.op = storage::FaultOp::kRead,
+            .kind = storage::FaultKind::kIoError,
+            .glob = "*.pagelog"});
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+  }
+  cv.notify_all();
+  a_run.join();
+  EXPECT_TRUE(a_status.ok()) << a_status.ToString();
+  EXPECT_EQ(a_->last_run_stats().archive_read_retries, 1);
+  EXPECT_EQ(Xs(meta_a_.get(), "RA"), (std::vector<int64_t>{1, 1, 2}));
+}
 
 /// A one-table history for the result fold: t (g, x) with one row whose
 /// group g is INTEGER 1 at snapshot 1 and REAL 1.0 at snapshots 2 and 3,

@@ -33,6 +33,7 @@
 #include "sql/fingerprint.h"
 #include "sql/heap_table.h"
 #include "storage/env.h"
+#include "storage/latency_env.h"
 
 namespace rql::server {
 namespace {
@@ -48,10 +49,13 @@ std::string UniqueSocketPath() {
 
 /// Owner databases + a history: table t(k, v), 600 rows, `snapshots`
 /// snapshots each bumping v on a sliding key subset (the
-/// shared_scan_cache_test fixture shape).
+/// shared_scan_cache_test fixture shape). The files live behind a
+/// simulated archive device, with no latency until a test sets one.
 struct HistoryFixture {
   std::unique_ptr<storage::InMemoryEnv> env =
       std::make_unique<storage::InMemoryEnv>();
+  std::unique_ptr<storage::ReadLatencyEnv> slow =
+      std::make_unique<storage::ReadLatencyEnv>(env.get());
   std::unique_ptr<sql::Database> data;
   std::unique_ptr<sql::Database> meta;
   std::unique_ptr<RqlEngine> engine;
@@ -61,8 +65,8 @@ struct HistoryFixture {
 HistoryFixture MakeHistory(int snapshots,
                            sql::DatabaseOptions data_options = {}) {
   HistoryFixture f;
-  auto data = sql::Database::Open(f.env.get(), "data", data_options);
-  auto meta = sql::Database::Open(f.env.get(), "meta");
+  auto data = sql::Database::Open(f.slow.get(), "data", data_options);
+  auto meta = sql::Database::Open(f.slow.get(), "meta");
   EXPECT_TRUE(data.ok() && meta.ok());
   f.data = std::move(*data);
   f.meta = std::move(*meta);
@@ -162,21 +166,14 @@ TEST(ServerTest, SessionLifecycle) {
   ASSERT_EQ(tables->rows.size(), 1u);
   EXPECT_EQ(tables->rows[0][0].ToString(), "t");
 
-  // The default server serves the fast profile over a warm cache, and
-  // says so; embedded engines stay paper-faithful.
+  // The default server serves the fast profile, and says so; embedded
+  // engines stay paper-faithful.
   EXPECT_EQ(RqlOptions{}.profile, RqlProfile::kPaperFaithful);
-  EXPECT_EQ(RqlOptions{}.cache_policy, RqlCachePolicy::kColdPerRun);
-  EXPECT_STREQ(RqlCachePolicyName(RqlCachePolicy::kColdPerRun),
-               "cold_per_run");
-  EXPECT_STREQ(RqlCachePolicyName(RqlCachePolicy::kWarm), "warm");
-  EXPECT_STREQ(RqlCachePolicyName(RqlCachePolicy::kColdPerIteration),
-               "cold_per_iteration");
   auto stats = (*client)->StatsJson();
   ASSERT_TRUE(stats.ok());
   EXPECT_NE(stats->find("\"active_sessions\": 1"), std::string::npos);
   EXPECT_NE(stats->find("\"scheduler\""), std::string::npos);
-  EXPECT_NE(stats->find("\"engine\": {\"profile\": \"fast\", "
-                        "\"cache_policy\": \"warm\"}"),
+  EXPECT_NE(stats->find("\"engine\": {\"profile\": \"fast\"}"),
             std::string::npos)
       << *stats;
 
@@ -189,7 +186,7 @@ TEST(ServerTest, CancelMidRunLeavesStoreReusable) {
   HistoryFixture f = MakeHistory(12);
   // Make every iteration pay real (simulated) archive latency so the run
   // is reliably still executing when the cancel lands.
-  f.data->store()->set_simulated_archive_latency_us(5000);
+  f.slow->set_read_latency_us(5000);
   ServerOptions options;
   options.socket_path = UniqueSocketPath();
   auto server = Server::Create(f.data.get(), f.meta.get(), options);
@@ -214,7 +211,7 @@ TEST(ServerTest, CancelMidRunLeavesStoreReusable) {
   // The store must be fully reusable after the abort: the same session
   // runs the same mechanism to completion and the result matches the
   // sequential in-process oracle.
-  f.data->store()->set_simulated_archive_latency_us(0);
+  f.slow->set_read_latency_us(0);
   run = (*client)->StartRun(Mechanism::kCollateData, QsRange(1, f.last_snap),
                             kQq, "Out");
   ASSERT_TRUE(run.ok());
@@ -237,7 +234,7 @@ TEST(ServerTest, CancelMidRunLeavesStoreReusable) {
 
 TEST(ServerTest, DisconnectMidRunReleasesSchedulerSlots) {
   HistoryFixture f = MakeHistory(12);
-  f.data->store()->set_simulated_archive_latency_us(5000);
+  f.slow->set_read_latency_us(5000);
   ServerOptions options;
   options.socket_path = UniqueSocketPath();
   options.scheduler.dispatch_threads = 1;
@@ -259,7 +256,7 @@ TEST(ServerTest, DisconnectMidRunReleasesSchedulerSlots) {
   EXPECT_EQ((*server)->scheduler()->queued(), 0);
 
   // The single dispatch thread must be free again for a new session.
-  f.data->store()->set_simulated_archive_latency_us(0);
+  f.slow->set_read_latency_us(0);
   auto client = Client::Connect(options.socket_path);
   ASSERT_TRUE(client.ok());
   auto run = (*client)->StartRun(Mechanism::kCollateData,
@@ -276,7 +273,7 @@ TEST(ServerTest, DisconnectMidRunReleasesSchedulerSlots) {
 
 TEST(ServerTest, AdmissionControlRejectsWhenQueueFull) {
   HistoryFixture f = MakeHistory(8);
-  f.data->store()->set_simulated_archive_latency_us(5000);
+  f.slow->set_read_latency_us(5000);
   ServerOptions options;
   options.socket_path = UniqueSocketPath();
   options.scheduler.dispatch_threads = 1;
@@ -487,6 +484,11 @@ TEST(ServerConcurrencyTest, FourClientsByteIdenticalToSequentialOracle) {
   auto server = Server::Create(f.data.get(), f.meta.get(), options);
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE((*server)->Start().ok());
+  // The served runs start cold over an archive with one read slot, so
+  // their concurrent loads queue behind each other.
+  f.data->store()->ClearSnapshotCache();
+  f.slow->set_read_latency_us(200);
+  f.slow->set_read_slots(1);
 
   struct ClientRun {
     std::unique_ptr<Client> client;

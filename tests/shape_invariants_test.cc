@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench_common.h"
 #include "tpch/workload.h"
 
 namespace rql {
@@ -37,6 +38,7 @@ class ShapeInvariantsTest : public ::testing::Test {
 // iteration fetches far more archive pages than any hot iteration.
 TEST_F(ShapeInvariantsTest, ColdIterationDominatesArchiveFetches) {
   RqlEngine* engine = history()->engine();
+  history()->data()->store()->ClearSnapshotCache();
   ASSERT_TRUE(engine
                   ->AggregateDataInVariable(
                       history()->QsInterval(1, 20),
@@ -60,17 +62,17 @@ TEST_F(ShapeInvariantsTest, SharingReducesTotalFetches) {
   std::string qs = history()->QsInterval(1, 15);
   const char* qq = "SELECT COUNT(*) FROM orders";
 
-  ASSERT_TRUE(
-      engine->AggregateDataInVariable(qs, qq, "Result", "avg").ok());
+  auto run = [&](const std::string& q) {
+    return engine->AggregateDataInVariable(q, qq, "Result", "avg");
+  };
+  history()->data()->store()->ClearSnapshotCache();
+  ASSERT_TRUE(run(qs).ok());
   int64_t shared = TotalPagelogPages(engine->last_run_stats());
 
-  engine->mutable_options()->cache_policy = RqlCachePolicy::kColdPerIteration;
-  ASSERT_TRUE(
-      engine->AggregateDataInVariable(qs, qq, "Result", "avg").ok());
-  int64_t all_cold = TotalPagelogPages(engine->last_run_stats());
-  engine->mutable_options()->cache_policy = RqlCachePolicy::kColdPerRun;
+  auto all_cold = bench::MeasureAllCold(engine, qs, run);
+  ASSERT_TRUE(all_cold.ok()) << all_cold.status().ToString();
 
-  EXPECT_LT(shared, all_cold / 2);
+  EXPECT_LT(shared, all_cold->pagelog_pages / 2);
 }
 
 // Figure 7/8: iterating a recent snapshot reads most pages from the
@@ -79,7 +81,9 @@ TEST_F(ShapeInvariantsTest, RecentSnapshotsShareWithCurrentState) {
   RqlEngine* engine = history()->engine();
   retro::SnapshotId slast = history()->last_snapshot();
   const char* qq = "SELECT COUNT(*) FROM orders";
+  retro::SnapshotStore* store = history()->data()->store();
 
+  store->ClearSnapshotCache();
   ASSERT_TRUE(engine
                   ->AggregateDataInVariable(history()->QsInterval(1, 1), qq,
                                             "Result", "avg")
@@ -87,6 +91,7 @@ TEST_F(ShapeInvariantsTest, RecentSnapshotsShareWithCurrentState) {
   const RqlIterationStats old_iter =
       engine->last_run_stats().iterations[0];
 
+  store->ClearSnapshotCache();
   ASSERT_TRUE(engine
                   ->AggregateDataInVariable(
                       history()->QsInterval(slast, 1), qq, "Result", "avg")

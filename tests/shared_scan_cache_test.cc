@@ -392,7 +392,6 @@ TEST(SharedScanCacheEngineTest, ConcurrentAttachedRunsMatchSequentialOracle) {
     c.data = std::move(*data);
     RqlOptions options;
     options.shared_scan_cache = &cache;
-    options.cache_policy = RqlCachePolicy::kWarm;
     c.engine =
         std::make_unique<RqlEngine>(c.data.get(), c.meta.get(), options);
     ASSERT_TRUE(c.engine->EnsureSnapIds().ok());

@@ -7,6 +7,8 @@
 #include <utility>
 #include <vector>
 
+#include "storage/latency_env.h"
+
 namespace rql::retro {
 namespace {
 
@@ -284,6 +286,50 @@ TEST_F(SnapshotStoreTest, OverwriteCycleFetchCounts) {
   }
   EXPECT_EQ((*view)->stats().pagelog_page_reads, 8);
   EXPECT_EQ((*view)->stats().db_page_reads, 0);
+}
+
+TEST(SnapshotStoreLatencyTest, OneSleepPerArchivedPageLoad) {
+  // A store over the simulated archive device pays one sleep per page it
+  // loads from the Pagelog, whether the record is a full page or the end
+  // of a diff chain, and none for a cached page.
+  for (PagelogMode mode : {PagelogMode::kFull, PagelogMode::kDiff}) {
+    storage::InMemoryEnv base;
+    storage::ReadLatencyEnv env(&base);
+    SnapshotStoreOptions options;
+    options.pagelog_mode = mode;
+    auto store = SnapshotStore::Open(&env, "t", options);
+    ASSERT_TRUE(store.ok());
+    auto id = (*store)->AllocatePage();
+    ASSERT_TRUE(id.ok());
+    constexpr int kSnapshots = 6;
+    for (int v = 1; v <= kSnapshots; ++v) {
+      ASSERT_TRUE((*store)->WritePage(*id, TaggedPage(v)).ok());
+      ASSERT_TRUE((*store)->DeclareSnapshot().ok());
+    }
+    ASSERT_TRUE((*store)->WritePage(*id, TaggedPage(99)).ok());
+
+    env.set_read_latency_us(1);
+    IterationStats stats;
+    for (SnapshotId s = 1; s <= kSnapshots; ++s) {
+      for (int read = 0; read < 2; ++read) {  // a load, then a cache hit
+        auto view = (*store)->OpenSnapshot(s);
+        ASSERT_TRUE(view.ok());
+        storage::Page p;
+        ASSERT_TRUE((*view)->ReadPage(*id, &p).ok());
+        EXPECT_EQ(p.ReadU64(0), static_cast<uint64_t>(s));
+        stats.Add((*view)->stats());
+      }
+      (*store)->ClearSnapshotCache();
+    }
+    EXPECT_EQ(stats.snapshot_cache_hits, kSnapshots);
+    EXPECT_EQ(env.sleeps(), kSnapshots) << static_cast<int>(mode);
+    if (mode == PagelogMode::kDiff) {
+      // Diff chains fetch several records per load.
+      EXPECT_GT(stats.pagelog_page_reads, kSnapshots);
+    } else {
+      EXPECT_EQ(stats.pagelog_page_reads, kSnapshots);
+    }
+  }
 }
 
 TEST_F(SnapshotStoreTest, SnapshotSetSessionMatchesColdOpens) {

@@ -23,7 +23,6 @@ SECTIONS = {
     },
     "engine": {
         "profile": str,
-        "cache_policy": str,
     },
     "scheduler": {
         "queued": int,
@@ -59,7 +58,6 @@ SECTIONS = {
 
 
 PROFILES = {"paper_faithful", "fast"}
-CACHE_POLICIES = {"cold_per_run", "warm", "cold_per_iteration"}
 
 
 class SchemaError(Exception):
@@ -93,9 +91,6 @@ def check_stats(doc):
 
     require(doc["engine"]["profile"] in PROFILES, "$.engine.profile",
             f"expected one of {sorted(PROFILES)}")
-    require(doc["engine"]["cache_policy"] in CACHE_POLICIES,
-            "$.engine.cache_policy",
-            f"expected one of {sorted(CACHE_POLICIES)}")
 
     sched = doc["scheduler"]
     require(sched["queued"] >= 0 and sched["active"] >= 0, "$.scheduler",

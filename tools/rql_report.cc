@@ -317,6 +317,9 @@ int Run(const ReportOptions& opt) {
   for (const char* pass : {"cold", "warm"}) {
     for (const Mechanism& m : mechanisms) {
       retro::MetricsRegistry::Snapshot before = registry.TakeSnapshot();
+      // Every pass starts on an empty snapshot cache; its first iteration
+      // is the cold one.
+      (*data)->store()->ClearSnapshotCache();
       Status s = m.run();
       if (!s.ok()) Fail(s, m.name);
       MechanismRun run;
