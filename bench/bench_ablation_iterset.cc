@@ -60,12 +60,13 @@ RunResult RunConfig(tpch::History* history, const Config& config,
 
   RunResult r;
   r.qq_parses = delta.counter("rql.qq_parse_count");
-  r.total_ms = delta.counter("rql.total_us") / 1000.0;
+  r.total_ms = DerivedMs(delta);
   r.maplog_pages = delta.counter("rql.maplog_pages");
   r.spt_delta_entries = delta.counter("rql.spt_delta_entries");
   r.plan_cache_hits = delta.counter("rql.plan_cache_hits");
-  r.spt_ms = delta.counter("rql.spt_build_us") / 1000.0;
-  r.io_ms = delta.counter("rql.io_us") / 1000.0;
+  r.spt_ms = kCostModel.SptUs(delta.counter("rql.spt_build_us"),
+                              r.maplog_pages) / 1000.0;
+  r.io_ms = kCostModel.IoUs(delta.counter("rql.pagelog_pages")) / 1000.0;
 
   auto rows = history->meta()->Query("SELECT * FROM IterSet");
   if (!rows.ok()) Fail(rows.status(), "dump IterSet");

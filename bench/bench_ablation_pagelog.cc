@@ -77,7 +77,7 @@ ModeResult RunMode(retro::PagelogMode mode, bool sparse_updates) {
       "ORDER BY snap_id",
       kQqIo, "Result", "avg"));
   const RqlRunStats& stats = engine.last_run_stats();
-  r.cold_io_ms = stats.iterations[0].io_us / 1000.0;
+  r.cold_io_ms = kCostModel.IoUs(stats.iterations[0].pagelog_pages) / 1000.0;
   r.cold_fetches = static_cast<double>(stats.iterations[0].pagelog_pages);
   r.run_ms = RunTotalMs(stats);
   return r;

@@ -30,7 +30,8 @@ Sample MeasureSpt(tpch::History* history, retro::SnapshotId snap,
     }
     sample.entries = stats.spt.entries_scanned;
     sample.pages = stats.spt.maplog_pages_read;
-    sample.ms += stats.SptUs(store->cost_model()) / 1000.0;
+    sample.ms += kCostModel.SptUs(stats.spt.cpu_us,
+                                  stats.spt.maplog_pages_read) / 1000.0;
   }
   store->maplog()->set_use_skippy(true);
   sample.ms /= repeats;

@@ -17,8 +17,8 @@
 //            Overlapping clients decode every shared page version once
 //            PER CLIENT — up to 4x duplicated fetch + decode work.
 //   shared   concurrent, one sql::SharedScanCache attached to all four
-//            engines: cross-run hits, per-version single-flight decode,
-//            and coalesced SPT builds in the store.
+//            engines: cross-run hits and per-version single-flight
+//            decode.
 //
 // The two concurrent configs repeat kRepeats times, each repeat with
 // fresh clients and caches from a cold page cache, and each config's
@@ -42,7 +42,6 @@
 
 #include "bench_common.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -71,7 +70,7 @@ constexpr char kResultTable[] = "ConcOut";
 /// Computationally trivial on purpose: per-iteration evaluation cost is
 /// paid identically with or without the shared cache, so the query keeps
 /// it minimal and the measurement isolates what the cache actually
-/// shares — archive fetches, page decodes and SPT builds.
+/// shares — archive fetches and page decodes.
 constexpr char kQqCount[] = "SELECT COUNT(*) FROM orders";
 
 struct Client {
@@ -176,7 +175,6 @@ struct Pass {
   /// attached to every client (shared).
   std::vector<std::unique_ptr<sql::SharedScanCache>> caches;
   double wall_ms = 0;
-  int64_t spt_shared = 0;  // SPT builds served from another open
 };
 
 Pass RunPass(tpch::History* history, bool shared) {
@@ -199,23 +197,9 @@ Pass RunPass(tpch::History* history, bool shared) {
       c.engine->mutable_options()->shared_scan_cache = p.caches.back().get();
     }
   }
-  retro::SnapshotStore* store = history->data()->store();
-  store->ClearSnapshotCache();
-  const int64_t spt_shared_before = store->shared_spt_builds_total();
+  history->data()->store()->ClearSnapshotCache();
   p.wall_ms = RunConcurrent(&p.clients);
-  p.spt_shared = store->shared_spt_builds_total() - spt_shared_before;
   return p;
-}
-
-/// The repeat whose pass took the median wall time, so the counters
-/// reported beside that time come from the same pass.
-const Pass& Median(const std::vector<Pass>& passes) {
-  std::vector<const Pass*> sorted;
-  for (const Pass& p : passes) sorted.push_back(&p);
-  std::sort(sorted.begin(), sorted.end(), [](const Pass* a, const Pass* b) {
-    return a->wall_ms < b->wall_ms;
-  });
-  return *sorted[sorted.size() / 2];
 }
 
 /// The identity, single-decode, coalescing and attribution checks every
@@ -310,13 +294,12 @@ int Run() {
     shareds.push_back(RunPass(history, /*shared=*/true));
   }
 
-  const Pass& priv_median = Median(privs);
-  const Pass& shared_median = Median(shareds);
+  const Pass& priv_median = MedianRepeat(privs);
+  const Pass& shared_median = MedianRepeat(shareds);
   const std::vector<Client>& priv = priv_median.clients;
   const std::vector<Client>& shared = shared_median.clients;
   const double wall_private = priv_median.wall_ms;
   const double wall_shared = shared_median.wall_ms;
-  const int64_t spt_shared = shared_median.spt_shared;
   const sql::SharedScanCache::Stats cs =
       shared_median.caches[0]->GetStats();
   const double speedup = wall_shared > 0 ? wall_private / wall_shared : 0;
@@ -339,13 +322,12 @@ int Run() {
   print_config("shared", wall_shared, shared);
   std::printf("\nmedians of %d repeats; shared-config speedup over private: "
               "%.1fx; cache: %llu entries, %llu bytes, %lld inserts, %lld "
-              "evictions, %lld coalesced; %lld SPT builds shared\n",
+              "evictions, %lld coalesced\n",
               kRepeats, speedup, static_cast<unsigned long long>(cs.entries),
               static_cast<unsigned long long>(cs.bytes),
               static_cast<long long>(cs.inserts),
               static_cast<long long>(cs.evictions),
-              static_cast<long long>(cs.coalesced_decodes),
-              static_cast<long long>(spt_shared));
+              static_cast<long long>(cs.coalesced_decodes));
 
   bool checks_ok = true;
   for (int r = 0; r < kRepeats; ++r) {
@@ -377,7 +359,6 @@ int Run() {
   json.Field("evictions", cs.evictions);
   json.Field("abandoned_decodes", cs.abandoned_decodes);
   json.EndObject();
-  json.Field("shared_spt_builds", spt_shared);
   json.Field("shared_speedup_over_private", speedup, 2);
   json.Field("repeats", kRepeats);
   json.Field("checks_ok", checks_ok);

@@ -138,7 +138,7 @@ AblationResult RunCell(SparseHistory* h, const AblationCell& cell) {
       metrics->TakeSnapshot().DeltaFrom(before);
 
   AblationResult r;
-  r.total_ms = delta.counter("rql.total_us") / 1000.0;
+  r.total_ms = DerivedMs(delta);
   r.iterations_skipped = delta.counter("rql.iterations_skipped");
   r.shared_page_hits = delta.counter("rql.shared_page_hits");
   r.delta_pages = delta.counter("rql.delta_pages_scanned");

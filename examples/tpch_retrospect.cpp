@@ -93,16 +93,15 @@ int main() {
   const rql::RqlRunStats& stats = rql->last_run_stats();
   std::printf("\n== cost breakdown of the last RQL query (%zu iterations)\n",
               stats.iterations.size());
-  std::printf("%-10s %10s %10s %10s %10s %8s\n", "snapshot", "io_us",
-              "spt_us", "query_us", "udf_us", "plog_pg");
+  std::printf("%-10s %8s %10s %10s %10s\n", "snapshot", "plog_pg",
+              "spt_us", "query_us", "udf_us");
   for (size_t i = 0; i < stats.iterations.size(); i += 13) {
     const rql::RqlIterationStats& it = stats.iterations[i];
-    std::printf("%-10u %10lld %10lld %10lld %10lld %8lld\n", it.snapshot,
-                static_cast<long long>(it.io_us),
+    std::printf("%-10u %8lld %10lld %10lld %10lld\n", it.snapshot,
+                static_cast<long long>(it.pagelog_pages),
                 static_cast<long long>(it.spt_build_us),
                 static_cast<long long>(it.query_eval_us),
-                static_cast<long long>(it.udf_us),
-                static_cast<long long>(it.pagelog_pages));
+                static_cast<long long>(it.udf_us));
   }
 
   std::printf("\ntpch_retrospect finished OK\n");

@@ -7,23 +7,13 @@
 
 namespace rql::retro {
 
-/// Simulated device costs used to convert page-fetch counts into time.
-/// The paper's testbed keeps the current database memory-resident and the
-/// Pagelog on SSD; we model that with a per-page charge for Pagelog and
-/// Maplog reads and a zero charge for current-state reads. Benchmarks
-/// report both the page counts and the derived times.
-struct CostModel {
-  int64_t pagelog_read_us = 100;     // one 4K random read from the archive
-  int64_t maplog_page_read_us = 100; // one log page during an SPT scan
-  int64_t db_read_us = 0;            // current state is memory-resident
-};
-
 /// Cost counters of one snapshot reader. Every SnapshotView counts the
 /// reads and the SPT work it does into its own block, and SnapshotSet's
 /// Advance counts into the block its caller passes; a reader belongs to
 /// one thread, so the blocks take no lock, and readers sharing a store
 /// never see each other's work. The RQL engine sums an iteration's blocks
-/// into the per-iteration breakdown (I/O, SPT build) of Figures 8-13.
+/// into its per-iteration counters; the counters are page counts and
+/// measured time only (the figure benches turn counts into device time).
 struct IterationStats {
   int64_t pagelog_page_reads = 0;  // snapshot-cache misses -> archive I/O
   int64_t snapshot_cache_hits = 0;
@@ -56,17 +46,6 @@ struct IterationStats {
     spt.entries_scanned += o.spt.entries_scanned;
     spt.maplog_pages_read += o.spt.maplog_pages_read;
     spt.cpu_us += o.spt.cpu_us;
-  }
-
-  /// Simulated Pagelog I/O time.
-  int64_t IoUs(const CostModel& cm) const {
-    return pagelog_page_reads * cm.pagelog_read_us +
-           db_page_reads * cm.db_read_us;
-  }
-
-  /// SPT construction time: measured CPU plus simulated Maplog I/O.
-  int64_t SptUs(const CostModel& cm) const {
-    return spt.cpu_us + spt.maplog_pages_read * cm.maplog_page_read_us;
   }
 };
 

@@ -97,8 +97,9 @@ struct PageCapture {
 ///     keeping only the first mapping per page, so a scan reads each
 ///     page's mapping roughly once per level instead of once per
 ///     overwrite, giving the paper's ~n log n scan length.
-/// An in-memory mirror of the log avoids per-entry file reads; the
-/// simulated Maplog I/O cost is still charged per log page scanned.
+/// An in-memory mirror of the log avoids per-entry file reads; a scan
+/// still counts the log pages it covers (SptBuildStats::maplog_pages_read),
+/// which the figure benches charge a simulated device read each.
 ///
 /// Beside the mirror the log keeps one page index: each page's captures in
 /// log order. A page's capture ranges are disjoint and ascending, so the

@@ -244,7 +244,6 @@ struct SnapshotStoreOptions {
   /// Snapshot page cache capacity in pages; 0 = unbounded. The paper
   /// assumes the cache holds one RQL query's working set.
   uint64_t snapshot_cache_pages = 0;
-  CostModel cost_model;
   /// Archive representation: full pages (Retro baseline) or Thresher-style
   /// adaptive page diffs (smaller archive, costlier reconstruction).
   PagelogMode pagelog_mode = PagelogMode::kFull;
@@ -352,8 +351,6 @@ class SnapshotStore : public storage::PageWriter {
   }
 
   // --- instrumentation ----------------------------------------------------
-  const CostModel& cost_model() const { return options_.cost_model; }
-
   /// Drops all cached snapshot pages (cold-cache experiment setup). The
   /// cache synchronizes internally; call before readers start if an
   /// all-cold measurement is intended.

@@ -1069,7 +1069,6 @@ void RqlEngine::PublishRunMetrics() {
   add("rql.iterations", static_cast<int64_t>(stats_.iterations.size()));
   add("rql.iterations_skipped", stats_.iterations_skipped);
   add("rql.qq_parse_count", stats_.qq_parse_count);
-  add("rql.extra_agg_us", stats_.extra_agg_us);
   add("rql.parallel_wall_us", stats_.parallel_wall_us);
   add("rql.parallel_lock_wait_us", stats_.parallel_lock_wait_us);
   add("rql.coalesced_loads", stats_.coalesced_loads);
@@ -1087,7 +1086,7 @@ void RqlEngine::PublishRunMetrics() {
   // Per-iteration sums, published from the very numbers last_run_stats()
   // reports, so a registry delta over one run equals the legacy struct
   // exactly (the equality metrics_test and the property test assert).
-  int64_t io_us = 0, spt_build_us = 0, query_eval_us = 0;
+  int64_t spt_build_us = 0, query_eval_us = 0;
   int64_t index_create_us = 0, udf_us = 0;
   int64_t pagelog_pages = 0, db_pages = 0, cache_hits = 0, qq_rows = 0;
   int64_t result_probes = 0, result_inserts = 0, result_updates = 0;
@@ -1099,7 +1098,6 @@ void RqlEngine::PublishRunMetrics() {
   retro::MetricsRegistry::Histogram* iter_hist =
       reg->GetHistogram("rql.iteration_us");
   for (const RqlIterationStats& it : stats_.iterations) {
-    io_us += it.io_us;
     spt_build_us += it.spt_build_us;
     query_eval_us += it.query_eval_us;
     index_create_us += it.index_create_us;
@@ -1124,7 +1122,6 @@ void RqlEngine::PublishRunMetrics() {
     memo_evictions += it.memo_evictions;
     iter_hist->ObserveUs(it.TotalUs());
   }
-  add("rql.io_us", io_us);
   add("rql.spt_build_us", spt_build_us);
   add("rql.query_eval_us", query_eval_us);
   add("rql.index_create_us", index_create_us);
@@ -1217,9 +1214,8 @@ std::shared_ptr<const retro::MemoEntry> MakeMemoEntry(
 /// An iteration's store counters, as the run reports them: `rs` is what
 /// its cursor and its Qq statement's views counted.
 void SetStoreCounters(const retro::IterationStats& rs,
-                      const retro::CostModel& cm, RqlIterationStats* iter) {
-  iter->io_us = rs.IoUs(cm);
-  iter->spt_build_us = rs.SptUs(cm);
+                      RqlIterationStats* iter) {
+  iter->spt_build_us = rs.spt.cpu_us;
   iter->pagelog_pages = rs.pagelog_page_reads;
   iter->db_pages = rs.db_page_reads;
   iter->cache_hits = rs.snapshot_cache_hits;
@@ -1544,7 +1540,7 @@ bool RqlEngine::ReuseRecordedResult(
     RqlIterationStats& iter = answer.iter;
     iter.snapshot = snaps[i];
     iter.memo_hits = 1;
-    SetStoreCounters(answer.store, store->cost_model(), &iter);
+    SetStoreCounters(answer.store, &iter);
     answer.replay_trace_arg = static_cast<int64_t>(r->read_sets[i].size());
   }
   return true;
@@ -1637,7 +1633,6 @@ Status RqlEngine::AnswerIteration(IterationContext* ctx,
   if (CancelRequested()) return Status::Aborted("run cancelled");
   const bool parallel = ctx->worker != 0;
   sql::Database* db = ctx->db;
-  retro::SnapshotStore* store = db->store();
   db->set_snapshot_set(ctx->set.get());
   RqlIterationStats& iter = out->iter;
   iter.snapshot = snap;
@@ -1646,7 +1641,7 @@ Status RqlEngine::AnswerIteration(IterationContext* ctx,
   // the views its Qq statement opens.
   auto take_store_counters = [&](const retro::IterationStats& views) {
     out->store.Add(views);
-    SetStoreCounters(out->store, store->cost_model(), &iter);
+    SetStoreCounters(out->store, &iter);
   };
 
   const bool memoize = options_.memo != nullptr;
@@ -1773,7 +1768,7 @@ Status RqlEngine::AnswerIteration(IterationContext* ctx,
                   w);
     }
     trace_.Emit(RqlTraceEventType::kIterationEnd, snap,
-                {iter.io_us, iter.spt_build_us, iter.query_eval_us,
+                {0, iter.spt_build_us, iter.query_eval_us,
                  iter.index_create_us, iter.udf_us, iter.qq_rows},
                 w);
   }

@@ -21,14 +21,14 @@ namespace sql {
 class SharedScanCache;  // sql/shared_scan_cache.h
 }
 
-/// Cost breakdown of one RQL iteration (one Qq execution on one snapshot).
-/// These are the bars of the paper's Figures 8-13: Pagelog I/O, SPT build,
-/// query evaluation, transient index creation, and the mechanism-specific
-/// "RQL UDF" work on the result table.
+/// Cost breakdown of one RQL iteration (one Qq execution on one snapshot):
+/// measured time per phase (SPT build, query evaluation, transient index
+/// creation, and the mechanism-specific "RQL UDF" work on the result
+/// table) plus page counts. The figure benches derive the paper's device
+/// times (Figures 8-13's I/O bar) from the counts (bench/bench_common.h).
 struct RqlIterationStats {
   retro::SnapshotId snapshot = retro::kNoSnapshot;
-  int64_t io_us = 0;          // simulated Pagelog reads
-  int64_t spt_build_us = 0;   // Maplog scan (CPU + simulated log I/O)
+  int64_t spt_build_us = 0;   // Maplog scan CPU
   int64_t query_eval_us = 0;  // Qq execution proper
   int64_t index_create_us = 0;  // transient covering index (Fig. 9)
   int64_t udf_us = 0;         // result collation / aggregation work
@@ -95,21 +95,19 @@ struct RqlIterationStats {
   int64_t memo_evictions = 0;
 
   int64_t TotalUs() const {
-    return io_us + spt_build_us + query_eval_us + index_create_us + udf_us;
+    return spt_build_us + query_eval_us + index_create_us + udf_us;
   }
 };
 
 /// Aggregate statistics for one RQL query run.
 struct RqlRunStats {
   std::vector<RqlIterationStats> iterations;
-  /// Set by benchmarks for the Collate Data + final SQL pattern (Fig. 11).
-  int64_t extra_agg_us = 0;
   /// Times the engine lexed/parsed/planned Qq during the run: one per
   /// executed iteration under RqlProfile::kPaperFaithful; under kFast one
   /// per run, or one per parallel worker that executed an iteration.
   int64_t qq_parse_count = 0;
   /// Parallel runs: every iteration still reports its own store counters
-  /// (I/O, SPT build, page counts), read from the views and cursor of the
+  /// (SPT build, page counts), read from the views and cursor of the
   /// worker that answered it, exactly as a sequential iteration does.
   /// `parallel_wall_us` is the elapsed time of the concurrent phase.
   bool parallel = false;
@@ -155,17 +153,12 @@ struct RqlRunStats {
       // would count the concurrent interval several times. The honest
       // total is wall-derived: the concurrent phase plus the sequential
       // result replay (per-iteration UDF work).
-      int64_t total = extra_agg_us + parallel_wall_us;
+      int64_t total = parallel_wall_us;
       for (const RqlIterationStats& it : iterations) total += it.udf_us;
       return total;
     }
-    int64_t total = extra_agg_us;
-    for (const RqlIterationStats& it : iterations) total += it.TotalUs();
-    return total;
-  }
-  int64_t IoUs() const {
     int64_t total = 0;
-    for (const RqlIterationStats& it : iterations) total += it.io_us;
+    for (const RqlIterationStats& it : iterations) total += it.TotalUs();
     return total;
   }
   int64_t PagelogPages() const {
@@ -461,7 +454,6 @@ class RqlEngine {
                                             retro::SnapshotId snap);
 
   const RqlRunStats& last_run_stats() const { return stats_; }
-  RqlRunStats* mutable_last_run_stats() { return &stats_; }
 
   /// Trace of the last run executed with RqlOptions::trace on (empty ring
   /// otherwise). Valid until the next traced run starts.

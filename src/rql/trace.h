@@ -27,9 +27,12 @@ namespace rql {
 ///                    async_prefetch, deleted; kept unassigned)
 ///   kRunEnd          {iterations, iterations_skipped, total_us, ok, 0, 0}
 ///   kIterationBegin  {index_in_run, 0, 0, 0, 0, 0}
-///   kIterationEnd    {io_us, spt_build_us, query_eval_us, index_create_us,
+///   kIterationEnd    {0, spt_build_us, query_eval_us, index_create_us,
 ///                     udf_us, qq_rows}  — the Fig. 8 phase attribution;
-///                    the five *_us slots mirror RqlIterationStats::TotalUs.
+///                    slot 0 is retired (always 0; it held the simulated
+///                    Pagelog I/O charge) so positional readers stay
+///                    aligned, and the four *_us slots sum to
+///                    RqlIterationStats::TotalUs.
 ///                    Every executed iteration emits begin, spt_build,
 ///                    archive_fetch, scan_cache (with a cache) and end from
 ///                    the thread that answered it, tagged with its worker;

@@ -74,18 +74,17 @@ std::string FormatRunStats(const RqlRunStats& stats) {
   if (stats.iterations.empty()) return "no RQL run recorded yet\n";
   std::ostringstream out;
   char line[160];
-  std::snprintf(line, sizeof(line), "%-10s %10s %10s %10s %10s %8s %8s\n",
-                "snapshot", "io_us", "spt_us", "query_us", "udf_us",
-                "plog_pg", "rows");
+  std::snprintf(line, sizeof(line), "%-10s %8s %10s %10s %10s %8s\n",
+                "snapshot", "plog_pg", "spt_us", "query_us", "udf_us",
+                "rows");
   out << line;
   for (const RqlIterationStats& it : stats.iterations) {
     std::snprintf(line, sizeof(line),
-                  "%-10u %10lld %10lld %10lld %10lld %8lld %8lld\n",
-                  it.snapshot, static_cast<long long>(it.io_us),
+                  "%-10u %8lld %10lld %10lld %10lld %8lld\n",
+                  it.snapshot, static_cast<long long>(it.pagelog_pages),
                   static_cast<long long>(it.spt_build_us),
                   static_cast<long long>(it.query_eval_us),
                   static_cast<long long>(it.udf_us),
-                  static_cast<long long>(it.pagelog_pages),
                   static_cast<long long>(it.qq_rows));
     out << line;
   }

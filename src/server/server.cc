@@ -360,8 +360,8 @@ Status Server::HandleRqlRun(Conn* conn, const Frame& frame) {
                canonical = std::move(canonical), qs = std::move(qs),
                qq = std::move(qq), table = std::move(table),
                extra = std::move(extra)](RunScheduler::Ticket* t) -> Status {
-    // Measured wall time, never the engine's TotalUs(): that adds the
-    // CostModel's simulated I/O charges, which need not have elapsed.
+    // The body's wall time: unlike the engine's TotalUs(), a sum of the
+    // run's measured phases, it also covers the SnapIds mirror.
     const int64_t start_us = NowMicros();
     Status st;
     {

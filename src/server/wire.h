@@ -115,8 +115,8 @@ enum class MsgType : uint8_t {
   /// i64 iterations_skipped. Pushed out of band at run completion.
   /// total_us is the run body's measured steady-clock wall time on the
   /// server (SnapIds mirror plus the mechanism run; queue wait excluded),
-  /// never simulated CostModel I/O, so it cannot exceed the latency the
-  /// client observes. 0 for a run that never dispatched.
+  /// so it cannot exceed the latency the client observes. 0 for a run
+  /// that never dispatched.
   kRunDone = 70,
   /// str payload (JSON for kStats, rendered text for kRunStats).
   kStatsJson = 71,

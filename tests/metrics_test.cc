@@ -198,7 +198,6 @@ class EngineMetricsTest : public ::testing::Test {
               stats.iterations_skipped);
     EXPECT_EQ(delta.counter("rql.qq_parse_count"), stats.qq_parse_count);
     EXPECT_EQ(delta.counter("rql.total_us"), stats.TotalUs());
-    EXPECT_EQ(delta.counter("rql.extra_agg_us"), stats.extra_agg_us);
     EXPECT_EQ(delta.counter("rql.shared_page_hits"),
               stats.shared_page_hits);
     EXPECT_EQ(delta.counter("rql.coalesced_loads"), stats.coalesced_loads);
@@ -207,11 +206,10 @@ class EngineMetricsTest : public ::testing::Test {
     EXPECT_EQ(delta.counter("rql.result_reuses"),
               stats.result_reused ? 1 : 0);
 
-    int64_t io = 0, spt = 0, query = 0, index = 0, udf = 0, rows = 0;
+    int64_t spt = 0, query = 0, index = 0, udf = 0, rows = 0;
     int64_t maplog = 0, plog = 0, db = 0, hits = 0, plans = 0;
     int64_t vbatches = 0, vrows = 0, vfallback = 0;
     for (const RqlIterationStats& it : stats.iterations) {
-      io += it.io_us;
       spt += it.spt_build_us;
       query += it.query_eval_us;
       index += it.index_create_us;
@@ -226,7 +224,6 @@ class EngineMetricsTest : public ::testing::Test {
       vrows += it.batch_rows;
       vfallback += it.batch_fallback_rows;
     }
-    EXPECT_EQ(delta.counter("rql.io_us"), io);
     EXPECT_EQ(delta.counter("rql.spt_build_us"), spt);
     EXPECT_EQ(delta.counter("rql.query_eval_us"), query);
     EXPECT_EQ(delta.counter("rql.index_create_us"), index);

@@ -196,8 +196,8 @@ TEST(RqlParallelStatsTest, TotalUsDerivesFromWallTimeNotPerIterationSums) {
   // Regression: TotalUs once summed per-iteration query_eval_us (each of
   // which embeds the same concurrent wall interval) on top of
   // parallel_wall_us, double counting overlapped work. The total must be
-  // the wall-clock decomposition: setup + parallel phase + serial replay.
-  int64_t expected = stats.extra_agg_us + stats.parallel_wall_us;
+  // the wall-clock decomposition: parallel phase + serial replay.
+  int64_t expected = stats.parallel_wall_us;
   for (const RqlIterationStats& it : stats.iterations) {
     expected += it.udf_us;
   }

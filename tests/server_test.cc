@@ -62,10 +62,9 @@ struct HistoryFixture {
   retro::SnapshotId last_snap = retro::kNoSnapshot;
 };
 
-HistoryFixture MakeHistory(int snapshots,
-                           sql::DatabaseOptions data_options = {}) {
+HistoryFixture MakeHistory(int snapshots) {
   HistoryFixture f;
-  auto data = sql::Database::Open(f.slow.get(), "data", data_options);
+  auto data = sql::Database::Open(f.slow.get(), "data");
   auto meta = sql::Database::Open(f.slow.get(), "meta");
   EXPECT_TRUE(data.ok() && meta.ok());
   f.data = std::move(*data);
@@ -403,13 +402,10 @@ TEST(ServerTest, SessionCapacityIsEnforced) {
 }
 
 TEST(ServerTest, RunDoneTotalIsMeasuredWallTime) {
-  // Every archive page and Maplog page read is charged a simulated
-  // second, far beyond what the run really takes: kRunDone must report
-  // the measured wall time, which cannot exceed the client's latency.
-  sql::DatabaseOptions data_options;
-  data_options.store.cost_model.pagelog_read_us = 1000 * 1000;
-  data_options.store.cost_model.maplog_page_read_us = 1000 * 1000;
-  HistoryFixture f = MakeHistory(6, data_options);
+  // kRunDone reports the run body's measured wall time, and the engine's
+  // published total is a sum of measured phases inside that body: neither
+  // can exceed the latency the client observes.
+  HistoryFixture f = MakeHistory(6);
   retro::MetricsRegistry registry;
   ServerOptions options;
   options.socket_path = UniqueSocketPath();
@@ -431,11 +427,9 @@ TEST(ServerTest, RunDoneTotalIsMeasuredWallTime) {
   ASSERT_TRUE(done->status.ok()) << done->status.ToString();
   retro::MetricsRegistry::Snapshot delta =
       registry.TakeSnapshot().DeltaFrom(before);
-  // The charge really exceeded the run: the engine's own total would have.
-  ASSERT_GT(delta.counter("rql.io_us") + delta.counter("rql.spt_build_us"),
-            observed);
   EXPECT_GT(done->total_us, 0);
   EXPECT_LE(done->total_us, observed);
+  EXPECT_LE(delta.counter("rql.total_us"), observed);
 
   client->reset();
   WaitForNoSessions(server->get());

@@ -29,7 +29,7 @@ MECHANISMS = {
 ITERATION_FIELDS = {
     "index": int, "snapshot": int, "worker": int, "skipped": bool,
     "memo_hit": bool, "validated_pages": int,
-    "io_us": int, "spt_build_us": int, "query_eval_us": int,
+    "spt_build_us": int, "query_eval_us": int,
     "index_create_us": int, "udf_us": int, "total_us": int, "qq_rows": int,
     "maplog_pages": int, "spt_delta_entries": int, "pagelog_pages": int,
     "cache_hits": int, "db_pages": int, "delta_pages": int,
@@ -114,7 +114,7 @@ def check_run(run, path):
     for i, it in enumerate(run["iterations"]):
         ipath = f"{path}.iterations[{i}]"
         check_typed_fields(it, ITERATION_FIELDS, ipath)
-        phases = (it["io_us"] + it["spt_build_us"] + it["query_eval_us"] +
+        phases = (it["spt_build_us"] + it["query_eval_us"] +
                   it["index_create_us"] + it["udf_us"])
         require(it["total_us"] == phases, ipath,
                 "total_us != sum of phase times")

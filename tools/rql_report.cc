@@ -4,10 +4,10 @@
 // needed), runs all four retrospective mechanisms with tracing and
 // cross-run memoization on — twice each, a cold pass that publishes the
 // memo and a warm pass that replays it — and renders what the engine did
-// per iteration: the Figure 8 phase breakdown (archive I/O, SPT build,
-// Qq evaluation, index creation, UDF time) next to the page and row
-// counts, plus the metrics-registry delta for each run, the memo-table
-// totals, and the component gauges at exit.
+// per iteration: the measured Figure 8 phases (SPT build, Qq
+// evaluation, index creation, UDF time) next to the page and row counts,
+// plus the metrics-registry delta for each run, the memo-table totals,
+// and the component gauges at exit.
 //
 // Every number is read through the observability layer — the per-run
 // RqlTrace ring and the retro::MetricsRegistry delta — never by reaching
@@ -51,16 +51,15 @@ struct IterRow {
   bool skipped = false;
   bool memo_hit = false;
   int64_t validated_pages = 0;  // memo-hit rows: read-set pages validated
-  int64_t io_us = 0, spt_us = 0, query_us = 0, index_us = 0, udf_us = 0;
+  int64_t spt_us = 0, query_us = 0, index_us = 0, udf_us = 0;
   int64_t qq_rows = 0;
   int64_t maplog_pages = 0, spt_delta_entries = 0;
   int64_t pagelog_pages = 0, cache_hits = 0, db_pages = 0;
   int64_t scan_hits = 0, scan_misses = 0;
   int64_t delta_pages = 0;  // skip rows: changed pages in the read set
 
-  int64_t TotalUs() const {
-    return io_us + spt_us + query_us + index_us + udf_us;
-  }
+  // The measured phases; kIterationEnd's slot 0 is retired.
+  int64_t TotalUs() const { return spt_us + query_us + index_us + udf_us; }
 };
 
 // Folds the flat event stream back into per-iteration rows. Events are
@@ -104,7 +103,6 @@ std::vector<IterRow> RowsFromTrace(const RqlTrace& trace) {
         pending.erase(key);
         row.snapshot = ev.snapshot;
         row.worker = ev.worker;
-        row.io_us = ev.args[0];
         row.spt_us = ev.args[1];
         row.query_us = ev.args[2];
         row.index_us = ev.args[3];
@@ -140,9 +138,9 @@ std::vector<IterRow> RowsFromTrace(const RqlTrace& trace) {
 }
 
 void PrintIterationTable(const std::vector<IterRow>& rows) {
-  std::printf("  %-4s %-6s %8s %8s %9s %9s %8s %9s %8s %7s %6s  %s\n", "it",
-              "snap", "io_ms", "spt_ms", "query_ms", "index_ms", "udf_ms",
-              "total_ms", "qq_rows", "plog_pg", "db_pg", "note");
+  std::printf("  %-4s %-6s %8s %9s %9s %8s %9s %8s %7s %6s  %s\n", "it",
+              "snap", "spt_ms", "query_ms", "index_ms", "udf_ms", "total_ms",
+              "qq_rows", "plog_pg", "db_pg", "note");
   for (size_t i = 0; i < rows.size(); ++i) {
     const IterRow& r = rows[i];
     std::string note;
@@ -156,12 +154,12 @@ void PrintIterationTable(const std::vector<IterRow>& rows) {
       note = "scan_cache " + std::to_string(r.scan_hits) + "/" +
              std::to_string(r.scan_hits + r.scan_misses) + " hit";
     }
-    std::printf("  %-4lld %-6u %8.2f %8.2f %9.2f %9.2f %8.2f %9.2f %8lld "
+    std::printf("  %-4lld %-6u %8.2f %9.2f %9.2f %8.2f %9.2f %8lld "
                 "%7lld %6lld  %s\n",
                 static_cast<long long>(r.index >= 0
                                            ? r.index
                                            : static_cast<int64_t>(i)),
-                r.snapshot, r.io_us / 1000.0, r.spt_us / 1000.0,
+                r.snapshot, r.spt_us / 1000.0,
                 r.query_us / 1000.0, r.index_us / 1000.0, r.udf_us / 1000.0,
                 r.TotalUs() / 1000.0, static_cast<long long>(r.qq_rows),
                 static_cast<long long>(r.pagelog_pages),
@@ -416,7 +414,6 @@ int Run(const ReportOptions& opt) {
         json.Field("skipped", r.skipped);
         json.Field("memo_hit", r.memo_hit);
         json.Field("validated_pages", r.validated_pages);
-        json.Field("io_us", r.io_us);
         json.Field("spt_build_us", r.spt_us);
         json.Field("query_eval_us", r.query_us);
         json.Field("index_create_us", r.index_us);

@@ -20,8 +20,7 @@
 //                                 intervals; aggvar reads the aggregate
 //                                 function from --extra). The printed ms
 //                                 is the daemon's measured wall time for
-//                                 the run (kRunDone total_us), not
-//                                 simulated archive I/O.
+//                                 the run (kRunDone total_us).
 //   --extra ARG                   mechanism extra argument
 //   --workers N                   parallel workers to request
 
