@@ -1,14 +1,25 @@
 // Google-benchmark microbenchmarks for the core data structures: row
 // codec, heap table, B+-tree, buffer pool, Maplog SPT construction. These
-// are the unit costs the figure-level benchmarks compose.
+// are the unit costs the figure-level benchmarks compose. The last one
+// times the fixed path of a request the daemon serves, at three history
+// lengths.
 
 #include <benchmark/benchmark.h>
 
+#include <map>
+#include <memory>
+#include <string>
+
 #include "retro/snapshot_store.h"
+#include "rql/rql.h"
+#include "server/server.h"
+#include "server/session.h"
 #include "sql/btree.h"
+#include "sql/database.h"
 #include "sql/heap_table.h"
 #include "sql/value.h"
 #include "storage/buffer_pool.h"
+#include "storage/env.h"
 
 namespace rql {
 namespace {
@@ -146,6 +157,96 @@ void BM_SptBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * snapshots * pages_per_epoch);
 }
 BENCHMARK(BM_SptBuild)->Arg(16)->Arg(128);
+
+/// A server (never started) over a history of a one-page table, one row
+/// updated per declared snapshot, and one session of it.
+struct ServedFixture {
+  storage::InMemoryEnv env;
+  std::unique_ptr<sql::Database> data;
+  std::unique_ptr<sql::Database> meta;
+  std::unique_ptr<server::Server> server;
+  std::unique_ptr<server::Session> session;
+  std::string qs;
+};
+
+/// What a served kRqlRun does before and around its iterations: capture
+/// the published SnapIds image, bring the session's mirror to it, and run
+/// the mechanism, whose Qs is a 10-snapshot range over SnapIds.
+Status ServeRequest(ServedFixture* f) {
+  std::shared_ptr<const server::SnapIdsImage> image = f->server->snap_ids();
+  RQL_RETURN_IF_ERROR(f->session->ReplaceSnapIds(*image));
+  return f->session->engine()->AggregateDataInVariable(
+      f->qs, "SELECT SUM(v) AS s FROM kv", "Out", "sum");
+}
+
+Result<std::unique_ptr<ServedFixture>> MakeServedFixture(int snapshots) {
+  auto f = std::make_unique<ServedFixture>();
+  RQL_ASSIGN_OR_RETURN(f->data, sql::Database::Open(&f->env, "data"));
+  RQL_ASSIGN_OR_RETURN(f->meta, sql::Database::Open(&f->env, "meta"));
+  RqlEngine owner(f->data.get(), f->meta.get());
+  RQL_RETURN_IF_ERROR(owner.EnsureSnapIds());
+  RQL_RETURN_IF_ERROR(
+      f->data->Exec("CREATE TABLE kv (k INTEGER, v INTEGER)"));
+  for (int k = 0; k < 64; ++k) {
+    RQL_RETURN_IF_ERROR(
+        f->data->AppendRow("kv", {Value::Integer(k), Value::Integer(0)})
+            .status());
+  }
+  for (int s = 0; s < snapshots; ++s) {
+    RQL_RETURN_IF_ERROR(
+        f->data->Exec("BEGIN; UPDATE kv SET v = v + 1 WHERE k = " +
+                      std::to_string(s % 64) + ";"));
+    RQL_RETURN_IF_ERROR(owner.CommitWithSnapshot("").status());
+  }
+  server::ServerOptions options;
+  options.socket_path = "bench_micro_core.sock";  // never bound
+  RQL_ASSIGN_OR_RETURN(f->server, server::Server::Create(
+                                      f->data.get(), f->meta.get(), options));
+  RqlOptions engine;
+  engine.profile = RqlProfile::kFast;
+  engine.memo = f->server->memo();
+  engine.shared_scan_cache = f->server->scan_cache();
+  RQL_ASSIGN_OR_RETURN(
+      f->session, server::Session::Create(1, f->data->store(), engine));
+  f->qs = "SELECT snap_id FROM SnapIds WHERE snap_id > " +
+          std::to_string(snapshots - 10) + " ORDER BY snap_id";
+  // The first request mirrors SnapIds and folds; the second evaluates Qs
+  // once more, since the fold wrote the metadata database, and keeps the
+  // table. From then on every request is the fixed path.
+  for (int i = 0; i < 2; ++i) RQL_RETURN_IF_ERROR(ServeRequest(f.get()));
+  return f;
+}
+
+/// One served request's fixed path at range(0) declared snapshots: an
+/// image capture, an unchanged-generation refresh and a kept run that
+/// reuses its Qs list. `kept_share` is the share of timed requests that
+/// took that path (1 when it holds).
+void BM_ServedRequestFixedPath(benchmark::State& state) {
+  static std::map<int, std::unique_ptr<ServedFixture>> fixtures;
+  const int snapshots = static_cast<int>(state.range(0));
+  std::unique_ptr<ServedFixture>& f = fixtures[snapshots];
+  if (f == nullptr) {
+    auto made = MakeServedFixture(snapshots);
+    if (!made.ok()) {
+      state.SkipWithError(made.status().ToString().c_str());
+      return;
+    }
+    f = std::move(*made);
+  }
+  int64_t kept = 0;
+  for (auto _ : state) {
+    Status s = ServeRequest(f.get());
+    if (!s.ok()) {
+      state.SkipWithError(s.ToString().c_str());
+      return;
+    }
+    const RqlRunStats& stats = f->session->engine()->last_run_stats();
+    if (stats.qs_reused && stats.result_reused) ++kept;
+  }
+  state.counters["kept_share"] =
+      static_cast<double>(kept) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_ServedRequestFixedPath)->Arg(200)->Arg(700)->Arg(3000);
 
 }  // namespace
 }  // namespace rql

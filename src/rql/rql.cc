@@ -10,9 +10,11 @@
 #include <variant>
 
 #include "common/clock.h"
+#include "sql/ast.h"
 #include "sql/btree.h"
 #include "sql/executor.h"
 #include "sql/fingerprint.h"
+#include "sql/functions.h"
 #include "sql/heap_table.h"
 #include "sql/parser.h"
 #include "sql/shared_scan_cache.h"
@@ -856,6 +858,24 @@ struct RqlEngine::ResultRecord {
   std::vector<std::vector<retro::PageToken>> read_sets;
   /// The metadata store's PageStore::mutations() once the run committed.
   uint64_t meta_mutations = 0;
+  /// Whether Qq, which `spec` holds and which parsed for the recorded
+  /// run, is a single SELECT.
+  bool qq_single_select = false;
+};
+
+/// Qs's last memoized evaluation. Qs is a query over the metadata
+/// database; a single SELECT calling only deterministic built-ins returns
+/// the same rows while nothing has written that database, and every write
+/// moves PageStore::mutations(), committed or rolled back.
+struct RqlEngine::QsRecord {
+  std::string qs;
+  /// False when Qs could answer differently over the same metadata: more
+  /// than one statement, or a call to a function registered on the handle
+  /// (a mechanism UDF, which writes, or current_snapshot()).
+  bool reusable = false;
+  std::vector<retro::SnapshotId> snapshots;
+  /// PageStore::mutations() before Qs was evaluated.
+  uint64_t meta_mutations = 0;
 };
 
 const char* RqlProfileName(RqlProfile profile) {
@@ -1066,6 +1086,7 @@ void RqlEngine::PublishRunMetrics() {
   add("rql.runs", 1);
   add("rql.parallel_runs", stats_.parallel ? 1 : 0);
   add("rql.result_reuses", stats_.result_reused ? 1 : 0);
+  add("rql.qs_reuses", stats_.qs_reused ? 1 : 0);
   add("rql.iterations", static_cast<int64_t>(stats_.iterations.size()));
   add("rql.iterations_skipped", stats_.iterations_skipped);
   add("rql.qq_parse_count", stats_.qq_parse_count);
@@ -1440,32 +1461,28 @@ Status RqlEngine::RunMechanism(const std::string& qs, MechanismState* state) {
   RQL_RETURN_IF_ERROR(RejectOpenMetaTransaction(meta_db_));
   // Validate Qq and Qs before touching the result table: a malformed query
   // must surface before the first iteration and leave the metadata
-  // database untouched (no dropped table, no partial output).
+  // database untouched (no dropped table, no partial output). The
+  // recorded run's spec holds its Qq text, which parsed then.
+  const std::string spec = state->ResultSpec();
   bool single_select = false;
-  {
+  if (last_result_ != nullptr && last_result_->spec == spec) {
+    single_select = last_result_->qq_single_select;
+  } else {
     auto parsed = sql::ParseSql(state->qq());
     if (!parsed.ok()) return parsed.status();
     if (parsed->empty()) return Status::InvalidArgument("Qq is empty");
     single_select = parsed->size() == 1 &&
                     std::holds_alternative<sql::SelectStmt>(parsed->front());
   }
-  RQL_ASSIGN_OR_RETURN(sql::QueryResult snaps, meta_db_->Query(qs));
   std::vector<retro::SnapshotId> snap_ids;
-  snap_ids.reserve(snaps.rows.size());
-  for (const Row& row : snaps.rows) {
-    if (row.empty() || !row[0].is_numeric()) {
-      return Status::InvalidArgument(
-          "Qs must return a column of snapshot identifiers");
-    }
-    snap_ids.push_back(static_cast<retro::SnapshotId>(row[0].AsInt()));
-  }
+  RQL_RETURN_IF_ERROR(EvaluateQs(qs, &snap_ids));
   // Workers run Qq on attached handles, which serve reads only: a Qq
   // script runs sequentially on the data handle.
   const bool parallel = options_.parallel_workers > 1 &&
                         state->SupportsParallel() && single_select &&
                         snap_ids.size() > 1;
   std::vector<Answer> reused;
-  if (ReuseRecordedResult(state, snap_ids, &reused)) {
+  if (ReuseRecordedResult(state, spec, snap_ids, &reused)) {
     run.Begin(snap_ids.size(), 1);
     stats_.result_reused = true;
     Status s = Status::OK();
@@ -1491,13 +1508,14 @@ Status RqlEngine::RunMechanism(const std::string& qs, MechanismState* state) {
   if (s.ok()) s = state->Finish();
   if (s.ok() && options_.memo != nullptr) {
     auto record = std::make_unique<ResultRecord>();
-    record->spec = state->ResultSpec();
+    record->spec = spec;
     record->strategy = options_.agg_table_strategy;
     record->profile = options_.profile;
     record->table = state->table();
     record->snapshots = std::move(snap_ids);
     record->read_sets = state->TakeReadSets();
     record->meta_mutations = meta_db_->store()->page_store()->mutations();
+    record->qq_single_select = single_select;
     last_result_ = std::move(record);
   }
   run.Finish(s);
@@ -1507,14 +1525,70 @@ Status RqlEngine::RunMechanism(const std::string& qs, MechanismState* state) {
   return s;
 }
 
+namespace {
+
+/// Whether Qs answers the same over an unchanged metadata database: a
+/// single SELECT whose every call is an aggregate or a built-in of
+/// src/sql/functions.cc, all deterministic. What the handle registers
+/// beside them (the mechanism UDFs, which write, and current_snapshot())
+/// disqualifies it.
+bool QsIsReusable(const std::string& qs) {
+  static const sql::FunctionRegistry builtins =
+      sql::FunctionRegistry::WithBuiltins();
+  auto parsed = sql::ParseSql(qs);
+  if (!parsed.ok() || parsed->size() != 1 ||
+      !std::holds_alternative<sql::SelectStmt>(parsed->front())) {
+    return false;
+  }
+  bool reusable = true;
+  sql::VisitStatementExprs(&parsed->front(), [&](sql::Expr* e) {
+    if (e->kind == sql::ExprKind::kFunctionCall &&
+        !sql::IsAggregateFunction(e->name) &&
+        builtins.Find(e->name) == nullptr) {
+      reusable = false;
+    }
+  });
+  return reusable;
+}
+
+}  // namespace
+
+Status RqlEngine::EvaluateQs(const std::string& qs,
+                             std::vector<retro::SnapshotId>* out) {
+  const uint64_t mutations = meta_db_->store()->page_store()->mutations();
+  const QsRecord* r = last_qs_.get();
+  if (options_.memo != nullptr && r != nullptr && r->reusable &&
+      r->meta_mutations == mutations && r->qs == qs) {
+    *out = r->snapshots;
+    stats_.qs_reused = true;
+    return Status::OK();
+  }
+  last_qs_.reset();
+  RQL_ASSIGN_OR_RETURN(sql::QueryResult snaps, meta_db_->Query(qs));
+  out->clear();
+  out->reserve(snaps.rows.size());
+  for (const Row& row : snaps.rows) {
+    if (row.empty() || !row[0].is_numeric()) {
+      return Status::InvalidArgument(
+          "Qs must return a column of snapshot identifiers");
+    }
+    out->push_back(static_cast<retro::SnapshotId>(row[0].AsInt()));
+  }
+  if (options_.memo != nullptr) {
+    last_qs_ = std::make_unique<QsRecord>(
+        QsRecord{qs, QsIsReusable(qs), *out, mutations});
+  }
+  return Status::OK();
+}
+
 bool RqlEngine::ReuseRecordedResult(
-    MechanismState* state, const std::vector<retro::SnapshotId>& snaps,
-    std::vector<Answer>* out) {
+    MechanismState* state, const std::string& spec,
+    const std::vector<retro::SnapshotId>& snaps, std::vector<Answer>* out) {
   const ResultRecord* r = last_result_.get();
   if (options_.memo == nullptr || r == nullptr) return false;
   if (r->meta_mutations != meta_db_->store()->page_store()->mutations() ||
       r->table != state->table() || r->snapshots != snaps ||
-      r->spec != state->ResultSpec() ||
+      r->spec != spec ||
       r->strategy != options_.agg_table_strategy ||
       r->profile != options_.profile) {
     return false;

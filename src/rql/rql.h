@@ -146,6 +146,11 @@ struct RqlRunStats {
   /// database and every recorded read set still valid (RqlOptions::memo).
   /// Its iterations are memo hits that folded nothing.
   bool result_reused = false;
+  /// True when the run took its snapshot list from the engine's previous
+  /// evaluation of the same Qs instead of querying the metadata database:
+  /// Qs is a single SELECT calling only built-in functions, and the
+  /// metadata database has not been written since (RqlOptions::memo).
+  bool qs_reused = false;
 
   int64_t TotalUs() const {
     if (parallel) {
@@ -487,17 +492,27 @@ class RqlEngine {
   /// What the last successful memoized run left in its result table
   /// (rql.cc).
   struct ResultRecord;
+  /// The snapshot list the last memoized evaluation of Qs returned
+  /// (rql.cc).
+  struct QsRecord;
 
   /// Runs a full mechanism: evaluates Qs on the metadata database, then
   /// iterates the state over every snapshot id.
   Status RunMechanism(const std::string& qs, MechanismState* state);
 
-  /// True when `state`'s run over `snaps` repeats the recorded run and
-  /// every recorded read set still validates, so the result table already
-  /// holds the run's output; `out` then holds one memo-hit answer per
-  /// snapshot. False, with nothing written, on any mismatch or a
-  /// cancellation.
-  bool ReuseRecordedResult(MechanismState* state,
+  /// Qs's snapshot list: the recorded one when the engine has a memo, Qs
+  /// is the recorded text, reusable, and the metadata database has not
+  /// been written since it was evaluated; otherwise Qs evaluated on the
+  /// metadata database (and recorded, with a memo).
+  Status EvaluateQs(const std::string& qs,
+                    std::vector<retro::SnapshotId>* out);
+
+  /// True when `state`'s run (`spec`, its ResultSpec) over `snaps`
+  /// repeats the recorded run and every recorded read set still
+  /// validates, so the result table already holds the run's output; `out`
+  /// then holds one memo-hit answer per snapshot. False, with nothing
+  /// written, on any mismatch or a cancellation.
+  bool ReuseRecordedResult(MechanismState* state, const std::string& spec,
                            const std::vector<retro::SnapshotId>& snaps,
                            std::vector<Answer>* out);
 
@@ -572,6 +587,8 @@ class RqlEngine {
   /// The last successful memoized mechanism run; null before one, and
   /// from the moment a run drops its result table until it succeeds.
   std::unique_ptr<ResultRecord> last_result_;
+  /// The last memoized Qs evaluation; null before one.
+  std::unique_ptr<QsRecord> last_qs_;
 };
 
 }  // namespace rql

@@ -91,6 +91,9 @@ std::string FormatRunStats(const RqlRunStats& stats) {
   std::snprintf(line, sizeof(line), "total: %.2f ms over %zu iterations\n",
                 stats.TotalUs() / 1000.0, stats.iterations.size());
   out << line;
+  out << "qs: " << (stats.qs_reused ? "reused" : "evaluated")
+      << ", result table: " << (stats.result_reused ? "kept" : "folded")
+      << "\n";
   return out.str();
 }
 

@@ -85,6 +85,7 @@ Result<std::unique_ptr<Server>> Server::Finish(ServerOptions options,
   s->owner_engine_ =
       std::make_unique<RqlEngine>(s->data_, s->meta_, owner_options);
   RQL_RETURN_IF_ERROR(s->owner_engine_->EnsureSnapIds());
+  RQL_ASSIGN_OR_RETURN(s->snap_ids_, SnapIdsImage::Load(s->meta_, nullptr));
   s->scheduler_ = std::make_unique<RunScheduler>(s->options_.scheduler);
   return s;
 }
@@ -240,9 +241,21 @@ Status Server::SendResult(Conn* conn, const sql::QueryResult& result) {
   return SendReply(conn, MsgType::kResult, payload);
 }
 
-Result<sql::QueryResult> Server::CanonicalSnapIds() {
-  std::lock_guard<std::mutex> lock(write_mu_);
-  return meta_->Query("SELECT * FROM SnapIds");
+std::shared_ptr<const SnapIdsImage> Server::snap_ids() {
+  std::lock_guard<std::mutex> lock(snap_ids_mu_);
+  return snap_ids_;
+}
+
+void Server::RepublishSnapIds() {
+  auto image = SnapIdsImage::Load(meta_, snap_ids().get());
+  // Metadata the owner cannot read keeps the last image.
+  if (!image.ok()) return;
+  std::shared_ptr<const SnapIdsImage> replaced = std::move(*image);
+  {
+    std::lock_guard<std::mutex> lock(snap_ids_mu_);
+    snap_ids_.swap(replaced);
+  }
+  // The replaced image is freed here, outside the readers' mutex.
 }
 
 bool Server::IsSnapshotReadScript(const std::string& sql) {
@@ -341,9 +354,9 @@ Status Server::HandleRqlRun(Conn* conn, const Frame& frame) {
                                    std::to_string(mechanism));
   }
   Mechanism mech = static_cast<Mechanism>(mechanism);
-  // Snapshot the canonical SnapIds now (owner lock) and ship the copy
-  // into the run body, which must not take the server write lock.
-  RQL_ASSIGN_OR_RETURN(sql::QueryResult canonical, CanonicalSnapIds());
+  // The SnapIds published when the run was submitted: the body mirrors
+  // it without the server write lock.
+  std::shared_ptr<const SnapIdsImage> image = snap_ids();
   Session* session = conn->session.get();
 
   // The body fills this; the completion callback reads it. No lock needed:
@@ -357,7 +370,7 @@ Status Server::HandleRqlRun(Conn* conn, const Frame& frame) {
   auto harvest = std::make_shared<RunDoneStats>();
 
   auto body = [session, harvest, mech, requested_workers,
-               canonical = std::move(canonical), qs = std::move(qs),
+               image = std::move(image), qs = std::move(qs),
                qq = std::move(qq), table = std::move(table),
                extra = std::move(extra)](RunScheduler::Ticket* t) -> Status {
     // The body's wall time: unlike the engine's TotalUs(), a sum of the
@@ -366,7 +379,7 @@ Status Server::HandleRqlRun(Conn* conn, const Frame& frame) {
     Status st;
     {
       std::lock_guard<std::mutex> lock(session->mu);
-      st = session->ReplaceSnapIds(canonical);
+      st = session->ReplaceSnapIds(*image);
       if (st.ok()) {
         RqlEngine* engine = session->engine();
         RqlOptions* opts = engine->mutable_options();
@@ -468,13 +481,9 @@ bool Server::HandleFrame(Conn* conn, const Frame& frame) {
         (void)SendError(conn, reader.status());
         return true;
       }
-      auto canonical = CanonicalSnapIds();
-      if (!canonical.ok()) {
-        (void)SendError(conn, canonical.status());
-        return true;
-      }
+      std::shared_ptr<const SnapIdsImage> image = snap_ids();
       std::lock_guard<std::mutex> lock(session->mu);
-      auto result = session->MetaSql(*canonical, sql);
+      auto result = session->MetaSql(*image, sql);
       if (result.ok()) {
         (void)SendResult(conn, *result);
       } else {
@@ -491,6 +500,7 @@ bool Server::HandleFrame(Conn* conn, const Frame& frame) {
       }
       std::lock_guard<std::mutex> lock(write_mu_);
       auto snap = owner_engine_->CommitWithSnapshot("", label);
+      RepublishSnapIds();
       if (!snap.ok()) {
         (void)SendError(conn, snap.status());
         return true;
@@ -565,6 +575,7 @@ bool Server::HandleFrame(Conn* conn, const Frame& frame) {
       std::lock_guard<std::mutex> lock(write_mu_);
       Status st = owner_engine_->TruncateHistory(
           static_cast<retro::SnapshotId>(keep_from));
+      RepublishSnapIds();
       if (st.ok()) {
         std::string payload;
         PutU32(&payload,
@@ -576,12 +587,7 @@ bool Server::HandleFrame(Conn* conn, const Frame& frame) {
       return true;
     }
     case MsgType::kListSnapshots: {
-      auto canonical = CanonicalSnapIds();
-      if (canonical.ok()) {
-        (void)SendResult(conn, *canonical);
-      } else {
-        (void)SendError(conn, canonical.status());
-      }
+      (void)SendResult(conn, snap_ids()->table);
       return true;
     }
     case MsgType::kRunStats: {
@@ -734,7 +740,9 @@ std::string Server::StatsJson() {
       << ", \"hits\": " << metrics_->GetCounter("rql.memo_hits")->value()
       << ", \"misses\": " << metrics_->GetCounter("rql.memo_misses")->value()
       << ", \"result_reuses\": "
-      << metrics_->GetCounter("rql.result_reuses")->value() << "},\n";
+      << metrics_->GetCounter("rql.result_reuses")->value()
+      << ", \"qs_reuses\": " << metrics_->GetCounter("rql.qs_reuses")->value()
+      << "},\n";
   out << "  \"store\": {"
       << "\"earliest_snapshot\": "
       << static_cast<int64_t>(data_->store()->earliest_snapshot())

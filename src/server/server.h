@@ -16,8 +16,10 @@
 //   * Everything that writes — non-AS-OF SQL, snapshot declaration,
 //     truncation — executes on the owning handle under one server-wide
 //     write mutex, and the canonical SnapIds table lives in the owner's
-//     metadata database. Sessions mirror it into their private metadata
-//     database before each run or .meta statement.
+//     metadata database. Declaration and truncation republish it as an
+//     immutable SnapIdsImage; runs and .meta statements take the current
+//     image without that mutex and mirror it into their session's
+//     private metadata database.
 //   * Attached catalogs are loaded at session creation and not refreshed
 //     on concurrent DDL (the Database::Attach contract); schema listings
 //     therefore always read the owner catalog.
@@ -113,8 +115,14 @@ class Server {
   RunScheduler* scheduler() { return scheduler_.get(); }
   sql::SharedScanCache* scan_cache() { return &scan_cache_; }
   retro::MemoTable* memo() { return memo_.get(); }
+  /// The owner databases. Snapshots are declared and truncated through
+  /// the server (kSnapshot, kTruncate), which republishes SnapIds; a
+  /// SnapIds write made on meta() directly is not served.
   sql::Database* data() { return data_; }
   sql::Database* meta() { return meta_; }
+  /// The canonical SnapIds as last published, loaded from meta() when the
+  /// server was made: O(1), without the write lock.
+  std::shared_ptr<const SnapIdsImage> snap_ids();
   int64_t sessions_opened() const { return sessions_opened_.load(); }
   int64_t active_sessions() const { return active_sessions_.load(); }
 
@@ -143,8 +151,9 @@ class Server {
   Status SendReply(Conn* conn, MsgType type, const std::string& payload);
   Status SendError(Conn* conn, const Status& error);
   Status SendResult(Conn* conn, const sql::QueryResult& result);
-  /// Canonical SnapIds from the owner metadata database (write lock).
-  Result<sql::QueryResult> CanonicalSnapIds();
+  /// Publishes the owner's SnapIds, read in full, after a declaration or
+  /// a truncation, failed or not. Caller holds write_mu_.
+  void RepublishSnapIds();
   /// True when every statement of `sql` is a SELECT with an AS OF clause —
   /// the read-only shape that may run on the session's attached handle
   /// without the write lock.
@@ -162,8 +171,14 @@ class Server {
   sql::Database* meta_ = nullptr;
   std::unique_ptr<RqlEngine> owner_engine_;
   /// Serializes every use of the owner handles (writes, schema listings,
-  /// canonical SnapIds reads, snapshot declaration, truncation).
+  /// snapshot declaration, truncation).
   std::mutex write_mu_;
+  /// Guards `snap_ids_`, and nothing else: a capture copies one pointer.
+  std::mutex snap_ids_mu_;
+  /// Equal to the owner's SELECT * FROM SnapIds. Replaced, never changed
+  /// in place, under write_mu_ by kSnapshot and kTruncate before they
+  /// reply.
+  std::shared_ptr<const SnapIdsImage> snap_ids_;
 
   sql::SharedScanCache scan_cache_;
   /// The memo every session engine and the owner engine share. Log-free:

@@ -38,27 +38,52 @@ bool IsPrefix(const std::vector<sql::Row>& prefix,
 
 }  // namespace
 
-Status Session::ReplaceSnapIds(const sql::QueryResult& canonical) {
-  // Snapshots are declared at the end of SnapIds: when the rows last
-  // mirrored are still its start, only the new rows are appended.
-  const bool append =
-      mirrored_.has_value() && IsPrefix(*mirrored_, canonical.rows);
-  const size_t from = append ? mirrored_->size() : 0;
-  if (append && from == canonical.rows.size()) return Status::OK();
+Result<std::shared_ptr<const SnapIdsImage>> SnapIdsImage::Load(
+    sql::Database* meta, const SnapIdsImage* last) {
+  auto image = std::make_shared<SnapIdsImage>();
+  RQL_ASSIGN_OR_RETURN(image->table, meta->Query("SELECT * FROM SnapIds"));
+  if (last != nullptr) {
+    image->epoch = IsPrefix(last->table.rows, image->table.rows)
+                       ? last->epoch
+                       : last->epoch + 1;
+  }
+  return std::shared_ptr<const SnapIdsImage>(std::move(image));
+}
+
+Status Session::ReplaceSnapIds(const SnapIdsImage& image) {
+  const std::vector<sql::Row>& rows = image.table.rows;
+  // Snapshots are declared at the end of SnapIds: within the epoch last
+  // mirrored, only the rows past the mirrored count are new.
+  const bool append = mirrored_.has_value() &&
+                      mirrored_->epoch == image.epoch &&
+                      mirrored_->rows <= rows.size();
+  const size_t from = append ? mirrored_->rows : 0;
+  if (append && from == rows.size()) return Status::OK();
   mirrored_.reset();
-  // One transaction, not one commit per row. Inside a transaction the
-  // client left open, the write joins it and the mirror stays unknown:
-  // the client may roll it back. A rewrite creates the table afresh: a
-  // run or statement may have replaced it with one of another shape.
+  RQL_ASSIGN_OR_RETURN(bool own_txn, WriteSnapIds(rows, from));
+  if (own_txn) mirrored_ = Generation{image.epoch, rows.size()};
+  return Status::OK();
+}
+
+Status Session::ReplaceSnapIds(const sql::QueryResult& canonical) {
+  mirrored_.reset();
+  return WriteSnapIds(canonical.rows, 0).status();
+}
+
+Result<bool> Session::WriteSnapIds(const std::vector<sql::Row>& rows,
+                                   size_t from) {
+  // One transaction, not one commit per row. A rewrite creates the table
+  // afresh: a run or statement may have replaced it with one of another
+  // shape.
   const bool own_txn = !meta_->store()->in_transaction();
   if (own_txn) RQL_RETURN_IF_ERROR(meta_->Exec("BEGIN"));
   Status s = Status::OK();
-  if (!append) {
+  if (from == 0) {
     s = meta_->Exec("DROP TABLE IF EXISTS SnapIds");
     if (s.ok()) s = engine_->EnsureSnapIds();
   }
-  for (size_t i = from; s.ok() && i < canonical.rows.size(); ++i) {
-    s = meta_->AppendRow("SnapIds", canonical.rows[i]).status();
+  for (size_t i = from; s.ok() && i < rows.size(); ++i) {
+    s = meta_->AppendRow("SnapIds", rows[i]).status();
   }
   if (own_txn) {
     if (s.ok()) {
@@ -67,13 +92,13 @@ Status Session::ReplaceSnapIds(const sql::QueryResult& canonical) {
       (void)meta_->Exec("ROLLBACK");
     }
   }
-  if (s.ok() && own_txn) mirrored_ = canonical.rows;
-  return s;
+  RQL_RETURN_IF_ERROR(s);
+  return own_txn;
 }
 
-Result<sql::QueryResult> Session::MetaSql(const sql::QueryResult& canonical,
+Result<sql::QueryResult> Session::MetaSql(const SnapIdsImage& image,
                                           std::string_view sql) {
-  RQL_RETURN_IF_ERROR(ReplaceSnapIds(canonical));
+  RQL_RETURN_IF_ERROR(ReplaceSnapIds(image));
   const storage::PageStore* pages = meta_->store()->page_store();
   const uint64_t mutations = pages->mutations();
   Result<sql::QueryResult> result = meta_->Query(sql);

@@ -32,6 +32,21 @@
 
 namespace rql::server {
 
+/// An immutable copy of the canonical SnapIds table (the owner metadata
+/// database's), in its scan order, as the server publishes it. Within one
+/// epoch each image extends the one published before it; a table that
+/// does not (a truncation) starts the next epoch. (epoch, row count) is
+/// the image's generation: images of equal generation hold equal rows.
+struct SnapIdsImage {
+  uint64_t epoch = 0;
+  sql::QueryResult table;
+
+  /// `meta`'s SnapIds, read in full: in `last`'s epoch when `last`'s rows
+  /// are its first rows, else in the next one; epoch 0 without `last`.
+  static Result<std::shared_ptr<const SnapIdsImage>> Load(
+      sql::Database* meta, const SnapIdsImage* last);
+};
+
 class Session {
  public:
   /// Attaches to `store` and builds the private metadata database. `base`
@@ -53,23 +68,28 @@ class Session {
   /// a run holds it.
   std::mutex mu;
 
-  /// Replaces the private SnapIds mirror with `canonical` (the table read
-  /// from the owner's metadata database), so Qs sees every snapshot
-  /// declared by any client up to this request. Rows equal to the ones
-  /// last mirrored leave the table as it is; rows that extend them are
-  /// appended; anything else (a truncation, a forgotten mirror) rewrites
+  /// Brings the private SnapIds mirror to `image`, so Qs sees every
+  /// snapshot declared by any client up to this request. The session
+  /// remembers the generation it mirrored last: the same generation
+  /// writes nothing, a longer one of the same epoch appends only the new
+  /// rows, and anything else (a truncation, a forgotten mirror) rewrites
   /// the table. Either write is one transaction.
+  Status ReplaceSnapIds(const SnapIdsImage& image);
+
+  /// Rewrites the private SnapIds with `canonical`'s rows, an image of
+  /// unknown generation: the next refresh rewrites it again.
   Status ReplaceSnapIds(const sql::QueryResult& canonical);
 
-  /// Forgets the rows last mirrored, so the next ReplaceSnapIds rewrites
-  /// the table: a run whose result table is SnapIds has changed it.
+  /// Forgets the generation last mirrored, so the next ReplaceSnapIds
+  /// rewrites the table: a run whose result table is SnapIds has changed
+  /// it.
   void ForgetSnapIdsMirror() { mirrored_.reset(); }
 
   /// Runs `sql` (kMetaSql) on the metadata database after mirroring
-  /// `canonical`, and finishes the UDF runs it started. The mirror is
+  /// `image`, and finishes the UDF runs it started. The mirror is
   /// forgotten only when the statement wrote: a pure read such as
   /// "SELECT COUNT(*) FROM SnapIds" lets the next refresh append.
-  Result<sql::QueryResult> MetaSql(const sql::QueryResult& canonical,
+  Result<sql::QueryResult> MetaSql(const SnapIdsImage& image,
                                    std::string_view sql);
 
   // --- prepared statements (wire kPrepare..kClosePrepared) ----------------
@@ -93,14 +113,25 @@ class Session {
 
   Result<sql::PreparedStatement*> FindStmt(uint32_t stmt_id);
 
+  /// Writes `rows` from `from` on into the private SnapIds, rewriting the
+  /// table when `from` is 0, in one transaction. True when that
+  /// transaction was the session's own; inside one the client left open,
+  /// the write joins it, and the client may still roll it back.
+  Result<bool> WriteSnapIds(const std::vector<sql::Row>& rows, size_t from);
+
   const uint64_t id_;
   std::unique_ptr<storage::InMemoryEnv> meta_env_;
   std::unique_ptr<sql::Database> meta_;
   std::unique_ptr<sql::Database> data_;  // attached; store outlives us
   std::unique_ptr<RqlEngine> engine_;
 
-  // The canonical rows the private SnapIds holds; empty when unknown.
-  std::optional<std::vector<sql::Row>> mirrored_;
+  /// The generation of the image the private SnapIds holds; empty when
+  /// unknown.
+  struct Generation {
+    uint64_t epoch = 0;
+    size_t rows = 0;
+  };
+  std::optional<Generation> mirrored_;
 
   std::map<uint32_t, std::unique_ptr<sql::PreparedStatement>> stmts_;
   uint32_t next_stmt_id_ = 1;

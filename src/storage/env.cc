@@ -13,9 +13,55 @@
 
 namespace rql::storage {
 
+/// A file's bytes in fixed-size chunks. Growth allocates chunks and never
+/// moves the bytes already written, so a long append-only file (the
+/// Pagelog) costs no reallocation copies and leaves no freed buffers of
+/// half its size behind. Every chunk byte at or past `size` is zero, which
+/// is what a read of a region extended by Write or Truncate returns.
 struct InMemoryFileData {
+  static constexpr uint64_t kChunkBytes = 64 * 1024;
+
   mutable std::shared_mutex mu;
-  std::vector<char> bytes;
+  std::vector<std::unique_ptr<char[]>> chunks;
+  uint64_t size = 0;
+
+  /// Makes the file `n` bytes long: new bytes read as zero.
+  void Resize(uint64_t n) {
+    const uint64_t need = (n + kChunkBytes - 1) / kChunkBytes;
+    if (n < size) {
+      chunks.resize(need);
+      const uint64_t tail = n % kChunkBytes;
+      if (tail != 0) {
+        std::memset(chunks.back().get() + tail, 0, kChunkBytes - tail);
+      }
+    }
+    while (chunks.size() < need) {
+      chunks.push_back(std::make_unique<char[]>(kChunkBytes));  // zeroed
+    }
+    size = n;
+  }
+
+  void CopyOut(uint64_t offset, uint64_t n, char* buf) const {
+    while (n > 0) {
+      const uint64_t at = offset % kChunkBytes;
+      const uint64_t len = std::min(n, kChunkBytes - at);
+      std::memcpy(buf, chunks[offset / kChunkBytes].get() + at, len);
+      offset += len;
+      buf += len;
+      n -= len;
+    }
+  }
+
+  void CopyIn(uint64_t offset, uint64_t n, const char* buf) {
+    while (n > 0) {
+      const uint64_t at = offset % kChunkBytes;
+      const uint64_t len = std::min(n, kChunkBytes - at);
+      std::memcpy(chunks[offset / kChunkBytes].get() + at, buf, len);
+      offset += len;
+      buf += len;
+      n -= len;
+    }
+  }
 };
 
 namespace {
@@ -27,35 +73,36 @@ class InMemoryFile : public File {
 
   Status Read(uint64_t offset, uint64_t n, char* buf) const override {
     std::shared_lock<std::shared_mutex> lock(data_->mu);
-    if (offset + n > data_->bytes.size()) {
+    if (offset + n > data_->size) {
       return Status::IoError("read past end of in-memory file");
     }
-    std::memcpy(buf, data_->bytes.data() + offset, n);
+    data_->CopyOut(offset, n, buf);
     return Status::OK();
   }
 
   Status Write(uint64_t offset, uint64_t n, const char* buf) override {
     std::lock_guard<std::shared_mutex> lock(data_->mu);
-    if (offset + n > data_->bytes.size()) data_->bytes.resize(offset + n);
-    std::memcpy(data_->bytes.data() + offset, buf, n);
+    if (offset + n > data_->size) data_->Resize(offset + n);
+    data_->CopyIn(offset, n, buf);
     return Status::OK();
   }
 
   Status Append(uint64_t n, const char* buf, uint64_t* offset) override {
     std::lock_guard<std::shared_mutex> lock(data_->mu);
-    *offset = data_->bytes.size();
-    data_->bytes.insert(data_->bytes.end(), buf, buf + n);
+    *offset = data_->size;
+    data_->Resize(data_->size + n);
+    data_->CopyIn(*offset, n, buf);
     return Status::OK();
   }
 
   uint64_t Size() const override {
     std::shared_lock<std::shared_mutex> lock(data_->mu);
-    return data_->bytes.size();
+    return data_->size;
   }
 
   Status Truncate(uint64_t size) override {
     std::lock_guard<std::shared_mutex> lock(data_->mu);
-    data_->bytes.resize(size);
+    data_->Resize(size);
     return Status::OK();
   }
 
@@ -186,7 +233,7 @@ uint64_t InMemoryEnv::TotalBytes() const {
   uint64_t total = 0;
   for (const auto& [n, data] : files_) {
     std::shared_lock<std::shared_mutex> lock(data->mu);
-    total += data->bytes.size();
+    total += data->size;
   }
   return total;
 }
@@ -196,7 +243,11 @@ std::unique_ptr<InMemoryEnv> InMemoryEnv::CloneState() const {
   for (const auto& [name, data] : files_) {
     auto copy = std::make_shared<InMemoryFileData>();
     std::shared_lock<std::shared_mutex> lock(data->mu);
-    copy->bytes = data->bytes;
+    copy->Resize(data->size);
+    for (size_t i = 0; i < data->chunks.size(); ++i) {
+      std::memcpy(copy->chunks[i].get(), data->chunks[i].get(),
+                  InMemoryFileData::kChunkBytes);
+    }
     clone->files_.emplace_back(name, std::move(copy));
   }
   return clone;

@@ -56,8 +56,8 @@ class Env {
 };
 
 /// Backing store of one in-memory file, shared by every open handle on the
-/// same name. The lock makes reads safe against a concurrent append's
-/// buffer reallocation — POSIX pread/pwrite give PosixFile the same
+/// same name. The lock makes reads safe against a concurrent append
+/// growing its chunk list — POSIX pread/pwrite give PosixFile the same
 /// property for free — so snapshot readers can fetch immutable archive
 /// records without holding any engine-level lock.
 struct InMemoryFileData;

@@ -176,6 +176,41 @@ TEST(InMemoryEnvTest, TotalBytes) {
   EXPECT_EQ(env.TotalBytes(), 15u);
 }
 
+TEST(InMemoryEnvTest, LargeFileKeepsItsBytesAndZeroFillsGrowth) {
+  InMemoryEnv env;
+  auto file = env.OpenFile("f");
+  ASSERT_TRUE(file.ok());
+  // Odd-sized appends, so records straddle the store's internal chunks.
+  std::string expect;
+  for (int i = 0; expect.size() < 300 * 1024; ++i) {
+    std::string record(4099 + i % 7, static_cast<char>('a' + i % 26));
+    uint64_t off = 0;
+    ASSERT_TRUE((*file)->Append(record.size(), record.data(), &off).ok());
+    EXPECT_EQ(off, expect.size());
+    expect += record;
+  }
+  std::string got(expect.size(), '\0');
+  ASSERT_TRUE((*file)->Read(0, got.size(), got.data()).ok());
+  EXPECT_EQ(got, expect);
+  // Shrink into the middle of a chunk, then grow past the old end: the
+  // bytes between are zero, as with a POSIX file.
+  const uint64_t cut = 100 * 1024 + 5;
+  ASSERT_TRUE((*file)->Truncate(cut).ok());
+  ASSERT_TRUE((*file)->Write(expect.size(), 3, "end").ok());
+  EXPECT_EQ((*file)->Size(), expect.size() + 3);
+  expect = expect.substr(0, cut) + std::string(expect.size() - cut, '\0') +
+           "end";
+  got.assign(expect.size(), 'x');
+  ASSERT_TRUE((*file)->Read(0, got.size(), got.data()).ok());
+  EXPECT_EQ(got, expect);
+  auto clone = env.CloneState()->OpenFile("f");
+  ASSERT_TRUE(clone.ok());
+  got.assign(expect.size(), 'x');
+  ASSERT_TRUE((*clone)->Read(0, got.size(), got.data()).ok());
+  EXPECT_EQ(got, expect);
+  EXPECT_FALSE((*file)->Read(expect.size() - 1, 2, got.data()).ok());
+}
+
 TEST(ReadLatencyEnvTest, SleepsOnPageSizedReadsOfMatchingFiles) {
   InMemoryEnv base;
   ReadLatencyEnv env(&base);

@@ -205,6 +205,7 @@ class EngineMetricsTest : public ::testing::Test {
               stats.archive_read_retries);
     EXPECT_EQ(delta.counter("rql.result_reuses"),
               stats.result_reused ? 1 : 0);
+    EXPECT_EQ(delta.counter("rql.qs_reuses"), stats.qs_reused ? 1 : 0);
 
     int64_t spt = 0, query = 0, index = 0, udf = 0, rows = 0;
     int64_t maplog = 0, plog = 0, db = 0, hits = 0, plans = 0;
@@ -316,6 +317,10 @@ TEST_F(EngineMetricsTest, ReusedResultDeltaMatchesLegacyStats) {
   for (const RqlIterationStats& it : stats.iterations) {
     EXPECT_EQ(it.memo_hits, 1);
   }
+  // The kept run wrote nothing, so the next one also reuses Qs's list.
+  EXPECT_FALSE(stats.qs_reused);
+  ExpectDeltaMatchesStats(run);
+  EXPECT_TRUE(engine_->last_run_stats().qs_reused);
 }
 
 TEST_F(EngineMetricsTest, BatchExecutionDeltaMatchesLegacyStats) {

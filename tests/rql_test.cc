@@ -1046,13 +1046,120 @@ TEST_F(RqlResultReuseTest, CancelDuringValidationDropsTheTable) {
 
 TEST_F(RqlResultReuseTest, RunsWithoutAMemoAlwaysFold) {
   engine_->mutable_options()->memo = nullptr;
-  ASSERT_TRUE(Run(kQs, "Out").ok());
-  ASSERT_TRUE(Run(kQs, "Out").ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(Run(kQs, "Out").ok());
+    EXPECT_FALSE(engine_->last_run_stats().qs_reused);
+  }
   EXPECT_FALSE(Reused());
   // Nor does a memoized run keep a table a memo-less run wrote.
   engine_->mutable_options()->memo = memo_.get();
   ASSERT_TRUE(Run(kQs, "Out").ok());
   EXPECT_FALSE(Reused());
+}
+
+// --- Qs reuse ---------------------------------------------------------------
+
+class RqlQsReuseTest : public RqlResultReuseTest {
+ protected:
+  bool QsReused() const { return engine_->last_run_stats().qs_reused; }
+
+  /// The snapshots the last run iterated, in order.
+  std::vector<retro::SnapshotId> Iterated() const {
+    std::vector<retro::SnapshotId> out;
+    for (const RqlIterationStats& it : engine_->last_run_stats().iterations) {
+      out.push_back(it.snapshot);
+    }
+    return out;
+  }
+
+  /// Runs `qs` into Out until a run reuses the Qs list (the second rerun
+  /// at most: the first run's fold wrote the metadata database).
+  void RunUntilQsReused(const std::string& qs) {
+    for (int i = 0; i < 3 && !QsReused(); ++i) ASSERT_TRUE(Run(qs, "Out").ok());
+    ASSERT_TRUE(QsReused());
+  }
+};
+
+TEST_F(RqlQsReuseTest, RerunWithTheSameQsReusesTheList) {
+  const std::vector<std::string> oracle = Oracle(kQs);
+  ASSERT_TRUE(Run(kQs, "Out").ok());
+  EXPECT_FALSE(QsReused());
+  // The fold wrote Out after Qs was evaluated: evaluated again.
+  ASSERT_TRUE(Run(kQs, "Out").ok());
+  EXPECT_FALSE(QsReused());
+  EXPECT_TRUE(Reused());
+  ASSERT_TRUE(Run(kQs, "Out").ok());
+  EXPECT_TRUE(QsReused());
+  EXPECT_TRUE(Reused());
+  EXPECT_EQ(Iterated(), (std::vector<retro::SnapshotId>{1, 2, 3}));
+  EXPECT_EQ(HeapDump(meta_.get(), "Out"), oracle);
+  // Another Qs text is evaluated, however equal its answer.
+  const std::string other = std::string(kQs) + " ORDER BY snap_id";
+  ASSERT_TRUE(Run(other, "Out").ok());
+  EXPECT_FALSE(QsReused());
+}
+
+TEST_F(RqlQsReuseTest, DeclaredSnapshotIsSeenByTheNextRun) {
+  RunUntilQsReused(kQs);
+  Ok(data_.get(), "BEGIN");
+  auto snap = engine_->CommitWithSnapshot("2008-11-12 23:59:59");
+  ASSERT_TRUE(snap.ok());
+  ASSERT_TRUE(Run(kQs, "Out").ok());
+  EXPECT_FALSE(QsReused());
+  EXPECT_EQ(Iterated(), (std::vector<retro::SnapshotId>{1, 2, 3, *snap}));
+}
+
+TEST_F(RqlQsReuseTest, WriteToATableQsJoinsForcesEvaluation) {
+  Ok(meta_.get(), "CREATE TABLE Pick (s INTEGER)");
+  Ok(meta_.get(), "INSERT INTO Pick VALUES (1), (3)");
+  const std::string qs =
+      "SELECT snap_id FROM SnapIds, Pick WHERE snap_id = s ORDER BY snap_id";
+  RunUntilQsReused(qs);
+  EXPECT_EQ(Iterated(), (std::vector<retro::SnapshotId>{1, 3}));
+  Ok(meta_.get(), "INSERT INTO Pick VALUES (2)");
+  ASSERT_TRUE(Run(qs, "Out").ok());
+  EXPECT_FALSE(QsReused());
+  EXPECT_EQ(Iterated(), (std::vector<retro::SnapshotId>{1, 2, 3}));
+}
+
+TEST_F(RqlQsReuseTest, RunIntoSnapIdsForcesEvaluation) {
+  RunUntilQsReused(kQs);
+  // Every snapshot holds UserB: SnapIds becomes three rows of snapshot 2.
+  ASSERT_TRUE(engine_
+                  ->CollateData(kQs,
+                                "SELECT 2 AS snap_id FROM LoggedIn "
+                                "WHERE l_userid = 'UserB'",
+                                "SnapIds")
+                  .ok());
+  ASSERT_TRUE(Run(kQs, "Out").ok());
+  EXPECT_FALSE(QsReused());
+  EXPECT_EQ(Iterated(), (std::vector<retro::SnapshotId>{2, 2, 2}));
+}
+
+TEST_F(RqlQsReuseTest, QsCallingARegisteredFunctionIsNeverReused) {
+  int calls = 0;
+  meta_->RegisterFunction("tick", 1, 1,
+                          [&calls](const std::vector<Value>& a)
+                              -> Result<Value> {
+                            ++calls;
+                            return a[0];
+                          });
+  const std::string ticking = "SELECT tick(snap_id) FROM SnapIds";
+  for (int i = 1; i <= 3; ++i) {
+    ASSERT_TRUE(Run(ticking, "Out").ok());
+    EXPECT_FALSE(QsReused());
+    EXPECT_EQ(calls, 3 * i);
+  }
+  // A mechanism UDF, which folds into a table of its own, likewise.
+  ASSERT_TRUE(engine_->RegisterUdfs().ok());
+  const std::string folding =
+      "SELECT snap_id FROM SnapIds WHERE AggregateDataInVariable(snap_id, "
+      "'SELECT COUNT(*) FROM LoggedIn', 'Side', 'sum') >= 0";
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(Run(folding, "Out").ok());
+    EXPECT_FALSE(QsReused());
+  }
+  ASSERT_TRUE(engine_->FinishUdfRuns().ok());
 }
 
 // --- current_snapshot() literal awareness ----------------------------------

@@ -1180,6 +1180,84 @@ TEST(ServerMirrorTest, RunIntoSnapIdsLeavesTheNextRunCorrect) {
   ExpectIterations(m.RunOverSnapIds(), 6);
 }
 
+/// A run over SnapIds by a second client, whose session mirrors SnapIds
+/// for the first time: what any session's next run must match.
+Result<uint32_t> FreshRunOverSnapIds(MirrorFixture* m) {
+  RQL_ASSIGN_OR_RETURN(auto fresh, Client::Connect(m->options.socket_path));
+  std::swap(fresh, m->client);
+  Result<uint32_t> iterations = m->RunOverSnapIds();
+  std::swap(fresh, m->client);
+  return iterations;
+}
+
+TEST(ServerMirrorTest, TruncationAndOwnSnapIdsWriteMatchAFreshSession) {
+  MirrorFixture m;
+  ASSERT_NE(m.client, nullptr);
+  ExpectIterations(m.RunOverSnapIds(), 6);
+  ASSERT_TRUE(m.client->Truncate(3).ok());
+  ExpectIterations(m.RunOverSnapIds(), 4);
+  ExpectIterations(FreshRunOverSnapIds(&m), 4);
+  // A row the client writes past the mirrored count: kept, the run would
+  // iterate snapshot 99, which does not exist.
+  ASSERT_TRUE(
+      m.client->MetaSql("INSERT INTO SnapIds VALUES (99, '', '')").ok());
+  ExpectIterations(m.RunOverSnapIds(), 4);
+  ExpectIterations(FreshRunOverSnapIds(&m), 4);
+  ASSERT_TRUE(m.client->DeclareSnapshot("later").ok());
+  ExpectIterations(m.RunOverSnapIds(), 5);
+  ExpectIterations(FreshRunOverSnapIds(&m), 5);
+}
+
+TEST(ServerMirrorTest, RerunStatsShowTheReusedQs) {
+  MirrorFixture m;
+  ASSERT_NE(m.client, nullptr);
+  for (int i = 0; i < 3; ++i) ExpectIterations(m.RunOverSnapIds(), 6);
+  auto text = m.client->RunStatsText();
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  EXPECT_NE(text->find("qs: reused, result table: kept"), std::string::npos)
+      << *text;
+  ASSERT_TRUE(m.client->DeclareSnapshot("later").ok());
+  ExpectIterations(m.RunOverSnapIds(), 7);
+  text = m.client->RunStatsText();
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  EXPECT_NE(text->find("qs: evaluated, result table: folded"),
+            std::string::npos)
+      << *text;
+}
+
+TEST(ServerMirrorTest, ListSnapshotsIsTheOwnersSnapIds) {
+  MirrorFixture m;
+  ASSERT_NE(m.client, nullptr);
+  auto expect_owner_table = [&m](const char* when) {
+    SCOPED_TRACE(when);
+    auto listed = m.client->ListSnapshots();
+    ASSERT_TRUE(listed.ok()) << listed.status().ToString();
+    auto owner = m.f.meta->Query("SELECT * FROM SnapIds");
+    ASSERT_TRUE(owner.ok()) << owner.status().ToString();
+    EXPECT_EQ(listed->columns, owner->columns);
+    EXPECT_EQ(EncodeRows(*listed), EncodeRows(*owner));
+    // And the session's mirror, refreshed from the same image.
+    auto mirrored = m.client->MetaSql("SELECT * FROM SnapIds");
+    ASSERT_TRUE(mirrored.ok()) << mirrored.status().ToString();
+    EXPECT_EQ(EncodeRows(*mirrored), EncodeRows(*owner));
+  };
+  expect_owner_table("at start");
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(m.client->DeclareSnapshot("d" + std::to_string(i)).ok());
+  }
+  expect_owner_table("after declarations");
+  ASSERT_TRUE(m.client->Truncate(5).ok());
+  expect_owner_table("after a truncation");
+  // The first declarations after it take slots the truncation freed
+  // before the surviving rows: the table no longer extends the image, and
+  // the mirror is rewritten, not appended to.
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(m.client->DeclareSnapshot("e" + std::to_string(i)).ok());
+    expect_owner_table("after a declaration following the truncation");
+  }
+  ExpectIterations(m.RunOverSnapIds(), 8);
+}
+
 /// The private SnapIds heap of `session`: (rid, record) in scan order.
 std::vector<std::pair<sql::Rid, std::string>> SnapIdsHeap(Session* session) {
   std::vector<std::pair<sql::Rid, std::string>> out;
@@ -1211,6 +1289,9 @@ std::vector<std::string> RankedHeap(Session* session) {
 struct SessionMirrorFixture {
   HistoryFixture f = MakeHistory(6);
   std::unique_ptr<Session> session = NewSession();
+  /// The owner's SnapIds as the server publishes it: republished by
+  /// Declare and Truncate.
+  std::shared_ptr<const SnapIdsImage> image = Republished(nullptr);
 
   std::unique_ptr<Session> NewSession() {
     auto created = Session::Create(1, f.data->store(), RqlOptions{});
@@ -1218,43 +1299,58 @@ struct SessionMirrorFixture {
     return created.ok() ? std::move(*created) : nullptr;
   }
 
-  sql::QueryResult Canonical() {
-    auto rows = f.meta->Query("SELECT * FROM SnapIds");
-    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
-    return rows.ok() ? *rows : sql::QueryResult{};
+  std::shared_ptr<const SnapIdsImage> Republished(const SnapIdsImage* last) {
+    auto loaded = SnapIdsImage::Load(f.meta.get(), last);
+    EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+    return loaded.ok() ? *loaded : std::make_shared<SnapIdsImage>();
   }
 
-  /// Mirrors `canonical` into the session, then expects the mirror to hold
-  /// exactly its rows, laid out as a fresh session's full rewrite lays
-  /// them out.
-  void MirrorAndCheck(const sql::QueryResult& canonical) {
-    ASSERT_TRUE(session->ReplaceSnapIds(canonical).ok());
+  void Declare() {
+    ASSERT_TRUE(f.engine->CommitWithSnapshot("later").ok());
+    image = Republished(image.get());
+  }
+
+  void Truncate(retro::SnapshotId keep_from) {
+    ASSERT_TRUE(f.engine->TruncateHistory(keep_from).ok());
+    image = Republished(image.get());
+  }
+
+  /// Mirrors the image into the session, then expects the mirror, and the
+  /// image, to hold exactly the owner's rows, laid out as a fresh
+  /// session's full rewrite lays them out.
+  void MirrorAndCheck() {
+    ASSERT_TRUE(session->ReplaceSnapIds(*image).ok());
+    auto owner = f.meta->Query("SELECT * FROM SnapIds");
+    ASSERT_TRUE(owner.ok()) << owner.status().ToString();
+    EXPECT_EQ(EncodeRows(image->table), EncodeRows(*owner));
     auto mirrored = session->meta()->Query("SELECT * FROM SnapIds");
     ASSERT_TRUE(mirrored.ok()) << mirrored.status().ToString();
-    ASSERT_EQ(mirrored->rows.size(), canonical.rows.size());
-    for (size_t i = 0; i < canonical.rows.size(); ++i) {
-      EXPECT_EQ(sql::EncodeRow(mirrored->rows[i]),
-                sql::EncodeRow(canonical.rows[i]))
-          << "row " << i;
-    }
+    EXPECT_EQ(EncodeRows(*mirrored), EncodeRows(*owner));
     std::unique_ptr<Session> fresh = NewSession();
     ASSERT_NE(fresh, nullptr);
-    ASSERT_TRUE(fresh->ReplaceSnapIds(canonical).ok());
+    ASSERT_TRUE(fresh->ReplaceSnapIds(*image).ok());
     EXPECT_EQ(RankedHeap(session.get()), RankedHeap(fresh.get()));
+  }
+
+  /// Metadata mutations of the session's next refresh.
+  uint64_t RefreshMutations() {
+    const storage::PageStore* pages = session->meta()->store()->page_store();
+    const uint64_t start = pages->mutations();
+    EXPECT_TRUE(session->ReplaceSnapIds(*image).ok());
+    return pages->mutations() - start;
   }
 };
 
 TEST(ServerMirrorTest, DeclaredSnapshotAppendsToTheMirror) {
   SessionMirrorFixture m;
   ASSERT_NE(m.session, nullptr);
-  m.MirrorAndCheck(m.Canonical());
+  m.MirrorAndCheck();
   const auto before = SnapIdsHeap(m.session.get());
   ASSERT_EQ(before.size(), 6u);
 
-  ASSERT_TRUE(m.f.engine->CommitWithSnapshot("later").ok());
-  const sql::QueryResult canonical = m.Canonical();
-  ASSERT_EQ(canonical.rows.size(), 7u);
-  m.MirrorAndCheck(canonical);
+  m.Declare();
+  ASSERT_EQ(m.image->table.rows.size(), 7u);
+  m.MirrorAndCheck();
   // The rows mirrored before stay where they were: only the new row was
   // written.
   const auto after = SnapIdsHeap(m.session.get());
@@ -1267,21 +1363,43 @@ TEST(ServerMirrorTest, DeclaredSnapshotAppendsToTheMirror) {
 TEST(ServerMirrorTest, TruncatedSnapIdsRewriteTheMirror) {
   SessionMirrorFixture m;
   ASSERT_NE(m.session, nullptr);
-  m.MirrorAndCheck(m.Canonical());
-  ASSERT_TRUE(m.f.engine->TruncateHistory(4).ok());
-  const sql::QueryResult truncated = m.Canonical();
-  ASSERT_EQ(truncated.rows.size(), 3u);
-  m.MirrorAndCheck(truncated);
+  m.MirrorAndCheck();
+  m.Truncate(4);
+  ASSERT_EQ(m.image->table.rows.size(), 3u);
+  m.MirrorAndCheck();
 
   // Truncated again, then declared past the mirror's length: only the
-  // rows' content, not their count, shows that they are not an extension.
-  ASSERT_TRUE(m.f.engine->TruncateHistory(6).ok());
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(m.f.engine->CommitWithSnapshot("later").ok());
-  }
-  const sql::QueryResult regrown = m.Canonical();
-  ASSERT_EQ(regrown.rows.size(), 4u);
-  m.MirrorAndCheck(regrown);
+  // epoch, not the row count, shows that the rows are not an extension.
+  m.Truncate(6);
+  for (int i = 0; i < 3; ++i) m.Declare();
+  ASSERT_EQ(m.image->table.rows.size(), 4u);
+  m.MirrorAndCheck();
+}
+
+TEST(ServerMirrorTest, RefreshWithoutADeclarationWritesNothing) {
+  SessionMirrorFixture m;
+  ASSERT_NE(m.session, nullptr);
+  m.MirrorAndCheck();
+  EXPECT_EQ(m.RefreshMutations(), 0u);
+  // Republished with nothing declared: the same generation.
+  m.image = m.Republished(m.image.get());
+  EXPECT_EQ(m.RefreshMutations(), 0u);
+  m.Declare();
+  EXPECT_GT(m.RefreshMutations(), 0u);
+  EXPECT_EQ(m.RefreshMutations(), 0u);
+}
+
+TEST(ServerMirrorTest, OneDeclarationCostsTheSameAtAnyHistoryLength) {
+  SessionMirrorFixture m;
+  ASSERT_NE(m.session, nullptr);
+  m.MirrorAndCheck();
+  m.Declare();
+  const uint64_t at_6 = m.RefreshMutations();
+  while (m.image->table.rows.size() < 300) m.Declare();
+  m.MirrorAndCheck();
+  m.Declare();
+  EXPECT_EQ(m.RefreshMutations(), at_6);
+  m.MirrorAndCheck();
 }
 
 /// The single integer a one-row, one-column result holds, or -1.
@@ -1296,14 +1414,13 @@ TEST(ServerMirrorTest, ReadOnlyMetaSqlKeepsTheMirrorForAnAppend) {
   ASSERT_NE(m.session, nullptr);
   const storage::PageStore* pages = m.session->meta()->store()->page_store();
   const std::string count = "SELECT COUNT(*) FROM SnapIds";
-  EXPECT_EQ(ScalarOf(m.session->MetaSql(m.Canonical(), count)), 6);
+  EXPECT_EQ(ScalarOf(m.session->MetaSql(*m.image, count)), 6);
   const auto before = SnapIdsHeap(m.session.get());
 
   // The read wrote nothing, so the refresh after one declaration appends.
-  ASSERT_TRUE(m.f.engine->CommitWithSnapshot("later").ok());
-  const sql::QueryResult canonical = m.Canonical();
+  m.Declare();
   uint64_t start = pages->mutations();
-  EXPECT_EQ(ScalarOf(m.session->MetaSql(canonical, count)), 7);
+  EXPECT_EQ(ScalarOf(m.session->MetaSql(*m.image, count)), 7);
   const uint64_t append_mutations = pages->mutations() - start;
   const auto after = SnapIdsHeap(m.session.get());
   ASSERT_EQ(after.size(), 7u);
@@ -1314,28 +1431,40 @@ TEST(ServerMirrorTest, ReadOnlyMetaSqlKeepsTheMirrorForAnAppend) {
   // A statement that writes forgets the mirror: the next refresh rewrites
   // the row it deleted, and costs more than the append did.
   ASSERT_TRUE(
-      m.session->MetaSql(canonical, "DELETE FROM SnapIds WHERE snap_id = 1")
+      m.session->MetaSql(*m.image, "DELETE FROM SnapIds WHERE snap_id = 1")
           .ok());
   start = pages->mutations();
-  EXPECT_EQ(ScalarOf(m.session->MetaSql(canonical, count)), 7);
+  EXPECT_EQ(ScalarOf(m.session->MetaSql(*m.image, count)), 7);
   EXPECT_LT(append_mutations, pages->mutations() - start);
   std::unique_ptr<Session> fresh = m.NewSession();
   ASSERT_NE(fresh, nullptr);
-  ASSERT_TRUE(fresh->ReplaceSnapIds(canonical).ok());
+  ASSERT_TRUE(fresh->ReplaceSnapIds(*m.image).ok());
   EXPECT_EQ(RankedHeap(m.session.get()), RankedHeap(fresh.get()));
+}
+
+TEST(ServerMirrorTest, ClientSnapIdsWriteForcesAFullRefresh) {
+  SessionMirrorFixture m;
+  ASSERT_NE(m.session, nullptr);
+  m.MirrorAndCheck();
+  // The client's row sits past the mirrored count: only forgetting the
+  // generation keeps it from surviving the next refresh.
+  ASSERT_TRUE(
+      m.session->MetaSql(*m.image, "INSERT INTO SnapIds VALUES (99, '', '')")
+          .ok());
+  m.Declare();
+  m.MirrorAndCheck();
 }
 
 TEST(ServerMirrorTest, MirrorWrittenInsideAClientTransactionIsNotTrusted) {
   SessionMirrorFixture m;
   ASSERT_NE(m.session, nullptr);
   const std::string count = "SELECT COUNT(*) FROM SnapIds";
-  ASSERT_TRUE(m.session->MetaSql(m.Canonical(), "BEGIN").ok());
+  ASSERT_TRUE(m.session->MetaSql(*m.image, "BEGIN").ok());
   // The append joins the client's transaction, which then rolls back.
-  ASSERT_TRUE(m.f.engine->CommitWithSnapshot("later").ok());
-  const sql::QueryResult canonical = m.Canonical();
-  EXPECT_EQ(ScalarOf(m.session->MetaSql(canonical, count)), 7);
-  ASSERT_TRUE(m.session->MetaSql(canonical, "ROLLBACK").ok());
-  EXPECT_EQ(ScalarOf(m.session->MetaSql(canonical, count)), 7);
+  m.Declare();
+  EXPECT_EQ(ScalarOf(m.session->MetaSql(*m.image, count)), 7);
+  ASSERT_TRUE(m.session->MetaSql(*m.image, "ROLLBACK").ok());
+  EXPECT_EQ(ScalarOf(m.session->MetaSql(*m.image, count)), 7);
 }
 
 }  // namespace

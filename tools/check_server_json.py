@@ -49,6 +49,7 @@ SECTIONS = {
         "hits": int,
         "misses": int,
         "result_reuses": int,
+        "qs_reuses": int,
     },
     "store": {
         "earliest_snapshot": int,
@@ -115,6 +116,8 @@ def check_stats(doc):
             "negative probe count")
     require(memo["result_reuses"] >= 0, "$.memo",
             "negative result-table reuse count")
+    require(memo["qs_reuses"] >= 0, "$.memo",
+            "negative Qs reuse count")
 
     store = doc["store"]
     require(store["earliest_snapshot"] <= store["latest_snapshot"] + 1,

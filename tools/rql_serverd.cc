@@ -53,16 +53,20 @@ int Usage(const char* argv0) {
 }
 
 /// A tiny history for smoke tests: table kv(k, v), 8 snapshots, each
-/// bumping v on a sliding subset of keys.
-rql::Status SeedDemo(rql::server::Server* server) {
-  rql::sql::Database* data = server->data();
+/// bumping v on a sliding subset of keys. Written before the server opens
+/// the databases, which it then serves as it finds them.
+rql::Status SeedDemo(rql::storage::Env* env, const std::string& prefix) {
+  RQL_ASSIGN_OR_RETURN(auto data,
+                       rql::sql::Database::Open(env, prefix + "_data"));
+  RQL_ASSIGN_OR_RETURN(auto meta,
+                       rql::sql::Database::Open(env, prefix + "_meta"));
   RQL_RETURN_IF_ERROR(
       data->Exec("CREATE TABLE IF NOT EXISTS kv (k INTEGER, v INTEGER)"));
   for (int k = 0; k < 100; ++k) {
     RQL_RETURN_IF_ERROR(data->Exec("INSERT INTO kv VALUES (" +
                                    std::to_string(k) + ", 0)"));
   }
-  rql::RqlEngine engine(data, server->meta());
+  rql::RqlEngine engine(data.get(), meta.get());
   RQL_RETURN_IF_ERROR(engine.EnsureSnapIds());
   for (int s = 0; s < 8; ++s) {
     RQL_RETURN_IF_ERROR(data->Exec("UPDATE kv SET v = v + 1 WHERE k % 7 = " +
@@ -129,19 +133,19 @@ int main(int argc, char** argv) {
     prefix = store_prefix;
   }
 
-  auto server = rql::server::Server::Open(env, prefix, options);
-  if (!server.ok()) {
-    std::fprintf(stderr, "cannot open store: %s\n",
-                 server.status().ToString().c_str());
-    return 1;
-  }
   if (seed_demo) {
-    rql::Status st = SeedDemo(server->get());
+    rql::Status st = SeedDemo(env, prefix);
     if (!st.ok()) {
       std::fprintf(stderr, "cannot seed demo data: %s\n",
                    st.ToString().c_str());
       return 1;
     }
+  }
+  auto server = rql::server::Server::Open(env, prefix, options);
+  if (!server.ok()) {
+    std::fprintf(stderr, "cannot open store: %s\n",
+                 server.status().ToString().c_str());
+    return 1;
   }
   rql::Status st = (*server)->Start();
   if (!st.ok()) {
