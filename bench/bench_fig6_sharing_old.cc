@@ -3,7 +3,7 @@
 // steps 1 and 10, using AggregateDataInVariable(Qs_N, Qq_io, AVG) over old
 // snapshots — and extends it with the COW page-sharing ablation: a
 // run-scoped decoded-page cache (SharedScanCache) and a run-scoped memo
-// (a fresh log-free MemoTable, replaying through its delta fast path) over
+// (a fresh MemoTable, replaying through its delta fast path) over
 // a sparse-update history, where most consecutive snapshots map
 // identical page versions for the table Qq reads.
 //
@@ -118,7 +118,7 @@ AblationResult RunCell(SparseHistory* h, const AblationCell& cell) {
   // Created per run: the cache and the memo serve only this run's
   // snapshots.
   sql::SharedScanCache run_cache({.max_bytes = 0});
-  std::unique_ptr<retro::MemoTable> run_memo = retro::MemoTable::InMemory();
+  auto run_memo = std::make_unique<retro::MemoTable>();
   opts->shared_scan_cache = cell.cache ? &run_cache : nullptr;
   opts->memo = cell.memo ? run_memo.get() : nullptr;
   // Comparable across cells: every run starts with a cold snapshot cache.

@@ -11,7 +11,7 @@
 // Machine-readable output goes to BENCH_sharing_recent.json (CI
 // artifact). Self-check: on the most recent interval of each workload the
 // page-sharing options (a run-scoped SharedScanCache + a run-scoped memo,
-// a fresh log-free MemoTable) must reproduce the flags-off
+// a fresh MemoTable) must reproduce the flags-off
 // result table byte-for-byte — the recent end of the history is where
 // snapshots share pages with the current database, so versioned and
 // unversioned reads mix in one run.
@@ -91,7 +91,7 @@ bool Series(const char* name, tpch::History* history, int overwrite_cycle,
   BENCH_CHECK(engine->AggregateDataInVariable(qs, kQqIo, "Base", "avg"));
   std::vector<std::string> base = DumpTable(history, "Base");
   sql::SharedScanCache run_cache({.max_bytes = 0});  // this run's only
-  std::unique_ptr<retro::MemoTable> run_memo = retro::MemoTable::InMemory();
+  auto run_memo = std::make_unique<retro::MemoTable>();
   engine->mutable_options()->shared_scan_cache = &run_cache;
   engine->mutable_options()->memo = run_memo.get();
   // Counters come from the metrics registry the engine publishes into at

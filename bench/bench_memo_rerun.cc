@@ -1,27 +1,26 @@
-// Cross-run memoization: persistent materialized retrospective views.
+// Cross-run memoization: materialized retrospective views in memory.
 //
 // A retrospective computation over a fixed snapshot set is deterministic,
 // so its per-iteration Qq results can be memoized keyed by (canonical
 // query fingerprint, page-version read set) and replayed on any later
-// identical run — across engine restarts, because retro::MemoTable
-// persists its entries in a checksummed append log. This bench runs
-// CollateData over a 48-snapshot set four times on UW30:
+// identical run that shares the retro::MemoTable, as the daemon's
+// sessions share its one table. This bench runs CollateData over a
+// 48-snapshot set four times on UW30:
 //
 //   baseline   memo-less oracle (the byte-identity reference),
-//   cold       a fresh persistent memo: no iteration hits; each
-//              one executes and publishes its rows, or replays its
-//              predecessor through the delta fast path,
-//   warm       the memo is closed and REOPENED from its on-disk log (a
-//              fresh engine process would see the same bytes), then the
-//              identical run into the same table: the engine revalidates
-//              the cold run's read sets and keeps its result table,
-//   warm_fold  the identical run on the reopened memo into a fresh
-//              table, so it replays every iteration from memo entries
-//              and folds their rows.
+//   cold       a fresh memo: no iteration hits; each one executes and
+//              publishes its rows, or replays its predecessor through
+//              the delta fast path,
+//   warm       the identical run into the same table on the cold run's
+//              memo: the engine revalidates the cold run's read sets and
+//              keeps its result table,
+//   warm_fold  the identical run on the same memo into a fresh table, so
+//              it replays every iteration from memo entries and folds
+//              their rows.
 //
-// The four runs repeat kRepeats times, each repeat from a fresh memo
-// log, and each run's time is its median over the repeats: one run of
-// 30-120 ms at CI's scale factor moves with host load.
+// The four runs repeat kRepeats times, each repeat from a fresh memo,
+// and each run's time is its median over the repeats: one run of 30-120
+// ms at CI's scale factor moves with host load.
 //
 // Self-checks (CI gates): in every repeat, every result table is
 // byte-identical to the baseline, the warm run keeps the cold run's table
@@ -51,7 +50,6 @@ struct RunResult {
   int64_t memo_hits = 0;
   int64_t memo_misses = 0;
   int64_t skipped = 0;  // delta fast-path replays
-  int64_t memo_bytes = 0;
   bool result_reused = false;
   std::vector<std::string> rows;  // encoded result table, in table order
 };
@@ -72,7 +70,6 @@ RunResult RunOnce(tpch::History* history, const std::string& qs,
   for (const RqlIterationStats& it : stats.iterations) {
     r.memo_hits += it.memo_hits;
     r.memo_misses += it.memo_misses;
-    r.memo_bytes += it.memo_bytes;
   }
   auto rows = history->meta()->Query("SELECT * FROM " + table);
   if (!rows.ok()) Fail(rows.status(), "dump the result table");
@@ -89,7 +86,6 @@ void WriteRunJson(JsonWriter* json, const char* key, const RunResult& r) {
   json->Field("memo_hits", r.memo_hits);
   json->Field("memo_misses", r.memo_misses);
   json->Field("iterations_skipped", r.skipped);
-  json->Field("memo_bytes_appended", r.memo_bytes);
   json->Field("result_reused", r.result_reused);
   json->EndObject();
 }
@@ -171,40 +167,22 @@ int Run() {
   // scan each miss pays, so the warm/cold gap measures memoization, not
   // result-table insert throughput (both runs pay that identically).
   const std::string qq = QqCollate("1992-06-01");
-  const char* memo_name = "rql_bench_cache/memo_rerun";
 
   std::printf("Cross-run memoization: CollateData(Qs_%d ascending, "
               "Qq_collate), UW30\n\n", kSnapshots);
 
   std::vector<Passes> reps(kRepeats);
-  int64_t recovered_entries = 0;
-  int64_t memo_log_bytes = 0;
   for (Passes& p : reps) {
-    // Every repeat starts memo-cold, even though the cache dir persists
-    // across invocations.
-    (void)BenchEnv()->DeleteFile(std::string(memo_name) + ".memo");
-
     p.baseline = RunOnce(history, qs, qq, "MemoRerun");
 
-    auto memo = retro::MemoTable::Open(BenchEnv(), memo_name);
-    if (!memo.ok()) Fail(memo.status(), "open memo table");
-    engine->mutable_options()->memo = memo->get();
+    // Every repeat starts memo-cold.
+    retro::MemoTable memo;
+    engine->mutable_options()->memo = &memo;
     p.cold = RunOnce(history, qs, qq, "MemoRerun");
-
-    // Cross-run persistence: drop the in-memory table and reopen from the
-    // on-disk log, exactly what a fresh client process would do.
-    engine->mutable_options()->memo = nullptr;
-    memo->reset();
-    auto reopened = retro::MemoTable::Open(BenchEnv(), memo_name);
-    if (!reopened.ok()) Fail(reopened.status(), "reopen memo table");
-    engine->mutable_options()->memo = reopened->get();
     // The same table first: the cold run's is still the last one written.
     p.warm = RunOnce(history, qs, qq, "MemoRerun");
     p.warm_fold = RunOnce(history, qs, qq, "MemoRerunFold");
-
     engine->mutable_options()->memo = nullptr;
-    recovered_entries = (*reopened)->recovered_entries();
-    memo_log_bytes = static_cast<int64_t>((*reopened)->log_bytes());
   }
   const RunResult& baseline = Median(reps, &Passes::baseline);
   const RunResult& cold = Median(reps, &Passes::cold);
@@ -213,23 +191,21 @@ int Run() {
 
   const double speedup =
       warm_fold.total_ms > 0 ? cold.total_ms / warm_fold.total_ms : 0;
-  std::printf("%-10s %10s %6s %6s %8s %12s %7s\n", "run", "total_ms",
-              "hits", "misses", "skipped", "memo_bytes", "reused");
+  std::printf("%-10s %10s %6s %6s %8s %7s\n", "run", "total_ms", "hits",
+              "misses", "skipped", "reused");
   for (const auto& [name, r] : {std::pair<const char*, const RunResult&>{
                                     "baseline", baseline},
                                 {"cold", cold},
                                 {"warm", warm},
                                 {"warm_fold", warm_fold}}) {
-    std::printf("%-10s %10.2f %6lld %6lld %8lld %12lld %7s\n", name,
-                r.total_ms, static_cast<long long>(r.memo_hits),
+    std::printf("%-10s %10.2f %6lld %6lld %8lld %7s\n", name, r.total_ms,
+                static_cast<long long>(r.memo_hits),
                 static_cast<long long>(r.memo_misses),
                 static_cast<long long>(r.skipped),
-                static_cast<long long>(r.memo_bytes),
                 r.result_reused ? "yes" : "no");
   }
   std::printf("\nmedians of %d repeats; warm_fold speedup over cold: "
-              "%.1fx (recovered %lld entries from the reopened log)\n",
-              kRepeats, speedup, static_cast<long long>(recovered_entries));
+              "%.1fx\n", kRepeats, speedup);
 
   bool checks_ok = true;
   for (const Passes& p : reps) {
@@ -251,17 +227,15 @@ int Run() {
   WriteRunJson(&json, "warm_fold", warm_fold);
   json.Field("warm_fold_speedup_over_cold", speedup, 2);
   json.Field("repeats", kRepeats);
-  json.Field("recovered_entries", recovered_entries);
-  json.Field("memo_log_bytes", memo_log_bytes);
   json.Field("checks_ok", checks_ok);
   json.EndObject();
   json.Close();
 
   std::printf("\nExpected: identical result tables in all four runs; the "
               "warm run keeps the cold\nrun's table; the warm_fold run, on "
-              "the memo reopened off disk, replays >= 90%%\nof its "
-              "iterations (memo hits or fast path) and finishes >= 3x "
-              "faster than the\npublishing cold run.\n");
+              "the cold run's memo, replays >= 90%%\nof its iterations "
+              "(memo hits or fast path) and finishes >= 3x faster than "
+              "the\npublishing cold run.\n");
   std::printf("checks: %s\n", checks_ok ? "OK" : "FAILED");
   return checks_ok ? 0 : 1;
 }

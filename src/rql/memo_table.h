@@ -10,17 +10,13 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/status.h"
 #include "retro/snapshot_store.h"  // SnapshotId, PageToken
-#include "storage/env.h"
-#include "storage/page.h"  // storage::PageId
 
 namespace rql::retro {
 
 /// One memoized Qq iteration: everything needed to replay the iteration
 /// through a mechanism without executing Qq. Rows are stored encoded
-/// (sql::EncodeRow payloads) so the table depends only on storage — and so
-/// the persistent form is the in-memory form.
+/// (sql::EncodeRow payloads) so the table depends only on storage.
 struct MemoEntry {
   /// Canonicalized query/mechanism fingerprint (sql::QueryFingerprint of
   /// the original Qq text salted with the mechanism name).
@@ -41,19 +37,11 @@ struct MemoEntry {
 };
 
 struct MemoTableOptions {
-  /// In-memory LRU bound, in (approximate serialized) entry bytes.
+  /// LRU bound, in approximate entry bytes (MemoTable::EntryBytes).
   uint64_t max_bytes = 64ull << 20;
-  /// Open-time compaction: when the log file exceeds twice the live entry
-  /// bytes plus this slack, Open rewrites it with only the live records
-  /// (write-to-temp + rename; the online path stays append-only).
-  uint64_t compact_slack_bytes = 1ull << 20;
 };
 
 struct MemoPublishResult {
-  /// Log bytes this publish appended (full record, or the small alias
-  /// record when an identical entry was already present under another
-  /// snapshot); always 0 for a log-free table.
-  uint64_t bytes_appended = 0;
   /// Entries the LRU byte bound evicted to make room.
   int64_t evictions = 0;
   /// False when an entry with the same (fingerprint, read-set digest) key
@@ -72,36 +60,21 @@ struct MemoPublishResult {
 /// one entry, and a writer archiving a page the snapshot shares with the
 /// current database leaves the entry valid.
 ///
-/// Persistence is a WAL-style append-only log through storage::Env: each
-/// record is [magic, type, payload length, FNV-1a checksum, payload], and
-/// Open scans the log, truncating at the first torn or corrupt record
-/// (crash mid-append loses at most that record; everything before it
-/// replays). Publishes sync the log, so a published entry survives any
-/// later crash. Open skips intact records of an older format (entries and
-/// aliases whose tokens were Pagelog offsets: an old offset and a start
-/// snapshot can be the same number). A table made by InMemory keeps no
-/// log at all.
+/// The table lives in memory only: its entries die with it, and a process
+/// restart starts cold. It must live and die with the store it memoizes:
+/// entries are validated against the store's current page-version
+/// resolutions, so pairing a table with a *different* store (rather than a
+/// later state of the same one, reopened or not) is undefined. The server
+/// owns one for all its sessions; a fresh table given to a single run is
+/// a run-scoped memo.
 ///
 /// Thread-safe: one mutex serializes probes and publishes, and publishes
 /// are first-publish-wins, so any number of engines (cross-client reuse)
 /// may share one table.
 class MemoTable {
  public:
-  /// Opens (or creates) the memo log `<name>.memo` inside `env`,
-  /// recovering all intact records. The memo must live and die with the
-  /// database files it memoizes: entries are validated against the store's
-  /// current page-version resolutions, so pairing a memo with a *different*
-  /// store (rather than a later state of the same one) is undefined.
-  static Result<std::unique_ptr<MemoTable>> Open(
-      storage::Env* env, const std::string& name,
-      MemoTableOptions options = MemoTableOptions());
-
-  /// A log-free table: Publish encodes, appends and syncs nothing, and the
-  /// entries die with the table. Same probe, validation, first-publish-wins
-  /// and LRU bound as an opened table. The server's shared memo, and a
-  /// run-scoped memo when given to a single run.
-  static std::unique_ptr<MemoTable> InMemory(
-      MemoTableOptions options = MemoTableOptions());
+  explicit MemoTable(MemoTableOptions options = MemoTableOptions())
+      : options_(options) {}
 
   /// Entry registered for (fingerprint, snapshot), or nullptr. A returned
   /// entry is *unvalidated*: the caller must check every read-set token
@@ -110,35 +83,32 @@ class MemoTable {
   std::shared_ptr<const MemoEntry> Probe(uint64_t fingerprint,
                                          SnapshotId snapshot);
 
-  /// Inserts `entry` (first publish of its key wins), registers it for
-  /// entry->snapshot, appends the log record and syncs. Evicts
-  /// least-recently-used entries beyond MemoTableOptions::max_bytes. An
-  /// entry left with no registered snapshot (its last one re-published
-  /// under another read set) is erased.
-  Result<MemoPublishResult> Publish(std::shared_ptr<const MemoEntry> entry);
+  /// Inserts `entry` (first publish of its key wins) and registers it for
+  /// entry->snapshot. Evicts least-recently-used entries beyond
+  /// MemoTableOptions::max_bytes. An entry left with no registered
+  /// snapshot (its last one re-published under another read set) is
+  /// erased.
+  MemoPublishResult Publish(std::shared_ptr<const MemoEntry> entry);
 
-  /// Retention hook: drops (and persistently invalidates) every snapshot
-  /// registration below `keep_from`, and any entry left without a
-  /// registration. Called by RqlEngine::TruncateHistory; entries for
+  /// Retention hook: drops every snapshot registration below `keep_from`,
+  /// and any entry left without a registration. Called by
+  /// RqlEngine::TruncateHistory; entries for
   /// surviving snapshots stay, and stay valid: compaction moves Pagelog
   /// offsets but keeps every capture's start_snap and every page's mod
   /// epoch, so the tokens their read sets validate against do not move.
-  Status InvalidateBelow(SnapshotId keep_from);
+  void InvalidateBelow(SnapshotId keep_from);
 
   /// Order-independent digest of a read set: the set is sorted by page id
   /// before hashing, so recording order never changes the key.
   static uint64_t ReadSetDigest(std::vector<PageToken> read_set);
 
-  /// Approximate in-memory/logged size of one entry (its record payload).
+  /// Approximate size of one entry: its fields and rows, serialized.
   static uint64_t EntryBytes(const MemoEntry& entry);
 
   // --- instrumentation ---------------------------------------------------
   uint64_t bytes() const;        // live entry bytes (LRU-bounded)
   size_t entry_count() const;    // live entries
-  int64_t evictions() const;     // lifetime LRU evictions (incl. recovery)
-  int64_t recovered_entries() const;  // intact entries replayed by Open
-  uint64_t truncated_tail_bytes() const;  // bytes Open cut from a torn tail
-  uint64_t log_bytes() const;    // current log file size (0 if log-free)
+  int64_t evictions() const;     // lifetime LRU evictions
   const MemoTableOptions& options() const { return options_; }
 
  private:
@@ -168,46 +138,28 @@ class MemoTable {
     std::list<Key>::iterator lru_it;
   };
 
-  MemoTable(storage::Env* env, std::string name, MemoTableOptions options)
-      : env_(env), name_(std::move(name)), options_(options) {}
-
   /// The entry's table key: (fingerprint, read-set digest), with the
   /// digest also naming the entry's snapshot when it is per_snapshot.
   static Key KeyOf(const MemoEntry& entry);
 
-  Status Recover();
-  Status CompactLocked();
-  Status AppendRecordLocked(uint32_t type, const std::string& payload,
-                            uint64_t* appended);
-  /// Applies one recovered/compacted record to the in-memory maps (no log
-  /// writes). Unknown types and dangling aliases are ignored.
-  void ApplyRecord(uint32_t type, const std::string& payload);
-  /// Inserts or aliases under `key` (= KeyOf(*entry)) without logging;
-  /// shared by Publish and recovery.
-  bool InsertLocked(const Key& key, std::shared_ptr<const MemoEntry> entry,
-                    int64_t* evicted);
   void TouchLocked(Stored* stored);
   void RegisterSnapshotLocked(const Key& key, SnapshotId snapshot);
   /// Drops `snapshot` from the entry under `key` (the caller owns the
   /// probe_ row) and erases the entry once no snapshot is left on it.
   void UnregisterLocked(Key key, SnapshotId snapshot);
-  int64_t EnforceBoundLocked(const Key* keep);
+  /// Evicts least-recently-used entries until the byte bound holds,
+  /// never `keep` (the entry just published); returns how many went.
+  int64_t EnforceBoundLocked(const Key& keep);
   void EraseLocked(const Key& key);
 
-  storage::Env* env_;  // null for a log-free table
-  std::string name_;
   MemoTableOptions options_;
-  std::unique_ptr<storage::File> file_;  // null for a log-free table
 
   mutable std::mutex mu_;
   std::unordered_map<Key, Stored, KeyHash> entries_;
   std::list<Key> lru_;  // front = most recently used
   std::map<std::pair<uint64_t, SnapshotId>, Key> probe_;
   uint64_t bytes_ = 0;
-  uint64_t log_bytes_ = 0;
   int64_t evictions_ = 0;
-  int64_t recovered_entries_ = 0;
-  uint64_t truncated_tail_bytes_ = 0;
 };
 
 }  // namespace rql::retro

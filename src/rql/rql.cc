@@ -915,16 +915,13 @@ Result<retro::SnapshotId> RqlEngine::CommitWithSnapshot(
 Status RqlEngine::TruncateHistory(retro::SnapshotId keep_from) {
   RQL_RETURN_IF_ERROR(data_db_->store()->TruncateHistory(keep_from));
   // Dropped snapshots can never validate again; purge their memo
-  // registrations (persistently) so the table's bytes go to live entries.
-  // Survivors stay: their read-set validation already catches the Pagelog
-  // offsets compaction moved (conservative miss, then republish).
-  if (options_.memo != nullptr) {
-    RQL_RETURN_IF_ERROR(options_.memo->InvalidateBelow(keep_from));
-  }
+  // registrations so the table's bytes go to live entries. Survivors
+  // stay valid: compaction keeps the start snapshots their tokens name.
+  if (options_.memo != nullptr) options_.memo->InvalidateBelow(keep_from);
   // Compaction rebased Pagelog offsets — the shared cache's version keys.
-  // Conservative contract, like MemoTable::InvalidateBelow: drop every
-  // entry (runs still holding one keep it alive via their shared_ptr);
-  // survivors re-decode and republish on next access.
+  // Conservative: drop every entry (runs still holding one keep it alive
+  // via their shared_ptr); survivors re-decode and republish on next
+  // access.
   if (options_.shared_scan_cache != nullptr) {
     options_.shared_scan_cache->OnTruncateHistory(keep_from);
   }
@@ -1114,8 +1111,7 @@ void RqlEngine::PublishRunMetrics() {
   int64_t maplog_pages = 0, spt_delta_entries = 0, plan_cache_hits = 0;
   int64_t delta_pages_scanned = 0;
   int64_t batches_scanned = 0, batch_rows = 0, batch_fallback_rows = 0;
-  int64_t memo_hits = 0, memo_misses = 0, memo_bytes = 0;
-  int64_t memo_evictions = 0;
+  int64_t memo_hits = 0, memo_misses = 0, memo_evictions = 0;
   retro::MetricsRegistry::Histogram* iter_hist =
       reg->GetHistogram("rql.iteration_us");
   for (const RqlIterationStats& it : stats_.iterations) {
@@ -1139,7 +1135,6 @@ void RqlEngine::PublishRunMetrics() {
     batch_fallback_rows += it.batch_fallback_rows;
     memo_hits += it.memo_hits;
     memo_misses += it.memo_misses;
-    memo_bytes += it.memo_bytes;
     memo_evictions += it.memo_evictions;
     iter_hist->ObserveUs(it.TotalUs());
   }
@@ -1163,7 +1158,6 @@ void RqlEngine::PublishRunMetrics() {
   add("rql.batch_fallback_rows", batch_fallback_rows);
   add("rql.memo_hits", memo_hits);
   add("rql.memo_misses", memo_misses);
-  add("rql.memo_bytes", memo_bytes);
   add("rql.memo_evictions", memo_evictions);
   reg->GetHistogram("rql.run_us")->ObserveUs(stats_.TotalUs());
 }
@@ -1897,9 +1891,10 @@ Status RqlEngine::RecordIteration(MechanismState* state,
     // The memo learns the fast-path replay too, as if `snap` had
     // executed: the delta missed the predecessor's read set, so it
     // resolves identically at `snap`. Later runs over any subset of these
-    // snapshots then hit. An archived read set publishes only an alias
-    // record, and a probe validates either form. A snapshot already
-    // registered under this read set (a warm run) publishes nothing.
+    // snapshots then hit. An identical read set registers `snap` as an
+    // alias of the stored entry, and a probe validates either form. A
+    // snapshot already registered under this read set (a warm run)
+    // publishes nothing.
     RQL_ASSIGN_OR_RETURN(uint64_t fp, state->MemoFingerprint());
     std::shared_ptr<const retro::MemoEntry> at =
         options_.memo->Probe(fp, snap);
@@ -1912,10 +1907,7 @@ Status RqlEngine::RecordIteration(MechanismState* state,
     }
   }
   if (entry != nullptr) {
-    RQL_ASSIGN_OR_RETURN(retro::MemoPublishResult pub,
-                         options_.memo->Publish(std::move(entry)));
-    iter.memo_bytes = static_cast<int64_t>(pub.bytes_appended);
-    iter.memo_evictions = pub.evictions;
+    iter.memo_evictions = options_.memo->Publish(std::move(entry)).evictions;
   }
   if (trace_on_ && (iter.skipped || iter.memo_hits != 0)) {
     trace_.Emit(iter.skipped ? RqlTraceEventType::kIterationSkip

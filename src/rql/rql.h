@@ -82,15 +82,12 @@ struct RqlIterationStats {
   int64_t batch_fallback_rows = 0;
   // Cross-run memoization counters (RqlOptions::memo; all zero at
   // paper-faithful defaults).
-  /// 1 when this iteration was answered by replaying a persistent memo
-  /// entry whose page-version read set validated against the snapshot.
+  /// 1 when this iteration was answered by replaying a memo entry whose
+  /// page-version read set validated against the snapshot.
   int64_t memo_hits = 0;
   /// 1 when a memoized run executed Qq for this iteration: neither the
   /// delta fast path nor a validated memo entry could serve it.
   int64_t memo_misses = 0;
-  /// Memo-log bytes appended by this iteration's publish (0 on hits, on
-  /// a fast-path replay already registered, and into a log-free memo).
-  int64_t memo_bytes = 0;
   /// Entries the publish evicted to keep the memo under its byte bound.
   int64_t memo_evictions = 0;
 
@@ -278,10 +275,10 @@ struct RqlOptions {
   /// query/mechanism fingerprint, snapshot) whose every recorded page
   /// version still matches the snapshot's resolution is replayed
   /// (memo_hits); (c) otherwise Qq executes (memo_misses) and its entry is
-  /// published for later runs and other engines (memo_bytes /
-  /// memo_evictions). A parallel worker diffs against its own previous
-  /// snapshot, and the coordinator publishes in Qs order after the workers
-  /// finish. On a memoized run, iterations = memo_misses + memo_hits +
+  /// published for later runs and other engines (memo_evictions). A
+  /// parallel worker diffs against its own previous snapshot, and the
+  /// coordinator publishes in Qs order after the workers finish. On a
+  /// memoized run, iterations = memo_misses + memo_hits +
   /// iterations_skipped.
   /// Results are byte-identical to execution (the mechanism fold re-runs
   /// on the replayed rows). Traced as kIterationSkip / kMemoHit.
@@ -295,9 +292,9 @@ struct RqlOptions {
   ///
   /// Owned by the caller; shareable by any number of engines (publishes
   /// are first-publish-wins), which is how the server serves one memo to
-  /// every session. A fresh retro::MemoTable::InMemory() given to one run
-  /// is a run-scoped memo. Must live and die with the data database's
-  /// files (see MemoTable::Open).
+  /// every session. A fresh retro::MemoTable given to one run is a
+  /// run-scoped memo. The table is in memory only; it must live and die
+  /// with the data database it memoizes (see retro::MemoTable).
   retro::MemoTable* memo = nullptr;
   /// Decoded-page cache the run's scans go through: table pages are keyed
   /// by their physical version (the Pagelog offset the SPT resolves them

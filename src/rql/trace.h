@@ -55,7 +55,7 @@ namespace rql {
 ///   kWorkerStall     {lock_wait_us, coalesced_loads, workers, 0, 0, 0}
 ///                    — emitted once per parallel run after the join
 ///   kMemoHit         {index_in_run, validated_pages, replayed_rows,
-///                     udf_us, 0, 0}  — replay of a persistent memo entry
+///                     udf_us, 0, 0}  — replay of a memo entry
 ///                    whose page-version read set validated against the
 ///                    snapshot (RqlOptions::memo)
 ///   kPrefetch        retired: the background prefetch pipeline is

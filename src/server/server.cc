@@ -74,7 +74,7 @@ Result<std::unique_ptr<Server>> Server::Finish(ServerOptions options,
   // while every page version it recorded still resolves the same, so
   // sessions reuse each other's iterations without trusting each other.
   s->options_.engine.shared_scan_cache = &s->scan_cache_;
-  s->options_.engine.memo = s->memo_.get();
+  s->options_.engine.memo = &s->memo_;
   s->options_.engine.metrics = s->metrics_;
   s->data_->store()->set_share_spt_builds(true);
   // The owner engine handles snapshot declaration and truncation; giving
@@ -733,10 +733,10 @@ std::string Server::StatsJson() {
       << ", \"entries\": " << cache.entries
       << ", \"bytes\": " << cache.bytes << "},\n";
   out << "  \"memo\": {"
-      << "\"entries\": " << memo_->entry_count()
-      << ", \"bytes\": " << memo_->bytes()
-      << ", \"max_bytes\": " << memo_->options().max_bytes
-      << ", \"evictions\": " << memo_->evictions()
+      << "\"entries\": " << memo_.entry_count()
+      << ", \"bytes\": " << memo_.bytes()
+      << ", \"max_bytes\": " << memo_.options().max_bytes
+      << ", \"evictions\": " << memo_.evictions()
       << ", \"hits\": " << metrics_->GetCounter("rql.memo_hits")->value()
       << ", \"misses\": " << metrics_->GetCounter("rql.memo_misses")->value()
       << ", \"result_reuses\": "

@@ -114,7 +114,7 @@ class Server {
 
   RunScheduler* scheduler() { return scheduler_.get(); }
   sql::SharedScanCache* scan_cache() { return &scan_cache_; }
-  retro::MemoTable* memo() { return memo_.get(); }
+  retro::MemoTable* memo() { return &memo_; }
   /// The owner databases. Snapshots are declared and truncated through
   /// the server (kSnapshot, kTruncate), which republishes SnapIds; a
   /// SnapIds write made on meta() directly is not served.
@@ -181,9 +181,9 @@ class Server {
   std::shared_ptr<const SnapIdsImage> snap_ids_;
 
   sql::SharedScanCache scan_cache_;
-  /// The memo every session engine and the owner engine share. Log-free:
-  /// it lives and dies with the server, and MemoTableOptions{} bounds it.
-  std::unique_ptr<retro::MemoTable> memo_ = retro::MemoTable::InMemory();
+  /// The memo every session engine and the owner engine share. It lives
+  /// and dies with the server, and MemoTableOptions{} bounds it.
+  retro::MemoTable memo_;
   std::unique_ptr<RunScheduler> scheduler_;
 
   int listen_fd_ = -1;

@@ -72,11 +72,12 @@ struct ScanCacheCounters {
 ///    version claim it once: the first caller decodes, the rest block on
 ///    the in-flight entry and are served the published result, mirroring
 ///    storage::BufferPool's coalesced loads one layer up.
-///  * Conservative invalidation from TruncateHistory, the same contract
-///    as retro::MemoTable::InvalidateBelow: truncation rebases Pagelog
-///    offsets, so every cached version key is suspect and the cache is
-///    cleared outright. Stale hits are impossible afterwards; the cost
-///    is re-decoding on the next run.
+///  * Conservative invalidation from TruncateHistory: truncation rebases
+///    Pagelog offsets, so every cached version key is suspect and the
+///    cache is cleared outright. (retro::MemoTable::InvalidateBelow keeps
+///    its survivors: its tokens are start snapshots, which do not move.)
+///    Stale hits are impossible afterwards; the cost is re-decoding on
+///    the next run.
 ///
 /// Sharded like BufferPool so concurrent runs on different versions do
 /// not contend; LRU order is approximate across the cache, exact within
@@ -157,12 +158,12 @@ class SharedScanCache {
   void Clear();
   uint64_t size() const;
 
-  /// TruncateHistory invalidation hook (conservative, like
-  /// MemoTable::InvalidateBelow): offsets at or above the rewrite are
-  /// rebased and freed ranges may be recycled, so every version key is
-  /// suspect — drop everything. `keep_from` is accepted for contract
-  /// symmetry; no finer-grained retention is attempted. In-flight decodes
-  /// complete for their waiters but are not published.
+  /// TruncateHistory invalidation hook (conservative): offsets at or
+  /// above the rewrite are rebased and freed ranges may be recycled, so
+  /// every version key is suspect — drop everything. `keep_from` is
+  /// accepted for contract symmetry; no finer-grained retention is
+  /// attempted. In-flight decodes complete for their waiters but are not
+  /// published.
   void OnTruncateHistory(uint64_t keep_from);
 
   Stats GetStats() const;

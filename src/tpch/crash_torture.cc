@@ -63,9 +63,6 @@ struct Harness {
   }
 };
 
-Status RunRqlChecks(Harness* h, int j, std::string* collate,
-                    std::string* aggmax);
-
 std::string Timestamp(int round) {
   std::string day = std::to_string(round);
   if (day.size() < 2) day = "0" + day;
@@ -115,16 +112,6 @@ Status RunWorkload(storage::Env* env, const TortureConfig& cfg, int* acked,
                            StateSignature(h.data.get(), retro::kNoSnapshot));
       sigs->push_back(std::move(sig));
     }
-  }
-  if (cfg.memoize) {
-    // Memoized pass: every executed iteration publishes (and syncs) a memo
-    // record, adding one kill point per iteration to the schedule.
-    RQL_ASSIGN_OR_RETURN(std::unique_ptr<retro::MemoTable> memo,
-                         retro::MemoTable::Open(env, "tortmemo"));
-    h.engine->mutable_options()->memo = memo.get();
-    std::string collate, aggmax;
-    RQL_RETURN_IF_ERROR(
-        RunRqlChecks(&h, cfg.snapshots, &collate, &aggmax));
   }
   return Status::OK();
 }
@@ -266,18 +253,13 @@ Status VerifyRecovered(storage::Env* env, const TortureConfig& cfg,
     }
   }
 
-  // Recovery invariant 6 (memoize only): the recovered memo log — however
-  // much of it survived the crash, including a torn publish record — never
-  // changes RQL answers. The first memoized pass replays whatever entries
-  // recovered and recomputes the rest; a second pass runs fully warm. Both
-  // must match the memo-less oracle byte-for-byte.
-  if (cfg.memoize && m >= 1) {
-    auto memo = retro::MemoTable::Open(env, "tortmemo");
-    if (!memo.ok()) {
-      return fail("memo reopen after recovery failed: " +
-                  memo.status().ToString());
-    }
-    h.engine->mutable_options()->memo = memo->get();
+  // Recovery invariant 6: a memo never changes RQL answers over the
+  // recovered store. The first memoized pass, on a fresh memo, records
+  // every iteration; the second runs fully warm. Both must match the
+  // memo-less oracle byte-for-byte.
+  if (m >= 1) {
+    retro::MemoTable memo;
+    h.engine->mutable_options()->memo = &memo;
     for (int pass = 1; pass <= 2; ++pass) {
       std::string collate, aggmax;
       Status s = RunRqlChecks(&h, m, &collate, &aggmax);
@@ -291,8 +273,8 @@ Status VerifyRecovered(storage::Env* env, const TortureConfig& cfg,
                     " served rows differing from the memo-less oracle");
       }
     }
-    // The second pass ran against a memo the first pass fully refreshed:
-    // every iteration of its last mechanism must have replayed.
+    // The second pass ran against the memo the first pass filled: every
+    // iteration of its last mechanism must have replayed.
     int64_t hits = 0;
     for (const RqlIterationStats& it :
          h.engine->last_run_stats().iterations) {

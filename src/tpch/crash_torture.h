@@ -21,7 +21,8 @@ namespace rql::tpch {
 ///   (b) every surviving snapshot answers AS OF queries byte-identically
 ///       to the fault-free run;
 ///   (c) the RQL mechanisms (CollateData, AggregateDataInTable) over the
-///       surviving snapshot set match the fault-free oracle byte-for-byte.
+///       surviving snapshot set match the fault-free oracle byte-for-byte,
+///       without a memo and through two memoized passes on a fresh one.
 struct TortureConfig {
   /// TPC-H scale factor of the base database (0.0002 -> 30 customers,
   /// 300 orders: small enough to re-run the workload once per sync point).
@@ -35,14 +36,6 @@ struct TortureConfig {
   int max_kill_points = 0;
   /// Emit one report log line per kill point instead of only failures.
   bool verbose = false;
-  /// When set, the workload ends with a memoized RQL pass over all
-  /// declared snapshots (publishing into a persistent retro::MemoTable on
-  /// the same Env), so the memo log's publish syncs join the kill-point
-  /// space. Verification then reruns the memoized mechanisms from the
-  /// recovered memo and asserts byte-identity against the memo-less
-  /// oracle: a crash anywhere — including mid-publish — may lose memo
-  /// entries but never serve stale rows.
-  bool memoize = false;
 };
 
 struct TortureReport {

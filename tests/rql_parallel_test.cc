@@ -157,7 +157,7 @@ TEST_P(RqlParallelTest, ProfilesAndMemoMatchSerial) {
 
   for (RqlProfile profile : {RqlProfile::kPaperFaithful, RqlProfile::kFast}) {
     for (bool memoize : {false, true}) {
-      std::unique_ptr<retro::MemoTable> memo = retro::MemoTable::InMemory();
+      auto memo = std::make_unique<retro::MemoTable>();
       RqlOptions opts;
       opts.profile = profile;
       opts.memo = memoize ? memo.get() : nullptr;
@@ -338,7 +338,7 @@ TEST(RqlParallelStatsTest, ParallelIterationsCarryExactStoreCounters) {
 
   // With a memo, each worker's cursor builds its SPTs in the replay
   // probe's Advance, which its iterations report too.
-  std::unique_ptr<retro::MemoTable> memo = retro::MemoTable::InMemory();
+  auto memo = std::make_unique<retro::MemoTable>();
   e.engine->mutable_options()->memo = memo.get();
   ASSERT_TRUE(e.engine->CollateData(qs, qq, "Memo").ok());
   int64_t spt_work = 0;

@@ -41,23 +41,20 @@ void ExpectQqParses(const RqlRunStats& stats, bool fast, int64_t misses,
   }
 }
 
-/// The run-scoped memo's counter identities (a fresh log-free MemoTable):
-/// every iteration either executed — a miss, parsing Qq as ExpectQqParses
-/// says — or replayed through the delta fast path, and no log bytes were
-/// appended.
+/// The run-scoped memo's counter identities (a fresh MemoTable): every
+/// iteration either executed — a miss, parsing Qq as ExpectQqParses
+/// says — or replayed through the delta fast path.
 void ExpectRunScopedMemoCounters(const RqlRunStats& stats, bool fast,
                                  int workers, const std::string& label) {
-  int64_t hits = 0, misses = 0, bytes = 0;
+  int64_t hits = 0, misses = 0;
   for (const RqlIterationStats& it : stats.iterations) {
     hits += it.memo_hits;
     misses += it.memo_misses;
-    bytes += it.memo_bytes;
   }
   EXPECT_EQ(hits, 0) << label;
   EXPECT_EQ(misses + stats.iterations_skipped,
             static_cast<int64_t>(stats.iterations.size()))
       << label;
-  EXPECT_EQ(bytes, 0) << label;
   ExpectQqParses(stats, fast, misses, workers, label);
 }
 
@@ -538,7 +535,7 @@ TEST_P(RqlPropertyTest, TransientPagelogFaultsWithRetriesAreTransparent) {
 
 TEST_P(RqlPropertyTest, PageSharingFlagsPreserveAllMechanismOutputs) {
   // A run-scoped decoded-page cache and a run-scoped memo (a fresh
-  // log-free MemoTable) are pure optimizations: on a
+  // MemoTable) are pure optimizations: on a
   // sparse-update history every mechanism's result table must be
   // byte-identical with any combination of the two — alone, together,
   // and (for parallelizable mechanisms) under parallel workers — under both
@@ -662,8 +659,7 @@ TEST_P(RqlPropertyTest, PageSharingFlagsPreserveAllMechanismOutputs) {
            {RqlProfile::kPaperFaithful, RqlProfile::kFast}) {
         RqlOptions opts;
         run_cache.Clear();
-        std::unique_ptr<retro::MemoTable> run_memo =
-            retro::MemoTable::InMemory();
+        auto run_memo = std::make_unique<retro::MemoTable>();
         opts.profile = profile;
         opts.shared_scan_cache = c.cache ? &run_cache : nullptr;
         opts.memo = c.memo ? run_memo.get() : nullptr;
@@ -725,7 +721,7 @@ TEST_P(RqlPropertyTest, SkipDisabledWhenQqUsesCurrentSnapshot) {
   std::vector<std::string> baseline = dump("Baseline");
 
   sql::SharedScanCache run_cache({.max_bytes = 0});
-  std::unique_ptr<retro::MemoTable> run_memo = retro::MemoTable::InMemory();
+  auto run_memo = std::make_unique<retro::MemoTable>();
   f.engine->mutable_options()->memo = run_memo.get();
   f.engine->mutable_options()->shared_scan_cache = &run_cache;
   f.data->store()->ClearSnapshotCache();
@@ -736,12 +732,13 @@ TEST_P(RqlPropertyTest, SkipDisabledWhenQqUsesCurrentSnapshot) {
 
 TEST_P(RqlPropertyTest, MemoizationPreservesAllMechanismOutputs) {
   // A memo is a pure optimization: for every mechanism, under every flag
-  // combination it composes with (a run-scoped decoded-page cache, batch execution, parallel workers), both the cold run that
-  // fills the persistent memo and the warm run that replays from it must
-  // be byte-identical to the flags-off baseline — and the warm run must
-  // actually hit. AggregateDataInVariable uses the non-idempotent `sum`
-  // fold so a replayed iteration that contributed twice (or not at all)
-  // would be caught.
+  // combination it composes with (a run-scoped decoded-page cache, batch
+  // execution, parallel workers), both the cold run that fills a memo and
+  // the warm run that replays from it must be byte-identical to the
+  // flags-off baseline — and the warm run must actually hit.
+  // AggregateDataInVariable uses the non-idempotent `sum` fold so a
+  // replayed iteration that contributed twice (or not at all) would be
+  // caught.
   Fixture f = MakeSparseFixture(GetParam() * 1000 + 211, 24, 8, 4);
   const std::string qs = "SELECT snap_id FROM SnapIds";
 
@@ -756,12 +753,11 @@ TEST_P(RqlPropertyTest, MemoizationPreservesAllMechanismOutputs) {
   retro::MetricsRegistry registry;
   auto memo_sums = [&](const RqlRunStats& stats) {
     struct Sums {
-      int64_t hits = 0, misses = 0, bytes = 0, evictions = 0;
+      int64_t hits = 0, misses = 0, evictions = 0;
     } s;
     for (const RqlIterationStats& it : stats.iterations) {
       s.hits += it.memo_hits;
       s.misses += it.memo_misses;
-      s.bytes += it.memo_bytes;
       s.evictions += it.memo_evictions;
     }
     return s;
@@ -774,7 +770,6 @@ TEST_P(RqlPropertyTest, MemoizationPreservesAllMechanismOutputs) {
         auto s = memo_sums(f.engine->last_run_stats());
         EXPECT_EQ(delta.counter("rql.memo_hits"), s.hits) << label;
         EXPECT_EQ(delta.counter("rql.memo_misses"), s.misses) << label;
-        EXPECT_EQ(delta.counter("rql.memo_bytes"), s.bytes) << label;
         EXPECT_EQ(delta.counter("rql.memo_evictions"), s.evictions) << label;
       };
 
@@ -830,13 +825,11 @@ TEST_P(RqlPropertyTest, MemoizationPreservesAllMechanismOutputs) {
     std::vector<std::string> baseline = dump(base_table);
 
     for (const Config& c : kConfigs) {
-      // Every configuration gets its own persistent memo so cold/warm hit
-      // accounting is exact.
-      auto memo = retro::MemoTable::Open(
-          f.env.get(), std::string("memo_") + m.name + "_" + c.name);
-      ASSERT_TRUE(memo.ok()) << memo.status().ToString();
+      // Every configuration gets its own memo, kept from the cold run to
+      // the warm one, so cold/warm hit accounting is exact.
+      auto memo = std::make_unique<retro::MemoTable>();
       RqlOptions opts;
-      opts.memo = memo->get();
+      opts.memo = memo.get();
       // Run-scoped: cleared before the warm run below.
       sql::SharedScanCache run_cache({.max_bytes = 0});
       opts.shared_scan_cache = c.cache ? &run_cache : nullptr;
@@ -855,7 +848,7 @@ TEST_P(RqlPropertyTest, MemoizationPreservesAllMechanismOutputs) {
       auto cold = memo_sums(f.engine->last_run_stats());
       EXPECT_EQ(cold.hits, 0) << table;
       EXPECT_GT(cold.misses, 0) << table;
-      EXPECT_GT(cold.bytes, 0) << table;
+      EXPECT_GT(memo->entry_count(), 0u) << table;
       // Every iteration either executed (a miss) or replayed through the
       // delta fast path; only executed iterations parse Qq, and a kFast
       // run parses it once for all of them (once per worker in parallel).
@@ -893,9 +886,10 @@ TEST_P(RqlPropertyTest, AsyncPrefetchPreservesAllMechanismOutputs) {
   // the matrix it carried stays. Reruns against state that outlives a run
   // are pure optimizations: every mechanism's cold run and its warm rerun
   // must be byte-identical to the flags-off baseline under the fast
-  // profile, a persistent memo, a store-scoped decoded-page cache that is
-  // never cleared (across reruns, configurations and mechanisms, as the
-  // daemon serves it), parallel workers, and all of them stacked.
+  // profile, a memo kept across the rerun, a store-scoped decoded-page
+  // cache that is never cleared (across reruns, configurations and
+  // mechanisms, as the daemon serves it), parallel workers, and all of
+  // them stacked.
   Fixture f = MakeSparseFixture(GetParam() * 1000 + 229, 24, 8, 4);
   const std::string qs = "SELECT snap_id FROM SnapIds";
 
@@ -956,12 +950,10 @@ TEST_P(RqlPropertyTest, AsyncPrefetchPreservesAllMechanismOutputs) {
     std::vector<std::string> baseline = dump(base_table);
 
     for (const Config& c : kConfigs) {
-      auto memo = retro::MemoTable::Open(
-          f.env.get(), std::string("rerun_memo_") + m.name + "_" + c.name);
-      ASSERT_TRUE(memo.ok()) << memo.status().ToString();
+      retro::MemoTable memo;
       RqlOptions opts;
       opts.profile = c.fast ? RqlProfile::kFast : RqlProfile::kPaperFaithful;
-      if (c.memo) opts.memo = memo->get();
+      if (c.memo) opts.memo = &memo;
       if (c.shared) opts.shared_scan_cache = &shared_cache;
       opts.parallel_workers = c.workers;
       *f.engine->mutable_options() = opts;
@@ -1284,17 +1276,10 @@ void ExpectFastFoldMatchesPaperFaithful(Fixture& f) {
         std::string table = std::string(m.name) + "_" +
                             RqlProfileName(profile) + "_" +
                             std::to_string(static_cast<int>(replay));
-        std::unique_ptr<retro::MemoTable> memo;
-        if (replay == Replay::kSharedMemo) {
-          auto opened = retro::MemoTable::Open(f.env.get(), "memo_" + table);
-          ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-          memo = std::move(*opened);
-        } else if (replay == Replay::kRunScoped) {
-          memo = retro::MemoTable::InMemory();
-        }
+        retro::MemoTable memo;
         RqlOptions opts;
         opts.profile = profile;
-        opts.memo = memo.get();
+        if (replay != Replay::kOff) opts.memo = &memo;
         *f.engine->mutable_options() = opts;
         // A shared memo runs twice: the cold run fills it, the warm run
         // replays every iteration from it.
@@ -1350,7 +1335,7 @@ void ExpectFastFoldMatchesPaperFaithful(Fixture& f) {
     for (RqlProfile profile :
          {RqlProfile::kPaperFaithful, RqlProfile::kFast}) {
       std::string table = std::string(m.name) + "_" + RqlProfileName(profile);
-      std::unique_ptr<retro::MemoTable> memo = retro::MemoTable::InMemory();
+      auto memo = std::make_unique<retro::MemoTable>();
       RqlOptions opts;
       opts.profile = profile;
       opts.memo = memo.get();

@@ -880,7 +880,8 @@ class RqlResultReuseTest : public RqlLoggedInTest {
 
   bool Reused() const { return engine_->last_run_stats().result_reused; }
 
-  std::unique_ptr<retro::MemoTable> memo_ = retro::MemoTable::InMemory();
+  std::unique_ptr<retro::MemoTable> memo_ =
+      std::make_unique<retro::MemoTable>();
   std::unique_ptr<sql::Database> oracle_meta_;
   std::unique_ptr<RqlEngine> oracle_;
   int oracles_ = 0;
@@ -1213,7 +1214,7 @@ TEST(RqlCurrentSnapshotSkipTest, LiteralDoesNotDisableSkip) {
                     .ok());
     ASSERT_TRUE(engine.CommitWithSnapshot("t" + std::to_string(s)).ok());
   }
-  std::unique_ptr<retro::MemoTable> memo = retro::MemoTable::InMemory();
+  auto memo = std::make_unique<retro::MemoTable>();
   engine.mutable_options()->memo = memo.get();
 
   const char* qq =
@@ -1278,7 +1279,7 @@ TEST(RqlMemoAsOfTest, QqAsOfDoesNotBecomeTheDeltaOrigin) {
     engine.mutable_options()->profile = profile;
     engine.mutable_options()->memo = nullptr;
     ASSERT_TRUE(engine.CollateData(qs, qq, "Plain").ok());
-    std::unique_ptr<retro::MemoTable> memo = retro::MemoTable::InMemory();
+    auto memo = std::make_unique<retro::MemoTable>();
     engine.mutable_options()->memo = memo.get();
     ASSERT_TRUE(engine.CollateData(qs, qq, "Memo").ok());
     EXPECT_EQ(engine.last_run_stats().iterations_skipped, 0);
@@ -1325,7 +1326,7 @@ TEST(RqlMemoCurrentSnapshotTest, WarmRunNeverReplaysAnotherSnapshotsRows) {
     engine.mutable_options()->memo = nullptr;
     ASSERT_TRUE(engine.CollateData(qs, qq, "Plain").ok());
     EXPECT_EQ(dump("Plain"), expected);
-    std::unique_ptr<retro::MemoTable> memo = retro::MemoTable::InMemory();
+    auto memo = std::make_unique<retro::MemoTable>();
     engine.mutable_options()->memo = memo.get();
     ASSERT_TRUE(engine.CollateData(qs, qq, "Cold").ok());
     EXPECT_EQ(dump("Cold"), expected);
@@ -1405,8 +1406,10 @@ class RqlTwoEngineTest : public ::testing::Test {
   storage::InMemoryEnv base_env_;
   storage::FaultInjectionEnv env_{&base_env_};
   std::unique_ptr<sql::Database> data_, data_b_, meta_a_, meta_b_;
-  std::unique_ptr<retro::MemoTable> memo_a_ = retro::MemoTable::InMemory();
-  std::unique_ptr<retro::MemoTable> memo_b_ = retro::MemoTable::InMemory();
+  std::unique_ptr<retro::MemoTable> memo_a_ =
+      std::make_unique<retro::MemoTable>();
+  std::unique_ptr<retro::MemoTable> memo_b_ =
+      std::make_unique<retro::MemoTable>();
   std::unique_ptr<RqlEngine> a_, b_;
 };
 

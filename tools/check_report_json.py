@@ -162,7 +162,7 @@ def check_report(doc):
     require(seen == want, "$.runs",
             f"mechanism passes missing: {sorted(want - seen)}")
     check_typed_fields(doc.get("memo"), {"entries": int, "bytes": int,
-                                         "log_bytes": int, "evictions": int},
+                                         "evictions": int},
                        "$.memo")
     require(doc["memo"]["entries"] > 0, "$.memo",
             "memo table empty after the cold passes")

@@ -267,9 +267,8 @@ int Run(const ReportOptions& opt) {
   // publishes per-iteration results into the memo and a warm pass that
   // replays them — so the report shows both sides of the memo counters
   // and the memo_hit trace rows.
-  auto memo = retro::MemoTable::Open(&env, "report_memo");
-  if (!memo.ok()) Fail(memo.status(), "open memo table");
-  opts->memo = memo->get();
+  retro::MemoTable memo;
+  opts->memo = &memo;
 
   const std::string qs = "SELECT snap_id FROM SnapIds";
   struct Mechanism {
@@ -343,13 +342,11 @@ int Run(const ReportOptions& opt) {
 
   std::printf("\n== memo table ==\n");
   std::printf("  %-32s %12lld\n", "entries",
-              static_cast<long long>((*memo)->entry_count()));
+              static_cast<long long>(memo.entry_count()));
   std::printf("  %-32s %12lld\n", "bytes",
-              static_cast<long long>((*memo)->bytes()));
-  std::printf("  %-32s %12lld\n", "log_bytes",
-              static_cast<long long>((*memo)->log_bytes()));
+              static_cast<long long>(memo.bytes()));
   std::printf("  %-32s %12lld\n", "evictions",
-              static_cast<long long>((*memo)->evictions()));
+              static_cast<long long>(memo.evictions()));
 
   const sql::SharedScanCache::Stats cache_stats = shared_cache.GetStats();
   std::printf("\n== shared scan cache ==\n");
@@ -435,10 +432,9 @@ int Run(const ReportOptions& opt) {
     }
     json.EndArray();
     json.BeginObject("memo");
-    json.Field("entries", static_cast<int64_t>((*memo)->entry_count()));
-    json.Field("bytes", static_cast<int64_t>((*memo)->bytes()));
-    json.Field("log_bytes", static_cast<int64_t>((*memo)->log_bytes()));
-    json.Field("evictions", static_cast<int64_t>((*memo)->evictions()));
+    json.Field("entries", static_cast<int64_t>(memo.entry_count()));
+    json.Field("bytes", static_cast<int64_t>(memo.bytes()));
+    json.Field("evictions", memo.evictions());
     json.EndObject();
     json.BeginObject("shared_cache");
     json.Field("entries", static_cast<int64_t>(cache_stats.entries));
