@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -446,6 +447,19 @@ class JsonWriter {
   std::FILE* f_;
   std::vector<bool> scope_is_empty_;  // per open scope: no members yet
 };
+
+/// Writes the "race_dependent" array: the paths of this artifact's fields
+/// whose values depend on how concurrent runs or workers interleave, so
+/// they change from run to run of the same code. A path names a field
+/// from the root ("shared_cache.misses"); "[]" stands for every element of
+/// an array ("clients[].coalesced_decodes"). tools/compare_bench_counts.py
+/// skips them when it compares two builds' counts.
+inline void WriteRaceDependent(JsonWriter* json,
+                               std::initializer_list<const char*> paths) {
+  json->BeginArray("race_dependent");
+  for (const char* path : paths) json->Field(nullptr, path);
+  json->EndArray();
+}
 
 // --- observability JSON ----------------------------------------------------
 

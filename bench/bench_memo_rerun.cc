@@ -16,7 +16,8 @@
 //              keeps its result table,
 //   warm_fold  the identical run on the same memo into a fresh table, so
 //              it replays every iteration from memo entries and folds
-//              their rows.
+//              their rows. A memo hit replays without moving the run's
+//              snapshot-set cursor, so the run reads no Maplog page.
 //
 // The four runs repeat kRepeats times, each repeat from a fresh memo,
 // and each run's time is its median over the repeats: one run of 30-120
@@ -25,9 +26,10 @@
 // Self-checks (CI gates): in every repeat, every result table is
 // byte-identical to the baseline, the warm run keeps the cold run's table
 // (result_reused) and the warm_fold run replays >= 90% of its iterations
-// (memo hits plus fast-path replays); the median warm_fold run is >= 3x
-// faster than the median cold one. Results go to BENCH_memo.json (CI
-// artifact).
+// (memo hits plus fast-path replays), every one of them a memo hit with
+// no miss and no Maplog page read; the median warm_fold run is >= 3x
+// faster than the median cold one. Results, with each run's Maplog pages,
+// go to BENCH_memo.json (CI artifact).
 
 #include "bench_common.h"
 
@@ -50,6 +52,7 @@ struct RunResult {
   int64_t memo_hits = 0;
   int64_t memo_misses = 0;
   int64_t skipped = 0;  // delta fast-path replays
+  int64_t maplog_pages = 0;
   bool result_reused = false;
   std::vector<std::string> rows;  // encoded result table, in table order
 };
@@ -70,6 +73,7 @@ RunResult RunOnce(tpch::History* history, const std::string& qs,
   for (const RqlIterationStats& it : stats.iterations) {
     r.memo_hits += it.memo_hits;
     r.memo_misses += it.memo_misses;
+    r.maplog_pages += it.maplog_pages;
   }
   auto rows = history->meta()->Query("SELECT * FROM " + table);
   if (!rows.ok()) Fail(rows.status(), "dump the result table");
@@ -86,6 +90,7 @@ void WriteRunJson(JsonWriter* json, const char* key, const RunResult& r) {
   json->Field("memo_hits", r.memo_hits);
   json->Field("memo_misses", r.memo_misses);
   json->Field("iterations_skipped", r.skipped);
+  json->Field("maplog_pages", r.maplog_pages);
   json->Field("result_reused", r.result_reused);
   json->EndObject();
 }
@@ -153,6 +158,18 @@ bool CheckRepeat(const Passes& p) {
                 static_cast<long long>(p.warm_fold.iterations));
     ok = false;
   }
+  // The cold run registered every snapshot, and a hit moves no cursor.
+  if (p.warm_fold.memo_hits != p.warm_fold.iterations ||
+      p.warm_fold.memo_misses != 0 || p.warm_fold.maplog_pages != 0) {
+    std::printf("CHECK FAILED: warm_fold run should hit every iteration "
+                "without reading the Maplog (hits=%lld misses=%lld of %lld, "
+                "maplog_pages=%lld)\n",
+                static_cast<long long>(p.warm_fold.memo_hits),
+                static_cast<long long>(p.warm_fold.memo_misses),
+                static_cast<long long>(p.warm_fold.iterations),
+                static_cast<long long>(p.warm_fold.maplog_pages));
+    ok = false;
+  }
   return ok;
 }
 
@@ -191,17 +208,18 @@ int Run() {
 
   const double speedup =
       warm_fold.total_ms > 0 ? cold.total_ms / warm_fold.total_ms : 0;
-  std::printf("%-10s %10s %6s %6s %8s %7s\n", "run", "total_ms", "hits",
-              "misses", "skipped", "reused");
+  std::printf("%-10s %10s %6s %6s %8s %7s %7s\n", "run", "total_ms",
+              "hits", "misses", "skipped", "maplog", "reused");
   for (const auto& [name, r] : {std::pair<const char*, const RunResult&>{
                                     "baseline", baseline},
                                 {"cold", cold},
                                 {"warm", warm},
                                 {"warm_fold", warm_fold}}) {
-    std::printf("%-10s %10.2f %6lld %6lld %8lld %7s\n", name, r.total_ms,
-                static_cast<long long>(r.memo_hits),
+    std::printf("%-10s %10.2f %6lld %6lld %8lld %7lld %7s\n", name,
+                r.total_ms, static_cast<long long>(r.memo_hits),
                 static_cast<long long>(r.memo_misses),
                 static_cast<long long>(r.skipped),
+                static_cast<long long>(r.maplog_pages),
                 r.result_reused ? "yes" : "no");
   }
   std::printf("\nmedians of %d repeats; warm_fold speedup over cold: "
@@ -234,8 +252,9 @@ int Run() {
   std::printf("\nExpected: identical result tables in all four runs; the "
               "warm run keeps the cold\nrun's table; the warm_fold run, on "
               "the cold run's memo, replays >= 90%%\nof its iterations "
-              "(memo hits or fast path) and finishes >= 3x faster than "
-              "the\npublishing cold run.\n");
+              "(memo hits or fast path), all of them memo hits reading no\n"
+              "Maplog page, and finishes >= 3x faster than the publishing "
+              "cold run.\n");
   std::printf("checks: %s\n", checks_ok ? "OK" : "FAILED");
   return checks_ok ? 0 : 1;
 }

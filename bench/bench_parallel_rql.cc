@@ -202,6 +202,9 @@ int Run() {
              measured_speedup_at_4[0]);
   json.Field("measured_speedup_at_4_fast", measured_speedup_at_4[1]);
   json.Field("checks_ok", checks_ok);
+  // How many workers miss on the same archive page at once is a race, and
+  // so is whether a worker claims a snapshot it must execute (and parse).
+  WriteRaceDependent(&json, {"sweep[].coalesced_loads", "sweep[].qq_parses"});
   json.EndObject();
   json.Close();
 

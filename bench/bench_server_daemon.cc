@@ -264,6 +264,12 @@ int Run() {
   json.Field("admission_rejects", scheduler->admission_rejects());
   json.EndObject();
   json.Field("checks_ok", checks_ok);
+  // Which session decodes a shared page first, and who waits on it, is a
+  // race.
+  WriteRaceDependent(
+      &json, {"clients_detail[].shared_page_hits",
+              "clients_detail[].coalesced_decodes", "shared_cache.shared_hits",
+              "shared_cache.misses", "shared_cache.coalesced_decodes"});
   json.EndObject();
   json.Close();
 

@@ -298,6 +298,12 @@ Status SnapshotStore::TruncateHistory(SnapshotId keep_from) {
   return Status::OK();
 }
 
+bool SnapshotStore::Readable(SnapshotId snap) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  return snap != kNoSnapshot && snap >= maplog_->earliest() &&
+         snap <= latest_snap_;
+}
+
 Result<std::unique_ptr<SnapshotView>> SnapshotStore::OpenSnapshot(
     SnapshotId snap) {
   int64_t lock_start_us = NowMicros();

@@ -187,8 +187,9 @@ class SnapshotSet {
   /// A page the index does not map is shared with the current database
   /// unless the writer captured it after the cursor last moved (its mod
   /// epoch reached position()); that case, like a TruncateHistory since
-  /// the last seek, is a conservative mismatch. Lets a memo probe validate
-  /// a read set right after Advance.
+  /// the last seek, is a conservative mismatch. Lets a rerun that keeps
+  /// its recorded result table validate each read set right after
+  /// Advance.
   ///
   /// `held`, when non-null, is a read set that held at the cursor's
   /// previous position. After an incremental advance, a page it records
@@ -288,6 +289,11 @@ class SnapshotStore : public storage::PageWriter {
 
   /// Oldest snapshot still reconstructable (1 unless truncated).
   SnapshotId earliest_snapshot() const { return maplog_->earliest(); }
+
+  /// Whether `snap` can be opened now: declared, and not dropped by a
+  /// TruncateHistory (earliest_snapshot() <= snap <= latest_snapshot()).
+  /// Safe beside writers: takes the reader lock.
+  bool Readable(SnapshotId snap) const;
 
   /// Retention: permanently drops snapshots with id < `keep_from` and
   /// compacts the Pagelog/Maplog, reclaiming the space their exclusive

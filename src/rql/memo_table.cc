@@ -137,15 +137,28 @@ std::shared_ptr<const MemoEntry> MemoTable::Probe(uint64_t fingerprint,
 
 MemoPublishResult MemoTable::Publish(
     std::shared_ptr<const MemoEntry> entry) {
+  const Key key = KeyOf(*entry);
+  return PublishAs(key, std::move(entry));
+}
+
+MemoPublishResult MemoTable::PublishAs(
+    const Key& key, std::shared_ptr<const MemoEntry> entry) {
   std::lock_guard<std::mutex> lock(mu_);
   MemoPublishResult result;
-  const Key key = KeyOf(*entry);
   const SnapshotId snapshot = entry->snapshot;
   auto it = entries_.find(key);
   if (it != entries_.end()) {
-    // First publish wins: the stored entry (same key = same fingerprint
-    // and same archived read-set versions, hence same replay) stays; only
-    // the probe index learns the new snapshot.
+    // First publish wins: the stored entry (same fingerprint and same
+    // read-set tokens, hence same replay) stays; only the probe index
+    // learns the new snapshot. An equal key is only a 64-bit digest, and
+    // a probe replays without revalidating, so the read sets themselves
+    // must match.
+    const MemoEntry& stored = *it->second.entry;
+    if (stored.read_set != entry->read_set ||
+        stored.per_snapshot != entry->per_snapshot ||
+        (stored.per_snapshot && stored.snapshot != snapshot)) {
+      return result;
+    }
     RegisterSnapshotLocked(key, snapshot);
     TouchLocked(&it->second);
     return result;

@@ -46,7 +46,7 @@ struct MemoPublishResult {
   int64_t evictions = 0;
   /// False when an entry with the same (fingerprint, read-set digest) key
   /// already existed — first publish wins; the new snapshot is registered
-  /// as an alias of the existing entry.
+  /// as an alias of the existing entry unless the two differ.
   bool inserted = false;
 };
 
@@ -62,11 +62,10 @@ struct MemoPublishResult {
 ///
 /// The table lives in memory only: its entries die with it, and a process
 /// restart starts cold. It must live and die with the store it memoizes:
-/// entries are validated against the store's current page-version
-/// resolutions, so pairing a table with a *different* store (rather than a
-/// later state of the same one, reopened or not) is undefined. The server
-/// owns one for all its sessions; a fresh table given to a single run is
-/// a run-scoped memo.
+/// a registration names a snapshot id of that store, so pairing a table
+/// with a *different* store (rather than a later state of the same one,
+/// reopened or not) is undefined. The server owns one for all its
+/// sessions; a fresh table given to a single run is a run-scoped memo.
 ///
 /// Thread-safe: one mutex serializes probes and publishes, and publishes
 /// are first-publish-wins, so any number of engines (cross-client reuse)
@@ -76,15 +75,24 @@ class MemoTable {
   explicit MemoTable(MemoTableOptions options = MemoTableOptions())
       : options_(options) {}
 
-  /// Entry registered for (fingerprint, snapshot), or nullptr. A returned
-  /// entry is *unvalidated*: the caller must check every read-set token
-  /// against the snapshot's current resolution before replaying. Touches
-  /// the entry's LRU recency.
+  /// Entry registered for (fingerprint, snapshot), or nullptr. A
+  /// registration is a proof: it was made from an entry whose tokens its
+  /// publisher saw at the snapshot, and a declared snapshot's bytes (and
+  /// so their tokens) never change. A returned entry therefore replays as
+  /// it is while the snapshot is still readable; the caller checks only
+  /// that (a TruncateHistory through an engine without this memo drops no
+  /// registration). Touches the entry's LRU recency.
   std::shared_ptr<const MemoEntry> Probe(uint64_t fingerprint,
                                          SnapshotId snapshot);
 
   /// Inserts `entry` (first publish of its key wins) and registers it for
-  /// entry->snapshot. Evicts least-recently-used entries beyond
+  /// entry->snapshot. The caller vouches that the entry's tokens are what
+  /// Qq reads at that snapshot: it executed there, or replayed a
+  /// predecessor whose read set the step's delta missed. When the key
+  /// exists already, the snapshot becomes an alias of the stored entry
+  /// only if the two would replay alike (equal read sets, and the same
+  /// snapshot for a per_snapshot entry); on a digest collision it stays
+  /// unregistered. Evicts least-recently-used entries beyond
   /// MemoTableOptions::max_bytes. An entry left with no registered
   /// snapshot (its last one re-published under another read set) is
   /// erased.
@@ -94,8 +102,8 @@ class MemoTable {
   /// and any entry left without a registration. Called by
   /// RqlEngine::TruncateHistory; entries for
   /// surviving snapshots stay, and stay valid: compaction moves Pagelog
-  /// offsets but keeps every capture's start_snap and every page's mod
-  /// epoch, so the tokens their read sets validate against do not move.
+  /// offsets but keeps every surviving snapshot's bytes, and the tokens
+  /// that name them.
   void InvalidateBelow(SnapshotId keep_from);
 
   /// Order-independent digest of a read set: the set is sorted by page id
@@ -138,9 +146,15 @@ class MemoTable {
     std::list<Key>::iterator lru_it;
   };
 
+  friend struct MemoTableTestPeer;  // forges a digest collision
+
   /// The entry's table key: (fingerprint, read-set digest), with the
   /// digest also naming the entry's snapshot when it is per_snapshot.
   static Key KeyOf(const MemoEntry& entry);
+
+  /// Publish under `key`, which is KeyOf(*entry) outside tests.
+  MemoPublishResult PublishAs(const Key& key,
+                              std::shared_ptr<const MemoEntry> entry);
 
   void TouchLocked(Stored* stored);
   void RegisterSnapshotLocked(const Key& key, SnapshotId snapshot);

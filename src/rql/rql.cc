@@ -1285,17 +1285,22 @@ struct RqlEngine::IterationContext {
   };
   Predecessor prev;
   /// The snapshot of this context's last iteration. A delta is that
-  /// iteration's successor step only if the cursor still sits there: an
-  /// explicit AS OF inside Qq opens through the cursor too and moves it.
+  /// iteration's successor step only if it starts there: an explicit AS
+  /// OF inside Qq opens through the cursor too and moves it.
   retro::SnapshotId last_snap = retro::kNoSnapshot;
+  /// True after a memo hit, which leaves the cursor where it was: a
+  /// cursor away from last_snap lags it by the engine's own choice, and
+  /// the next miss seeks there before stepping. False after a step, so a
+  /// cursor found away from last_snap then was moved by Qq.
+  bool cursor_lags = false;
 };
 
 /// One answered iteration, as AnswerIteration leaves it for
 /// RecordIteration.
 struct RqlEngine::Answer {
   RqlIterationStats iter;
-  /// The iteration's store counters: its cursor's Advance plus the views
-  /// its Qq statement opened.
+  /// The iteration's store counters: its cursor's steps (none on a memo
+  /// hit) plus the views its Qq statement opened.
   retro::IterationStats store;
   /// Rows still to fold, with their columns; null when they streamed into
   /// the fold while Qq executed. A replay shares both with the memo entry.
@@ -1303,11 +1308,10 @@ struct RqlEngine::Answer {
   std::shared_ptr<const std::vector<Row>> rows;
   /// The memo entry that answered a memoized iteration: an executed
   /// iteration's own (published), the predecessor's a fast-path replay
-  /// re-keys to its snapshot (published as an alias), or the validated
-  /// entry of a memo hit (already registered). Its read set goes into the
-  /// run's ResultRecord.
+  /// re-keys to its snapshot (published as an alias), or the registered
+  /// entry of a memo hit. Its read set goes into the run's ResultRecord.
   std::shared_ptr<const retro::MemoEntry> entry;
-  /// kIterationSkip: the delta's size; kMemoHit: the validated read set's.
+  /// kIterationSkip: the delta's size; kMemoHit: the entry's read set's.
   int64_t replay_trace_arg = 0;
   /// Times the iteration lexed/parsed/planned Qq.
   int64_t qq_parses = 0;
@@ -1587,8 +1591,9 @@ bool RqlEngine::ReuseRecordedResult(
       r->profile != options_.profile) {
     return false;
   }
-  // Each read set validates in place at its snapshot, as a memo hit's
-  // does, on a cursor of the run's own.
+  // Each read set validates in place at its snapshot, on a cursor of the
+  // run's own. (The registration argument that lets a memo hit skip this
+  // covers the record too; see INTERNALS §13 for why it still runs.)
   retro::SnapshotStore* store = data_db_->store();
   std::unique_ptr<retro::SnapshotSet> set = store->BeginSnapshotSet();
   std::vector<storage::PageId> delta;
@@ -1704,9 +1709,9 @@ Status RqlEngine::AnswerIteration(IterationContext* ctx,
   db->set_snapshot_set(ctx->set.get());
   RqlIterationStats& iter = out->iter;
   iter.snapshot = snap;
-  // The iteration's store counters are its readers' own: the cursor's
-  // Advance (the replay probe, counted into out->store as it runs) plus
-  // the views its Qq statement opens.
+  // The iteration's store counters are its readers' own: a miss's cursor
+  // steps (counted into out->store as they run) plus the views its Qq
+  // statement opens.
   auto take_store_counters = [&](const retro::IterationStats& views) {
     out->store.Add(views);
     SetStoreCounters(out->store, &iter);
@@ -1890,21 +1895,14 @@ Status RqlEngine::RecordIteration(MechanismState* state,
   if (entry != nullptr && iter.skipped) {
     // The memo learns the fast-path replay too, as if `snap` had
     // executed: the delta missed the predecessor's read set, so it
-    // resolves identically at `snap`. Later runs over any subset of these
-    // snapshots then hit. An identical read set registers `snap` as an
-    // alias of the stored entry, and a probe validates either form. A
-    // snapshot already registered under this read set (a warm run)
-    // publishes nothing.
-    RQL_ASSIGN_OR_RETURN(uint64_t fp, state->MemoFingerprint());
-    std::shared_ptr<const retro::MemoEntry> at =
-        options_.memo->Probe(fp, snap);
-    if (at != nullptr && at->read_set == entry->read_set) {
-      entry = nullptr;
-    } else {
-      auto alias = std::make_shared<retro::MemoEntry>(*entry);
-      alias->snapshot = snap;
-      entry = std::move(alias);
-    }
+    // resolves identically at `snap`, and the registration is as much a
+    // proof as an executed one. Later runs over any subset of these
+    // snapshots then hit. The probe that preceded the replay missed, so
+    // `snap` is new to the memo; an identical read set registers it as an
+    // alias of the stored entry.
+    auto alias = std::make_shared<retro::MemoEntry>(*entry);
+    alias->snapshot = snap;
+    entry = std::move(alias);
   }
   if (entry != nullptr) {
     iter.memo_evictions = options_.memo->Publish(std::move(entry)).evictions;
@@ -1929,48 +1927,58 @@ Status RqlEngine::RecordIteration(MechanismState* state,
 Result<bool> RqlEngine::ReplayIteration(IterationContext* ctx,
                                         MechanismState* state,
                                         retro::SnapshotId snap, Answer* out) {
-  // Advancing the cursor also primes the SPT for the snapshot's open
-  // below (or Qq's, on a miss): re-seeking the same id drains no delta.
+  RqlIterationStats& iter = out->iter;
+  IterationContext::Predecessor& prev = ctx->prev;
+  // A registration is a proof (memo_table.h): the entry replays as it is
+  // while `snap` is readable, so a hit neither moves the cursor nor
+  // revalidates. An unreadable `snap` (truncated by an engine without
+  // this memo) takes the miss path, whose Advance reports it.
+  RQL_ASSIGN_OR_RETURN(uint64_t fp, state->MemoFingerprint());
+  std::shared_ptr<const retro::MemoEntry> entry =
+      options_.memo->Probe(fp, snap);
+  if (entry != nullptr && ctx->db->store()->Readable(snap)) {
+    auto rows = DecodeMemoRows(*entry);
+    if (rows.ok()) {
+      // The hit seeds the fast path: provably unchanged successors replay
+      // it without executing.
+      prev = {entry, std::make_shared<const std::vector<Row>>(
+                         std::move(rows).value())};
+      ctx->cursor_lags = true;
+      ctx->last_snap = snap;
+      iter.memo_hits = 1;
+      out->replay_trace_arg = static_cast<int64_t>(entry->read_set.size());
+      out->entry = std::move(entry);
+      out->columns = std::shared_ptr<const std::vector<std::string>>(
+          prev.entry, &prev.entry->columns);
+      out->rows = prev.rows;
+      return true;
+    }
+  }
+  // A miss steps the cursor to `snap`, which also primes the SPT for Qq's
+  // open. The step diffs against the predecessor only if it starts at
+  // last_snap: after hits the cursor lags there, so it seeks there first;
+  // otherwise Qq's own AS OF moved it, and there is no predecessor.
   std::vector<storage::PageId> delta;
-  const retro::SnapshotId from = ctx->set->position();
+  if (prev.entry != nullptr && ctx->set->position() != ctx->last_snap &&
+      (!ctx->cursor_lags ||
+       !ctx->set->Advance(ctx->last_snap, &delta, &out->store).ok())) {
+    prev = {};
+  }
+  ctx->cursor_lags = false;
   RQL_ASSIGN_OR_RETURN(bool have_delta,
                        ctx->set->Advance(snap, &delta, &out->store));
-  RqlIterationStats& iter = out->iter;
   iter.delta_pages_scanned = static_cast<int64_t>(delta.size());
-  IterationContext::Predecessor& prev = ctx->prev;
   // A rebase (first snapshot of the set, a backward seek, a truncation)
-  // leaves no predecessor to diff against, and neither does a step that
-  // began where Qq's own AS OF left the cursor.
-  if (!have_delta || from != ctx->last_snap) prev = {};
+  // leaves no predecessor to diff against.
+  if (!have_delta) prev = {};
   ctx->last_snap = snap;
-  if (prev.entry != nullptr && !state->UsesCurrentSnapshot() &&
-      DeltaMissesReadSet(delta, *prev.entry)) {
-    iter.skipped = true;
-    out->replay_trace_arg = iter.delta_pages_scanned;
-    out->entry = prev.entry;
-  } else {
-    RQL_ASSIGN_OR_RETURN(uint64_t fp, state->MemoFingerprint());
-    std::shared_ptr<const retro::MemoEntry> entry =
-        options_.memo->Probe(fp, snap);
-    // Advance left the cursor at `snap`, so validation resolves there; the
-    // predecessor's read set held where the cursor came from. A failure is
-    // a conservative miss: the execute path runs next.
-    if (entry == nullptr ||
-        !ctx->set->Validate(entry->read_set, prev.entry != nullptr
-                                                 ? &prev.entry->read_set
-                                                 : nullptr)) {
-      return false;
-    }
-    auto rows = DecodeMemoRows(*entry);
-    if (!rows.ok()) return false;
-    // The hit seeds the fast path: provably unchanged successors replay
-    // it without re-probing the memo.
-    prev = {entry, std::make_shared<const std::vector<Row>>(
-                       std::move(rows).value())};
-    iter.memo_hits = 1;
-    out->replay_trace_arg = static_cast<int64_t>(entry->read_set.size());
-    out->entry = std::move(entry);
+  if (prev.entry == nullptr || state->UsesCurrentSnapshot() ||
+      !DeltaMissesReadSet(delta, *prev.entry)) {
+    return false;
   }
+  iter.skipped = true;
+  out->replay_trace_arg = iter.delta_pages_scanned;
+  out->entry = prev.entry;
   out->columns = std::shared_ptr<const std::vector<std::string>>(
       prev.entry, &prev.entry->columns);
   out->rows = prev.rows;

@@ -82,11 +82,12 @@ struct RqlIterationStats {
   int64_t batch_fallback_rows = 0;
   // Cross-run memoization counters (RqlOptions::memo; all zero at
   // paper-faithful defaults).
-  /// 1 when this iteration was answered by replaying a memo entry whose
-  /// page-version read set validated against the snapshot.
+  /// 1 when this iteration was answered by replaying the memo entry
+  /// registered for its snapshot (or, in a kept run, a validated
+  /// recorded read set).
   int64_t memo_hits = 0;
-  /// 1 when a memoized run executed Qq for this iteration: neither the
-  /// delta fast path nor a validated memo entry could serve it.
+  /// 1 when a memoized run executed Qq for this iteration: neither a
+  /// memo entry nor the delta fast path could serve it.
   int64_t memo_misses = 0;
   /// Entries the publish evicted to keep the memo under its byte bound.
   int64_t memo_evictions = 0;
@@ -266,15 +267,17 @@ struct RqlOptions {
   /// is provably known instead of executing Qq. Every executed iteration
   /// records the page versions its Qq read and buffers its rows as a
   /// retro::MemoEntry. Every iteration then tries, in order: (a) the
-  /// delta fast path — when Qq does not use current_snapshot() and the
-  /// Maplog delta from the previous snapshot in the set
-  /// (SptCursor::last_delta) misses the predecessor entry's read
-  /// set, the predecessor's rows are replayed (counted in
-  /// RqlIterationStats::skipped / RqlRunStats::iterations_skipped) and
-  /// published for the snapshot too; (b) an entry for (canonicalized
-  /// query/mechanism fingerprint, snapshot) whose every recorded page
-  /// version still matches the snapshot's resolution is replayed
-  /// (memo_hits); (c) otherwise Qq executes (memo_misses) and its entry is
+  /// entry registered for (canonicalized query/mechanism fingerprint,
+  /// snapshot) is replayed (memo_hits) if the snapshot is still readable;
+  /// a registration is a proof (retro::MemoTable::Probe), so the hit
+  /// neither moves the run's snapshot-set cursor nor looks up a page;
+  /// (b) on a miss the cursor steps to the snapshot — from the last
+  /// answered snapshot, seeking there first after hits — and when Qq does
+  /// not use current_snapshot() and the step's Maplog delta
+  /// (SptCursor::last_delta) misses the predecessor entry's read set, the
+  /// predecessor's rows are replayed (counted in RqlIterationStats::skipped
+  /// / RqlRunStats::iterations_skipped) and published for the snapshot
+  /// too; (c) otherwise Qq executes (memo_misses) and its entry is
   /// published for later runs and other engines (memo_evictions). A
   /// parallel worker diffs against its own previous snapshot, and the
   /// coordinator publishes in Qs order after the workers finish. On a
@@ -523,13 +526,13 @@ class RqlEngine {
   Status RunIteration(IterationContext* ctx, MechanismState* state,
                       retro::SnapshotId snap);
 
-  /// The iteration body every driver runs on `ctx`: the memo's delta fast
-  /// path or a validated memo entry (ReplayIteration), else Qq executed on
-  /// `ctx`'s handle with the read recorder armed. The sequential and
-  /// UDF-form contexts stream executed rows into the fold; a parallel
-  /// worker buffers them in `out` for RecordIteration. `index` is the
-  /// iteration's position in the run (the trace's kIterationBegin); the
-  /// store counters in `out` are those of `ctx`'s own readers.
+  /// The iteration body every driver runs on `ctx`: a registered memo
+  /// entry or the memo's delta fast path (ReplayIteration), else Qq
+  /// executed on `ctx`'s handle with the read recorder armed. The
+  /// sequential and UDF-form contexts stream executed rows into the fold;
+  /// a parallel worker buffers them in `out` for RecordIteration. `index`
+  /// is the iteration's position in the run (the trace's kIterationBegin);
+  /// the store counters in `out` are those of `ctx`'s own readers.
   Status AnswerIteration(IterationContext* ctx, MechanismState* state,
                          retro::SnapshotId snap, size_t index, Answer* out);
 
@@ -541,10 +544,12 @@ class RqlEngine {
   Status RecordIteration(MechanismState* state, retro::SnapshotId snap,
                          Answer* answer);
 
-  /// The replay half of a memoized iteration: advances `ctx`'s cursor to
-  /// `snap`, then tries the delta fast path against `ctx`'s predecessor
-  /// and a validated memo entry (see RqlOptions::memo). Returns true with
-  /// the replayed rows in `out`, or false when Qq must execute.
+  /// The replay half of a memoized iteration: probes the memo for `snap`
+  /// and replays a hit without moving `ctx`'s cursor; on a miss, steps
+  /// the cursor to `snap` and tries the delta fast path against `ctx`'s
+  /// predecessor (see RqlOptions::memo). Returns true with the replayed
+  /// rows in `out`, or false when Qq must execute (the cursor then sits at
+  /// `snap`).
   Result<bool> ReplayIteration(IterationContext* ctx, MechanismState* state,
                                retro::SnapshotId snap, Answer* out);
 

@@ -54,10 +54,11 @@ namespace rql {
 ///                    iteration (the memo's delta fast path)
 ///   kWorkerStall     {lock_wait_us, coalesced_loads, workers, 0, 0, 0}
 ///                    — emitted once per parallel run after the join
-///   kMemoHit         {index_in_run, validated_pages, replayed_rows,
-///                     udf_us, 0, 0}  — replay of a memo entry
-///                    whose page-version read set validated against the
-///                    snapshot (RqlOptions::memo)
+///   kMemoHit         {index_in_run, read_set_pages, replayed_rows,
+///                     udf_us, 0, 0}  — replay of the memo entry
+///                    registered for the snapshot (RqlOptions::memo);
+///                    read_set_pages is the size of its page-version read
+///                    set, which a hit does not look up
 ///   kPrefetch        retired: the background prefetch pipeline is
 ///                    deleted and nothing emits it; the value is kept so
 ///                    later kinds keep their numbers

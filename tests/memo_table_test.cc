@@ -1,9 +1,10 @@
 // MemoTable torture tests: fingerprint canonicalization, read-set digest
 // order independence, LRU byte-bound eviction, aliasing and
-// re-registration, first-publish-wins under concurrent publishers, and
-// the engine-level staleness guarantees — ingest inside vs. outside a
-// recorded read set, TruncateHistory invalidation, and a memo that
-// outlives a reopen of the store it memoizes.
+// re-registration, first-publish-wins under concurrent publishers, the
+// digest-collision guard, and the engine-level staleness guarantees —
+// ingest inside vs. outside a recorded read set, TruncateHistory
+// invalidation, a memo that outlives a reopen of the store it memoizes,
+// and warm hits that replay without moving the run's cursor.
 
 #include "rql/memo_table.h"
 
@@ -11,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -19,6 +21,20 @@
 #include "rql/rql.h"
 #include "sql/fingerprint.h"
 #include "storage/fault_env.h"
+
+namespace rql::retro {
+
+/// Publishes `entry` under `key_of`'s table key: a forged digest collision
+/// when the two read sets differ.
+struct MemoTableTestPeer {
+  static MemoPublishResult PublishUnderKeyOf(
+      MemoTable* table, const MemoEntry& key_of,
+      std::shared_ptr<const MemoEntry> entry) {
+    return table->PublishAs(MemoTable::KeyOf(key_of), std::move(entry));
+  }
+};
+
+}  // namespace rql::retro
 
 namespace rql {
 namespace {
@@ -282,6 +298,34 @@ TEST(MemoTableTest, ConcurrentPublishersAgreeOnFirstWin) {
     EXPECT_NE(table.Probe(7, static_cast<retro::SnapshotId>(t + 1)),
               nullptr);
   }
+}
+
+TEST(MemoTableTest, DigestCollisionLeavesTheSnapshotUnregistered) {
+  // A probe replays without revalidating, so an equal 64-bit key alone
+  // must not alias a snapshot to an entry that reads other bytes.
+  MemoTable table;
+  auto stored = MakeEntry(10, 1, 100);
+  auto other = MakeEntry(10, 2, 300);  // another read set, forged same key
+  auto same = MakeEntry(10, 3, 100);   // the stored read set
+  ASSERT_TRUE(table.Publish(stored).inserted);
+  EXPECT_FALSE(
+      retro::MemoTableTestPeer::PublishUnderKeyOf(&table, *stored, other)
+          .inserted);
+  EXPECT_EQ(table.Probe(10, 2), nullptr);
+  EXPECT_EQ(table.entry_count(), 1u);
+  retro::MemoTableTestPeer::PublishUnderKeyOf(&table, *stored, same);
+  EXPECT_EQ(table.Probe(10, 3), stored);
+
+  // A per_snapshot entry replays its own snapshot only, even over an
+  // equal read set.
+  auto own = std::make_shared<MemoEntry>(*MakeEntry(20, 4, 100));
+  own->per_snapshot = true;
+  auto next = std::make_shared<MemoEntry>(*own);
+  next->snapshot = 5;
+  ASSERT_TRUE(table.Publish(own).inserted);
+  retro::MemoTableTestPeer::PublishUnderKeyOf(&table, *own, next);
+  EXPECT_EQ(table.Probe(20, 5), nullptr);
+  EXPECT_EQ(table.Probe(20, 4), own);
 }
 
 // ---------------------------------------------------------------------------
@@ -624,6 +668,199 @@ TEST(MemoStalenessTest, DbSharedReadSetsNeverAliasAcrossSnapshots) {
   }
   // The second run replayed the new snapshot's own entry.
   EXPECT_EQ(SumHits(f.engine->last_run_stats()), 1);
+}
+
+// ---------------------------------------------------------------------------
+// A registration is a proof: warm hits replay without touching the run's
+// cursor, and stay exact through every event that changes the store.
+
+/// The four mechanisms over `qs`, into `table`; AggregateDataInVariable
+/// folds the non-idempotent `sum`, so a lost or doubled replay shows.
+const std::vector<std::pair<const char*,
+                            std::function<Status(RqlEngine*,
+                                                 const std::string& qs,
+                                                 const std::string& table)>>>
+    kMechanisms = {
+        {"collate",
+         [](RqlEngine* e, const std::string& qs, const std::string& t) {
+           return e->CollateData(qs, kQq, t);
+         }},
+        {"aggvar",
+         [](RqlEngine* e, const std::string& qs, const std::string& t) {
+           return e->AggregateDataInVariable(
+               qs, "SELECT SUM(score) AS s FROM live", t, "sum");
+         }},
+        {"aggtable",
+         [](RqlEngine* e, const std::string& qs, const std::string& t) {
+           return e->AggregateDataInTable(qs, kQq, t, "(score,max)");
+         }},
+        {"intervals",
+         [](RqlEngine* e, const std::string& qs, const std::string& t) {
+           return e->CollateDataIntoIntervals(qs, kQq, t);
+         }},
+};
+
+/// Maplog pages plus delta pages: what stepping the run's cursor reads.
+int64_t SumCursorPages(const RqlRunStats& stats) {
+  int64_t pages = 0;
+  for (const RqlIterationStats& it : stats.iterations) {
+    pages += it.maplog_pages + it.delta_pages_scanned;
+  }
+  return pages;
+}
+
+/// Closes and reopens the fixture's data and meta databases, keeping the
+/// memo: a later state of the same store.
+void ReopenStore(EngineFixture* f) {
+  f->engine.reset();
+  f->meta.reset();
+  f->data.reset();
+  auto data = sql::Database::Open(f->env.get(), "data");
+  auto meta = sql::Database::Open(f->env.get(), "meta");
+  ASSERT_TRUE(data.ok() && meta.ok());
+  f->data = std::move(*data);
+  f->meta = std::move(*meta);
+  f->engine = std::make_unique<RqlEngine>(f->data.get(), f->meta.get());
+}
+
+/// Every mechanism, memo-less and then warm: sequentially, with two
+/// workers, and (CollateData) in the UDF form. Each warm run must equal
+/// the memo-less one byte for byte and answer every iteration from the
+/// memo, without a cursor step: no Maplog page and no delta page.
+void ExpectWarmRunsExact(EngineFixture* f, const std::string& label) {
+  static int round = 0;
+  ++round;
+  for (const auto& [name, run] : kMechanisms) {
+    const std::string tag = std::string(name) + std::to_string(round);
+    *f->engine->mutable_options() = RqlOptions{};
+    ASSERT_TRUE(run(f->engine.get(), kQsAll, "Plain" + tag).ok())
+        << label << " " << name;
+    const std::vector<std::string> oracle = Dump(f, "Plain" + tag);
+    const size_t iterations = f->engine->last_run_stats().iterations.size();
+    // The first warm run publishes any snapshot declared since the last
+    // round; from then on every iteration hits, sequential or parallel.
+    // Each run writes its own table, so none keeps an earlier one.
+    for (int pass = 0; pass < 3; ++pass) {
+      RqlOptions opts;
+      opts.memo = f->memo.get();
+      opts.parallel_workers = pass == 2 ? 2 : 1;
+      *f->engine->mutable_options() = opts;
+      const std::string table = "Warm" + tag + "p" + std::to_string(pass);
+      const Status s = run(f->engine.get(), kQsAll, table);
+      ASSERT_TRUE(s.ok()) << label << " " << name << ": " << s.ToString();
+      EXPECT_EQ(Dump(f, table), oracle) << label << " " << name;
+      if (pass == 0) continue;
+      const RqlRunStats& stats = f->engine->last_run_stats();
+      EXPECT_FALSE(stats.result_reused);
+      EXPECT_EQ(SumHits(stats), static_cast<int64_t>(iterations))
+          << label << " " << name << " pass " << pass;
+      EXPECT_EQ(SumCursorPages(stats), 0)
+          << label << " " << name << " pass " << pass;
+    }
+  }
+  // The UDF form answers each call through the same replay.
+  RqlOptions opts;
+  opts.memo = f->memo.get();
+  *f->engine->mutable_options() = opts;
+  ASSERT_TRUE(f->engine->RegisterUdfs().ok());
+  const std::string udf = "Udf" + std::to_string(round);
+  ASSERT_TRUE(f->meta
+                  ->Exec("SELECT CollateData(snap_id, '" +
+                         std::string(kQq) + "', '" + udf +
+                         "') FROM SnapIds")
+                  .ok())
+      << label;
+  ASSERT_TRUE(f->engine->FinishUdfRuns().ok()) << label;
+  const RqlRunStats& stats = f->engine->last_run_stats();
+  EXPECT_EQ(SumHits(stats), static_cast<int64_t>(stats.iterations.size()))
+      << label;
+  EXPECT_EQ(SumCursorPages(stats), 0) << label;
+  *f->engine->mutable_options() = RqlOptions{};
+  ASSERT_TRUE(
+      f->engine->CollateData(kQsAll, kQq, "PlainUdf" + std::to_string(round))
+          .ok());
+  EXPECT_EQ(Dump(f, udf), Dump(f, "PlainUdf" + std::to_string(round)))
+      << label;
+}
+
+TEST(MemoSoundnessTest, WarmHitsStayExactThroughEveryStoreEvent) {
+  EngineFixture f = MakeEngineFixture(12, 6);
+  ExpectWarmRunsExact(&f, "cold");
+
+  // Owner updates outside and inside the read sets change no declared
+  // snapshot's bytes.
+  ASSERT_TRUE(f.data->Exec("INSERT INTO churn VALUES (500, 500)").ok());
+  ExpectWarmRunsExact(&f, "update outside");
+  ASSERT_TRUE(
+      f.data->Exec("UPDATE live SET score = score + 100 WHERE item < 5")
+          .ok());
+  ExpectWarmRunsExact(&f, "update inside");
+
+  // A new declaration reads the updated bytes: its first run executes it.
+  ASSERT_TRUE(f.engine->CommitWithSnapshot("declared").ok());
+  ExpectWarmRunsExact(&f, "new declaration");
+
+  // Truncation through the engine holding the memo drops the
+  // registrations below; through an engine without it, they stay, but
+  // SnapIds no longer selects their snapshots.
+  f.engine->mutable_options()->memo = f.memo.get();
+  ASSERT_TRUE(f.engine->TruncateHistory(f.snaps[3]).ok());
+  ExpectWarmRunsExact(&f, "truncate with memo");
+  *f.engine->mutable_options() = RqlOptions{};
+  ASSERT_TRUE(f.engine->TruncateHistory(f.snaps[6]).ok());
+  const uint64_t fp = Fp(kQq, "CollateData");
+  EXPECT_NE(f.memo->Probe(fp, f.snaps[5]), nullptr);
+  ExpectWarmRunsExact(&f, "truncate without memo");
+
+  ReopenStore(&f);
+  ExpectWarmRunsExact(&f, "reopen");
+}
+
+TEST(MemoSoundnessTest, SnapshotTruncatedBehindTheMemosBackFailsNotFound) {
+  EngineFixture f = MakeEngineFixture(10, 5);
+  ASSERT_TRUE(RunMemoized(&f, kQsAll, "Cold").ok());
+  ASSERT_TRUE(f.meta->Exec("CREATE TABLE Ids (snap_id INTEGER)").ok());
+  ASSERT_TRUE(f.meta
+                  ->Exec("INSERT INTO Ids VALUES (" +
+                         std::to_string(f.snaps[2]) + ")")
+                  .ok());
+  // An engine without the memo truncates: snapshot 3's registration
+  // stays, but its bytes are gone.
+  *f.engine->mutable_options() = RqlOptions{};
+  ASSERT_TRUE(f.engine->TruncateHistory(f.snaps[5]).ok());
+  const uint64_t fp = Fp(kQq, "CollateData");
+  ASSERT_NE(f.memo->Probe(fp, f.snaps[2]), nullptr);
+
+  const Status plain = RunPlain(&f, "SELECT snap_id FROM Ids", "Plain");
+  EXPECT_TRUE(plain.IsNotFound()) << plain.ToString();
+  const Status memoized =
+      RunMemoized(&f, "SELECT snap_id FROM Ids", "Memoized");
+  EXPECT_TRUE(memoized.IsNotFound()) << memoized.ToString();
+  EXPECT_EQ(SumHits(f.engine->last_run_stats()), 0);
+}
+
+TEST(MemoSoundnessTest, MissAfterHitsDiffsAgainstTheLastHit) {
+  // live is static from snapshot 5 on. The memo knows snapshots 1-8; a
+  // run over 1-10 hits those, leaving its cursor unmoved, and then misses
+  // at 9. The step to 9 must start at 8, the last hit, so its delta
+  // (churn only) misses 8's read set and the fast path replays 9 and 10.
+  EngineFixture f = MakeEngineFixture(10, 5);
+  const std::string first8 =
+      std::string(kQsAll) + " WHERE snap_id <= " + std::to_string(f.snaps[7]);
+  ASSERT_TRUE(RunMemoized(&f, first8, "Cold").ok());
+  ASSERT_TRUE(RunPlain(&f, kQsAll, "Base").ok());
+  ASSERT_TRUE(RunMemoized(&f, kQsAll, "Warm").ok());
+  EXPECT_EQ(Dump(&f, "Warm"), Dump(&f, "Base"));
+  const RqlRunStats& stats = f.engine->last_run_stats();
+  EXPECT_EQ(SumHits(stats), 8);
+  EXPECT_EQ(stats.iterations_skipped, 2);
+  EXPECT_EQ(SumMisses(stats), 0);
+  EXPECT_EQ(stats.qq_parse_count, 0);
+  // The hits stepped nothing: the seek to 8 and the steps to 9 and 10
+  // belong to the two replays.
+  for (size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(stats.iterations[i].maplog_pages, 0) << i;
+  }
 }
 
 TEST(MemoConcurrencyTest, TwoEnginesRunScopedMemoMatchSequentialOracle) {

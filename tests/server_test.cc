@@ -801,6 +801,59 @@ TEST(ServerMemoTest, OwnerUpdateKeepsTokensOfNewestSnapshots) {
   (*server)->Stop();
 }
 
+TEST(ServerMemoTest, WarmSessionsHitWithoutStepping) {
+  // A registration is a proof: a session replaying another session's
+  // window hits every snapshot without stepping its snapshot-set cursor
+  // (no Maplog page, no delta), across an owner update; a snapshot
+  // declared after the update reads new bytes and alone executes.
+  HistoryFixture f = MakeHistory(12);
+  const std::string qs = QsRange(1, f.last_snap);
+  const std::vector<std::string> oracle = CollateOracle(&f, qs, "Oracle");
+  retro::MetricsRegistry registry;
+  ServerOptions options;
+  options.socket_path = UniqueSocketPath();
+  options.metrics = &registry;
+  auto server = Server::Create(f.data.get(), f.meta.get(), options);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->Start().ok());
+  auto a = Client::Connect(options.socket_path);
+  auto b = Client::Connect(options.socket_path);
+  auto c = Client::Connect(options.socket_path);
+  ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+
+  ASSERT_TRUE(ServeCollate(a->get(), qs).ok());
+  ASSERT_TRUE((*a)->Sql("UPDATE t SET v = v + 1000 WHERE k < 300").ok());
+  retro::MetricsRegistry::Snapshot before = registry.TakeSnapshot();
+  auto warm = ServeCollate(b->get(), qs);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_EQ(*warm, oracle);
+  retro::MetricsRegistry::Snapshot delta =
+      registry.TakeSnapshot().DeltaFrom(before);
+  MemoCounts counts = MemoDelta(delta);
+  EXPECT_EQ(counts.iterations, 12);
+  EXPECT_EQ(counts.hits, counts.iterations);
+  EXPECT_EQ(delta.counter("rql.maplog_pages"), 0);
+  EXPECT_EQ(delta.counter("rql.delta_pages_scanned"), 0);
+
+  auto next = (*a)->DeclareSnapshot("after-update");
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  const std::string extended_qs = QsRange(1, *next);
+  before = registry.TakeSnapshot();
+  auto extended = ServeCollate(c->get(), extended_qs);
+  ASSERT_TRUE(extended.ok()) << extended.status().ToString();
+  counts = MemoDelta(registry.TakeSnapshot().DeltaFrom(before));
+  EXPECT_EQ(counts.iterations, 13);
+  EXPECT_EQ(counts.misses, 1);
+  EXPECT_EQ(counts.hits, 12);
+
+  a->reset();
+  b->reset();
+  c->reset();
+  WaitForNoSessions(server->get());
+  (*server)->Stop();
+  EXPECT_EQ(*extended, CollateOracle(&f, extended_qs, "OracleExtended"));
+}
+
 TEST(ServerMemoTest, TruncateInvalidatesDroppedSnapshots) {
   HistoryFixture f = MakeHistory(12);
   constexpr retro::SnapshotId kKeep = 6;

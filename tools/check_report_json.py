@@ -28,7 +28,7 @@ MECHANISMS = {
 
 ITERATION_FIELDS = {
     "index": int, "snapshot": int, "worker": int, "skipped": bool,
-    "memo_hit": bool, "validated_pages": int,
+    "memo_hit": bool, "read_set_pages": int,
     "spt_build_us": int, "query_eval_us": int,
     "index_create_us": int, "udf_us": int, "total_us": int, "qq_rows": int,
     "maplog_pages": int, "spt_delta_entries": int, "pagelog_pages": int,

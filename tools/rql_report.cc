@@ -50,7 +50,7 @@ struct IterRow {
   uint16_t worker = 0;
   bool skipped = false;
   bool memo_hit = false;
-  int64_t validated_pages = 0;  // memo-hit rows: read-set pages validated
+  int64_t read_set_pages = 0;  // memo-hit rows: the entry's read-set size
   int64_t spt_us = 0, query_us = 0, index_us = 0, udf_us = 0;
   int64_t qq_rows = 0;
   int64_t maplog_pages = 0, spt_delta_entries = 0;
@@ -121,7 +121,7 @@ std::vector<IterRow> RowsFromTrace(const RqlTrace& trace) {
         row->worker = ev.worker;
         if (ev.type == RqlTraceEventType::kMemoHit) {
           row->memo_hit = true;
-          row->validated_pages = ev.args[1];
+          row->read_set_pages = ev.args[1];
         } else {
           row->skipped = true;
           row->delta_pages = ev.args[1];
@@ -145,7 +145,7 @@ void PrintIterationTable(const std::vector<IterRow>& rows) {
     const IterRow& r = rows[i];
     std::string note;
     if (r.memo_hit) {
-      note = "memo hit (validated_pages=" + std::to_string(r.validated_pages) +
+      note = "memo hit (read_set_pages=" + std::to_string(r.read_set_pages) +
              ", replayed_rows=" + std::to_string(r.qq_rows) + ")";
     } else if (r.skipped) {
       note = "skipped (delta_pages=" + std::to_string(r.delta_pages) +
@@ -410,7 +410,7 @@ int Run(const ReportOptions& opt) {
         json.Field("worker", static_cast<int64_t>(r.worker));
         json.Field("skipped", r.skipped);
         json.Field("memo_hit", r.memo_hit);
-        json.Field("validated_pages", r.validated_pages);
+        json.Field("read_set_pages", r.read_set_pages);
         json.Field("spt_build_us", r.spt_us);
         json.Field("query_eval_us", r.query_us);
         json.Field("index_create_us", r.index_us);
