@@ -19,6 +19,12 @@
 //              their rows. A memo hit replays without moving the run's
 //              snapshot-set cursor, so the run reads no Maplog page.
 //
+// An alternating pass then runs three overlapping windows in turn,
+// kAltRounds times, into one table on one memo, as a served session
+// sweeping windows does. Every run folds (its list differs from the last
+// run's), and each fold writes only its own result table, which Qs does
+// not read: each window's Qs is evaluated once and its list reused after.
+//
 // The four runs repeat kRepeats times, each repeat from a fresh memo,
 // and each run's time is its median over the repeats: one run of 30-120
 // ms at CI's scale factor moves with host load.
@@ -28,8 +34,10 @@
 // (result_reused) and the warm_fold run replays >= 90% of its iterations
 // (memo hits plus fast-path replays), every one of them a memo hit with
 // no miss and no Maplog page read; the median warm_fold run is >= 3x
-// faster than the median cold one. Results, with each run's Maplog pages,
-// go to BENCH_memo.json (CI artifact).
+// faster than the median cold one. In the alternating pass every result
+// table is byte-identical to a memo-less run of its window, and
+// qs_reuses == runs - windows. Results, with each run's Maplog pages and
+// the alternating pass's Qs reuses, go to BENCH_memo.json (CI artifact).
 
 #include "bench_common.h"
 
@@ -45,6 +53,7 @@ namespace {
 
 constexpr int kSnapshots = 48;
 constexpr int kRepeats = 3;
+constexpr int kAltRounds = 3;
 
 struct RunResult {
   double total_ms = 0;
@@ -54,6 +63,7 @@ struct RunResult {
   int64_t skipped = 0;  // delta fast-path replays
   int64_t maplog_pages = 0;
   bool result_reused = false;
+  bool qs_reused = false;
   std::vector<std::string> rows;  // encoded result table, in table order
 };
 
@@ -70,6 +80,7 @@ RunResult RunOnce(tpch::History* history, const std::string& qs,
   r.iterations = static_cast<int64_t>(stats.iterations.size());
   r.skipped = stats.iterations_skipped;
   r.result_reused = stats.result_reused;
+  r.qs_reused = stats.qs_reused;
   for (const RqlIterationStats& it : stats.iterations) {
     r.memo_hits += it.memo_hits;
     r.memo_misses += it.memo_misses;
@@ -173,6 +184,42 @@ bool CheckRepeat(const Passes& p) {
   return ok;
 }
 
+/// The alternating pass's tallies.
+struct Alternating {
+  int runs = 0;
+  int windows = 0;
+  int qs_reuses = 0;
+  bool identical = true;
+};
+
+/// Runs three overlapping windows in turn, kAltRounds times, on a fresh
+/// memo, and compares each result table with a memo-less run's.
+Alternating RunAlternating(tpch::History* history, const std::string& qq) {
+  RqlEngine* engine = history->engine();
+  const std::vector<std::string> windows = {
+      history->QsInterval(1, kSnapshots / 3),
+      history->QsInterval(kSnapshots / 4, kSnapshots / 2),
+      history->QsInterval(kSnapshots / 2, kSnapshots / 2 + 1)};
+  std::vector<std::vector<std::string>> baselines;
+  for (const std::string& qs : windows) {
+    baselines.push_back(RunOnce(history, qs, qq, "MemoAltBase").rows);
+  }
+  Alternating alt;
+  alt.windows = static_cast<int>(windows.size());
+  retro::MemoTable memo;
+  engine->mutable_options()->memo = &memo;
+  for (int round = 0; round < kAltRounds; ++round) {
+    for (size_t w = 0; w < windows.size(); ++w) {
+      RunResult r = RunOnce(history, windows[w], qq, "MemoAlt");
+      ++alt.runs;
+      if (r.qs_reused) ++alt.qs_reuses;
+      if (r.rows != baselines[w]) alt.identical = false;
+    }
+  }
+  engine->mutable_options()->memo = nullptr;
+  return alt;
+}
+
 int Run() {
   auto uw30 = GetHistory("uw30");
   if (!uw30.ok()) Fail(uw30.status(), "uw30 history");
@@ -201,6 +248,7 @@ int Run() {
     p.warm_fold = RunOnce(history, qs, qq, "MemoRerunFold");
     engine->mutable_options()->memo = nullptr;
   }
+  const Alternating alt = RunAlternating(history, qq);
   const RunResult& baseline = Median(reps, &Passes::baseline);
   const RunResult& cold = Median(reps, &Passes::cold);
   const RunResult& warm = Median(reps, &Passes::warm);
@@ -224,10 +272,23 @@ int Run() {
   }
   std::printf("\nmedians of %d repeats; warm_fold speedup over cold: "
               "%.1fx\n", kRepeats, speedup);
+  std::printf("alternating: %d runs over %d windows, Qs reused %d times\n",
+              alt.runs, alt.windows, alt.qs_reuses);
 
   bool checks_ok = true;
   for (const Passes& p : reps) {
     if (!CheckRepeat(p)) checks_ok = false;
+  }
+  if (!alt.identical) {
+    std::printf("CHECK FAILED: an alternating run's result table differs "
+                "from the memo-less run of its window\n");
+    checks_ok = false;
+  }
+  if (alt.qs_reuses != alt.runs - alt.windows) {
+    std::printf("CHECK FAILED: alternating pass reused Qs %d times, "
+                "expected runs - windows = %d\n",
+                alt.qs_reuses, alt.runs - alt.windows);
+    checks_ok = false;
   }
   if (warm_fold.total_ms * 3 > cold.total_ms) {
     std::printf("CHECK FAILED: warm_fold run %.2fms vs cold %.2fms "
@@ -243,6 +304,12 @@ int Run() {
   WriteRunJson(&json, "cold", cold);
   WriteRunJson(&json, "warm", warm);
   WriteRunJson(&json, "warm_fold", warm_fold);
+  json.BeginObject("alternating");
+  json.Field("runs", alt.runs);
+  json.Field("windows", alt.windows);
+  json.Field("qs_reuses", alt.qs_reuses);
+  json.Field("identical", alt.identical);
+  json.EndObject();
   json.Field("warm_fold_speedup_over_cold", speedup, 2);
   json.Field("repeats", kRepeats);
   json.Field("checks_ok", checks_ok);
@@ -254,7 +321,8 @@ int Run() {
               "the cold run's memo, replays >= 90%%\nof its iterations "
               "(memo hits or fast path), all of them memo hits reading no\n"
               "Maplog page, and finishes >= 3x faster than the publishing "
-              "cold run.\n");
+              "cold run.\nThe alternating pass matches the memo-less runs "
+              "and evaluates each window's\nQs once.\n");
   std::printf("checks: %s\n", checks_ok ? "OK" : "FAILED");
   return checks_ok ? 0 : 1;
 }

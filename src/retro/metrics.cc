@@ -36,6 +36,12 @@ void MetricsRegistry::Histogram::Reset() {
   sum_us_.store(0, std::memory_order_relaxed);
 }
 
+MetricsRegistry::MetricsRegistry()
+    : id_([] {
+        static std::atomic<uint64_t> next{1};
+        return next.fetch_add(1, std::memory_order_relaxed);
+      }()) {}
+
 MetricsRegistry* MetricsRegistry::Default() {
   static MetricsRegistry* instance = new MetricsRegistry();
   return instance;

@@ -72,9 +72,14 @@ class MetricsRegistry {
 
   using GaugeFn = std::function<int64_t()>;
 
-  MetricsRegistry() = default;
+  MetricsRegistry();
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
+
+  /// A number no other registry of the process has had, so a caller that
+  /// keeps handles can tell this registry from a later one built at the
+  /// same address.
+  uint64_t id() const { return id_; }
 
   /// Process-wide default registry; used when `RqlOptions::metrics` is
   /// null. Never destroyed (avoids shutdown-order races with gauges).
@@ -117,6 +122,7 @@ class MetricsRegistry {
   void Reset();
 
  private:
+  const uint64_t id_;
   mutable std::mutex mu_;  // guards the maps, not counter values
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;

@@ -16,6 +16,7 @@
 #include "sql/fingerprint.h"
 #include "sql/functions.h"
 #include "sql/heap_table.h"
+#include "sql/lexer.h"
 #include "sql/parser.h"
 #include "sql/shared_scan_cache.h"
 
@@ -269,6 +270,8 @@ class RqlEngine::MechanismState {
 
   const std::string& qq() const { return qq_; }
   const std::string& table() const { return table_; }
+  /// The transient covering index of an AggregateDataInTable result table.
+  std::string IndexName() const { return table_ + "_rql_idx"; }
 
   /// Everything of the invocation the result table's bytes depend on
   /// besides the options and the Qq rows: the mechanism, Qq's text and
@@ -323,8 +326,6 @@ class RqlEngine::MechanismState {
     table_created_ = true;
     return Status::OK();
   }
-
-  std::string IndexName() const { return table_ + "_rql_idx"; }
 
   /// The directory group of `key`, or null when this state probes the
   /// index instead (kPaperFaithful, sort-merge, CollateDataIntoIntervals).
@@ -859,23 +860,69 @@ struct RqlEngine::ResultRecord {
   /// The metadata store's PageStore::mutations() once the run committed.
   uint64_t meta_mutations = 0;
   /// Whether Qq, which `spec` holds and which parsed for the recorded
-  /// run, is a single SELECT.
+  /// run, is a single SELECT, and whether it calls only aggregates,
+  /// built-ins and current_snapshot().
   bool qq_single_select = false;
+  bool qq_builtins_only = false;
 };
 
-/// Qs's last memoized evaluation. Qs is a query over the metadata
-/// database; a single SELECT calling only deterministic built-ins returns
-/// the same rows while nothing has written that database, and every write
-/// moves PageStore::mutations(), committed or rolled back.
-struct RqlEngine::QsRecord {
-  std::string qs;
-  /// False when Qs could answer differently over the same metadata: more
-  /// than one statement, or a call to a function registered on the handle
-  /// (a mechanism UDF, which writes, or current_snapshot()).
-  bool reusable = false;
-  std::vector<retro::SnapshotId> snapshots;
-  /// PageStore::mutations() before Qs was evaluated.
-  uint64_t meta_mutations = 0;
+namespace {
+
+/// The counters PublishRunMetrics adds to, in kRunCounterNames' order.
+enum RunCounter : size_t {
+  kRuns, kParallelRuns, kResultReuses, kQsReuses, kIterations,
+  kIterationsSkipped, kQqParseCount, kParallelWallUs, kParallelLockWaitUs,
+  kCoalescedLoads, kArchiveReadRetries, kSharedPageHits,
+  kScanCacheSharedHits, kScanCacheMisses, kScanCacheCoalescedDecodes,
+  kTotalUs, kSptBuildUs, kQueryEvalUs, kIndexCreateUs, kUdfUs,
+  kPagelogPages, kDbPages, kCacheHits, kQqRows, kResultProbes,
+  kResultInserts, kResultUpdates, kMaplogPages, kSptDeltaEntries,
+  kPlanCacheHits, kDeltaPagesScanned, kBatchesScanned, kBatchRows,
+  kBatchFallbackRows, kMemoHits, kMemoMisses, kMemoEvictions,
+  kRunCounters
+};
+
+constexpr const char* kRunCounterNames[kRunCounters] = {
+    "rql.runs", "rql.parallel_runs", "rql.result_reuses", "rql.qs_reuses",
+    "rql.iterations", "rql.iterations_skipped", "rql.qq_parse_count",
+    "rql.parallel_wall_us", "rql.parallel_lock_wait_us",
+    "rql.coalesced_loads", "rql.archive_read_retries",
+    "rql.shared_page_hits",
+    // Scan-cache traffic under the rql.scan_cache.* prefix the shared
+    // cache's own gauges (bytes, entries, evictions — registered by the
+    // caller via SharedScanCache::RegisterMetrics) share. These counters
+    // are run-attributed; the gauges are cache-lifetime totals.
+    "rql.scan_cache.shared_hits", "rql.scan_cache.misses",
+    "rql.scan_cache.coalesced_decodes", "rql.total_us", "rql.spt_build_us",
+    "rql.query_eval_us", "rql.index_create_us", "rql.udf_us",
+    "rql.pagelog_pages", "rql.db_pages", "rql.cache_hits", "rql.qq_rows",
+    "rql.result_probes", "rql.result_inserts", "rql.result_updates",
+    "rql.maplog_pages", "rql.spt_delta_entries", "rql.plan_cache_hits",
+    "rql.delta_pages_scanned", "rql.batches_scanned", "rql.batch_rows",
+    "rql.batch_fallback_rows", "rql.memo_hits", "rql.memo_misses",
+    "rql.memo_evictions",
+};
+
+}  // namespace
+
+struct RqlEngine::RunMetrics {
+  explicit RunMetrics(retro::MetricsRegistry* reg)
+      : registry(reg),
+        registry_id(reg->id()),
+        iteration_us(reg->GetHistogram("rql.iteration_us")),
+        run_us(reg->GetHistogram("rql.run_us")) {
+    // Resolving a counter creates it at zero, so every rql.* name exists
+    // in snapshots even when no run has exercised it.
+    for (size_t i = 0; i < kRunCounters; ++i) {
+      counters[i] = reg->GetCounter(kRunCounterNames[i]);
+    }
+  }
+
+  retro::MetricsRegistry* registry;
+  uint64_t registry_id;
+  retro::MetricsRegistry::Counter* counters[kRunCounters];
+  retro::MetricsRegistry::Histogram* iteration_us;
+  retro::MetricsRegistry::Histogram* run_us;
 };
 
 const char* RqlProfileName(RqlProfile profile) {
@@ -1075,91 +1122,58 @@ std::string RqlEngine::ReplaceCurrentSnapshot(const std::string& qq,
 
 void RqlEngine::PublishRunMetrics() {
   retro::MetricsRegistry* reg = metrics();
-  auto add = [reg](const char* name, int64_t v) {
-    // Always touch the counter so every rql.* name exists (at zero) in
-    // snapshots even when the run never exercised it.
-    reg->GetCounter(name)->Add(v);
-  };
-  add("rql.runs", 1);
-  add("rql.parallel_runs", stats_.parallel ? 1 : 0);
-  add("rql.result_reuses", stats_.result_reused ? 1 : 0);
-  add("rql.qs_reuses", stats_.qs_reused ? 1 : 0);
-  add("rql.iterations", static_cast<int64_t>(stats_.iterations.size()));
-  add("rql.iterations_skipped", stats_.iterations_skipped);
-  add("rql.qq_parse_count", stats_.qq_parse_count);
-  add("rql.parallel_wall_us", stats_.parallel_wall_us);
-  add("rql.parallel_lock_wait_us", stats_.parallel_lock_wait_us);
-  add("rql.coalesced_loads", stats_.coalesced_loads);
-  add("rql.archive_read_retries", stats_.archive_read_retries);
-  add("rql.shared_page_hits", stats_.shared_page_hits);
-  // Scan-cache traffic under the rql.scan_cache.* prefix the shared
-  // cache's own gauges (bytes, entries, evictions — registered by the
-  // caller via SharedScanCache::RegisterMetrics) share. These counters
-  // are run-attributed; the gauges are cache-lifetime totals.
-  add("rql.scan_cache.shared_hits", stats_.shared_page_hits);
-  add("rql.scan_cache.misses", stats_.scan_cache_misses);
-  add("rql.scan_cache.coalesced_decodes", stats_.coalesced_decodes);
-  add("rql.total_us", stats_.TotalUs());
+  if (run_metrics_ == nullptr || run_metrics_->registry != reg ||
+      run_metrics_->registry_id != reg->id()) {
+    run_metrics_ = std::make_unique<RunMetrics>(reg);
+  }
+  const RunMetrics& m = *run_metrics_;
+  int64_t v[kRunCounters] = {};
+  v[kRuns] = 1;
+  v[kParallelRuns] = stats_.parallel ? 1 : 0;
+  v[kResultReuses] = stats_.result_reused ? 1 : 0;
+  v[kQsReuses] = stats_.qs_reused ? 1 : 0;
+  v[kIterations] = static_cast<int64_t>(stats_.iterations.size());
+  v[kIterationsSkipped] = stats_.iterations_skipped;
+  v[kQqParseCount] = stats_.qq_parse_count;
+  v[kParallelWallUs] = stats_.parallel_wall_us;
+  v[kParallelLockWaitUs] = stats_.parallel_lock_wait_us;
+  v[kCoalescedLoads] = stats_.coalesced_loads;
+  v[kArchiveReadRetries] = stats_.archive_read_retries;
+  v[kSharedPageHits] = stats_.shared_page_hits;
+  v[kScanCacheSharedHits] = stats_.shared_page_hits;
+  v[kScanCacheMisses] = stats_.scan_cache_misses;
+  v[kScanCacheCoalescedDecodes] = stats_.coalesced_decodes;
+  v[kTotalUs] = stats_.TotalUs();
 
   // Per-iteration sums, published from the very numbers last_run_stats()
   // reports, so a registry delta over one run equals the legacy struct
   // exactly (the equality metrics_test and the property test assert).
-  int64_t spt_build_us = 0, query_eval_us = 0;
-  int64_t index_create_us = 0, udf_us = 0;
-  int64_t pagelog_pages = 0, db_pages = 0, cache_hits = 0, qq_rows = 0;
-  int64_t result_probes = 0, result_inserts = 0, result_updates = 0;
-  int64_t maplog_pages = 0, spt_delta_entries = 0, plan_cache_hits = 0;
-  int64_t delta_pages_scanned = 0;
-  int64_t batches_scanned = 0, batch_rows = 0, batch_fallback_rows = 0;
-  int64_t memo_hits = 0, memo_misses = 0, memo_evictions = 0;
-  retro::MetricsRegistry::Histogram* iter_hist =
-      reg->GetHistogram("rql.iteration_us");
   for (const RqlIterationStats& it : stats_.iterations) {
-    spt_build_us += it.spt_build_us;
-    query_eval_us += it.query_eval_us;
-    index_create_us += it.index_create_us;
-    udf_us += it.udf_us;
-    pagelog_pages += it.pagelog_pages;
-    db_pages += it.db_pages;
-    cache_hits += it.cache_hits;
-    qq_rows += it.qq_rows;
-    result_probes += it.result_probes;
-    result_inserts += it.result_inserts;
-    result_updates += it.result_updates;
-    maplog_pages += it.maplog_pages;
-    spt_delta_entries += it.spt_delta_entries;
-    plan_cache_hits += it.plan_cache_hits;
-    delta_pages_scanned += it.delta_pages_scanned;
-    batches_scanned += it.batches_scanned;
-    batch_rows += it.batch_rows;
-    batch_fallback_rows += it.batch_fallback_rows;
-    memo_hits += it.memo_hits;
-    memo_misses += it.memo_misses;
-    memo_evictions += it.memo_evictions;
-    iter_hist->ObserveUs(it.TotalUs());
+    v[kSptBuildUs] += it.spt_build_us;
+    v[kQueryEvalUs] += it.query_eval_us;
+    v[kIndexCreateUs] += it.index_create_us;
+    v[kUdfUs] += it.udf_us;
+    v[kPagelogPages] += it.pagelog_pages;
+    v[kDbPages] += it.db_pages;
+    v[kCacheHits] += it.cache_hits;
+    v[kQqRows] += it.qq_rows;
+    v[kResultProbes] += it.result_probes;
+    v[kResultInserts] += it.result_inserts;
+    v[kResultUpdates] += it.result_updates;
+    v[kMaplogPages] += it.maplog_pages;
+    v[kSptDeltaEntries] += it.spt_delta_entries;
+    v[kPlanCacheHits] += it.plan_cache_hits;
+    v[kDeltaPagesScanned] += it.delta_pages_scanned;
+    v[kBatchesScanned] += it.batches_scanned;
+    v[kBatchRows] += it.batch_rows;
+    v[kBatchFallbackRows] += it.batch_fallback_rows;
+    v[kMemoHits] += it.memo_hits;
+    v[kMemoMisses] += it.memo_misses;
+    v[kMemoEvictions] += it.memo_evictions;
+    m.iteration_us->ObserveUs(it.TotalUs());
   }
-  add("rql.spt_build_us", spt_build_us);
-  add("rql.query_eval_us", query_eval_us);
-  add("rql.index_create_us", index_create_us);
-  add("rql.udf_us", udf_us);
-  add("rql.pagelog_pages", pagelog_pages);
-  add("rql.db_pages", db_pages);
-  add("rql.cache_hits", cache_hits);
-  add("rql.qq_rows", qq_rows);
-  add("rql.result_probes", result_probes);
-  add("rql.result_inserts", result_inserts);
-  add("rql.result_updates", result_updates);
-  add("rql.maplog_pages", maplog_pages);
-  add("rql.spt_delta_entries", spt_delta_entries);
-  add("rql.plan_cache_hits", plan_cache_hits);
-  add("rql.delta_pages_scanned", delta_pages_scanned);
-  add("rql.batches_scanned", batches_scanned);
-  add("rql.batch_rows", batch_rows);
-  add("rql.batch_fallback_rows", batch_fallback_rows);
-  add("rql.memo_hits", memo_hits);
-  add("rql.memo_misses", memo_misses);
-  add("rql.memo_evictions", memo_evictions);
-  reg->GetHistogram("rql.run_us")->ObserveUs(stats_.TotalUs());
+  for (size_t i = 0; i < kRunCounters; ++i) m.counters[i]->Add(v[i]);
+  m.run_us->ObserveUs(stats_.TotalUs());
 }
 
 namespace {
@@ -1449,6 +1463,40 @@ Status RejectOpenMetaTransaction(sql::Database* meta) {
       "COMMIT or ROLLBACK it first");
 }
 
+/// Whether every call in `stmts` is an aggregate, a built-in of
+/// src/sql/functions.cc (all deterministic, none writes) or, when
+/// `current_snapshot` is set, current_snapshot(). Anything else is a
+/// function registered on the handle, which may write.
+bool CallsOnlyBuiltins(std::vector<sql::Statement>* stmts,
+                       bool current_snapshot) {
+  static const sql::FunctionRegistry builtins =
+      sql::FunctionRegistry::WithBuiltins();
+  bool only = true;
+  for (sql::Statement& stmt : *stmts) {
+    sql::VisitStatementExprs(&stmt, [&](sql::Expr* e) {
+      if (e->kind == sql::ExprKind::kFunctionCall &&
+          !sql::IsAggregateFunction(e->name) &&
+          builtins.Find(e->name) == nullptr &&
+          !(current_snapshot &&
+            sql::IdentEquals(e->name, "current_snapshot"))) {
+        only = false;
+      }
+    });
+  }
+  return only;
+}
+
+/// Whether Qs answers the same over an unchanged metadata database: a
+/// single SELECT calling only built-ins. What the handle registers beside
+/// them (the mechanism UDFs, which write, and current_snapshot())
+/// disqualifies it.
+bool QsIsReusable(const std::string& qs) {
+  auto parsed = sql::ParseSql(qs);
+  return parsed.ok() && parsed->size() == 1 &&
+         std::holds_alternative<sql::SelectStmt>(parsed->front()) &&
+         CallsOnlyBuiltins(&*parsed, /*current_snapshot=*/false);
+}
+
 }  // namespace
 
 Status RqlEngine::RunMechanism(const std::string& qs, MechanismState* state) {
@@ -1463,14 +1511,17 @@ Status RqlEngine::RunMechanism(const std::string& qs, MechanismState* state) {
   // recorded run's spec holds its Qq text, which parsed then.
   const std::string spec = state->ResultSpec();
   bool single_select = false;
+  bool builtins_only = false;
   if (last_result_ != nullptr && last_result_->spec == spec) {
     single_select = last_result_->qq_single_select;
+    builtins_only = last_result_->qq_builtins_only;
   } else {
     auto parsed = sql::ParseSql(state->qq());
     if (!parsed.ok()) return parsed.status();
     if (parsed->empty()) return Status::InvalidArgument("Qq is empty");
     single_select = parsed->size() == 1 &&
                     std::holds_alternative<sql::SelectStmt>(parsed->front());
+    builtins_only = CallsOnlyBuiltins(&*parsed, /*current_snapshot=*/true);
   }
   std::vector<retro::SnapshotId> snap_ids;
   RQL_RETURN_IF_ERROR(EvaluateQs(qs, &snap_ids));
@@ -1492,6 +1543,7 @@ Status RqlEngine::RunMechanism(const std::string& qs, MechanismState* state) {
   }
   // From here until the run succeeds, the table is not the recorded one.
   last_result_.reset();
+  const uint64_t before = meta_db_->store()->page_store()->mutations();
   RQL_RETURN_IF_ERROR(meta_db_->Exec("DROP TABLE IF EXISTS " + state->table()));
   run.Begin(snap_ids.size(), parallel ? options_.parallel_workers : 1);
   Status s = Status::OK();
@@ -1504,6 +1556,9 @@ Status RqlEngine::RunMechanism(const std::string& qs, MechanismState* state) {
     }
   }
   if (s.ok()) s = state->Finish();
+  // Between `before` and here only the run wrote the metadata database,
+  // unless Qq called a function the data handle registers, which may.
+  if (s.ok() && builtins_only) NetOwnWrites(*state, before);
   if (s.ok() && options_.memo != nullptr) {
     auto record = std::make_unique<ResultRecord>();
     record->spec = spec;
@@ -1514,6 +1569,7 @@ Status RqlEngine::RunMechanism(const std::string& qs, MechanismState* state) {
     record->read_sets = state->TakeReadSets();
     record->meta_mutations = meta_db_->store()->page_store()->mutations();
     record->qq_single_select = single_select;
+    record->qq_builtins_only = builtins_only;
     last_result_ = std::move(record);
   }
   run.Finish(s);
@@ -1523,45 +1579,22 @@ Status RqlEngine::RunMechanism(const std::string& qs, MechanismState* state) {
   return s;
 }
 
-namespace {
-
-/// Whether Qs answers the same over an unchanged metadata database: a
-/// single SELECT whose every call is an aggregate or a built-in of
-/// src/sql/functions.cc, all deterministic. What the handle registers
-/// beside them (the mechanism UDFs, which write, and current_snapshot())
-/// disqualifies it.
-bool QsIsReusable(const std::string& qs) {
-  static const sql::FunctionRegistry builtins =
-      sql::FunctionRegistry::WithBuiltins();
-  auto parsed = sql::ParseSql(qs);
-  if (!parsed.ok() || parsed->size() != 1 ||
-      !std::holds_alternative<sql::SelectStmt>(parsed->front())) {
-    return false;
-  }
-  bool reusable = true;
-  sql::VisitStatementExprs(&parsed->front(), [&](sql::Expr* e) {
-    if (e->kind == sql::ExprKind::kFunctionCall &&
-        !sql::IsAggregateFunction(e->name) &&
-        builtins.Find(e->name) == nullptr) {
-      reusable = false;
-    }
-  });
-  return reusable;
-}
-
-}  // namespace
-
 Status RqlEngine::EvaluateQs(const std::string& qs,
                              std::vector<retro::SnapshotId>* out) {
-  const uint64_t mutations = meta_db_->store()->page_store()->mutations();
-  const QsRecord* r = last_qs_.get();
-  if (options_.memo != nullptr && r != nullptr && r->reusable &&
-      r->meta_mutations == mutations && r->qs == qs) {
-    *out = r->snapshots;
-    stats_.qs_reused = true;
-    return Status::OK();
+  const uint64_t net =
+      meta_db_->store()->page_store()->mutations() - own_mutations_;
+  if (options_.memo != nullptr) {
+    if (qs_records_net_ != net) {
+      qs_records_.clear();
+      qs_records_net_ = net;
+    }
+    auto it = qs_records_.find(qs);
+    if (it != qs_records_.end()) {
+      *out = it->second.snapshots;
+      stats_.qs_reused = true;
+      return Status::OK();
+    }
   }
-  last_qs_.reset();
   RQL_ASSIGN_OR_RETURN(sql::QueryResult snaps, meta_db_->Query(qs));
   out->clear();
   out->reserve(snaps.rows.size());
@@ -1572,11 +1605,41 @@ Status RqlEngine::EvaluateQs(const std::string& qs,
     }
     out->push_back(static_cast<retro::SnapshotId>(row[0].AsInt()));
   }
-  if (options_.memo != nullptr) {
-    last_qs_ = std::make_unique<QsRecord>(
-        QsRecord{qs, QsIsReusable(qs), *out, mutations});
+  // Recorded at the count Qs was evaluated at: had the evaluation written
+  // anything, the record would never match.
+  if (options_.memo == nullptr || !QsIsReusable(qs)) return Status::OK();
+  auto tokens = sql::Tokenize(qs);
+  if (!tokens.ok()) return Status::OK();
+  QsRecord record;
+  record.snapshots = *out;
+  for (const sql::Token& t : *tokens) {
+    if (t.type == sql::TokenType::kIdentifier) {
+      record.names.push_back(sql::IdentLower(t.text));
+    }
   }
+  std::sort(record.names.begin(), record.names.end());
+  record.names.erase(std::unique(record.names.begin(), record.names.end()),
+                     record.names.end());
+  if (qs_records_.size() >= kMaxQsRecords) {
+    qs_records_.erase(qs_records_.begin());
+  }
+  qs_records_.emplace(qs, std::move(record));
   return Status::OK();
+}
+
+void RqlEngine::NetOwnWrites(const MechanismState& state, uint64_t before) {
+  const std::string table = sql::IdentLower(state.table());
+  const std::string index = sql::IdentLower(state.IndexName());
+  for (auto it = qs_records_.begin(); it != qs_records_.end();) {
+    const std::vector<std::string>& names = it->second.names;
+    if (std::binary_search(names.begin(), names.end(), table) ||
+        std::binary_search(names.begin(), names.end(), index)) {
+      it = qs_records_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  own_mutations_ += meta_db_->store()->page_store()->mutations() - before;
 }
 
 bool RqlEngine::ReuseRecordedResult(

@@ -144,10 +144,11 @@ struct RqlRunStats {
   /// database and every recorded read set still valid (RqlOptions::memo).
   /// Its iterations are memo hits that folded nothing.
   bool result_reused = false;
-  /// True when the run took its snapshot list from the engine's previous
-  /// evaluation of the same Qs instead of querying the metadata database:
-  /// Qs is a single SELECT calling only built-in functions, and the
-  /// metadata database has not been written since (RqlOptions::memo).
+  /// True when the run took its snapshot list from the engine's earlier
+  /// evaluation of the same Qs text instead of querying the metadata
+  /// database: Qs is a single SELECT calling only built-in functions, and
+  /// nothing has written the metadata database since except the engine's
+  /// own runs into tables Qs does not name (RqlOptions::memo).
   bool qs_reused = false;
 
   int64_t TotalUs() const {
@@ -492,20 +493,38 @@ class RqlEngine {
   /// What the last successful memoized run left in its result table
   /// (rql.cc).
   struct ResultRecord;
-  /// The snapshot list the last memoized evaluation of Qs returned
-  /// (rql.cc).
-  struct QsRecord;
+  /// The snapshot list a memoized evaluation of one reusable Qs text
+  /// returned, and the lower-cased identifiers of that text: a conservative
+  /// superset of the tables Qs reads.
+  struct QsRecord {
+    std::vector<retro::SnapshotId> snapshots;
+    std::vector<std::string> names;  // sorted, unique
+  };
+  /// The most Qs records an engine keeps, at a few hundred bytes each:
+  /// room for a session that sweeps a couple of hundred distinct windows.
+  static constexpr size_t kMaxQsRecords = 256;
+  /// The registry handles PublishRunMetrics adds to (rql.cc).
+  struct RunMetrics;
 
   /// Runs a full mechanism: evaluates Qs on the metadata database, then
   /// iterates the state over every snapshot id.
   Status RunMechanism(const std::string& qs, MechanismState* state);
 
-  /// Qs's snapshot list: the recorded one when the engine has a memo, Qs
-  /// is the recorded text, reusable, and the metadata database has not
-  /// been written since it was evaluated; otherwise Qs evaluated on the
-  /// metadata database (and recorded, with a memo).
+  /// Qs's snapshot list. With a memo, a reusable Qs (QsIsReusable) that
+  /// has a record is answered from it, provided the metadata database has
+  /// had no write since the record was made other than the engine's own
+  /// netted runs (NetOwnWrites), none of which wrote a table Qs names.
+  /// Otherwise Qs is evaluated on the metadata database, and, with a memo
+  /// and a reusable Qs, recorded.
   Status EvaluateQs(const std::string& qs,
                     std::vector<retro::SnapshotId>* out);
+
+  /// Called after `state`'s run succeeded, when the metadata mutations
+  /// since `before` (read just before the run dropped its result table)
+  /// are provably the run's own writes to its result table and index.
+  /// Drops every Qs record that names either, then adds the span to
+  /// own_mutations_, so the remaining records keep matching.
+  void NetOwnWrites(const MechanismState& state, uint64_t before);
 
   /// True when `state`'s run (`spec`, its ResultSpec) over `snaps`
   /// repeats the recorded run and every recorded read set still
@@ -589,8 +608,17 @@ class RqlEngine {
   /// The last successful memoized mechanism run; null before one, and
   /// from the moment a run drops its result table until it succeeds.
   std::unique_ptr<ResultRecord> last_result_;
-  /// The last memoized Qs evaluation; null before one.
-  std::unique_ptr<QsRecord> last_qs_;
+  /// Memoized Qs evaluations by Qs text, at most kMaxQsRecords, all made
+  /// at net count qs_records_net_: the metadata store's mutations() minus
+  /// own_mutations_. A record made at an older net count can never match
+  /// again, since the net count only grows.
+  std::unordered_map<std::string, QsRecord> qs_records_;
+  uint64_t qs_records_net_ = 0;
+  /// Metadata mutations made by the engine's own netted runs.
+  uint64_t own_mutations_ = 0;
+  /// The handles of metrics(), resolved by name at the first publish and
+  /// again only when the registry changes.
+  std::unique_ptr<RunMetrics> run_metrics_;
 };
 
 }  // namespace rql

@@ -8,8 +8,11 @@ namespace rql::storage {
 namespace {
 
 constexpr uint32_t kMagic = 0x52514C31;      // "RQL1"
-constexpr uint32_t kWalMagic = 0x57414C31;   // "WAL1"
-constexpr uint32_t kWalCommit = 0x434D5431;  // "CMT1"
+// A WAL record's magic names its checksum: WAL1 records (written before
+// WAL2) carry ByteChecksum, WAL2 records WordChecksum. Recovery reads both.
+constexpr uint32_t kWalMagicV1 = 0x57414C31;  // "WAL1"
+constexpr uint32_t kWalMagic = 0x57414C32;    // "WAL2"
+constexpr uint32_t kWalCommit = 0x434D5431;   // "CMT1"
 
 // Header page layout (page 0).
 constexpr uint32_t kMagicOffset = 0;
@@ -18,11 +21,34 @@ constexpr uint32_t kFreeHeadOffset = 8;
 constexpr uint32_t kFreeCountOffset = 12;
 constexpr uint32_t kRootsOffset = 16;
 
-uint64_t Fnv1a(const char* data, size_t n, uint64_t seed = 0xCBF29CE484222325ull) {
-  uint64_t hash = seed;
+constexpr uint64_t kFnvOffset = 0xCBF29CE484222325ull;
+constexpr uint64_t kFnvPrime = 0x100000001B3ull;
+
+/// FNV-1a, one byte per step.
+uint64_t ByteChecksum(const char* data, size_t n) {
+  uint64_t hash = kFnvOffset;
   for (size_t i = 0; i < n; ++i) {
     hash ^= static_cast<unsigned char>(data[i]);
-    hash *= 0x100000001B3ull;
+    hash *= kFnvPrime;
+  }
+  return hash;
+}
+
+/// FNV-1a's step over 8-byte words (native byte order), then the tail
+/// bytes one at a time. Every step is a bijection of the running hash, so
+/// any one changed word, or byte, changes the result; the shift carries
+/// each word's high bits down before the next multiply.
+uint64_t WordChecksum(const char* data, size_t n) {
+  uint64_t hash = kFnvOffset;
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    uint64_t word;
+    std::memcpy(&word, data + i, 8);
+    hash = (hash ^ word) * kFnvPrime;
+    hash ^= hash >> 29;
+  }
+  for (; i < n; ++i) {
+    hash = (hash ^ static_cast<unsigned char>(data[i])) * kFnvPrime;
   }
   return hash;
 }
@@ -62,7 +88,9 @@ Status PageStore::RecoverWal() {
   if (size < sizeof(header)) return discard();
   RQL_RETURN_IF_ERROR(wal_->Read(0, sizeof(header),
                                  reinterpret_cast<char*>(&header)));
-  if (header.magic != kWalMagic) return discard();
+  if (header.magic != kWalMagic && header.magic != kWalMagicV1) {
+    return discard();
+  }
   uint64_t payload_bytes =
       static_cast<uint64_t>(header.count) * (4 + kPageSize);
   uint64_t expected = sizeof(header) + payload_bytes + 4;
@@ -73,8 +101,10 @@ Status PageStore::RecoverWal() {
   uint32_t commit = 0;
   RQL_RETURN_IF_ERROR(wal_->Read(sizeof(header) + payload_bytes, 4,
                                  reinterpret_cast<char*>(&commit)));
-  if (commit != kWalCommit ||
-      Fnv1a(payload.data(), payload.size()) != header.crc) {
+  const uint64_t crc = header.magic == kWalMagic
+                           ? WordChecksum(payload.data(), payload.size())
+                           : ByteChecksum(payload.data(), payload.size());
+  if (commit != kWalCommit || crc != header.crc) {
     return discard();
   }
   // A fully committed batch: (re)apply it.
@@ -151,7 +181,7 @@ Status PageStore::CommitDirty() {
   }
   header.magic = kWalMagic;
   header.count = static_cast<uint32_t>(dirty_.size());
-  header.crc = Fnv1a(payload.data(), payload.size());
+  header.crc = WordChecksum(payload.data(), payload.size());
   std::string record(reinterpret_cast<const char*>(&header), sizeof(header));
   record += payload;
   record.append(reinterpret_cast<const char*>(&kWalCommit), 4);

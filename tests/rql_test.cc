@@ -1073,8 +1073,9 @@ class RqlQsReuseTest : public RqlResultReuseTest {
     return out;
   }
 
-  /// Runs `qs` into Out until a run reuses the Qs list (the second rerun
-  /// at most: the first run's fold wrote the metadata database).
+  /// Runs `qs` into Out until a run reuses the Qs list (the first rerun:
+  /// the first run's fold is the engine's own write, which Qs does not
+  /// read).
   void RunUntilQsReused(const std::string& qs) {
     for (int i = 0; i < 3 && !QsReused(); ++i) ASSERT_TRUE(Run(qs, "Out").ok());
     ASSERT_TRUE(QsReused());
@@ -1085,9 +1086,9 @@ TEST_F(RqlQsReuseTest, RerunWithTheSameQsReusesTheList) {
   const std::vector<std::string> oracle = Oracle(kQs);
   ASSERT_TRUE(Run(kQs, "Out").ok());
   EXPECT_FALSE(QsReused());
-  // The fold wrote Out after Qs was evaluated: evaluated again.
+  // The fold wrote only Out, which Qs does not name: reused.
   ASSERT_TRUE(Run(kQs, "Out").ok());
-  EXPECT_FALSE(QsReused());
+  EXPECT_TRUE(QsReused());
   EXPECT_TRUE(Reused());
   ASSERT_TRUE(Run(kQs, "Out").ok());
   EXPECT_TRUE(QsReused());
@@ -1100,6 +1101,147 @@ TEST_F(RqlQsReuseTest, RerunWithTheSameQsReusesTheList) {
   EXPECT_FALSE(QsReused());
 }
 
+TEST_F(RqlQsReuseTest, AlternatingQsTextsAreEachReusedFromTheirSecondUse) {
+  // Every run folds, since each list differs from the last run's; each
+  // fold writes only Out.
+  const std::string early = "SELECT snap_id FROM SnapIds WHERE snap_id <= 2";
+  const std::string late = "SELECT snap_id FROM SnapIds WHERE snap_id >= 2";
+  const std::vector<std::string> early_oracle = Oracle(early);
+  const std::vector<std::string> late_oracle = Oracle(late);
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE(round);
+    ASSERT_TRUE(Run(early, "Out").ok());
+    EXPECT_EQ(QsReused(), round > 0);
+    EXPECT_FALSE(Reused());
+    EXPECT_EQ(Iterated(), (std::vector<retro::SnapshotId>{1, 2}));
+    EXPECT_EQ(HeapDump(meta_.get(), "Out"), early_oracle);
+    ASSERT_TRUE(Run(late, "Out").ok());
+    EXPECT_EQ(QsReused(), round > 0);
+    EXPECT_FALSE(Reused());
+    EXPECT_EQ(Iterated(), (std::vector<retro::SnapshotId>{2, 3}));
+    EXPECT_EQ(HeapDump(meta_.get(), "Out"), late_oracle);
+  }
+}
+
+TEST_F(RqlQsReuseTest, RunIntoATableQsJoinsForcesEvaluation) {
+  // Qs names the table in another case than the runs do.
+  const std::string qs =
+      "SELECT snap_id FROM SnapIds, PICK WHERE snap_id = s ORDER BY snap_id";
+  auto pick = [this](const char* user) {
+    return engine_->CollateData(
+        kQs,
+        std::string("SELECT current_snapshot() AS s FROM LoggedIn "
+                    "WHERE l_userid = '") +
+            user + "'",
+        "Pick");
+  };
+  ASSERT_TRUE(pick("UserD").ok());
+  RunUntilQsReused(qs);
+  EXPECT_EQ(Iterated(), (std::vector<retro::SnapshotId>{3}));
+  ASSERT_TRUE(pick("UserB").ok());
+  // The run into Pick reused kQs's list and was netted, but it wrote a
+  // table qs names.
+  EXPECT_TRUE(QsReused());
+  ASSERT_TRUE(Run(qs, "Out").ok());
+  EXPECT_FALSE(QsReused());
+  EXPECT_EQ(Iterated(), (std::vector<retro::SnapshotId>{1, 2, 3}));
+  ASSERT_TRUE(Run(qs, "Out").ok());
+  EXPECT_TRUE(QsReused());
+}
+
+TEST_F(RqlQsReuseTest, SortMergeIntoATableQsNamesForcesEvaluation) {
+  // Under kSortMerge each iteration after the first merges its batch into
+  // the result table (MergeBatch).
+  engine_->mutable_options()->agg_table_strategy = AggTableStrategy::kSortMerge;
+  const std::string qs =
+      "SELECT snap_id FROM SnapIds, Pick WHERE snap_id = n ORDER BY snap_id";
+  // Over snapshots 2 and 3 each country's largest count is USA 1, UK 2.
+  ASSERT_TRUE(Run("SELECT snap_id FROM SnapIds WHERE snap_id >= 2", "Pick")
+                  .ok());
+  RunUntilQsReused(qs);
+  EXPECT_EQ(Iterated(), (std::vector<retro::SnapshotId>{1, 2}));
+  // Over every snapshot: USA 2, UK 2.
+  ASSERT_TRUE(Run(kQs, "Pick").ok());
+  ASSERT_EQ(engine_->last_run_stats().iterations.size(), 3u);
+  ASSERT_TRUE(Run(qs, "Out").ok());
+  EXPECT_FALSE(QsReused());
+  EXPECT_EQ(Iterated(), (std::vector<retro::SnapshotId>{2, 2}));
+}
+
+TEST_F(RqlQsReuseTest, ClientSnapIdsWritesForceEvaluation) {
+  RunUntilQsReused(kQs);
+  // A rolled-back INSERT leaves SnapIds as it was, but it wrote.
+  Ok(meta_.get(), "BEGIN");
+  Ok(meta_.get(), "INSERT INTO SnapIds VALUES (2, 'x', 'again')");
+  Ok(meta_.get(), "ROLLBACK");
+  ASSERT_TRUE(Run(kQs, "Out").ok());
+  EXPECT_FALSE(QsReused());
+  EXPECT_EQ(Iterated(), (std::vector<retro::SnapshotId>{1, 2, 3}));
+  RunUntilQsReused(kQs);
+  Ok(meta_.get(), "INSERT INTO SnapIds VALUES (2, 'x', 'again')");
+  ASSERT_TRUE(Run(kQs, "Out").ok());
+  EXPECT_FALSE(QsReused());
+  EXPECT_EQ(Iterated(), (std::vector<retro::SnapshotId>{1, 2, 3, 2}));
+}
+
+TEST_F(RqlQsReuseTest, FailedOrCancelledRunForcesEvaluation) {
+  // Qq names a table snapshot 1 does not hold: the run drops Out, then
+  // fails at its first iteration.
+  Ok(data_.get(), "CREATE TABLE Late (x INTEGER)");
+  RunUntilQsReused(kQs);
+  EXPECT_FALSE(engine_
+                   ->AggregateDataInVariable(kQs, "SELECT COUNT(*) FROM Late",
+                                             "Out", "sum")
+                   .ok());
+  EXPECT_TRUE(QsReused());
+  ASSERT_TRUE(Run(kQs, "Out").ok());
+  EXPECT_FALSE(QsReused());
+
+  // A run cancelled after it dropped Out. Qs raises the flag, so the
+  // first poll after it aborts the run.
+  std::atomic<bool> cancel{false};
+  engine_->mutable_options()->cancel = &cancel;
+  meta_->RegisterFunction(
+      "raise_cancel", 1, 1,
+      [&cancel](const std::vector<Value>& a) -> Result<Value> {
+        cancel.store(true);
+        return a[0];
+      });
+  RunUntilQsReused(kQs);
+  Status s = Run("SELECT raise_cancel(snap_id) FROM SnapIds", "Out");
+  EXPECT_EQ(s.code(), StatusCode::kAborted) << s.ToString();
+  cancel.store(false);
+  ASSERT_TRUE(Run(kQs, "Out").ok());
+  EXPECT_FALSE(QsReused());
+  EXPECT_EQ(Iterated(), (std::vector<retro::SnapshotId>{1, 2, 3}));
+}
+
+TEST_F(RqlQsReuseTest, QqCallingADataHandleFunctionForcesEvaluation) {
+  // A function the data handle registers could write the metadata
+  // database in the middle of the run, so such a run is not netted.
+  data_->RegisterFunction("same", 1, 1,
+                          [](const std::vector<Value>& a) -> Result<Value> {
+                            return a[0];
+                          });
+  RunUntilQsReused(kQs);
+  ASSERT_TRUE(engine_
+                  ->AggregateDataInVariable(
+                      kQs, "SELECT same(COUNT(*)) FROM LoggedIn", "Side",
+                      "sum")
+                  .ok());
+  ASSERT_TRUE(Run(kQs, "Out").ok());
+  EXPECT_FALSE(QsReused());
+  // The same run calling a built-in is netted.
+  RunUntilQsReused(kQs);
+  ASSERT_TRUE(engine_
+                  ->AggregateDataInVariable(
+                      kQs, "SELECT ABS(COUNT(*)) FROM LoggedIn", "Side",
+                      "sum")
+                  .ok());
+  ASSERT_TRUE(Run(kQs, "Out").ok());
+  EXPECT_TRUE(QsReused());
+}
+
 TEST_F(RqlQsReuseTest, DeclaredSnapshotIsSeenByTheNextRun) {
   RunUntilQsReused(kQs);
   Ok(data_.get(), "BEGIN");
@@ -1108,6 +1250,16 @@ TEST_F(RqlQsReuseTest, DeclaredSnapshotIsSeenByTheNextRun) {
   ASSERT_TRUE(Run(kQs, "Out").ok());
   EXPECT_FALSE(QsReused());
   EXPECT_EQ(Iterated(), (std::vector<retro::SnapshotId>{1, 2, 3, *snap}));
+}
+
+TEST_F(RqlQsReuseTest, TruncationIsSeenByTheNextRun) {
+  // Truncation removes SnapIds rows, as a served session's mirror rewrite
+  // after a truncation does.
+  RunUntilQsReused(kQs);
+  ASSERT_TRUE(engine_->TruncateHistory(2).ok());
+  ASSERT_TRUE(Run(kQs, "Out").ok());
+  EXPECT_FALSE(QsReused());
+  EXPECT_EQ(Iterated(), (std::vector<retro::SnapshotId>{2, 3}));
 }
 
 TEST_F(RqlQsReuseTest, WriteToATableQsJoinsForcesEvaluation) {

@@ -1278,6 +1278,65 @@ TEST(ServerMirrorTest, RerunStatsShowTheReusedQs) {
       << *text;
 }
 
+TEST(ServerMirrorTest, AlternatingWindowsReuseQsFromTheirSecondRun) {
+  HistoryFixture f = MakeHistory(12);
+  retro::MetricsRegistry registry;
+  ServerOptions options;
+  options.socket_path = UniqueSocketPath();
+  options.metrics = &registry;
+  auto server = Server::Create(f.data.get(), f.meta.get(), options);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->Start().ok());
+  auto client = Client::Connect(options.socket_path);
+  ASSERT_TRUE(client.ok());
+  auto qs_reuses = [&client]() -> int64_t {
+    auto stats = (*client)->StatsJson();
+    EXPECT_TRUE(stats.ok());
+    return stats.ok() ? MemoStat(*stats, "qs_reuses") : -1;
+  };
+  // Each run folds (its list differs from the last run's) and writes only
+  // its result table, so every window's Qs is evaluated once.
+  auto run = [&client](retro::SnapshotId first, retro::SnapshotId last,
+                       uint32_t iterations) {
+    SCOPED_TRACE(QsRange(first, last));
+    auto started = (*client)->StartRun(Mechanism::kAggregateDataInVariable,
+                                       QsRange(first, last),
+                                       "SELECT COUNT(*) AS c FROM t", "Count",
+                                       "sum");
+    ASSERT_TRUE(started.ok()) << started.status().ToString();
+    auto done = (*client)->WaitRun(*started);
+    ASSERT_TRUE(done.ok() && done->status.ok());
+    EXPECT_EQ(done->iterations, iterations);
+    auto count = (*client)->MetaSql("SELECT * FROM Count");
+    ASSERT_TRUE(count.ok() && count->rows.size() == 1);
+    EXPECT_EQ(count->rows[0][0].AsInt(), 600 * int64_t{iterations});
+  };
+  const int64_t start = qs_reuses();
+  ASSERT_GE(start, 0);
+  const struct {
+    retro::SnapshotId first, last;
+  } windows[] = {{1, 4}, {3, 8}, {5, 12}};
+  int runs = 0;
+  for (int round = 0; round < 4; ++round) {
+    for (const auto& w : windows) {
+      run(w.first, w.last, static_cast<uint32_t>(w.last - w.first + 1));
+      ++runs;
+    }
+  }
+  EXPECT_EQ(qs_reuses() - start, runs - 3);
+  // A truncation rewrites the session's mirror: evaluated once more.
+  ASSERT_TRUE((*client)->Truncate(3).ok());
+  run(1, 4, 2);
+  EXPECT_EQ(qs_reuses() - start, runs - 3);
+  run(3, 8, 6);
+  run(1, 4, 2);
+  EXPECT_EQ(qs_reuses() - start, runs - 2);
+
+  client->reset();
+  WaitForNoSessions(server->get());
+  (*server)->Stop();
+}
+
 TEST(ServerMirrorTest, ListSnapshotsIsTheOwnersSnapIds) {
   MirrorFixture m;
   ASSERT_NE(m.client, nullptr);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 
 #include "common/random.h"
@@ -153,6 +154,119 @@ TEST(WalTest, ReadsInsideBatchSeeBufferedWrites) {
   ASSERT_TRUE((*store)->ReadPage(*id, &read).ok());
   EXPECT_EQ(read.ReadU64(0), 99u);
   ASSERT_TRUE((*store)->CommitBatch().ok());
+}
+
+/// A store in `env` whose page 1 holds `value`, closed.
+PageId CreatePageHolding(InMemoryEnv* env, uint64_t value) {
+  auto store = PageStore::Open(env, "t.db");
+  EXPECT_TRUE(store.ok());
+  auto id = (*store)->AllocatePage();
+  EXPECT_TRUE(id.ok());
+  Page page;
+  page.Zero();
+  page.WriteU64(0, value);
+  EXPECT_TRUE((*store)->WritePage(*id, page).ok());
+  return *id;
+}
+
+/// The WAL bytes of a commit writing `value` to page `id`, taken from a
+/// copy of `env` that crashed right after the WAL append, before the page
+/// file saw the batch. `env` itself is untouched.
+std::string CapturedWalRecord(const InMemoryEnv& env, PageId id,
+                              uint64_t value) {
+  std::unique_ptr<InMemoryEnv> image = env.CloneState();
+  {
+    FaultyEnv faulty(image.get(), /*budget=*/1);  // the WAL append only
+    auto store = PageStore::Open(&faulty, "t.db");
+    EXPECT_TRUE(store.ok());
+    Page page;
+    page.Zero();
+    page.WriteU64(0, value);
+    EXPECT_FALSE((*store)->WritePage(id, page).ok());
+    EXPECT_TRUE(faulty.crashed());
+  }
+  auto wal = image->OpenFile("t.db.wal");
+  EXPECT_TRUE(wal.ok());
+  std::string record((*wal)->Size(), '\0');
+  EXPECT_TRUE((*wal)->Read(0, record.size(), record.data()).ok());
+  return record;
+}
+
+/// Reopens a copy of `env` whose WAL holds `record`, returning page `id`'s
+/// first word and, in `wal_size`, the WAL's size after recovery.
+uint64_t RecoverFrom(const InMemoryEnv& env, const std::string& record,
+                     PageId id, uint64_t* wal_size) {
+  std::unique_ptr<InMemoryEnv> image = env.CloneState();
+  {
+    auto wal = image->OpenFile("t.db.wal");
+    EXPECT_TRUE(wal.ok());
+    uint64_t offset = 0;
+    EXPECT_TRUE((*wal)->Append(record.size(), record.data(), &offset).ok());
+  }
+  auto store = PageStore::Open(image.get(), "t.db");
+  EXPECT_TRUE(store.ok());
+  Page page;
+  EXPECT_TRUE((*store)->ReadPage(id, &page).ok());
+  auto wal = image->OpenFile("t.db.wal");
+  *wal_size = (*wal)->Size();
+  return page.ReadU64(0);
+}
+
+TEST(WalTest, Wal1RecordStillRecovers) {
+  // A record in the first WAL format, built by hand: magic "WAL1", the
+  // page count, FNV-1a over the payload one byte at a time, the payload
+  // (page id, page bytes) and the commit sentinel "CMT1".
+  InMemoryEnv env;
+  const PageId id = CreatePageHolding(&env, 1);
+  Page page;
+  page.Zero();
+  page.WriteU64(0, 0xB0B);
+  page.WriteU64(kPageSize - 8, 0xE4D);
+  std::string payload(reinterpret_cast<const char*>(&id), 4);
+  payload.append(page.data, kPageSize);
+  uint64_t crc = 0xCBF29CE484222325ull;
+  for (char c : payload) {
+    crc ^= static_cast<unsigned char>(c);
+    crc *= 0x100000001B3ull;
+  }
+  const uint32_t magic = 0x57414C31, count = 1, commit = 0x434D5431;
+  std::string record(reinterpret_cast<const char*>(&magic), 4);
+  record.append(reinterpret_cast<const char*>(&count), 4);
+  record.append(reinterpret_cast<const char*>(&crc), 8);
+  record += payload;
+  record.append(reinterpret_cast<const char*>(&commit), 4);
+
+  uint64_t wal_size = 1;
+  EXPECT_EQ(RecoverFrom(env, record, id, &wal_size), 0xB0Bu);
+  EXPECT_EQ(wal_size, 0u);
+  // One flipped payload byte and the record is discarded.
+  record[16 + 4 + kPageSize - 3] ^= 0x10;
+  EXPECT_EQ(RecoverFrom(env, record, id, &wal_size), 1u);
+  EXPECT_EQ(wal_size, 0u);
+}
+
+TEST(WalTest, Wal2RecordWithAFlippedPayloadByteIsDiscarded) {
+  InMemoryEnv env;
+  const PageId id = CreatePageHolding(&env, 1);
+  std::string record = CapturedWalRecord(env, id, 2);
+  uint32_t magic = 0;
+  ASSERT_GE(record.size(), 16u + 4 + kPageSize + 4);
+  std::memcpy(&magic, record.data(), 4);
+  EXPECT_EQ(magic, 0x57414C32u);  // "WAL2"
+
+  uint64_t wal_size = 1;
+  EXPECT_EQ(RecoverFrom(env, record, id, &wal_size), 2u);
+  EXPECT_EQ(wal_size, 0u);
+  // Every payload byte is covered: the first, one in the middle of a
+  // word, and the last.
+  const size_t payload_end = record.size() - 4;
+  for (size_t at : {size_t{16}, size_t{16 + 4 + 1001}, payload_end - 1}) {
+    SCOPED_TRACE(at);
+    std::string flipped = record;
+    flipped[at] ^= 0x01;
+    EXPECT_EQ(RecoverFrom(env, flipped, id, &wal_size), 1u);
+    EXPECT_EQ(wal_size, 0u);
+  }
 }
 
 // The core crash-atomicity property: run a deterministic page workload of
